@@ -9,9 +9,10 @@ into a child interpreter with the sanitizer runtimes preloaded and real
 1. the PR 9 backlog-migration overflow stressor (heavily skewed Bernoulli
    weights push one queue's backlog through repeated grow/migrate cycles —
    the workload that exposed the unchecked writeback overflow), and
-2. a numpy-vs-array differential sweep across RADS configs, asserting
-   bit-identical reports so the instrumented build is proven to be the
-   same kernel, not just a crash-free one.
+2. a numpy-vs-array differential sweep across RADS configs, wide ones
+   (256 and 512 queues, one with arrivals on queue 255) included,
+   asserting bit-identical reports so the instrumented build is proven to
+   be the same kernel, not just a crash-free one.
 
 Any out-of-bounds access or UB in the C source aborts the child with a
 sanitizer report, which this parent surfaces verbatim.
@@ -42,6 +43,7 @@ SRC = REPO / "src"
 _CHILD = r"""
 import sys
 
+from repro.obs.metrics import MetricsRegistry, using_metrics
 from repro.rads.buffer import RADSPacketBuffer
 from repro.rads.config import RADSConfig
 from repro.sim.engine import ClosedLoopSimulation
@@ -73,19 +75,29 @@ if stream != reference:
     sys.exit(4)
 print("stressor ok")
 
-# 2. Differential sweep: uniform and mildly skewed loads across shapes.
+# 2. Differential sweep: uniform and mildly skewed loads across shapes,
+# up to wide machines past the fused python loop's 254 queues (the 256-
+# queue shape sends a tenth of its arrivals to queue 255).
 for num_queues, granularity, seed, weights in (
         (4, 32, 7, None),
         (8, 64, 11, None),
         (16, 128, 13, None),
         (8, 64, 17, [8, 4, 2, 1, 1, 2, 4, 8]),
+        (256, 8, 19, [1] * 255 + [28]),
+        (512, 4, 23, None),
 ):
-    got = make_sim(weights, num_queues, granularity, seed).run(
-        3000, engine="numpy")
+    registry = MetricsRegistry()
+    with using_metrics(registry):
+        got = make_sim(weights, num_queues, granularity, seed).run(
+            3000, engine="numpy")
     want = make_sim(weights, num_queues, granularity, seed).run(
         3000, engine="array")
     if got != want:
         print(f"DIFFERENTIAL MISMATCH: q={num_queues} g={granularity} "
+              f"seed={seed}", file=sys.stderr)
+        sys.exit(4)
+    if not registry.counter("engine.numpy.kernel_spans"):
+        print(f"KERNEL NOT REACHED: q={num_queues} g={granularity} "
               f"seed={seed}", file=sys.stderr)
         sys.exit(4)
 print("differential ok")

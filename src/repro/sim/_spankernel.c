@@ -5,11 +5,12 @@
  * no Python headers, so it builds anywhere a C99 compiler exists.  The
  * kernel executes exactly the slot loop of repro.sim.array_engine's RADS
  * core (stock ECQF + threshold tail MMA + RandomArbiter, num_queues <=
- * 254) on flat state marshalled in from the python core, and marshals the
- * resulting state back.  Everything is integer arithmetic except the two
- * places CPython uses doubles — random() and choices() — which are
- * reproduced with the identical IEEE-754 expressions (this translation
- * unit must never be compiled with -ffast-math).
+ * 65536 so a queue id fits the 16-bit field of CRIT_KEY) on flat state
+ * marshalled in from the python core, and marshals the resulting state
+ * back.  Everything is integer arithmetic except the two places CPython
+ * uses doubles — random() and choices() — which are reproduced with the
+ * identical IEEE-754 expressions (this translation unit must never be
+ * compiled with -ffast-math).
  *
  * Exactness contract:
  *  - the Mersenne Twister below is the reference mt19937ar generator that
@@ -80,7 +81,9 @@ static int64_t mt_comb53(mt_state *mt)
     return ((int64_t)a << 26) | (int64_t)b;
 }
 
-/* _randbelow(m) for 1 <= m <= 254: getrandbits(bit_length(m)) per try. */
+/* _randbelow(m) for 1 <= m <= 65536: getrandbits(bit_length(m)) per try,
+ * i.e. the top bit_length(m) bits of one 32-bit word; shift is
+ * 32 - bit_length(m). */
 static int mt_randbelow(mt_state *mt, int m, int shift)
 {
     uint32_t r = mt_next(mt) >> shift;
@@ -178,6 +181,9 @@ static void heap_down(int64_t *h, int n, int i)
 #define CRIT_ENTERED(k) ((k) >> 16)
 #define CRIT_QUEUE(k) ((int)((k) & 0xffff))
 
+/* Largest num_queues the kernel accepts: every queue id fits CRIT_KEY. */
+#define MAX_QUEUES 65536
+
 /* "No critical entry" cache marker (python uses float inf). */
 #define CRIT_INF INT64_MAX
 
@@ -189,6 +195,7 @@ static void heap_down(int64_t *h, int n, int i)
 #define ERR_OOM 1
 #define ERR_STRICT 2
 #define ERR_CAP 3   /* a python-preallocated out buffer would overflow */
+#define ERR_ARG 4   /* num_queues out of range, or a plan entry names no queue */
 
 /* ------------------------------------------------------------------ */
 /* Kernel interface (mirrored by ctypes structs in repro.sim.kernel)   */
@@ -200,7 +207,7 @@ typedef struct {
     int64_t dram_cap, sram_cap;     /* -1 = unbounded (python None) */
     int64_t la_len, num_slots, start_slot, is_main;
     int64_t arb_tint;               /* ceil(arbiter.load * 2**53) */
-    int64_t plan_mode;              /* 0 = plan bytes, 1 = bernoulli, 2 = none */
+    int64_t plan_mode;              /* 0 = plan, 1 = bernoulli, 2 = none */
     int64_t bern_tint;              /* ceil(arrivals.load * 2**53) */
     double bern_total;              /* cum_weights[-1] + 0.0 */
     /* machine scalars (in/out) */
@@ -231,8 +238,7 @@ typedef struct {
     uint32_t *bern_key;             /* in/out (plan_mode 1) */
     int64_t *bern_meta;
     const double *cum_weights;      /* len num_queues (plan_mode 1) */
-    const uint8_t *plan;            /* len num_slots (plan_mode 0) */
-    const int64_t *bl8;             /* randbelow shifts, idx 0..num_queues */
+    const int32_t *plan;            /* len num_slots (plan_mode 0), -1 = none */
     /* per-queue int64[num_queues], in/out */
     int64_t *backlog, *next_seqno, *delivered, *counters, *req_count;
     int64_t *tail_occ, *dram_occ, *crit_cache;
@@ -302,11 +308,29 @@ int64_t rads_run_span(kcfg *c, kptrs *p)
     const int plan_mode = (int)c->plan_mode;
     int64_t err = ERR_OK;
     int i, q2;
-    int64_t *seqbuf = (int64_t *)malloc((size_t)(g > 0 ? g : 1)
-                                        * sizeof(int64_t));
+    int64_t *seqbuf;
+    int *rb_shift;                  /* 32 - bit_length(m), idx 0..nq */
     qstate *qs = NULL;
-    if (!seqbuf)
+    if (nq < 1 || nq > MAX_QUEUES)
+        return ERR_ARG;
+    seqbuf = (int64_t *)malloc((size_t)(g > 0 ? g : 1) * sizeof(int64_t));
+    rb_shift = (int *)malloc((size_t)(nq + 1) * sizeof(int));
+    if (!seqbuf || !rb_shift) {
+        free(seqbuf);
+        free(rb_shift);
         return ERR_OOM;
+    }
+    /* Portable bit length, once per call: it grows by one exactly when m
+     * reaches the next power of two. */
+    {
+        int m, bits = 0;
+        rb_shift[0] = 32;
+        for (m = 1; m <= nq; m++) {
+            if (m >> bits)
+                bits++;
+            rb_shift[m] = 32 - bits;
+        }
+    }
 
     mt_state arb, bern;
     memcpy(arb.key, p->arb_key, sizeof(arb.key));
@@ -322,6 +346,7 @@ int64_t rads_run_span(kcfg *c, kptrs *p)
     qs = (qstate *)calloc((size_t)nq, sizeof(qstate));
     if (!qs) {
         free(seqbuf);
+        free(rb_shift);
         return ERR_OOM;
     }
     {
@@ -407,7 +432,7 @@ int64_t rads_run_span(kcfg *c, kptrs *p)
     for (slot = c->start_slot;
          slot < c->start_slot + num_slots + c->drain_slots; slot++) {
         int pol = 0;
-        int a = 255;        /* arrival queue, 255 = none */
+        int a = -1;         /* arrival queue, -1 = none */
         int request = -1;   /* granted queue, -1 = none */
         int leaving;
         /* past the main window the loop continues in drain mode, exactly
@@ -421,14 +446,16 @@ int64_t rads_run_span(kcfg *c, kptrs *p)
         if (main_now) {
             /* -- arbiter: gate draw, then choice over eligible -- */
             if (mt_comb53(&arb) < c->arb_tint && elig_len) {
-                /* bl8 holds 8 - bit_length(m); the kernel reads whole
-                 * 32-bit words, so the getrandbits shift is 24 more. */
                 request = (int)elig[mt_randbelow(&arb, elig_len,
-                                                 24 + (int)p->bl8[elig_len])];
+                                                 rb_shift[elig_len])];
             }
             /* -- arrival plan -- */
             if (plan_mode == 0) {
                 a = p->plan[slot - c->start_slot];
+                if (a < -1 || a >= nq) {
+                    err = ERR_ARG;
+                    goto done;
+                }
             } else if (plan_mode == 1) {
                 if (mt_comb53(&bern) < c->bern_tint) {
                     double u = (double)mt_comb53(&bern)
@@ -440,7 +467,7 @@ int64_t rads_run_span(kcfg *c, kptrs *p)
         }
 
         /* -- arrival: cut through to head SRAM or enqueue for the tail -- */
-        if (a != 255) {
+        if (a >= 0) {
             qstate *qa = &qs[a];
             int64_t seqno = p->next_seqno[a]++;
             arrivals_seen++;
@@ -760,7 +787,7 @@ int64_t rads_run_span(kcfg *c, kptrs *p)
 
         /* -- end of slot: backlog + eligible -- */
         if (main_now) {
-            if (a != 255) {
+            if (a >= 0) {
                 int64_t count = ++p->backlog[a];
                 if (count == 1) {
                     int lo = 0, hi = elig_len;
@@ -891,5 +918,6 @@ cleanup:
         free(qs);
     }
     free(seqbuf);
+    free(rb_shift);
     return err;
 }

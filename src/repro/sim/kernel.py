@@ -14,13 +14,17 @@ The kernel executes whole spans natively: it resumes the arbiter's (and,
 for monolithic Bernoulli runs, the arrival process's) Mersenne Twister from
 the ``random.Random`` state, runs the exact RADS slot loop on flat copies
 of the core's state, and hands back the mutated state plus the final RNG
-words, which are applied to the python core only on success.  Failure at
-any stage — no compiler, compile error, load error, strict-mode aborts
-inside the span, or the ``REPRO_SPAN_KERNEL=0`` kill switch — falls back
-to the fused python loop on the untouched state, so the kernel is a pure
-accelerator: every result it produces is bit-identical to the scalar
-reference loop (asserted by ``tests/sim/test_numpy_engine.py``, which runs
-the suite through both paths).
+words, which are applied to the python core only on success.  It takes
+any ``num_queues`` up to :data:`MAX_KERNEL_QUEUES`: its arbiter draws read
+whole 32-bit words and its arrival plan is ``int32`` (``-1`` = no
+arrival), unlike the fused python loop, whose top-byte decode and ``bytes``
+plan stop at 254 queues.  Failure at any stage — no compiler, compile
+error, load error, strict-mode aborts inside the span, or the
+``REPRO_SPAN_KERNEL=0`` kill switch — falls back to the fused python loop
+(or, past 254 queues, the scalar loop) on the untouched state, so the
+kernel is a pure accelerator: every result it produces is bit-identical to
+the scalar reference loop (asserted by ``tests/sim/test_numpy_engine.py``,
+which runs the suite through both paths).
 
 Sanitizer-hardened builds
 -------------------------
@@ -56,7 +60,6 @@ import sys
 import sysconfig
 import tempfile
 import threading
-import weakref
 from collections import deque
 from itertools import chain
 from pathlib import Path
@@ -76,10 +79,14 @@ KERNEL_ENV = "REPRO_SPAN_KERNEL"
 #: environment; results remain bit-identical to the production build.
 SANITIZE_ENV = "REPRO_SPAN_KERNEL_SANITIZE"
 
-#: Spans shorter than this stay on the fused python loop — the per-span
-#: state marshalling is O(state), so tiny chunks would pay more moving
-#: state than simulating it.
+#: Spans shorter than this stay on the python loops — the per-span state
+#: marshalling is O(state), so tiny chunks would pay more moving state
+#: than simulating it.
 MIN_KERNEL_SLOTS = 192
+
+#: Largest ``num_queues`` the kernel takes: its critical-heap keys pack the
+#: queue id into 16 bits (``CRIT_KEY`` in ``_spankernel.c``).
+MAX_KERNEL_QUEUES = 1 << 16
 
 _SOURCE = Path(__file__).with_name("_spankernel.c")
 
@@ -90,12 +97,6 @@ _CRIT_INF = (1 << 63) - 1  # INT64_MAX, the C marker for "no critical entry"
 _lock = threading.Lock()
 _kernel = None
 _kernel_tried = False
-
-#: Per-core cache of the ``_bl8`` shift table as an ndarray.  Deliberately
-#: NOT an attribute on the core: streaming checkpoints pickle the core
-#: verbatim, and an embedded ndarray would make the snapshot unloadable on
-#: a host without numpy (the documented no-numpy resume path).
-_bl8_arrays: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
 
 
 class KCfg(ctypes.Structure):
@@ -119,9 +120,9 @@ class KCfg(ctypes.Structure):
 
 
 _U32P = ctypes.POINTER(ctypes.c_uint32)
+_I32P = ctypes.POINTER(ctypes.c_int32)
 _I64P = ctypes.POINTER(ctypes.c_int64)
 _F64P = ctypes.POINTER(ctypes.c_double)
-_U8P = ctypes.POINTER(ctypes.c_uint8)
 
 
 class KPtrs(ctypes.Structure):
@@ -130,7 +131,7 @@ class KPtrs(ctypes.Structure):
     _fields_ = [
         ("arb_key", _U32P), ("arb_meta", _I64P),
         ("bern_key", _U32P), ("bern_meta", _I64P),
-        ("cum_weights", _F64P), ("plan", _U8P), ("bl8", _I64P),
+        ("cum_weights", _F64P), ("plan", _I32P),
         ("backlog", _I64P), ("next_seqno", _I64P), ("delivered", _I64P),
         ("counters", _I64P), ("req_count", _I64P),
         ("tail_occ", _I64P), ("dram_occ", _I64P), ("crit_cache", _I64P),
@@ -348,15 +349,18 @@ def run_span_kernel(core, aplan, num_slots: int, main: bool = True,
                     bern=None, drain_slots: int = 0) -> bool:
     """Run one span on the compiled kernel; ``True`` on success.
 
-    ``aplan`` is the plan ``bytes`` (255 = no arrival) or ``None``;
+    ``aplan`` is the arrival plan — the fused loop's ``bytes`` (255 = no
+    arrival) or an ``Optional[int]`` list, at least ``num_slots`` long —
+    or ``None`` for a span without arrivals;
     ``bern = (rng, tint, cum_weights, total)`` makes the kernel draw the
     Bernoulli arrival plan natively instead.  ``drain_slots`` appends that
     many drain-mode slots after the main window in the *same* call (the
     monolithic fused path: one marshal instead of two).  On any failure
     (kernel unavailable, strict-mode abort inside the span, allocation
-    failure) the python core is left untouched and the caller falls back
-    to the fused python loop, which reproduces the exact outcome —
-    including the exception and the post-raise state.
+    failure, a plan entry naming no queue) the python core is left
+    untouched and the caller falls back to a python loop, which
+    reproduces the exact outcome — including the exception and the
+    post-raise state.
     """
     fn = load_kernel()
     if fn is None:
@@ -387,9 +391,13 @@ def run_span_kernel(core, aplan, num_slots: int, main: bool = True,
     keep = []  # keeps every backing array alive across the C call
 
     def i64arr(values, size=None):
-        arr = np.array(values, dtype=i64)
-        if size is not None and len(arr) < size:
-            arr = np.concatenate([arr, np.zeros(size - len(arr), dtype=i64)])
+        if size is None:
+            arr = np.array(values, dtype=i64)
+        else:
+            # Only the live prefix is written: the kernel never reads past
+            # it, so the worst-case slack stays untouched, unpaged memory.
+            arr = np.empty(size, dtype=i64)
+            arr[:len(values)] = values
         keep.append(arr)
         return arr
 
@@ -429,23 +437,25 @@ def run_span_kernel(core, aplan, num_slots: int, main: bool = True,
         ptr.bern_key = bern_key.ctypes.data_as(_U32P)
         ptr.bern_meta = _ptr_i64(bern_meta)
         ptr.cum_weights = cw.ctypes.data_as(_F64P)
-        plan_arr = None
     else:
         bern_rng = bern_state = bern_key = bern_meta = None
         cfg.plan_mode = 0 if (main and aplan is not None) else 2
         cfg.bern_tint = 0
         cfg.bern_total = 0.0
         if cfg.plan_mode == 0:
-            plan_arr = np.frombuffer(bytes(aplan), dtype=np.uint8)
+            # The kernel's plan encoding: int32 queue ids, -1 = no arrival.
+            # The fused loop's plan bytes convert in one vectorized step.
+            if isinstance(aplan, (bytes, bytearray)):
+                u8 = np.frombuffer(aplan, dtype=np.uint8)
+                plan_arr = np.where(u8 == 255, np.int32(-1),
+                                    u8.astype(np.int32))
+            else:
+                plan_arr = np.array([-1 if a is None else a for a in aplan],
+                                    dtype=np.int32)
+            if len(plan_arr) < num_slots:
+                return False  # the kernel reads num_slots entries
             keep.append(plan_arr)
-            ptr.plan = plan_arr.ctypes.data_as(_U8P)
-        else:
-            plan_arr = None
-
-    bl8 = _bl8_arrays.get(core)
-    if bl8 is None:
-        bl8 = _bl8_arrays[core] = np.array(core._bl8, dtype=i64)
-    ptr.bl8 = _ptr_i64(bl8)
+            ptr.plan = plan_arr.ctypes.data_as(_I32P)
 
     # -- per-queue scalars ----------------------------------------------
     backlog = i64arr(core.backlog)
@@ -568,10 +578,11 @@ def run_span_kernel(core, aplan, num_slots: int, main: bool = True,
     obs = get_metrics()
     if rc != _ERR_OK:
         # Nothing was written back: the arrays above are copies, the python
-        # core is untouched — the caller's fused loop replays the span and
+        # core is untouched — the caller's python loop replays the span and
         # raises (or recovers) with the exact reference state.
         if obs is not None:
             obs.inc("engine.numpy.kernel_aborts")
+            obs.inc("engine.numpy.fallback.abort", total_slots)
         return False
 
     # -- apply the kernel's state to the python core ---------------------

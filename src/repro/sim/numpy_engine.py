@@ -37,12 +37,20 @@ exactly that:
 
 The core subclasses the array engine's RADS core, so the machine state
 layout, checkpoint pickling, drain window, warmup discard and report
-assembly are all shared; every span that the fused loop does not cover —
-drain spans, custom policies/arbiters, traced runs, ``num_queues > 254``,
-zero-length lookahead, or numpy missing at resume time — runs on the
+assembly are all shared.  Each span goes to the compiled span kernel
+(:mod:`repro.sim.kernel`) when its own test passes — stock policies, a
+non-empty lookahead, ``num_queues`` up to ``MAX_KERNEL_QUEUES`` (65536), an
+untraced run, at least ``MIN_KERNEL_SLOTS`` slots and a loaded kernel.
+Otherwise a main span runs the fused loop described above, whose limit
+is narrower: ``num_queues <= 254`` (its top-byte decode and ``bytes``
+plan).  Every span neither covers — short drain spans, custom
+policies/arbiters, traced runs, zero-length lookahead, machines past 254
+queues without the kernel, or numpy missing at resume time — runs on the
 inherited scalar loop, which keeps resumed checkpoints and CFDS exact:
-**CFDS falls back to the array core per span** (the issue-period machinery
-is borrowed from the buffer object and is not vectorized yet).
+**CFDS falls back to the array core per span** (the issue-period
+machinery is borrowed from the buffer object and is not vectorized yet).
+With metrics enabled, the slots of a span that misses the kernel are
+counted as ``engine.numpy.fallback.<reason>``.
 
 Bit-identity of the resulting reports against the reference loop is
 asserted by ``tests/sim/test_numpy_engine.py`` and the cross-engine
@@ -234,24 +242,19 @@ class _DeferredPlan:
         return _plan_bernoulli(self.proc, self.num_slots)
 
 
-def _numpy_plan(sim, num_slots: int, defer: bool = False):
-    """The arrival plan for a monolithic numpy run: vectorized (or, with
-    ``defer``, left for the span kernel to draw) when the process is (a
-    subclass of) ``BernoulliArrivals`` running the stock batched method,
-    the scalar plan otherwise."""
+def _numpy_plan(sim, num_slots: int):
+    """The arrival plan for a monolithic numpy run: left for the span
+    kernel to draw (a :class:`_DeferredPlan`, vectorized if a python loop
+    needs it) when the process is (a subclass of) ``BernoulliArrivals``
+    running the stock batched method, the scalar plan otherwise."""
     if sim.arrivals is None:
         return None
     proc = sim.arrivals
     if (_np is not None and num_slots > 0 and isinstance(proc, BernoulliArrivals)
             and type(proc).arrivals is BernoulliArrivals.arrivals):
-        if defer and proc.num_queues <= 254:
-            deferred = _DeferredPlan(proc, num_slots)
-            if deferred.total > 0.0:
-                return deferred
-        else:
-            plan = _plan_bernoulli(proc, num_slots)
-            if plan is not None:
-                return plan
+        deferred = _DeferredPlan(proc, num_slots)
+        if deferred.total > 0.0:
+            return deferred
     return _arrival_plan(sim, num_slots)
 
 
@@ -265,7 +268,7 @@ def run_numpy(sim, num_slots: int, drain: bool = True):
         raise ConfigurationError("num_slots must be non-negative")
     core = build_numpy_core(sim)
     if isinstance(core, _NumpyRADSCore):
-        plan = _numpy_plan(sim, num_slots, defer=True)
+        plan = _numpy_plan(sim, num_slots)
     else:
         # CFDS (and any other fallback core) runs the scalar span loop,
         # which consumes Optional[int] plans, never plan bytes.
@@ -306,12 +309,13 @@ def build_numpy_core(sim):
 # --------------------------------------------------------------------- #
 
 class _NumpyRADSCore(_RADSCore):
-    """RADS core whose main spans run the fused precomputed-stream loop.
+    """RADS core whose main spans run the span kernel or the fused
+    precomputed-stream loop.
 
-    State layout, drain, finish and reporting are inherited; any span the
-    fused loop cannot cover bit-exactly is delegated to the scalar loop on
-    the *same* state, so mixing fused and scalar spans (checkpoints,
-    drains, no-numpy resume) is seamless.
+    State layout, drain, finish and reporting are inherited; any span
+    neither fast path can cover bit-exactly is delegated to the scalar
+    loop on the *same* state, so mixing kernel, fused and scalar spans
+    (checkpoints, drains, no-numpy resume) is seamless.
     """
 
     def __init__(self, sim, buffer) -> None:
@@ -324,13 +328,44 @@ class _NumpyRADSCore(_RADSCore):
                            for m in range(1, self.num_queues + 1)]
 
     # ------------------------------------------------------------------ #
-    def _scalar_plan(self, plan, num_slots: int):
-        """Normalize ``plan`` for the inherited scalar loop, which consumes
-        ``Optional[int]`` entries (never plan bytes or deferred plans)."""
+    def _kernel_miss(self, num_slots: int) -> Optional[str]:
+        """Why a span of ``num_slots`` cannot run on the span kernel — the
+        ``<reason>`` of its ``engine.numpy.fallback.<reason>`` counter — or
+        ``None`` when it can.  This is the kernel's own test: unlike the
+        fused loop, it takes any ``num_queues`` up to
+        ``MAX_KERNEL_QUEUES``."""
+        from repro.sim.kernel import (
+            MAX_KERNEL_QUEUES,
+            MIN_KERNEL_SLOTS,
+            load_kernel,
+        )
+
+        if not (self.fast_random and self.fast_ecqf and self.fast_tail):
+            return "policy"
+        if self.la_len <= 0:
+            return "no_lookahead"
+        if self.num_queues > MAX_KERNEL_QUEUES:
+            return "wide_queues"
+        if self.sim.trace is not None:
+            return "traced"
+        if num_slots < MIN_KERNEL_SLOTS:
+            return "short_span"
+        if _np is None or load_kernel() is None:
+            return "unavailable"
+        return None
+
+    def _materialized(self, plan, num_slots: int):
+        """``plan`` with a deferred Bernoulli plan drawn in python."""
         if isinstance(plan, _DeferredPlan):
             plan = plan.materialize()
             if plan is None:  # pragma: no cover - deferred only when total>0
                 return _arrival_plan(self.sim, num_slots)
+        return plan
+
+    def _scalar_plan(self, plan, num_slots: int):
+        """Normalize ``plan`` for the inherited scalar loop, which consumes
+        ``Optional[int]`` entries (never plan bytes or deferred plans)."""
+        plan = self._materialized(plan, num_slots)
         if isinstance(plan, (bytes, bytearray)):
             return [None if b == _NO_ARRIVAL else b for b in plan]
         return plan
@@ -343,15 +378,14 @@ class _NumpyRADSCore(_RADSCore):
         kernel at once and pay a single state marshal instead of two.
         ``True`` means both windows ran — the caller finishes with
         ``drain=False``; ``False`` leaves the core (and any deferred
-        plan's RNG) untouched.
+        plan's RNG) untouched.  A declined call records no fallback: the
+        caller then runs each window through :meth:`run_span`, which
+        decides, and counts, each one itself.
         """
-        if (num_slots <= 0 or _np is None or not self._fusable
-                or self.sim.trace is not None):
+        if num_slots <= 0 or self._kernel_miss(num_slots) is not None:
             return False
-        from repro.sim.kernel import MIN_KERNEL_SLOTS, run_span_kernel
+        from repro.sim.kernel import run_span_kernel
 
-        if num_slots < MIN_KERNEL_SLOTS:
-            return False
         self._check_not_finished()
         drain_slots = self._drain_slots()
         done = False
@@ -364,13 +398,9 @@ class _NumpyRADSCore(_RADSCore):
                     bern=(proc._rng, plan.tint, plan.cum_weights,
                           plan.total),
                     drain_slots=drain_slots)
-        elif isinstance(plan, (bytes, bytearray)):
-            if len(plan) >= num_slots:
-                done = run_span_kernel(self, plan, num_slots, main=True,
-                                       drain_slots=drain_slots)
-        elif plan is None:
-            done = run_span_kernel(self, b"\xff" * num_slots, num_slots,
-                                   main=True, drain_slots=drain_slots)
+        elif plan is None or len(plan) >= num_slots:
+            done = run_span_kernel(self, plan, num_slots, main=True,
+                                   drain_slots=drain_slots)
         if done:
             obs = get_metrics()
             if obs is not None:
@@ -380,40 +410,45 @@ class _NumpyRADSCore(_RADSCore):
         return done
 
     def run_span(self, plan, num_slots: int, main: bool = True) -> None:
-        if (num_slots <= 0 or _np is None or not self._fusable
-                or self.sim.trace is not None):
+        if num_slots <= 0:
             return super().run_span(self._scalar_plan(plan, num_slots),
                                     num_slots, main)
-        from repro.sim.kernel import MIN_KERNEL_SLOTS, run_span_kernel
-
         self._check_not_finished()
         obs = get_metrics()
         if obs is not None:
             obs.inc("engine.numpy.spans")
             obs.inc("engine.numpy.span_slots", num_slots)
-        if not main:
-            # Drain span: the kernel covers it natively; the scalar loop is
-            # the (identical) fallback.
-            if (num_slots >= MIN_KERNEL_SLOTS
-                    and run_span_kernel(self, None, num_slots, main=False)):
+        miss = self._kernel_miss(num_slots)
+        if miss is not None:
+            if obs is not None:
+                obs.inc(f"engine.numpy.fallback.{miss}", num_slots)
+        else:
+            from repro.sim.kernel import run_span_kernel
+
+            if isinstance(plan, _DeferredPlan):
+                # Let the kernel draw the Bernoulli plan natively (the
+                # arrival process must not share the arbiter's RNG object —
+                # the scalar loop consumes the plan's words strictly first).
+                proc = plan.proc
+                if proc._rng is self.sim.arbiter._rng:
+                    if obs is not None:
+                        obs.inc("engine.numpy.fallback.shared_rng",
+                                num_slots)
+                elif (plan.num_slots == num_slots
+                        and run_span_kernel(
+                            self, None, num_slots, main=True,
+                            bern=(proc._rng, plan.tint, plan.cum_weights,
+                                  plan.total))):
+                    return None
+                plan = self._materialized(plan, num_slots)
+            if ((plan is None or len(plan) >= num_slots)
+                    and run_span_kernel(self, plan, num_slots, main=main)):
                 return None
-            return super().run_span(None, num_slots, main)
-        if isinstance(plan, _DeferredPlan):
-            # Let the kernel draw the Bernoulli plan natively (the arrival
-            # process must not share the arbiter's RNG object — the scalar
-            # loop consumes the plan's words strictly first).
-            proc = plan.proc
-            if (num_slots >= MIN_KERNEL_SLOTS
-                    and plan.num_slots == num_slots
-                    and proc._rng is not self.sim.arbiter._rng
-                    and run_span_kernel(
-                        self, None, num_slots, main=True,
-                        bern=(proc._rng, plan.tint, plan.cum_weights,
-                              plan.total))):
-                return None
-            plan = plan.materialize()
-            if plan is None:  # pragma: no cover - deferred only when total>0
-                plan = _arrival_plan(self.sim, num_slots)
+        if not (main and self._fusable and self.sim.trace is None
+                and _np is not None):
+            return super().run_span(self._scalar_plan(plan, num_slots),
+                                    num_slots, main)
+        plan = self._materialized(plan, num_slots)
         if isinstance(plan, (bytes, bytearray)):
             aplan = plan
         elif plan is None:
@@ -423,9 +458,6 @@ class _NumpyRADSCore(_RADSCore):
         if len(aplan) < num_slots:
             return super().run_span(self._scalar_plan(plan, num_slots),
                                     num_slots, main)
-        if (num_slots >= MIN_KERNEL_SLOTS
-                and run_span_kernel(self, aplan, num_slots, main=True)):
-            return None
 
         granularity = self.granularity
         strict = self.strict

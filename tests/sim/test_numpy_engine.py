@@ -17,6 +17,7 @@ from repro.errors import (
 )
 from repro.core.buffer import CFDSPacketBuffer
 from repro.core.config import CFDSConfig
+from repro.obs.metrics import MetricsRegistry, using_metrics
 from repro.rads.buffer import RADSPacketBuffer
 from repro.rads.config import RADSConfig
 from repro.sim import kernel as span_kernel
@@ -26,7 +27,11 @@ from repro.sim.numpy_engine import NUMPY_AVAILABLE
 from repro.sim.streaming import StreamingSimulation, resume_stream
 from repro.workloads.registry import get_scenario
 from repro.traffic.arbiters import OldestCellArbiter, RandomArbiter
-from repro.traffic.arrivals import BernoulliArrivals
+from repro.traffic.arrivals import (
+    BernoulliArrivals,
+    MarkovOnOffArrivals,
+    TraceArrivals,
+)
 from repro.workloads import all_scenarios
 from repro.workloads.registry import scenario_names
 
@@ -243,6 +248,211 @@ def test_unknown_engine_error_names_numpy():
 
 
 # --------------------------------------------------------------------- #
+# Wide machines: past the fused loop's 254 queues, the kernel still runs.
+# --------------------------------------------------------------------- #
+
+#: Queue counts at and past the fused loop's limit (queue ids <= 253): 255
+#: and 256 add ids 254 and 255, and 255 is the byte plan's "no arrival"
+#: value, so the kernel must never see queue ids through a byte.
+WIDE_QUEUES = (255, 256, 300, 512)
+
+
+def _wide_weights(num_queues):
+    """Popularity that sends much of the load to queue 255 (when it
+    exists) and to the queues around and above it."""
+    return [8.0 if q >= 250 else 1.0 for q in range(num_queues)]
+
+
+def _wide_sim(num_queues, arrivals, seed=41):
+    return ClosedLoopSimulation(
+        RADSPacketBuffer(RADSConfig(num_queues=num_queues, granularity=4)),
+        arrivals, RandomArbiter(num_queues, seed=seed, load=0.95))
+
+
+def _assert_plan_reaches_wide_queues(plan, num_queues):
+    """The workload really targets the wide queue ids under test."""
+    queues = {a for a in plan if a is not None}
+    assert num_queues - 1 in queues
+    if num_queues > 255:
+        assert 255 in queues
+    if num_queues > 256:
+        assert any(q > 255 for q in queues)
+
+
+def _observed(run):
+    registry = MetricsRegistry()
+    with using_metrics(registry):
+        report = run()
+    return report, registry
+
+
+def _assert_kernel_ran(registry, kernel_mode):
+    """The numpy run took the span kernel (with the kill switch: did not),
+    so a silent scalar fallback cannot pass for a kernel run."""
+    spans = registry.counter("engine.numpy.kernel_spans")
+    assert registry.counter("engine.numpy.kernel_aborts") == 0
+    if kernel_mode == "no-kernel":
+        assert spans == 0
+        assert registry.counter("engine.numpy.fallback.unavailable") > 0
+    elif span_kernel.kernel_enabled() and span_kernel._compiler() is not None:
+        assert spans > 0
+
+
+@requires_numpy
+@pytest.mark.parametrize("num_queues", WIDE_QUEUES)
+def test_wide_monolithic_deferred_plan(num_queues, kernel_mode):
+    """A weighted Bernoulli plan the kernel draws itself (deferred), in one
+    fused main+drain call."""
+    def make_sim():
+        return _wide_sim(num_queues, BernoulliArrivals(
+            num_queues, load=0.9, seed=7,
+            weights=_wide_weights(num_queues)))
+
+    _assert_plan_reaches_wide_queues(
+        make_sim().arrivals.arrivals(3000), num_queues)
+    array = make_sim().run(3000, engine="array")
+    numpy, registry = _observed(lambda: make_sim().run(3000, engine="numpy"))
+    assert_reports_identical(array, numpy)
+    _assert_kernel_ran(registry, kernel_mode)
+
+
+@requires_numpy
+@pytest.mark.parametrize("num_queues", WIDE_QUEUES)
+def test_wide_explicit_markov_plan(num_queues, kernel_mode):
+    """A non-Bernoulli plan drawn in python and handed to the kernel as an
+    explicit plan."""
+    def make_sim():
+        return _wide_sim(num_queues, MarkovOnOffArrivals(
+            num_queues, mean_on_slots=20.0, mean_off_slots=60.0, seed=9))
+
+    _assert_plan_reaches_wide_queues(
+        make_sim().arrivals.arrivals(2400), num_queues)
+    array = make_sim().run(2400, engine="array")
+    numpy, registry = _observed(lambda: make_sim().run(2400, engine="numpy"))
+    assert_reports_identical(array, numpy)
+    _assert_kernel_ran(registry, kernel_mode)
+
+
+@requires_numpy
+@pytest.mark.parametrize("num_queues", WIDE_QUEUES)
+def test_wide_stream_with_warmup_and_resume(num_queues, kernel_mode,
+                                            tmp_path):
+    """Streamed wide run: the warmup and checkpoint marks cut the 700-slot
+    chunks unevenly (some below the kernel's minimum span), and resuming
+    from the last checkpoint reproduces the uninterrupted report."""
+    def make_sim():
+        return _wide_sim(num_queues, BernoulliArrivals(
+            num_queues, load=0.9, seed=13,
+            weights=_wide_weights(num_queues)))
+
+    geometry = dict(chunk_slots=700, warmup_slots=450)
+    path = tmp_path / "wide.ckpt.json"
+    array = make_sim().run_stream(4100, engine="array", **geometry)
+    numpy, registry = _observed(lambda: make_sim().run_stream(
+        4100, engine="numpy", checkpoint_every=1500, checkpoint_path=path,
+        **geometry))
+    assert_reports_identical(array, numpy)
+    _assert_kernel_ran(registry, kernel_mode)
+    resumed, registry = _observed(lambda: resume_stream(path))
+    assert_reports_identical(array, resumed)
+    _assert_kernel_ran(registry, kernel_mode)
+
+
+# --------------------------------------------------------------------- #
+# Why a span missed the kernel: engine.numpy.fallback.<reason>.
+# --------------------------------------------------------------------- #
+
+def _fallbacks(registry):
+    prefix = "engine.numpy.fallback."
+    return {name[len(prefix):]: value
+            for name, value in registry.counters().items()
+            if name.startswith(prefix)}
+
+
+@requires_numpy
+@pytest.mark.parametrize("reason", ["policy", "traced", "short_span",
+                                    "wide_queues", "unavailable"])
+def test_fallback_reason_counts_every_slot(reason, monkeypatch):
+    """One config per static reason: every span of the run misses the
+    kernel for that reason alone, and the counter holds all its slots."""
+    if reason == "wide_queues":
+        monkeypatch.setattr(span_kernel, "MAX_KERNEL_QUEUES", 4)
+    if reason == "unavailable":
+        monkeypatch.setattr(span_kernel, "_kernel", None)
+        monkeypatch.setattr(span_kernel, "_kernel_tried", True)
+    arbiter = (OldestCellArbiter(8) if reason == "policy"
+               else RandomArbiter(8, seed=4))
+    # Short spans: 100 main slots and a 32-slot drain (B=4).  Otherwise
+    # B=32, whose 312-slot drain window is no short span of its own.
+    short = reason == "short_span"
+    sim = ClosedLoopSimulation(
+        RADSPacketBuffer(RADSConfig(num_queues=8,
+                                    granularity=4 if short else 32)),
+        BernoulliArrivals(8, load=0.5, seed=3),
+        arbiter, record_trace=reason == "traced")
+    num_slots = 100 if short else 600
+    report, registry = _observed(lambda: sim.run(num_slots, engine="numpy"))
+    assert _fallbacks(registry) == {reason: report.throughput.slots}
+    assert registry.counter("engine.numpy.span_slots") == \
+        report.throughput.slots
+    assert registry.counter("engine.numpy.kernel_spans") == 0
+
+
+@requires_numpy
+def test_fallback_reason_shared_rng():
+    """An arrival process sharing the arbiter's RNG cannot have its plan
+    drawn by the kernel: the main span draws it in python first (then runs
+    on the kernel with it), exactly as the scalar loop orders the draws."""
+    if span_kernel.load_kernel() is None:
+        pytest.skip("no C compiler: the span kernel never runs")
+
+    def make_sim():
+        arrivals = BernoulliArrivals(8, load=0.5, seed=3)
+        arbiter = RandomArbiter(8, seed=4)
+        arbiter._rng = arrivals._rng
+        # B=32: the drain window is long enough for the kernel too.
+        return ClosedLoopSimulation(
+            RADSPacketBuffer(RADSConfig(num_queues=8, granularity=32)),
+            arrivals, arbiter)
+
+    array = make_sim().run(600, engine="array")
+    numpy, registry = _observed(lambda: make_sim().run(600, engine="numpy"))
+    assert_reports_identical(array, numpy)
+    assert _fallbacks(registry) == {"shared_rng": 600}
+    assert registry.counter("engine.numpy.kernel_spans") == 2
+
+
+@requires_numpy
+def test_fallback_reason_abort():
+    """A strict-mode overflow aborts every kernel attempt; the python loop
+    then raises, and only the abort reason is recorded."""
+    if span_kernel.load_kernel() is None:
+        pytest.skip("no C compiler: the span kernel never runs")
+    sim = ClosedLoopSimulation(
+        _build_buffer("rads", tail_sram_cells=3, strict=True),
+        BernoulliArrivals(8, load=1.0, seed=11),
+        RandomArbiter(8, seed=12, load=0.3))
+    registry = MetricsRegistry()
+    with using_metrics(registry), pytest.raises(BufferOverflowError):
+        sim.run(1200, engine="numpy")
+    assert set(_fallbacks(registry)) == {"abort"}
+    assert registry.counter("engine.numpy.kernel_aborts") > 0
+
+
+@requires_numpy
+def test_fallback_reason_no_lookahead():
+    """No buffer config yields an empty lookahead (it is at least one
+    slot), so the kernel's defensive gate is pinned on a patched core."""
+    sim = ClosedLoopSimulation(
+        _build_buffer("rads"), BernoulliArrivals(8, load=0.5, seed=3),
+        RandomArbiter(8, seed=4))
+    core = numpy_engine.build_numpy_core(sim)
+    assert core._kernel_miss(1000) in (None, "unavailable")
+    core.la_len = 0
+    assert core._kernel_miss(1000) == "no_lookahead"
+
+
+# --------------------------------------------------------------------- #
 # Span-kernel hardening (review regressions).
 # --------------------------------------------------------------------- #
 
@@ -263,6 +473,29 @@ def test_streamed_backlog_migration_identical(kernel_mode):
     numpy = make_sim().run_stream(4000, engine="numpy", chunk_slots=200)
     assert_reports_identical(array, numpy)
     assert numpy.throughput.arrivals > 3000
+
+
+@requires_numpy
+def test_plan_entry_naming_no_queue_aborts_the_kernel(kernel_mode):
+    """An explicit plan entry past the last queue makes the kernel abort
+    before it indexes any per-queue state (unchecked, it would write out
+    of bounds); the python replay then fails exactly as the array engine
+    does."""
+    pattern = [q % 8 for q in range(300)] + [8] + [None] * 99
+
+    def make_sim():
+        return ClosedLoopSimulation(
+            _build_buffer("rads"), TraceArrivals(pattern),
+            RandomArbiter(8, seed=2))
+
+    with pytest.raises(IndexError):
+        make_sim().run(400, engine="array")
+    registry = MetricsRegistry()
+    with using_metrics(registry), pytest.raises(IndexError):
+        make_sim().run(400, engine="numpy")
+    if kernel_mode == "kernel" and span_kernel.load_kernel() is not None:
+        assert registry.counter("engine.numpy.kernel_aborts") > 0
+    assert registry.counter("engine.numpy.kernel_spans") == 0
 
 
 @requires_numpy
