@@ -9,8 +9,8 @@ into a child interpreter with the sanitizer runtimes preloaded and real
 1. the PR 9 backlog-migration overflow stressor (heavily skewed Bernoulli
    weights push one queue's backlog through repeated grow/migrate cycles —
    the workload that exposed the unchecked writeback overflow), and
-2. a numpy-vs-array differential sweep across RADS configs, wide ones
-   (256 and 512 queues, one with arrivals on queue 255) included,
+2. an array-vs-reference differential sweep across RADS configs, wide
+   ones (256 and 512 queues, one with arrivals on queue 255) included,
    asserting bit-identical reports so the instrumented build is proven to
    be the same kernel, not just a crash-free one.
 
@@ -66,9 +66,9 @@ def make_sim(weights=None, num_queues=8, granularity=64, seed=31):
 # whole load, forcing repeated backlog grow/migrate cycles through the
 # kernel writeback path that used to overflow.
 skew = [500, 1, 1, 1, 1, 1, 1, 1]
-stream = make_sim(weights=skew).run_stream(4000, engine="numpy",
+stream = make_sim(weights=skew).run_stream(4000, engine="array",
                                            chunk_slots=200)
-reference = make_sim(weights=skew).run_stream(4000, engine="array",
+reference = make_sim(weights=skew).run_stream(4000, engine="reference",
                                               chunk_slots=200)
 if stream != reference:
     print("DIFFERENTIAL MISMATCH: backlog-migration stressor", file=sys.stderr)
@@ -76,8 +76,8 @@ if stream != reference:
 print("stressor ok")
 
 # 2. Differential sweep: uniform and mildly skewed loads across shapes,
-# up to wide machines past the fused python loop's 254 queues (the 256-
-# queue shape sends a tenth of its arrivals to queue 255).
+# up to wide machines whose queue ids no longer fit a byte (the 256-queue
+# shape sends a tenth of its arrivals to queue 255).
 for num_queues, granularity, seed, weights in (
         (4, 32, 7, None),
         (8, 64, 11, None),
@@ -89,14 +89,14 @@ for num_queues, granularity, seed, weights in (
     registry = MetricsRegistry()
     with using_metrics(registry):
         got = make_sim(weights, num_queues, granularity, seed).run(
-            3000, engine="numpy")
+            3000, engine="array")
     want = make_sim(weights, num_queues, granularity, seed).run(
-        3000, engine="array")
+        3000, engine="reference")
     if got != want:
         print(f"DIFFERENTIAL MISMATCH: q={num_queues} g={granularity} "
               f"seed={seed}", file=sys.stderr)
         sys.exit(4)
-    if not registry.counter("engine.numpy.kernel_spans"):
+    if not registry.counter("engine.array.kernel_spans"):
         print(f"KERNEL NOT REACHED: q={num_queues} g={granularity} "
               f"seed={seed}", file=sys.stderr)
         sys.exit(4)
@@ -109,7 +109,7 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--require", action="store_true",
                         help="fail (exit 2) instead of skipping when the "
-                             "sanitizer toolchain or numpy is unavailable")
+                             "sanitizer toolchain is unavailable")
     args = parser.parse_args()
 
     sys.path.insert(0, str(SRC))
@@ -122,10 +122,6 @@ def main() -> int:
         print(f"skip: {reason}")
         return 0
 
-    try:
-        import numpy  # noqa: F401
-    except ImportError:
-        return skip("numpy unavailable (the kernel rides the numpy engine)")
     if _compiler() is None:
         return skip("no C compiler on PATH")
     preload = sanitizer_preload()

@@ -47,7 +47,7 @@ def main() -> None:
         rows.append([
             "renaming" if use_renaming else "static",
             report.throughput.arrivals,
-            buffer.dropped_cells,
+            report.throughput.drops,
             f"{buffer.dram_utilisation():.0%}",
             max(occupancy),
             sum(1 for o in occupancy if o == 0),

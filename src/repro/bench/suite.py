@@ -9,10 +9,10 @@ stage alone, then the full run with ports serial vs sharded over 4
 workers), and the long-horizon streaming path (chunked runs, with and
 without checkpointing) — each timed for a handful of repetitions, with the **median**
 wall-clock time recorded per benchmark.  Results are written as JSON
-(``BENCH_9.json`` by default; the number tracks the PR that produced the
+(``BENCH_14.json`` by default; the number tracks the PR that produced the
 file), so successive snapshots can be diffed mechanically::
 
-    python -m repro bench                 # full suite -> BENCH_9.json
+    python -m repro bench                 # full suite -> BENCH_14.json
     python -m repro bench --quick         # reduced slot counts (CI perf-smoke)
     python -m repro bench --filter wide   # only the wide-queue benchmarks
 
@@ -33,11 +33,10 @@ from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 
 from repro.runner.sweep import available_cpus
 from repro.errors import ValidationError
-from repro.sim.numpy_engine import NUMPY_AVAILABLE
 
 #: Default output file.  The suffix tracks the PR that produced the
 #: snapshot so the repository can accumulate a BENCH_<n>.json trajectory.
-DEFAULT_OUTPUT = "BENCH_9.json"
+DEFAULT_OUTPUT = "BENCH_14.json"
 
 #: JSON schema version of the output document.
 SCHEMA = 1
@@ -61,8 +60,10 @@ FABRIC_SLOTS = 20_000
 QUICK_FABRIC_SLOTS = 5000
 #: The long-horizon streaming benchmark: a slot count well past what the
 #: quick scenarios cover, run in bounded chunks (kslots/s is the headline).
+#: The quick run is long enough (~70 ms on the span kernel) that its three
+#: checkpoints stay a small share of it, as they are in the full run.
 STREAM_SLOTS = 250_000
-QUICK_STREAM_SLOTS = 20_000
+QUICK_STREAM_SLOTS = 100_000
 STREAM_CHUNK_SLOTS = 32_768
 STREAM_QUEUES = 8
 
@@ -277,35 +278,25 @@ SUITE: Tuple[BenchCase, ...] = (
           "registered RADS scenario, reference per-slot loop",
           lambda quick: _registered_scenario_setup(
               "uniform-bernoulli", "reference", quick)),
-    _case("scenario/uniform-bernoulli/batched",
-          "registered RADS scenario, batched fast path",
-          lambda quick: _registered_scenario_setup(
-              "uniform-bernoulli", "batched", quick)),
     _case("scenario/uniform-bernoulli/array",
-          "registered RADS scenario, struct-of-arrays engine",
+          "registered RADS scenario, array engine (span kernel)",
           lambda quick: _registered_scenario_setup(
               "uniform-bernoulli", "array", quick)),
-    _case("scenario/uniform-bernoulli/numpy",
-          "registered RADS scenario, vectorized numpy engine",
+    _case("scenario/markov-onoff/reference",
+          "registered CFDS scenario (DSS + latency register), reference "
+          "per-slot loop",
           lambda quick: _registered_scenario_setup(
-              "uniform-bernoulli", "numpy", quick)),
-    _case("scenario/markov-onoff/batched",
-          "registered CFDS scenario (DSS + latency register), batched",
-          lambda quick: _registered_scenario_setup(
-              "markov-onoff", "batched", quick)),
+              "markov-onoff", "reference", quick)),
     _case("scenario/markov-onoff/array",
           "registered CFDS scenario (DSS + latency register), array engine",
           lambda quick: _registered_scenario_setup(
               "markov-onoff", "array", quick)),
-    _case("wide-128/batched",
-          "128-queue Bernoulli stressor, batched fast path",
-          lambda quick: _wide_setup("batched", quick)),
+    _case("wide-128/reference",
+          "128-queue Bernoulli stressor, reference per-slot loop",
+          lambda quick: _wide_setup("reference", quick)),
     _case("wide-128/array",
-          "128-queue Bernoulli stressor, struct-of-arrays engine",
+          "128-queue Bernoulli stressor, array engine (span kernel)",
           lambda quick: _wide_setup("array", quick)),
-    _case("wide-128/numpy",
-          "128-queue Bernoulli stressor, vectorized numpy engine",
-          lambda quick: _wide_setup("numpy", quick)),
     _case("mma-ablation/ecqf",
           "head-only worst case under ECQF (paper policy)",
           lambda quick: _mma_setup("ecqf", quick)),
@@ -321,25 +312,13 @@ SUITE: Tuple[BenchCase, ...] = (
     _case("switch/cfds-8port/jobs4",
           "8-port CFDS switch, ports sharded over 4 workers",
           lambda quick: _switch_setup(4, quick)),
-    _case("stream/long-horizon/batched",
-          "long-horizon streamed run, batched engine, chunked plans",
-          lambda quick: _stream_setup("batched", quick)),
     _case("stream/long-horizon/array",
-          "long-horizon streamed run, struct-of-arrays engine",
+          "long-horizon streamed run, array engine, chunked plans",
           lambda quick: _stream_setup("array", quick)),
-    _case("stream/long-horizon/numpy",
-          "long-horizon streamed run, vectorized numpy engine",
-          lambda quick: _stream_setup("numpy", quick)),
     _case("stream/long-horizon/array-checkpointed",
           "streamed run writing 3 resumable checkpoints along the way",
           lambda quick: _stream_setup("array", quick, checkpoint=True)),
 )
-
-#: Without the optional dependency the numpy benchmarks drop out of the
-#: suite (and, via the in-medians guard below, out of the derived ratios):
-#: the snapshot stays valid, just narrower.
-if not NUMPY_AVAILABLE:  # pragma: no cover - exercised by the no-numpy CI leg
-    SUITE = tuple(case for case in SUITE if "/numpy" not in case.name)
 
 #: Ratios derived from pairs of benchmark medians (numerator / denominator —
 #: the speedup trajectory the acceptance criteria track).  The fourth
@@ -347,22 +326,16 @@ if not NUMPY_AVAILABLE:  # pragma: no cover - exercised by the no-numpy CI leg
 #: ratio regressed when it falls (``higher_better``), an overhead ratio
 #: regressed when it rises (``lower_better``).
 DERIVED_RATIOS: Tuple[Tuple[str, str, str, str], ...] = (
-    ("wide-128-speedup-array-over-batched", "wide-128/batched",
+    ("wide-128-speedup-array-over-reference", "wide-128/reference",
      "wide-128/array", "higher_better"),
-    ("wide-128-speedup-numpy-over-array", "wide-128/array",
-     "wide-128/numpy", "higher_better"),
-    ("stream-speedup-numpy-over-array", "stream/long-horizon/array",
-     "stream/long-horizon/numpy", "higher_better"),
-    ("uniform-speedup-array-over-batched",
-     "scenario/uniform-bernoulli/batched",
-     "scenario/uniform-bernoulli/array", "higher_better"),
-    ("uniform-speedup-batched-over-reference",
+    ("uniform-speedup-array-over-reference",
      "scenario/uniform-bernoulli/reference",
-     "scenario/uniform-bernoulli/batched", "higher_better"),
+     "scenario/uniform-bernoulli/array", "higher_better"),
+    ("cfds-speedup-array-over-reference",
+     "scenario/markov-onoff/reference",
+     "scenario/markov-onoff/array", "higher_better"),
     ("switch-scaling-jobs4-over-jobs1", "switch/cfds-8port/jobs1",
      "switch/cfds-8port/jobs4", "higher_better"),
-    ("stream-speedup-array-over-batched", "stream/long-horizon/batched",
-     "stream/long-horizon/array", "higher_better"),
     ("stream-checkpoint-overhead", "stream/long-horizon/array-checkpointed",
      "stream/long-horizon/array", "lower_better"),
 )

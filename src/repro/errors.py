@@ -102,7 +102,7 @@ class ArbiterContractError(ReproError):
     The engine contract is that ``next_request`` returns ``None`` (stay idle)
     or a plain ``int`` in ``[0, num_queues)``.  Every simulation engine
     enforces this identically, so a misbehaving custom arbiter fails loudly
-    and in the same way on the reference, batched and array paths instead of
+    and in the same way on the reference and array paths instead of
     crashing with an ``IndexError`` on one and silently diverging on another.
     """
 

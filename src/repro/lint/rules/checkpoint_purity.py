@@ -1,10 +1,11 @@
 """``checkpoint-purity`` — picklable span cores stay numpy/ctypes-free.
 
 Streaming checkpoints pickle the span cores (``_ArrayCoreBase`` and every
-subclass) so a run can resume on a machine *without* numpy or the compiled
-kernel.  PR 9 fixed exactly this bug class: the kernel bridge stashed a
-ctypes ``(c_int64 * n)`` view on the core as ``_bl8_arr``, which pickled
-the whole buffer (or failed outright) and broke numpy-free resume.  The
+subclass) as plain Python, so a snapshot carries no numpy object and
+resumes on a machine *without* the compiled kernel.  An earlier kernel
+bridge had exactly this bug: it stashed a ctypes ``(c_int64 * n)`` view
+on the core as ``_bl8_arr``, which pickled the whole buffer (or failed
+outright) and broke numpy-free resume.  The
 fix moved it to a ``WeakKeyDictionary`` keyed by the core — state lives
 *beside* the core, never *on* it.
 

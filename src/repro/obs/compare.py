@@ -11,7 +11,8 @@ Two kinds of rows:
   counts (full vs full, quick vs quick); throughput (kslots/s) stays
   comparable across modes, so it is always shown.
 * **derived-ratio deltas** — the machine-independent trajectory numbers
-  (array-vs-batched speedup, switch sharding scaling, checkpoint overhead).
+  (array-over-reference speedups, switch sharding scaling, checkpoint
+  overhead).
   Each ratio has a *direction*: for a speedup, a regression is the ratio
   falling; for an overhead, a regression is the ratio rising.  Directions
   come from the snapshot's ``derived_directions`` table when present and

@@ -13,7 +13,7 @@ and drive the workload subsystem::
     python -m repro scenario --list                   # registered scenarios
     python -m repro scenario bursty-trains            # run one scenario
     python -m repro scenario zipf-hotspot --slots 50000
-    python -m repro scenario zipf-hotspot --engine array     # SoA fast core
+    python -m repro scenario zipf-hotspot --engine reference # the oracle
     python -m repro scenario bursty-trains --record t.rtrc   # capture trace
     python -m repro scenario zipf-hotspot --replay t.rtrc    # replay it
 
@@ -174,15 +174,13 @@ def build_parser() -> argparse.ArgumentParser:
                           help="list the registered scenarios and exit")
     scenario.add_argument("--slots", type=int, default=None, metavar="N",
                           help="override the scenario's slot count")
-    scenario.add_argument("--legacy-loop", action="store_true",
-                          help="use the reference per-slot loop instead of "
-                               "the batched fast path")
     scenario.add_argument("--engine", default=None, metavar="NAME",
-                          help="simulation core to use: reference, batched, "
-                               "array, or numpy (default: batched; all "
-                               "engines produce bit-identical reports; an "
-                               "unknown or unavailable name is a one-line "
-                               "error, not a traceback)")
+                          help="simulation core to use: array (the default, "
+                               "with the compiled span kernel when it "
+                               "builds) or reference (the object-model "
+                               "oracle); both produce bit-identical "
+                               "reports, and an unknown name is a one-line "
+                               "error, not a traceback")
     scenario.add_argument("--stream", action="store_true",
                           help="run through the bounded-memory streaming "
                                "path (chunked arrival plans; implied by the "
@@ -253,9 +251,9 @@ def build_parser() -> argparse.ArgumentParser:
     switch.add_argument("--slots", type=int, default=None, metavar="N",
                         help="override the scenario's arrival-slot count")
     switch.add_argument("--engine", default=None, metavar="NAME",
-                        help="simulation core for the port stage: reference, "
-                             "batched, array, or numpy (default: array; all "
-                             "engines are bit-identical)")
+                        help="simulation core for the port stage: array "
+                             "(the default) or reference; both are "
+                             "bit-identical")
     switch.add_argument("--fabric", choices=["islip", "random", "priority"],
                         default=None,
                         help="override the scenario's fabric arbiter "
@@ -297,7 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
                            "(default: the frozen CI seed)")
     fuzz.add_argument("--stream", action="store_true",
                       help="add the expensive streamed legs: warmup offsets, "
-                           "checkpoint/resume, and all-engine switch "
+                           "checkpoint/resume, and both-engine switch "
                            "streaming")
     fuzz.add_argument("--faults", action="store_true",
                       help="add the chaos legs: re-run each case under "
@@ -321,7 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
         BENCH, parents=[obs],
         help="run the perf-trajectory benchmark suite",
         description=("Time the fixed benchmark suite (scenario loops on "
-                     "every engine, the wide-queue stressor, the MMA "
+                     "both engines, the wide-queue stressor, the MMA "
                      "ablation) and write per-benchmark medians to a JSON "
                      "snapshot for cross-PR comparison.  --compare diffs "
                      "against a committed baseline; --fail-on-regression "
@@ -458,6 +456,7 @@ def _run_scenario_command(parser: argparse.ArgumentParser,
                           args: argparse.Namespace) -> int:
     """Handle ``python -m repro scenario ...``."""
     from repro.analysis.report import format_table, render_scenario_run
+    from repro.sim import DEFAULT_ENGINE
     from repro.sim.engine import ClosedLoopSimulation
     from repro.traffic.arbiters import TraceArbiter
     from repro.traffic.arrivals import TraceArrivals
@@ -478,10 +477,6 @@ def _run_scenario_command(parser: argparse.ArgumentParser,
     if args.name is None:
         parser.error("scenario: a NAME is required (or use --list)")
 
-    if (args.legacy_loop and args.engine is not None
-            and args.engine != "reference"):
-        parser.error("--legacy-loop selects the reference loop and "
-                     f"conflicts with --engine {args.engine}")
     streaming = (args.stream or args.warmup > 0
                  or args.checkpoint_every is not None
                  or args.checkpoint is not None
@@ -507,9 +502,7 @@ def _run_scenario_command(parser: argparse.ArgumentParser,
                      "recording is O(slots) memory)")
     try:
         scenario = get_scenario(args.name)
-        engine = args.engine
-        if engine is None:
-            engine = "reference" if args.legacy_loop else "batched"
+        engine = args.engine if args.engine is not None else DEFAULT_ENGINE
         if args.resume is not None:
             from repro.sim.streaming import read_checkpoint, resume_stream
 
@@ -518,10 +511,10 @@ def _run_scenario_command(parser: argparse.ArgumentParser,
             # ignored (--checkpoint-every/--checkpoint remain overridable).
             if (args.slots is not None or args.engine is not None
                     or args.warmup or args.chunk_slots is not None
-                    or args.stream or args.legacy_loop):
+                    or args.stream):
                 parser.error("--resume restores the run's own configuration; "
                              "it conflicts with --slots/--engine/"
-                             "--legacy-loop/--warmup/--chunk-slots/--stream")
+                             "--warmup/--chunk-slots/--stream")
             meta = read_checkpoint(args.resume)
             if meta.get("label") is not None and meta["label"] != args.name:
                 print(f"error: {args.resume} is a checkpoint of scenario "

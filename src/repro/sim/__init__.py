@@ -9,11 +9,12 @@ verdicts).
 
 from repro.sim.stats import LatencyStats, ThroughputStats
 from repro.sim.engine import ClosedLoopSimulation, SimulationReport
-from repro.sim.array_engine import ENGINES, build_array_core, run_array
-from repro.sim.numpy_engine import (
-    NUMPY_AVAILABLE,
-    build_numpy_core,
-    run_numpy,
+from repro.sim.array_engine import (
+    DEFAULT_ENGINE,
+    ENGINES,
+    build_array_core,
+    resolve_engine,
+    run_array,
 )
 from repro.sim.ring import IntRing
 from repro.sim.streaming import (
@@ -33,12 +34,11 @@ __all__ = [
     "ThroughputStats",
     "ClosedLoopSimulation",
     "SimulationReport",
+    "DEFAULT_ENGINE",
     "ENGINES",
     "build_array_core",
+    "resolve_engine",
     "run_array",
-    "NUMPY_AVAILABLE",
-    "build_numpy_core",
-    "run_numpy",
     "IntRing",
     "StreamingSimulation",
     "read_checkpoint",

@@ -1,4 +1,4 @@
-/* Span kernel for the "numpy" engine's RADS fast path.
+/* Span kernel for the "array" engine's RADS core.
  *
  * This file is compiled on demand by repro.sim.kernel (cc -O2 -shared) and
  * loaded through ctypes; it is NOT a CPython extension module and includes

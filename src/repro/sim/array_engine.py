@@ -1,4 +1,4 @@
-"""Struct-of-arrays simulation core — the ``engine="array"`` fast path.
+"""Struct-of-arrays simulation core — ``engine="array"``, the default.
 
 The object model (``RADSPacketBuffer``/``CFDSPacketBuffer`` driven by
 :class:`~repro.sim.engine.ClosedLoopSimulation`) allocates a ``Cell``
@@ -49,6 +49,17 @@ diverge either.  The resulting :class:`~repro.sim.engine.SimulationReport`
 to the reference loop for every registered scenario by
 ``tests/sim/test_array_engine.py``.
 
+**The compiled span kernel.**  The RADS core hands each span to the C
+kernel of :mod:`repro.sim.kernel` when :meth:`_RADSCore._kernel_miss`
+passes (stock policies, a non-empty lookahead, ``num_queues`` up to
+``MAX_KERNEL_QUEUES``, an untraced run, at least ``MIN_KERNEL_SLOTS``
+slots, a loaded kernel); every other span — and every span the kernel
+aborts — runs on the core's scalar python loop on the same state.  With
+metrics enabled, the slots of a span that misses the kernel are counted as
+``engine.array.fallback.<reason>``.  A monolithic run of a stock Bernoulli
+process defers its arrival plan so the kernel draws it natively, and runs
+the main and drain windows in one kernel call.  CFDS has no kernel.
+
 The engine consumes a *freshly built* buffer: it reads the configuration and
 the issue-period machinery off the buffer object but keeps all per-cell state
 in its own arrays, so the buffer instance itself is not stepped.  Running an
@@ -64,6 +75,9 @@ bounded memory and to checkpoint mid-run: a core holds only plain data
 objects, so pickling the core captures the complete machine state.
 :func:`run_array` is the monolithic convenience wrapper: one main span, one
 drain span, one report.
+
+:func:`resolve_engine` is the one place engine names are checked: the
+retired names ``numpy`` and ``batched`` run ``array`` and ``reference``.
 """
 
 from __future__ import annotations
@@ -71,6 +85,7 @@ from __future__ import annotations
 from bisect import bisect_left, insort
 from collections import deque
 from heapq import heappop, heappush
+from itertools import accumulate
 from typing import List, Optional
 
 from repro.errors import (
@@ -84,18 +99,23 @@ from repro.errors import (
 from repro.mma.ecqf import ECQF
 from repro.mma.tail_mma import ThresholdTailMMA
 from repro.obs.metrics import get_metrics
+from repro.sim import kernel
 from repro.sim.ring import IntRing
 from repro.traffic.arbiters import RandomArbiter
+from repro.traffic.arrivals import BernoulliArrivals
 from repro.types import MissRecord, ReplenishRequest, SimulationResult, TransferDirection
 
-#: Engine names accepted by ``ClosedLoopSimulation.run(engine=...)``.
-#: ``numpy`` needs the optional numpy extra at run time; selecting it
-#: without numpy raises a ConfigurationError naming the extra.
-ENGINE_REFERENCE = "reference"
-ENGINE_BATCHED = "batched"
-ENGINE_ARRAY = "array"
-ENGINE_NUMPY = "numpy"
-ENGINES = (ENGINE_REFERENCE, ENGINE_BATCHED, ENGINE_ARRAY, ENGINE_NUMPY)
+#: Engine names accepted by ``ClosedLoopSimulation.run(engine=...)``: the
+#: object-model oracle and this module's core.
+ENGINES = ("reference", "array")
+
+#: The engine every entry point runs when none is named.
+DEFAULT_ENGINE = "array"
+
+#: Retired engine names and the engine that now runs in their place:
+#: ``numpy`` was this core plus the span kernel, ``batched`` was an
+#: object-model loop (any buffer, already-stepped simulations).
+_RETIRED_ENGINES = {"numpy": "array", "batched": "reference"}
 
 #: "No critical entry" marker in the per-queue critical-slot cache.
 _INF = float("inf")
@@ -103,6 +123,18 @@ _INF = float("inf")
 #: Compaction threshold of the cursor lists (amortised O(1): at least half
 #: of the storage is reclaimed whenever a deletion is triggered).
 _COMPACT = 8192
+
+
+def resolve_engine(engine: str) -> str:
+    """The engine that runs for ``engine``: a retired name maps to its
+    replacement, and any other unknown name raises
+    :class:`~repro.errors.ConfigurationError`."""
+    if isinstance(engine, str):
+        engine = _RETIRED_ENGINES.get(engine, engine)
+    if engine not in ENGINES:
+        raise ConfigurationError(
+            f"unknown engine {engine!r} (known: {', '.join(ENGINES)})")
+    return engine
 
 
 def run_array(sim, num_slots: int, drain: bool = True):
@@ -122,7 +154,13 @@ def run_array(sim, num_slots: int, drain: bool = True):
     if num_slots < 0:
         raise ConfigurationError("num_slots must be non-negative")
     core = build_array_core(sim)
-    core.run_span(_arrival_plan(sim, num_slots), num_slots)
+    if isinstance(core, _RADSCore):
+        plan = _deferred_plan(sim, num_slots)
+        if drain and core.run_fused(plan, num_slots):
+            return core.finish(drain=False)
+    else:
+        plan = _arrival_plan(sim, num_slots)
+    core.run_span(plan, num_slots)
     return core.finish(drain=drain)
 
 
@@ -165,6 +203,47 @@ def _arrival_plan(sim, num_slots: int) -> Optional[List[Optional[int]]]:
         return None
     plan = sim.arrivals.arrivals(num_slots)
     return plan if isinstance(plan, list) else list(plan)
+
+
+class _DeferredPlan:
+    """A Bernoulli arrival plan that has not been drawn yet.
+
+    A monolithic RADS run hands this to :meth:`_RADSCore.run_span` so the
+    compiled span kernel can draw the plan natively (same words, same
+    doubles); a span that runs in python calls :meth:`materialize`, which
+    advances the process RNG exactly as the ``arrivals()`` call would have
+    at this point.
+    """
+
+    __slots__ = ("proc", "num_slots", "cum_weights", "total")
+
+    def __init__(self, proc, num_slots: int, cum_weights: List[float]) -> None:
+        self.proc = proc
+        self.num_slots = num_slots
+        self.cum_weights = cum_weights
+        self.total = cum_weights[-1] + 0.0
+
+    def bern(self):
+        """The kernel's ``bern`` argument: the process RNG, the load gate's
+        integer threshold and the cumulative weights."""
+        return (self.proc._rng, kernel.gate_threshold(self.proc.load),
+                self.cum_weights, self.total)
+
+    def materialize(self) -> List[Optional[int]]:
+        return self.proc.arrivals(self.num_slots)
+
+
+def _deferred_plan(sim, num_slots: int):
+    """The arrival plan of a monolithic RADS run: deferred for the kernel to
+    draw when the process is (a subclass of) ``BernoulliArrivals`` running
+    the stock batch method, drawn in python otherwise."""
+    proc = sim.arrivals
+    if (num_slots > 0 and isinstance(proc, BernoulliArrivals)
+            and type(proc).arrivals is BernoulliArrivals.arrivals):
+        cum_weights = list(accumulate(proc.weights))
+        if cum_weights[-1] > 0.0:
+            return _DeferredPlan(proc, num_slots, cum_weights)
+    return _arrival_plan(sim, num_slots)
 
 
 # --------------------------------------------------------------------- #
@@ -306,7 +385,7 @@ class _ArrayCoreBase:
 
         The machine state (queues, pipelines, RNG-facing structures) is
         untouched — only what feeds ``ThroughputStats`` and the latency
-        histogram restarts, matching the reference/batched warmup semantics
+        histogram restarts, matching the reference loop's warmup semantics
         (engineering counters in the buffer result keep covering the whole
         run).
         """
@@ -360,7 +439,13 @@ class _ArrayCoreBase:
 # --------------------------------------------------------------------- #
 
 class _RADSCore(_ArrayCoreBase):
-    """Struct-of-arrays machine for :class:`~repro.rads.buffer.RADSPacketBuffer`."""
+    """Struct-of-arrays machine for :class:`~repro.rads.buffer.RADSPacketBuffer`.
+
+    A span runs on the compiled span kernel (:mod:`repro.sim.kernel`) when
+    :meth:`_kernel_miss` passes and the kernel completes it, and on the
+    scalar loop of :meth:`run_span` otherwise.  Both mutate the same state,
+    so kernel and python spans mix freely (chunks, drains, checkpoints).
+    """
 
     def __init__(self, sim, buffer) -> None:
         super().__init__(sim, buffer)
@@ -372,19 +457,96 @@ class _RADSCore(_ArrayCoreBase):
         return self.la_len + self.granularity
 
     # ------------------------------------------------------------------ #
-    def run_span(self, plan: Optional[List[Optional[int]]], num_slots: int,
-                 main: bool = True) -> None:
+    def _kernel_miss(self, num_slots: int) -> Optional[str]:
+        """Why a span of ``num_slots`` cannot run on the span kernel — the
+        ``<reason>`` of its ``engine.array.fallback.<reason>`` counter — or
+        ``None`` when it can."""
+        if not (self.fast_random and self.fast_ecqf and self.fast_tail):
+            return "policy"
+        if self.la_len <= 0:
+            return "no_lookahead"
+        if self.num_queues > kernel.MAX_KERNEL_QUEUES:
+            return "wide_queues"
+        if self.sim.trace is not None:
+            return "traced"
+        if num_slots < kernel.MIN_KERNEL_SLOTS:
+            return "short_span"
+        if kernel.load_kernel() is None:
+            return "unavailable"
+        return None
+
+    def run_fused(self, plan, num_slots: int) -> bool:
+        """Run the main window *and* the drain window in one kernel call.
+
+        The drain window's length is known up front, so the monolithic
+        ``run_array`` path hands both to the kernel at once and pays a
+        single state marshal instead of two.  ``True`` means both windows
+        ran — the caller finishes with ``drain=False``; ``False`` leaves the
+        core (and any deferred plan's RNG) untouched.  A declined call
+        records no fallback: the caller then runs each window through
+        :meth:`run_span`, which decides, and counts, each one itself.
+        """
+        if num_slots <= 0 or self._kernel_miss(num_slots) is not None:
+            return False
+        self._check_not_finished()
+        drain_slots = self._drain_slots()
+        done = False
+        if isinstance(plan, _DeferredPlan):
+            if (plan.num_slots == num_slots
+                    and plan.proc._rng is not self.sim.arbiter._rng):
+                done = kernel.run_span_kernel(
+                    self, None, num_slots, main=True, bern=plan.bern(),
+                    drain_slots=drain_slots)
+        elif plan is None or len(plan) >= num_slots:
+            done = kernel.run_span_kernel(self, plan, num_slots, main=True,
+                                          drain_slots=drain_slots)
+        if done:
+            obs = get_metrics()
+            if obs is not None:
+                # Counted as the two spans the unfused path would run.
+                obs.inc("engine.array.spans", 2)
+                obs.inc("engine.array.span_slots", num_slots + drain_slots)
+        return done
+
+    def run_span(self, plan, num_slots: int, main: bool = True) -> None:
         """Simulate ``num_slots`` slots starting at ``self.slot``.
 
         ``plan`` is the arrival plan for exactly this window (``None`` for a
-        drain-only span); ``main=False`` runs drain slots (no arrivals, no
-        requests, departures recorded for final-slot stamping).
+        drain-only span, a :class:`_DeferredPlan` for a monolithic Bernoulli
+        run); ``main=False`` runs drain slots (no arrivals, no requests,
+        departures recorded for final-slot stamping).
         """
         self._check_not_finished()
         obs = get_metrics()
         if obs is not None:
             obs.inc("engine.array.spans")
             obs.inc("engine.array.span_slots", num_slots)
+        if num_slots > 0:
+            miss = self._kernel_miss(num_slots)
+            if miss is not None:
+                if obs is not None:
+                    obs.inc(f"engine.array.fallback.{miss}", num_slots)
+            else:
+                if isinstance(plan, _DeferredPlan):
+                    # The kernel draws the plan natively unless the arrival
+                    # process shares the arbiter's RNG object (the python
+                    # loop consumes the plan's words strictly first).
+                    if plan.proc._rng is self.sim.arbiter._rng:
+                        if obs is not None:
+                            obs.inc("engine.array.fallback.shared_rng",
+                                    num_slots)
+                    elif (plan.num_slots == num_slots
+                            and kernel.run_span_kernel(
+                                self, None, num_slots, main=True,
+                                bern=plan.bern())):
+                        return
+                    plan = plan.materialize()
+                if ((plan is None or len(plan) >= num_slots)
+                        and kernel.run_span_kernel(self, plan, num_slots,
+                                                   main=main)):
+                    return
+        if isinstance(plan, _DeferredPlan):
+            plan = plan.materialize()
         buffer = self.buffer
         sim = self.sim
         num_queues = self.num_queues

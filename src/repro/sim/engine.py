@@ -1,30 +1,25 @@
 """The closed-loop simulation driver.
 
-Three execution paths produce bit-identical reports:
+Two engines produce bit-identical reports:
 
-* the **reference per-slot loop** (``engine="reference"``, a.k.a.
-  ``fast_path=False``) — one attribute lookup and one backlog rebuild per
-  slot; the behavioural ground truth;
-* the **batched fast path** (``engine="batched"``, the default) — arrivals
-  are pre-generated into an array before the loop (arrival processes depend
-  only on their own state, never on the buffer), the per-queue backlog the
-  arbiter sees is maintained incrementally instead of being rebuilt from the
-  buffer every slot, and all per-slot attribute lookups are hoisted into
-  locals.  The arbiter still runs in-loop because its decisions depend on the
-  evolving backlog.
-* the **array engine** (``engine="array"``) — a struct-of-arrays
-  re-implementation of the whole buffer hot path
+* the **reference per-slot loop** (``engine="reference"``) — the paper's
+  machine as objects: one attribute lookup and one backlog rebuild per
+  slot, stepping the buffer object itself.  It is the behavioural ground
+  truth, and the only engine that accepts any buffer exposing the
+  interface below, or a simulation whose buffer was already stepped.
+* the **array engine** (``engine="array"``, the default) — a
+  struct-of-arrays re-implementation of the whole buffer hot path
   (:mod:`repro.sim.array_engine`): cells become bare integers in
-  ring-buffered per-queue arrays, with zero per-slot allocation.  The MMA
-  policy objects (and, for CFDS, the DRAM scheduler subsystem) still make
-  every decision, so reports cannot diverge from the object model.
+  ring-buffered per-queue arrays, with zero per-slot allocation.  Its RADS
+  core runs each span it can on the compiled span kernel
+  (:mod:`repro.sim.kernel`) and the rest on its own scalar loop.
 
 Equivalence holds because arrival processes and arbiters draw from separate
 seeded RNGs (pre-generating arrivals does not perturb the arbiter's stream)
-and because the incremental backlog replays exactly the
-``arrivals - issued requests`` accounting both buffer classes implement.
-The equivalence of all three paths is asserted for every registered scenario
-by the workloads and array-engine test suites.
+and because the array engine's incremental state replays exactly the
+transitions the buffer objects make.  It is asserted for every registered
+scenario by the workloads and array-engine test suites and by the
+differential fuzzer.
 """
 
 from __future__ import annotations
@@ -37,6 +32,7 @@ from repro.errors import ArbiterContractError, ConfigurationError
 from repro.obs.metrics import get_metrics
 from repro.obs.trace import emit as trace_emit
 from repro.obs.trace import get_trace
+from repro.sim.array_engine import DEFAULT_ENGINE, resolve_engine, run_array
 from repro.sim.stats import LatencyStats, ThroughputStats
 from repro.traffic.arbiters import Arbiter
 from repro.traffic.arrivals import ArrivalProcess
@@ -106,28 +102,20 @@ class ClosedLoopSimulation:
 
     # ------------------------------------------------------------------ #
     def run(self, num_slots: int, drain: bool = True,
-            fast_path: bool = True,
-            engine: Optional[str] = None) -> SimulationReport:
+            engine: str = DEFAULT_ENGINE) -> SimulationReport:
         """Simulate ``num_slots`` slots (plus an optional final drain).
 
         Args:
             num_slots: slots to simulate.
             drain: run idle slots afterwards until the pipeline is empty.
-            fast_path: legacy selector — ``False`` picks the reference
-                per-slot loop.  Ignored when ``engine`` is given.
-            engine: ``"reference"``, ``"batched"`` (default) or ``"array"``
-                (the struct-of-arrays core, which requires a freshly built
-                buffer).  All three produce bit-identical reports.
+            engine: ``"array"`` (the default; requires a freshly built
+                simulation) or ``"reference"``; both produce bit-identical
+                reports.  The retired names ``numpy`` and ``batched`` run
+                ``array`` and ``reference``.
         """
         if num_slots < 0:
             raise ConfigurationError("num_slots must be non-negative")
-        if engine is None:
-            engine = "batched" if fast_path else "reference"
-        from repro.sim.array_engine import ENGINES
-
-        if engine not in ENGINES:
-            raise ConfigurationError(
-                f"unknown engine {engine!r} (known: {', '.join(ENGINES)})")
+        engine = resolve_engine(engine)
         # The observability wrapper records what a run did, strictly after
         # the fact: it draws no randomness and feeds nothing back into the
         # machines, so an instrumented run's report is bit-identical to an
@@ -163,17 +151,8 @@ class ClosedLoopSimulation:
                     engine: str) -> SimulationReport:
         """Dispatch to the selected core and assemble the report."""
         if engine == "array":
-            from repro.sim.array_engine import run_array
-
             return run_array(self, num_slots, drain=drain)
-        if engine == "numpy":
-            from repro.sim.numpy_engine import run_numpy
-
-            return run_numpy(self, num_slots, drain=drain)
-        if engine == "batched":
-            self._run_fast(num_slots)
-        else:
-            self._run_slots(num_slots)
+        self._run_slots(num_slots)
         if drain:
             for cell in self.buffer.drain():
                 self.throughput.departures += 1
@@ -187,7 +166,7 @@ class ClosedLoopSimulation:
 
     def run_stream(self, num_slots: int, *,
                    drain: bool = True,
-                   engine: Optional[str] = None,
+                   engine: str = DEFAULT_ENGINE,
                    chunk_slots: Optional[int] = None,
                    warmup_slots: int = 0,
                    checkpoint_every: Optional[int] = None,
@@ -235,8 +214,8 @@ class ClosedLoopSimulation:
             backlog = [self.buffer.backlog(q) for q in range(num_queues)]
             request = self.arbiter.next_request(slot, backlog) if self.arbiter else None
             if request is not None:
-                # The engine contract (shared verbatim by the batched and
-                # array paths): a request is None or an int in range.
+                # The engine contract (shared verbatim by the array
+                # engine): a request is None or an int in range.
                 if type(request) is int and 0 <= request < num_queues:
                     if not self.buffer.can_request(request):
                         request = None
@@ -246,62 +225,6 @@ class ClosedLoopSimulation:
                 self.trace.append(arrival, request)
             served = self.buffer.step(arrival, request)
             self._account(arrival, request, served)
-
-    def _run_fast(self, num_slots: int, start_slot: int = 0,
-                  plan: Optional[List[Optional[int]]] = None) -> None:
-        """Batched loop: pre-generated arrivals, incremental backlog, locals.
-
-        ``start_slot``/``plan`` as in :meth:`_run_slots`.
-        """
-        buffer = self.buffer
-        num_queues = buffer.config.num_queues
-        if plan is not None:
-            arrival_plan: List[Optional[int]] = plan
-        elif self.arrivals is not None:
-            # The stochastic processes return a prefilled list (their batch
-            # fast path); only materialise generic iterables.
-            raw = self.arrivals.arrivals_slice(start_slot, num_slots)
-            arrival_plan = raw if isinstance(raw, list) else list(raw)
-        else:
-            arrival_plan = [None] * num_slots
-        next_request = self.arbiter.next_request if self.arbiter else None
-        # The backlog the legacy loop rebuilds per slot evolves by exactly
-        # +1 per arrival and -1 per accepted request, so maintain it
-        # incrementally (one shared list the arbiter reads each slot).
-        backlog = [buffer.backlog(q) for q in range(num_queues)]
-        step = buffer.step
-        trace_events = self.trace.events if self.trace is not None else None
-        latency_record = self.latency.record
-        arrivals_count = 0
-        departures = 0
-        idle_requests = 0
-        for slot, arrival in enumerate(arrival_plan, start_slot):
-            if next_request is not None:
-                request = next_request(slot, backlog)
-                if request is not None:
-                    if type(request) is int and 0 <= request < num_queues:
-                        if backlog[request] <= 0:
-                            request = None
-                    else:
-                        raise ArbiterContractError(request, num_queues, slot)
-            else:
-                request = None
-            if trace_events is not None:
-                trace_events.append((arrival, request))
-            served = step(arrival, request)
-            if arrival is not None:
-                arrivals_count += 1
-                backlog[arrival] += 1
-            if request is None:
-                idle_requests += 1
-            else:
-                backlog[request] -= 1
-            if served is not None:
-                departures += 1
-                latency_record(served.arrival_slot, buffer.slot)
-        self.throughput.arrivals += arrivals_count
-        self.throughput.departures += departures
-        self.throughput.idle_request_slots += idle_requests
 
     # ------------------------------------------------------------------ #
     def _account(self, arrival, request, served) -> None:

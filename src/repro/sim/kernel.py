@@ -1,14 +1,15 @@
-"""Optional compiled span kernel for the numpy engine's RADS fast path.
+"""Compiled span kernel for the array engine's RADS core.
 
-:mod:`repro.sim.numpy_engine` precomputes the RNG streams and runs a fused
-python slot loop; that loop's ceiling is CPython's bytecode dispatch.  This
-module removes it *without adding a dependency*: the bundled C99 source
-``_spankernel.c`` is compiled on first use with the system compiler
-(``cc -O2 -march=native -shared -fPIC``, falling back to plain ``-O2``),
-cached under the user's private cache directory (``$XDG_CACHE_HOME`` or
-``~/.cache``, created ``0o700`` and ownership-verified before every load)
-keyed by a hash of the source and the interpreter/platform tags, and loaded
-through :mod:`ctypes` — no ``Python.h``, no build backend, no wheels.
+The RADS core of ``engine="array"`` (:mod:`repro.sim.array_engine`) hands
+every span it can to this kernel; its own scalar loop's ceiling is
+CPython's bytecode dispatch.  The bundled C99 source ``_spankernel.c`` is
+compiled on first use with the system compiler (``cc -O2 -march=native
+-shared -fPIC``, falling back to plain ``-O2``), cached under the user's
+private cache directory (``$XDG_CACHE_HOME`` or ``~/.cache``, created
+``0o700`` and ownership-verified before every load) keyed by a hash of the
+source and the interpreter/platform tags, and loaded through :mod:`ctypes`
+— no ``Python.h``, no build backend, no wheels.  numpy only allocates the
+marshal buffers.
 
 The kernel executes whole spans natively: it resumes the arbiter's (and,
 for monolithic Bernoulli runs, the arrival process's) Mersenne Twister from
@@ -17,14 +18,13 @@ of the core's state, and hands back the mutated state plus the final RNG
 words, which are applied to the python core only on success.  It takes
 any ``num_queues`` up to :data:`MAX_KERNEL_QUEUES`: its arbiter draws read
 whole 32-bit words and its arrival plan is ``int32`` (``-1`` = no
-arrival), unlike the fused python loop, whose top-byte decode and ``bytes``
-plan stop at 254 queues.  Failure at any stage — no compiler, compile
-error, load error, strict-mode aborts inside the span, or the
-``REPRO_SPAN_KERNEL=0`` kill switch — falls back to the fused python loop
-(or, past 254 queues, the scalar loop) on the untouched state, so the
-kernel is a pure accelerator: every result it produces is bit-identical to
-the scalar reference loop (asserted by ``tests/sim/test_numpy_engine.py``,
-which runs the suite through both paths).
+arrival).  Failure at any stage — no compiler, compile error, load error,
+strict-mode aborts inside the span, or the ``REPRO_SPAN_KERNEL=0`` kill
+switch — falls back to the core's scalar loop on the untouched state, so
+the kernel is a pure accelerator: every result it produces is
+bit-identical to the reference loop (asserted by
+``tests/sim/test_numpy_engine.py``, which runs the suite with the kernel
+and with it switched off).
 
 Sanitizer-hardened builds
 -------------------------
@@ -47,13 +47,14 @@ so overflows on Python-allocated buffers would go unseen.)  The
 ``benchmarks/kernel_sanitize_check.py`` harness sets all of this up and
 replays the PR 9 backlog-migration overflow stressor; CI runs it in the
 ``kernel-sanitize`` job.  Without the preload, ``CDLL`` fails and the
-engine falls back to the fused python loop as usual.
+core falls back to its scalar loop as usual.
 """
 
 from __future__ import annotations
 
 import ctypes
 import hashlib
+import math
 import os
 import subprocess
 import sys
@@ -65,13 +66,14 @@ from itertools import chain
 from pathlib import Path
 from typing import List, Optional
 
+import numpy as np
+
 from repro.obs.metrics import get_metrics
-from repro.sim.array_engine import _INF
 from repro.sim.ring import IntRing
 from repro.types import MissRecord
 
 #: Environment kill switch: set to ``0``/``off``/``false`` to disable the
-#: compiled kernel (the fused python loop still runs; results identical).
+#: compiled kernel (the scalar python loop runs instead; results identical).
 KERNEL_ENV = "REPRO_SPAN_KERNEL"
 
 #: Set to ``1``/``on`` to compile the kernel with ASan+UBSan (abort on any
@@ -79,7 +81,7 @@ KERNEL_ENV = "REPRO_SPAN_KERNEL"
 #: environment; results remain bit-identical to the production build.
 SANITIZE_ENV = "REPRO_SPAN_KERNEL_SANITIZE"
 
-#: Spans shorter than this stay on the python loops — the per-span state
+#: Spans shorter than this stay on the python loop — the per-span state
 #: marshalling is O(state), so tiny chunks would pay more moving state
 #: than simulating it.
 MIN_KERNEL_SLOTS = 192
@@ -93,6 +95,9 @@ _SOURCE = Path(__file__).with_name("_spankernel.c")
 _ERR_OK = 0
 
 _CRIT_INF = (1 << 63) - 1  # INT64_MAX, the C marker for "no critical entry"
+
+#: 2**53 — ``Random.random()`` returns ``comb / 2**53``.
+_F53 = 9007199254740992
 
 _lock = threading.Lock()
 _kernel = None
@@ -189,6 +194,16 @@ def sanitizer_preload() -> Optional[str]:
             return None
         libs.append(name)
     return " ".join(libs)
+
+
+def gate_threshold(load: float) -> int:
+    """The kernel's integer form of the ``random() < load`` gate.
+
+    ``random()`` returns ``comb / 2**53`` with ``comb`` a 53-bit integer,
+    and ``load * 2**53`` is exact for any float in [0, 1] (the mantissa is
+    only shifted), so ``u < load  <=>  comb < ceil(load * 2**53)``.
+    """
+    return math.ceil(load * float(_F53))
 
 
 def _cache_dir() -> Path:
@@ -320,8 +335,8 @@ def load_kernel():
                 path = _cache_path()
                 # Load nothing we do not exclusively own: a pre-planted
                 # cache dir or .so (wrong owner, group/other-writable, or
-                # a symlink) is skipped, not trusted — the engine falls
-                # back to the fused python loop.
+                # a symlink) is skipped, not trusted — the core falls back
+                # to its scalar loop.
                 if ((path.is_file() or _compile(path))
                         and _trusted(path.parent, want_dir=True)
                         and _trusted(path)):
@@ -336,8 +351,8 @@ def load_kernel():
         _kernel_tried = True
         obs = get_metrics()
         if obs is not None:
-            obs.inc("engine.numpy.kernel_loaded" if fn is not None
-                    else "engine.numpy.kernel_unavailable")
+            obs.inc("engine.array.kernel_loaded" if fn is not None
+                    else "engine.array.kernel_unavailable")
         return _kernel
 
 
@@ -349,9 +364,8 @@ def run_span_kernel(core, aplan, num_slots: int, main: bool = True,
                     bern=None, drain_slots: int = 0) -> bool:
     """Run one span on the compiled kernel; ``True`` on success.
 
-    ``aplan`` is the arrival plan — the fused loop's ``bytes`` (255 = no
-    arrival) or an ``Optional[int]`` list, at least ``num_slots`` long —
-    or ``None`` for a span without arrivals;
+    ``aplan`` is the arrival plan — an ``Optional[int]`` list at least
+    ``num_slots`` long — or ``None`` for a span without arrivals;
     ``bern = (rng, tint, cum_weights, total)`` makes the kernel draw the
     Bernoulli arrival plan natively instead.  ``drain_slots`` appends that
     many drain-mode slots after the main window in the *same* call (the
@@ -365,8 +379,6 @@ def run_span_kernel(core, aplan, num_slots: int, main: bool = True,
     fn = load_kernel()
     if fn is None:
         return False
-    import numpy as np
-
     nq = core.num_queues
     g = core.granularity
     i64 = np.int64
@@ -409,12 +421,10 @@ def run_span_kernel(core, aplan, num_slots: int, main: bool = True,
     # -- RNG states -----------------------------------------------------
     rng = core.sim.arbiter._rng if main else None
     if main:
-        from repro.sim.numpy_engine import _gate_threshold
-
         arb_state = rng.getstate()
         arb_key = np.array(arb_state[1][:624], dtype=np.uint32)
         arb_meta = i64arr([arb_state[1][624], 0])
-        cfg.arb_tint = _gate_threshold(core.sim.arbiter.load)
+        cfg.arb_tint = gate_threshold(core.sim.arbiter.load)
     else:
         arb_state = None
         arb_key = np.zeros(624, dtype=np.uint32)
@@ -444,14 +454,8 @@ def run_span_kernel(core, aplan, num_slots: int, main: bool = True,
         cfg.bern_total = 0.0
         if cfg.plan_mode == 0:
             # The kernel's plan encoding: int32 queue ids, -1 = no arrival.
-            # The fused loop's plan bytes convert in one vectorized step.
-            if isinstance(aplan, (bytes, bytearray)):
-                u8 = np.frombuffer(aplan, dtype=np.uint8)
-                plan_arr = np.where(u8 == 255, np.int32(-1),
-                                    u8.astype(np.int32))
-            else:
-                plan_arr = np.array([-1 if a is None else a for a in aplan],
-                                    dtype=np.int32)
+            plan_arr = np.array([-1 if a is None else a for a in aplan],
+                                dtype=np.int32)
             if len(plan_arr) < num_slots:
                 return False  # the kernel reads num_slots entries
             keep.append(plan_arr)
@@ -465,7 +469,7 @@ def run_span_kernel(core, aplan, num_slots: int, main: bool = True,
     req_count = i64arr(core.req_count)
     tail_occ = i64arr(core.tail_occ)
     dram_occ = i64arr(core.dram_occ)
-    crit_cache = i64arr([_CRIT_INF if v == _INF else v
+    crit_cache = i64arr([_CRIT_INF if v == math.inf else v
                          for v in core.crit_cache])
     eligible = i64arr(core.eligible, size=nq)
     for name, arr in (("backlog", backlog), ("next_seqno", next_seqno),
@@ -581,14 +585,14 @@ def run_span_kernel(core, aplan, num_slots: int, main: bool = True,
         # core is untouched — the caller's python loop replays the span and
         # raises (or recovers) with the exact reference state.
         if obs is not None:
-            obs.inc("engine.numpy.kernel_aborts")
-            obs.inc("engine.numpy.fallback.abort", total_slots)
+            obs.inc("engine.array.kernel_aborts")
+            obs.inc("engine.array.fallback.abort", total_slots)
         return False
 
     # -- apply the kernel's state to the python core ---------------------
     if obs is not None:
-        obs.inc("engine.numpy.kernel_spans")
-        obs.inc("engine.numpy.kernel_slots", total_slots)
+        obs.inc("engine.array.kernel_spans")
+        obs.inc("engine.array.kernel_slots", total_slots)
     core.backlog[:] = backlog.tolist()
     core.next_seqno[:] = next_seqno.tolist()
     new_delivered = delivered.tolist()
@@ -599,7 +603,7 @@ def run_span_kernel(core, aplan, num_slots: int, main: bool = True,
     core.tail_occ[:] = new_tail_occ
     new_dram_occ = dram_occ.tolist()
     core.dram_occ[:] = new_dram_occ
-    core.crit_cache[:] = [_INF if v == _CRIT_INF else v
+    core.crit_cache[:] = [math.inf if v == _CRIT_INF else v
                           for v in crit_cache.tolist()]
     core.eligible[:] = eligible[:cfg.eligible_len].tolist()
 

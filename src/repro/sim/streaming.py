@@ -57,6 +57,11 @@ from repro.errors import (
 from repro.faults import get_injector
 from repro.obs.metrics import MetricsRegistry, get_metrics
 from repro.obs.trace import emit as trace_emit
+from repro.sim.array_engine import (
+    DEFAULT_ENGINE,
+    build_array_core,
+    resolve_engine,
+)
 from repro.sim.stats import LatencyStats, ThroughputStats
 
 #: Default chunk size: big enough that per-chunk overhead vanishes, small
@@ -76,7 +81,9 @@ class StreamingSimulation:
             :meth:`~repro.sim.engine.ClosedLoopSimulation.run` would run).
         num_slots: total arrival/request slots, or ``None`` for an
             open-ended session driven by :meth:`feed`.
-        engine: ``"reference"``, ``"batched"`` (default) or ``"array"``.
+        engine: ``"array"`` (default) or ``"reference"``; the retired
+            names resolve as in :meth:`~repro.sim.engine.\
+ClosedLoopSimulation.run`.
         drain: run the drain window in :meth:`finish`.
         chunk_slots: window size of chunked execution.
         warmup_slots: slots to discard from the measurement statistics.
@@ -105,7 +112,7 @@ MetricsRegistry` of what it did — chunks executed, slots processed,
     """
 
     def __init__(self, sim, num_slots: Optional[int] = None, *,
-                 engine: Optional[str] = None,
+                 engine: str = DEFAULT_ENGINE,
                  drain: bool = True,
                  chunk_slots: Optional[int] = None,
                  warmup_slots: int = 0,
@@ -114,13 +121,7 @@ MetricsRegistry` of what it did — chunks executed, slots processed,
                  label: Optional[str] = None,
                  progress: Optional[Callable[[Dict[str, Any]], None]] = None,
                  progress_every: int = 1) -> None:
-        from repro.sim.array_engine import ENGINES, build_array_core
-
-        if engine is None:
-            engine = "batched"
-        if engine not in ENGINES:
-            raise ConfigurationError(
-                f"unknown engine {engine!r} (known: {', '.join(ENGINES)})")
+        engine = resolve_engine(engine)
         if num_slots is not None and num_slots < 0:
             raise ConfigurationError("num_slots must be non-negative")
         if chunk_slots is None:
@@ -155,16 +156,9 @@ MetricsRegistry` of what it did — chunks executed, slots processed,
         # Per-session observability state (always on: a handful of dict
         # operations per *chunk*, invisible next to a 64k-slot window).
         self._obs = MetricsRegistry()
-        # The array/numpy core carries the machine state between chunks (and
+        # The array core carries the machine state between chunks (and
         # enforces the freshly-built-buffer contract up front).
-        if engine == "array":
-            self._core = build_array_core(sim)
-        elif engine == "numpy":
-            from repro.sim.numpy_engine import build_numpy_core
-
-            self._core = build_numpy_core(sim)
-        else:
-            self._core = None
+        self._core = build_array_core(sim) if engine == "array" else None
         self.slot = 0                    # arrival/request slots completed
         self._warmup_done = warmup_slots == 0
         self._measured_from = 0          # slot measurement started at
@@ -266,8 +260,6 @@ MetricsRegistry` of what it did — chunks executed, slots processed,
         started = time.perf_counter()
         if self._core is not None:
             self._core.run_span(plan, count)
-        elif self.engine == "batched":
-            self.sim._run_fast(count, start_slot=self.slot, plan=plan)
         else:
             self.sim._run_slots(count, start_slot=self.slot, plan=plan)
         self.slot += count
@@ -438,6 +430,11 @@ MetricsRegistry` of what it did — chunks executed, slots processed,
         started = time.perf_counter()
         document = read_checkpoint(path)
         try:
+            # A snapshot may name a retired engine; its state is the same.
+            engine = resolve_engine(document["engine"])
+        except ConfigurationError as exc:
+            raise CheckpointError(f"checkpoint {os.fspath(path)!r}: {exc}")
+        try:
             blob = base64.b64decode(document["state_b64"],
                                     validate=True)
         except (TypeError, ValueError) as exc:
@@ -456,7 +453,7 @@ MetricsRegistry` of what it did — chunks executed, slots processed,
                 f"unpickled: {exc}")
         session = object.__new__(cls)
         session.sim = payload["sim"]
-        session.engine = document["engine"]
+        session.engine = engine
         session.num_slots = document["num_slots"]
         session.drain = document["drain"]
         session.chunk_slots = document["chunk_slots"]
@@ -492,7 +489,7 @@ MetricsRegistry` of what it did — chunks executed, slots processed,
 # --------------------------------------------------------------------- #
 
 def run_stream(sim, num_slots: int, *,
-               engine: Optional[str] = None,
+               engine: str = DEFAULT_ENGINE,
                drain: bool = True,
                chunk_slots: Optional[int] = None,
                warmup_slots: int = 0,

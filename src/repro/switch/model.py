@@ -40,6 +40,7 @@ from repro.obs.metrics import get_metrics
 from repro.obs.trace import emit as trace_emit
 from repro.runner.jobs import Job
 from repro.runner.sweep import JobFailure, SweepRunner, default_jobs
+from repro.sim import DEFAULT_ENGINE, resolve_engine
 from repro.sim.ring import IntRing
 from repro.sim.stats import LatencyStats
 from repro.switch.scenario import SwitchScenario
@@ -49,10 +50,6 @@ from repro.workloads.scenario import Scenario, ScenarioResult
 #: Job function executed per port — the single-port scenario runner, which is
 #: the whole point: a switch port *is* the degenerate one-port case.
 PORT_JOB_FUNC = "repro.workloads.scenario:run_scenario_spec"
-
-#: Default engine for the port stage.
-DEFAULT_ENGINE = "array"
-
 
 @dataclass(frozen=True)
 class FabricStats:
@@ -443,7 +440,7 @@ class SwitchModel:
 
         Args:
             engine: simulation core for every port (``array`` by default;
-                all engines are bit-identical, so this is purely a speed
+                both engines are bit-identical, so this is purely a speed
                 knob).
             jobs: worker processes for the port stage (``0`` = one per CPU);
                 ignored when an explicit ``runner`` is given.
@@ -452,6 +449,7 @@ class SwitchModel:
             num_slots: override the scenario's arrival-slot count.
         """
         started = time.perf_counter()
+        engine = resolve_engine(engine)
         port_jobs, stats = self.build_port_jobs(engine, num_slots)
         if runner is None:
             # Port jobs are uniform and known up front, so hand each worker
@@ -490,6 +488,7 @@ class SwitchModel:
         from repro.sim.streaming import StreamingSimulation
 
         started = time.perf_counter()
+        engine = resolve_engine(engine)
         scenario = self.scenario
         stream = FabricStream(scenario, num_slots, chunk_slots)
         templates = [port_template(scenario, egress)

@@ -12,8 +12,9 @@ generator with a *batch* implementation: RNG method lookups are hoisted into
 locals and a preallocated list is filled in one tight loop.  The batch form
 draws from the RNG in exactly the same order as repeated
 :meth:`next_arrival` calls, so the two are stream-identical (asserted by the
-traffic test suite) — which is what lets the batched and array simulation
-engines pre-generate arrival plans without perturbing any random stream.
+traffic test suite) — which is what lets the array engine and the
+streaming path pre-generate arrival plans without perturbing any random
+stream.
 """
 
 from __future__ import annotations

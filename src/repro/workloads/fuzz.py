@@ -6,10 +6,11 @@ the *generative* extension of that net: :func:`sample_scenario` and
 :func:`sample_switch_scenario` draw structurally valid but adversarial specs
 — heavy-tailed WAN/datacenter mixes, lossy bounded-DRAM configs, custom-MMA
 paths, 64–256-port incast/permutation switches — and :func:`run_case` runs
-every sampled spec through every available engine (the three pure-python
-engines plus, when the optional dependency is installed, ``numpy``),
-monolithic *and* streamed, with random chunk/warmup/checkpoint boundaries,
-asserting bit-identical reports.
+every sampled spec through both engines (the ``reference`` oracle and
+``array``, on the compiled span kernel where it builds), monolithic *and*
+streamed, with random chunk/warmup/checkpoint boundaries, asserting
+bit-identical reports.  With ``REPRO_SPAN_KERNEL=0`` the ``array`` legs run
+the core's scalar python loop instead.
 
 Everything is a pure function of ``(master_seed, index)``: a diverging case
 is dumped as a replayable JSON artifact carrying exactly those coordinates
@@ -19,8 +20,8 @@ legs must either produce the same report or raise the same error; a config
 that crashes one engine and not another is a divergence, not a crash.
 
 This is the check every perf backend merges against: first make the
-fuzzer pass, then optimise.  The numpy backend (and its optional compiled
-span kernel) earned its place in ``ENGINES`` exactly this way.
+fuzzer pass, then optimise.  The compiled span kernel earned its place in
+the ``array`` engine exactly this way.
 """
 
 from __future__ import annotations
@@ -34,19 +35,12 @@ from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 from repro.errors import ReproError, SpecError
 from repro.obs.metrics import get_metrics
 from repro.obs.trace import emit as trace_emit
+from repro.sim.array_engine import ENGINES
 from repro.switch.scenario import SwitchScenario
 from repro.workloads.scenario import Scenario
 
 #: Default master seed — frozen so CI and a local repro draw the same cases.
 DEFAULT_MASTER_SEED = 20260807
-
-from repro.sim.numpy_engine import NUMPY_AVAILABLE
-
-#: Engines whose reports must agree bit for bit.  The numpy backend joins
-#: the net only when the optional dependency is importable — the three
-#: pure-python engines keep the fuzzer meaningful without it.
-ENGINES = (("reference", "batched", "array", "numpy")
-           if NUMPY_AVAILABLE else ("reference", "batched", "array"))
 
 #: Per-case seed spread (a large prime, mirroring the streaming tests).
 _CASE_STRIDE = 1_000_003
@@ -666,7 +660,7 @@ def _run_switch_case(case: FuzzCase, stream: bool,
                                        baseline)
 
     # The streamed fabric path: one rng-chosen engine by default (it is the
-    # expensive leg at 64+ ports), all three under --stream.
+    # expensive leg at 64+ ports), both under --stream.
     stream_engines = ENGINES if stream else (rng.choice(ENGINES),)
     for engine in stream_engines:
         chunk = rng.choice([None, rng.randint(1, scenario.num_slots + 7)])

@@ -26,6 +26,7 @@ from repro.mma.ecqf import ECQF
 from repro.mma.mdqf import MDQF
 from repro.rads.buffer import RADSPacketBuffer
 from repro.rads.config import RADSConfig
+from repro.sim.array_engine import DEFAULT_ENGINE
 from repro.sim.engine import ClosedLoopSimulation, SimulationReport
 from repro.traffic.arbiters import (
     Arbiter,
@@ -199,24 +200,21 @@ class Scenario:
     def run(self,
             *,
             num_slots: Optional[int] = None,
-            fast_path: bool = True,
             record_trace: bool = False,
-            engine: Optional[str] = None) -> SimulationReport:
+            engine: str = DEFAULT_ENGINE) -> SimulationReport:
         """Build everything fresh and simulate the scenario once.
 
-        ``engine`` selects the simulation core (``"reference"``,
-        ``"batched"`` or ``"array"``); when omitted, ``fast_path`` picks
-        between the reference and batched loops as before.  All engines
-        produce bit-identical reports.
+        ``engine`` selects the simulation core (``"array"`` or
+        ``"reference"``); both produce bit-identical reports.
         """
         sim = self.build_simulation(record_trace=record_trace)
         return sim.run(self.num_slots if num_slots is None else num_slots,
-                       fast_path=fast_path, engine=engine)
+                       engine=engine)
 
     def run_stream(self,
                    *,
                    num_slots: Optional[int] = None,
-                   engine: Optional[str] = None,
+                   engine: str = DEFAULT_ENGINE,
                    chunk_slots: Optional[int] = None,
                    warmup_slots: int = 0,
                    checkpoint_every: Optional[int] = None,
@@ -353,8 +351,7 @@ class ScenarioResult:
 
 
 def run_scenario_spec(spec: Mapping[str, Any],
-                      fast_path: bool = True,
-                      engine: Optional[str] = None,
+                      engine: str = DEFAULT_ENGINE,
                       stream: bool = False,
                       chunk_slots: Optional[int] = None,
                       warmup_slots: int = 0,
@@ -373,7 +370,7 @@ def run_scenario_spec(spec: Mapping[str, Any],
     """
     scenario = Scenario.from_spec(spec)
     if not stream:
-        report = scenario.run(fast_path=fast_path, engine=engine)
+        report = scenario.run(engine=engine)
         return ScenarioResult.from_report(scenario.name, scenario.scheme,
                                           report)
 

@@ -13,7 +13,7 @@ A sweep document describes many runs as one base spec plus a parameter grid::
     grid:                       # dotted spec paths -> value lists
       seed: [0, 1, 2]
       arrivals.params.load: [0.5, 0.8, 0.95]
-      run.engine: [batched, array]
+      run.engine: [reference, array]
     run:                        # execution options shared by every job
       stream: false
 

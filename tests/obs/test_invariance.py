@@ -18,10 +18,12 @@ import pytest
 from repro.bench.suite import wide_scenario
 from repro.obs.metrics import disable_metrics, enable_metrics, using_metrics
 from repro.obs.trace import TraceWriter, set_trace, using_trace
+from repro.sim import resolve_engine
 from repro.sim.streaming import StreamingSimulation
 from repro.workloads.fuzz import fuzz_many
 from repro.workloads.registry import get_scenario
 
+#: Both engines, plus ``batched``: the retired name runs the reference loop.
 ENGINES = ("reference", "batched", "array")
 
 
@@ -66,7 +68,7 @@ def test_metrics_and_trace_leave_reports_bit_identical(engine, tmp_path):
                                                            engine=engine)
     assert_reports_identical(plain, observed, engine)
     # And the run really was recorded.
-    assert registry.counter(f"engine.{engine}.runs") == 1
+    assert registry.counter(f"engine.{resolve_engine(engine)}.runs") == 1
     assert registry.counter("engine.slots_simulated") == 1500
 
 
@@ -140,7 +142,7 @@ def test_metric_state_survives_the_envelope_bit_identically(tmp_path):
     scenario = get_scenario("uniform-bernoulli")
     path = tmp_path / "mid.ckpt.json"
     session = StreamingSimulation(scenario.build_simulation(), 2000,
-                                  engine="batched", chunk_slots=300)
+                                  engine="reference", chunk_slots=300)
     drive_to(session, 900)
     session.save_checkpoint(path)
     saved = session.metrics_snapshot()
@@ -196,9 +198,9 @@ def test_disabled_metrics_overhead_is_within_noise():
         sim = scenario.build_simulation()
         started = time.perf_counter()
         if direct:
-            sim._run_engine(1500, True, "batched")
+            sim._run_engine(1500, True, "array")
         else:
-            sim.run(1500, engine="batched")
+            sim.run(1500, engine="array")
         return time.perf_counter() - started
 
     wrapped, direct = [], []

@@ -141,27 +141,17 @@ class TestScenarioCommand:
         assert main(["scenario", "uniform-bernoulli", "--slots", "600"]) == 0
         fast = capsys.readouterr().out
         assert main(["scenario", "uniform-bernoulli", "--slots", "600",
-                     "--legacy-loop"]) == 0
+                     "--engine", "reference"]) == 0
         legacy = capsys.readouterr().out
         assert fast == legacy
 
     def test_engine_flag_agrees_across_engines(self, capsys):
         reports = {}
-        for engine in ("reference", "batched", "array"):
+        for engine in ("reference", "array", "batched", "numpy"):
             assert main(["scenario", "uniform-bernoulli", "--slots", "600",
                          "--engine", engine]) == 0
             reports[engine] = capsys.readouterr().out
-        assert reports["reference"] == reports["batched"] == reports["array"]
-
-    def test_legacy_loop_conflicts_with_other_engines(self, capsys):
-        with pytest.raises(SystemExit) as excinfo:
-            main(["scenario", "uniform-bernoulli", "--legacy-loop",
-                  "--engine", "array"])
-        assert excinfo.value.code == 2
-        assert "conflicts" in capsys.readouterr().err
-        # --legacy-loop with the matching engine is redundant but consistent.
-        assert main(["scenario", "uniform-bernoulli", "--slots", "200",
-                     "--legacy-loop", "--engine", "reference"]) == 0
+        assert len(set(reports.values())) == 1
 
     def test_engine_flag_on_replay(self, tmp_path, capsys):
         trace_file = str(tmp_path / "capture.rtrc")
@@ -170,9 +160,10 @@ class TestScenarioCommand:
         assert main(["scenario", "bursty-trains", "--replay", trace_file,
                      "--engine", "array"]) == 0
         array = capsys.readouterr().out
-        assert main(["scenario", "bursty-trains", "--replay", trace_file]) == 0
-        batched = capsys.readouterr().out
-        assert array == batched
+        assert main(["scenario", "bursty-trains", "--replay", trace_file,
+                     "--engine", "reference"]) == 0
+        reference = capsys.readouterr().out
+        assert array == reference
 
     def test_record_then_replay_round_trip(self, tmp_path, capsys):
         trace_file = str(tmp_path / "capture.rtrc")

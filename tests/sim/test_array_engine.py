@@ -1,5 +1,5 @@
 """Acceptance tests: the struct-of-arrays engine is bit-identical to the
-object-model loops on every registered scenario and every edge mode."""
+reference loop on every registered scenario and every edge mode."""
 
 import pytest
 
@@ -225,15 +225,6 @@ def test_negative_slots_rejected():
     sim = ClosedLoopSimulation(_build_buffer("rads"))
     with pytest.raises(ConfigurationError, match="non-negative"):
         sim.run(-1, engine="array")
-
-
-def test_engine_argument_overrides_fast_path_flag():
-    """engine="reference" with fast_path=True must still use the reference
-    loop (observable through report equality with an explicit legacy run)."""
-    scenario = next(s for s in all_scenarios() if s.name == "uniform-bernoulli")
-    via_engine = scenario.run(engine="reference", num_slots=400)
-    via_flag = scenario.run(fast_path=False, num_slots=400)
-    assert_reports_identical(via_engine, via_flag)
 
 
 def _build_buffer(scheme):

@@ -1,8 +1,10 @@
 """Cross-engine differential fuzzer.
 
-The simulation engines (``reference``, ``batched``, ``array`` and, when the
-optional dependency is installed, ``numpy``) promise bit-identical reports.  The hand-written equivalence suites check that
-promise on the registered scenarios; this fuzzer checks it on ~50 *random*
+Three implementations promise bit-identical reports: the ``reference``
+object model, and ``engine="array"`` with the compiled span kernel and with
+it switched off (the array core's scalar python loop).  The hand-written
+equivalence suites check that promise on the registered scenarios; this
+fuzzer checks it on ~50 *random*
 configurations drawn from a seeded RNG — scheme, queue count, granularity,
 SRAM/DRAM bounds, lossy/lossless mode, arrival process, arbiter and drain
 mode all vary — so an engine refactor cannot silently special-case its way
@@ -14,21 +16,44 @@ test id, and the failing case's full spec is printed by the assertion.
 ``REPRO_DIFFERENTIAL_CASES`` scales the case count (soak runs can raise it).
 """
 
+import contextlib
 import os
 import random
 
 import pytest
 
-from repro.sim.numpy_engine import NUMPY_AVAILABLE
+from repro.sim import kernel
 from repro.workloads.scenario import Scenario
 
 SEED = int(os.environ.get("REPRO_DIFFERENTIAL_SEED", "20260729"))
 NUM_CASES = int(os.environ.get("REPRO_DIFFERENTIAL_CASES", "50"))
 
-# The numpy engine (vectorized plans + optional compiled span kernel) joins
-# every leg when importable; its absence must not weaken the pure-python net.
-ENGINES = (("reference", "batched", "array", "numpy")
-           if NUMPY_AVAILABLE else ("reference", "batched", "array"))
+#: The legs every case compares, the oracle first.  Traced runs never reach
+#: the kernel, so wherever a leg records its trace the ``array`` leg runs
+#: untraced and is compared on everything but the trace.
+LEGS = ("reference", "array", "array-no-kernel")
+
+
+@contextlib.contextmanager
+def leg_engine(leg):
+    """Run the body as ``leg``; yields the engine name to pass."""
+    if leg != "array-no-kernel":
+        yield leg
+        return
+    saved = kernel._kernel, kernel._kernel_tried
+    kernel._kernel, kernel._kernel_tried = None, True
+    try:
+        yield "array"
+    finally:
+        kernel._kernel, kernel._kernel_tried = saved
+
+
+def assert_same_report(report, baseline, context):
+    assert report.throughput == baseline.throughput, context
+    assert report.latency == baseline.latency, context
+    assert report.buffer_result == baseline.buffer_result, context
+    if report.trace is not None and baseline.trace is not None:
+        assert report.trace.events == baseline.trace.events, context
 
 
 def _arrival_spec(rng: random.Random, num_queues: int) -> dict:
@@ -148,22 +173,19 @@ CASES = _generate_cases()
     ids=[f"case{i}-{scn.scheme}-q{scn.buffer['num_queues']}"
          for i, (scn, _) in enumerate(CASES)])
 def test_engines_bit_identical_on_random_config(scenario, drain):
-    """Every statistic the report carries must match across all engines:
+    """Every statistic the report carries must match across all legs:
     throughput counters, the complete latency histogram, the buffer-side
     result (misses, drops, conflicts, peak occupancies) and the trace."""
     reports = {}
-    for engine in ENGINES:
-        sim = scenario.build_simulation(record_trace=True)
-        reports[engine] = sim.run(scenario.num_slots, drain=drain,
-                                  engine=engine)
-    reference = reports["reference"]
-    for engine in ENGINES[1:]:
-        report = reports[engine]
-        context = f"{engine} diverged on {scenario.to_spec()} drain={drain}"
-        assert report.throughput == reference.throughput, context
-        assert report.latency == reference.latency, context
-        assert report.buffer_result == reference.buffer_result, context
-        assert report.trace.events == reference.trace.events, context
+    for leg in LEGS:
+        with leg_engine(leg) as engine:
+            sim = scenario.build_simulation(record_trace=leg != "array")
+            reports[leg] = sim.run(scenario.num_slots, drain=drain,
+                                   engine=engine)
+    for leg in LEGS[1:]:
+        assert_same_report(reports[leg], reports["reference"],
+                           f"{leg} diverged on {scenario.to_spec()} "
+                           f"drain={drain}")
 
 
 def test_fuzzer_is_deterministic_per_seed():
@@ -186,8 +208,8 @@ def test_fuzzer_covers_both_schemes_and_lossy_configs():
 def test_cfds_bounded_dram_raises_on_every_engine():
     """An asymmetry this fuzzer originally surfaced, pinned as a contract:
     CFDS treats a bounded DRAM as strict even with ``strict=False`` (only
-    RADS defines non-strict overflow as counted drops), and all three
-    engines agree on the failure."""
+    RADS defines non-strict overflow as counted drops), and every leg
+    agrees on the failure."""
     from repro.errors import BufferOverflowError
 
     scenario = Scenario(
@@ -198,8 +220,8 @@ def test_cfds_bounded_dram_raises_on_every_engine():
                   "params": {"num_queues": 2, "load": 1.0}},
         arbiter=None,
         num_slots=200, seed=1)
-    for engine in ENGINES:
-        with pytest.raises(BufferOverflowError):
+    for leg in LEGS:
+        with leg_engine(leg) as engine, pytest.raises(BufferOverflowError):
             scenario.build_simulation().run(scenario.num_slots, engine=engine)
 
 
@@ -238,25 +260,24 @@ def _drive(session, stop_slot):
                          ids=_STREAM_IDS)
 def test_streamed_chunks_bit_identical_on_random_config(index, scenario,
                                                         drain):
-    """Random chunk boundaries on every engine vs the monolithic reference
-    loop — the full report, trace included."""
+    """Random chunk boundaries on every leg vs the monolithic reference
+    loop — the full report, trace included (but for the kernel leg)."""
     from repro.sim.streaming import StreamingSimulation
 
     rng = _stream_rng(index)
     reference = scenario.build_simulation(record_trace=True)
     baseline = reference.run(scenario.num_slots, drain=drain,
                              engine="reference")
-    for engine in ENGINES:
+    for leg in LEGS:
         chunk = rng.randint(1, scenario.num_slots + 17)
-        sim = scenario.build_simulation(record_trace=True)
-        report = StreamingSimulation(sim, scenario.num_slots, engine=engine,
-                                     drain=drain, chunk_slots=chunk).run()
-        context = (f"streamed {engine} chunk={chunk} diverged on "
-                   f"{scenario.to_spec()} drain={drain}")
-        assert report.throughput == baseline.throughput, context
-        assert report.latency == baseline.latency, context
-        assert report.buffer_result == baseline.buffer_result, context
-        assert report.trace.events == baseline.trace.events, context
+        sim = scenario.build_simulation(record_trace=leg != "array")
+        with leg_engine(leg) as engine:
+            report = StreamingSimulation(sim, scenario.num_slots,
+                                         engine=engine, drain=drain,
+                                         chunk_slots=chunk).run()
+        assert_same_report(report, baseline,
+                           f"streamed {leg} chunk={chunk} diverged on "
+                           f"{scenario.to_spec()} drain={drain}")
 
 
 @pytest.mark.parametrize("index,scenario,drain", STREAM_CASES[::2],
@@ -264,50 +285,48 @@ def test_streamed_chunks_bit_identical_on_random_config(index, scenario,
 def test_checkpoint_resume_bit_identical_on_random_config(index, scenario,
                                                           drain, tmp_path):
     """A snapshot at a random mid-run slot, resumed from disk, must finish
-    bit-identically to the uninterrupted streamed run on every engine."""
+    bit-identically to the uninterrupted streamed run on every leg."""
     from repro.sim.streaming import StreamingSimulation, resume_stream
 
     rng = _stream_rng(index ^ 0x5A5A)
-    for engine in ENGINES:
+    for leg in LEGS:
         chunk = rng.randint(1, scenario.num_slots)
-        uninterrupted = StreamingSimulation(
-            scenario.build_simulation(), scenario.num_slots, engine=engine,
-            drain=drain, chunk_slots=chunk).run()
-        session = StreamingSimulation(
-            scenario.build_simulation(), scenario.num_slots, engine=engine,
-            drain=drain, chunk_slots=chunk)
-        _drive(session, rng.randint(0, scenario.num_slots))
-        path = tmp_path / f"case{index}-{engine}.ckpt.json"
-        session.save_checkpoint(path)
-        resumed = resume_stream(path)
-        context = (f"resume({engine}, chunk={chunk}) diverged on "
-                   f"{scenario.to_spec()} drain={drain}")
-        assert resumed.throughput == uninterrupted.throughput, context
-        assert resumed.latency == uninterrupted.latency, context
-        assert resumed.buffer_result == uninterrupted.buffer_result, context
+        with leg_engine(leg) as engine:
+            uninterrupted = StreamingSimulation(
+                scenario.build_simulation(), scenario.num_slots,
+                engine=engine, drain=drain, chunk_slots=chunk).run()
+            session = StreamingSimulation(
+                scenario.build_simulation(), scenario.num_slots,
+                engine=engine, drain=drain, chunk_slots=chunk)
+            _drive(session, rng.randint(0, scenario.num_slots))
+            path = tmp_path / f"case{index}-{leg}.ckpt.json"
+            session.save_checkpoint(path)
+            resumed = resume_stream(path)
+        assert_same_report(resumed, uninterrupted,
+                           f"resume({leg}, chunk={chunk}) diverged on "
+                           f"{scenario.to_spec()} drain={drain}")
 
 
 @pytest.mark.parametrize("index,scenario,drain", STREAM_CASES[1::2],
                          ids=_STREAM_IDS[1::2])
 def test_warmup_chunk_invariant_on_random_config(index, scenario, drain):
     """A random warmup offset must produce one well-defined report: the
-    same for every chunking and engine."""
+    same for every chunking and leg."""
     from repro.sim.streaming import StreamingSimulation
 
     rng = _stream_rng(index ^ 0xC3C3)
     warmup = rng.randint(0, scenario.num_slots)
     baseline = None
-    for engine in ENGINES:
+    for leg in LEGS:
         chunk = rng.randint(1, scenario.num_slots + 17)
-        report = StreamingSimulation(
-            scenario.build_simulation(), scenario.num_slots, engine=engine,
-            drain=drain, chunk_slots=chunk,
-            warmup_slots=warmup).run()
+        with leg_engine(leg) as engine:
+            report = StreamingSimulation(
+                scenario.build_simulation(), scenario.num_slots,
+                engine=engine, drain=drain, chunk_slots=chunk,
+                warmup_slots=warmup).run()
         if baseline is None:
             baseline = report
             continue
-        context = (f"warmup={warmup} {engine} chunk={chunk} diverged on "
-                   f"{scenario.to_spec()} drain={drain}")
-        assert report.throughput == baseline.throughput, context
-        assert report.latency == baseline.latency, context
-        assert report.buffer_result == baseline.buffer_result, context
+        assert_same_report(report, baseline,
+                           f"warmup={warmup} {leg} chunk={chunk} diverged "
+                           f"on {scenario.to_spec()} drain={drain}")

@@ -1,14 +1,13 @@
 """The arbiter/engine contract, enforced identically on every engine.
 
-The batched loop used to index ``backlog[request]`` straight off whatever a
+The retired batched loop used to index ``backlog[request]`` straight off whatever a
 custom arbiter returned: an index ``>= num_queues`` crashed with a bare
 ``IndexError``, ``-1`` silently read the *last* queue's backlog (diverging
 from the reference loop's ``can_request`` gate), and a float or bool slipped
 even deeper before failing.  The pinned contract: a request is ``None`` or a
 plain ``int`` in ``[0, num_queues)``; anything else raises
 :class:`~repro.errors.ArbiterContractError` with the same message on the
-reference, batched and array engines — and on the streaming path, which
-reuses them.
+reference and array engines — and on the streaming path, which reuses them.
 """
 
 import pytest
@@ -17,6 +16,8 @@ from repro.errors import ArbiterContractError
 from repro.traffic.arbiters import Arbiter
 from repro.workloads.registry import get_scenario
 
+#: Both engines, plus ``batched``: the retired name runs the reference loop
+#: and must enforce the same contract.
 ENGINES = ("reference", "batched", "array")
 
 #: Invalid returns and the slot at which the arbiter misbehaves.

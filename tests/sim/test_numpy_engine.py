@@ -1,6 +1,13 @@
-"""Acceptance tests: ``engine="numpy"`` is bit-identical to the array
-engine on every registered scenario and every edge mode, with and without
-the compiled span kernel, and degrades to a clear error without numpy."""
+"""Acceptance tests of the compiled span kernel under ``engine="array"``.
+
+Most cases run twice, through the ``kernel_mode`` fixture: with the span
+kernel (when it builds — without a compiler that leg re-runs the scalar
+loop) and with it switched off, so the array core's scalar python loop
+runs every span.  Either way the report must be bit-identical to the
+reference loop, or, where the reference loop is too slow (the wide
+machines), to the kernel-off array run.  ``engine="numpy"`` is the retired
+name of the kernel-backed core, which this module is named after.
+"""
 
 import base64
 import json
@@ -21,9 +28,8 @@ from repro.obs.metrics import MetricsRegistry, using_metrics
 from repro.rads.buffer import RADSPacketBuffer
 from repro.rads.config import RADSConfig
 from repro.sim import kernel as span_kernel
-from repro.sim import numpy_engine
+from repro.sim.array_engine import build_array_core
 from repro.sim.engine import ClosedLoopSimulation
-from repro.sim.numpy_engine import NUMPY_AVAILABLE
 from repro.sim.streaming import StreamingSimulation, resume_stream
 from repro.workloads.registry import get_scenario
 from repro.traffic.arbiters import OldestCellArbiter, RandomArbiter
@@ -35,20 +41,21 @@ from repro.traffic.arrivals import (
 from repro.workloads import all_scenarios
 from repro.workloads.registry import scenario_names
 
-requires_numpy = pytest.mark.skipif(not NUMPY_AVAILABLE,
-                                    reason="numpy not installed")
-
 #: Both execution tiers of the RADS core: the compiled span kernel (when it
-#: loads — without a compiler this leg just re-runs the fused loop) and the
-#: pure-python fused loop (kernel force-disabled).
+#: loads — without a compiler this leg just re-runs the scalar loop) and the
+#: scalar python loop (kernel force-disabled).
 KERNEL_MODES = ("kernel", "no-kernel")
+
+
+def _disable_kernel(patcher):
+    patcher.setattr(span_kernel, "_kernel", None)
+    patcher.setattr(span_kernel, "_kernel_tried", True)
 
 
 @pytest.fixture(params=KERNEL_MODES)
 def kernel_mode(request, monkeypatch):
     if request.param == "no-kernel":
-        monkeypatch.setattr(span_kernel, "_kernel", None)
-        monkeypatch.setattr(span_kernel, "_kernel_tried", True)
+        _disable_kernel(monkeypatch)
     return request.param
 
 
@@ -68,51 +75,56 @@ def _build_buffer(scheme, **overrides):
 
 
 def run_both(make_sim, num_slots, drain=True):
+    """The reference loop's report and the array engine's."""
+    reference = make_sim().run(num_slots, drain=drain, engine="reference")
     array = make_sim().run(num_slots, drain=drain, engine="array")
-    numpy = make_sim().run(num_slots, drain=drain, engine="numpy")
-    return array, numpy
+    return reference, array
+
+
+def without_kernel(monkeypatch, run):
+    """``run()`` with the span kernel switched off: the array core's scalar
+    loop runs every span."""
+    with monkeypatch.context() as patcher:
+        _disable_kernel(patcher)
+        return run()
 
 
 # --------------------------------------------------------------------- #
 # The registered suite, through both kernel modes.
 # --------------------------------------------------------------------- #
 
-@requires_numpy
 @pytest.mark.parametrize("name", scenario_names())
 def test_numpy_identical_on_registered_scenarios(name, kernel_mode):
     scenario = next(s for s in all_scenarios() if s.name == name)
+    reference = scenario.run(engine="reference")
     array = scenario.run(engine="array")
-    numpy = scenario.run(engine="numpy")
-    assert_reports_identical(array, numpy)
+    assert_reports_identical(reference, array)
 
 
-@requires_numpy
 @pytest.mark.parametrize("name", scenario_names())
 def test_numpy_identical_without_drain(name, kernel_mode):
     scenario = next(s for s in all_scenarios() if s.name == name)
+    reference = scenario.run(engine="reference", num_slots=600)
     array = scenario.run(engine="array", num_slots=600)
-    numpy = scenario.run(engine="numpy", num_slots=600)
-    assert_reports_identical(array, numpy)
+    assert_reports_identical(reference, array)
 
 
-@requires_numpy
 def test_numpy_identical_with_trace_recorded():
-    """A traced run cannot use the fused loop (the trace needs per-slot
-    events) — the scalar delegation must still be bit-identical, trace
+    """A traced run cannot use the kernel (the trace needs per-slot
+    events) — the scalar loop must still be bit-identical, trace
     included."""
     scenario = next(s for s in all_scenarios()
                     if s.name == "uniform-bernoulli")
+    reference = scenario.run(engine="reference", record_trace=True)
     array = scenario.run(engine="array", record_trace=True)
-    numpy = scenario.run(engine="numpy", record_trace=True)
-    assert_reports_identical(array, numpy)
-    assert array.trace.events == numpy.trace.events
+    assert_reports_identical(reference, array)
+    assert reference.trace.events == array.trace.events
 
 
 # --------------------------------------------------------------------- #
 # Edge modes: fill-only, drain-only, zero/one slot, lossy, no drain.
 # --------------------------------------------------------------------- #
 
-@requires_numpy
 def test_fill_only_run(kernel_mode):
     """No arbiter: the buffer only fills; both engines agree."""
     def make_sim():
@@ -120,25 +132,23 @@ def test_fill_only_run(kernel_mode):
             _build_buffer("rads"), BernoulliArrivals(8, load=0.9, seed=21),
             None)
 
-    array, numpy = run_both(make_sim, 800)
-    assert_reports_identical(array, numpy)
-    assert numpy.throughput.arrivals > 0
-    assert numpy.throughput.departures == 0
+    reference, array = run_both(make_sim, 800)
+    assert_reports_identical(reference, array)
+    assert array.throughput.arrivals > 0
+    assert array.throughput.departures == 0
 
 
-@requires_numpy
 def test_drain_only_run(kernel_mode):
     """No arrivals: idle request slots only; both engines agree."""
     def make_sim():
         return ClosedLoopSimulation(_build_buffer("rads"), None,
                                     OldestCellArbiter(8))
 
-    array, numpy = run_both(make_sim, 500)
-    assert_reports_identical(array, numpy)
-    assert numpy.throughput.arrivals == 0
+    reference, array = run_both(make_sim, 500)
+    assert_reports_identical(reference, array)
+    assert array.throughput.arrivals == 0
 
 
-@requires_numpy
 @pytest.mark.parametrize("num_slots", [0, 1])
 def test_degenerate_slot_counts(num_slots, kernel_mode):
     def make_sim():
@@ -146,11 +156,10 @@ def test_degenerate_slot_counts(num_slots, kernel_mode):
             _build_buffer("rads"), BernoulliArrivals(8, load=0.5, seed=3),
             RandomArbiter(8, seed=4))
 
-    array, numpy = run_both(make_sim, num_slots)
-    assert_reports_identical(array, numpy)
+    reference, array = run_both(make_sim, num_slots)
+    assert_reports_identical(reference, array)
 
 
-@requires_numpy
 @pytest.mark.parametrize("drain", [True, False])
 def test_lossy_run_counts_identical_drops(drain, kernel_mode):
     """strict=False with a bounded DRAM: overflow blocks are clamped to
@@ -162,73 +171,58 @@ def test_lossy_run_counts_identical_drops(drain, kernel_mode):
             BernoulliArrivals(8, load=1.0, seed=11),
             RandomArbiter(8, seed=12, load=0.3))
 
-    array, numpy = run_both(make_sim, 1200, drain=drain)
-    assert_reports_identical(array, numpy)
-    assert numpy.throughput.drops > 0
+    reference, array = run_both(make_sim, 1200, drain=drain)
+    assert_reports_identical(reference, array)
+    assert array.throughput.drops > 0
 
 
-@requires_numpy
 def test_strict_overflow_raises_identically(kernel_mode):
     """A strict-mode overflow aborts the kernel; the python replay must
-    surface the same exception the array engine raises."""
+    surface the same exception the reference loop raises."""
     def make_sim():
         return ClosedLoopSimulation(
             _build_buffer("rads", tail_sram_cells=3, strict=True),
             BernoulliArrivals(8, load=1.0, seed=11),
             RandomArbiter(8, seed=12, load=0.3))
 
+    with pytest.raises(BufferOverflowError) as reference_exc:
+        make_sim().run(1200, engine="reference")
     with pytest.raises(BufferOverflowError) as array_exc:
         make_sim().run(1200, engine="array")
-    with pytest.raises(BufferOverflowError) as numpy_exc:
-        make_sim().run(1200, engine="numpy")
-    assert str(numpy_exc.value) == str(array_exc.value)
+    assert str(array_exc.value) == str(reference_exc.value)
 
 
-@requires_numpy
 def test_cfds_falls_back_to_array_core(kernel_mode):
-    """CFDS has no fused core: engine="numpy" must transparently run the
-    array core and match it."""
+    """CFDS has no kernel: engine="array" runs its scalar CFDS core in both
+    kernel modes and matches the reference loop."""
     def make_sim():
         return ClosedLoopSimulation(
             _build_buffer("cfds"), BernoulliArrivals(8, load=0.8, seed=5),
             RandomArbiter(8, seed=6))
 
-    array, numpy = run_both(make_sim, 900)
-    assert_reports_identical(array, numpy)
+    reference, array = run_both(make_sim, 900)
+    assert_reports_identical(reference, array)
 
 
 # --------------------------------------------------------------------- #
 # Selection plumbing and failure modes.
 # --------------------------------------------------------------------- #
 
-@requires_numpy
 def test_numpy_engine_requires_fresh_buffer():
     buffer = _build_buffer("rads")
     buffer.step(None, None)
     sim = ClosedLoopSimulation(buffer)
     with pytest.raises(StaleSimulationError, match="freshly built"):
-        sim.run(10, engine="numpy")
+        sim.run(10, engine="array")
 
 
-@requires_numpy
 def test_numpy_engine_rejects_second_run():
     sim = ClosedLoopSimulation(_build_buffer("rads"),
                                BernoulliArrivals(8, load=0.5, seed=3),
                                RandomArbiter(8, seed=4))
-    sim.run(200, engine="numpy")
-    with pytest.raises(StaleSimulationError):
-        sim.run(200, engine="numpy")
-
-
-def test_missing_numpy_is_a_configuration_error(monkeypatch):
-    """Without the optional dependency, engine="numpy" must fail with a
-    ConfigurationError that names the extra — not an ImportError."""
-    monkeypatch.setattr(numpy_engine, "_np", None)
-    sim = ClosedLoopSimulation(
-        _build_buffer("rads"), BernoulliArrivals(8, load=0.5, seed=3),
-        RandomArbiter(8, seed=4))
-    with pytest.raises(ConfigurationError, match=r"\[numpy\]"):
-        sim.run(100, engine="numpy")
+    sim.run(200, engine="array")
+    with pytest.raises(StaleSimulationError, match="freshly built"):
+        sim.run(200, engine="array")
 
 
 def test_kernel_kill_switch(monkeypatch):
@@ -240,20 +234,21 @@ def test_kernel_kill_switch(monkeypatch):
     assert span_kernel.kernel_enabled()
 
 
-@requires_numpy
-def test_unknown_engine_error_names_numpy():
+def test_unknown_engine_error_lists_both_engines():
     sim = ClosedLoopSimulation(_build_buffer("rads"))
-    with pytest.raises(ConfigurationError, match="numpy"):
+    with pytest.raises(ConfigurationError,
+                       match=r"^unknown engine 'warp' \(known: reference, "
+                             r"array\)$"):
         sim.run(10, engine="warp")
 
 
 # --------------------------------------------------------------------- #
-# Wide machines: past the fused loop's 254 queues, the kernel still runs.
+# Wide machines: past 254 queues (ids that no longer fit a byte, 255
+# included), the kernel still runs.
 # --------------------------------------------------------------------- #
 
-#: Queue counts at and past the fused loop's limit (queue ids <= 253): 255
-#: and 256 add ids 254 and 255, and 255 is the byte plan's "no arrival"
-#: value, so the kernel must never see queue ids through a byte.
+#: Queue counts around the one-byte boundary and past it: 255 and 256 add
+#: ids 254 and 255, so no queue id may travel through a byte.
 WIDE_QUEUES = (255, 256, 300, 512)
 
 
@@ -286,21 +281,29 @@ def _observed(run):
     return report, registry
 
 
+def _baseline(kernel_mode, monkeypatch, run):
+    """The report an array run must match: in the kernel leg the same run
+    with the kernel off, in the kill-switch leg the reference loop.
+    ``run(engine)`` performs the run."""
+    if kernel_mode == "kernel":
+        return without_kernel(monkeypatch, lambda: run("array"))
+    return run("reference")
+
+
 def _assert_kernel_ran(registry, kernel_mode):
-    """The numpy run took the span kernel (with the kill switch: did not),
+    """The array run took the span kernel (with the kill switch: did not),
     so a silent scalar fallback cannot pass for a kernel run."""
-    spans = registry.counter("engine.numpy.kernel_spans")
-    assert registry.counter("engine.numpy.kernel_aborts") == 0
+    spans = registry.counter("engine.array.kernel_spans")
+    assert registry.counter("engine.array.kernel_aborts") == 0
     if kernel_mode == "no-kernel":
         assert spans == 0
-        assert registry.counter("engine.numpy.fallback.unavailable") > 0
+        assert registry.counter("engine.array.fallback.unavailable") > 0
     elif span_kernel.kernel_enabled() and span_kernel._compiler() is not None:
         assert spans > 0
 
 
-@requires_numpy
 @pytest.mark.parametrize("num_queues", WIDE_QUEUES)
-def test_wide_monolithic_deferred_plan(num_queues, kernel_mode):
+def test_wide_monolithic_deferred_plan(num_queues, kernel_mode, monkeypatch):
     """A weighted Bernoulli plan the kernel draws itself (deferred), in one
     fused main+drain call."""
     def make_sim():
@@ -310,15 +313,15 @@ def test_wide_monolithic_deferred_plan(num_queues, kernel_mode):
 
     _assert_plan_reaches_wide_queues(
         make_sim().arrivals.arrivals(3000), num_queues)
-    array = make_sim().run(3000, engine="array")
-    numpy, registry = _observed(lambda: make_sim().run(3000, engine="numpy"))
-    assert_reports_identical(array, numpy)
+    baseline = _baseline(kernel_mode, monkeypatch,
+                         lambda engine: make_sim().run(3000, engine=engine))
+    array, registry = _observed(lambda: make_sim().run(3000, engine="array"))
+    assert_reports_identical(baseline, array)
     _assert_kernel_ran(registry, kernel_mode)
 
 
-@requires_numpy
 @pytest.mark.parametrize("num_queues", WIDE_QUEUES)
-def test_wide_explicit_markov_plan(num_queues, kernel_mode):
+def test_wide_explicit_markov_plan(num_queues, kernel_mode, monkeypatch):
     """A non-Bernoulli plan drawn in python and handed to the kernel as an
     explicit plan."""
     def make_sim():
@@ -327,16 +330,16 @@ def test_wide_explicit_markov_plan(num_queues, kernel_mode):
 
     _assert_plan_reaches_wide_queues(
         make_sim().arrivals.arrivals(2400), num_queues)
-    array = make_sim().run(2400, engine="array")
-    numpy, registry = _observed(lambda: make_sim().run(2400, engine="numpy"))
-    assert_reports_identical(array, numpy)
+    baseline = _baseline(kernel_mode, monkeypatch,
+                         lambda engine: make_sim().run(2400, engine=engine))
+    array, registry = _observed(lambda: make_sim().run(2400, engine="array"))
+    assert_reports_identical(baseline, array)
     _assert_kernel_ran(registry, kernel_mode)
 
 
-@requires_numpy
 @pytest.mark.parametrize("num_queues", WIDE_QUEUES)
 def test_wide_stream_with_warmup_and_resume(num_queues, kernel_mode,
-                                            tmp_path):
+                                            monkeypatch, tmp_path):
     """Streamed wide run: the warmup and checkpoint marks cut the 700-slot
     chunks unevenly (some below the kernel's minimum span), and resuming
     from the last checkpoint reproduces the uninterrupted report."""
@@ -347,29 +350,30 @@ def test_wide_stream_with_warmup_and_resume(num_queues, kernel_mode,
 
     geometry = dict(chunk_slots=700, warmup_slots=450)
     path = tmp_path / "wide.ckpt.json"
-    array = make_sim().run_stream(4100, engine="array", **geometry)
-    numpy, registry = _observed(lambda: make_sim().run_stream(
-        4100, engine="numpy", checkpoint_every=1500, checkpoint_path=path,
+    baseline = _baseline(kernel_mode, monkeypatch,
+                         lambda engine: make_sim().run_stream(
+                             4100, engine=engine, **geometry))
+    array, registry = _observed(lambda: make_sim().run_stream(
+        4100, engine="array", checkpoint_every=1500, checkpoint_path=path,
         **geometry))
-    assert_reports_identical(array, numpy)
+    assert_reports_identical(baseline, array)
     _assert_kernel_ran(registry, kernel_mode)
     resumed, registry = _observed(lambda: resume_stream(path))
-    assert_reports_identical(array, resumed)
+    assert_reports_identical(baseline, resumed)
     _assert_kernel_ran(registry, kernel_mode)
 
 
 # --------------------------------------------------------------------- #
-# Why a span missed the kernel: engine.numpy.fallback.<reason>.
+# Why a span missed the kernel: engine.array.fallback.<reason>.
 # --------------------------------------------------------------------- #
 
 def _fallbacks(registry):
-    prefix = "engine.numpy.fallback."
+    prefix = "engine.array.fallback."
     return {name[len(prefix):]: value
             for name, value in registry.counters().items()
             if name.startswith(prefix)}
 
 
-@requires_numpy
 @pytest.mark.parametrize("reason", ["policy", "traced", "short_span",
                                     "wide_queues", "unavailable"])
 def test_fallback_reason_counts_every_slot(reason, monkeypatch):
@@ -391,18 +395,19 @@ def test_fallback_reason_counts_every_slot(reason, monkeypatch):
         BernoulliArrivals(8, load=0.5, seed=3),
         arbiter, record_trace=reason == "traced")
     num_slots = 100 if short else 600
-    report, registry = _observed(lambda: sim.run(num_slots, engine="numpy"))
+    report, registry = _observed(lambda: sim.run(num_slots, engine="array"))
     assert _fallbacks(registry) == {reason: report.throughput.slots}
-    assert registry.counter("engine.numpy.span_slots") == \
+    assert registry.counter("engine.array.span_slots") == \
         report.throughput.slots
-    assert registry.counter("engine.numpy.kernel_spans") == 0
+    assert registry.counter("engine.array.kernel_spans") == 0
 
 
-@requires_numpy
-def test_fallback_reason_shared_rng():
+def test_fallback_reason_shared_rng(monkeypatch):
     """An arrival process sharing the arbiter's RNG cannot have its plan
     drawn by the kernel: the main span draws it in python first (then runs
-    on the kernel with it), exactly as the scalar loop orders the draws."""
+    on the kernel with it), exactly as the scalar loop orders the draws.
+    (The reference loop interleaves the two processes' draws, so with one
+    shared RNG only the array core's two loops are comparable.)"""
     if span_kernel.load_kernel() is None:
         pytest.skip("no C compiler: the span kernel never runs")
 
@@ -415,14 +420,14 @@ def test_fallback_reason_shared_rng():
             RADSPacketBuffer(RADSConfig(num_queues=8, granularity=32)),
             arrivals, arbiter)
 
-    array = make_sim().run(600, engine="array")
-    numpy, registry = _observed(lambda: make_sim().run(600, engine="numpy"))
-    assert_reports_identical(array, numpy)
+    scalar = without_kernel(monkeypatch,
+                            lambda: make_sim().run(600, engine="array"))
+    array, registry = _observed(lambda: make_sim().run(600, engine="array"))
+    assert_reports_identical(scalar, array)
     assert _fallbacks(registry) == {"shared_rng": 600}
-    assert registry.counter("engine.numpy.kernel_spans") == 2
+    assert registry.counter("engine.array.kernel_spans") == 2
 
 
-@requires_numpy
 def test_fallback_reason_abort():
     """A strict-mode overflow aborts every kernel attempt; the python loop
     then raises, and only the abort reason is recorded."""
@@ -434,19 +439,18 @@ def test_fallback_reason_abort():
         RandomArbiter(8, seed=12, load=0.3))
     registry = MetricsRegistry()
     with using_metrics(registry), pytest.raises(BufferOverflowError):
-        sim.run(1200, engine="numpy")
+        sim.run(1200, engine="array")
     assert set(_fallbacks(registry)) == {"abort"}
-    assert registry.counter("engine.numpy.kernel_aborts") > 0
+    assert registry.counter("engine.array.kernel_aborts") > 0
 
 
-@requires_numpy
 def test_fallback_reason_no_lookahead():
     """No buffer config yields an empty lookahead (it is at least one
     slot), so the kernel's defensive gate is pinned on a patched core."""
     sim = ClosedLoopSimulation(
         _build_buffer("rads"), BernoulliArrivals(8, load=0.5, seed=3),
         RandomArbiter(8, seed=4))
-    core = numpy_engine.build_numpy_core(sim)
+    core = build_array_core(sim)
     assert core._kernel_miss(1000) in (None, "unavailable")
     core.la_len = 0
     assert core._kernel_miss(1000) == "no_lookahead"
@@ -456,7 +460,6 @@ def test_fallback_reason_no_lookahead():
 # Span-kernel hardening (review regressions).
 # --------------------------------------------------------------------- #
 
-@requires_numpy
 def test_streamed_backlog_migration_identical(kernel_mode):
     """Streamed chunks over a machine with a large migrating backlog: a
     rarely-granting arbiter and one hot queue make the tail MMA push far
@@ -469,17 +472,18 @@ def test_streamed_backlog_migration_identical(kernel_mode):
                               weights=[500, 1, 1, 1, 1, 1, 1, 1]),
             RandomArbiter(8, seed=32, load=0.05))
 
+    reference = make_sim().run_stream(4000, engine="reference",
+                                      chunk_slots=200)
     array = make_sim().run_stream(4000, engine="array", chunk_slots=200)
-    numpy = make_sim().run_stream(4000, engine="numpy", chunk_slots=200)
-    assert_reports_identical(array, numpy)
-    assert numpy.throughput.arrivals > 3000
+    assert_reports_identical(reference, array)
+    assert array.throughput.arrivals > 3000
 
 
-@requires_numpy
-def test_plan_entry_naming_no_queue_aborts_the_kernel(kernel_mode):
+def test_plan_entry_naming_no_queue_aborts_the_kernel(kernel_mode,
+                                                      monkeypatch):
     """An explicit plan entry past the last queue makes the kernel abort
     before it indexes any per-queue state (unchecked, it would write out
-    of bounds); the python replay then fails exactly as the array engine
+    of bounds); the python replay then fails exactly as the scalar loop
     does."""
     pattern = [q % 8 for q in range(300)] + [8] + [None] * 99
 
@@ -489,28 +493,28 @@ def test_plan_entry_naming_no_queue_aborts_the_kernel(kernel_mode):
             RandomArbiter(8, seed=2))
 
     with pytest.raises(IndexError):
-        make_sim().run(400, engine="array")
+        without_kernel(monkeypatch,
+                       lambda: make_sim().run(400, engine="array"))
     registry = MetricsRegistry()
     with using_metrics(registry), pytest.raises(IndexError):
-        make_sim().run(400, engine="numpy")
+        make_sim().run(400, engine="array")
     if kernel_mode == "kernel" and span_kernel.load_kernel() is not None:
-        assert registry.counter("engine.numpy.kernel_aborts") > 0
-    assert registry.counter("engine.numpy.kernel_spans") == 0
+        assert registry.counter("engine.array.kernel_aborts") > 0
+    assert registry.counter("engine.array.kernel_spans") == 0
 
 
-@requires_numpy
 def test_checkpoint_after_kernel_span_is_numpy_free(tmp_path):
     """A checkpoint written after kernel-backed spans must not embed any
-    numpy object — the documented contract is that snapshots resume on
-    hosts without the optional extra (scalar-loop fallback)."""
+    numpy object — the documented contract is that snapshots are plain
+    Python and resume without the compiled kernel (scalar-loop fallback)."""
     if span_kernel.load_kernel() is None:
         pytest.skip("no C compiler: the span kernel never ran")
     scenario = get_scenario("uniform-bernoulli")
     uninterrupted = scenario.build_simulation().run_stream(
-        scenario.num_slots, engine="numpy", chunk_slots=500)
+        scenario.num_slots, engine="array", chunk_slots=500)
 
     session = StreamingSimulation(scenario.build_simulation(),
-                                  scenario.num_slots, engine="numpy",
+                                  scenario.num_slots, engine="array",
                                   chunk_slots=500)
     arrivals = session.sim.arrivals
     while session.slot < 1000:

@@ -32,6 +32,8 @@ from repro.traffic.arbiters import LongestQueueArbiter
 from repro.traffic.arrivals import BernoulliArrivals, TraceArrivals
 from repro.workloads.registry import get_scenario
 
+#: Both engines, plus ``batched``: the retired name must keep running the
+#: reference loop on every streaming path, checkpoint resume included.
 ENGINES = ("reference", "batched", "array")
 #: One RADS and one CFDS registered scenario, as the acceptance criteria ask.
 SCHEME_SCENARIOS = ("uniform-bernoulli", "markov-onoff")
@@ -87,7 +89,7 @@ def test_streamed_drain_only_and_no_drain(engine):
 
 def test_streamed_zero_slots():
     scenario = get_scenario("uniform-bernoulli")
-    report = scenario.build_simulation().run_stream(0, engine="batched")
+    report = scenario.build_simulation().run_stream(0, engine="reference")
     assert report.throughput.arrivals == 0
 
 
@@ -103,7 +105,7 @@ def test_warmup_is_chunk_and_engine_invariant(scenario_name):
         scenario.build_simulation().run_stream(
             scenario.num_slots, engine=engine, chunk_slots=chunk,
             warmup_slots=warmup)
-        for engine, chunk in (("reference", 97), ("batched", 4096),
+        for engine, chunk in (("reference", 97), ("reference", 4096),
                               ("array", 700), ("array", 131072))
     ]
     for report in reports[1:]:
@@ -140,7 +142,7 @@ def test_warmup_validation():
 def test_warmup_equal_to_num_slots_measures_only_the_drain():
     scenario = get_scenario("uniform-bernoulli")
     report = scenario.build_simulation().run_stream(
-        1000, engine="batched", warmup_slots=1000, chunk_slots=64)
+        1000, engine="reference", warmup_slots=1000, chunk_slots=64)
     assert report.throughput.arrivals == 0
     # Cells still in flight at the boundary depart during the drain window.
     assert report.throughput.slots == report.buffer_result.slots_simulated - 1000
@@ -189,7 +191,7 @@ def test_run_writes_checkpoints_at_marks(tmp_path):
     scenario = get_scenario("uniform-bernoulli")
     path = tmp_path / "marks.ckpt.json"
     report = scenario.build_simulation().run_stream(
-        scenario.num_slots, engine="batched", chunk_slots=300,
+        scenario.num_slots, engine="reference", chunk_slots=300,
         checkpoint_every=1000, checkpoint_path=path)
     assert path.exists()
     meta = read_checkpoint(path)
@@ -201,7 +203,7 @@ def test_run_writes_checkpoints_at_marks(tmp_path):
     assert meta["version"] == CHECKPOINT_VERSION
     # And the checkpointed run's own report is unaffected by snapshotting.
     monolithic = scenario.build_simulation().run(scenario.num_slots,
-                                                 engine="batched")
+                                                 engine="reference")
     assert_reports_identical(report, monolithic)
 
 
@@ -209,7 +211,7 @@ def test_resume_continues_checkpointing(tmp_path):
     scenario = get_scenario("uniform-bernoulli")
     path = tmp_path / "cont.ckpt.json"
     session = StreamingSimulation(scenario.build_simulation(),
-                                  scenario.num_slots, engine="batched",
+                                  scenario.num_slots, engine="reference",
                                   chunk_slots=500, checkpoint_every=700,
                                   checkpoint_path=path)
     drive_to(session, 700)
@@ -245,7 +247,7 @@ def test_checkpoint_version_and_digest_guards(tmp_path):
     scenario = get_scenario("uniform-bernoulli")
     path = tmp_path / "run.ckpt.json"
     session = StreamingSimulation(scenario.build_simulation(),
-                                  scenario.num_slots, engine="batched",
+                                  scenario.num_slots, engine="reference",
                                   chunk_slots=500)
     drive_to(session, 1000)
     session.save_checkpoint(path)
@@ -276,7 +278,7 @@ def test_corrupt_checkpoints_always_fail_cleanly(tmp_path):
     scenario = get_scenario("uniform-bernoulli")
     path = tmp_path / "run.ckpt.json"
     session = StreamingSimulation(scenario.build_simulation(),
-                                  scenario.num_slots, engine="batched",
+                                  scenario.num_slots, engine="reference",
                                   chunk_slots=500)
     drive_to(session, 1000)
     session.save_checkpoint(path)

@@ -39,6 +39,7 @@ def test_stream_matches_jobs_path_on_every_registered_switch(name):
     assert stream_report.ports == jobs_report.ports
 
 
+#: Both engines, plus ``batched``: the retired name runs the reference loop.
 @pytest.mark.parametrize("engine", ["reference", "batched", "array"])
 def test_stream_engines_agree(engine):
     scenario = small("uniform")

@@ -1,4 +1,4 @@
-"""Acceptance tests: the batched fast path is bit-identical to the legacy
+"""Acceptance tests: the array engine is bit-identical to the reference
 per-slot loop, and recorded traces replay deterministically across variants."""
 
 import pytest
@@ -11,17 +11,17 @@ from repro.workloads.registry import scenario_names
 
 
 @pytest.mark.parametrize("name", scenario_names())
-def test_fast_path_identical_to_legacy_loop(name):
+def test_array_identical_to_reference(name):
     """The headline acceptance criterion: every statistic the report carries
     (throughput counters, the full latency histogram, the buffer-side result
-    and the recorded trace) matches exactly between the two loops."""
+    and the recorded trace) matches exactly between the two engines."""
     scenario = next(s for s in all_scenarios() if s.name == name)
-    fast = scenario.run(fast_path=True, record_trace=True)
-    legacy = scenario.run(fast_path=False, record_trace=True)
-    assert fast.throughput == legacy.throughput
-    assert fast.latency == legacy.latency
-    assert fast.buffer_result == legacy.buffer_result
-    assert fast.trace.events == legacy.trace.events
+    fast = scenario.run(engine="array", record_trace=True)
+    oracle = scenario.run(engine="reference", record_trace=True)
+    assert fast.throughput == oracle.throughput
+    assert fast.latency == oracle.latency
+    assert fast.buffer_result == oracle.buffer_result
+    assert fast.trace.events == oracle.trace.events
 
 
 @pytest.mark.parametrize("format", ["binary", "ndjson"])

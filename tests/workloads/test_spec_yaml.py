@@ -153,9 +153,9 @@ class TestExpansion:
         assert point.spec["head_mma"]["type"] == "mdqf"
 
     def test_run_axes_route_to_run_options_not_the_spec(self):
-        doc = parse_document(_doc(grid={"run.engine": ["batched", "array"]}))
+        doc = parse_document(_doc(grid={"run.engine": ["reference", "array"]}))
         points = expand_document(doc)
-        assert [p.run["engine"] for p in points] == ["batched", "array"]
+        assert [p.run["engine"] for p in points] == ["reference", "array"]
         assert all("run" not in p.spec and "engine" not in p.spec
                    for p in points)
 
