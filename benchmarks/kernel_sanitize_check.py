@@ -12,7 +12,14 @@ into a child interpreter with the sanitizer runtimes preloaded and real
 2. an array-vs-reference differential sweep across RADS configs, wide
    ones (256 and 512 queues, one with arrivals on queue 255) included,
    asserting bit-identical reports so the instrumented build is proven to
-   be the same kernel, not just a crash-free one.
+   be the same kernel, not just a crash-free one, and
+3. a streamed Zipf run whose chunk plans the kernel draws itself, with
+   uneven chunks, a warmup boundary inside a chunk and one
+   checkpoint/resume, against the reference engine, and
+4. a 2-queue Bernoulli process feeding an 8-queue buffer, monolithic and
+   streamed, against the reference engine (the kernel draws over the
+   buffer's queues, so it must run python's plan, not read past the
+   process's two weights).
 
 Any out-of-bounds access or UB in the C source aborts the child with a
 sanitizer report, which this parent surfaces verbatim.
@@ -41,15 +48,18 @@ SRC = REPO / "src"
 #: The child workload.  Runs under ASan+UBSan with the sanitized kernel
 #: loaded; any memory error aborts before the prints.
 _CHILD = r"""
+import os
 import sys
+import tempfile
 
 from repro.obs.metrics import MetricsRegistry, using_metrics
 from repro.rads.buffer import RADSPacketBuffer
 from repro.rads.config import RADSConfig
 from repro.sim.engine import ClosedLoopSimulation
 from repro.sim.kernel import load_kernel
+from repro.sim.streaming import resume_stream
 from repro.traffic.arbiters import RandomArbiter
-from repro.traffic.arrivals import BernoulliArrivals
+from repro.traffic.arrivals import BernoulliArrivals, ZipfArrivals
 
 if load_kernel() is None:
     print("SANITIZED KERNEL FAILED TO LOAD", file=sys.stderr)
@@ -101,6 +111,59 @@ for num_queues, granularity, seed, weights in (
               f"seed={seed}", file=sys.stderr)
         sys.exit(4)
 print("differential ok")
+
+# 3. Streamed Zipf run, plans drawn by the kernel: 1300-slot chunks over
+# 7000 slots, the warmup boundary at 2000 inside the second chunk, and a
+# checkpoint at 4000 whose mark leaves a 100-slot span the kernel declines.
+def zipf_sim():
+    return ClosedLoopSimulation(
+        RADSPacketBuffer(RADSConfig(num_queues=32, granularity=8)),
+        ZipfArrivals(32, exponent=1.2, load=0.9, seed=29),
+        RandomArbiter(32, seed=30, load=0.95))
+
+geometry = dict(chunk_slots=1300, warmup_slots=2000)
+want = zipf_sim().run_stream(7000, engine="reference", **geometry)
+with tempfile.TemporaryDirectory() as tmp:
+    path = os.path.join(tmp, "stream.ckpt.json")
+    registry = MetricsRegistry()
+    with using_metrics(registry):
+        got = zipf_sim().run_stream(7000, engine="array",
+                                    checkpoint_every=4000,
+                                    checkpoint_path=path, **geometry)
+    resumed = resume_stream(path)
+if got != want or resumed != want:
+    print("DIFFERENTIAL MISMATCH: streamed zipf", file=sys.stderr)
+    sys.exit(4)
+if not registry.counter("engine.array.kernel_plan_slots"):
+    print("KERNEL NOT REACHED: no streamed plan drawn by the kernel",
+          file=sys.stderr)
+    sys.exit(4)
+print("streamed ok")
+
+# 4. Fewer process queues than buffer queues, monolithic and streamed.
+def narrow_sim():
+    return ClosedLoopSimulation(
+        RADSPacketBuffer(RADSConfig(num_queues=8, granularity=8)),
+        BernoulliArrivals(2, load=0.9, seed=37),
+        RandomArbiter(8, seed=38, load=0.95))
+
+for label, run in (
+        ("monolithic", lambda sim, engine: sim.run(3000, engine=engine)),
+        ("streamed", lambda sim, engine: sim.run_stream(
+            3000, engine=engine, chunk_slots=700, warmup_slots=1000)),
+):
+    registry = MetricsRegistry()
+    with using_metrics(registry):
+        got = run(narrow_sim(), "array")
+    if got != run(narrow_sim(), "reference"):
+        print(f"DIFFERENTIAL MISMATCH: 2-queue process, {label}",
+              file=sys.stderr)
+        sys.exit(4)
+    if not registry.counter("engine.array.kernel_spans"):
+        print(f"KERNEL NOT REACHED: 2-queue process, {label}",
+              file=sys.stderr)
+        sys.exit(4)
+print("narrow process ok")
 print("SANITIZE CHECK PASSED")
 """
 

@@ -1,13 +1,18 @@
-"""CI streaming smoke: bounded peak RSS and a checkpoint/resume round-trip.
+"""CI streaming smoke: bounded peak RSS, kernel-drawn plans and a
+checkpoint/resume round-trip.
 
 The streaming path's whole reason to exist is that a run's peak memory is a
 function of the *chunk size*, never the *horizon*.  This script drives a
-long streamed run (1M slots in CI) and fails if:
+long streamed run (1M slots in CI), with metrics on, and fails if:
 
 * peak RSS exceeds a horizon-independent bound (``--rss-limit-mb``, default
   512 — an interpreter plus a chunk's arrival plan is comfortably under
   100 MB, so a regression that materialises an O(slots) structure on the
   streaming path trips this immediately);
+* the span kernel loads but did not draw the arrivals of every main span
+  it runs — each chunk, cut at the warmup boundary, of at least
+  ``MIN_KERNEL_SLOTS`` slots — itself (``engine.array.kernel_plan_slots``),
+  so a change that sends streamed plans back to python fails here;
 * a run checkpointed mid-way and resumed in a *fresh process state* does not
   reproduce the uninterrupted run's report bit for bit.
 
@@ -41,6 +46,21 @@ def peak_rss_mb() -> float:
     return usage / 1024
 
 
+def kernel_drawn_slots(num_slots: int, chunk_slots: int, warmup: int,
+                       min_span: int) -> int:
+    """Main slots of a streamed run whose arrivals the span kernel draws:
+    every span of at least ``min_span`` slots, once the warmup boundary has
+    cut the chunk it falls in."""
+    spans = []
+    for start in range(0, num_slots, chunk_slots):
+        stop = min(start + chunk_slots, num_slots)
+        if start < warmup < stop:
+            spans += [warmup - start, stop - warmup]
+        else:
+            spans.append(stop - start)
+    return sum(span for span in spans if span >= min_span)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--slots", type=int, default=DEFAULT_SLOTS)
@@ -51,14 +71,17 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     from repro.bench.suite import stream_scenario
+    from repro.obs.metrics import using_metrics
+    from repro.sim.kernel import MIN_KERNEL_SLOTS, load_kernel
     from repro.sim.streaming import StreamingSimulation, resume_stream
 
     scenario = stream_scenario(num_slots=args.slots)
 
     started = time.perf_counter()
-    baseline = scenario.run_stream(engine=ENGINE,
-                                   chunk_slots=args.chunk_slots,
-                                   warmup_slots=args.warmup)
+    with using_metrics() as registry:
+        baseline = scenario.run_stream(engine=ENGINE,
+                                       chunk_slots=args.chunk_slots,
+                                       warmup_slots=args.warmup)
     elapsed = time.perf_counter() - started
     rss = peak_rss_mb()
     kslots = args.slots / elapsed / 1e3
@@ -70,6 +93,19 @@ def main(argv=None) -> int:
               f"{args.rss_limit_mb:.0f} MiB bound — something on the "
               "streaming path is O(slots)", file=sys.stderr)
         return 1
+    drawn = registry.counter("engine.array.kernel_plan_slots")
+    if load_kernel() is not None:
+        expected = kernel_drawn_slots(args.slots, args.chunk_slots,
+                                      args.warmup, MIN_KERNEL_SLOTS)
+        print(f"span kernel drew {drawn} of {args.slots} main slots' "
+              f"arrivals ({expected} in spans it runs)")
+        if drawn != expected:
+            print("FAIL: streamed arrival plans did not all reach the span "
+                  "kernel (engine.array.kernel_plan_slots "
+                  f"{drawn} != {expected})", file=sys.stderr)
+            return 1
+    else:
+        print("span kernel unavailable: arrival plans drawn in python")
 
     # Checkpoint/resume round-trip: run 40% of the horizon, snapshot,
     # abandon the session, resume from the file, and compare reports.
@@ -78,13 +114,8 @@ def main(argv=None) -> int:
         session = StreamingSimulation(
             scenario.build_simulation(), args.slots, engine=ENGINE,
             chunk_slots=args.chunk_slots, warmup_slots=args.warmup)
-        arrivals = session.sim.arrivals
         stop_at = args.slots * 2 // 5
-        while session.slot < stop_at:
-            count = min(args.chunk_slots, stop_at - session.slot)
-            window = arrivals.arrivals_slice(session.slot, count)
-            session._execute(window if isinstance(window, list)
-                             else list(window))
+        session.advance_to(stop_at)
         session.save_checkpoint(path)
         size_kb = os.path.getsize(path) / 1024
         resumed = resume_stream(path)

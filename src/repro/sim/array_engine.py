@@ -56,9 +56,11 @@ passes (stock policies, a non-empty lookahead, ``num_queues`` up to
 slots, a loaded kernel); every other span — and every span the kernel
 aborts — runs on the core's scalar python loop on the same state.  With
 metrics enabled, the slots of a span that misses the kernel are counted as
-``engine.array.fallback.<reason>``.  A monolithic run of a stock Bernoulli
-process defers its arrival plan so the kernel draws it natively, and runs
-the main and drain windows in one kernel call.  CFDS has no kernel.
+``engine.array.fallback.<reason>``.  The arrival plan of a stock Bernoulli
+process (Zipf and hotspot included) is deferred so the kernel draws it
+natively: the whole horizon of a monolithic run, each chunk of a streamed
+one.  A monolithic run also runs the main and drain windows in one kernel
+call.  CFDS has no kernel.
 
 The engine consumes a *freshly built* buffer: it reads the configuration and
 the issue-period machinery off the buffer object but keeps all per-cell state
@@ -72,9 +74,10 @@ number of slots and can be called repeatedly — that is what the streaming
 path (:mod:`repro.sim.streaming`) uses to run arbitrarily long horizons on
 bounded memory and to checkpoint mid-run: a core holds only plain data
 (lists, rings, dicts, ints) plus references to the simulation and buffer
-objects, so pickling the core captures the complete machine state.
-:func:`run_array` is the monolithic convenience wrapper: one main span, one
-drain span, one report.
+objects, so pickling the core captures the complete machine state.  The
+streaming driver takes each chunk's plan from :func:`window_plan`, and
+:func:`run_array`, the monolithic convenience wrapper (one main span, one
+drain span, one report), takes its whole horizon's plan from it.
 
 :func:`resolve_engine` is the one place engine names are checked: the
 retired names ``numpy`` and ``batched`` run ``array`` and ``reference``.
@@ -154,12 +157,11 @@ def run_array(sim, num_slots: int, drain: bool = True):
     if num_slots < 0:
         raise ConfigurationError("num_slots must be non-negative")
     core = build_array_core(sim)
-    if isinstance(core, _RADSCore):
-        plan = _deferred_plan(sim, num_slots)
-        if drain and core.run_fused(plan, num_slots):
-            return core.finish(drain=False)
-    else:
-        plan = _arrival_plan(sim, num_slots)
+    plan = (window_plan(sim, core, 0, num_slots)
+            if sim.arrivals is not None else None)
+    if (drain and isinstance(core, _RADSCore)
+            and core.run_fused(plan, num_slots)):
+        return core.finish(drain=False)
     core.run_span(plan, num_slots)
     return core.finish(drain=drain)
 
@@ -196,21 +198,14 @@ def build_array_core(sim):
         f"got {type(buffer).__name__}")
 
 
-def _arrival_plan(sim, num_slots: int) -> Optional[List[Optional[int]]]:
-    """Pre-generate the arrival array (arrival processes never observe the
-    buffer, so batching them is exact); ``None`` for a drain-only run."""
-    if sim.arrivals is None:
-        return None
-    plan = sim.arrivals.arrivals(num_slots)
-    return plan if isinstance(plan, list) else list(plan)
-
-
 class _DeferredPlan:
-    """A Bernoulli arrival plan that has not been drawn yet.
+    """A window of a stock Bernoulli arrival plan that has not been drawn
+    yet.
 
-    A monolithic RADS run hands this to :meth:`_RADSCore.run_span` so the
-    compiled span kernel can draw the plan natively (same words, same
-    doubles); a span that runs in python calls :meth:`materialize`, which
+    The RADS core gets one for the whole horizon of a monolithic run and one
+    per chunk of a streamed run, so the compiled span kernel can draw the
+    plan natively (same words, same doubles) and write the consumed RNG
+    state back; a span that runs in python calls :meth:`materialize`, which
     advances the process RNG exactly as the ``arrivals()`` call would have
     at this point.
     """
@@ -223,6 +218,14 @@ class _DeferredPlan:
         self.cum_weights = cum_weights
         self.total = cum_weights[-1] + 0.0
 
+    def __len__(self) -> int:
+        return self.num_slots
+
+    def shares_rng(self, sim) -> bool:
+        """True when the process draws from the arbiter's RNG object, whose
+        draws for a span must then follow the plan's."""
+        return self.proc._rng is getattr(sim.arbiter, "_rng", None)
+
     def bern(self):
         """The kernel's ``bern`` argument: the process RNG, the load gate's
         integer threshold and the cumulative weights."""
@@ -233,17 +236,64 @@ class _DeferredPlan:
         return self.proc.arrivals(self.num_slots)
 
 
-def _deferred_plan(sim, num_slots: int):
-    """The arrival plan of a monolithic RADS run: deferred for the kernel to
-    draw when the process is (a subclass of) ``BernoulliArrivals`` running
-    the stock batch method, drawn in python otherwise."""
+def window_plan(sim, core, start_slot: int, num_slots: int):
+    """The arrival plan of the window ``[start_slot, start_slot +
+    num_slots)``: a monolithic run's whole horizon or one streamed chunk.
+
+    Deferred (a :class:`_DeferredPlan`) when ``core`` is a RADS core and the
+    span kernel can draw the plan.  The kernel reproduces the stock batch
+    draw of ``BernoulliArrivals``, so the process must be one (Zipf and
+    hotspot are) that overrides neither ``arrivals`` nor ``arrivals_slice``
+    and serves every window from ``arrivals`` (``slot_invariant``).  Its
+    weights must cover exactly the buffer's queues, because the kernel
+    searches the buffer's ``num_queues`` of them: a process with fewer
+    queues runs on python's plan, and one with more raises the reference
+    engine's error.  And they must not sum to zero, which ``choices()``
+    reports on the first arrival, in python.  Otherwise the plan is the
+    process's own window
+    (:meth:`~repro.traffic.arrivals.ArrivalProcess.arrivals_slice`), or all
+    ``None`` without an arrival process.
+    """
     proc = sim.arrivals
-    if (num_slots > 0 and isinstance(proc, BernoulliArrivals)
-            and type(proc).arrivals is BernoulliArrivals.arrivals):
+    if proc is None:
+        return [None] * num_slots
+    cls = type(proc)
+    if (isinstance(core, _RADSCore) and isinstance(proc, BernoulliArrivals)
+            and proc.slot_invariant
+            and cls.arrivals is BernoulliArrivals.arrivals
+            and cls.arrivals_slice is BernoulliArrivals.arrivals_slice
+            and len(proc.weights) == core.num_queues):
         cum_weights = list(accumulate(proc.weights))
         if cum_weights[-1] > 0.0:
             return _DeferredPlan(proc, num_slots, cum_weights)
-    return _arrival_plan(sim, num_slots)
+    window = proc.arrivals_slice(start_slot, num_slots)
+    return window if isinstance(window, list) else list(window)
+
+
+def split_plan(core, plan, cut: int):
+    """``plan``'s first ``cut`` slots and the rest (a warmup boundary inside
+    a chunk).
+
+    A deferred plan splits into two deferred parts, unless its process
+    shares the arbiter's RNG: then the whole window is drawn here, before
+    the arbiter draws for either part, as for an undeferred chunk, and each
+    part the kernel would otherwise have drawn is counted as
+    ``engine.array.fallback.shared_rng`` (a part it declines is counted
+    under its own reason when it runs).
+    """
+    if isinstance(plan, _DeferredPlan):
+        if not plan.shares_rng(core.sim):
+            return (_DeferredPlan(plan.proc, cut, plan.cum_weights),
+                    _DeferredPlan(plan.proc, plan.num_slots - cut,
+                                  plan.cum_weights))
+        obs = get_metrics()
+        if obs is not None:
+            drawn = sum(part for part in (cut, plan.num_slots - cut)
+                        if core._kernel_miss(part) is None)
+            if drawn:
+                obs.inc("engine.array.fallback.shared_rng", drawn)
+        plan = plan.materialize()
+    return plan[:cut], plan[cut:]
 
 
 # --------------------------------------------------------------------- #
@@ -492,8 +542,7 @@ class _RADSCore(_ArrayCoreBase):
         drain_slots = self._drain_slots()
         done = False
         if isinstance(plan, _DeferredPlan):
-            if (plan.num_slots == num_slots
-                    and plan.proc._rng is not self.sim.arbiter._rng):
+            if not plan.shares_rng(self.sim):
                 done = kernel.run_span_kernel(
                     self, None, num_slots, main=True, bern=plan.bern(),
                     drain_slots=drain_slots)
@@ -512,9 +561,9 @@ class _RADSCore(_ArrayCoreBase):
         """Simulate ``num_slots`` slots starting at ``self.slot``.
 
         ``plan`` is the arrival plan for exactly this window (``None`` for a
-        drain-only span, a :class:`_DeferredPlan` for a monolithic Bernoulli
-        run); ``main=False`` runs drain slots (no arrivals, no requests,
-        departures recorded for final-slot stamping).
+        drain-only span, a :class:`_DeferredPlan` for a window of a stock
+        Bernoulli process); ``main=False`` runs drain slots (no arrivals, no
+        requests, departures recorded for final-slot stamping).
         """
         self._check_not_finished()
         obs = get_metrics()
@@ -526,20 +575,22 @@ class _RADSCore(_ArrayCoreBase):
             if miss is not None:
                 if obs is not None:
                     obs.inc(f"engine.array.fallback.{miss}", num_slots)
+            elif (isinstance(plan, _DeferredPlan)
+                    and not plan.shares_rng(self.sim)):
+                # The kernel draws the plan natively.  An abort leaves the
+                # RNG untouched, and the explicit plan would abort the same
+                # way, so the python loop replays the span straight away.
+                if kernel.run_span_kernel(self, None, num_slots, main=True,
+                                          bern=plan.bern()):
+                    return
             else:
                 if isinstance(plan, _DeferredPlan):
-                    # The kernel draws the plan natively unless the arrival
-                    # process shares the arbiter's RNG object (the python
-                    # loop consumes the plan's words strictly first).
-                    if plan.proc._rng is self.sim.arbiter._rng:
-                        if obs is not None:
-                            obs.inc("engine.array.fallback.shared_rng",
-                                    num_slots)
-                    elif (plan.num_slots == num_slots
-                            and kernel.run_span_kernel(
-                                self, None, num_slots, main=True,
-                                bern=plan.bern())):
-                        return
+                    # The arrival process shares the arbiter's RNG object:
+                    # the python loop consumes the plan's words strictly
+                    # first, so draw them here.
+                    if obs is not None:
+                        obs.inc("engine.array.fallback.shared_rng",
+                                num_slots)
                     plan = plan.materialize()
                 if ((plan is None or len(plan) >= num_slots)
                         and kernel.run_span_kernel(self, plan, num_slots,
@@ -651,6 +702,11 @@ class _RADSCore(_ArrayCoreBase):
             #    for the tail.
             tail_seqno = -1
             if arrival is not None:
+                if not 0 <= arrival < num_queues:
+                    # The reference buffer's queue-keyed seqno table raises
+                    # this for a queue it lacks; the engines raise alike.
+                    raise KeyError(  # repro-lint: disable=error-taxonomy
+                        arrival)
                 seqno = next_seqno[arrival]
                 next_seqno[arrival] = seqno + 1
                 arr_slots[arrival].append(slot)
@@ -1044,6 +1100,11 @@ class _CFDSCore(_ArrayCoreBase):
             # -- arrival with cut-through routing.
             tail_seqno = -1
             if arrival is not None:
+                if not 0 <= arrival < num_queues:
+                    # The reference buffer's queue-keyed seqno table raises
+                    # this for a queue it lacks; the engines raise alike.
+                    raise KeyError(  # repro-lint: disable=error-taxonomy
+                        arrival)
                 seqno = next_seqno[arrival]
                 next_seqno[arrival] = seqno + 1
                 arr_slots[arrival].append(slot)

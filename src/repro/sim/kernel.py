@@ -12,7 +12,7 @@ source and the interpreter/platform tags, and loaded through :mod:`ctypes`
 marshal buffers.
 
 The kernel executes whole spans natively: it resumes the arbiter's (and,
-for monolithic Bernoulli runs, the arrival process's) Mersenne Twister from
+for a deferred Bernoulli plan, the arrival process's) Mersenne Twister from
 the ``random.Random`` state, runs the exact RADS slot loop on flat copies
 of the core's state, and hands back the mutated state plus the final RNG
 words, which are applied to the python core only on success.  It takes
@@ -93,6 +93,10 @@ MAX_KERNEL_QUEUES = 1 << 16
 _SOURCE = Path(__file__).with_name("_spankernel.c")
 
 _ERR_OK = 0
+
+#: The kernel's error codes (``ERR_*`` in ``_spankernel.c``), as named in
+#: the ``engine.array.kernel_aborts.<code>`` counters.
+_ABORT_CODES = {1: "oom", 2: "strict", 3: "cap", 4: "arg"}
 
 _CRIT_INF = (1 << 63) - 1  # INT64_MAX, the C marker for "no critical entry"
 
@@ -454,10 +458,17 @@ def run_span_kernel(core, aplan, num_slots: int, main: bool = True,
         cfg.bern_total = 0.0
         if cfg.plan_mode == 0:
             # The kernel's plan encoding: int32 queue ids, -1 = no arrival.
-            plan_arr = np.array([-1 if a is None else a for a in aplan],
-                                dtype=np.int32)
+            try:
+                plan_arr = np.array([-1 if a is None else a for a in aplan],
+                                    dtype=np.int32)
+            except OverflowError:
+                return False  # a queue id past int32: python raises for it
             if len(plan_arr) < num_slots:
                 return False  # the kernel reads num_slots entries
+            if np.count_nonzero(plan_arr == -1) != aplan.count(None):
+                # An entry naming queue -1 would read as no arrival; the
+                # python loop raises for it, as the reference does.
+                return False
             keep.append(plan_arr)
             ptr.plan = plan_arr.ctypes.data_as(_I32P)
 
@@ -586,6 +597,8 @@ def run_span_kernel(core, aplan, num_slots: int, main: bool = True,
         # raises (or recovers) with the exact reference state.
         if obs is not None:
             obs.inc("engine.array.kernel_aborts")
+            obs.inc("engine.array.kernel_aborts."
+                    + _ABORT_CODES.get(rc, "unknown"))
             obs.inc("engine.array.fallback.abort", total_slots)
         return False
 
@@ -593,6 +606,8 @@ def run_span_kernel(core, aplan, num_slots: int, main: bool = True,
     if obs is not None:
         obs.inc("engine.array.kernel_spans")
         obs.inc("engine.array.kernel_slots", total_slots)
+        if bern is not None:
+            obs.inc("engine.array.kernel_plan_slots", num_slots)
     core.backlog[:] = backlog.tolist()
     core.next_seqno[:] = next_seqno.tolist()
     new_delivered = delivered.tolist()

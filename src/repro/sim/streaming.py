@@ -5,9 +5,15 @@ recording, the full trace) before the loop, so a run is capped by memory and
 a crash loses everything.  This module runs the *same machines* in bounded
 chunks:
 
-* **Chunked arrival plans** — each chunk asks the arrival process for just
-  its window (:meth:`~repro.traffic.arrivals.ArrivalProcess.arrivals_slice`),
-  so peak memory is ``O(chunk_slots)``, independent of the horizon.  The
+* **Chunked arrival plans** — each chunk's plan covers just its window
+  (:func:`~repro.sim.array_engine.window_plan`), so peak memory is
+  ``O(chunk_slots)``, independent of the horizon.  On the RADS array core a
+  stock Bernoulli process (Zipf and hotspot included) hands the chunk over
+  undrawn, and the span kernel draws it natively as it does a monolithic
+  run's; a span the kernel declines draws it in python with the same
+  ``arrivals()`` call.  Every other process, and every other core, asks
+  the process for its window
+  (:meth:`~repro.traffic.arrivals.ArrivalProcess.arrivals_slice`).  The
   chunk concatenation is stream-identical to one monolithic plan, so with
   ``warmup_slots=0`` a streamed run's report is **bit-identical** to
   :meth:`~repro.sim.engine.ClosedLoopSimulation.run` on the same engine, for
@@ -61,6 +67,8 @@ from repro.sim.array_engine import (
     DEFAULT_ENGINE,
     build_array_core,
     resolve_engine,
+    split_plan,
+    window_plan,
 )
 from repro.sim.stats import LatencyStats, ThroughputStats
 
@@ -164,6 +172,7 @@ MetricsRegistry` of what it did — chunks executed, slots processed,
         self._measured_from = 0          # slot measurement started at
         self._drops_baseline = 0         # buffer drops before measurement
         self._finished = False
+        self._start_clock()
 
     # ------------------------------------------------------------------ #
     # Driving
@@ -175,49 +184,61 @@ MetricsRegistry` of what it did — chunks executed, slots processed,
             raise ConfigurationError(
                 "run() needs num_slots; open-ended sessions are driven with "
                 "feed() and closed with finish()")
-        arrivals = self.sim.arrivals
-        next_mark = None
-        if self.checkpoint_every is not None:
+        self._start_clock()
+        every = self.checkpoint_every
+        if every is not None:
             # The first mark strictly ahead of the current position, so a
             # resumed run never immediately rewrites the snapshot it loaded.
-            done = self.slot // self.checkpoint_every
-            next_mark = (done + 1) * self.checkpoint_every
-        run_started = time.perf_counter()
-        start_slot = self.slot
-        chunks_done = 0
-        while self.slot < self.num_slots:
-            stop = min(self.slot + self.chunk_slots, self.num_slots)
-            if next_mark is not None and next_mark < stop:
-                stop = next_mark
-            count = stop - self.slot
-            if arrivals is not None:
-                window = arrivals.arrivals_slice(self.slot, count)
-                plan = window if isinstance(window, list) else list(window)
-            else:
-                plan = [None] * count
-            self._execute(plan)
-            chunks_done += 1
-            if (self.progress is not None
-                    and chunks_done % self.progress_every == 0):
-                self._heartbeat(run_started, start_slot, chunks_done)
-            if next_mark is not None and self.slot >= next_mark:
-                if self.slot < self.num_slots:
-                    self.save_checkpoint(self.checkpoint_path)
-                next_mark += self.checkpoint_every
+            mark = (self.slot // every + 1) * every
+            while mark < self.num_slots:
+                self.advance_to(mark)
+                self.save_checkpoint(self.checkpoint_path)
+                mark += every
+        self.advance_to(self.num_slots)
         return self.finish()
 
-    def _heartbeat(self, started: float, start_slot: int,
-                   chunks_done: int) -> None:
+    def advance_to(self, stop_slot: int) -> None:
+        """Run chunks until :attr:`slot` reaches ``stop_slot``, with the
+        plans :meth:`run` uses and no checkpoint marks.
+
+        Chunks start at the current slot; the last one ends at
+        ``stop_slot``.  Nothing runs when the session already stands there
+        (or past it).  Driving a session to a slot, then saving a
+        checkpoint, is how an interrupted run is replayed.
+        """
+        if self.num_slots is None:
+            raise ConfigurationError(
+                "advance_to() needs num_slots; open-ended sessions are "
+                "driven with feed()")
+        if stop_slot > self.num_slots:
+            raise ConfigurationError(
+                f"cannot advance to slot {stop_slot}: the run is configured "
+                f"for {self.num_slots} slots")
+        while self.slot < stop_slot:
+            count = min(self.chunk_slots, stop_slot - self.slot)
+            self._execute(window_plan(self.sim, self._core, self.slot,
+                                      count))
+            self._chunks_run += 1
+            if (self.progress is not None
+                    and self._chunks_run % self.progress_every == 0):
+                self._heartbeat()
+
+    def _start_clock(self) -> None:
+        """Restart the progress heartbeat's clock and chunk count."""
+        self._clock_started = time.perf_counter()
+        self._clock_slot = self.slot
+        self._chunks_run = 0
+
+    def _heartbeat(self) -> None:
         """Hand the progress callback one snapshot of where the run stands."""
-        elapsed = time.perf_counter() - started
-        done = self.slot - start_slot
+        elapsed = time.perf_counter() - self._clock_started
+        done = self.slot - self._clock_slot
         rate = done / elapsed if elapsed > 0 else 0.0
-        remaining = ((self.num_slots - self.slot)
-                     if self.num_slots is not None else 0)
+        remaining = self.num_slots - self.slot
         self.progress({
             "slot": self.slot,
             "num_slots": self.num_slots,
-            "chunks": chunks_done,
+            "chunks": self._chunks_run,
             "elapsed_s": elapsed,
             "slots_per_s": rate,
             "eta_s": remaining / rate if rate > 0 else None,
@@ -235,21 +256,21 @@ MetricsRegistry` of what it did — chunks executed, slots processed,
                 f"= {self.num_slots}")
         self._execute(plan if isinstance(plan, list) else list(plan))
 
-    def _execute(self, plan: List[Optional[int]]) -> None:
-        """Advance over ``plan``, splitting it at the warmup boundary so the
-        measurement reset lands at exactly ``warmup_slots`` for any
-        chunking."""
+    def _execute(self, plan) -> None:
+        """Advance over ``plan`` (a list, or a chunk the kernel may draw),
+        splitting it at the warmup boundary so the measurement reset lands
+        at exactly ``warmup_slots`` for any chunking."""
         count = len(plan)
         if (not self._warmup_done
                 and self.slot < self.warmup_slots <= self.slot + count):
-            cut = self.warmup_slots - self.slot
-            self._span(plan[:cut])
+            head, plan = split_plan(self._core, plan,
+                                    self.warmup_slots - self.slot)
+            self._span(head)
             self._reset_measurement()
             self._warmup_done = True
-            plan = plan[cut:]
         self._span(plan)
 
-    def _span(self, plan: List[Optional[int]]) -> None:
+    def _span(self, plan) -> None:
         if self._finished:
             raise StaleSimulationError(
                 "this streaming session already produced its report")
@@ -473,6 +494,7 @@ MetricsRegistry` of what it did — chunks executed, slots processed,
         session._measured_from = payload["measured_from"]
         session._drops_baseline = payload["drops_baseline"]
         session._finished = False
+        session._start_clock()
         session._obs = MetricsRegistry()
         session._obs.restore(payload.get("obs", {}))
         session._obs.inc("stream.checkpoints_resumed")

@@ -481,15 +481,7 @@ def _run_scenario_case(case: FuzzCase, stream: bool,
         session = StreamingSimulation(
             scenario.build_simulation(), scenario.num_slots, engine=engine,
             drain=drain, chunk_slots=chunk)
-        arrivals = session.sim.arrivals
-        while session.slot < stop:
-            count = min(session.chunk_slots, stop - session.slot)
-            if arrivals is not None:
-                window = arrivals.arrivals_slice(session.slot, count)
-                plan = window if isinstance(window, list) else list(window)
-            else:
-                plan = [None] * count
-            session._execute(plan)
+        session.advance_to(stop)
         with tempfile.TemporaryDirectory() as tmp:
             path = os.path.join(tmp, "fuzz.ckpt.json")
             session.save_checkpoint(path)
@@ -616,16 +608,7 @@ def _run_fault_legs(case: FuzzCase, stream: bool,
         session = StreamingSimulation(
             scenario.build_simulation(), scenario.num_slots, engine=engine,
             chunk_slots=chunk)
-        arrivals = session.sim.arrivals
-        while session.slot < stop:
-            count = min(session.chunk_slots, stop - session.slot)
-            if arrivals is not None:
-                window = arrivals.arrivals_slice(session.slot, count)
-                chunk_plan = (window if isinstance(window, list)
-                              else list(window))
-            else:
-                chunk_plan = [None] * count
-            session._execute(chunk_plan)
+        session.advance_to(stop)
         with tempfile.TemporaryDirectory() as tmp:
             path = os.path.join(tmp, "chaos.ckpt.json")
             with using_faults(FaultInjector(plan)):

@@ -44,15 +44,6 @@ def assert_reports_identical(left, right, context=""):
     assert left.buffer_result == right.buffer_result, context
 
 
-def drive_to(session, stop_slot):
-    arrivals = session.sim.arrivals
-    while session.slot < stop_slot:
-        count = min(session.chunk_slots, stop_slot - session.slot)
-        window = arrivals.arrivals_slice(session.slot, count)
-        session._execute(window if isinstance(window, list)
-                         else list(window))
-
-
 # --------------------------------------------------------------------- #
 # Observability never changes a report
 # --------------------------------------------------------------------- #
@@ -121,7 +112,7 @@ def test_resumed_metric_totals_equal_the_uninterrupted_run(tmp_path):
                                     engine="array", chunk_slots=chunk,
                                     checkpoint_every=every,
                                     checkpoint_path=path_b)
-    drive_to(session_b, 1000)  # die exactly at the first mark
+    session_b.advance_to(1000)  # die exactly at the first mark
     session_b.save_checkpoint(path_b)
     session_c = StreamingSimulation.load_checkpoint(path_b)
     report_c = session_c.run()
@@ -143,7 +134,7 @@ def test_metric_state_survives_the_envelope_bit_identically(tmp_path):
     path = tmp_path / "mid.ckpt.json"
     session = StreamingSimulation(scenario.build_simulation(), 2000,
                                   engine="reference", chunk_slots=300)
-    drive_to(session, 900)
+    session.advance_to(900)
     session.save_checkpoint(path)
     saved = session.metrics_snapshot()
 

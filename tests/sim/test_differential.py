@@ -244,18 +244,6 @@ def _stream_rng(index: int) -> random.Random:
     return random.Random(SEED * 1_000_003 + index)
 
 
-def _drive(session, stop_slot):
-    arrivals = session.sim.arrivals
-    while session.slot < stop_slot:
-        count = min(session.chunk_slots, stop_slot - session.slot)
-        if arrivals is not None:
-            window = arrivals.arrivals_slice(session.slot, count)
-            plan = window if isinstance(window, list) else list(window)
-        else:
-            plan = [None] * count
-        session._execute(plan)
-
-
 @pytest.mark.parametrize("index,scenario,drain", STREAM_CASES,
                          ids=_STREAM_IDS)
 def test_streamed_chunks_bit_identical_on_random_config(index, scenario,
@@ -298,7 +286,7 @@ def test_checkpoint_resume_bit_identical_on_random_config(index, scenario,
             session = StreamingSimulation(
                 scenario.build_simulation(), scenario.num_slots,
                 engine=engine, drain=drain, chunk_slots=chunk)
-            _drive(session, rng.randint(0, scenario.num_slots))
+            session.advance_to(rng.randint(0, scenario.num_slots))
             path = tmp_path / f"case{index}-{leg}.ckpt.json"
             session.save_checkpoint(path)
             resumed = resume_stream(path)

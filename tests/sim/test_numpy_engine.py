@@ -35,8 +35,10 @@ from repro.workloads.registry import get_scenario
 from repro.traffic.arbiters import OldestCellArbiter, RandomArbiter
 from repro.traffic.arrivals import (
     BernoulliArrivals,
+    HotspotArrivals,
     MarkovOnOffArrivals,
     TraceArrivals,
+    ZipfArrivals,
 )
 from repro.workloads import all_scenarios
 from repro.workloads.registry import scenario_names
@@ -364,6 +366,135 @@ def test_wide_stream_with_warmup_and_resume(num_queues, kernel_mode,
 
 
 # --------------------------------------------------------------------- #
+# Streamed runs: the kernel draws each chunk's Bernoulli plan.
+# --------------------------------------------------------------------- #
+
+#: Stock Bernoulli processes whose streamed plans the kernel draws: uniform
+#: at OC-768's 128 queues, Zipf and hotspot.
+STREAM_PROCESSES = {
+    "bernoulli-q128": (128, lambda: BernoulliArrivals(128, load=0.9,
+                                                      seed=51)),
+    "zipf": (16, lambda: ZipfArrivals(16, exponent=1.2, load=0.9, seed=52)),
+    "hotspot": (16, lambda: HotspotArrivals(16, hot_queues=[3, 11],
+                                            hot_fraction=0.8, load=0.9,
+                                            seed=53)),
+}
+
+STREAM_SLOTS = 4000
+
+#: Chunkings of a 4000-slot stream, each with a warmup boundary inside a
+#: chunk and one checkpoint mark, and the main slots whose plan the kernel
+#: draws: every span below MIN_KERNEL_SLOTS; uneven chunks whose warmup
+#: split leaves a 50-slot span; one 65,536-slot chunk cut by the warmup
+#: boundary and the mark.
+STREAM_GEOMETRIES = {
+    "short-chunks": (dict(chunk_slots=150, warmup_slots=1000,
+                          checkpoint_every=2000), 0),
+    "uneven": (dict(chunk_slots=1300, warmup_slots=1250,
+                    checkpoint_every=2450), STREAM_SLOTS - 50),
+    "chunk-65536": (dict(chunk_slots=65536, warmup_slots=1700,
+                         checkpoint_every=3000), STREAM_SLOTS),
+}
+
+
+def _spy_batch_draws(patcher):
+    """Record the size of every ``BernoulliArrivals.arrivals`` call: the
+    plans drawn in python."""
+    calls = []
+    stock = BernoulliArrivals.arrivals
+
+    def arrivals(self, num_slots):
+        calls.append(num_slots)
+        return stock(self, num_slots)
+
+    patcher.setattr(BernoulliArrivals, "arrivals", arrivals)
+    return calls
+
+
+@pytest.mark.parametrize("geometry", sorted(STREAM_GEOMETRIES))
+@pytest.mark.parametrize("process", sorted(STREAM_PROCESSES))
+def test_streamed_kernel_drawn_plans_identical(process, geometry,
+                                               kernel_mode, monkeypatch,
+                                               tmp_path):
+    """A streamed stock Bernoulli run matches the reference engine and the
+    kernel-off array run, uninterrupted and resumed from its mid-run
+    checkpoint; every main slot's arrival is drawn once, by the kernel or
+    by one python ``arrivals()`` call for a span the kernel declines."""
+    num_queues, make_arrivals = STREAM_PROCESSES[process]
+    geometry, kernel_drawn = STREAM_GEOMETRIES[geometry]
+    path = tmp_path / "stream.ckpt.json"
+
+    def run(engine):
+        return ClosedLoopSimulation(
+            RADSPacketBuffer(RADSConfig(num_queues=num_queues,
+                                        granularity=8)),
+            make_arrivals(), RandomArbiter(num_queues, seed=54, load=0.95),
+        ).run_stream(STREAM_SLOTS, engine=engine, checkpoint_path=path,
+                     **geometry)
+
+    reference = run("reference")
+    scalar = without_kernel(monkeypatch, lambda: run("array"))
+    with monkeypatch.context() as patcher:
+        calls = _spy_batch_draws(patcher)
+        array, registry = _observed(lambda: run("array"))
+        python_drawn = sum(calls)
+        resumed = resume_stream(path)
+    assert_reports_identical(reference, array)
+    assert_reports_identical(scalar, array)
+    assert_reports_identical(reference, resumed)
+    drawn = registry.counter("engine.array.kernel_plan_slots")
+    if kernel_mode == "kernel" and span_kernel.load_kernel() is not None:
+        assert drawn == kernel_drawn
+    else:
+        assert drawn == 0
+    assert python_drawn == STREAM_SLOTS - drawn
+
+
+def _mismatched_sim(process_queues):
+    """A uniform Bernoulli process over ``process_queues`` queues feeding an
+    8-queue RADS buffer."""
+    return ClosedLoopSimulation(
+        RADSPacketBuffer(RADSConfig(num_queues=8, granularity=8)),
+        BernoulliArrivals(process_queues, load=0.9, seed=61),
+        RandomArbiter(8, seed=62, load=0.95))
+
+
+def _run_mode(make_sim, mode, engine):
+    if mode == "monolithic":
+        return make_sim().run(3000, engine=engine)
+    return make_sim().run_stream(3000, engine=engine, chunk_slots=700,
+                                 warmup_slots=1000)
+
+
+@pytest.mark.parametrize("mode", ["monolithic", "streamed"])
+def test_process_with_fewer_queues_than_the_buffer(mode, kernel_mode):
+    """The kernel draws over the buffer's queues, so a process over fewer
+    keeps python's plan, which the kernel runs as an explicit plan; the
+    report matches the reference engine."""
+    reference = _run_mode(lambda: _mismatched_sim(2), mode, "reference")
+    array, registry = _observed(
+        lambda: _run_mode(lambda: _mismatched_sim(2), mode, "array"))
+    assert_reports_identical(reference, array)
+    assert registry.counter("engine.array.kernel_plan_slots") == 0
+    _assert_kernel_ran(registry, kernel_mode)
+
+
+@pytest.mark.parametrize("mode", ["monolithic", "streamed"])
+def test_process_with_more_queues_than_the_buffer_raises(mode, kernel_mode):
+    """An arrival on a queue the buffer lacks raises the reference engine's
+    error; the kernel neither draws the plan nor maps it onto the buffer's
+    queues."""
+    with pytest.raises(KeyError) as reference:
+        _run_mode(lambda: _mismatched_sim(16), mode, "reference")
+    registry = MetricsRegistry()
+    with using_metrics(registry), pytest.raises(KeyError) as array:
+        _run_mode(lambda: _mismatched_sim(16), mode, "array")
+    assert array.value.args == reference.value.args
+    assert registry.counter("engine.array.kernel_plan_slots") == 0
+    assert registry.counter("engine.array.kernel_spans") == 0
+
+
+# --------------------------------------------------------------------- #
 # Why a span missed the kernel: engine.array.fallback.<reason>.
 # --------------------------------------------------------------------- #
 
@@ -428,9 +559,58 @@ def test_fallback_reason_shared_rng(monkeypatch):
     assert registry.counter("engine.array.kernel_spans") == 2
 
 
+class _PythonWindows(BernoulliArrivals):
+    """Serves every streamed window from python, as all processes did
+    before the kernel drew streamed plans (overriding ``arrivals_slice``
+    turns the kernel draw away)."""
+
+    def arrivals_slice(self, start_slot, num_slots):
+        return super().arrivals_slice(start_slot, num_slots)
+
+
+def test_fallback_reason_shared_rng_streamed(monkeypatch):
+    """Streamed, the shared RNG keeps each chunk's plan drawn in python
+    ahead of the chunk's arbiter draws, whole even when the warmup
+    boundary splits the chunk: the report equals the kernel-off run and
+    the run whose windows are python's."""
+    if span_kernel.load_kernel() is None:
+        pytest.skip("no C compiler: the span kernel never runs")
+
+    def make_sim(process=BernoulliArrivals):
+        arrivals = process(8, load=0.5, seed=3)
+        arbiter = RandomArbiter(8, seed=4)
+        arbiter._rng = arrivals._rng
+        return ClosedLoopSimulation(
+            RADSPacketBuffer(RADSConfig(num_queues=8, granularity=32)),
+            arrivals, arbiter)
+
+    geometry = dict(chunk_slots=400, warmup_slots=1000)
+    windows = make_sim(_PythonWindows).run_stream(2000, engine="array",
+                                                  **geometry)
+    scalar = without_kernel(monkeypatch, lambda: make_sim().run_stream(
+        2000, engine="array", **geometry))
+    array, registry = _observed(lambda: make_sim().run_stream(
+        2000, engine="array", **geometry))
+    assert_reports_identical(windows, array)
+    assert_reports_identical(scalar, array)
+    # Every chunk; the split one (800-1200) was drawn at the split and runs
+    # its two parts on explicit plans.
+    assert _fallbacks(registry) == {"shared_rng": 2000}
+    assert registry.counter("engine.array.kernel_plan_slots") == 0
+    assert registry.counter("engine.array.kernel_spans") == 7
+
+
+def _abort_codes(registry):
+    prefix = "engine.array.kernel_aborts."
+    return {name[len(prefix):]: value
+            for name, value in registry.counters().items()
+            if name.startswith(prefix)}
+
+
 def test_fallback_reason_abort():
     """A strict-mode overflow aborts every kernel attempt; the python loop
-    then raises, and only the abort reason is recorded."""
+    then raises, and only the abort reason is recorded, every abort under
+    the kernel's ``strict`` code."""
     if span_kernel.load_kernel() is None:
         pytest.skip("no C compiler: the span kernel never runs")
     sim = ClosedLoopSimulation(
@@ -441,7 +621,9 @@ def test_fallback_reason_abort():
     with using_metrics(registry), pytest.raises(BufferOverflowError):
         sim.run(1200, engine="array")
     assert set(_fallbacks(registry)) == {"abort"}
-    assert registry.counter("engine.array.kernel_aborts") > 0
+    aborts = registry.counter("engine.array.kernel_aborts")
+    assert aborts > 0
+    assert _abort_codes(registry) == {"strict": aborts}
 
 
 def test_fallback_reason_no_lookahead():
@@ -484,7 +666,7 @@ def test_plan_entry_naming_no_queue_aborts_the_kernel(kernel_mode,
     """An explicit plan entry past the last queue makes the kernel abort
     before it indexes any per-queue state (unchecked, it would write out
     of bounds); the python replay then fails exactly as the scalar loop
-    does."""
+    and the reference engine do."""
     pattern = [q % 8 for q in range(300)] + [8] + [None] * 99
 
     def make_sim():
@@ -492,14 +674,44 @@ def test_plan_entry_naming_no_queue_aborts_the_kernel(kernel_mode,
             _build_buffer("rads"), TraceArrivals(pattern),
             RandomArbiter(8, seed=2))
 
-    with pytest.raises(IndexError):
+    with pytest.raises(KeyError) as reference:
+        make_sim().run(400, engine="reference")
+    with pytest.raises(KeyError) as scalar:
         without_kernel(monkeypatch,
                        lambda: make_sim().run(400, engine="array"))
+    assert scalar.value.args == reference.value.args == (8,)
     registry = MetricsRegistry()
-    with using_metrics(registry), pytest.raises(IndexError):
+    with using_metrics(registry), pytest.raises(KeyError) as array:
         make_sim().run(400, engine="array")
+    assert array.value.args == (8,)
     if kernel_mode == "kernel" and span_kernel.load_kernel() is not None:
-        assert registry.counter("engine.array.kernel_aborts") > 0
+        aborts = registry.counter("engine.array.kernel_aborts")
+        assert aborts > 0
+        assert _abort_codes(registry) == {"arg": aborts}
+    assert registry.counter("engine.array.kernel_spans") == 0
+
+
+@pytest.mark.parametrize("entry", [-1, 2 ** 40],
+                         ids=["no-arrival-code", "past-int32"])
+def test_plan_entry_the_kernel_cannot_encode_raises(entry, kernel_mode):
+    """An explicit plan entry of -1, the kernel's no-arrival code, is not
+    read as an idle slot, and one past ``int32`` does not stop the plan's
+    conversion with numpy's error: the kernel declines the plan, and the
+    scalar loop raises the reference engine's error (for -1, rather than
+    indexing from the end of its per-queue lists)."""
+    pattern = [q % 8 for q in range(300)] + [entry] + [None] * 99
+
+    def make_sim():
+        return ClosedLoopSimulation(
+            _build_buffer("rads"), TraceArrivals(pattern),
+            RandomArbiter(8, seed=2))
+
+    with pytest.raises(KeyError) as reference:
+        make_sim().run(400, engine="reference")
+    registry = MetricsRegistry()
+    with using_metrics(registry), pytest.raises(KeyError) as array:
+        make_sim().run(400, engine="array")
+    assert array.value.args == reference.value.args == (entry,)
     assert registry.counter("engine.array.kernel_spans") == 0
 
 
@@ -516,10 +728,7 @@ def test_checkpoint_after_kernel_span_is_numpy_free(tmp_path):
     session = StreamingSimulation(scenario.build_simulation(),
                                   scenario.num_slots, engine="array",
                                   chunk_slots=500)
-    arrivals = session.sim.arrivals
-    while session.slot < 1000:
-        count = min(session.chunk_slots, 1000 - session.slot)
-        session._execute(list(arrivals.arrivals_slice(session.slot, count)))
+    session.advance_to(1000)
     path = tmp_path / "kernel.ckpt.json"
     session.save_checkpoint(path)
     resumed = resume_stream(path)

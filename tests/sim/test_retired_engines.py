@@ -85,9 +85,7 @@ def test_checkpoint_naming_batched_resumes(tmp_path):
     session = StreamingSimulation(scenario.build_simulation(),
                                   scenario.num_slots, engine="reference",
                                   chunk_slots=500)
-    arrivals = session.sim.arrivals
-    while session.slot < 1500:
-        session._execute(list(arrivals.arrivals_slice(session.slot, 500)))
+    session.advance_to(1500)
     path = tmp_path / "batched.ckpt.json"
     session.save_checkpoint(path)
     document = json.loads(path.read_text(encoding="utf-8"))

@@ -20,6 +20,7 @@ import os
 import pytest
 
 from repro.errors import CheckpointError, ConfigurationError
+from repro.obs.metrics import using_metrics
 from repro.sim.engine import ClosedLoopSimulation
 from repro.sim.streaming import (
     CHECKPOINT_VERSION,
@@ -28,7 +29,7 @@ from repro.sim.streaming import (
     resume_stream,
     run_stream,
 )
-from repro.traffic.arbiters import LongestQueueArbiter
+from repro.traffic.arbiters import LongestQueueArbiter, RandomArbiter
 from repro.traffic.arrivals import BernoulliArrivals, TraceArrivals
 from repro.workloads.registry import get_scenario
 
@@ -43,20 +44,6 @@ def assert_reports_identical(left, right, context=""):
     assert left.throughput == right.throughput, context
     assert left.latency == right.latency, context
     assert left.buffer_result == right.buffer_result, context
-
-
-def drive_to(session, stop_slot):
-    """Manually advance a session to ``stop_slot`` (simulating the chunks an
-    interrupted run would have completed before dying)."""
-    arrivals = session.sim.arrivals
-    while session.slot < stop_slot:
-        count = min(session.chunk_slots, stop_slot - session.slot)
-        if arrivals is not None:
-            window = arrivals.arrivals_slice(session.slot, count)
-            plan = window if isinstance(window, list) else list(window)
-        else:
-            plan = [None] * count
-        session._execute(plan)
 
 
 # --------------------------------------------------------------------- #
@@ -162,7 +149,7 @@ def test_checkpoint_resume_bit_identical(scenario_name, engine, tmp_path):
     session = StreamingSimulation(scenario.build_simulation(),
                                   scenario.num_slots, engine=engine,
                                   chunk_slots=500)
-    drive_to(session, scenario.num_slots * 2 // 5)
+    session.advance_to(scenario.num_slots * 2 // 5)
     session.save_checkpoint(path)
     resumed = resume_stream(path)
     assert_reports_identical(resumed, uninterrupted,
@@ -181,7 +168,7 @@ def test_checkpoint_resume_with_warmup_pending(tmp_path):
     session = StreamingSimulation(scenario.build_simulation(),
                                   scenario.num_slots, engine="array",
                                   chunk_slots=256, warmup_slots=warmup)
-    drive_to(session, 512)  # still inside the warmup window
+    session.advance_to(512)  # still inside the warmup window
     session.save_checkpoint(path)
     resumed = resume_stream(path)
     assert_reports_identical(resumed, uninterrupted)
@@ -214,7 +201,7 @@ def test_resume_continues_checkpointing(tmp_path):
                                   scenario.num_slots, engine="reference",
                                   chunk_slots=500, checkpoint_every=700,
                                   checkpoint_path=path)
-    drive_to(session, 700)
+    session.advance_to(700)
     session.save_checkpoint(path)
     resume_stream(path)
     # The resumed run rewrote later marks into the same file.
@@ -249,7 +236,7 @@ def test_checkpoint_version_and_digest_guards(tmp_path):
     session = StreamingSimulation(scenario.build_simulation(),
                                   scenario.num_slots, engine="reference",
                                   chunk_slots=500)
-    drive_to(session, 1000)
+    session.advance_to(1000)
     session.save_checkpoint(path)
 
     document = json.loads(path.read_text(encoding="utf-8"))
@@ -280,7 +267,7 @@ def test_corrupt_checkpoints_always_fail_cleanly(tmp_path):
     session = StreamingSimulation(scenario.build_simulation(),
                                   scenario.num_slots, engine="reference",
                                   chunk_slots=500)
-    drive_to(session, 1000)
+    session.advance_to(1000)
     session.save_checkpoint(path)
     text = path.read_text(encoding="utf-8")
     document = json.loads(text)
@@ -320,7 +307,7 @@ def test_save_checkpoint_is_atomic(tmp_path):
     session = StreamingSimulation(scenario.build_simulation(),
                                   scenario.num_slots, engine="array",
                                   chunk_slots=500)
-    drive_to(session, 500)
+    session.advance_to(500)
     session.save_checkpoint(path)
     assert [p.name for p in tmp_path.iterdir()] == ["atomic.ckpt.json"]
 
@@ -359,6 +346,60 @@ def test_peak_memory_is_chunk_bounded_not_horizon_bounded(engine):
     assert spy.windows[0][0] == 0
 
 
+class BatchSpy(BernoulliArrivals):
+    """Records every batch draw: a process that overrides ``arrivals``."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.windows = []
+
+    def arrivals(self, num_slots):
+        self.windows.append((None, num_slots))
+        return super().arrivals(num_slots)
+
+
+@pytest.mark.parametrize("spy_class", [WindowSpy, BatchSpy],
+                         ids=["arrivals_slice", "arrivals"])
+def test_overriding_processes_keep_their_python_windows(spy_class):
+    """A Bernoulli subclass that overrides ``arrivals_slice`` or
+    ``arrivals`` is asked for every chunk's window, even where the span
+    kernel would draw a stock process's plan (random arbiter, chunks past
+    the kernel's minimum span); the report matches the reference engine."""
+    def run(engine):
+        spy = spy_class(num_queues=8, load=0.8, seed=9)
+        sim = ClosedLoopSimulation(
+            get_scenario("uniform-bernoulli").build_buffer(), spy,
+            RandomArbiter(8, seed=10))
+        return run_stream(sim, 3000, engine=engine, chunk_slots=700,
+                          warmup_slots=1000), spy
+
+    reference, _ = run("reference")
+    with using_metrics() as registry:
+        array, spy = run("array")
+    assert_reports_identical(array, reference)
+    assert [count for _, count in spy.windows] == [700, 700, 700, 700, 200]
+    assert registry.counter("engine.array.kernel_plan_slots") == 0
+
+
+def test_all_zero_weights_raise_the_python_draws_error():
+    """All-zero weights keep their python windows, so the first arrival
+    raises ``choices()``'s own error on every engine, streamed or not."""
+    def make_sim():
+        return ClosedLoopSimulation(
+            get_scenario("uniform-bernoulli").build_buffer(),
+            BernoulliArrivals(8, load=0.9, weights=[0.0] * 8, seed=5),
+            RandomArbiter(8, seed=6))
+
+    with pytest.raises(ValueError) as reference:
+        make_sim().run_stream(2000, engine="reference", chunk_slots=700)
+    for run in (lambda: make_sim().run_stream(2000, engine="array",
+                                              chunk_slots=700),
+                lambda: make_sim().run(2000, engine="array")):
+        with pytest.raises(ValueError) as array:
+            run()
+        assert str(array.value) == str(reference.value)
+
+
 def test_checkpoint_size_is_horizon_independent(tmp_path):
     """Snapshot size reflects live state (queues, histogram), not the
     horizon: checkpointing at the same fill level of a 4x longer run must
@@ -370,7 +411,7 @@ def test_checkpoint_size_is_horizon_independent(tmp_path):
         session = StreamingSimulation(scenario.build_simulation(),
                                       num_slots, engine="array",
                                       chunk_slots=500)
-        drive_to(session, 2000)
+        session.advance_to(2000)
         session.save_checkpoint(path)
         sizes[label] = os.path.getsize(path)
     assert sizes["long"] <= sizes["short"] * 1.5
@@ -403,9 +444,13 @@ def test_feed_rejects_sized_sessions_and_vice_versa():
     sized = StreamingSimulation(scenario.build_simulation(), 100)
     with pytest.raises(ConfigurationError, match="open-ended"):
         sized.feed([None] * 10)
+    with pytest.raises(ConfigurationError, match="cannot advance to slot"):
+        sized.advance_to(101)
     open_ended = StreamingSimulation(scenario.build_simulation(), None)
     with pytest.raises(ConfigurationError, match="num_slots"):
         open_ended.run()
+    with pytest.raises(ConfigurationError, match="num_slots"):
+        open_ended.advance_to(10)
 
 
 def test_finish_guards():
@@ -490,7 +535,7 @@ def test_run_scenario_spec_resumes_from_existing_checkpoint(tmp_path):
     session = StreamingSimulation(scenario.build_simulation(),
                                   scenario.num_slots, engine="array",
                                   chunk_slots=700)
-    drive_to(session, 1400)
+    session.advance_to(1400)
     session.save_checkpoint(path)
 
     resumed = run_scenario_spec(scenario.to_spec(), engine="array",
@@ -550,22 +595,11 @@ from repro.workloads.registry import get_scenario
 scenario = get_scenario(sys.argv[1])
 session = StreamingSimulation(scenario.build_simulation(), scenario.num_slots,
                               engine=sys.argv[2], chunk_slots=500)
-
-
-def drive(stop_slot):
-    arrivals = session.sim.arrivals
-    while session.slot < stop_slot:
-        count = min(session.chunk_slots, stop_slot - session.slot)
-        window = arrivals.arrivals_slice(session.slot, count)
-        session._execute(window if isinstance(window, list)
-                         else list(window))
-
-
-drive(scenario.num_slots * 2 // 5)
+session.advance_to(scenario.num_slots * 2 // 5)
 session.save_checkpoint(sys.argv[3])
 # Progress past the snapshot dies with the process: the resumed run must
 # recompute it, not trust anything the killed process did afterwards.
-drive(scenario.num_slots * 3 // 5)
+session.advance_to(scenario.num_slots * 3 // 5)
 os.kill(os.getpid(), signal.SIGKILL)
 """
 
@@ -610,9 +644,9 @@ def test_truncated_envelope_then_retry_resumes_identically(engine, tmp_path):
                                   chunk_slots=500)
     early = tmp_path / "early.ckpt.json"
     late = tmp_path / "late.ckpt.json"
-    drive_to(session, 1000)
+    session.advance_to(1000)
     session.save_checkpoint(early)
-    drive_to(session, 2000)
+    session.advance_to(2000)
     session.save_checkpoint(late)
 
     injector = FaultInjector(FaultPlan(master_seed=5, rates={"corrupt": 1.0}))
@@ -640,7 +674,7 @@ def test_injected_resume_fault_fails_cleanly_then_recovers(tmp_path):
                                   chunk_slots=500)
     path = tmp_path / "run.ckpt.json"
     backup = tmp_path / "run.ckpt.json.backup"
-    drive_to(session, 1000)
+    session.advance_to(1000)
     session.save_checkpoint(path)
     shutil.copy(path, backup)
 
