@@ -3,8 +3,8 @@
 The reference loop rebuilds the arbiter's backlog view from the buffer
 objects every slot, so its cost grows with the queue count (the rebuild is
 O(Q) per slot).  The array engine replaces the per-slot object machinery
-altogether — cells become bare integers in ring-buffered per-queue arrays,
-and RADS spans run on the compiled span kernel where it builds.  The
+altogether — cells become bare integers in per-queue deques, lists and
+heaps, and RADS spans run on the compiled span kernel where it builds.  The
 benchmark times the reference loop, the array engine and the array engine
 with the kernel switched off (its scalar python loop, which serves hosts
 without a C compiler, traced runs, custom policies and short spans) on a

@@ -20,6 +20,20 @@ from __future__ import annotations
 class ReproError(Exception):
     """Base class for all library-specific errors."""
 
+    def __reduce__(self):
+        # Several subclasses take structured arguments rather than the
+        # message, so the default reduce (``cls(*args)``) cannot rebuild
+        # them.  Restore message and attributes without re-running
+        # ``__init__``, so an error crosses a sweep worker's result queue
+        # intact.
+        return (_restore_error, (type(self), self.args, self.__dict__))
+
+
+def _restore_error(cls, args, state):
+    error = cls.__new__(cls, *args)
+    error.__dict__.update(state)
+    return error
+
 
 class ConfigurationError(ReproError):
     """A configuration object is internally inconsistent."""

@@ -12,8 +12,9 @@ seed-era ``except ValueError`` callers keep working.
 Allowed escapes: ``NotImplementedError`` (abstract-method convention),
 ``OSError`` and friends (genuine environment failures), bare ``raise``
 (re-raise), and raising a caught exception object.  Deliberate builtin
-contracts (``IntRing`` mirroring ``deque``'s ``IndexError``) use the
-inline disable comment next to a justification.
+contracts (the array engine's ``KeyError`` for an arrival on a queue the
+buffer lacks, which mirrors the reference buffer's queue-keyed table) use
+the inline disable comment next to a justification.
 
 Scope: the library packages with taxonomy contracts — ``sim``, ``switch``,
 ``traffic``, ``runner``, ``obs``, ``workloads``, ``bench``, ``faults``,

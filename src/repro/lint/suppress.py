@@ -7,7 +7,7 @@ the whole file.  ``disable=all`` silences every rule.  The escape hatch is
 for *deliberate* contract exceptions — the comment should sit next to a
 justification, e.g.::
 
-    raise IndexError("pop from an empty IntRing")  # repro-lint: disable=error-taxonomy
+    raise KeyError(arrival)  # repro-lint: disable=error-taxonomy
 
 Suppression counts are reported (``suppressed`` in the JSON document) so an
 escape hatch can never silently hide coverage.

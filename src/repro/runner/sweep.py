@@ -205,8 +205,6 @@ class SweepRunner:
         cache: result cache, or ``None`` to recompute everything.  Completed
             results are written as they finish, so an aborted sweep resumes
             from cache on rerun.
-        chunksize: retained for API compatibility; dispatch is per-job under
-            supervision, so chunked hand-off no longer applies.
         timeout: per-job wall-clock seconds measured from the moment a
             worker starts the job.  ``None`` (default) never times out.
             Only enforceable when worker processes exist (``jobs >= 2``);
@@ -225,15 +223,13 @@ class SweepRunner:
     """
 
     def __init__(self, jobs: int = 1, cache: Optional[ResultCache] = None,
-                 chunksize: int = 1, *,
+                 *,
                  timeout: Optional[float] = None,
                  retries: int = 2,
                  backoff_s: float = 0.05,
                  strict: bool = True) -> None:
         if jobs < 0:
             raise ConfigurationError(f"jobs must be >= 0, got {jobs}")
-        if chunksize < 1:
-            raise ConfigurationError(f"chunksize must be >= 1, got {chunksize}")
         if timeout is not None and timeout <= 0:
             raise ConfigurationError(f"timeout must be positive, got {timeout}")
         if retries < 0:
@@ -247,7 +243,6 @@ class SweepRunner:
             # Startup sweep: reclaim temp files leaked by workers that died
             # between writing and the atomic rename (see ResultCache.put).
             cache.sweep_stale_tmp()
-        self.chunksize = chunksize
         self.timeout = timeout
         self.retries = retries
         self.backoff_s = backoff_s
@@ -462,8 +457,7 @@ class SweepRunner:
                     daemon=True)
                 process.start()
                 fleet[process.pid] = process
-            trace_emit("pool_start", workers=workers, jobs=len(remaining),
-                       chunksize=self.chunksize)
+            trace_emit("pool_start", workers=workers, jobs=len(remaining))
 
         def terminate_fleet() -> None:
             """Tear the whole fleet down (kills may have poisoned the

@@ -16,7 +16,6 @@ from repro.sim.array_engine import (
     resolve_engine,
     run_array,
 )
-from repro.sim.ring import IntRing
 from repro.sim.streaming import (
     StreamingSimulation,
     read_checkpoint,
@@ -39,7 +38,6 @@ __all__ = [
     "build_array_core",
     "resolve_engine",
     "run_array",
-    "IntRing",
     "StreamingSimulation",
     "read_checkpoint",
     "resume_stream",

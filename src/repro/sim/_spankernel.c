@@ -5,12 +5,21 @@
  * no Python headers, so it builds anywhere a C99 compiler exists.  The
  * kernel executes exactly the slot loop of repro.sim.array_engine's RADS
  * core (stock ECQF + threshold tail MMA + RandomArbiter, num_queues <=
- * 65536 so a queue id fits the 16-bit field of CRIT_KEY) on flat state
- * marshalled in from the python core, and marshals the resulting state
- * back.  Everything is integer arithmetic except the two places CPython
- * uses doubles — random() and choices() — which are reproduced with the
- * identical IEEE-754 expressions (this translation unit must never be
- * compiled with -ffast-math).
+ * 65536 so a queue id fits the 16-bit field of CRIT_KEY).  Everything is
+ * integer arithmetic except the two places CPython uses doubles — random()
+ * and choices() — which are reproduced with the identical IEEE-754
+ * expressions (this translation unit must never be compiled with
+ * -ffast-math).
+ *
+ * Buffer ownership: python hands in only fixed-shape arrays (per-queue
+ * scalars, the eligible list, the lookahead ring, RNG keys, the arrival
+ * plan) plus one read-only image of the variable-length state.  Every
+ * buffer that grows during the span — per-queue FIFO contents, SRAM heaps,
+ * the critical heap, pending blocks, delays, misses, drained slots — is
+ * the kernel's own, and the span's outcome comes back as one exact-size
+ * result that python reads and then releases with rads_free_result().  No
+ * capacity is negotiated with the caller, so there is nothing to
+ * overflow.
  *
  * Exactness contract:
  *  - the Mersenne Twister below is the reference mt19937ar generator that
@@ -93,61 +102,73 @@ static int mt_randbelow(mt_state *mt, int m, int shift)
 }
 
 /* ------------------------------------------------------------------ */
-/* Growable int64 array / FIFO-by-cursor                               */
+/* Growable int64 array: FIFO by cursor, or a heap (head stays 0)      */
 /* ------------------------------------------------------------------ */
 
 typedef struct {
     int64_t *buf;
-    int head;    /* first live element */
-    int len;     /* one past last live element */
-    int cap;
+    int64_t head;   /* first live element */
+    int64_t len;    /* one past last live element */
+    int64_t cap;
 } ivec;
 
-static int iv_init(ivec *v, int cap)
+#define IV_COUNT(v) ((v)->len - (v)->head)
+
+/* Room for n more elements: reclaim the consumed prefix when it is at
+ * least half the storage (amortised O(1)), else double. */
+static int iv_reserve(ivec *v, int64_t n)
 {
-    if (cap < 4)
-        cap = 4;
-    v->buf = (int64_t *)malloc((size_t)cap * sizeof(int64_t));
-    v->head = 0;
-    v->len = 0;
-    v->cap = cap;
-    return v->buf != NULL;
+    int64_t ncap;
+    int64_t *nb;
+    if (v->len + n <= v->cap)
+        return 1;
+    if (v->head > 0 && v->head * 2 >= v->len) {
+        memmove(v->buf, v->buf + v->head,
+                (size_t)IV_COUNT(v) * sizeof(int64_t));
+        v->len -= v->head;
+        v->head = 0;
+        if (v->len + n <= v->cap)
+            return 1;
+    }
+    ncap = v->cap > 4 ? v->cap * 2 : 8;
+    while (ncap < v->len + n)
+        ncap *= 2;
+    nb = (int64_t *)realloc(v->buf, (size_t)ncap * sizeof(int64_t));
+    if (!nb)
+        return 0;
+    v->buf = nb;
+    v->cap = ncap;
+    return 1;
 }
 
 static int iv_push(ivec *v, int64_t x)
 {
-    if (v->len == v->cap) {
-        int live = v->len - v->head;
-        if (v->head > 0 && v->head * 2 >= v->len) {
-            memmove(v->buf, v->buf + v->head,
-                    (size_t)live * sizeof(int64_t));
-            v->head = 0;
-            v->len = live;
-        } else {
-            int ncap = v->cap * 2;
-            int64_t *nb = (int64_t *)realloc(v->buf,
-                                             (size_t)ncap * sizeof(int64_t));
-            if (!nb)
-                return 0;
-            v->buf = nb;
-            v->cap = ncap;
-        }
-    }
+    if (v->len == v->cap && !iv_reserve(v, 1))
+        return 0;
     v->buf[v->len++] = x;
     return 1;
 }
 
-#define IV_COUNT(v) ((v)->len - (v)->head)
+static int iv_append(ivec *v, const int64_t *src, int64_t n)
+{
+    if (n <= 0)
+        return 1;
+    if (!iv_reserve(v, n))
+        return 0;
+    memcpy(v->buf + v->len, src, (size_t)n * sizeof(int64_t));
+    v->len += n;
+    return 1;
+}
 
 /* ------------------------------------------------------------------ */
 /* Min-heaps (unique keys -> any valid heap pops identically)          */
 /* ------------------------------------------------------------------ */
 
-static void heap_up(int64_t *h, int i)
+static void heap_up(int64_t *h, int64_t i)
 {
     int64_t x = h[i];
     while (i > 0) {
-        int p = (i - 1) >> 1;
+        int64_t p = (i - 1) >> 1;
         if (h[p] <= x)
             break;
         h[i] = h[p];
@@ -156,11 +177,11 @@ static void heap_up(int64_t *h, int i)
     h[i] = x;
 }
 
-static void heap_down(int64_t *h, int n, int i)
+static void heap_down(int64_t *h, int64_t n, int64_t i)
 {
     int64_t x = h[i];
     for (;;) {
-        int c = 2 * i + 1;
+        int64_t c = 2 * i + 1;
         if (c >= n)
             break;
         if (c + 1 < n && h[c + 1] < h[c])
@@ -171,6 +192,21 @@ static void heap_down(int64_t *h, int n, int i)
         i = c;
     }
     h[i] = x;
+}
+
+static int heap_push(ivec *h, int64_t key)
+{
+    if (!iv_push(h, key))
+        return 0;
+    heap_up(h->buf, h->len - 1);
+    return 1;
+}
+
+static void heap_pop(ivec *h)
+{
+    h->buf[0] = h->buf[--h->len];
+    if (h->len)
+        heap_down(h->buf, h->len, 0);
 }
 
 /* crit heap entries: (entered << 16) | queue keeps tuple ordering for
@@ -194,8 +230,7 @@ static void heap_down(int64_t *h, int n, int i)
 #define ERR_OK 0
 #define ERR_OOM 1
 #define ERR_STRICT 2
-#define ERR_CAP 3   /* a python-preallocated out buffer would overflow */
-#define ERR_ARG 4   /* num_queues out of range, or a plan entry names no queue */
+#define ERR_ARG 3   /* bad shape, or a plan entry names no queue */
 
 /* ------------------------------------------------------------------ */
 /* Kernel interface (mirrored by ctypes structs in repro.sim.kernel)   */
@@ -210,28 +245,30 @@ typedef struct {
     int64_t plan_mode;              /* 0 = plan, 1 = bernoulli, 2 = none */
     int64_t bern_tint;              /* ceil(arrivals.load * 2**53) */
     double bern_total;              /* cum_weights[-1] + 0.0 */
+    int64_t ecqf_fallback;
+    int64_t state_len;              /* elements in kptrs.state */
     /* machine scalars (in/out) */
     int64_t tail_total, dram_total, sram_total, la_pos, negatives;
     int64_t cells_in, cells_out, dram_reads, dram_writes, dropped;
     int64_t max_tail, max_head;
     int64_t crit_len, pending_len, eligible_len;
-    int64_t ecqf_fallback;
     /* results (out) */
-    int64_t n_delays, n_head_miss, n_tail_miss, n_drained;
-    int64_t arrivals_seen, grants;
-    int64_t pend_head_out, pend_flat_off_out;
-    /* fused drain: run this many extra drain-mode slots (no arrivals, no
-     * arbiter, no backlog upkeep) after the main window, saving the
-     * caller a second full state marshal for the drain span. */
-    int64_t drain_slots;
-    /* capacities of the python-preallocated out buffers (in elements).
-     * The kernel never writes past any of them: a span that would exceed
-     * one aborts with ERR_CAP before the write and the python side falls
-     * back to the scalar loop on its untouched state. */
-    int64_t tail_ocap, dram_ocap, sram_ocap, req_ocap, arr_ocap;
-    int64_t pend_cap, pend_flat_cap, crit_cap;
+    int64_t n_delays, n_delay_pairs, n_head_miss, n_tail_miss, n_drained;
+    int64_t arrivals_seen, grants, result_len;
 } kcfg;
 
+/* The variable-length state image (kptrs.state, read-only) and the head
+ * of the result share one layout, queue by queue within each part:
+ *
+ *   sram_cnt[nq] arr_cnt[nq]
+ *   tail cells (tail_occ[q] each)   dram cells (dram_occ[q] each)
+ *   sram heaps (sram_cnt[q] each)   request entry slots (req_count[q] each)
+ *   arrival slots (arr_cnt[q] each) crit heap keys (crit_len)
+ *   pending blocks (pending_len x: finish slot, queue, cell count, cells)
+ *
+ * The result then appends the main window's delays folded into
+ * n_delay_pairs (delay, count) pairs in ascending delay order,
+ * n_head_miss (queue, slot) pairs and n_drained arrival slots. */
 typedef struct {
     uint32_t *arb_key;              /* in/out: 624 words */
     int64_t *arb_meta;              /* in/out: [pos, consumed] */
@@ -242,43 +279,77 @@ typedef struct {
     /* per-queue int64[num_queues], in/out */
     int64_t *backlog, *next_seqno, *delivered, *counters, *req_count;
     int64_t *tail_occ, *dram_occ, *crit_cache;
-    int64_t *eligible;              /* sorted, len eligible_len */
-    /* flattened per-queue contents; *_icnt give the in counts */
-    const int64_t *sram_icnt, *arr_icnt;
-    const int64_t *tail_iflat, *dram_iflat, *sram_iflat, *req_iflat,
-                  *arr_iflat;
-    /* out counts + flats (python preallocates to safe bounds) */
-    int64_t *sram_ocnt, *arr_ocnt;
-    int64_t *tail_oflat, *dram_oflat, *sram_oflat, *req_oflat, *arr_oflat;
+    int64_t *eligible;              /* sorted, len eligible_len, cap nq */
     int64_t *la_ring;               /* in/out, len la_len, -1 = empty */
-    int64_t *crit_heap;             /* in/out, cap >= crit_len + 3n + 8 */
-    int64_t *pending_fin, *pending_q, *pending_cnt, *pending_flat;
-    int64_t *delays;                /* out, cap num_slots */
-    int64_t *head_miss_q, *head_miss_slot;  /* out, cap num_slots */
-    int64_t *drained;               /* out, cap num_slots */
+    const int64_t *state;           /* in: the state image, state_len */
+    int64_t *result;                /* out: kernel-owned, result_len */
 } kptrs;
 
 typedef struct {
-    ivec tail, dram, req, arr;
-    int64_t *sram;                  /* heap array */
-    int sram_len, sram_cap_;
+    ivec tail, dram, req, arr;      /* FIFOs by cursor */
+    ivec sram;                      /* heap */
 } qstate;
 
-static int sram_push(qstate *q, int64_t seq)
+/* Delay histogram of the main window, indexed by delay. */
+typedef struct {
+    int64_t *count;
+    int64_t cap, max;
+} hist;
+
+static int64_t hist_add(hist *h, int64_t delay)
 {
-    if (q->sram_len == q->sram_cap_) {
-        int nc = q->sram_cap_ * 2;
-        int64_t *nb = (int64_t *)realloc(q->sram,
-                                         (size_t)nc * sizeof(int64_t));
+    if (delay < 0)
+        return ERR_ARG;
+    if (delay >= h->cap) {
+        int64_t ncap = h->cap > 0 ? h->cap * 2 : 1024;
+        int64_t *nb;
+        while (ncap <= delay)
+            ncap *= 2;
+        nb = (int64_t *)realloc(h->count, (size_t)ncap * sizeof(int64_t));
         if (!nb)
-            return 0;
-        q->sram = nb;
-        q->sram_cap_ = nc;
+            return ERR_OOM;
+        memset(nb + h->cap, 0, (size_t)(ncap - h->cap) * sizeof(int64_t));
+        h->count = nb;
+        h->cap = ncap;
     }
-    q->sram[q->sram_len] = seq;
-    heap_up(q->sram, q->sram_len);
-    q->sram_len++;
-    return 1;
+    h->count[delay]++;
+    if (delay > h->max)
+        h->max = delay;
+    return ERR_OK;
+}
+
+/* Sequential reader over the state image: every take is bounds-checked,
+ * so counts that disagree with the image abort with ERR_ARG. */
+typedef struct {
+    const int64_t *at;
+    int64_t left;
+} reader;
+
+static const int64_t *take(reader *r, int64_t n)
+{
+    const int64_t *at = r->at;
+    if (n < 0 || n > r->left)
+        return NULL;
+    r->at += n;
+    r->left -= n;
+    return at;
+}
+
+/* Fill v with the next n image elements (ERR_ARG / ERR_OOM on failure). */
+static int64_t iv_load(ivec *v, reader *r, int64_t n)
+{
+    const int64_t *src = take(r, n);
+    if (!src)
+        return ERR_ARG;
+    return iv_append(v, src, n) ? ERR_OK : ERR_OOM;
+}
+
+static int64_t *put(int64_t *w, const ivec *v)
+{
+    int64_t n = IV_COUNT(v);
+    if (n)
+        memcpy(w, v->buf + v->head, (size_t)n * sizeof(int64_t));
+    return w + n;
 }
 
 static int upper_bound_d(const double *a, int hi, double x)
@@ -292,6 +363,11 @@ static int upper_bound_d(const double *a, int hi, double x)
             lo = mid + 1;
     }
     return lo;
+}
+
+void rads_free_result(int64_t *result)
+{
+    free(result);
 }
 
 int64_t rads_run_span(kcfg *c, kptrs *p)
@@ -308,17 +384,22 @@ int64_t rads_run_span(kcfg *c, kptrs *p)
     const int plan_mode = (int)c->plan_mode;
     int64_t err = ERR_OK;
     int i, q2;
-    int64_t *seqbuf;
-    int *rb_shift;                  /* 32 - bit_length(m), idx 0..nq */
+    int *rb_shift = NULL;           /* 32 - bit_length(m), idx 0..nq */
     qstate *qs = NULL;
-    if (nq < 1 || nq > MAX_QUEUES)
+    ivec crit = {0}, pend = {0}, misses = {0}, drained = {0};
+    hist delays = {0};
+    mt_state arb, bern;
+    p->result = NULL;
+    if (nq < 1 || nq > MAX_QUEUES || g < 1 || la_len < 1
+            || c->la_pos < 0 || c->la_pos >= la_len
+            || c->eligible_len < 0 || c->eligible_len > nq
+            || c->pending_len < 0)
         return ERR_ARG;
-    seqbuf = (int64_t *)malloc((size_t)(g > 0 ? g : 1) * sizeof(int64_t));
     rb_shift = (int *)malloc((size_t)(nq + 1) * sizeof(int));
-    if (!seqbuf || !rb_shift) {
-        free(seqbuf);
-        free(rb_shift);
-        return ERR_OOM;
+    qs = (qstate *)calloc((size_t)nq, sizeof(qstate));
+    if (!rb_shift || !qs) {
+        err = ERR_OOM;
+        goto cleanup;
     }
     /* Portable bit length, once per call: it grows by one exactly when m
      * reaches the next power of two. */
@@ -332,7 +413,16 @@ int64_t rads_run_span(kcfg *c, kptrs *p)
         }
     }
 
-    mt_state arb, bern;
+    /* Every id that indexes per-queue state must name a queue. */
+    for (i = 0; i < la_len; i++)
+        if (p->la_ring[i] < -1 || p->la_ring[i] >= nq)
+            err = ERR_ARG;
+    for (i = 0; i < c->eligible_len; i++)
+        if (p->eligible[i] < 0 || p->eligible[i] >= nq)
+            err = ERR_ARG;
+    if (err != ERR_OK)
+        goto cleanup;
+
     memcpy(arb.key, p->arb_key, sizeof(arb.key));
     arb.pos = (int)p->arb_meta[0];
     arb.consumed = 0;
@@ -342,54 +432,42 @@ int64_t rads_run_span(kcfg *c, kptrs *p)
         bern.consumed = 0;
     }
 
-    /* ---- build per-queue working state from the marshalled flats ---- */
-    qs = (qstate *)calloc((size_t)nq, sizeof(qstate));
-    if (!qs) {
-        free(seqbuf);
-        free(rb_shift);
-        return ERR_OOM;
-    }
+    /* ---- working state from the image ---- */
     {
-        int64_t toff = 0, doff = 0, soff = 0, roff = 0, aoff = 0;
-        for (i = 0; i < nq; i++) {
-            qstate *q = &qs[i];
-            int tn = (int)p->tail_occ[i], dn = (int)p->dram_occ[i];
-            int sn = (int)p->sram_icnt[i], rn = (int)p->req_count[i];
-            int an = (int)p->arr_icnt[i];
-            if (!iv_init(&q->tail, tn + 8) || !iv_init(&q->dram, dn + 8)
-                    || !iv_init(&q->req, rn + 8)
-                    || !iv_init(&q->arr, an + 8)) {
-                err = ERR_OOM;
-                goto cleanup;
-            }
-            q->sram_cap_ = sn + 8;
-            q->sram = (int64_t *)malloc((size_t)q->sram_cap_
-                                        * sizeof(int64_t));
-            if (!q->sram) {
-                err = ERR_OOM;
-                goto cleanup;
-            }
-            memcpy(q->tail.buf, p->tail_iflat + toff,
-                   (size_t)tn * sizeof(int64_t));
-            q->tail.len = tn;
-            memcpy(q->dram.buf, p->dram_iflat + doff,
-                   (size_t)dn * sizeof(int64_t));
-            q->dram.len = dn;
-            memcpy(q->sram, p->sram_iflat + soff,
-                   (size_t)sn * sizeof(int64_t));
-            q->sram_len = sn;
-            memcpy(q->req.buf, p->req_iflat + roff,
-                   (size_t)rn * sizeof(int64_t));
-            q->req.len = rn;
-            memcpy(q->arr.buf, p->arr_iflat + aoff,
-                   (size_t)an * sizeof(int64_t));
-            q->arr.len = an;
-            toff += tn;
-            doff += dn;
-            soff += sn;
-            roff += rn;
-            aoff += an;
+        reader r = {p->state, c->state_len};
+        const int64_t *sram_cnt = take(&r, nq), *arr_cnt = take(&r, nq);
+        if (!sram_cnt || !arr_cnt) {
+            err = ERR_ARG;
+            goto cleanup;
         }
+        for (i = 0; i < nq && err == ERR_OK; i++)
+            err = iv_load(&qs[i].tail, &r, p->tail_occ[i]);
+        for (i = 0; i < nq && err == ERR_OK; i++)
+            err = iv_load(&qs[i].dram, &r, p->dram_occ[i]);
+        for (i = 0; i < nq && err == ERR_OK; i++)
+            err = iv_load(&qs[i].sram, &r, sram_cnt[i]);
+        for (i = 0; i < nq && err == ERR_OK; i++)
+            err = iv_load(&qs[i].req, &r, p->req_count[i]);
+        for (i = 0; i < nq && err == ERR_OK; i++)
+            err = iv_load(&qs[i].arr, &r, arr_cnt[i]);
+        if (err == ERR_OK)
+            err = iv_load(&crit, &r, c->crit_len);
+        for (i = 0; i < crit.len && err == ERR_OK; i++)
+            if (crit.buf[i] < 0 || CRIT_QUEUE(crit.buf[i]) >= nq)
+                err = ERR_ARG;
+        for (i = 0; i < c->pending_len && err == ERR_OK; i++) {
+            const int64_t *entry = take(&r, 3);
+            if (!entry || entry[1] < 0 || entry[1] >= nq) {
+                err = ERR_ARG;
+                break;
+            }
+            if (!iv_append(&pend, entry, 3))
+                err = ERR_OOM;
+            else
+                err = iv_load(&pend, &r, entry[2]);
+        }
+        if (err != ERR_OK)
+            goto cleanup;
     }
 
     {
@@ -402,48 +480,38 @@ int64_t rads_run_span(kcfg *c, kptrs *p)
     int64_t dram_reads = c->dram_reads, dram_writes = c->dram_writes;
     int64_t dropped = c->dropped;
     int64_t max_tail = c->max_tail, max_head = c->max_head;
-    int crit_len = (int)c->crit_len;
-    int pend_head = 0, pend_len = (int)c->pending_len;
-    int64_t pend_flat_off = 0;  /* consumed prefix of pending_flat */
+    int64_t pend_len = c->pending_len;
     int elig_len = (int)c->eligible_len;
-    int64_t n_delays = 0, n_head_miss = 0, n_tail_miss = 0, n_drained = 0;
+    int64_t n_delays = 0, n_tail_miss = 0;
     int64_t arrivals_seen = 0, grants = 0;
     int big_cnt = 0;
     int64_t *elig = p->eligible;
-    int64_t *crit_heap = p->crit_heap;
     int64_t *crit_cache = p->crit_cache;
     int64_t *counters = p->counters;
     int64_t *req_count = p->req_count;
     int64_t *tail_occ = p->tail_occ;
     int64_t *dram_occ = p->dram_occ;
-    int64_t slot, next_land, flat_w;
+    int64_t slot, next_land;
     int pc;
 
-    flat_w = 0;
-    for (i = 0; i < pend_len; i++)
-        flat_w += p->pending_cnt[i];
-    next_land = pend_len ? p->pending_fin[0] : NEVER;
+    next_land = pend_len ? pend.buf[pend.head] : NEVER;
 
     for (i = 0; i < nq; i++)
         if (tail_occ[i] >= g)
             big_cnt++;
     pc = (g - (int)(c->start_slot % g)) % g;
 
-    for (slot = c->start_slot;
-         slot < c->start_slot + num_slots + c->drain_slots; slot++) {
+    for (slot = c->start_slot; slot < c->start_slot + num_slots; slot++) {
         int pol = 0;
         int a = -1;         /* arrival queue, -1 = none */
         int request = -1;   /* granted queue, -1 = none */
         int leaving;
-        /* past the main window the loop continues in drain mode, exactly
-         * as a separate is_main=0 span starting at this slot would. */
-        const int main_now = is_main && slot < c->start_slot + num_slots;
         if (--pc < 0) {
             pc = g - 1;
             pol = 1;
         }
 
-        if (main_now) {
+        if (is_main) {
             /* -- arbiter: gate draw, then choice over eligible -- */
             if (mt_comb53(&arb) < c->arb_tint && elig_len) {
                 request = (int)elig[mt_randbelow(&arb, elig_len,
@@ -475,13 +543,14 @@ int64_t rads_run_span(kcfg *c, kptrs *p)
                 err = ERR_OOM;
                 goto done;
             }
-            if (dram_occ[a] == 0 && tail_occ[a] == 0 && qa->sram_len < g) {
+            if (dram_occ[a] == 0 && tail_occ[a] == 0
+                    && IV_COUNT(&qa->sram) < g) {
                 sram_total++;
                 if (sram_cap >= 0 && sram_total > sram_cap) {
                     err = ERR_STRICT;   /* SRAM overflow raises always */
                     goto done;
                 }
-                if (!sram_push(qa, seqno)) {
+                if (!heap_push(&qa->sram, seqno)) {
                     err = ERR_OOM;
                     goto done;
                 }
@@ -491,14 +560,11 @@ int64_t rads_run_span(kcfg *c, kptrs *p)
                         negatives--;
                     if (count >= 0 && count < req_count[a]) {
                         int64_t entered = qa->req.buf[qa->req.head + count];
-                        if (crit_len >= c->crit_cap) {
-                            err = ERR_CAP;
+                        crit_cache[a] = entered;
+                        if (!heap_push(&crit, CRIT_KEY(entered, a))) {
+                            err = ERR_OOM;
                             goto done;
                         }
-                        crit_cache[a] = entered;
-                        crit_heap[crit_len] = CRIT_KEY(entered, a);
-                        heap_up(crit_heap, crit_len);
-                        crit_len++;
                     } else {
                         crit_cache[a] = CRIT_INF;
                     }
@@ -537,8 +603,8 @@ int64_t rads_run_span(kcfg *c, kptrs *p)
                     }
                 if (selection >= 0) {
                     qstate *qt = &qs[selection];
-                    int avail = IV_COUNT(&qt->tail);
-                    int evicted = avail < g ? avail : g;
+                    int64_t avail = IV_COUNT(&qt->tail);
+                    int evicted = avail < g ? (int)avail : g;
                     int64_t *blk = qt->tail.buf + qt->tail.head;
                     int64_t occ_b = tail_occ[selection];
                     int64_t occ_a = occ_b - evicted;
@@ -558,17 +624,18 @@ int64_t rads_run_span(kcfg *c, kptrs *p)
                             }
                         }
                         if (stored) {
-                            for (q2 = 0; q2 < stored; q2++) {
-                                if (dram_cap >= 0 && dram_total >= dram_cap) {
-                                    err = ERR_STRICT;
-                                    goto done;
-                                }
-                                if (!iv_push(&qt->dram, blk[q2])) {
-                                    err = ERR_OOM;
-                                    goto done;
-                                }
-                                dram_total++;
+                            if (dram_cap >= 0
+                                    && dram_total + stored > dram_cap) {
+                                err = ERR_STRICT;
+                                goto done;
                             }
+                            /* blk stays valid: the tail buffer is not
+                             * touched until the next push. */
+                            if (!iv_append(&qt->dram, blk, stored)) {
+                                err = ERR_OOM;
+                                goto done;
+                            }
+                            dram_total += stored;
                             dram_occ[selection] += stored;
                         }
                         dram_writes++;
@@ -593,14 +660,11 @@ int64_t rads_run_span(kcfg *c, kptrs *p)
             }
             count = req_count[request]++;
             if (counters[request] == count) {
-                if (crit_len >= c->crit_cap) {
-                    err = ERR_CAP;
+                crit_cache[request] = slot;
+                if (!heap_push(&crit, CRIT_KEY(slot, request))) {
+                    err = ERR_OOM;
                     goto done;
                 }
-                crit_cache[request] = slot;
-                crit_heap[crit_len] = CRIT_KEY(slot, request);
-                heap_up(crit_heap, crit_len);
-                crit_len++;
             }
         }
         if (leaving >= 0) {
@@ -615,9 +679,10 @@ int64_t rads_run_span(kcfg *c, kptrs *p)
 
         /* -- transfer landings -- */
         if (next_land <= slot) {
-            while (pend_len && p->pending_fin[pend_head] <= slot) {
-                int lq = (int)p->pending_q[pend_head];
-                int cnt = (int)p->pending_cnt[pend_head];
+            while (pend_len && pend.buf[pend.head] <= slot) {
+                int lq = (int)pend.buf[pend.head + 1];
+                int64_t cnt = pend.buf[pend.head + 2];
+                const int64_t *cells = pend.buf + pend.head + 3;
                 qstate *ql = &qs[lq];
                 for (q2 = 0; q2 < cnt; q2++) {
                     sram_total++;
@@ -625,16 +690,15 @@ int64_t rads_run_span(kcfg *c, kptrs *p)
                         err = ERR_STRICT;
                         goto done;
                     }
-                    if (!sram_push(ql, p->pending_flat[pend_flat_off + q2])) {
+                    if (!heap_push(&ql->sram, cells[q2])) {
                         err = ERR_OOM;
                         goto done;
                     }
                 }
-                pend_flat_off += cnt;
-                pend_head++;
+                pend.head += 3 + cnt;
                 pend_len--;
             }
-            next_land = pend_len ? p->pending_fin[pend_head] : NEVER;
+            next_land = pend_len ? pend.buf[pend.head] : NEVER;
         }
 
         /* -- ECQF select + replenish -- */
@@ -649,16 +713,14 @@ int64_t rads_run_span(kcfg *c, kptrs *p)
                         selection = i;
                     }
             } else {
-                while (crit_len) {
-                    int64_t top = crit_heap[0];
+                while (crit.len) {
+                    int64_t top = crit.buf[0];
                     int tq = CRIT_QUEUE(top);
                     if (crit_cache[tq] == CRIT_ENTERED(top)) {
                         selection = tq;
                         break;
                     }
-                    crit_heap[0] = crit_heap[--crit_len];
-                    if (crit_len)
-                        heap_down(crit_heap, crit_len, 0);
+                    heap_pop(&crit);
                 }
                 if (selection < 0 && c->ecqf_fallback) {
                     int64_t best_deficit = 0;
@@ -676,68 +738,63 @@ int64_t rads_run_span(kcfg *c, kptrs *p)
             }
             if (selection >= 0) {
                 qstate *qr = &qs[selection];
-                int got = 0, nseqs;
+                int64_t got = 0, extra = 0, nseqs;
                 if (dram_occ[selection]) {
-                    int avail = IV_COUNT(&qr->dram);
+                    int64_t avail = IV_COUNT(&qr->dram);
                     got = avail < g ? avail : g;
-                    memcpy(seqbuf, qr->dram.buf + qr->dram.head,
-                           (size_t)got * sizeof(int64_t));
+                }
+                if (got < g) {
+                    int64_t avail = IV_COUNT(&qr->tail);
+                    extra = avail < g - got ? avail : g - got;
+                }
+                nseqs = got + extra;
+                if (nseqs) {
+                    /* The block lands g slots from now: DRAM cells first,
+                     * then the cut-through rest from the tail. */
+                    if (!pend_len)
+                        next_land = slot + g;
+                    if (!iv_push(&pend, slot + g)
+                            || !iv_push(&pend, selection)
+                            || !iv_push(&pend, nseqs)
+                            || !iv_append(&pend, qr->dram.buf + qr->dram.head,
+                                          got)
+                            || !iv_append(&pend, qr->tail.buf + qr->tail.head,
+                                          extra)) {
+                        err = ERR_OOM;
+                        goto done;
+                    }
+                    pend_len++;
+                    dram_reads++;
+                }
+                if (got) {
                     qr->dram.head += got;
                     dram_occ[selection] -= got;
                     dram_total -= got;
                 }
-                nseqs = got;
-                if (got < g) {
-                    int want = g - got;
-                    int avail = IV_COUNT(&qr->tail);
-                    int extra = avail < want ? avail : want;
-                    if (extra) {
-                        int64_t occ_b = tail_occ[selection];
-                        int64_t occ_a = occ_b - extra;
-                        memcpy(seqbuf + got, qr->tail.buf + qr->tail.head,
-                               (size_t)extra * sizeof(int64_t));
-                        qr->tail.head += extra;
-                        nseqs += extra;
-                        tail_occ[selection] = occ_a;
-                        tail_total -= extra;
-                        if (occ_b >= g && occ_a < g)
-                            big_cnt--;
-                    }
+                if (extra) {
+                    int64_t occ_b = tail_occ[selection];
+                    int64_t occ_a = occ_b - extra;
+                    qr->tail.head += extra;
+                    tail_occ[selection] = occ_a;
+                    tail_total -= extra;
+                    if (occ_b >= g && occ_a < g)
+                        big_cnt--;
                 }
                 if (nseqs) {
-                    int w = pend_head + pend_len;
                     int64_t count = counters[selection] + nseqs;
-                    if (w >= c->pend_cap
-                            || flat_w + nseqs > c->pend_flat_cap) {
-                        err = ERR_CAP;
-                        goto done;
-                    }
                     counters[selection] = count;
                     if (count >= 0 && count - nseqs < 0)
                         negatives--;
                     if (count >= 0 && count < req_count[selection]) {
                         int64_t entered = qr->req.buf[qr->req.head + count];
-                        if (crit_len >= c->crit_cap) {
-                            err = ERR_CAP;
+                        crit_cache[selection] = entered;
+                        if (!heap_push(&crit, CRIT_KEY(entered, selection))) {
+                            err = ERR_OOM;
                             goto done;
                         }
-                        crit_cache[selection] = entered;
-                        crit_heap[crit_len] = CRIT_KEY(entered, selection);
-                        heap_up(crit_heap, crit_len);
-                        crit_len++;
                     } else {
                         crit_cache[selection] = CRIT_INF;
                     }
-                    if (!pend_len)
-                        next_land = slot + g;
-                    p->pending_fin[w] = slot + g;
-                    p->pending_q[w] = selection;
-                    p->pending_cnt[w] = nseqs;
-                    memcpy(p->pending_flat + flat_w, seqbuf,
-                           (size_t)nseqs * sizeof(int64_t));
-                    flat_w += nseqs;
-                    pend_len++;
-                    dram_reads++;
                 }
             }
         }
@@ -747,10 +804,8 @@ int64_t rads_run_span(kcfg *c, kptrs *p)
             qstate *ql = &qs[leaving];
             int64_t expected = p->delivered[leaving];
             int ok = 1;
-            if (ql->sram_len && ql->sram[0] == expected) {
-                ql->sram[0] = ql->sram[--ql->sram_len];
-                if (ql->sram_len)
-                    heap_down(ql->sram, ql->sram_len, 0);
+            if (ql->sram.len && ql->sram.buf[0] == expected) {
+                heap_pop(&ql->sram);
                 sram_total--;
             } else if (tail_occ[leaving]
                        && ql->tail.buf[ql->tail.head] == expected) {
@@ -762,9 +817,10 @@ int64_t rads_run_span(kcfg *c, kptrs *p)
                 if (occ == g - 1)
                     big_cnt--;
             } else {
-                p->head_miss_q[n_head_miss] = leaving;
-                p->head_miss_slot[n_head_miss] = slot;
-                n_head_miss++;
+                if (!iv_push(&misses, leaving) || !iv_push(&misses, slot)) {
+                    err = ERR_OOM;
+                    goto done;
+                }
                 if (strict) {
                     err = ERR_STRICT;
                     goto done;
@@ -773,20 +829,29 @@ int64_t rads_run_span(kcfg *c, kptrs *p)
             }
             if (ok) {
                 int64_t arrival_slot;
+                if (!IV_COUNT(&ql->arr)) {
+                    err = ERR_ARG;      /* a cell without an arrival slot */
+                    goto done;
+                }
                 p->delivered[leaving] = expected + 1;
                 cells_out++;
                 arrival_slot = ql->arr.buf[ql->arr.head++];
-                if (main_now)
-                    p->delays[n_delays++] = slot + 1 - arrival_slot;
-                else
-                    p->drained[n_drained++] = arrival_slot;
+                if (is_main) {
+                    n_delays++;
+                    err = hist_add(&delays, slot + 1 - arrival_slot);
+                    if (err != ERR_OK)
+                        goto done;
+                } else if (!iv_push(&drained, arrival_slot)) {
+                    err = ERR_OOM;
+                    goto done;
+                }
             }
         }
         if (sram_total > max_head)
             max_head = sram_total;
 
         /* -- end of slot: backlog + eligible -- */
-        if (main_now) {
+        if (is_main) {
             if (a >= 0) {
                 int64_t count = ++p->backlog[a];
                 if (count == 1) {
@@ -827,6 +892,49 @@ int64_t rads_run_span(kcfg *c, kptrs *p)
 
 done:
     if (err == ERR_OK) {
+        /* ---- the one exact-size result (layout above kptrs) ---- */
+        int64_t n_pairs = 0, size = 2 * (int64_t)nq, d;
+        int64_t *w;
+        for (d = 0; d <= delays.max && delays.count; d++)
+            if (delays.count[d])
+                n_pairs++;
+        for (i = 0; i < nq; i++)
+            size += IV_COUNT(&qs[i].tail) + IV_COUNT(&qs[i].dram)
+                    + IV_COUNT(&qs[i].sram) + IV_COUNT(&qs[i].req)
+                    + IV_COUNT(&qs[i].arr);
+        size += crit.len + IV_COUNT(&pend) + 2 * n_pairs + IV_COUNT(&misses)
+                + IV_COUNT(&drained);
+        w = p->result = (int64_t *)malloc((size_t)(size > 0 ? size : 1)
+                                          * sizeof(int64_t));
+        if (!w) {
+            err = ERR_OOM;
+            goto cleanup;
+        }
+        for (i = 0; i < nq; i++)
+            *w++ = IV_COUNT(&qs[i].sram);
+        for (i = 0; i < nq; i++)
+            *w++ = IV_COUNT(&qs[i].arr);
+        for (i = 0; i < nq; i++)
+            w = put(w, &qs[i].tail);
+        for (i = 0; i < nq; i++)
+            w = put(w, &qs[i].dram);
+        for (i = 0; i < nq; i++)
+            w = put(w, &qs[i].sram);
+        for (i = 0; i < nq; i++)
+            w = put(w, &qs[i].req);
+        for (i = 0; i < nq; i++)
+            w = put(w, &qs[i].arr);
+        w = put(w, &crit);
+        w = put(w, &pend);
+        for (d = 0; d <= delays.max && delays.count; d++)
+            if (delays.count[d]) {
+                *w++ = d;
+                *w++ = delays.count[d];
+            }
+        w = put(w, &misses);
+        put(w, &drained);
+        c->result_len = size;
+
         /* ---- scalars back ---- */
         c->tail_total = tail_total;
         c->dram_total = dram_total;
@@ -840,63 +948,17 @@ done:
         c->dropped = dropped;
         c->max_tail = max_tail;
         c->max_head = max_head;
-        c->crit_len = crit_len;
+        c->crit_len = crit.len;
         c->pending_len = pend_len;
         c->eligible_len = elig_len;
-        c->pend_head_out = pend_head;
-        c->pend_flat_off_out = pend_flat_off;
         c->n_delays = n_delays;
-        c->n_head_miss = n_head_miss;
+        c->n_delay_pairs = n_pairs;
+        c->n_head_miss = IV_COUNT(&misses) / 2;
         c->n_tail_miss = n_tail_miss;
-        c->n_drained = n_drained;
+        c->n_drained = IV_COUNT(&drained);
         c->arrivals_seen = arrivals_seen;
         c->grants = grants;
-    }
-    }
 
-cleanup:
-    if (err == ERR_OK) {
-        /* Never trust the sizing formulas alone: total the final live
-         * windows first and refuse the writeback (python replays on the
-         * scalar loop) if any out buffer would overflow. */
-        int64_t ttot = 0, dtot = 0, stot = 0, rtot = 0, atot = 0;
-        for (i = 0; i < nq; i++) {
-            ttot += IV_COUNT(&qs[i].tail);
-            dtot += IV_COUNT(&qs[i].dram);
-            stot += qs[i].sram_len;
-            rtot += IV_COUNT(&qs[i].req);
-            atot += IV_COUNT(&qs[i].arr);
-        }
-        if (ttot > c->tail_ocap || dtot > c->dram_ocap
-                || stot > c->sram_ocap || rtot > c->req_ocap
-                || atot > c->arr_ocap)
-            err = ERR_CAP;
-    }
-    if (err == ERR_OK) {
-        /* ---- per-queue contents back (live windows, head at 0) ---- */
-        int64_t toff = 0, doff = 0, soff = 0, roff = 0, aoff = 0;
-        for (i = 0; i < nq; i++) {
-            qstate *q = &qs[i];
-            int tn = IV_COUNT(&q->tail), dn = IV_COUNT(&q->dram);
-            int rn = IV_COUNT(&q->req), an = IV_COUNT(&q->arr);
-            memcpy(p->tail_oflat + toff, q->tail.buf + q->tail.head,
-                   (size_t)tn * sizeof(int64_t));
-            memcpy(p->dram_oflat + doff, q->dram.buf + q->dram.head,
-                   (size_t)dn * sizeof(int64_t));
-            memcpy(p->sram_oflat + soff, q->sram,
-                   (size_t)q->sram_len * sizeof(int64_t));
-            memcpy(p->req_oflat + roff, q->req.buf + q->req.head,
-                   (size_t)rn * sizeof(int64_t));
-            memcpy(p->arr_oflat + aoff, q->arr.buf + q->arr.head,
-                   (size_t)an * sizeof(int64_t));
-            p->sram_ocnt[i] = q->sram_len;
-            p->arr_ocnt[i] = an;
-            toff += tn;
-            doff += dn;
-            soff += q->sram_len;
-            roff += rn;
-            aoff += an;
-        }
         /* ---- final RNG states (python setstate()s these verbatim) ---- */
         memcpy(p->arb_key, arb.key, sizeof(arb.key));
         p->arb_meta[0] = arb.pos;
@@ -907,17 +969,24 @@ cleanup:
             p->bern_meta[1] = bern.consumed;
         }
     }
+    }
+
+cleanup:
     if (qs) {
         for (i = 0; i < nq; i++) {
             free(qs[i].tail.buf);
             free(qs[i].dram.buf);
-            free(qs[i].sram);
+            free(qs[i].sram.buf);
             free(qs[i].req.buf);
             free(qs[i].arr.buf);
         }
         free(qs);
     }
-    free(seqbuf);
+    free(crit.buf);
+    free(pend.buf);
+    free(misses.buf);
+    free(drained.buf);
+    free(delays.count);
     free(rb_shift);
     return err;
 }

@@ -11,9 +11,8 @@ integer state:
 * a cell is identified by its ``(queue, seqno)`` pair; per-queue seqnos are
   dense, so the cell's ``arrival_slot`` lives in a compacting cursor list
   indexed by seqno — no cell objects exist at all;
-* the tail-SRAM and DRAM per-queue FIFOs are :class:`~repro.sim.ring.IntRing`
-  ring buffers of seqnos; occupancies are flat ``int`` lists updated in the
-  loop;
+* the tail-SRAM and DRAM per-queue FIFOs are :class:`collections.deque`
+  queues of seqnos; occupancies are flat ``int`` lists updated in the loop;
 * the head SRAM is a per-queue min-heap of bare seqnos (out-of-order block
   delivery in CFDS still yields in-order service);
 * the lookahead and latency shift registers are preallocated lists with a
@@ -59,8 +58,7 @@ metrics enabled, the slots of a span that misses the kernel are counted as
 ``engine.array.fallback.<reason>``.  The arrival plan of a stock Bernoulli
 process (Zipf and hotspot included) is deferred so the kernel draws it
 natively: the whole horizon of a monolithic run, each chunk of a streamed
-one.  A monolithic run also runs the main and drain windows in one kernel
-call.  CFDS has no kernel.
+one.  CFDS has no kernel.
 
 The engine consumes a *freshly built* buffer: it reads the configuration and
 the issue-period machinery off the buffer object but keeps all per-cell state
@@ -73,7 +71,7 @@ already-run (or hand-stepped) simulation on the array engine raises
 number of slots and can be called repeatedly — that is what the streaming
 path (:mod:`repro.sim.streaming`) uses to run arbitrarily long horizons on
 bounded memory and to checkpoint mid-run: a core holds only plain data
-(lists, rings, dicts, ints) plus references to the simulation and buffer
+(lists, deques, dicts, ints) plus references to the simulation and buffer
 objects, so pickling the core captures the complete machine state.  The
 streaming driver takes each chunk's plan from :func:`window_plan`, and
 :func:`run_array`, the monolithic convenience wrapper (one main span, one
@@ -103,7 +101,6 @@ from repro.mma.ecqf import ECQF
 from repro.mma.tail_mma import ThresholdTailMMA
 from repro.obs.metrics import get_metrics
 from repro.sim import kernel
-from repro.sim.ring import IntRing
 from repro.traffic.arbiters import RandomArbiter
 from repro.traffic.arrivals import BernoulliArrivals
 from repro.types import MissRecord, ReplenishRequest, SimulationResult, TransferDirection
@@ -159,9 +156,6 @@ def run_array(sim, num_slots: int, drain: bool = True):
     core = build_array_core(sim)
     plan = (window_plan(sim, core, 0, num_slots)
             if sim.arrivals is not None else None)
-    if (drain and isinstance(core, _RADSCore)
-            and core.run_fused(plan, num_slots)):
-        return core.finish(drain=False)
     core.run_span(plan, num_slots)
     return core.finish(drain=drain)
 
@@ -296,6 +290,18 @@ def split_plan(core, plan, cut: int):
     return plan[:cut], plan[cut:]
 
 
+def _pop_block(fifo: deque, count: int, out: List[int]) -> None:
+    """Move up to ``count`` cells from the head of ``fifo`` to ``out`` (the
+    block-transfer path: one call per DRAM access, not one per cell)."""
+    if count >= len(fifo):
+        out.extend(fifo)
+        fifo.clear()
+    else:
+        popleft = fifo.popleft
+        for _ in range(count):
+            out.append(popleft())
+
+
 # --------------------------------------------------------------------- #
 # Incremental ECQF
 # --------------------------------------------------------------------- #
@@ -354,7 +360,7 @@ def _ecqf_select(counters: List[int], negatives: int, req_count: List[int],
 class _ArrayCoreBase:
     """State shared by the RADS and CFDS struct-of-arrays cores.
 
-    A core holds *only plain data* (lists, rings, deques, dicts, ints) plus
+    A core holds *only plain data* (lists, deques, dicts, ints) plus
     references to the simulation and buffer objects — policy callables and
     RNG method handles are re-derived at the top of every :meth:`run_span`,
     never stored — so pickling a core (together with its simulation, in one
@@ -391,10 +397,10 @@ class _ArrayCoreBase:
         self.delivered = [0] * num_queues
         self.arr_slots: List[List[int]] = [[] for _ in range(num_queues)]
         self.arr_base = [0] * num_queues
-        self.tail_fifo = [IntRing() for _ in range(num_queues)]
+        self.tail_fifo = [deque() for _ in range(num_queues)]
         self.tail_occ = [0] * num_queues
         self.tail_total = 0
-        self.dram_fifo = [IntRing() for _ in range(num_queues)]
+        self.dram_fifo = [deque() for _ in range(num_queues)]
         self.dram_occ = [0] * num_queues
         self.dram_total = 0
         self.sram_heap: List[List[int]] = [[] for _ in range(num_queues)]
@@ -524,38 +530,6 @@ class _RADSCore(_ArrayCoreBase):
         if kernel.load_kernel() is None:
             return "unavailable"
         return None
-
-    def run_fused(self, plan, num_slots: int) -> bool:
-        """Run the main window *and* the drain window in one kernel call.
-
-        The drain window's length is known up front, so the monolithic
-        ``run_array`` path hands both to the kernel at once and pays a
-        single state marshal instead of two.  ``True`` means both windows
-        ran — the caller finishes with ``drain=False``; ``False`` leaves the
-        core (and any deferred plan's RNG) untouched.  A declined call
-        records no fallback: the caller then runs each window through
-        :meth:`run_span`, which decides, and counts, each one itself.
-        """
-        if num_slots <= 0 or self._kernel_miss(num_slots) is not None:
-            return False
-        self._check_not_finished()
-        drain_slots = self._drain_slots()
-        done = False
-        if isinstance(plan, _DeferredPlan):
-            if not plan.shares_rng(self.sim):
-                done = kernel.run_span_kernel(
-                    self, None, num_slots, main=True, bern=plan.bern(),
-                    drain_slots=drain_slots)
-        elif plan is None or len(plan) >= num_slots:
-            done = kernel.run_span_kernel(self, plan, num_slots, main=True,
-                                          drain_slots=drain_slots)
-        if done:
-            obs = get_metrics()
-            if obs is not None:
-                # Counted as the two spans the unfused path would run.
-                obs.inc("engine.array.spans", 2)
-                obs.inc("engine.array.span_slots", num_slots + drain_slots)
-        return done
 
     def run_span(self, plan, num_slots: int, main: bool = True) -> None:
         """Simulate ``num_slots`` slots starting at ``self.slot``.
@@ -738,7 +712,7 @@ class _RADSCore(_ArrayCoreBase):
                         raise BufferOverflowError("tail SRAM", tail_cap,
                                                   tail_total + 1)
                 else:
-                    tail_fifo[arrival].push(tail_seqno)
+                    tail_fifo[arrival].append(tail_seqno)
                     tail_occ[arrival] += 1
                     tail_total += 1
                     cells_in += 1
@@ -755,7 +729,7 @@ class _RADSCore(_ArrayCoreBase):
                     selection = tail_select(tail_occ)
                 if selection is not None:
                     block: List[int] = []
-                    tail_fifo[selection].pop_block(granularity, block)
+                    _pop_block(tail_fifo[selection], granularity, block)
                     evicted = len(block)
                     tail_occ[selection] -= evicted
                     tail_total -= evicted
@@ -774,7 +748,7 @@ class _RADSCore(_ArrayCoreBase):
                                 if dram_cap is not None and dram_total >= dram_cap:
                                     raise BufferOverflowError("DRAM", dram_cap,
                                                               dram_total + 1)
-                                fifo.push(seq)
+                                fifo.append(seq)
                                 dram_total += 1
                             dram_occ[selection] += stored
                         dram_writes += 1
@@ -841,7 +815,7 @@ class _RADSCore(_ArrayCoreBase):
                 if selection is not None:
                     seqs = []
                     if dram_occ[selection]:
-                        dram_fifo[selection].pop_block(granularity, seqs)
+                        _pop_block(dram_fifo[selection], granularity, seqs)
                         got = len(seqs)
                         dram_occ[selection] -= got
                         dram_total -= got
@@ -850,7 +824,7 @@ class _RADSCore(_ArrayCoreBase):
                     if got < granularity:
                         # Cut-through: the rest of the block never reached
                         # DRAM.
-                        tail_fifo[selection].pop_block(granularity - got, seqs)
+                        _pop_block(tail_fifo[selection], granularity - got, seqs)
                         extra = len(seqs) - got
                         tail_occ[selection] -= extra
                         tail_total -= extra
@@ -875,7 +849,7 @@ class _RADSCore(_ArrayCoreBase):
                 if heap and heap[0] == expected:
                     heappop(heap)
                     sram_total -= 1
-                elif tail_occ[leaving] and tail_fifo[leaving].peekleft() == expected:
+                elif tail_occ[leaving] and tail_fifo[leaving][0] == expected:
                     # Tail bypass: the in-order cell never left the tail SRAM.
                     tail_fifo[leaving].popleft()
                     tail_occ[leaving] -= 1
@@ -1137,7 +1111,7 @@ class _CFDSCore(_ArrayCoreBase):
                         raise BufferOverflowError("tail SRAM", tail_cap,
                                                   tail_total + 1)
                 else:
-                    tail_fifo[arrival].push(tail_seqno)
+                    tail_fifo[arrival].append(tail_seqno)
                     tail_occ[arrival] += 1
                     tail_total += 1
                     cells_in += 1
@@ -1154,7 +1128,7 @@ class _CFDSCore(_ArrayCoreBase):
                     selection = tail_select(tail_occ)
                 if selection is not None:
                     block: List[int] = []
-                    tail_fifo[selection].pop_block(granularity, block)
+                    _pop_block(tail_fifo[selection], granularity, block)
                     evicted = len(block)
                     tail_occ[selection] -= evicted
                     tail_total -= evicted
@@ -1186,7 +1160,7 @@ class _CFDSCore(_ArrayCoreBase):
                                 if dram_cap is not None and dram_total >= dram_cap:
                                     raise BufferOverflowError("DRAM", dram_cap,
                                                               dram_total + 1)
-                                fifo.push(seq)
+                                fifo.append(seq)
                                 dram_total += 1
                             dram_occ[selection] += evicted
                             block_locations[selection].append((physical, index))
@@ -1260,7 +1234,7 @@ class _CFDSCore(_ArrayCoreBase):
                 if selection is not None:
                     seqs: List[int] = []
                     if dram_occ[selection] > 0:
-                        dram_fifo[selection].pop_block(granularity, seqs)
+                        _pop_block(dram_fifo[selection], granularity, seqs)
                         got = len(seqs)
                         dram_occ[selection] -= got
                         dram_total -= got
@@ -1273,7 +1247,7 @@ class _CFDSCore(_ArrayCoreBase):
                             queue=physical, direction=read_dir, cells=got,
                             issue_slot=slot, block_index=block_index)
                     else:
-                        tail_fifo[selection].pop_block(granularity, seqs)
+                        _pop_block(tail_fifo[selection], granularity, seqs)
                         got = len(seqs)
                         tail_occ[selection] -= got
                         tail_total -= got
@@ -1322,7 +1296,7 @@ class _CFDSCore(_ArrayCoreBase):
                 if heap and heap[0] == expected:
                     heappop(heap)
                     sram_total -= 1
-                elif tail_occ[due] and tail_fifo[due].peekleft() == expected:
+                elif tail_occ[due] and tail_fifo[due][0] == expected:
                     tail_fifo[due].popleft()
                     tail_occ[due] -= 1
                     tail_total -= 1

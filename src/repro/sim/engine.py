@@ -10,7 +10,7 @@ Two engines produce bit-identical reports:
 * the **array engine** (``engine="array"``, the default) — a
   struct-of-arrays re-implementation of the whole buffer hot path
   (:mod:`repro.sim.array_engine`): cells become bare integers in
-  ring-buffered per-queue arrays, with zero per-slot allocation.  Its RADS
+  per-queue deques, lists and heaps, with zero per-slot allocation.  Its RADS
   core runs each span it can on the compiled span kernel
   (:mod:`repro.sim.kernel`) and the rest on its own scalar loop.
 

@@ -8,14 +8,19 @@ compiled on first use with the system compiler (``cc -O2 -march=native
 private cache directory (``$XDG_CACHE_HOME`` or ``~/.cache``, created
 ``0o700`` and ownership-verified before every load) keyed by a hash of the
 source and the interpreter/platform tags, and loaded through :mod:`ctypes`
-— no ``Python.h``, no build backend, no wheels.  numpy only allocates the
-marshal buffers.
+— no ``Python.h``, no build backend, no wheels, no numpy.
 
 The kernel executes whole spans natively: it resumes the arbiter's (and,
 for a deferred Bernoulli plan, the arrival process's) Mersenne Twister from
-the ``random.Random`` state, runs the exact RADS slot loop on flat copies
-of the core's state, and hands back the mutated state plus the final RNG
-words, which are applied to the python core only on success.  It takes
+the ``random.Random`` state and runs the exact RADS slot loop.  Python
+hands it only fixed-shape :mod:`array` buffers — per-queue scalars, the
+eligible list, the lookahead ring, RNG keys, the arrival plan — plus one
+image of the core's variable-length state (:func:`_state_image`).  Every
+buffer that grows during the span is the kernel's own; it returns one
+exact-size result (the new state, the main window's delays already folded
+into ``(delay, count)`` pairs, misses and drained slots), which
+:func:`run_span_kernel` reads through a :class:`memoryview`, applies to the
+python core and releases with the kernel's ``rads_free_result``.  It takes
 any ``num_queues`` up to :data:`MAX_KERNEL_QUEUES`: its arbiter draws read
 whole 32-bit words and its arrival plan is ``int32`` (``-1`` = no
 arrival).  Failure at any stage — no compiler, compile error, load error,
@@ -23,19 +28,18 @@ strict-mode aborts inside the span, or the ``REPRO_SPAN_KERNEL=0`` kill
 switch — falls back to the core's scalar loop on the untouched state, so
 the kernel is a pure accelerator: every result it produces is
 bit-identical to the reference loop (asserted by
-``tests/sim/test_numpy_engine.py``, which runs the suite with the kernel
+``tests/sim/test_span_kernel.py``, which runs the suite with the kernel
 and with it switched off).
 
 Sanitizer-hardened builds
 -------------------------
 Setting ``REPRO_SPAN_KERNEL_SANITIZE=1`` switches the build to
 ``-g -O1 -fsanitize=address,undefined -fno-sanitize-recover=all`` so any
-out-of-bounds write or undefined behaviour in the C source aborts the
-process instead of silently corrupting state (the bug class PR 9's
-bounds-checked writebacks defend against).  The sanitized ``.so`` is cached
-under its own tag, never mixed with production builds.  Loading it into a
-stock CPython requires the sanitizer runtimes to be preloaded and real
-``malloc`` in use::
+out-of-bounds access or undefined behaviour in the C source aborts the
+process instead of silently corrupting state.  The sanitized ``.so`` is
+cached under its own tag, never mixed with production builds.  Loading it
+into a stock CPython requires the sanitizer runtimes to be preloaded and
+real ``malloc`` in use::
 
     LD_PRELOAD="$(gcc -print-file-name=libasan.so) \\
                 $(gcc -print-file-name=libubsan.so)" \\
@@ -45,9 +49,9 @@ stock CPython requires the sanitizer runtimes to be preloaded and real
 (``PYTHONMALLOC=malloc`` matters: pymalloc arenas carry no ASan redzones,
 so overflows on Python-allocated buffers would go unseen.)  The
 ``benchmarks/kernel_sanitize_check.py`` harness sets all of this up and
-replays the PR 9 backlog-migration overflow stressor; CI runs it in the
-``kernel-sanitize`` job.  Without the preload, ``CDLL`` fails and the
-core falls back to its scalar loop as usual.
+replays its stressors; CI runs it in the ``kernel-sanitize`` job.  Without
+the preload, ``CDLL`` fails and the core falls back to its scalar loop as
+usual.
 """
 
 from __future__ import annotations
@@ -61,15 +65,15 @@ import sys
 import sysconfig
 import tempfile
 import threading
+from array import array
 from collections import deque
-from itertools import chain
+from itertools import chain, islice
 from pathlib import Path
-from typing import List, Optional
+from time import perf_counter
+from typing import Optional
 
-import numpy as np
-
+from repro.errors import ConfigurationError
 from repro.obs.metrics import get_metrics
-from repro.sim.ring import IntRing
 from repro.types import MissRecord
 
 #: Environment kill switch: set to ``0``/``off``/``false`` to disable the
@@ -96,7 +100,7 @@ _ERR_OK = 0
 
 #: The kernel's error codes (``ERR_*`` in ``_spankernel.c``), as named in
 #: the ``engine.array.kernel_aborts.<code>`` counters.
-_ABORT_CODES = {1: "oom", 2: "strict", 3: "cap", 4: "arg"}
+_ABORT_CODES = {1: "oom", 2: "strict", 3: "arg"}
 
 _CRIT_INF = (1 << 63) - 1  # INT64_MAX, the C marker for "no critical entry"
 
@@ -106,6 +110,8 @@ _F53 = 9007199254740992
 _lock = threading.Lock()
 _kernel = None
 _kernel_tried = False
+#: The kernel's ``rads_free_result``, which releases each result it returns.
+_release = None
 
 
 class KCfg(ctypes.Structure):
@@ -117,21 +123,24 @@ class KCfg(ctypes.Structure):
         "is_main", "arb_tint", "plan_mode", "bern_tint")] + [
         ("bern_total", ctypes.c_double)] + [
         (n, ctypes.c_int64) for n in (
+            "ecqf_fallback", "state_len",
             "tail_total", "dram_total", "sram_total", "la_pos", "negatives",
             "cells_in", "cells_out", "dram_reads", "dram_writes", "dropped",
             "max_tail", "max_head", "crit_len", "pending_len",
-            "eligible_len", "ecqf_fallback",
-            "n_delays", "n_head_miss", "n_tail_miss", "n_drained",
-            "arrivals_seen", "grants", "pend_head_out", "pend_flat_off_out",
-            "drain_slots",
-            "tail_ocap", "dram_ocap", "sram_ocap", "req_ocap", "arr_ocap",
-            "pend_cap", "pend_flat_cap", "crit_cap")]
+            "eligible_len",
+            "n_delays", "n_delay_pairs", "n_head_miss", "n_tail_miss",
+            "n_drained", "arrivals_seen", "grants", "result_len")]
 
 
 _U32P = ctypes.POINTER(ctypes.c_uint32)
 _I32P = ctypes.POINTER(ctypes.c_int32)
 _I64P = ctypes.POINTER(ctypes.c_int64)
 _F64P = ctypes.POINTER(ctypes.c_double)
+
+#: The per-queue ``int`` lists the kernel updates in place, in ``kptrs``
+#: order (``crit_cache`` follows them; it marks "none" with ``math.inf``).
+_QUEUE_FIELDS = ("backlog", "next_seqno", "delivered", "counters",
+                 "req_count", "tail_occ", "dram_occ")
 
 
 class KPtrs(ctypes.Structure):
@@ -140,23 +149,10 @@ class KPtrs(ctypes.Structure):
     _fields_ = [
         ("arb_key", _U32P), ("arb_meta", _I64P),
         ("bern_key", _U32P), ("bern_meta", _I64P),
-        ("cum_weights", _F64P), ("plan", _I32P),
-        ("backlog", _I64P), ("next_seqno", _I64P), ("delivered", _I64P),
-        ("counters", _I64P), ("req_count", _I64P),
-        ("tail_occ", _I64P), ("dram_occ", _I64P), ("crit_cache", _I64P),
-        ("eligible", _I64P),
-        ("sram_icnt", _I64P), ("arr_icnt", _I64P),
-        ("tail_iflat", _I64P), ("dram_iflat", _I64P), ("sram_iflat", _I64P),
-        ("req_iflat", _I64P), ("arr_iflat", _I64P),
-        ("sram_ocnt", _I64P), ("arr_ocnt", _I64P),
-        ("tail_oflat", _I64P), ("dram_oflat", _I64P), ("sram_oflat", _I64P),
-        ("req_oflat", _I64P), ("arr_oflat", _I64P),
-        ("la_ring", _I64P), ("crit_heap", _I64P),
-        ("pending_fin", _I64P), ("pending_q", _I64P),
-        ("pending_cnt", _I64P), ("pending_flat", _I64P),
-        ("delays", _I64P),
-        ("head_miss_q", _I64P), ("head_miss_slot", _I64P),
-        ("drained", _I64P),
+        ("cum_weights", _F64P), ("plan", _I32P)] + [
+        (name, _I64P) for name in _QUEUE_FIELDS] + [
+        ("crit_cache", _I64P), ("eligible", _I64P), ("la_ring", _I64P),
+        ("state", _I64P), ("result", _I64P),
     ]
 
 
@@ -327,7 +323,7 @@ def _compile(path: Path) -> bool:
 def load_kernel():
     """The loaded kernel's ``rads_run_span`` or ``None`` (cached; a failed
     attempt is not retried within the process)."""
-    global _kernel, _kernel_tried
+    global _kernel, _kernel_tried, _release
     if _kernel_tried:
         return _kernel
     with _lock:
@@ -335,7 +331,9 @@ def load_kernel():
             return _kernel
         fn = None
         try:
-            if kernel_enabled() and _SOURCE.is_file():
+            # The kernel reads RNG keys and the plan as 32-bit words.
+            if (kernel_enabled() and _SOURCE.is_file()
+                    and array("I").itemsize == array("i").itemsize == 4):
                 path = _cache_path()
                 # Load nothing we do not exclusively own: a pre-planted
                 # cache dir or .so (wrong owner, group/other-writable, or
@@ -349,8 +347,13 @@ def load_kernel():
                     fn.restype = ctypes.c_int64
                     fn.argtypes = [ctypes.POINTER(KCfg),
                                    ctypes.POINTER(KPtrs)]
+                    release = lib.rads_free_result
+                    release.restype = None
+                    release.argtypes = [_I64P]
         except OSError:
             fn = None
+        if fn is not None:
+            _release = release
         _kernel = fn
         _kernel_tried = True
         obs = get_metrics()
@@ -360,8 +363,76 @@ def load_kernel():
         return _kernel
 
 
-def _ptr_i64(arr):
-    return arr.ctypes.data_as(_I64P)
+def _addr(arr: array, ptype):
+    """A ctypes pointer to ``arr``'s storage (the caller keeps ``arr``
+    alive, and never resizes it, across the kernel call)."""
+    return ctypes.cast(arr.buffer_info()[0], ptype)
+
+
+def _state_image(core) -> array:
+    """The core's variable-length state in the kernel's image layout (see
+    ``kptrs`` in ``_spankernel.c``): per-queue SRAM and arrival-window
+    counts, then the tail, DRAM, SRAM, request and arrival contents queue
+    by queue, the critical heap, and the pending blocks."""
+    nq = core.num_queues
+    arr_windows = [core.arr_slots[q][core.delivered[q] - core.arr_base[q]:]
+                   for q in range(nq)]
+    req_windows = [core.req_slots[q][core.req_head[q]:] for q in range(nq)]
+    image = [len(heap) for heap in core.sram_heap]
+    image += [len(window) for window in arr_windows]
+    for part in (core.tail_fifo, core.dram_fifo, core.sram_heap,
+                 req_windows, arr_windows):
+        image += chain.from_iterable(part)
+    image += [(entered << 16) | queue for entered, queue in core.crit_heap]
+    for finish, queue, seqs in core.pending:
+        image += (finish, queue, len(seqs))
+        image += seqs
+    return array("q", image)
+
+
+def _apply_result(core, cfg: KCfg, values) -> None:
+    """Read the kernel's result (the state image's layout, then delay
+    pairs, misses and drained slots) and its scalars in ``cfg`` into the
+    python core, whose per-queue scalars already hold the span's final
+    values."""
+    nq = core.num_queues
+    it = iter(values)
+    sram_counts = list(islice(it, nq))
+    arr_counts = list(islice(it, nq))
+    for fifos, counts in ((core.tail_fifo, core.tail_occ),
+                          (core.dram_fifo, core.dram_occ)):
+        for fifo, count in zip(fifos, counts):
+            if count or fifo:
+                fifo.clear()
+                fifo.extend(islice(it, count))
+    for heap, count in zip(core.sram_heap, sram_counts):
+        heap[:] = islice(it, count)        # valid heap, identical pops
+    for pipeline, count in zip(core.req_slots, core.req_count):
+        pipeline[:] = islice(it, count)
+    core.req_head[:] = [0] * nq
+    for store, count in zip(core.arr_slots, arr_counts):
+        store[:] = islice(it, count)
+    core.arr_base[:] = core.delivered
+    core.crit_heap[:] = [(key >> 16, key & 0xFFFF)
+                         for key in islice(it, cfg.crit_len)]
+    pending = deque()
+    for _ in range(cfg.pending_len):
+        finish, queue, count = islice(it, 3)
+        pending.append((finish, queue, list(islice(it, count))))
+    core.pending = pending
+    hist = core.hist
+    pairs = list(islice(it, 2 * cfg.n_delay_pairs))
+    for delay, count in zip(pairs[::2], pairs[1::2]):
+        hist[delay] = hist.get(delay, 0) + count
+    misses = list(islice(it, 2 * cfg.n_head_miss))
+    core.head_misses.extend(MissRecord(queue=queue, slot=slot)
+                            for queue, slot in zip(misses[::2], misses[1::2]))
+    core.tail_misses.extend([None] * cfg.n_tail_miss)
+    core.drained.extend(it)
+    for name in ("tail_total", "dram_total", "sram_total", "la_pos",
+                 "negatives", "cells_in", "cells_out", "dram_reads",
+                 "dram_writes", "dropped", "max_tail", "max_head"):
+        setattr(core, name, getattr(cfg, name))
 
 
 def run_span_kernel(core, aplan, num_slots: int, main: bool = True,
@@ -371,342 +442,154 @@ def run_span_kernel(core, aplan, num_slots: int, main: bool = True,
     ``aplan`` is the arrival plan — an ``Optional[int]`` list at least
     ``num_slots`` long — or ``None`` for a span without arrivals;
     ``bern = (rng, tint, cum_weights, total)`` makes the kernel draw the
-    Bernoulli arrival plan natively instead.  ``drain_slots`` appends that
-    many drain-mode slots after the main window in the *same* call (the
-    monolithic fused path: one marshal instead of two).  On any failure
-    (kernel unavailable, strict-mode abort inside the span, allocation
-    failure, a plan entry naming no queue) the python core is left
-    untouched and the caller falls back to a python loop, which
-    reproduces the exact outcome — including the exception and the
-    post-raise state.
+    Bernoulli arrival plan natively instead.  On any failure (kernel
+    unavailable, strict-mode abort inside the span, allocation failure, a
+    plan entry naming no queue) the python core is left untouched and the
+    caller falls back to a python loop, which reproduces the exact outcome
+    — including the exception and the post-raise state.
+
+    ``drain_slots`` must be 0: a drain window is a span of its own
+    (``main=False``).  The parameter stays only because the benchmark's
+    traced run (``perfbench/layers.py``) reads it from every call.
+
+    With metrics on, every kernel call records two timers:
+    ``engine.array.kernel_native_s`` (the C call) and
+    ``engine.array.kernel_handoff_s`` (the rest of the call: marshal,
+    read-back and apply).
     """
+    if drain_slots:
+        raise ConfigurationError(
+            "the span kernel runs a drain window as its own span "
+            "(main=False), not appended to a main one")
     fn = load_kernel()
     if fn is None:
         return False
+    obs = get_metrics()
+    started = perf_counter()
     nq = core.num_queues
-    g = core.granularity
-    i64 = np.int64
-
-    cfg = KCfg()
-    cfg.num_queues = nq
-    cfg.granularity = g
-    cfg.strict = 1 if core.strict else 0
-    cfg.tail_cap = core.tail_cap
-    cfg.dram_cap = -1 if core.dram_cap is None else core.dram_cap
-    cfg.sram_cap = -1 if core.sram_cap is None else core.sram_cap
-    cfg.la_len = core.la_len
-    cfg.num_slots = num_slots
-    cfg.start_slot = core.slot
-    cfg.is_main = 1 if main else 0
-    cfg.ecqf_fallback = 1 if core.ecqf_fallback else 0
-    cfg.drain_slots = drain_slots
-    # Out buffers are sized for the whole call, drain window included.
-    total_slots = num_slots + drain_slots
-
-    ptr = KPtrs()
-    keep = []  # keeps every backing array alive across the C call
-
-    def i64arr(values, size=None):
-        if size is None:
-            arr = np.array(values, dtype=i64)
-        else:
-            # Only the live prefix is written: the kernel never reads past
-            # it, so the worst-case slack stays untouched, unpaged memory.
-            arr = np.empty(size, dtype=i64)
-            arr[:len(values)] = values
-        keep.append(arr)
-        return arr
-
-    def out_i64(size):
-        arr = np.empty(max(size, 1), dtype=i64)
-        keep.append(arr)
-        return arr
 
     # -- RNG states -----------------------------------------------------
     rng = core.sim.arbiter._rng if main else None
     if main:
         arb_state = rng.getstate()
-        arb_key = np.array(arb_state[1][:624], dtype=np.uint32)
-        arb_meta = i64arr([arb_state[1][624], 0])
-        cfg.arb_tint = gate_threshold(core.sim.arbiter.load)
+        arb_key = array("I", arb_state[1][:624])
+        arb_meta = array("q", (arb_state[1][624], 0))
+        arb_tint = gate_threshold(core.sim.arbiter.load)
     else:
         arb_state = None
-        arb_key = np.zeros(624, dtype=np.uint32)
-        arb_meta = i64arr([0, 0])
-        cfg.arb_tint = 0
-    keep.append(arb_key)
-    ptr.arb_key = arb_key.ctypes.data_as(_U32P)
-    ptr.arb_meta = _ptr_i64(arb_meta)
+        arb_key = array("I", bytes(4 * 624))
+        arb_meta = array("q", (0, 0))
+        arb_tint = 0
+    # Every array below stays bound to a local, so alive across the C call.
+    ptr = KPtrs(arb_key=_addr(arb_key, _U32P),
+                arb_meta=_addr(arb_meta, _I64P))
 
     if bern is not None:
         bern_rng, bern_tint, cum_weights, total = bern
         bern_state = bern_rng.getstate()
-        bern_key = np.array(bern_state[1][:624], dtype=np.uint32)
-        bern_meta = i64arr([bern_state[1][624], 0])
-        cw = np.array(cum_weights, dtype=np.float64)
-        keep.extend([bern_key, cw])
-        cfg.plan_mode = 1
-        cfg.bern_tint = bern_tint
-        cfg.bern_total = total
-        ptr.bern_key = bern_key.ctypes.data_as(_U32P)
-        ptr.bern_meta = _ptr_i64(bern_meta)
-        ptr.cum_weights = cw.ctypes.data_as(_F64P)
+        bern_key = array("I", bern_state[1][:624])
+        bern_meta = array("q", (bern_state[1][624], 0))
+        weights = array("d", cum_weights)
+        plan_mode = 1
+        ptr.bern_key = _addr(bern_key, _U32P)
+        ptr.bern_meta = _addr(bern_meta, _I64P)
+        ptr.cum_weights = _addr(weights, _F64P)
     else:
-        bern_rng = bern_state = bern_key = bern_meta = None
-        cfg.plan_mode = 0 if (main and aplan is not None) else 2
-        cfg.bern_tint = 0
-        cfg.bern_total = 0.0
-        if cfg.plan_mode == 0:
+        bern_rng = bern_state = None
+        bern_tint, total = 0, 0.0
+        plan_mode = 0 if (main and aplan is not None) else 2
+        if plan_mode == 0:
+            if len(aplan) < num_slots:
+                return False  # the kernel reads num_slots entries
             # The kernel's plan encoding: int32 queue ids, -1 = no arrival.
             try:
-                plan_arr = np.array([-1 if a is None else a for a in aplan],
-                                    dtype=np.int32)
-            except OverflowError:
-                return False  # a queue id past int32: python raises for it
-            if len(plan_arr) < num_slots:
-                return False  # the kernel reads num_slots entries
-            if np.count_nonzero(plan_arr == -1) != aplan.count(None):
+                plan = array("i", [-1 if a is None else a for a in aplan])
+            except (OverflowError, TypeError):
+                return False  # no int32 queue id: python raises for it
+            if plan.count(-1) != aplan.count(None):
                 # An entry naming queue -1 would read as no arrival; the
                 # python loop raises for it, as the reference does.
                 return False
-            keep.append(plan_arr)
-            ptr.plan = plan_arr.ctypes.data_as(_I32P)
+            ptr.plan = _addr(plan, _I32P)
 
-    # -- per-queue scalars ----------------------------------------------
-    backlog = i64arr(core.backlog)
-    next_seqno = i64arr(core.next_seqno)
-    delivered = i64arr(core.delivered)
-    counters = i64arr(core.counters)
-    req_count = i64arr(core.req_count)
-    tail_occ = i64arr(core.tail_occ)
-    dram_occ = i64arr(core.dram_occ)
-    crit_cache = i64arr([_CRIT_INF if v == math.inf else v
-                         for v in core.crit_cache])
-    eligible = i64arr(core.eligible, size=nq)
-    for name, arr in (("backlog", backlog), ("next_seqno", next_seqno),
-                      ("delivered", delivered), ("counters", counters),
-                      ("req_count", req_count), ("tail_occ", tail_occ),
-                      ("dram_occ", dram_occ), ("crit_cache", crit_cache),
-                      ("eligible", eligible)):
-        setattr(ptr, name, _ptr_i64(arr))
-    cfg.eligible_len = len(core.eligible)
+    # -- fixed-shape per-queue state, updated in place ------------------
+    queues = {name: array("q", getattr(core, name))
+              for name in _QUEUE_FIELDS}
+    crit_cache = array("q", [_CRIT_INF if v == math.inf else v
+                             for v in core.crit_cache])
+    eligible = array("q", core.eligible)
+    eligible.frombytes(bytes(8 * (nq - len(eligible))))  # capacity nq
+    la_ring = array("q", [-1 if v is None else v for v in core.lookahead])
+    state = _state_image(core)
+    for name, values in queues.items():
+        setattr(ptr, name, _addr(values, _I64P))
+    ptr.crit_cache = _addr(crit_cache, _I64P)
+    ptr.eligible = _addr(eligible, _I64P)
+    ptr.la_ring = _addr(la_ring, _I64P)
+    ptr.state = _addr(state, _I64P)
 
-    # -- per-queue contents (live windows, flattened) --------------------
-    sram_icnt = i64arr([len(h) for h in core.sram_heap])
-    arr_windows = [core.arr_slots[q][core.delivered[q] - core.arr_base[q]:]
-                   for q in range(nq)]
-    arr_icnt = i64arr([len(w) for w in arr_windows])
-    tail_iflat = i64arr(list(chain.from_iterable(core.tail_fifo)))
-    dram_iflat = i64arr(list(chain.from_iterable(core.dram_fifo)))
-    sram_iflat = i64arr(list(chain.from_iterable(core.sram_heap)))
-    req_iflat = i64arr(list(chain.from_iterable(
-        core.req_slots[q][core.req_head[q]:] for q in range(nq))))
-    arr_iflat = i64arr(list(chain.from_iterable(arr_windows)))
-    ptr.sram_icnt = _ptr_i64(sram_icnt)
-    ptr.arr_icnt = _ptr_i64(arr_icnt)
-    ptr.tail_iflat = _ptr_i64(tail_iflat)
-    ptr.dram_iflat = _ptr_i64(dram_iflat)
-    ptr.sram_iflat = _ptr_i64(sram_iflat)
-    ptr.req_iflat = _ptr_i64(req_iflat)
-    ptr.arr_iflat = _ptr_i64(arr_iflat)
+    cfg = KCfg(
+        num_queues=nq, granularity=core.granularity,
+        strict=1 if core.strict else 0, tail_cap=core.tail_cap,
+        dram_cap=-1 if core.dram_cap is None else core.dram_cap,
+        sram_cap=-1 if core.sram_cap is None else core.sram_cap,
+        la_len=core.la_len, num_slots=num_slots, start_slot=core.slot,
+        is_main=1 if main else 0, arb_tint=arb_tint, plan_mode=plan_mode,
+        bern_tint=bern_tint, bern_total=total,
+        ecqf_fallback=1 if core.ecqf_fallback else 0,
+        state_len=len(state), tail_total=core.tail_total,
+        dram_total=core.dram_total, sram_total=core.sram_total,
+        la_pos=core.la_pos, negatives=core.negatives,
+        cells_in=core.cells_in, cells_out=core.cells_out,
+        dram_reads=core.dram_reads, dram_writes=core.dram_writes,
+        dropped=core.dropped, max_tail=core.max_tail,
+        max_head=core.max_head, crit_len=len(core.crit_heap),
+        pending_len=len(core.pending), eligible_len=len(core.eligible))
 
-    sram_ocnt = out_i64(nq)
-    arr_ocnt = out_i64(nq)
-    # Worst-case out sizes: cells only enter the machine as arrivals (at
-    # most one per main slot), but existing backlog migrates freely — the
-    # tail MMA can push the whole tail backlog into DRAM, and replenish can
-    # land tail+DRAM backlog (plus in-flight pending cells) in head SRAM.
-    # The kernel additionally verifies every out capacity (cfg.*_ocap)
-    # before writing and aborts with ERR_CAP, so a formula gap degrades to
-    # the scalar-loop fallback, never an out-of-bounds write.
-    backlog_cells = core.tail_total + core.dram_total
-    tail_oflat = out_i64(core.tail_total + total_slots + 8)
-    dram_oflat = out_i64(backlog_cells + total_slots + 8)
-    pending_cells = sum(len(seqs) for _, _, seqs in core.pending)
-    sram_oflat = out_i64(core.sram_total + pending_cells + backlog_cells
-                         + total_slots + 8)
-    req_oflat = out_i64(len(req_iflat) + total_slots + 8)
-    arr_oflat = out_i64(len(arr_iflat) + total_slots + 8)
-    ptr.sram_ocnt = _ptr_i64(sram_ocnt)
-    ptr.arr_ocnt = _ptr_i64(arr_ocnt)
-    ptr.tail_oflat = _ptr_i64(tail_oflat)
-    ptr.dram_oflat = _ptr_i64(dram_oflat)
-    ptr.sram_oflat = _ptr_i64(sram_oflat)
-    ptr.req_oflat = _ptr_i64(req_oflat)
-    ptr.arr_oflat = _ptr_i64(arr_oflat)
-    cfg.tail_ocap = len(tail_oflat)
-    cfg.dram_ocap = len(dram_oflat)
-    cfg.sram_ocap = len(sram_oflat)
-    cfg.req_ocap = len(req_oflat)
-    cfg.arr_ocap = len(arr_oflat)
-
-    la_ring = i64arr([-1 if v is None else v for v in core.lookahead])
-    ptr.la_ring = _ptr_i64(la_ring)
-    cfg.la_pos = core.la_pos
-
-    crit_heap = i64arr([(entered << 16) | queue
-                        for entered, queue in core.crit_heap],
-                       size=len(core.crit_heap) + 3 * total_slots + 16)
-    ptr.crit_heap = _ptr_i64(crit_heap)
-    cfg.crit_len = len(core.crit_heap)
-    cfg.crit_cap = len(crit_heap)
-
-    pend_cap = len(core.pending) + total_slots // g + 4
-    pending_fin = i64arr([fin for fin, _, _ in core.pending], size=pend_cap)
-    pending_q = i64arr([q for _, q, _ in core.pending], size=pend_cap)
-    pending_cnt = i64arr([len(seqs) for _, _, seqs in core.pending],
-                         size=pend_cap)
-    pending_flat = i64arr(list(chain.from_iterable(
-        seqs for _, _, seqs in core.pending)),
-        size=pending_cells + total_slots + g + 8)
-    ptr.pending_fin = _ptr_i64(pending_fin)
-    ptr.pending_q = _ptr_i64(pending_q)
-    ptr.pending_cnt = _ptr_i64(pending_cnt)
-    ptr.pending_flat = _ptr_i64(pending_flat)
-    cfg.pending_len = len(core.pending)
-    cfg.pend_cap = len(pending_fin)
-    cfg.pend_flat_cap = len(pending_flat)
-
-    delays = out_i64(num_slots)
-    head_miss_q = out_i64(total_slots)
-    head_miss_slot = out_i64(total_slots)
-    drained = out_i64(total_slots)
-    ptr.delays = _ptr_i64(delays)
-    ptr.head_miss_q = _ptr_i64(head_miss_q)
-    ptr.head_miss_slot = _ptr_i64(head_miss_slot)
-    ptr.drained = _ptr_i64(drained)
-
-    # -- remaining scalars ----------------------------------------------
-    cfg.tail_total = core.tail_total
-    cfg.dram_total = core.dram_total
-    cfg.sram_total = core.sram_total
-    cfg.negatives = core.negatives
-    cfg.cells_in = core.cells_in
-    cfg.cells_out = core.cells_out
-    cfg.dram_reads = core.dram_reads
-    cfg.dram_writes = core.dram_writes
-    cfg.dropped = core.dropped
-    cfg.max_tail = core.max_tail
-    cfg.max_head = core.max_head
-
+    native_started = perf_counter()
     rc = fn(ctypes.byref(cfg), ctypes.byref(ptr))
-    obs = get_metrics()
-    if rc != _ERR_OK:
-        # Nothing was written back: the arrays above are copies, the python
-        # core is untouched — the caller's python loop replays the span and
-        # raises (or recovers) with the exact reference state.
-        if obs is not None:
+    native_s = perf_counter() - native_started
+    if rc == _ERR_OK:
+        # -- apply the kernel's state to the python core -----------------
+        try:
+            result = (ctypes.c_int64 * cfg.result_len).from_address(
+                ctypes.addressof(ptr.result.contents))
+            values = memoryview(result).cast("B").cast("q").tolist()
+        finally:
+            _release(ptr.result)
+        for name, after in queues.items():
+            getattr(core, name)[:] = after.tolist()
+        core.crit_cache[:] = [math.inf if v == _CRIT_INF else v
+                              for v in crit_cache]
+        core.eligible[:] = eligible.tolist()[:cfg.eligible_len]
+        core.lookahead[:] = [None if v < 0 else v for v in la_ring]
+        _apply_result(core, cfg, values)
+        core.slot += num_slots
+        if main:
+            core.main_slots += num_slots
+            core.arrivals_count += cfg.arrivals_seen
+            core.departures += cfg.n_delays
+            core.idle_requests += num_slots - cfg.grants
+            rng.setstate((3, tuple(arb_key) + (arb_meta[0],),
+                          arb_state[2]))
+        if bern_rng is not None:
+            bern_rng.setstate((3, tuple(bern_key) + (bern_meta[0],),
+                               bern_state[2]))
+    # Otherwise nothing was written back: the arrays above are copies, the
+    # python core is untouched — the caller's python loop replays the span
+    # and raises (or recovers) with the exact reference state.
+    if obs is not None:
+        if rc == _ERR_OK:
+            obs.inc("engine.array.kernel_spans")
+            obs.inc("engine.array.kernel_slots", num_slots)
+            if bern is not None:
+                obs.inc("engine.array.kernel_plan_slots", num_slots)
+        else:
             obs.inc("engine.array.kernel_aborts")
             obs.inc("engine.array.kernel_aborts."
                     + _ABORT_CODES.get(rc, "unknown"))
-            obs.inc("engine.array.fallback.abort", total_slots)
-        return False
-
-    # -- apply the kernel's state to the python core ---------------------
-    if obs is not None:
-        obs.inc("engine.array.kernel_spans")
-        obs.inc("engine.array.kernel_slots", total_slots)
-        if bern is not None:
-            obs.inc("engine.array.kernel_plan_slots", num_slots)
-    core.backlog[:] = backlog.tolist()
-    core.next_seqno[:] = next_seqno.tolist()
-    new_delivered = delivered.tolist()
-    core.delivered[:] = new_delivered
-    core.counters[:] = counters.tolist()
-    core.req_count[:] = req_count.tolist()
-    new_tail_occ = tail_occ.tolist()
-    core.tail_occ[:] = new_tail_occ
-    new_dram_occ = dram_occ.tolist()
-    core.dram_occ[:] = new_dram_occ
-    core.crit_cache[:] = [math.inf if v == _CRIT_INF else v
-                          for v in crit_cache.tolist()]
-    core.eligible[:] = eligible[:cfg.eligible_len].tolist()
-
-    def split(flat, counts):
-        # tolist only the used prefix — the out buffers are over-allocated
-        # to worst case and converting the slack would dominate the apply.
-        segs = []
-        off = 0
-        used = flat[:sum(counts)].tolist()
-        for cnt in counts:
-            segs.append(used[off:off + cnt])
-            off += cnt
-        return segs
-
-    new_sram_cnt = sram_ocnt.tolist()
-    new_arr_cnt = arr_ocnt.tolist()
-    tail_segs = split(tail_oflat, new_tail_occ)
-    dram_segs = split(dram_oflat, new_dram_occ)
-    sram_segs = split(sram_oflat, new_sram_cnt)
-    req_segs = split(req_oflat, req_count.tolist())
-    arr_segs = split(arr_oflat, new_arr_cnt)
-
-    def refill(ring: IntRing, values: List[int]) -> None:
-        ring.clear()
-        for value in values:
-            ring.push(value)
-
-    for q in range(nq):
-        if new_tail_occ[q] or core.tail_fifo[q]:
-            refill(core.tail_fifo[q], tail_segs[q])
-        if new_dram_occ[q] or core.dram_fifo[q]:
-            refill(core.dram_fifo[q], dram_segs[q])
-        core.sram_heap[q][:] = sram_segs[q]   # valid heap, identical pops
-        core.req_slots[q][:] = req_segs[q]
-        core.req_head[q] = 0
-        core.arr_slots[q][:] = arr_segs[q]
-        core.arr_base[q] = new_delivered[q]
-
-    core.lookahead[:] = [None if v < 0 else v for v in la_ring.tolist()]
-    core.la_pos = cfg.la_pos
-    core.crit_heap[:] = [(key >> 16, key & 0xFFFF)
-                         for key in crit_heap[:cfg.crit_len].tolist()]
-    pend_lo = cfg.pend_head_out
-    pend_hi = pend_lo + cfg.pending_len
-    pend_segs = split(pending_flat[cfg.pend_flat_off_out:],
-                      pending_cnt[pend_lo:pend_hi].tolist())
-    core.pending = deque(zip(pending_fin[pend_lo:pend_hi].tolist(),
-                             pending_q[pend_lo:pend_hi].tolist(),
-                             pend_segs))
-
-    core.tail_total = cfg.tail_total
-    core.dram_total = cfg.dram_total
-    core.sram_total = cfg.sram_total
-    core.negatives = cfg.negatives
-    core.cells_in = cfg.cells_in
-    core.cells_out = cfg.cells_out
-    core.dram_reads = cfg.dram_reads
-    core.dram_writes = cfg.dram_writes
-    core.dropped = cfg.dropped
-    core.max_tail = cfg.max_tail
-    core.max_head = cfg.max_head
-
-    if cfg.n_delays:
-        hist = core.hist
-        values, counts = np.unique(delays[:cfg.n_delays],
-                                   return_counts=True)
-        for delay, count in zip(values.tolist(), counts.tolist()):
-            hist[delay] = hist.get(delay, 0) + count
-    if cfg.n_drained:
-        core.drained.extend(drained[:cfg.n_drained].tolist())
-    if cfg.n_head_miss:
-        core.head_misses.extend(
-            MissRecord(queue=q, slot=s)
-            for q, s in zip(head_miss_q[:cfg.n_head_miss].tolist(),
-                            head_miss_slot[:cfg.n_head_miss].tolist()))
-    if cfg.n_tail_miss:
-        core.tail_misses.extend([None] * cfg.n_tail_miss)
-
-    core.slot += total_slots
-    if main:
-        core.main_slots += num_slots
-        core.arrivals_count += cfg.arrivals_seen
-        core.departures += cfg.n_delays
-        core.idle_requests += num_slots - cfg.grants
-        rng.setstate((3, tuple(arb_key.tolist()) + (int(arb_meta[0]),),
-                      arb_state[2]))
-    if bern_rng is not None:
-        bern_rng.setstate((3, tuple(bern_key.tolist())
-                           + (int(bern_meta[0]),), bern_state[2]))
-    del keep
-    return True
+            obs.inc("engine.array.fallback.abort", num_slots)
+        obs.observe("engine.array.kernel_native_s", native_s)
+        obs.observe("engine.array.kernel_handoff_s",
+                    perf_counter() - started - native_s)
+    return rc == _ERR_OK

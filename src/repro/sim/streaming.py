@@ -76,9 +76,11 @@ from repro.sim.stats import LatencyStats, ThroughputStats
 #: enough that a chunk's arrival plan is a few hundred kilobytes.
 DEFAULT_CHUNK_SLOTS = 65536
 
-#: Checkpoint envelope identification.
+#: Checkpoint envelope identification.  Version 2: the array cores' tail
+#: and DRAM FIFOs are ``collections.deque`` queues (version 1 snapshots
+#: pickle a ring-buffer class that no longer exists).
 CHECKPOINT_FORMAT = "repro-stream-checkpoint"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 class StreamingSimulation:

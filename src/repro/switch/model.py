@@ -4,8 +4,8 @@ Execution is two-stage, which is what makes switch runs shardable:
 
 1. **Fabric stage** (serial, cheap): every ingress port's traffic source is
    instantiated with a deterministic per-ingress seed; cells queue in
-   per-ingress VOQs (one :class:`~repro.sim.ring.IntRing` of arrival slots
-   per (ingress, egress) pair); the fabric arbiter computes one conflict-free
+   per-ingress VOQs (one :class:`collections.deque` of arrival slots per
+   (ingress, egress) pair); the fabric arbiter computes one conflict-free
    matching per slot.  Because each egress accepts at most one cell per slot,
    the fabric's output is exactly ``N`` single-linecard arrival traces —
    the same admissibility model the paper's buffer assumes.  After the
@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import time
 from bisect import insort
+from collections import deque
 from dataclasses import dataclass
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
@@ -39,9 +40,8 @@ from repro.errors import ConfigurationError
 from repro.obs.metrics import get_metrics
 from repro.obs.trace import emit as trace_emit
 from repro.runner.jobs import Job
-from repro.runner.sweep import JobFailure, SweepRunner, default_jobs
+from repro.runner.sweep import JobFailure, SweepRunner
 from repro.sim import DEFAULT_ENGINE, resolve_engine
-from repro.sim.ring import IntRing
 from repro.sim.stats import LatencyStats
 from repro.switch.scenario import SwitchScenario
 from repro.switch.traffic import build_ingress_traffic
@@ -104,7 +104,7 @@ class FabricStream:
                         for i in range(n)]
         self.fabric = scenario.build_fabric()
         # voq[i][e]: arrival slots of cells waiting at ingress i for egress e.
-        self._voq = [[IntRing() for _ in range(n)] for _ in range(n)]
+        self._voq = [[deque() for _ in range(n)] for _ in range(n)]
         # requests[i]: ascending egress ports with a non-empty VOQ at
         # ingress i — maintained incrementally (a VOQ changes emptiness at
         # most twice per slot) instead of being rescanned O(N^2) every slot.
@@ -129,9 +129,9 @@ class FabricStream:
         matched_egress = [False] * n
         matched_ingress = [False] * n
         for ingress, egress in matches:
-            ring = voq[ingress][egress]
+            queue = voq[ingress][egress]
             try:
-                arrival_slot = ring.popleft()
+                arrival_slot = queue.popleft()
             except IndexError:
                 raise ConfigurationError(
                     f"fabric arbiter matched empty VOQ ({ingress}, {egress})")
@@ -145,7 +145,7 @@ class FabricStream:
                     f"{slot}")
             matched_egress[egress] = True
             matched_ingress[ingress] = True
-            if not ring:
+            if not queue:
                 requests[ingress].remove(egress)
             self._ingress_backlog[ingress] -= 1
             self._backlog_total -= 1
@@ -185,10 +185,10 @@ class FabricStream:
                             f"ingress {ingress} generated destination "
                             f"{destination}, but the switch has only {n} "
                             f"ports")
-                    ring = voq[ingress][destination]
-                    if not ring:
+                    queue = voq[ingress][destination]
+                    if not queue:
                         insort(requests[ingress], destination)
-                    ring.push(slot)
+                    queue.append(slot)
                     ingress_backlog[ingress] += 1
                     self._backlog_total += 1
                     self._offered += 1
@@ -452,12 +452,7 @@ class SwitchModel:
         engine = resolve_engine(engine)
         port_jobs, stats = self.build_port_jobs(engine, num_slots)
         if runner is None:
-            # Port jobs are uniform and known up front, so hand each worker
-            # its whole share in one message (ceil(ports / workers)) instead
-            # of one IPC round-trip per port.
-            workers = jobs if jobs > 0 else default_jobs()
-            chunk = max(1, -(-len(port_jobs) // workers))
-            runner = SweepRunner(jobs=jobs, chunksize=chunk)
+            runner = SweepRunner(jobs=jobs)
         results = runner.run(port_jobs)
         # A non-strict runner quarantines poisoned port jobs as JobFailure
         # entries; the merged report keeps them separate from the surviving

@@ -519,9 +519,19 @@ def _fault_plan(case: FuzzCase) -> Any:
 
 def _compare_values(leg: str, got: Any, want: Any) -> List[Divergence]:
     """Strict equality compare for the chaos legs (results are frozen
-    dataclasses, so ``==`` is the bit-identity check)."""
+    dataclasses, so ``==`` is the bit-identity check).
+
+    A clean run that raised is a ``JobFailure`` of kind ``error``, and that
+    is its outcome: the faulted run must raise the same error (its attempt
+    count may differ, since transient faults add retries)."""
     from repro.runner.sweep import JobFailure
 
+    if isinstance(want, JobFailure):
+        if (isinstance(got, JobFailure)
+                and (got.kind, got.error) == (want.kind, want.error)):
+            return []
+        outcome = got.brief() if isinstance(got, JobFailure) else _clip(got)
+        return [Divergence(leg, "outcome", f"{want.brief()} vs {outcome}")]
     if isinstance(got, JobFailure):
         return [Divergence(leg, "job_failure", got.brief())]
     if got != want:
@@ -533,7 +543,8 @@ def _compare_values(leg: str, got: Any, want: Any) -> List[Divergence]:
 def _run_fault_legs(case: FuzzCase, stream: bool,
                     rng: random.Random) -> List[Divergence]:
     """The ``--faults`` chaos legs: the case re-run under its seeded fault
-    schedule must produce reports bit-identical to the fault-free run.
+    schedule must produce reports bit-identical to the fault-free run, or,
+    where the fault-free run raised, the same error.
 
     Three legs: (a) a supervised sweep under injected worker kills and
     transient errors, with cache writes the plan may corrupt; (b) the same
@@ -566,7 +577,7 @@ def _run_fault_legs(case: FuzzCase, stream: bool,
                 tag=f"faults-{engine}")
             for engine in engines]
 
-    clean = SweepRunner(jobs=1).run(jobs)
+    clean = SweepRunner(jobs=1, strict=False).run(jobs)
 
     with tempfile.TemporaryDirectory() as tmp:
         cache = ResultCache(root=os.path.join(tmp, "cache"))

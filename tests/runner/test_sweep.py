@@ -25,10 +25,6 @@ class TestConfiguration:
     def test_zero_selects_auto(self):
         assert SweepRunner(jobs=0).jobs == default_jobs()
 
-    def test_bad_chunksize_rejected(self):
-        with pytest.raises(ConfigurationError):
-            SweepRunner(chunksize=0)
-
 
 class TestDeterminism:
     def test_results_are_in_job_order(self):

@@ -5,15 +5,13 @@ kernel (when it builds — without a compiler that leg re-runs the scalar
 loop) and with it switched off, so the array core's scalar python loop
 runs every span.  Either way the report must be bit-identical to the
 reference loop, or, where the reference loop is too slow (the wide
-machines), to the kernel-off array run.  ``engine="numpy"`` is the retired
-name of the kernel-backed core, which this module is named after.
+machines), to the kernel-off array run.
 """
 
-import base64
-import json
 import os
-import pickle
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -292,11 +290,25 @@ def _baseline(kernel_mode, monkeypatch, run):
     return run("reference")
 
 
+def _timer_count(registry, name):
+    return registry.snapshot()["timers"].get(name, {}).get("count", 0)
+
+
+def _assert_timed_per_call(registry):
+    """Each kernel call, completed or aborted, records its native and its
+    handoff time once."""
+    calls = (registry.counter("engine.array.kernel_spans")
+             + registry.counter("engine.array.kernel_aborts"))
+    assert _timer_count(registry, "engine.array.kernel_native_s") == calls
+    assert _timer_count(registry, "engine.array.kernel_handoff_s") == calls
+
+
 def _assert_kernel_ran(registry, kernel_mode):
     """The array run took the span kernel (with the kill switch: did not),
     so a silent scalar fallback cannot pass for a kernel run."""
     spans = registry.counter("engine.array.kernel_spans")
     assert registry.counter("engine.array.kernel_aborts") == 0
+    _assert_timed_per_call(registry)
     if kernel_mode == "no-kernel":
         assert spans == 0
         assert registry.counter("engine.array.fallback.unavailable") > 0
@@ -306,8 +318,8 @@ def _assert_kernel_ran(registry, kernel_mode):
 
 @pytest.mark.parametrize("num_queues", WIDE_QUEUES)
 def test_wide_monolithic_deferred_plan(num_queues, kernel_mode, monkeypatch):
-    """A weighted Bernoulli plan the kernel draws itself (deferred), in one
-    fused main+drain call."""
+    """A weighted Bernoulli plan the kernel draws itself (deferred), then
+    the drain window as a span of its own."""
     def make_sim():
         return _wide_sim(num_queues, BernoulliArrivals(
             num_queues, load=0.9, seed=7,
@@ -624,6 +636,7 @@ def test_fallback_reason_abort():
     aborts = registry.counter("engine.array.kernel_aborts")
     assert aborts > 0
     assert _abort_codes(registry) == {"strict": aborts}
+    _assert_timed_per_call(registry)
 
 
 def test_fallback_reason_no_lookahead():
@@ -696,9 +709,9 @@ def test_plan_entry_naming_no_queue_aborts_the_kernel(kernel_mode,
 def test_plan_entry_the_kernel_cannot_encode_raises(entry, kernel_mode):
     """An explicit plan entry of -1, the kernel's no-arrival code, is not
     read as an idle slot, and one past ``int32`` does not stop the plan's
-    conversion with numpy's error: the kernel declines the plan, and the
-    scalar loop raises the reference engine's error (for -1, rather than
-    indexing from the end of its per-queue lists)."""
+    conversion with ``array``'s error: the kernel declines the plan, and
+    the scalar loop raises the reference engine's error (for -1, rather
+    than indexing from the end of its per-queue lists)."""
     pattern = [q % 8 for q in range(300)] + [entry] + [None] * 99
 
     def make_sim():
@@ -716,9 +729,9 @@ def test_plan_entry_the_kernel_cannot_encode_raises(entry, kernel_mode):
 
 
 def test_checkpoint_after_kernel_span_is_numpy_free(tmp_path):
-    """A checkpoint written after kernel-backed spans must not embed any
-    numpy object — the documented contract is that snapshots are plain
-    Python and resume without the compiled kernel (scalar-loop fallback)."""
+    """A checkpoint written after kernel-backed spans resumes to the
+    uninterrupted report, and numpy is no dependency: ``import repro`` plus
+    a kernel span leaves it unloaded."""
     if span_kernel.load_kernel() is None:
         pytest.skip("no C compiler: the span kernel never ran")
     scenario = get_scenario("uniform-bernoulli")
@@ -734,19 +747,57 @@ def test_checkpoint_after_kernel_span_is_numpy_free(tmp_path):
     resumed = resume_stream(path)
     assert_reports_identical(resumed, uninterrupted)
 
-    # The snapshot must unpickle on a host with no numpy at all: block
-    # every numpy module and load the payload (an embedded ndarray would
-    # raise ImportError here).
-    blob = base64.b64decode(json.loads(path.read_text())["state_b64"])
-    numpy_mods = {name: mod for name, mod in sys.modules.items()
-                  if name == "numpy" or name.startswith("numpy.")}
-    try:
-        for name in numpy_mods:
-            sys.modules[name] = None
-        state = pickle.loads(blob)
-    finally:
-        sys.modules.update(numpy_mods)
-    assert state["slot"] == 1000
+    code = "\n".join([
+        "import sys",
+        "import repro",
+        "from repro.obs.metrics import MetricsRegistry, using_metrics",
+        "from repro.workloads.registry import get_scenario",
+        "registry = MetricsRegistry()",
+        "with using_metrics(registry):",
+        "    get_scenario('uniform-bernoulli').run(engine='array')",
+        "assert registry.counter('engine.array.kernel_spans') > 0",
+        "assert 'numpy' not in sys.modules, 'numpy was imported'",
+    ])
+    src = Path(span_kernel.__file__).resolve().parents[2]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    child = subprocess.run([sys.executable, "-c", code], env=env,
+                           capture_output=True, text=True, timeout=300)
+    assert child.returncode == 0, child.stderr
+
+
+def test_each_kernel_result_is_released_once(monkeypatch):
+    """The kernel owns its result buffer: every successful call hands one
+    back and python releases it exactly once; an aborted call returns none
+    to release."""
+    if span_kernel.load_kernel() is None:
+        pytest.skip("no C compiler: the span kernel never runs")
+    released = []
+    release = span_kernel._release
+
+    def counting_release(result):
+        released.append(result)
+        release(result)
+
+    monkeypatch.setattr(span_kernel, "_release", counting_release)
+
+    def make_sim(**overrides):
+        return ClosedLoopSimulation(
+            _build_buffer("rads", **overrides),
+            BernoulliArrivals(8, load=1.0, seed=11),
+            RandomArbiter(8, seed=12, load=0.3))
+
+    _, registry = _observed(lambda: make_sim().run_stream(
+        3000, engine="array", chunk_slots=500))
+    spans = registry.counter("engine.array.kernel_spans")
+    assert spans > 1
+    assert len(released) == spans
+
+    registry = MetricsRegistry()
+    with using_metrics(registry), pytest.raises(BufferOverflowError):
+        make_sim(tail_sram_cells=3, strict=True).run(1200, engine="array")
+    assert registry.counter("engine.array.kernel_aborts") > 0
+    assert len(released) == spans
 
 
 def test_kernel_cache_is_private(monkeypatch, tmp_path):

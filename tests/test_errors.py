@@ -1,5 +1,7 @@
 """Tests for the exception hierarchy."""
 
+import pickle
+
 import pytest
 
 from repro.errors import (
@@ -21,6 +23,20 @@ class TestHierarchy:
     ])
     def test_all_derive_from_repro_error(self, exc_class):
         assert issubclass(exc_class, ReproError)
+
+    @pytest.mark.parametrize("error", [
+        CacheMissError(queue=53, slot=527),
+        BankConflictError(bank=5, slot=40, busy_until=48),
+        BufferOverflowError("tail SRAM", capacity=3, occupancy=4),
+        QueueEmptyError(queue=3),
+        ConfigurationError("bad config"),
+    ], ids=lambda error: type(error).__name__)
+    def test_round_trips_through_pickle(self, error):
+        """A sweep worker returns a job's error through a pickling queue."""
+        again = pickle.loads(pickle.dumps(error))
+        assert type(again) is type(error)
+        assert str(again) == str(error)
+        assert vars(again) == vars(error)
 
 
 class TestCacheMissError:

@@ -9,6 +9,9 @@ is caught on the PR path, not at 3am.
 import json
 import random
 
+import pytest
+
+from repro.errors import BufferOverflowError
 from repro.switch.scenario import SwitchScenario
 from repro.workloads.fuzz import (
     DEFAULT_MASTER_SEED,
@@ -171,3 +174,25 @@ class TestFuzzMany:
         for artifact in summary.artifacts:
             document = json.loads(open(artifact).read())
             assert document["divergences"][0]["leg"] == "forced"
+
+
+class TestFaultLegs:
+    def test_a_raising_case_is_an_outcome_not_a_crash(self):
+        """A strict tail-SRAM overflow raises on both engines; under
+        ``faults=True`` the clean sweep records that error as the run's
+        outcome, and the faulted and cache-reread sweeps raise the same."""
+        spec = {
+            "name": "fuzz-raises", "scheme": "rads", "num_slots": 400,
+            "seed": 5,
+            "buffer": {"num_queues": 8, "granularity": 4,
+                       "tail_sram_cells": 3, "strict": True},
+            "arrivals": {"type": "bernoulli",
+                         "params": {"num_queues": 8, "load": 1.0}},
+            "arbiter": {"type": "random",
+                        "params": {"num_queues": 8, "load": 0.3}},
+        }
+        for engine in ("reference", "array"):
+            with pytest.raises(BufferOverflowError):
+                Scenario.from_spec(spec).run(engine=engine)
+        case = FuzzCase(DEFAULT_MASTER_SEED, 0, "scenario", spec)
+        assert run_case(case, faults=True) == []
