@@ -1,10 +1,11 @@
 """Shared helpers for the benchmark suite.
 
 Every benchmark regenerates one exhibit of the paper (a table or a figure) or
-one ablation of a design choice called out in DESIGN.md.  The ``benchmark``
-fixture times the computation; the assertions check that the regenerated data
-still shows the paper's qualitative result (who wins, by roughly what factor,
-where the crossovers fall).  Numeric rows are echoed so a
+one ablation of a design choice the paper argues for (the head MMA policy,
+the DSA, block-cyclic interleaving, queue renaming).  The ``benchmark``
+fixture times the computation; the assertions check that the regenerated
+data still shows the paper's qualitative result (who wins, by roughly what
+factor, where the crossovers fall).  Numeric rows are echoed so a
 ``pytest benchmarks/ --benchmark-only -s`` run doubles as a report generator.
 """
 

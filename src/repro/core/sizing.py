@@ -10,8 +10,8 @@ Register sizes are all reproduced exactly by
 where ``k`` is 2 when the DRAM Scheduler Subsystem manages both reads and
 writes (the paper's final remark in Section 5.3) and 1 for a read-only
 (head-side) analysis, and ``G = M / (B/b)`` is the number of bank groups.
-The derivation and the verification against Table 2 are documented in
-DESIGN.md; the simulator-based property tests check that the measured
+The derivation and the verification against Table 2 are recorded under
+"Substitutions" in ``docs/architecture.md``; the simulator-based property tests check that the measured
 Requests-Register occupancy and reordering delay stay within these bounds.
 """
 

@@ -18,7 +18,7 @@ Since the paper does not reprint the closed form, we use the interpolation
 which reproduces both anchor points the paper reports for both evaluated
 configurations (OC-768: 300 kB -> 64 kB, OC-3072: 6.2 MB -> 1.0 MB) and decays
 logarithmically in the lookahead, matching the shape of Figure 8.  The
-substitution is recorded in DESIGN.md.
+substitution is recorded under "Substitutions" in ``docs/architecture.md``.
 """
 
 from __future__ import annotations
@@ -43,6 +43,10 @@ def ecqf_safe_lookahead(num_queues: int, granularity: int) -> int:
     up to ``B-1`` slots of that grid, so the slot-accurate simulators default
     to this value — the analytical sizing is unchanged because the head SRAM
     requirement is already flat beyond ``Q(B-1)+1``.
+    ``tests/rads/test_lookahead_finding.py`` is the measurement behind this
+    argument: under the round-robin adversary started 1 to ``B-1`` slots off
+    the decision grid, ``Q(B-1)+1`` misses exactly once and ``Q(B-1)+B``
+    never does.
     """
     _validate(num_queues, granularity)
     return num_queues * (granularity - 1) + granularity

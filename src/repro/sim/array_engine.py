@@ -40,10 +40,13 @@ policies the engine substitutes *algebraically identical* incremental forms:
   knows every backlog transition); the RNG draw sequence is unchanged, so the
   request stream is bit-identical.
 
-For CFDS, the issue-period machinery — the DRAM scheduler subsystem (request
-register, banked-DRAM timing), the renaming table and the bank mapping — is
-borrowed from the buffer object itself, so scheduling decisions cannot
-diverge either.  The resulting :class:`~repro.sim.engine.SimulationReport`
+For CFDS, the issue-period machinery — the DRAM scheduler subsystem
+(Requests Register with its oldest-ready select, Ongoing Requests Register,
+banked-DRAM timing), queue renaming and the block-cyclic bank mapping — is
+re-implemented on the core's own flat state too, configured once from the
+buffer's objects; it makes the object model's decisions in the object
+model's order, errors included.  The resulting
+:class:`~repro.sim.engine.SimulationReport`
 (throughput, latency histogram, buffer statistics) is asserted bit-identical
 to the reference loop for every registered scenario by
 ``tests/sim/test_array_engine.py``.
@@ -61,8 +64,10 @@ natively: the whole horizon of a monolithic run, each chunk of a streamed
 one.  CFDS has no kernel.
 
 The engine consumes a *freshly built* buffer: it reads the configuration and
-the issue-period machinery off the buffer object but keeps all per-cell state
-in its own arrays, so the buffer instance itself is not stepped.  Running an
+the sizes of the issue-period machinery off the buffer object once and keeps
+all state in its own arrays, so the buffer instance itself is not stepped
+(a CFDS core shares only its group-occupancy list, which the buffer's
+``dram_group_occupancy()`` reads).  Running an
 already-run (or hand-stepped) simulation on the array engine raises
 :class:`~repro.errors.StaleSimulationError`.
 
@@ -91,10 +96,10 @@ from typing import List, Optional
 
 from repro.errors import (
     ArbiterContractError,
+    BankConflictError,
     BufferOverflowError,
     CacheMissError,
     ConfigurationError,
-    RenamingError,
     StaleSimulationError,
 )
 from repro.mma.ecqf import ECQF
@@ -103,7 +108,7 @@ from repro.obs.metrics import get_metrics
 from repro.sim import kernel
 from repro.traffic.arbiters import RandomArbiter
 from repro.traffic.arrivals import BernoulliArrivals
-from repro.types import MissRecord, ReplenishRequest, SimulationResult, TransferDirection
+from repro.types import MissRecord, SimulationResult
 
 #: Engine names accepted by ``ClosedLoopSimulation.run(engine=...)``: the
 #: object-model oracle and this module's core.
@@ -931,14 +936,51 @@ class _RADSCore(_ArrayCoreBase):
 # CFDS
 # --------------------------------------------------------------------- #
 
+def _allocate_name(free_names: List[List[int]], group_occ: List[int],
+                   group_cap: Optional[int], cells: int) -> int:
+    """A free physical queue name from the group with the fewest cells
+    among those with a free name and room for ``cells``, ties to the lowest
+    group (:meth:`~repro.core.renaming.RenamingTable._allocate_physical`),
+    or -1 when there is none (the object model's ``RenamingError``)."""
+    best = -1
+    best_occ = 0
+    for group, names in enumerate(free_names):
+        if names:
+            occ = group_occ[group]
+            if ((group_cap is None or group_cap - occ >= cells)
+                    and (best < 0 or occ < best_occ)):
+                best = group
+                best_occ = occ
+    return free_names[best].pop() if best >= 0 else -1
+
+
 class _CFDSCore(_ArrayCoreBase):
     """Struct-of-arrays machine for :class:`~repro.core.buffer.CFDSPacketBuffer`.
 
-    The issue-period machinery is borrowed from the buffer itself: the DSS
-    (request register + banked-DRAM timing), the renaming table and the bank
-    mapping make the exact decisions the object model makes.  Those objects
-    travel with the buffer through a checkpoint pickle, so a resumed core
-    sees the same shared state.
+    The issue-period machinery is the core's own flat state, configured once
+    from the buffer's objects at construction and never stepped through
+    them (they keep their initial state, apart from the group-occupancy
+    list, which is shared — see below):
+
+    * the Requests Register ``rr``: ``(bank, issue_slot, landing_queue,
+      seqs)`` entries in age order (``seqs`` is ``None`` for a write), and
+      its peak occupancy;
+    * the Ongoing Requests Register: a lock count per bank plus ``orr``, a
+      ring of the banks issued in each of the last ``orr_size`` periods;
+    * the banked DRAM: per-bank busy-until slots, the conflict count and
+      the last issue slot;
+    * the transfers in flight, ``(finish_slot, rr_entry)`` in issue order,
+      the earliest finish among them and the largest request-to-data delay
+      seen;
+    * queue renaming (Section 6): per logical queue a deque of ``[physical,
+      cells]`` entries, the free physical names of each group as stacks,
+      in-use flags, and the group occupancy;
+    * each logical queue's ``(physical, block_index)`` locations in DRAM
+      and each physical queue's write count.
+
+    The group-occupancy list *is* the renaming table's (or, without
+    renaming, the buffer's), so :meth:`~repro.core.buffer.CFDSPacketBuffer.\
+dram_group_occupancy` and ``dram_utilisation()`` answer for an array run.
     """
 
     def __init__(self, sim, buffer) -> None:
@@ -950,6 +992,45 @@ class _CFDSCore(_ArrayCoreBase):
         self.dram_access_slots = config.dram_access_slots
         self.latency_reg: List[Optional[int]] = [None] * self.lat_len
         self.lat_pos = 0
+
+        scheduler = buffer.scheduler
+        timing = scheduler.dram.timing
+        mapping = buffer.mapping
+        self.rr_cap = scheduler.request_register.capacity
+        self.issues = scheduler.issues_per_period
+        self.ras = timing.random_access_slots
+        self.bus_slots = timing.address_bus_slots
+        self.dram_strict = scheduler.dram.strict
+        self.num_groups = mapping.num_groups
+        self.banks_per_group = mapping.banks_per_group
+        self.rr: List[tuple] = []
+        self.rr_peak = 0
+        self.orr: List[tuple] = [()] * scheduler.ongoing.length
+        self.orr_pos = 0
+        self.locks = [0] * timing.num_banks
+        self.busy_until = [0] * timing.num_banks
+        self.conflicts = 0
+        self.last_issue: Optional[int] = None
+        self.in_flight: List[tuple] = []
+        self.flight_next = _INF
+        self.max_delay = 0
+
+        renaming = buffer.renaming
+        self.block_locations = [deque() for _ in range(self.num_queues)]
+        self.write_count = [0] * mapping.num_queues
+        if renaming is None:
+            self.group_cap = buffer.group_capacity_cells
+            self.group_occ = buffer._group_occupancy
+            self.names = None
+            self.free_names = None
+            self.in_use = None
+        else:
+            self.group_cap = renaming.group_capacity_cells
+            self.group_occ = renaming._group_occupancy
+            self.names = [deque() for _ in range(self.num_queues)]
+            self.free_names = [list(renaming._free_by_group[group])
+                               for group in range(self.num_groups)]
+            self.in_use = [False] * renaming.num_physical
 
     def _drain_slots(self) -> int:
         return (self.la_len + self.lat_len + self.dram_access_slots
@@ -980,15 +1061,34 @@ class _CFDSCore(_ArrayCoreBase):
         fast_tail = self.fast_tail
         fast_ecqf = self.fast_ecqf
         ecqf_fallback = self.ecqf_fallback
-        scheduler = buffer.scheduler
-        renaming = buffer.renaming
-        mapping = buffer.mapping
-        group_cap = buffer.group_capacity_cells
-        group_occ = buffer._group_occupancy
-        block_locations = buffer._block_locations
-        write_count = buffer._physical_write_count
-        read_dir = TransferDirection.READ
-        write_dir = TransferDirection.WRITE
+
+        # Issue-period machinery (see the class docstring).
+        rr = self.rr
+        rr_cap = self.rr_cap
+        rr_peak = self.rr_peak
+        issues = self.issues
+        orr = self.orr
+        orr_len = len(orr)
+        orr_pos = self.orr_pos
+        locks = self.locks
+        busy_until = self.busy_until
+        ras = self.ras
+        bus_slots = self.bus_slots
+        dram_strict = self.dram_strict
+        conflicts = self.conflicts
+        last_issue = self.last_issue
+        in_flight = self.in_flight
+        flight_next = self.flight_next
+        max_delay = self.max_delay
+        num_groups = self.num_groups
+        banks_per_group = self.banks_per_group
+        group_cap = self.group_cap
+        group_occ = self.group_occ
+        names = self.names
+        free_names = self.free_names
+        in_use = self.in_use
+        block_locations = self.block_locations
+        write_count = self.write_count
 
         arbiter = sim.arbiter
         fast_random = self.fast_random
@@ -1070,6 +1170,7 @@ class _CFDSCore(_ArrayCoreBase):
             else:
                 arrival = None
                 request = None
+            period = slot % granularity == 0
 
             # -- arrival with cut-through routing.
             tail_seqno = -1
@@ -1103,7 +1204,7 @@ class _CFDSCore(_ArrayCoreBase):
                     tail_seqno = seqno
 
             # -- tail subsystem: accept + threshold MMA eviction through the
-            #    DSS.
+            #    Requests Register.
             if tail_seqno >= 0:
                 if tail_total + 1 > tail_cap:
                     tail_misses.append(None)
@@ -1115,7 +1216,7 @@ class _CFDSCore(_ArrayCoreBase):
                     tail_occ[arrival] += 1
                     tail_total += 1
                     cells_in += 1
-            if slot % granularity == 0:
+            if period:
                 if fast_tail:
                     selection = None
                     if tail_total >= granularity:
@@ -1133,27 +1234,42 @@ class _CFDSCore(_ArrayCoreBase):
                     tail_occ[selection] -= evicted
                     tail_total -= evicted
                     if block:
-                        # Place the block: renaming translation, or the
-                        # static per-group accounting when renaming is
-                        # disabled.
-                        if renaming is not None:
-                            try:
-                                physical = renaming.translate_write(selection,
-                                                                    evicted)
-                            except RenamingError:
-                                physical = None
+                        # Place the block: through the renaming register's
+                        # tail entry (a new physical queue when its group is
+                        # full), or in the queue's own group without
+                        # renaming.  -1: no room, the block is dropped.
+                        if names is not None:
+                            entries = names[selection]
+                            physical = -1
+                            if entries:
+                                entry = entries[-1]
+                                physical = entry[0]
+                                if (group_cap is not None
+                                        and group_occ[physical % num_groups]
+                                        + evicted > group_cap):
+                                    physical = -1
+                            if physical < 0:
+                                physical = _allocate_name(
+                                    free_names, group_occ, group_cap, evicted)
+                                if physical >= 0:
+                                    in_use[physical] = True
+                                    entry = [physical, 0]
+                                    entries.append(entry)
+                            if physical >= 0:
+                                entry[1] += evicted
+                                group_occ[physical % num_groups] += evicted
                         else:
                             physical = selection
-                            group = mapping.group_of(physical)
+                            group = physical % num_groups
                             if (group_cap is not None
                                     and group_occ[group] + evicted > group_cap):
-                                physical = None
+                                physical = -1
                             else:
                                 group_occ[group] += evicted
-                        if physical is None:
+                        if physical < 0:
                             dropped += evicted
                         else:
-                            index = write_count.get(physical, 0)
+                            index = write_count[physical]
                             write_count[physical] = index + 1
                             fifo = dram_fifo[selection]
                             for seq in block:
@@ -1164,10 +1280,14 @@ class _CFDSCore(_ArrayCoreBase):
                                 dram_total += 1
                             dram_occ[selection] += evicted
                             block_locations[selection].append((physical, index))
-                            scheduler.submit(ReplenishRequest(
-                                queue=physical, direction=write_dir,
-                                cells=evicted, issue_slot=slot,
-                                block_index=index))
+                            if rr_cap is not None and len(rr) >= rr_cap:
+                                raise BufferOverflowError(
+                                    "Requests Register", rr_cap, len(rr) + 1)
+                            rr.append(((physical % num_groups) * banks_per_group
+                                       + index % banks_per_group,
+                                       slot, -1, None))
+                            if len(rr) > rr_peak:
+                                rr_peak = len(rr)
                             dram_writes += 1
             if tail_total > max_tail:
                 max_tail = tail_total
@@ -1216,7 +1336,7 @@ class _CFDSCore(_ArrayCoreBase):
                     req_count[due] -= 1
             elif due is not None:
                 counters[due] -= 1
-            if slot % granularity == 0:
+            if period:
                 if fast_ecqf:
                     selection = _ecqf_select(counters, negatives, req_count,
                                              crit_heap, crit_cache,
@@ -1238,20 +1358,38 @@ class _CFDSCore(_ArrayCoreBase):
                         got = len(seqs)
                         dram_occ[selection] -= got
                         dram_total -= got
-                        physical, block_index = block_locations[selection].popleft()
-                        if renaming is not None:
-                            renaming.translate_read(selection, got)
+                        physical, index = block_locations[selection].popleft()
+                        if names is not None:
+                            # Debit the renaming register's head entries;
+                            # a drained physical queue returns to its
+                            # group's free names.
+                            entries = names[selection]
+                            remaining = got
+                            while remaining:
+                                entry = entries[0]
+                                name = entry[0]
+                                count = entry[1]
+                                take = count if count < remaining else remaining
+                                group_occ[name % num_groups] -= take
+                                remaining -= take
+                                if count == take:
+                                    entries.popleft()
+                                    if in_use[name]:
+                                        in_use[name] = False
+                                        free_names[name % num_groups].append(
+                                            name)
+                                else:
+                                    entry[1] = count - take
                         else:
-                            group_occ[mapping.group_of(physical)] -= got
-                        fetch_request = ReplenishRequest(
-                            queue=physical, direction=read_dir, cells=got,
-                            issue_slot=slot, block_index=block_index)
+                            group_occ[physical % num_groups] -= got
+                        bank = ((physical % num_groups) * banks_per_group
+                                + index % banks_per_group)
                     else:
                         _pop_block(tail_fifo[selection], granularity, seqs)
                         got = len(seqs)
                         tail_occ[selection] -= got
                         tail_total -= got
-                        fetch_request = None
+                        bank = -1
                     if seqs:
                         count = counters[selection] + got
                         counters[selection] = count
@@ -1265,7 +1403,7 @@ class _CFDSCore(_ArrayCoreBase):
                                 heappush(crit_heap, (entered, selection))
                             else:
                                 crit_cache[selection] = _INF
-                        if fetch_request is None:
+                        if bank < 0:
                             # Cut-through: available to the head SRAM
                             # immediately.
                             heap = sram_heap[selection]
@@ -1276,20 +1414,93 @@ class _CFDSCore(_ArrayCoreBase):
                                                               sram_total)
                                 heappush(heap, seq)
                         else:
-                            scheduler.submit(fetch_request,
-                                             payload=(selection, seqs))
+                            if rr_cap is not None and len(rr) >= rr_cap:
+                                raise BufferOverflowError(
+                                    "Requests Register", rr_cap, len(rr) + 1)
+                            rr.append((bank, slot, selection, seqs))
+                            if len(rr) > rr_peak:
+                                rr_peak = len(rr)
                             dram_reads += 1
-            for transfer in scheduler.tick(slot):
-                payload = transfer.payload
-                if transfer.request.direction is read_dir and payload:
-                    landing_queue, seqs = payload
-                    heap = sram_heap[landing_queue]
-                    for seq in seqs:
+
+            # -- DSS tick (DRAMSchedulerSubsystem.tick): collect the
+            #    transfers that completed, issue on a period boundary, then
+            #    land the completed reads in the head SRAM.
+            landed = None
+            if flight_next <= slot:
+                landed = []
+                still = []
+                flight_next = _INF
+                for transfer in in_flight:
+                    finish = transfer[0]
+                    if finish <= slot:
+                        delay = finish - transfer[1][1]
+                        if delay > max_delay:
+                            max_delay = delay
+                        if transfer[1][3] is not None:
+                            landed.append(transfer[1])
+                    else:
+                        still.append(transfer)
+                        if finish < flight_next:
+                            flight_next = finish
+                in_flight[:] = still
+            if period:
+                # The DSA: up to ``issues`` oldest entries whose bank is
+                # neither locked by the ORR nor issued this period.
+                issued = ()
+                if rr:
+                    issued = []
+                    position = 0
+                    while position < len(rr):
+                        entry = rr[position]
+                        bank = entry[0]
+                        if locks[bank] or bank in issued:
+                            position += 1
+                            continue
+                        del rr[position]
+                        # BankedDRAM.start_access.
+                        if (last_issue is not None
+                                and slot - last_issue < bus_slots
+                                and slot != last_issue):
+                            raise ConfigurationError(
+                                f"address bus violation: accesses at slots "
+                                f"{last_issue} and {slot} are closer than "
+                                f"{bus_slots} slots")
+                        busy = busy_until[bank]
+                        if slot < busy:
+                            conflicts += 1
+                            if dram_strict:
+                                raise BankConflictError(bank, slot, busy)
+                            finish = busy + ras
+                        else:
+                            finish = slot + ras
+                        busy_until[bank] = finish
+                        last_issue = slot
+                        in_flight.append((finish, entry))
+                        if finish < flight_next:
+                            flight_next = finish
+                        issued.append(bank)
+                        if len(issued) == issues:
+                            break
+                    issued = tuple(issued)
+                if orr_len:
+                    for bank in orr[orr_pos]:
+                        locks[bank] -= 1
+                    orr[orr_pos] = issued
+                    for bank in issued:
+                        locks[bank] += 1
+                    orr_pos += 1
+                    if orr_pos == orr_len:
+                        orr_pos = 0
+            if landed:
+                for entry in landed:
+                    heap = sram_heap[entry[2]]
+                    for seq in entry[3]:
                         sram_total += 1
                         if sram_cap is not None and sram_total > sram_cap:
                             raise BufferOverflowError("SRAM", sram_cap,
                                                       sram_total)
                         heappush(heap, seq)
+
             if due is not None:
                 expected = delivered[due]
                 heap = sram_heap[due]
@@ -1347,6 +1558,12 @@ class _CFDSCore(_ArrayCoreBase):
         self.la_pos = la_pos
         self.lat_pos = lat_pos
         self.negatives = negatives
+        self.rr_peak = rr_peak
+        self.orr_pos = orr_pos
+        self.conflicts = conflicts
+        self.last_issue = last_issue
+        self.flight_next = flight_next
+        self.max_delay = max_delay
         self.arrivals_count = arrivals_count
         self.departures = departures
         self.idle_requests = idle_requests
@@ -1360,7 +1577,6 @@ class _CFDSCore(_ArrayCoreBase):
 
     # ------------------------------------------------------------------ #
     def _result(self, final_slot: int) -> SimulationResult:
-        scheduler = self.buffer.scheduler
         return SimulationResult(
             slots_simulated=final_slot,
             cells_in=self.cells_in,
@@ -1370,7 +1586,7 @@ class _CFDSCore(_ArrayCoreBase):
             misses=self.head_misses + self.tail_misses,
             max_head_sram_occupancy=self.max_head,
             max_tail_sram_occupancy=self.max_tail,
-            max_request_register_occupancy=scheduler.peak_rr_occupancy,
-            max_reorder_delay_slots=scheduler.max_total_delay_slots,
-            bank_conflicts=scheduler.bank_conflicts,
+            max_request_register_occupancy=self.rr_peak,
+            max_reorder_delay_slots=self.max_delay,
+            bank_conflicts=self.conflicts,
         )

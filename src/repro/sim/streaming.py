@@ -76,11 +76,13 @@ from repro.sim.stats import LatencyStats, ThroughputStats
 #: enough that a chunk's arrival plan is a few hundred kilobytes.
 DEFAULT_CHUNK_SLOTS = 65536
 
-#: Checkpoint envelope identification.  Version 2: the array cores' tail
-#: and DRAM FIFOs are ``collections.deque`` queues (version 1 snapshots
-#: pickle a ring-buffer class that no longer exists).
+#: Checkpoint envelope identification.  Version 3: the CFDS array core
+#: keeps its Requests Register, ORR, bank timing and renaming state in its
+#: own flat lists (version 2 snapshots pickle a core that stepped the
+#: buffer's scheduler objects; version 1 ones a ring-buffer class that no
+#: longer exists).
 CHECKPOINT_FORMAT = "repro-stream-checkpoint"
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 
 
 class StreamingSimulation:

@@ -9,8 +9,8 @@ provides the equivalents:
 * :mod:`repro.tech.process` — the technology-process constants;
 * :mod:`repro.tech.cacti` — a CACTI-style analytical access-time/area model
   for direct-mapped SRAM arrays and content-addressable memories, calibrated
-  against the operating points the paper reports (see DESIGN.md for the
-  substitution note);
+  against the operating points the paper reports (see "Substitutions" in
+  ``docs/architecture.md``);
 * :mod:`repro.tech.sram_designs` — the two shared-buffer organisations of
   Section 7.1 (global CAM, time-multiplexed unified linked list) expressed as
   area/access-time models over a cell capacity;

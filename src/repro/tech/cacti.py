@@ -1,6 +1,7 @@
 """CACTI-style access-time and area model for SRAM arrays and CAMs.
 
-This is the reproduction's substitute for CACTI 3.0 (see DESIGN.md).  Like
+This is the reproduction's substitute for CACTI 3.0 (see "Substitutions" in
+``docs/architecture.md``).  Like
 CACTI it is an *analytical* model: access time is the sum of a fixed term, a
 decoder term growing with the logarithm of the array size, and a wire term
 growing with the physical side length of the array (square-root of the bit

@@ -11,7 +11,12 @@ from repro.rads.buffer import RADSPacketBuffer
 from repro.rads.config import RADSConfig
 from repro.sim.engine import ClosedLoopSimulation
 from repro.traffic.arbiters import OldestCellArbiter, RandomArbiter, TraceArbiter
-from repro.traffic.arrivals import BernoulliArrivals, BurstyArrivals, TraceArrivals
+from repro.traffic.arrivals import (
+    BernoulliArrivals,
+    BurstyArrivals,
+    HotspotArrivals,
+    TraceArrivals,
+)
 from repro.workloads import all_scenarios
 from repro.workloads.registry import scenario_names
 
@@ -166,8 +171,8 @@ def test_cfds_static_groups_without_renaming():
 
 
 def test_cfds_renaming_with_group_capacity():
-    """Renaming enabled with finite groups: the borrowed renaming table makes
-    identical placement decisions."""
+    """Renaming enabled with finite groups: the array core's own renaming
+    state makes identical placement decisions."""
     def make_sim():
         config = CFDSConfig(num_queues=8, dram_access_slots=8, granularity=2,
                             num_banks=32, strict=False)
@@ -179,6 +184,34 @@ def test_cfds_renaming_with_group_capacity():
 
     reference, array = run_both(make_sim, 1500)
     assert_reports_identical(reference, array)
+
+
+@pytest.mark.parametrize("use_renaming,occupancy,drops", [
+    (False, [190, 192, 0, 0, 0, 0, 0, 0], 1584),
+    (True, [192, 192, 192, 138, 192, 192, 192, 192], 484),
+])
+def test_cfds_buffer_introspection_after_run(use_renaming, occupancy, drops):
+    """``dram_group_occupancy()`` and ``dram_utilisation()`` answer for an
+    array run exactly as for a reference run: the array core keeps its own
+    placement state but shares the group-occupancy list these methods
+    read (the renaming ablation's setup, shortened)."""
+    def run(engine):
+        config = CFDSConfig(num_queues=16, dram_access_slots=8, granularity=2,
+                            num_banks=32, strict=False)
+        buffer = CFDSPacketBuffer(config, use_renaming=use_renaming,
+                                  group_capacity_cells=192)
+        report = ClosedLoopSimulation(
+            buffer,
+            HotspotArrivals(16, hot_queues=[0, 1], hot_fraction=0.9,
+                            load=0.95, seed=17),
+            RandomArbiter(16, load=0.30, seed=18),
+        ).run(3000, engine=engine)
+        return (buffer.dram_group_occupancy(), buffer.dram_utilisation(),
+                report.throughput.drops)
+
+    reference = run("reference")
+    assert reference == (occupancy, sum(occupancy) / (192 * 8), drops)
+    assert run("array") == reference
 
 
 # --------------------------------------------------------------------- #
