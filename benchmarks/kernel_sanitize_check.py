@@ -19,7 +19,11 @@ into a child interpreter with the sanitizer runtimes preloaded and real
 4. a 2-queue Bernoulli process feeding an 8-queue buffer, monolithic and
    streamed, against the reference engine (the kernel draws over the
    buffer's queues, so it must run python's plan, not read past the
-   process's two weights).
+   process's two weights), and
+5. the fabric entry: a 64-port ``random`` switch in 1- and 7-slot windows
+   (flush windows included) and a 256-port ``islip`` switch, whose request
+   bitsets span four words, each against the reference engine's python
+   fabric.
 
 Any out-of-bounds access or UB in the C source aborts the child with a
 sanitizer report, which this parent surfaces verbatim.
@@ -164,6 +168,44 @@ for label, run in (
               file=sys.stderr)
         sys.exit(4)
 print("narrow process ok")
+
+# 5. The fabric entry: every window, its stats and the arbiter state
+# afterwards against the python fabric.
+import dataclasses
+
+from repro.switch import get_switch_scenario
+from repro.switch.model import FabricStream
+
+def fabric_run(scenario, engine, chunk_slots):
+    stream = FabricStream(scenario, chunk_slots=chunk_slots, engine=engine)
+    windows = list(stream.chunks())
+    fabric = stream.fabric
+    state = (fabric._rng.getstate() if hasattr(fabric, "_rng")
+             else getattr(fabric, "_grant", None))
+    return windows, stream.stats, state
+
+for ports, policy, traffic, slots, chunks in (
+        (64, "random", "incast", 60, (1, 7)),
+        (256, "islip", "uniform", 40, (None,)),
+):
+    scenario = dataclasses.replace(
+        get_switch_scenario(traffic).with_overrides(num_ports=ports,
+                                                    num_slots=slots),
+        fabric={"type": policy, "params": {}})
+    for chunk in chunks:
+        registry = MetricsRegistry()
+        with using_metrics(registry):
+            got = fabric_run(scenario, "array", chunk)
+        if got != fabric_run(scenario, "reference", chunk):
+            print(f"DIFFERENTIAL MISMATCH: fabric {ports} ports {policy} "
+                  f"chunk {chunk}", file=sys.stderr)
+            sys.exit(4)
+        if (registry.counter("switch.fabric.kernel_slots")
+                != got[1].total_slots or not got[1].flush_slots):
+            print(f"KERNEL NOT REACHED: fabric {ports} ports {policy} "
+                  f"chunk {chunk}", file=sys.stderr)
+            sys.exit(4)
+print("fabric ok")
 print("SANITIZE CHECK PASSED")
 """
 

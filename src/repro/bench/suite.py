@@ -9,10 +9,10 @@ stage alone, then the full run with ports serial vs sharded over 4
 workers), and the long-horizon streaming path (chunked runs, with and
 without checkpointing) — each timed for a handful of repetitions, with the **median**
 wall-clock time recorded per benchmark.  Results are written as JSON
-(``BENCH_17.json`` by default; the number tracks the PR that produced the
+(``BENCH_18.json`` by default; the number tracks the PR that produced the
 file), so successive snapshots can be diffed mechanically::
 
-    python -m repro bench                 # full suite -> BENCH_17.json
+    python -m repro bench                 # full suite -> BENCH_18.json
     python -m repro bench --quick         # reduced slot counts (CI perf-smoke)
     python -m repro bench --filter wide   # only the wide-queue benchmarks
 
@@ -36,7 +36,7 @@ from repro.errors import ValidationError
 
 #: Default output file.  The suffix tracks the PR that produced the
 #: snapshot so the repository can accumulate a BENCH_<n>.json trajectory.
-DEFAULT_OUTPUT = "BENCH_17.json"
+DEFAULT_OUTPUT = "BENCH_18.json"
 
 #: JSON schema version of the output document.
 SCHEMA = 1

@@ -1,15 +1,22 @@
-/* Span kernel for the "array" engine's RADS core.
+/* Span kernel for the "array" engine's RADS core and the switch's fabric
+ * stage.
  *
  * This file is compiled on demand by repro.sim.kernel (cc -O2 -shared) and
  * loaded through ctypes; it is NOT a CPython extension module and includes
- * no Python headers, so it builds anywhere a C99 compiler exists.  The
- * kernel executes exactly the slot loop of repro.sim.array_engine's RADS
- * core (stock ECQF + threshold tail MMA + RandomArbiter, num_queues <=
- * 65536 so a queue id fits the 16-bit field of CRIT_KEY).  Everything is
- * integer arithmetic except the two places CPython uses doubles — random()
- * and choices() — which are reproduced with the identical IEEE-754
- * expressions (this translation unit must never be compiled with
- * -ffast-math).
+ * no Python headers, so it builds anywhere a C99 compiler exists.  It has
+ * two entry points:
+ *  - rads_run_span executes exactly the slot loop of
+ *    repro.sim.array_engine's RADS core (stock ECQF + threshold tail MMA +
+ *    RandomArbiter, num_queues <= 65536 so a queue id fits the 16-bit
+ *    field of CRIT_KEY);
+ *  - fabric_run_window executes one window of
+ *    repro.switch.model.FabricStream's python loop (VOQ arrivals and the
+ *    islip, random or priority request/grant/accept match, num_ports <=
+ *    MAX_PORTS), on request bitsets of any width.
+ * Everything is integer arithmetic except the two places CPython uses
+ * doubles — random() and choices() — which are reproduced with the
+ * identical IEEE-754 expressions (this translation unit must never be
+ * compiled with -ffast-math).
  *
  * Buffer ownership: python hands in only fixed-shape arrays (per-queue
  * scalars, the eligible list, the lookahead ring, RNG keys, the arrival
@@ -31,7 +38,10 @@
  *    same minimum the python heap would;
  *  - strict-mode overflow/miss aborts return an error code and the python
  *    core replays the span on its own scalar loop to raise with exact
- *    in-place state; non-strict misses and lossy DRAM drops are native.
+ *    in-place state; non-strict misses and lossy DRAM drops are native;
+ *  - the fabric entry follows the same ownership rules; a plan entry that
+ *    names no egress, or any of its own checks, aborts the window and the
+ *    python loop replays it.
  */
 
 #include <stdint.h>
@@ -988,5 +998,428 @@ cleanup:
     free(drained.buf);
     free(delays.count);
     free(rb_shift);
+    return err;
+}
+
+/* ------------------------------------------------------------------ */
+/* Crossbar fabric window (repro.switch.model.FabricStream)            */
+/* ------------------------------------------------------------------ */
+
+/* Largest port count the fabric entry accepts: its VOQ table holds
+ * num_ports^2 FIFO descriptors (32 MiB at the cap). */
+#define MAX_PORTS 1024
+
+/* The stock FABRIC_TYPES policies, single-iteration request/grant/accept. */
+#define POLICY_ISLIP 0
+#define POLICY_RANDOM 1
+#define POLICY_PRIORITY 2
+
+/* More error codes; python replays the window and raises (or not). */
+#define ERR_PLAN 4   /* a plan entry names no egress port */
+#define ERR_STATE 5  /* an empty VOQ matched, or a flush slot matched none */
+
+typedef struct {
+    /* configuration (in) */
+    int64_t num_ports, policy, num_slots, start_slot;
+    int64_t flush;          /* 0: arrival window of num_slots slots; 1: flush
+                               until the VOQs drain, at most num_slots */
+    int64_t state_len;      /* elements in fptrs.state */
+    /* in/out */
+    int64_t peak;           /* peak ingress backlog so far */
+    /* out */
+    int64_t slots_run, offered, transferred, n_wait_pairs, result_len;
+} fcfg;
+
+/* The VOQ image (fptrs.state, read-only) and the tail of the result share
+ * one layout: for every non-empty VOQ in ascending ingress * num_ports +
+ * egress order, that index, the cell count and the cells' arrival slots.
+ * The result is
+ *
+ *   trace rows (num_ports x slots_run, egress-major: the ingress whose
+ *   cell entered the egress in that slot, -1 = none)
+ *   per-egress cells moved in the window (num_ports)
+ *   per-ingress backlog after the window (num_ports)
+ *   n_wait_pairs (wait, count) pairs in ascending wait order
+ *   the VOQ image after the window. */
+typedef struct {
+    uint32_t *rng_key;      /* in/out: 624 words (random) */
+    int64_t *rng_meta;      /* in/out: [pos, consumed] (random) */
+    int64_t *grant, *accept;    /* in/out: num_ports pointers each (islip) */
+    const int32_t *plan;    /* arrival windows: num_ports x num_slots,
+                               ingress-major, -1 = no arrival */
+    const int64_t *state;   /* in: the VOQ image, state_len */
+    int64_t *result;        /* out: kernel-owned, result_len */
+} fptrs;
+
+static int ctz64(uint64_t x)    /* x != 0 */
+{
+#if defined(__GNUC__)
+    return __builtin_ctzll(x);
+#else
+    int k = 0;
+    while (!(x & 1)) {
+        x >>= 1;
+        k++;
+    }
+    return k;
+#endif
+}
+
+static int popcount64(uint64_t x)
+{
+#if defined(__GNUC__)
+    return __builtin_popcountll(x);
+#else
+    int k = 0;
+    while (x) {
+        x &= x - 1;
+        k++;
+    }
+    return k;
+#endif
+}
+
+/* Lowest set bit at or after `from` in an nw-word bitset, or -1. */
+static int bits_from(const uint64_t *w, int nw, int from)
+{
+    int k = from >> 6;
+    uint64_t x;
+    if (k >= nw)
+        return -1;
+    x = w[k] & (~UINT64_C(0) << (from & 63));
+    for (;;) {
+        if (x)
+            return (k << 6) + ctz64(x);
+        if (++k >= nw)
+            return -1;
+        x = w[k];
+    }
+}
+
+/* The k-th lowest set bit (k = 0 is the lowest), or -1. */
+static int bits_nth(const uint64_t *w, int nw, int k)
+{
+    int j;
+    for (j = 0; j < nw; j++) {
+        uint64_t x = w[j];
+        int c = popcount64(x);
+        if (k < c) {
+            while (k--)
+                x &= x - 1;
+            return (j << 6) + ctz64(x);
+        }
+        k -= c;
+    }
+    return -1;
+}
+
+#define BIT_SET(w, b) ((w)[(b) >> 6] |= UINT64_C(1) << ((b) & 63))
+#define BIT_CLEAR(w, b) ((w)[(b) >> 6] &= ~(UINT64_C(1) << ((b) & 63)))
+
+typedef struct {
+    int n, nw, policy;
+    ivec *voq;              /* n x n FIFOs of arrival slots */
+    uint64_t *req;          /* per egress: ingresses with a non-empty VOQ */
+    int *req_cnt;           /* per egress: popcount of req */
+    uint64_t *gmask;        /* per ingress: egresses granting it this slot */
+    int *gcnt;              /* per ingress: popcount of gmask */
+    uint64_t *granted;      /* ingresses holding a grant this slot */
+    int *rb_shift;          /* 32 - bit_length(m), m = 0..n (random) */
+    int64_t *backlog, *per_egress, *grant, *accept;
+    int64_t *trace, stride, start;
+    int64_t backlog_total, transferred;
+    mt_state rng;
+    hist waits;
+} fabric;
+
+/* One request/grant/accept match of `slot`, applied as
+ * FabricStream._transfer_slot does; *matched counts the pairs. */
+static int64_t fabric_slot(fabric *f, int64_t slot, int *matched)
+{
+    const int n = f->n, nw = f->nw, policy = f->policy;
+    int e, j;
+    *matched = 0;
+    /* grants: every requested egress picks one requester */
+    for (e = 0; e < n; e++) {
+        const uint64_t *rq = f->req + (int64_t)e * nw;
+        int cnt = f->req_cnt[e], i;
+        if (!cnt)
+            continue;
+        if (policy == POLICY_ISLIP) {
+            i = bits_from(rq, nw, (int)f->grant[e]);
+            if (i < 0)
+                i = bits_from(rq, nw, 0);
+        } else if (policy == POLICY_RANDOM) {
+            i = bits_nth(rq, nw, mt_randbelow(&f->rng, cnt,
+                                              f->rb_shift[cnt]));
+        } else {
+            i = bits_from(rq, nw, 0);
+        }
+        if (i < 0)
+            return ERR_STATE;
+        BIT_SET(f->gmask + (int64_t)i * nw, e);
+        f->gcnt[i]++;
+        BIT_SET(f->granted, i);
+    }
+    /* accepts, ascending ingress: each granted ingress picks one egress */
+    for (j = 0; j < nw; j++) {
+        while (f->granted[j]) {
+            int i = (j << 6) + ctz64(f->granted[j]);
+            uint64_t *gm = f->gmask + (int64_t)i * nw;
+            ivec *v;
+            int64_t arrival;
+            f->granted[j] &= f->granted[j] - 1;
+            if (policy == POLICY_ISLIP) {
+                e = bits_from(gm, nw, (int)f->accept[i]);
+                if (e < 0)
+                    e = bits_from(gm, nw, 0);
+            } else if (policy == POLICY_RANDOM) {
+                e = bits_nth(gm, nw, mt_randbelow(&f->rng, f->gcnt[i],
+                                                  f->rb_shift[f->gcnt[i]]));
+            } else {
+                e = bits_from(gm, nw, 0);
+            }
+            memset(gm, 0, (size_t)nw * sizeof(uint64_t));
+            f->gcnt[i] = 0;
+            if (e < 0)
+                return ERR_STATE;
+            v = &f->voq[(int64_t)i * n + e];
+            if (!IV_COUNT(v))
+                return ERR_STATE;
+            arrival = v->buf[v->head++];
+            if (!IV_COUNT(v)) {
+                v->head = v->len = 0;
+                BIT_CLEAR(f->req + (int64_t)e * nw, i);
+                f->req_cnt[e]--;
+            }
+            if (policy == POLICY_ISLIP) {
+                f->grant[e] = (i + 1) % n;
+                f->accept[i] = (e + 1) % n;
+            }
+            f->backlog[i]--;
+            f->backlog_total--;
+            if (hist_add(&f->waits, slot - arrival) != ERR_OK)
+                return slot < arrival ? ERR_ARG : ERR_OOM;
+            f->trace[(int64_t)e * f->stride + (slot - f->start)] = i;
+            f->per_egress[e]++;
+            f->transferred++;
+            ++*matched;
+        }
+    }
+    return ERR_OK;
+}
+
+int64_t fabric_run_window(fcfg *c, fptrs *p)
+{
+    const int n = (int)c->num_ports;
+    const int64_t num_slots = c->num_slots;
+    int64_t err = ERR_OK, offered = 0, peak = c->peak, run = 0;
+    int64_t total, n_pairs = 0, image_len = 0, d, idx;
+    int64_t *w, *out = NULL;
+    fabric f;
+    int i, matched;
+
+    p->result = NULL;
+    memset(&f, 0, sizeof(f));
+    if (n < 1 || n > MAX_PORTS || c->policy < POLICY_ISLIP
+            || c->policy > POLICY_PRIORITY || num_slots < 1
+            || c->start_slot < 0 || (!c->flush && !p->plan))
+        return ERR_ARG;
+    f.n = n;
+    f.nw = (n + 63) / 64;
+    f.policy = (int)c->policy;
+    f.start = c->start_slot;
+    f.voq = (ivec *)calloc((size_t)n * (size_t)n, sizeof(ivec));
+    f.req = (uint64_t *)calloc((size_t)n * (size_t)f.nw, sizeof(uint64_t));
+    f.gmask = (uint64_t *)calloc((size_t)n * (size_t)f.nw, sizeof(uint64_t));
+    f.granted = (uint64_t *)calloc((size_t)f.nw, sizeof(uint64_t));
+    f.req_cnt = (int *)calloc((size_t)n, sizeof(int));
+    f.gcnt = (int *)calloc((size_t)n, sizeof(int));
+    f.rb_shift = (int *)malloc((size_t)(n + 1) * sizeof(int));
+    f.backlog = (int64_t *)calloc((size_t)n, sizeof(int64_t));
+    f.per_egress = (int64_t *)calloc((size_t)n, sizeof(int64_t));
+    if (!f.voq || !f.req || !f.gmask || !f.granted || !f.req_cnt || !f.gcnt
+            || !f.rb_shift || !f.backlog || !f.per_egress) {
+        err = ERR_OOM;
+        goto cleanup;
+    }
+    {
+        int m, bits = 0;
+        f.rb_shift[0] = 32;
+        for (m = 1; m <= n; m++) {
+            if (m >> bits)
+                bits++;
+            f.rb_shift[m] = 32 - bits;
+        }
+    }
+    if (f.policy == POLICY_ISLIP) {
+        if (!p->grant || !p->accept) {
+            err = ERR_ARG;
+            goto cleanup;
+        }
+        f.grant = p->grant;
+        f.accept = p->accept;
+        for (i = 0; i < n; i++)
+            if (f.grant[i] < 0 || f.grant[i] >= n
+                    || f.accept[i] < 0 || f.accept[i] >= n)
+                err = ERR_ARG;
+        if (err != ERR_OK)
+            goto cleanup;
+    } else if (f.policy == POLICY_RANDOM) {
+        if (!p->rng_key || !p->rng_meta || p->rng_meta[0] < 0
+                || p->rng_meta[0] > MT_N) {
+            err = ERR_ARG;
+            goto cleanup;
+        }
+        memcpy(f.rng.key, p->rng_key, sizeof(f.rng.key));
+        f.rng.pos = (int)p->rng_meta[0];
+    }
+
+    /* ---- VOQs from the image ---- */
+    {
+        reader r = {p->state, c->state_len};
+        int64_t last = -1;
+        while (r.left > 0) {
+            const int64_t *head = take(&r, 2);
+            int64_t cnt;
+            if (!head || head[0] <= last || head[0] >= (int64_t)n * n
+                    || head[1] < 1) {
+                err = ERR_ARG;
+                goto cleanup;
+            }
+            idx = last = head[0];
+            cnt = head[1];
+            err = iv_load(&f.voq[idx], &r, cnt);
+            if (err != ERR_OK)
+                goto cleanup;
+            i = (int)(idx / n);
+            BIT_SET(f.req + (idx % n) * f.nw, i);
+            f.req_cnt[idx % n]++;
+            f.backlog[i] += cnt;
+            f.backlog_total += cnt;
+        }
+    }
+
+    /* ---- trace rows: a flush slot moves at least one cell, so a flush
+     * window runs at most backlog_total slots ---- */
+    f.stride = num_slots;
+    if (c->flush && f.backlog_total < f.stride)
+        f.stride = f.backlog_total;
+    if (f.stride < 1) {
+        err = ERR_ARG;
+        goto cleanup;
+    }
+    out = (int64_t *)malloc((size_t)n * (size_t)f.stride * sizeof(int64_t));
+    if (!out) {
+        err = ERR_OOM;
+        goto cleanup;
+    }
+    for (idx = 0; idx < (int64_t)n * f.stride; idx++)
+        out[idx] = -1;
+    f.trace = out;
+
+    if (!c->flush) {
+        for (run = 0; run < num_slots; run++) {
+            int64_t slot = f.start + run;
+            for (i = 0; i < n; i++) {
+                int a = p->plan[(int64_t)i * num_slots + run];
+                ivec *v;
+                if (a == -1)
+                    continue;
+                if (a < 0 || a >= n) {
+                    err = ERR_PLAN;
+                    goto cleanup;
+                }
+                v = &f.voq[(int64_t)i * n + a];
+                if (!IV_COUNT(v)) {
+                    BIT_SET(f.req + (int64_t)a * f.nw, i);
+                    f.req_cnt[a]++;
+                }
+                if (!iv_push(v, slot)) {
+                    err = ERR_OOM;
+                    goto cleanup;
+                }
+                f.backlog_total++;
+                offered++;
+                if (++f.backlog[i] > peak)
+                    peak = f.backlog[i];
+            }
+            err = fabric_slot(&f, slot, &matched);
+            if (err != ERR_OK)
+                goto cleanup;
+        }
+    } else {
+        for (run = 0; run < f.stride && f.backlog_total > 0; run++) {
+            err = fabric_slot(&f, f.start + run, &matched);
+            if (err == ERR_OK && !matched)
+                err = ERR_STATE;
+            if (err != ERR_OK)
+                goto cleanup;
+        }
+    }
+
+    /* ---- the one exact-size result ---- */
+    if (run < f.stride)
+        for (i = 1; i < n; i++)
+            memmove(out + (int64_t)i * run, out + (int64_t)i * f.stride,
+                    (size_t)run * sizeof(int64_t));
+    for (d = 0; d <= f.waits.max && f.waits.count; d++)
+        if (f.waits.count[d])
+            n_pairs++;
+    for (idx = 0; idx < (int64_t)n * n; idx++)
+        if (IV_COUNT(&f.voq[idx]))
+            image_len += 2 + IV_COUNT(&f.voq[idx]);
+    total = (int64_t)n * run + 2 * (int64_t)n + 2 * n_pairs + image_len;
+    w = (int64_t *)realloc(out, (size_t)total * sizeof(int64_t));
+    if (!w) {
+        err = ERR_OOM;
+        goto cleanup;
+    }
+    out = w;
+    w += (int64_t)n * run;
+    memcpy(w, f.per_egress, (size_t)n * sizeof(int64_t));
+    w += n;
+    memcpy(w, f.backlog, (size_t)n * sizeof(int64_t));
+    w += n;
+    for (d = 0; d <= f.waits.max && f.waits.count; d++)
+        if (f.waits.count[d]) {
+            *w++ = d;
+            *w++ = f.waits.count[d];
+        }
+    for (idx = 0; idx < (int64_t)n * n; idx++)
+        if (IV_COUNT(&f.voq[idx])) {
+            *w++ = idx;
+            *w++ = IV_COUNT(&f.voq[idx]);
+            w = put(w, &f.voq[idx]);
+        }
+    p->result = out;
+    out = NULL;
+    c->result_len = total;
+    c->slots_run = run;
+    c->offered = offered;
+    c->transferred = f.transferred;
+    c->peak = peak;
+    c->n_wait_pairs = n_pairs;
+    if (f.policy == POLICY_RANDOM) {
+        memcpy(p->rng_key, f.rng.key, sizeof(f.rng.key));
+        p->rng_meta[0] = f.rng.pos;
+        p->rng_meta[1] = f.rng.consumed;
+    }
+
+cleanup:
+    if (f.voq)
+        for (idx = 0; idx < (int64_t)n * n; idx++)
+            free(f.voq[idx].buf);
+    free(f.voq);
+    free(f.req);
+    free(f.gmask);
+    free(f.granted);
+    free(f.req_cnt);
+    free(f.gcnt);
+    free(f.rb_shift);
+    free(f.backlog);
+    free(f.per_egress);
+    free(f.waits.count);
+    free(out);
     return err;
 }

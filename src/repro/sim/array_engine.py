@@ -448,8 +448,10 @@ class _ArrayCoreBase:
         untouched — only what feeds ``ThroughputStats`` and the latency
         histogram restarts, matching the reference loop's warmup semantics
         (engineering counters in the buffer result keep covering the whole
-        run).
+        run).  The buffer's ``dropped_cells``, which covers the whole run
+        as the object model's does, takes the warmup's drops first.
         """
+        self.buffer._dropped_cells += self.dropped
         self.arrivals_count = 0
         self.departures = 0
         self.idle_requests = 0
@@ -490,6 +492,7 @@ class _ArrayCoreBase:
             latency.record_delay(final_slot - arrival_slot)
         throughput.slots = final_slot
         throughput.drops = self.dropped
+        self.buffer._dropped_cells += self.dropped
         return SimulationReport(throughput=throughput, latency=latency,
                                 buffer_result=self._result(final_slot),
                                 trace=sim.trace)

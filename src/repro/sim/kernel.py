@@ -1,8 +1,11 @@
-"""Compiled span kernel for the array engine's RADS core.
+"""Compiled span kernel for the array engine's RADS core and the switch's
+fabric stage.
 
 The RADS core of ``engine="array"`` (:mod:`repro.sim.array_engine`) hands
-every span it can to this kernel; its own scalar loop's ceiling is
-CPython's bytecode dispatch.  The bundled C99 source ``_spankernel.c`` is
+every span it can to this kernel, and the switch's
+:class:`~repro.switch.model.FabricStream` every window of a stock fabric
+policy (:func:`run_fabric_window`); the python loops' ceiling is CPython's
+bytecode dispatch.  The bundled C99 source ``_spankernel.c`` is
 compiled on first use with the system compiler (``cc -O2 -march=native
 -shared -fPIC``, falling back to plain ``-O2``), cached under the user's
 private cache directory (``$XDG_CACHE_HOME`` or ``~/.cache``, created
@@ -30,6 +33,16 @@ the kernel is a pure accelerator: every result it produces is
 bit-identical to the reference loop (asserted by
 ``tests/sim/test_span_kernel.py``, which runs the suite with the kernel
 and with it switched off).
+
+The fabric entry follows the same rules.  Python hands it the window's
+``int32`` arrival plan, iSLIP's pointers or the random policy's MT state,
+and one read-only image of the VOQ contents; the kernel runs the window's
+arrivals and request/grant/accept matches and returns one exact-size
+result (trace rows, the new VOQ image, per-ingress backlog, per-egress
+counts, folded waits), released with the same ``rads_free_result``.  A
+plan entry that names no egress, or any kernel error, leaves everything
+untouched and the python loop replays the window, raising exactly where
+the reference does.
 
 Sanitizer-hardened builds
 -------------------------
@@ -70,7 +83,7 @@ from collections import deque
 from itertools import chain, islice
 from pathlib import Path
 from time import perf_counter
-from typing import Optional
+from typing import List, NamedTuple, Optional, Union
 
 from repro.errors import ConfigurationError
 from repro.obs.metrics import get_metrics
@@ -94,6 +107,13 @@ MIN_KERNEL_SLOTS = 192
 #: queue id into 16 bits (``CRIT_KEY`` in ``_spankernel.c``).
 MAX_KERNEL_QUEUES = 1 << 16
 
+#: Largest ``num_ports`` the fabric entry takes: its VOQ table holds
+#: ``num_ports ** 2`` FIFOs (``MAX_PORTS`` in ``_spankernel.c``).
+MAX_FABRIC_PORTS = 1024
+
+#: The fabric entry's policies, in ``POLICY_*`` code order.
+FABRIC_POLICIES = ("islip", "random", "priority")
+
 _SOURCE = Path(__file__).with_name("_spankernel.c")
 
 _ERR_OK = 0
@@ -101,6 +121,9 @@ _ERR_OK = 0
 #: The kernel's error codes (``ERR_*`` in ``_spankernel.c``), as named in
 #: the ``engine.array.kernel_aborts.<code>`` counters.
 _ABORT_CODES = {1: "oom", 2: "strict", 3: "arg"}
+
+#: ``ERR_PLAN`` in ``_spankernel.c``: a fabric plan entry naming no egress.
+_ERR_PLAN = 4
 
 _CRIT_INF = (1 << 63) - 1  # INT64_MAX, the C marker for "no critical entry"
 
@@ -110,8 +133,11 @@ _F53 = 9007199254740992
 _lock = threading.Lock()
 _kernel = None
 _kernel_tried = False
-#: The kernel's ``rads_free_result``, which releases each result it returns.
+#: The kernel's ``rads_free_result``, which releases each result either
+#: entry returns.
 _release = None
+#: The kernel's ``fabric_run_window``.
+_fabric = None
 
 
 class KCfg(ctypes.Structure):
@@ -154,6 +180,23 @@ class KPtrs(ctypes.Structure):
         ("crit_cache", _I64P), ("eligible", _I64P), ("la_ring", _I64P),
         ("state", _I64P), ("result", _I64P),
     ]
+
+
+class FCfg(ctypes.Structure):
+    """Mirror of ``fcfg`` in ``_spankernel.c`` (field order is the ABI)."""
+
+    _fields_ = [(n, ctypes.c_int64) for n in (
+        "num_ports", "policy", "num_slots", "start_slot", "flush",
+        "state_len", "peak", "slots_run", "offered", "transferred",
+        "n_wait_pairs", "result_len")]
+
+
+class FPtrs(ctypes.Structure):
+    """Mirror of ``fptrs`` in ``_spankernel.c`` (field order is the ABI)."""
+
+    _fields_ = [("rng_key", _U32P), ("rng_meta", _I64P),
+                ("grant", _I64P), ("accept", _I64P), ("plan", _I32P),
+                ("state", _I64P), ("result", _I64P)]
 
 
 def kernel_enabled() -> bool:
@@ -323,12 +366,22 @@ def _compile(path: Path) -> bool:
 def load_kernel():
     """The loaded kernel's ``rads_run_span`` or ``None`` (cached; a failed
     attempt is not retried within the process)."""
-    global _kernel, _kernel_tried, _release
-    if _kernel_tried:
-        return _kernel
+    if not _kernel_tried:
+        _load()
+    return _kernel
+
+
+def load_fabric_kernel():
+    """The loaded kernel's ``fabric_run_window``, or ``None`` whenever
+    :func:`load_kernel` has no kernel: both entries live in one ``.so``."""
+    return _fabric if load_kernel() is not None else None
+
+
+def _load() -> None:
+    global _kernel, _kernel_tried, _release, _fabric
     with _lock:
         if _kernel_tried:
-            return _kernel
+            return
         fn = None
         try:
             # The kernel reads RNG keys and the plan as 32-bit words.
@@ -350,17 +403,21 @@ def load_kernel():
                     release = lib.rads_free_result
                     release.restype = None
                     release.argtypes = [_I64P]
-        except OSError:
+                    fabric = lib.fabric_run_window
+                    fabric.restype = ctypes.c_int64
+                    fabric.argtypes = [ctypes.POINTER(FCfg),
+                                       ctypes.POINTER(FPtrs)]
+        except (OSError, AttributeError):
             fn = None
         if fn is not None:
             _release = release
+            _fabric = fabric
         _kernel = fn
         _kernel_tried = True
         obs = get_metrics()
         if obs is not None:
             obs.inc("engine.array.kernel_loaded" if fn is not None
                     else "engine.array.kernel_unavailable")
-        return _kernel
 
 
 def _addr(arr: array, ptype):
@@ -593,3 +650,113 @@ def run_span_kernel(core, aplan, num_slots: int, main: bool = True,
         obs.observe("engine.array.kernel_handoff_s",
                     perf_counter() - started - native_s)
     return rc == _ERR_OK
+
+
+class FabricWindow(NamedTuple):
+    """One crossbar window as the fabric kernel ran it."""
+
+    #: Slots the window ran (a flush window stops once the VOQs drain).
+    slots: int
+    #: Per egress, per slot: the ingress whose cell entered, or ``None``.
+    traces: List[List[Optional[int]]]
+    #: Cells moved into each egress during the window.
+    per_egress: array
+    #: Per-ingress backlog after the window.
+    backlog: array
+    #: ``(wait, count)`` pairs, flattened, in ascending wait order.
+    waits: array
+    #: The VOQ image after the window (layout above ``fptrs``).
+    voqs: array
+    offered: int
+    transferred: int
+    peak: int
+
+
+def run_fabric_window(num_ports: int, policy: str, start_slot: int,
+                      num_slots: int, plans, voqs: array, peak: int,
+                      pointers=None, rng=None) -> Union[FabricWindow, str]:
+    """Run one crossbar window on the compiled kernel.
+
+    ``plans`` holds each ingress's destinations (``Optional[int]`` lists)
+    for an arrival window of ``num_slots`` slots; ``plans=None`` makes it a
+    flush window, which runs until the VOQs drain, at most ``num_slots``
+    slots.  ``voqs`` is the VOQ image (see ``fptrs`` in ``_spankernel.c``)
+    and ``peak`` the peak ingress backlog so far.  ``policy`` names one of
+    :data:`FABRIC_POLICIES`; ``pointers`` are iSLIP's ``(grant, accept)``
+    lists and ``rng`` the random policy's ``random.Random``, both advanced
+    in place when the window succeeds.
+
+    Returns a :class:`FabricWindow`, or the reason the window must run on
+    the python loop instead, with nothing written back: ``unavailable``
+    (no kernel), ``plan`` (an entry that is not ``None`` or an egress port:
+    the python loop raises for it) or ``abort`` (any other kernel error).
+    """
+    fn = load_fabric_kernel()
+    if fn is None:
+        return "unavailable"
+    n = num_ports
+    # Every array below stays bound to a local, so alive across the C call.
+    ptr = FPtrs(state=_addr(voqs, _I64P))
+    if plans is not None:
+        if len(plans) != n:
+            return "plan"  # the kernel reads num_ports plans
+        plan = array("i")
+        idle = 0
+        try:
+            for entries in plans:
+                if len(entries) < num_slots:
+                    return "plan"  # the python loop runs off its end
+                entries = entries[:num_slots]
+                idle += entries.count(None)
+                plan.extend(array("i", [-1 if destination is None
+                                        else destination
+                                        for destination in entries]))
+        except (OverflowError, TypeError):
+            return "plan"  # no int32 port id: python raises for it
+        if plan.count(-1) != idle:
+            # An entry naming port -1 would read as no arrival; the python
+            # loop raises for it.
+            return "plan"
+        ptr.plan = _addr(plan, _I32P)
+    if pointers is not None:
+        grant = array("q", pointers[0])
+        accept = array("q", pointers[1])
+        if len(grant) != n or len(accept) != n:
+            return "abort"  # the kernel reads num_ports of each
+        ptr.grant = _addr(grant, _I64P)
+        ptr.accept = _addr(accept, _I64P)
+    if rng is not None:
+        rng_state = rng.getstate()
+        rng_key = array("I", rng_state[1][:624])
+        rng_meta = array("q", (rng_state[1][624], 0))
+        ptr.rng_key = _addr(rng_key, _U32P)
+        ptr.rng_meta = _addr(rng_meta, _I64P)
+    cfg = FCfg(num_ports=n, policy=FABRIC_POLICIES.index(policy),
+               num_slots=num_slots, start_slot=start_slot,
+               flush=1 if plans is None else 0, state_len=len(voqs),
+               peak=peak)
+    rc = fn(ctypes.byref(cfg), ctypes.byref(ptr))
+    plan = None  # read; freed before the read-back grows the traces
+    if rc != _ERR_OK:
+        return "plan" if rc == _ERR_PLAN else "abort"
+    slots = cfg.slots_run
+    try:
+        values = memoryview((ctypes.c_int64 * cfg.result_len).from_address(
+            ctypes.addressof(ptr.result.contents))).cast("B").cast("q")
+        traces = [[None if ingress < 0 else ingress
+                   for ingress in values[e * slots:(e + 1) * slots]]
+                  for e in range(n)]
+        tail = array("q", values[n * slots:])
+    finally:
+        _release(ptr.result)
+    if pointers is not None:
+        pointers[0][:] = grant.tolist()
+        pointers[1][:] = accept.tolist()
+    if rng is not None:
+        rng.setstate((3, tuple(rng_key) + (rng_meta[0],), rng_state[2]))
+    waits_end = 2 * n + 2 * cfg.n_wait_pairs
+    return FabricWindow(
+        slots=slots, traces=traces, per_egress=tail[:n],
+        backlog=tail[n:2 * n], waits=tail[2 * n:waits_end],
+        voqs=tail[waits_end:], offered=cfg.offered,
+        transferred=cfg.transferred, peak=cfg.peak)

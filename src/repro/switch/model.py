@@ -2,7 +2,7 @@
 
 Execution is two-stage, which is what makes switch runs shardable:
 
-1. **Fabric stage** (serial, cheap): every ingress port's traffic source is
+1. **Fabric stage** (serial): every ingress port's traffic source is
    instantiated with a deterministic per-ingress seed; cells queue in
    per-ingress VOQs (one :class:`collections.deque` of arrival slots per
    (ingress, egress) pair); the fabric arbiter computes one conflict-free
@@ -10,7 +10,11 @@ Execution is two-stage, which is what makes switch runs shardable:
    the fabric's output is exactly ``N`` single-linecard arrival traces —
    the same admissibility model the paper's buffer assumes.  After the
    arrival phase the fabric *flushes*: matching continues without new
-   arrivals until every VOQ is empty.
+   arrivals until every VOQ is empty.  The stage runs in bounded windows
+   (:class:`FabricStream`); a window of a stock policy runs on the span
+   kernel's fabric entry (:func:`repro.sim.kernel.run_fabric_window`),
+   every other window on the python loop, which is the oracle
+   (``engine="reference"``) and gives identical results.
 
 2. **Port stage** (parallel, dominant): each egress trace plus the port's
    buffer/arbiter template becomes an ordinary
@@ -31,6 +35,7 @@ the same ``SwitchReport`` for any ``--jobs`` value.
 from __future__ import annotations
 
 import time
+from array import array
 from bisect import insort
 from collections import deque
 from dataclasses import dataclass
@@ -41,8 +46,13 @@ from repro.obs.metrics import get_metrics
 from repro.obs.trace import emit as trace_emit
 from repro.runner.jobs import Job
 from repro.runner.sweep import JobFailure, SweepRunner
-from repro.sim import DEFAULT_ENGINE, resolve_engine
+from repro.sim import DEFAULT_ENGINE, kernel, resolve_engine
 from repro.sim.stats import LatencyStats
+from repro.switch.fabric import (
+    ISLIPFabricArbiter,
+    PriorityFabricArbiter,
+    RandomFabricArbiter,
+)
 from repro.switch.scenario import SwitchScenario
 from repro.switch.traffic import build_ingress_traffic
 from repro.workloads.scenario import Scenario, ScenarioResult
@@ -50,6 +60,14 @@ from repro.workloads.scenario import Scenario, ScenarioResult
 #: Job function executed per port — the single-port scenario runner, which is
 #: the whole point: a switch port *is* the degenerate one-port case.
 PORT_JOB_FUNC = "repro.workloads.scenario:run_scenario_spec"
+
+#: The stock policies the fabric kernel runs, by exact type, with the
+#: kernel's name for each.
+_KERNEL_POLICIES = {
+    ISLIPFabricArbiter: "islip",
+    RandomFabricArbiter: "random",
+    PriorityFabricArbiter: "priority",
+}
 
 @dataclass(frozen=True)
 class FabricStats:
@@ -84,15 +102,25 @@ class FabricStream:
     this stream plus concatenation.  After the arrival phase the stage
     flushes until every VOQ is empty, still in bounded windows;
     :attr:`stats` is available once the generator is exhausted.
+
+    A window whose fabric is a stock policy (exact type) runs on the span
+    kernel unless ``engine`` is ``reference``, the switch is wider than
+    :data:`~repro.sim.kernel.MAX_FABRIC_PORTS` or the kernel is
+    unavailable; a window the kernel declines or aborts runs on the python
+    loop from untouched state.  With metrics on, each window counts once:
+    ``switch.fabric.kernel_windows`` (plus its slots in
+    ``switch.fabric.kernel_slots``) or ``switch.fabric.fallback.<reason>``.
     """
 
     def __init__(self, scenario: SwitchScenario,
                  num_slots: Optional[int] = None,
-                 chunk_slots: Optional[int] = None) -> None:
+                 chunk_slots: Optional[int] = None,
+                 engine: str = DEFAULT_ENGINE) -> None:
         from repro.sim.streaming import DEFAULT_CHUNK_SLOTS
 
         n = scenario.num_ports
         self.scenario = scenario
+        self.engine = resolve_engine(engine)
         self.num_ports = n
         self.slots = scenario.num_slots if num_slots is None else num_slots
         self.chunk_slots = (chunk_slots if chunk_slots is not None
@@ -158,9 +186,92 @@ class FabricStream:
                 traces[egress].append(None)
         return len(matches)
 
+    def _kernel_miss(self) -> Optional[str]:
+        """Why the next window cannot run on the fabric kernel — the
+        ``<reason>`` of its ``switch.fabric.fallback.<reason>`` counter —
+        or ``None`` when it can."""
+        if self.engine == "reference":
+            return "reference"
+        if type(self.fabric) not in _KERNEL_POLICIES:
+            # Exact-type check: a subclass may override ``match``.
+            return "policy"
+        if self.num_ports > kernel.MAX_FABRIC_PORTS:
+            return "wide_ports"
+        if kernel.load_fabric_kernel() is None:
+            return "unavailable"
+        return None
+
+    def _kernel_window(self, start: int, count: int, plans):
+        """Run one window on the fabric kernel and apply it to the stream;
+        returns ``(traces, slots)``, or ``None`` (with the window's
+        fallback counted) when the python loop must run it instead."""
+        reason = self._kernel_miss()
+        if reason is None:
+            n = self.num_ports
+            voq = self._voq
+            image = array("q")
+            for ingress, egresses in enumerate(self._requests):
+                for egress in egresses:
+                    queue = voq[ingress][egress]
+                    image.extend((ingress * n + egress, len(queue)))
+                    image.extend(queue)
+            fabric = self.fabric
+            policy = _KERNEL_POLICIES[type(fabric)]
+            window = kernel.run_fabric_window(
+                n, policy, start, count, plans, image, self._peak_backlog,
+                pointers=((fabric._grant, fabric._accept)
+                          if policy == "islip" else None),
+                rng=fabric._rng if policy == "random" else None)
+            if isinstance(window, str):
+                reason = window
+            else:
+                self._apply_window(window)
+        obs = get_metrics()
+        if reason is not None:
+            if obs is not None:
+                obs.inc(f"switch.fabric.fallback.{reason}")
+            return None
+        if obs is not None:
+            obs.inc("switch.fabric.kernel_windows")
+            obs.inc("switch.fabric.kernel_slots", window.slots)
+        return window.traces, window.slots
+
+    def _apply_window(self, window) -> None:
+        """Fold a kernel window's outcome into the python stage's state."""
+        n = self.num_ports
+        voq = self._voq
+        requests = self._requests
+        for ingress, egresses in enumerate(requests):
+            for egress in egresses:
+                voq[ingress][egress].clear()
+            egresses.clear()
+        image = window.voqs
+        at = 0
+        while at < len(image):
+            ingress, egress = divmod(image[at], n)
+            count = image[at + 1]
+            voq[ingress][egress].extend(image[at + 2:at + 2 + count])
+            requests[ingress].append(egress)
+            at += 2 + count
+        self._ingress_backlog[:] = window.backlog.tolist()
+        self._backlog_total = sum(self._ingress_backlog)
+        per_egress = self._per_egress
+        for egress, cells in enumerate(window.per_egress):
+            per_egress[egress] += cells
+        waits = window.waits
+        for delay, count in zip(waits[::2], waits[1::2]):
+            self._waits.record_delay(delay, count)
+        self._offered += window.offered
+        self._transferred += window.transferred
+        self._peak_backlog = window.peak
+
     def chunks(self):
         """Yield ``(start_slot, chunk_traces)`` windows; arrival phase first,
-        then the flush windows, all bounded by ``chunk_slots``."""
+        then the flush windows, all bounded by ``chunk_slots``.
+
+        Each window runs on the fabric kernel when :meth:`_kernel_miss`
+        passes and the kernel completes it, and on the python loop below
+        otherwise; both produce the identical window."""
         n = self.num_ports
         slots = self.slots
         voq = self._voq
@@ -173,6 +284,11 @@ class FabricStream:
             for source in self.sources:
                 plan = source.arrivals_slice(start, count)
                 plans.append(plan if isinstance(plan, list) else list(plan))
+            done = self._kernel_window(start, count, plans)
+            if done is not None:
+                yield start, done[0]
+                start += count
+                continue
             traces: List[List[Optional[int]]] = [[] for _ in range(n)]
             for offset in range(count):
                 slot = start + offset
@@ -200,6 +316,12 @@ class FabricStream:
 
         flush_slots = 0
         while self._backlog_total > 0:
+            done = self._kernel_window(slots + flush_slots, self.chunk_slots,
+                                       None)
+            if done is not None:
+                flush_slots += done[1]
+                yield slots + flush_slots - done[1], done[0]
+                continue
             traces = [[] for _ in range(n)]
             flushed = 0
             while self._backlog_total > 0 and flushed < self.chunk_slots:
@@ -240,8 +362,13 @@ class FabricStream:
 
 def run_fabric(scenario: SwitchScenario,
                num_slots: Optional[int] = None,
+               engine: str = DEFAULT_ENGINE,
                ) -> Tuple[List[List[Optional[int]]], FabricStats]:
     """Run the crossbar stage and return per-egress source traces.
+
+    ``engine="reference"`` runs every window on the python loop, the
+    oracle; any other engine runs the stock policies on the fabric kernel
+    where it can (:class:`FabricStream`).  Both give identical results.
 
     Returns:
         ``(traces, stats)`` where ``traces[e][slot]`` is the *ingress index*
@@ -249,7 +376,7 @@ def run_fabric(scenario: SwitchScenario,
         sharing one length ``stats.total_slots``.
     """
     n = scenario.num_ports
-    stream = FabricStream(scenario, num_slots)
+    stream = FabricStream(scenario, num_slots, engine=engine)
     traces: List[List[Optional[int]]] = [[] for _ in range(n)]
     for _start, chunk_traces in stream.chunks():
         for egress, chunk in enumerate(chunk_traces):
@@ -422,7 +549,7 @@ class SwitchModel:
         Exposed separately so callers (the CLI's ``--dry-run``, tests) can
         inspect the sharding without executing the port stage.
         """
-        traces, stats = run_fabric(self.scenario, num_slots)
+        traces, stats = run_fabric(self.scenario, num_slots, engine=engine)
         jobs = [Job(func=PORT_JOB_FUNC,
                     kwargs={"spec": port.to_spec(), "engine": engine},
                     tag=f"port{index}")
@@ -485,7 +612,7 @@ class SwitchModel:
         started = time.perf_counter()
         engine = resolve_engine(engine)
         scenario = self.scenario
-        stream = FabricStream(scenario, num_slots, chunk_slots)
+        stream = FabricStream(scenario, num_slots, chunk_slots, engine)
         templates = [port_template(scenario, egress)
                      for egress in range(scenario.num_ports)]
         sessions = []

@@ -214,6 +214,63 @@ def test_cfds_buffer_introspection_after_run(use_renaming, occupancy, drops):
     assert run("array") == reference
 
 
+def _lossy_sim(scheme):
+    """A lossy machine per scheme: RADS with a 40-cell DRAM, and the static
+    CFDS setup of the introspection test above."""
+    if scheme == "rads":
+        buffer = RADSPacketBuffer(RADSConfig(num_queues=8, granularity=4,
+                                             strict=False, dram_cells=40))
+        return ClosedLoopSimulation(buffer,
+                                    BernoulliArrivals(8, load=0.95, seed=1),
+                                    RandomArbiter(8, load=0.3, seed=2))
+    config = CFDSConfig(num_queues=16, dram_access_slots=8, granularity=2,
+                        num_banks=32, strict=False)
+    buffer = CFDSPacketBuffer(config, use_renaming=False,
+                              group_capacity_cells=192)
+    return ClosedLoopSimulation(
+        buffer,
+        HotspotArrivals(16, hot_queues=[0, 1], hot_fraction=0.9, load=0.95,
+                        seed=17),
+        RandomArbiter(16, load=0.30, seed=18))
+
+
+@pytest.mark.parametrize("scheme,kernel_on", [
+    ("rads", True), ("rads", False), ("cfds", False)])
+def test_dropped_cells_cover_the_whole_array_run(scheme, kernel_on,
+                                                 monkeypatch):
+    """``dropped_cells`` reads the same after an array run as after a
+    reference run, monolithic and streamed: cumulative over the whole run,
+    warmup and kernel spans included, while ``throughput.drops`` counts
+    from the warmup boundary."""
+    from repro.obs.metrics import MetricsRegistry, using_metrics
+    from repro.sim import kernel
+
+    if not kernel_on:
+        monkeypatch.setattr(kernel, "_kernel", None)
+        monkeypatch.setattr(kernel, "_kernel_tried", True)
+    runs = {
+        "monolithic": lambda sim, engine: sim.run(2000, engine=engine),
+        "streamed": lambda sim, engine: sim.run_stream(
+            2000, engine=engine, chunk_slots=700, warmup_slots=900),
+    }
+    for mode, run in runs.items():
+        sims = {engine: _lossy_sim(scheme)
+                for engine in ("reference", "array")}
+        registry = MetricsRegistry()
+        with using_metrics(registry):
+            reports = {engine: run(sim, engine)
+                       for engine, sim in sims.items()}
+        dropped = {engine: sim.buffer.dropped_cells
+                   for engine, sim in sims.items()}
+        assert dropped["array"] == dropped["reference"] > 0, mode
+        assert (reports["array"].throughput.drops
+                == reports["reference"].throughput.drops), mode
+        if mode == "streamed":
+            assert reports["array"].throughput.drops < dropped["array"]
+        if scheme == "rads" and kernel_on and kernel.load_kernel():
+            assert registry.counter("engine.array.kernel_spans"), mode
+
+
 # --------------------------------------------------------------------- #
 # Engine selection plumbing.
 # --------------------------------------------------------------------- #

@@ -196,3 +196,30 @@ class TestFaultLegs:
                 Scenario.from_spec(spec).run(engine=engine)
         case = FuzzCase(DEFAULT_MASTER_SEED, 0, "scenario", spec)
         assert run_case(case, faults=True) == []
+
+
+class TestKernelFabricCoverage:
+    """The switch legs compare the fabric kernel against the python loop:
+    ``array`` runs every fabric window on the kernel, ``reference`` on the
+    python oracle.  Nothing else would catch a wrong kernel fabric, since
+    both engines' ports replay the same traces."""
+
+    @pytest.mark.parametrize("index,ports", [(50, 64), (29, 128)])
+    def test_switch_legs_route_the_fabric_by_engine(self, index, ports):
+        from repro.obs.metrics import MetricsRegistry, using_metrics
+        from repro.sim.kernel import load_fabric_kernel
+
+        if load_fabric_kernel() is None:
+            pytest.skip("span kernel unavailable")
+        case = make_case(DEFAULT_MASTER_SEED, index)
+        assert case.kind == "switch"
+        assert case.spec["num_ports"] == ports
+        registry = MetricsRegistry()
+        with using_metrics(registry):
+            assert run_case(case) == []
+        counters = registry.counters()
+        fallbacks = {name for name in counters
+                     if name.startswith("switch.fabric.fallback.")}
+        assert fallbacks == {"switch.fabric.fallback.reference"}
+        assert counters["switch.fabric.kernel_windows"] >= 2
+        assert counters["switch.fabric.kernel_slots"] >= case.spec["num_slots"]
