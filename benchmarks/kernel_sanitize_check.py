@@ -23,7 +23,12 @@ into a child interpreter with the sanitizer runtimes preloaded and real
 5. the fabric entry: a 64-port ``random`` switch in 1- and 7-slot windows
    (flush windows included) and a 256-port ``islip`` switch, whose request
    bitsets span four words, each against the reference engine's python
-   fabric.
+   fabric, and
+6. the CFDS entry, each against the reference engine: renaming on and off
+   with a group capacity that drops blocks, non-strict DRAM without the
+   ORR (bank conflicts serialise), the ``random`` and ``longest_queue``
+   arbiters, a streamed run in 200- and 700-slot chunks with a mid-run
+   checkpoint, and an 8-port CFDS switch through ``run_stream``.
 
 Any out-of-bounds access or UB in the C source aborts the child with a
 sanitizer report, which this parent surfaces verbatim.
@@ -206,6 +211,85 @@ for ports, policy, traffic, slots, chunks in (
                   f"chunk {chunk}", file=sys.stderr)
             sys.exit(4)
 print("fabric ok")
+
+# 6. The CFDS entry: reports, group occupancy and drops against the
+# reference engine.
+from repro.core.buffer import CFDSPacketBuffer
+from repro.core.config import CFDSConfig
+from repro.core.ongoing_register import OngoingRequestsRegister
+from repro.switch import SwitchModel
+from repro.traffic.arbiters import LongestQueueArbiter
+from repro.traffic.arrivals import BurstyArrivals
+
+def cfds_sim(arbiter="random", renaming=True, group_cap=None, no_orr=False):
+    buffer = CFDSPacketBuffer(
+        CFDSConfig(num_queues=8, dram_access_slots=8, granularity=2,
+                   num_banks=32, strict=False),
+        use_renaming=renaming, group_capacity_cells=group_cap)
+    if no_orr:
+        buffer.scheduler.ongoing = OngoingRequestsRegister(0)
+    return ClosedLoopSimulation(
+        buffer, BurstyArrivals(8, mean_burst_cells=16, load=0.95, seed=41),
+        RandomArbiter(8, load=0.7, seed=42) if arbiter == "random"
+        else LongestQueueArbiter(8))
+
+def cfds_outcome(sim, report):
+    return (report, sim.buffer.dram_group_occupancy(),
+            sim.buffer.dropped_cells)
+
+def cfds_check(label, run, want_drops=False, want_conflicts=False):
+    registry = MetricsRegistry()
+    with using_metrics(registry):
+        got = run("array")
+    want = run("reference")
+    if got != want:
+        print(f"DIFFERENTIAL MISMATCH: cfds {label}", file=sys.stderr)
+        sys.exit(4)
+    if (not registry.counter("engine.array.kernel_spans")
+            or (want_drops and not got[2])
+            or (want_conflicts and not got[0].buffer_result.bank_conflicts)):
+        print(f"KERNEL NOT REACHED: cfds {label}", file=sys.stderr)
+        sys.exit(4)
+
+for label, knobs, drops, conflicts in (
+        ("renaming, dropping groups", dict(group_cap=40), True, False),
+        ("static, dropping groups", dict(renaming=False, group_cap=40),
+         True, False),
+        ("no ORR, bank conflicts", dict(no_orr=True), False, True),
+        ("longest_queue", dict(arbiter="longest_queue"), False, False),
+):
+    def run(engine, knobs=knobs):
+        sim = cfds_sim(**knobs)
+        return cfds_outcome(sim, sim.run(3000, engine=engine))
+    cfds_check(label, run, drops, conflicts)
+
+with tempfile.TemporaryDirectory() as tmp:
+    path = os.path.join(tmp, "cfds.ckpt.json")
+    for chunk in (200, 700):
+        def run(engine, chunk=chunk):
+            sim = cfds_sim(group_cap=40)
+            return cfds_outcome(sim, sim.run_stream(
+                3000, engine=engine, chunk_slots=chunk, warmup_slots=500,
+                checkpoint_every=1400, checkpoint_path=path))
+        cfds_check(f"streamed, {chunk}-slot chunks", run, True)
+        if resume_stream(path) != run("reference")[0]:
+            print(f"DIFFERENTIAL MISMATCH: cfds resumed, {chunk}-slot "
+                  f"chunks", file=sys.stderr)
+            sys.exit(4)
+
+switch = get_switch_scenario("uniform").with_overrides(num_slots=600)
+switch = dataclasses.replace(switch, ports=({
+    "scheme": "cfds",
+    "buffer": {"dram_access_slots": 8, "granularity": 2, "num_banks": 32},
+    "arbiter": {"type": "longest_queue", "params": {}}},))
+
+def switch_run(engine):
+    # The report names its engine; the fabric and the ports must agree.
+    report = SwitchModel(switch).run_stream(engine=engine, chunk_slots=250)
+    return report.fabric, report.ports, None
+
+cfds_check("8-port switch, run_stream", switch_run)
+print("cfds ok")
 print("SANITIZE CHECK PASSED")
 """
 

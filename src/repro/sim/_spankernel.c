@@ -1,14 +1,18 @@
-/* Span kernel for the "array" engine's RADS core and the switch's fabric
- * stage.
+/* Span kernel for the "array" engine's RADS and CFDS cores and the
+ * switch's fabric stage.
  *
  * This file is compiled on demand by repro.sim.kernel (cc -O2 -shared) and
  * loaded through ctypes; it is NOT a CPython extension module and includes
  * no Python headers, so it builds anywhere a C99 compiler exists.  It has
- * two entry points:
+ * three entry points:
  *  - rads_run_span executes exactly the slot loop of
  *    repro.sim.array_engine's RADS core (stock ECQF + threshold tail MMA +
  *    RandomArbiter, num_queues <= 65536 so a queue id fits the 16-bit
  *    field of CRIT_KEY);
+ *  - cfds_run_span executes exactly the slot loop of its CFDS core (the
+ *    same policies with the latency register, the DRAM Scheduler
+ *    Subsystem and queue renaming; no arbiter, RandomArbiter or
+ *    LongestQueueArbiter);
  *  - fabric_run_window executes one window of
  *    repro.switch.model.FabricStream's python loop (VOQ arrivals and the
  *    islip, random or priority request/grant/accept match, num_ports <=
@@ -39,9 +43,10 @@
  *  - strict-mode overflow/miss aborts return an error code and the python
  *    core replays the span on its own scalar loop to raise with exact
  *    in-place state; non-strict misses and lossy DRAM drops are native;
- *  - the fabric entry follows the same ownership rules; a plan entry that
- *    names no egress, or any of its own checks, aborts the window and the
- *    python loop replays it.
+ *  - the CFDS and fabric entries follow the same ownership rules; every
+ *    raise site of the python CFDS loop, a fabric plan entry that names no
+ *    egress, and any of their own checks abort, and the python loop
+ *    replays the span or window.
  */
 
 #include <stdint.h>
@@ -362,6 +367,127 @@ static int64_t *put(int64_t *w, const ivec *v)
     return w + n;
 }
 
+/* The image head both slot loops share (layout above kptrs): per-queue
+ * tail, DRAM, SRAM, request and arrival contents, then the critical heap,
+ * whose keys must name queues. */
+static int64_t load_queues(reader *r, qstate *qs, ivec *crit, const kcfg *c,
+                           const kptrs *p)
+{
+    const int nq = (int)c->num_queues;
+    const int64_t *sram_cnt = take(r, nq), *arr_cnt = take(r, nq);
+    int64_t err = ERR_OK;
+    int i;
+    if (!sram_cnt || !arr_cnt)
+        return ERR_ARG;
+    for (i = 0; i < nq && err == ERR_OK; i++)
+        err = iv_load(&qs[i].tail, r, p->tail_occ[i]);
+    for (i = 0; i < nq && err == ERR_OK; i++)
+        err = iv_load(&qs[i].dram, r, p->dram_occ[i]);
+    for (i = 0; i < nq && err == ERR_OK; i++)
+        err = iv_load(&qs[i].sram, r, sram_cnt[i]);
+    for (i = 0; i < nq && err == ERR_OK; i++)
+        err = iv_load(&qs[i].req, r, p->req_count[i]);
+    for (i = 0; i < nq && err == ERR_OK; i++)
+        err = iv_load(&qs[i].arr, r, arr_cnt[i]);
+    if (err == ERR_OK)
+        err = iv_load(crit, r, c->crit_len);
+    for (i = 0; i < crit->len && err == ERR_OK; i++)
+        if (crit->buf[i] < 0 || CRIT_QUEUE(crit->buf[i]) >= nq)
+            err = ERR_ARG;
+    return err;
+}
+
+/* Elements load_queues' part of the result takes. */
+static int64_t queues_size(const qstate *qs, int nq, const ivec *crit)
+{
+    int64_t size = 2 * (int64_t)nq + crit->len;
+    int i;
+    for (i = 0; i < nq; i++)
+        size += IV_COUNT(&qs[i].tail) + IV_COUNT(&qs[i].dram)
+                + IV_COUNT(&qs[i].sram) + IV_COUNT(&qs[i].req)
+                + IV_COUNT(&qs[i].arr);
+    return size;
+}
+
+static int64_t *put_queues(int64_t *w, const qstate *qs, int nq,
+                           const ivec *crit)
+{
+    int i;
+    for (i = 0; i < nq; i++)
+        *w++ = IV_COUNT(&qs[i].sram);
+    for (i = 0; i < nq; i++)
+        *w++ = IV_COUNT(&qs[i].arr);
+    for (i = 0; i < nq; i++)
+        w = put(w, &qs[i].tail);
+    for (i = 0; i < nq; i++)
+        w = put(w, &qs[i].dram);
+    for (i = 0; i < nq; i++)
+        w = put(w, &qs[i].sram);
+    for (i = 0; i < nq; i++)
+        w = put(w, &qs[i].req);
+    for (i = 0; i < nq; i++)
+        w = put(w, &qs[i].arr);
+    return put(w, crit);
+}
+
+static void free_queues(qstate *qs, int nq)
+{
+    int i;
+    if (!qs)
+        return;
+    for (i = 0; i < nq; i++) {
+        free(qs[i].tail.buf);
+        free(qs[i].dram.buf);
+        free(qs[i].sram.buf);
+        free(qs[i].req.buf);
+        free(qs[i].arr.buf);
+    }
+    free(qs);
+}
+
+/* (delay, count) pairs of the histogram, in ascending delay order. */
+static int64_t hist_pairs(const hist *h)
+{
+    int64_t d, n = 0;
+    for (d = 0; d <= h->max && h->count; d++)
+        if (h->count[d])
+            n++;
+    return n;
+}
+
+/* The result's tail both slot loops share: delay pairs, head misses,
+ * drained arrival slots. */
+static void put_outcome(int64_t *w, const hist *delays, const ivec *misses,
+                        const ivec *drained)
+{
+    int64_t d;
+    for (d = 0; d <= delays->max && delays->count; d++)
+        if (delays->count[d]) {
+            *w++ = d;
+            *w++ = delays->count[d];
+        }
+    w = put(w, misses);
+    put(w, drained);
+}
+
+/* 32 - bit_length(m) for m = 0..n, the mt_randbelow shift (NULL on OOM):
+ * the bit length grows by one exactly when m reaches the next power of
+ * two. */
+static int *randbelow_shifts(int n)
+{
+    int *shift = (int *)malloc((size_t)(n + 1) * sizeof(int));
+    int m, bits = 0;
+    if (!shift)
+        return NULL;
+    shift[0] = 32;
+    for (m = 1; m <= n; m++) {
+        if (m >> bits)
+            bits++;
+        shift[m] = 32 - bits;
+    }
+    return shift;
+}
+
 static int upper_bound_d(const double *a, int hi, double x)
 {
     int lo = 0;
@@ -405,22 +531,11 @@ int64_t rads_run_span(kcfg *c, kptrs *p)
             || c->eligible_len < 0 || c->eligible_len > nq
             || c->pending_len < 0)
         return ERR_ARG;
-    rb_shift = (int *)malloc((size_t)(nq + 1) * sizeof(int));
+    rb_shift = randbelow_shifts(nq);
     qs = (qstate *)calloc((size_t)nq, sizeof(qstate));
     if (!rb_shift || !qs) {
         err = ERR_OOM;
         goto cleanup;
-    }
-    /* Portable bit length, once per call: it grows by one exactly when m
-     * reaches the next power of two. */
-    {
-        int m, bits = 0;
-        rb_shift[0] = 32;
-        for (m = 1; m <= nq; m++) {
-            if (m >> bits)
-                bits++;
-            rb_shift[m] = 32 - bits;
-        }
     }
 
     /* Every id that indexes per-queue state must name a queue. */
@@ -445,26 +560,7 @@ int64_t rads_run_span(kcfg *c, kptrs *p)
     /* ---- working state from the image ---- */
     {
         reader r = {p->state, c->state_len};
-        const int64_t *sram_cnt = take(&r, nq), *arr_cnt = take(&r, nq);
-        if (!sram_cnt || !arr_cnt) {
-            err = ERR_ARG;
-            goto cleanup;
-        }
-        for (i = 0; i < nq && err == ERR_OK; i++)
-            err = iv_load(&qs[i].tail, &r, p->tail_occ[i]);
-        for (i = 0; i < nq && err == ERR_OK; i++)
-            err = iv_load(&qs[i].dram, &r, p->dram_occ[i]);
-        for (i = 0; i < nq && err == ERR_OK; i++)
-            err = iv_load(&qs[i].sram, &r, sram_cnt[i]);
-        for (i = 0; i < nq && err == ERR_OK; i++)
-            err = iv_load(&qs[i].req, &r, p->req_count[i]);
-        for (i = 0; i < nq && err == ERR_OK; i++)
-            err = iv_load(&qs[i].arr, &r, arr_cnt[i]);
-        if (err == ERR_OK)
-            err = iv_load(&crit, &r, c->crit_len);
-        for (i = 0; i < crit.len && err == ERR_OK; i++)
-            if (crit.buf[i] < 0 || CRIT_QUEUE(crit.buf[i]) >= nq)
-                err = ERR_ARG;
+        err = load_queues(&r, qs, &crit, c, p);
         for (i = 0; i < c->pending_len && err == ERR_OK; i++) {
             const int64_t *entry = take(&r, 3);
             if (!entry || entry[1] < 0 || entry[1] >= nq) {
@@ -903,46 +999,18 @@ int64_t rads_run_span(kcfg *c, kptrs *p)
 done:
     if (err == ERR_OK) {
         /* ---- the one exact-size result (layout above kptrs) ---- */
-        int64_t n_pairs = 0, size = 2 * (int64_t)nq, d;
-        int64_t *w;
-        for (d = 0; d <= delays.max && delays.count; d++)
-            if (delays.count[d])
-                n_pairs++;
-        for (i = 0; i < nq; i++)
-            size += IV_COUNT(&qs[i].tail) + IV_COUNT(&qs[i].dram)
-                    + IV_COUNT(&qs[i].sram) + IV_COUNT(&qs[i].req)
-                    + IV_COUNT(&qs[i].arr);
-        size += crit.len + IV_COUNT(&pend) + 2 * n_pairs + IV_COUNT(&misses)
-                + IV_COUNT(&drained);
-        w = p->result = (int64_t *)malloc((size_t)(size > 0 ? size : 1)
-                                          * sizeof(int64_t));
+        int64_t n_pairs = hist_pairs(&delays);
+        int64_t size = queues_size(qs, nq, &crit) + IV_COUNT(&pend)
+                       + 2 * n_pairs + IV_COUNT(&misses) + IV_COUNT(&drained);
+        int64_t *w = p->result = (int64_t *)malloc(
+            (size_t)(size > 0 ? size : 1) * sizeof(int64_t));
         if (!w) {
             err = ERR_OOM;
             goto cleanup;
         }
-        for (i = 0; i < nq; i++)
-            *w++ = IV_COUNT(&qs[i].sram);
-        for (i = 0; i < nq; i++)
-            *w++ = IV_COUNT(&qs[i].arr);
-        for (i = 0; i < nq; i++)
-            w = put(w, &qs[i].tail);
-        for (i = 0; i < nq; i++)
-            w = put(w, &qs[i].dram);
-        for (i = 0; i < nq; i++)
-            w = put(w, &qs[i].sram);
-        for (i = 0; i < nq; i++)
-            w = put(w, &qs[i].req);
-        for (i = 0; i < nq; i++)
-            w = put(w, &qs[i].arr);
-        w = put(w, &crit);
+        w = put_queues(w, qs, nq, &crit);
         w = put(w, &pend);
-        for (d = 0; d <= delays.max && delays.count; d++)
-            if (delays.count[d]) {
-                *w++ = d;
-                *w++ = delays.count[d];
-            }
-        w = put(w, &misses);
-        put(w, &drained);
+        put_outcome(w, &delays, &misses, &drained);
         c->result_len = size;
 
         /* ---- scalars back ---- */
@@ -982,20 +1050,1071 @@ done:
     }
 
 cleanup:
-    if (qs) {
-        for (i = 0; i < nq; i++) {
-            free(qs[i].tail.buf);
-            free(qs[i].dram.buf);
-            free(qs[i].sram.buf);
-            free(qs[i].req.buf);
-            free(qs[i].arr.buf);
-        }
-        free(qs);
-    }
+    free_queues(qs, nq);
     free(crit.buf);
     free(pend.buf);
     free(misses.buf);
     free(drained.buf);
+    free(delays.count);
+    free(rb_shift);
+    return err;
+}
+
+/* ------------------------------------------------------------------ */
+/* CFDS span (repro.sim.array_engine._CFDSCore.run_span)               */
+/* ------------------------------------------------------------------ */
+
+/* The arbiters the CFDS entry runs (the RADS entry runs RandomArbiter). */
+#define ARB_NONE 0
+#define ARB_RANDOM 1
+#define ARB_LONGEST 2
+
+/* "No issue yet" marker of last_issue (python None). */
+#define NO_SLOT INT64_MIN
+
+typedef struct {
+    kcfg k;                 /* plan_mode 0 or 2; pending_len 0 */
+    /* configuration (in) */
+    int64_t arb_mode;       /* ARB_* */
+    int64_t lat_len;
+    int64_t rr_cap;         /* -1 = unbounded */
+    int64_t issues, ras, bus_slots, dram_strict;
+    int64_t num_banks, num_groups, banks_per_group, num_physical;
+    int64_t renaming;       /* 1: renaming registers and free names */
+    int64_t group_cap;      /* -1 = unbounded */
+    int64_t orr_len;
+    /* machine scalars (in/out) */
+    int64_t lat_pos, orr_pos, rr_peak, conflicts;
+    int64_t last_issue;     /* NO_SLOT = none */
+    int64_t flight_next;    /* CRIT_INF = none in flight */
+    int64_t max_delay;
+} ccfg;
+
+/* The CFDS state image is kptrs.state's head (load_queues) followed by
+ *
+ *   Requests Register: count, then per entry bank, issue slot, landing
+ *     queue, cell count (-1 = a write) and the cells
+ *   transfers in flight, in issue order: count, then per transfer its
+ *     finish slot and the entry as above
+ *   ORR ring (orr_len slots): bank count, banks
+ *   renaming registers (renaming only): per logical queue the entry count,
+ *     then (physical, cells) pairs oldest first
+ *   free names (renaming only): per group the count, then the stack
+ *   block locations: per logical queue the count, then (physical, index)
+ *     pairs oldest first
+ *
+ * The result has the same layout, then put_outcome's tail. */
+typedef struct {
+    kptrs k;
+    int64_t *lat_ring;      /* in/out, len lat_len, -1 = empty */
+    int64_t *locks, *busy_until;    /* in/out, num_banks */
+    int64_t *group_occ;     /* in/out, num_groups */
+    int64_t *in_use, *write_count;  /* in/out, num_physical */
+} cptrs;
+
+/* Requests Register entries live in one record pool: finish slot, bank,
+ * issue slot, landing queue, cell count (-1 = a write), then up to g
+ * cells.  An entry sits in the Requests Register or in flight, by id. */
+#define R_FINISH 0
+#define R_BANK 1
+#define R_ISSUED 2
+#define R_QUEUE 3
+#define R_COUNT 4
+#define R_CELLS 5
+
+typedef struct {
+    ivec recs;              /* stride R_CELLS + g */
+    ivec spare;             /* ids of released records */
+    int64_t stride;
+} rpool;
+
+/* A record id for a new entry, or -1 on OOM. */
+static int64_t rec_new(rpool *pool)
+{
+    int64_t id;
+    if (pool->spare.len)
+        return pool->spare.buf[--pool->spare.len];
+    if (!iv_reserve(&pool->recs, pool->stride))
+        return -1;
+    id = pool->recs.len / pool->stride;
+    pool->recs.len += pool->stride;
+    return id;
+}
+
+#define REC(pool, id) ((pool)->recs.buf + (id) * (pool)->stride)
+
+/* Read one entry (bank, issue slot, landing queue, count, cells) from the
+ * image into a new record; ERR_ARG unless it names a bank and a queue and
+ * holds at most g cells. */
+static int64_t rec_load(rpool *pool, reader *r, int64_t finish, int nq,
+                        int64_t num_banks, int g, int64_t *id_out)
+{
+    const int64_t *head = take(r, 4), *cells;
+    int64_t id, n, *rec;
+    if (!head || head[0] < 0 || head[0] >= num_banks || head[2] < -1
+            || head[2] >= nq || head[3] < -1 || head[3] > g
+            || (head[3] < 0) != (head[2] < 0))
+        return ERR_ARG;
+    n = head[3] > 0 ? head[3] : 0;
+    cells = take(r, n);
+    if (!cells)
+        return ERR_ARG;
+    id = rec_new(pool);
+    if (id < 0)
+        return ERR_OOM;
+    rec = REC(pool, id);
+    rec[R_FINISH] = finish;
+    memcpy(rec + R_BANK, head, 4 * sizeof(int64_t));
+    if (n)
+        memcpy(rec + R_CELLS, cells, (size_t)n * sizeof(int64_t));
+    *id_out = id;
+    return ERR_OK;
+}
+
+static int64_t *rec_put(int64_t *w, rpool *pool, int64_t id, int finish)
+{
+    const int64_t *rec = REC(pool, id);
+    int64_t n = rec[R_COUNT] > 0 ? rec[R_COUNT] : 0;
+    if (finish)
+        *w++ = rec[R_FINISH];
+    memcpy(w, rec + R_BANK, (size_t)(4 + n) * sizeof(int64_t));
+    return w + 4 + n;
+}
+
+/* Load a count and that many (name, n) pairs into v: a name below hi,
+ * n not negative. */
+static int64_t pairs_load(ivec *v, reader *r, int64_t hi)
+{
+    const int64_t *cnt = take(r, 1);
+    int64_t j, err;
+    if (!cnt || *cnt < 0 || *cnt > r->left / 2)
+        return ERR_ARG;
+    err = iv_load(v, r, 2 * *cnt);
+    for (j = v->head; j < v->len && err == ERR_OK; j += 2)
+        if (v->buf[j] < 0 || v->buf[j] >= hi || v->buf[j + 1] < 0)
+            err = ERR_ARG;
+    return err;
+}
+
+/* The free physical name _allocate_name picks: from the group with the
+ * fewest cells among those with a free name and room for `cells`, ties to
+ * the lowest group; -1 when there is none. */
+static int64_t allocate_name(ivec *free_names, int64_t num_groups,
+                             const int64_t *group_occ, int64_t group_cap,
+                             int64_t cells)
+{
+    int64_t grp, best = -1, best_occ = 0;
+    for (grp = 0; grp < num_groups; grp++)
+        if (free_names[grp].len) {
+            int64_t occ = group_occ[grp];
+            if ((group_cap < 0 || group_cap - occ >= cells)
+                    && (best < 0 || occ < best_occ)) {
+                best = grp;
+                best_occ = occ;
+            }
+        }
+    if (best < 0)
+        return -1;
+    return free_names[best].buf[--free_names[best].len];
+}
+
+int64_t cfds_run_span(ccfg *cc, cptrs *cp)
+{
+    kcfg *c = &cc->k;
+    kptrs *p = &cp->k;
+    const int nq = (int)c->num_queues;
+    const int g = (int)c->granularity;
+    const int strict = (int)c->strict;
+    const int64_t tail_cap = c->tail_cap;
+    const int64_t dram_cap = c->dram_cap;
+    const int64_t sram_cap = c->sram_cap;
+    const int la_len = (int)c->la_len;
+    const int lat_len = (int)cc->lat_len;
+    const int64_t num_slots = c->num_slots;
+    const int is_main = (int)c->is_main;
+    const int plan_mode = (int)c->plan_mode;
+    const int arb_mode = is_main ? (int)cc->arb_mode : ARB_NONE;
+    const int64_t rr_cap = cc->rr_cap;
+    const int64_t issues = cc->issues, ras = cc->ras;
+    const int64_t bus_slots = cc->bus_slots;
+    const int64_t num_banks = cc->num_banks;
+    const int64_t ngroups = cc->num_groups, bpg = cc->banks_per_group;
+    const int64_t nphys = cc->num_physical;
+    const int renaming = (int)cc->renaming;
+    const int64_t group_cap = cc->group_cap;
+    const int64_t orr_len = cc->orr_len;
+    int64_t *locks = cp->locks, *busy_until = cp->busy_until;
+    int64_t *group_occ = cp->group_occ;
+    int64_t *in_use = cp->in_use, *write_count = cp->write_count;
+    int64_t err = ERR_OK;
+    int64_t i, j;
+    int *rb_shift = NULL;
+    qstate *qs = NULL;
+    ivec crit = {0}, misses = {0}, drained = {0};
+    ivec rr = {0}, flight = {0}, landed = {0};
+    ivec *names = NULL, *free_names = NULL, *locs = NULL;
+    int64_t *orr_cnt = NULL, *orr_banks = NULL, *issued = NULL;
+    rpool pool;
+    hist delays = {0};
+    mt_state arb;
+    memset(&pool, 0, sizeof(pool));
+    p->result = NULL;
+    if (nq < 1 || nq > MAX_QUEUES || g < 1 || la_len < 0 || lat_len < 0
+            || (la_len && (c->la_pos < 0 || c->la_pos >= la_len))
+            || (lat_len && (cc->lat_pos < 0 || cc->lat_pos >= lat_len))
+            || c->eligible_len < 0 || c->eligible_len > nq
+            || c->pending_len != 0 || (plan_mode != 0 && plan_mode != 2)
+            || (plan_mode == 0 && is_main && !p->plan)
+            || arb_mode < ARB_NONE || arb_mode > ARB_LONGEST
+            || issues < 1 || num_banks < 1 || ngroups < 1 || bpg < 1
+            || ngroups * bpg > num_banks || nphys < nq || orr_len < 0
+            || (orr_len && (cc->orr_pos < 0 || cc->orr_pos >= orr_len)))
+        return ERR_ARG;
+    pool.stride = R_CELLS + g;
+    rb_shift = randbelow_shifts(nq);
+    qs = (qstate *)calloc((size_t)nq, sizeof(qstate));
+    locs = (ivec *)calloc((size_t)nq, sizeof(ivec));
+    issued = (int64_t *)malloc((size_t)issues * sizeof(int64_t));
+    orr_cnt = (int64_t *)calloc((size_t)(orr_len + 1), sizeof(int64_t));
+    orr_banks = (int64_t *)malloc((size_t)(orr_len * issues + 1)
+                                  * sizeof(int64_t));
+    if (renaming) {
+        names = (ivec *)calloc((size_t)nq, sizeof(ivec));
+        free_names = (ivec *)calloc((size_t)ngroups, sizeof(ivec));
+    }
+    if (!rb_shift || !qs || !locs || !issued || !orr_cnt || !orr_banks
+            || (renaming && (!names || !free_names))) {
+        err = ERR_OOM;
+        goto cleanup;
+    }
+
+    /* Every id that indexes per-queue, per-bank or per-name state must
+     * name one. */
+    for (i = 0; i < la_len; i++)
+        if (p->la_ring[i] < -1 || p->la_ring[i] >= nq)
+            err = ERR_ARG;
+    for (i = 0; i < lat_len; i++)
+        if (cp->lat_ring[i] < -1 || cp->lat_ring[i] >= nq)
+            err = ERR_ARG;
+    for (i = 0; i < c->eligible_len; i++)
+        if (p->eligible[i] < 0 || p->eligible[i] >= nq)
+            err = ERR_ARG;
+    for (i = 0; i < nphys; i++)
+        if (write_count[i] < 0)
+            err = ERR_ARG;
+    if (err != ERR_OK)
+        goto cleanup;
+
+    if (arb_mode == ARB_RANDOM) {
+        if (p->arb_meta[0] < 0 || p->arb_meta[0] > MT_N) {
+            err = ERR_ARG;
+            goto cleanup;
+        }
+        memcpy(arb.key, p->arb_key, sizeof(arb.key));
+        arb.pos = (int)p->arb_meta[0];
+        arb.consumed = 0;
+    }
+
+    /* ---- working state from the image ---- */
+    {
+        reader r = {p->state, c->state_len};
+        const int64_t *cnt;
+        int64_t id;
+        err = load_queues(&r, qs, &crit, c, p);
+        if (err != ERR_OK)
+            goto cleanup;
+        cnt = take(&r, 1);
+        if (!cnt || *cnt < 0 || *cnt > r.left / 4) {
+            err = ERR_ARG;
+            goto cleanup;
+        }
+        for (j = *cnt; j > 0 && err == ERR_OK; j--) {
+            err = rec_load(&pool, &r, 0, nq, num_banks, g, &id);
+            if (err == ERR_OK && !iv_push(&rr, id))
+                err = ERR_OOM;
+        }
+        cnt = err == ERR_OK ? take(&r, 1) : NULL;
+        if (!cnt || *cnt < 0 || *cnt > r.left / 5) {
+            err = err != ERR_OK ? err : ERR_ARG;
+            goto cleanup;
+        }
+        for (j = *cnt; j > 0 && err == ERR_OK; j--) {
+            const int64_t *finish = take(&r, 1);
+            if (!finish) {
+                err = ERR_ARG;
+                break;
+            }
+            err = rec_load(&pool, &r, *finish, nq, num_banks, g, &id);
+            if (err == ERR_OK && !iv_push(&flight, id))
+                err = ERR_OOM;
+        }
+        for (j = 0; j < orr_len && err == ERR_OK; j++) {
+            const int64_t *banks;
+            cnt = take(&r, 1);
+            if (!cnt || *cnt < 0 || *cnt > issues
+                    || !(banks = take(&r, *cnt))) {
+                err = ERR_ARG;
+                break;
+            }
+            orr_cnt[j] = *cnt;
+            for (i = 0; i < *cnt; i++) {
+                if (banks[i] < 0 || banks[i] >= num_banks)
+                    err = ERR_ARG;
+                orr_banks[j * issues + i] = banks[i];
+            }
+        }
+        for (j = 0; renaming && j < nq && err == ERR_OK; j++)
+            err = pairs_load(&names[j], &r, nphys);
+        for (j = 0; renaming && j < ngroups && err == ERR_OK; j++) {
+            cnt = take(&r, 1);
+            if (!cnt || *cnt < 0) {
+                err = ERR_ARG;
+                break;
+            }
+            err = iv_load(&free_names[j], &r, *cnt);
+            for (i = 0; i < free_names[j].len && err == ERR_OK; i++)
+                if (free_names[j].buf[i] < 0 || free_names[j].buf[i] >= nphys)
+                    err = ERR_ARG;
+        }
+        for (j = 0; j < nq && err == ERR_OK; j++)
+            err = pairs_load(&locs[j], &r, nphys);
+        if (err == ERR_OK && r.left != 0)
+            err = ERR_ARG;
+        if (err != ERR_OK)
+            goto cleanup;
+    }
+
+    {
+    /* ---- loop-local scalars ---- */
+    int64_t tail_total = c->tail_total, dram_total = c->dram_total;
+    int64_t sram_total = c->sram_total;
+    int la_pos = (int)c->la_pos, lat_pos = (int)cc->lat_pos;
+    int64_t orr_pos = cc->orr_pos;
+    int64_t negatives = c->negatives;
+    int64_t cells_in = c->cells_in, cells_out = c->cells_out;
+    int64_t dram_reads = c->dram_reads, dram_writes = c->dram_writes;
+    int64_t dropped = c->dropped;
+    int64_t max_tail = c->max_tail, max_head = c->max_head;
+    int64_t rr_peak = cc->rr_peak, conflicts = cc->conflicts;
+    int64_t last_issue = cc->last_issue, flight_next = cc->flight_next;
+    int64_t max_delay = cc->max_delay;
+    int elig_len = (int)c->eligible_len;
+    int64_t n_delays = 0, n_tail_miss = 0;
+    int64_t arrivals_seen = 0, grants = 0;
+    int big_cnt = 0;
+    int64_t *elig = p->eligible;
+    int64_t *crit_cache = p->crit_cache;
+    int64_t *counters = p->counters;
+    int64_t *req_count = p->req_count;
+    int64_t *tail_occ = p->tail_occ;
+    int64_t *dram_occ = p->dram_occ;
+    int64_t *backlog = p->backlog;
+    int64_t slot;
+    int pc;
+
+    for (i = 0; i < nq; i++)
+        if (tail_occ[i] >= g)
+            big_cnt++;
+    pc = (g - (int)(c->start_slot % g)) % g;
+
+    for (slot = c->start_slot; slot < c->start_slot + num_slots; slot++) {
+        int period = 0;
+        int a = -1;         /* arrival queue, -1 = none */
+        int request = -1;   /* requested queue, -1 = none */
+        int leaving, due;
+        if (--pc < 0) {
+            pc = g - 1;
+            period = 1;
+        }
+
+        if (is_main) {
+            /* -- arbiter, then the arrival plan -- */
+            if (arb_mode == ARB_RANDOM) {
+                if (mt_comb53(&arb) < c->arb_tint && elig_len)
+                    request = (int)elig[mt_randbelow(&arb, elig_len,
+                                                     rb_shift[elig_len])];
+            } else if (arb_mode == ARB_LONGEST) {
+                int64_t best = 0;
+                for (i = 0; i < nq; i++)
+                    if (backlog[i] > best) {
+                        best = backlog[i];
+                        request = (int)i;
+                    }
+            }
+            if (plan_mode == 0) {
+                a = p->plan[slot - c->start_slot];
+                if (a < -1 || a >= nq) {
+                    err = ERR_ARG;
+                    goto done;
+                }
+            }
+        }
+
+        /* -- arrival with cut-through routing -- */
+        if (a >= 0) {
+            qstate *qa = &qs[a];
+            int64_t seqno = p->next_seqno[a]++;
+            arrivals_seen++;
+            if (!iv_push(&qa->arr, slot)) {
+                err = ERR_OOM;
+                goto done;
+            }
+            if (dram_occ[a] == 0 && tail_occ[a] == 0
+                    && IV_COUNT(&qa->sram) < g) {
+                int64_t count;
+                sram_total++;
+                if (sram_cap >= 0 && sram_total > sram_cap) {
+                    err = ERR_STRICT;   /* SRAM overflow raises always */
+                    goto done;
+                }
+                if (!heap_push(&qa->sram, seqno)) {
+                    err = ERR_OOM;
+                    goto done;
+                }
+                count = ++counters[a];
+                if (count == 0)
+                    negatives--;
+                if (count >= 0 && count < req_count[a]) {
+                    int64_t entered = qa->req.buf[qa->req.head + count];
+                    crit_cache[a] = entered;
+                    if (!heap_push(&crit, CRIT_KEY(entered, a))) {
+                        err = ERR_OOM;
+                        goto done;
+                    }
+                } else {
+                    crit_cache[a] = CRIT_INF;
+                }
+            } else if (tail_total >= tail_cap) {
+                n_tail_miss++;
+                if (strict) {
+                    err = ERR_STRICT;
+                    goto done;
+                }
+            } else {
+                if (!iv_push(&qa->tail, seqno)) {
+                    err = ERR_OOM;
+                    goto done;
+                }
+                if (++tail_occ[a] == g)
+                    big_cnt++;
+                tail_total++;
+                cells_in++;
+            }
+        }
+
+        /* -- tail MMA: evict a block through renaming (or static group
+         *    placement) into DRAM and the Requests Register -- */
+        if (period && big_cnt) {
+            int sel = -1;
+            int64_t best_occ = g - 1;
+            for (i = 0; i < nq; i++)
+                if (tail_occ[i] > best_occ) {
+                    best_occ = tail_occ[i];
+                    sel = (int)i;
+                }
+            if (sel >= 0) {
+                qstate *qt = &qs[sel];
+                int64_t avail = IV_COUNT(&qt->tail);
+                int64_t evicted = avail < g ? avail : g;
+                /* blk stays valid: the tail buffer is not touched until
+                 * the next push. */
+                const int64_t *blk = qt->tail.buf + qt->tail.head;
+                int64_t occ_b = tail_occ[sel], occ_a = occ_b - evicted;
+                qt->tail.head += evicted;
+                tail_occ[sel] = occ_a;
+                tail_total -= evicted;
+                if (occ_b >= g && occ_a < g)
+                    big_cnt--;
+                if (evicted) {
+                    int64_t physical = -1, index, id, *rec;
+                    if (renaming) {
+                        ivec *nm = &names[sel];
+                        int64_t at = -1;
+                        if (IV_COUNT(nm)) {
+                            at = nm->len - 2;
+                            physical = nm->buf[at];
+                            if (group_cap >= 0
+                                    && group_occ[physical % ngroups] + evicted
+                                       > group_cap)
+                                physical = -1;
+                        }
+                        if (physical < 0) {
+                            physical = allocate_name(free_names, ngroups,
+                                                     group_occ, group_cap,
+                                                     evicted);
+                            if (physical >= 0) {
+                                in_use[physical] = 1;
+                                if (!iv_push(nm, physical)
+                                        || !iv_push(nm, 0)) {
+                                    err = ERR_OOM;
+                                    goto done;
+                                }
+                                at = nm->len - 2;
+                            }
+                        }
+                        if (physical >= 0) {
+                            nm->buf[at + 1] += evicted;
+                            group_occ[physical % ngroups] += evicted;
+                        }
+                    } else {
+                        int64_t grp = sel % ngroups;
+                        if (group_cap < 0
+                                || group_occ[grp] + evicted <= group_cap) {
+                            physical = sel;
+                            group_occ[grp] += evicted;
+                        }
+                    }
+                    if (physical < 0) {
+                        dropped += evicted;
+                    } else {
+                        index = write_count[physical]++;
+                        if (dram_cap >= 0 && dram_total + evicted > dram_cap) {
+                            err = ERR_STRICT;   /* DRAM overflow raises */
+                            goto done;
+                        }
+                        if (!iv_append(&qt->dram, blk, evicted)
+                                || !iv_push(&locs[sel], physical)
+                                || !iv_push(&locs[sel], index)) {
+                            err = ERR_OOM;
+                            goto done;
+                        }
+                        dram_total += evicted;
+                        dram_occ[sel] += evicted;
+                        if (rr_cap >= 0 && rr.len >= rr_cap) {
+                            err = ERR_STRICT;   /* RR overflow raises */
+                            goto done;
+                        }
+                        id = rec_new(&pool);
+                        if (id < 0 || !iv_push(&rr, id)) {
+                            err = ERR_OOM;
+                            goto done;
+                        }
+                        rec = REC(&pool, id);
+                        rec[R_BANK] = (physical % ngroups) * bpg + index % bpg;
+                        rec[R_ISSUED] = slot;
+                        rec[R_QUEUE] = -1;
+                        rec[R_COUNT] = -1;
+                        if (rr.len > rr_peak)
+                            rr_peak = rr.len;
+                        dram_writes++;
+                    }
+                }
+            }
+        }
+        if (tail_total > max_tail)
+            max_tail = tail_total;
+
+        /* -- head: lookahead -> latency register -> ECQF bookkeeping -- */
+        if (la_len) {
+            leaving = (int)p->la_ring[la_pos];
+            p->la_ring[la_pos] = request;
+            if (++la_pos == la_len)
+                la_pos = 0;
+        } else {
+            leaving = request;
+        }
+        if (lat_len) {
+            due = (int)cp->lat_ring[lat_pos];
+            cp->lat_ring[lat_pos] = leaving;
+            if (++lat_pos == lat_len)
+                lat_pos = 0;
+        } else {
+            due = leaving;
+        }
+        if (request >= 0) {
+            qstate *qr = &qs[request];
+            int64_t count;
+            if (!iv_push(&qr->req, slot)) {
+                err = ERR_OOM;
+                goto done;
+            }
+            count = req_count[request]++;
+            if (counters[request] == count) {
+                crit_cache[request] = slot;
+                if (!heap_push(&crit, CRIT_KEY(slot, request))) {
+                    err = ERR_OOM;
+                    goto done;
+                }
+            }
+        }
+        if (due >= 0) {
+            int64_t count = --counters[due];
+            if (count == -1) {
+                negatives++;
+                crit_cache[due] = CRIT_INF;
+            }
+            qs[due].req.head++;   /* python compaction is layout-only */
+            req_count[due]--;
+        }
+
+        /* -- ECQF select, then fetch: DRAM pop, location pop, renaming
+         *    debit, ECQF credit, Requests Register push (or cut-through
+         *    from the tail straight into the head SRAM) -- */
+        if (period) {
+            int sel = -1;
+            if (negatives) {
+                int64_t best_counter = 0;
+                for (i = 0; i < nq; i++)
+                    if (counters[i] < 0
+                            && (sel < 0 || counters[i] < best_counter)) {
+                        best_counter = counters[i];
+                        sel = (int)i;
+                    }
+            } else {
+                while (crit.len) {
+                    int64_t top = crit.buf[0];
+                    int tq = CRIT_QUEUE(top);
+                    if (crit_cache[tq] == CRIT_ENTERED(top)) {
+                        sel = tq;
+                        break;
+                    }
+                    heap_pop(&crit);
+                }
+                if (sel < 0 && c->ecqf_fallback) {
+                    int64_t best_deficit = 0;
+                    for (i = 0; i < nq; i++)
+                        if (req_count[i]) {
+                            int64_t deficit = req_count[i] - counters[i];
+                            if (sel < 0 || deficit > best_deficit) {
+                                best_deficit = deficit;
+                                sel = (int)i;
+                            }
+                        }
+                    if (sel >= 0 && best_deficit <= 0)
+                        sel = -1;
+                }
+            }
+            if (sel >= 0) {
+                qstate *qr = &qs[sel];
+                const int64_t *seqs;
+                int64_t got, bank = -1;
+                if (dram_occ[sel] > 0) {
+                    int64_t avail = IV_COUNT(&qr->dram), physical, index;
+                    ivec *loc = &locs[sel];
+                    got = avail < g ? avail : g;
+                    seqs = qr->dram.buf + qr->dram.head;
+                    qr->dram.head += got;
+                    dram_occ[sel] -= got;
+                    dram_total -= got;
+                    if (!IV_COUNT(loc)) {
+                        err = ERR_ARG;  /* a DRAM block without a location */
+                        goto done;
+                    }
+                    physical = loc->buf[loc->head];
+                    index = loc->buf[loc->head + 1];
+                    loc->head += 2;
+                    if (renaming) {
+                        ivec *nm = &names[sel];
+                        int64_t remaining = got;
+                        while (remaining) {
+                            int64_t name, count, taken;
+                            if (!IV_COUNT(nm)) {
+                                err = ERR_ARG;  /* cells without a name */
+                                goto done;
+                            }
+                            name = nm->buf[nm->head];
+                            count = nm->buf[nm->head + 1];
+                            taken = count < remaining ? count : remaining;
+                            group_occ[name % ngroups] -= taken;
+                            remaining -= taken;
+                            if (count == taken) {
+                                nm->head += 2;
+                                if (in_use[name]) {
+                                    in_use[name] = 0;
+                                    if (!iv_push(&free_names[name % ngroups],
+                                                 name)) {
+                                        err = ERR_OOM;
+                                        goto done;
+                                    }
+                                }
+                            } else {
+                                nm->buf[nm->head + 1] = count - taken;
+                            }
+                        }
+                    } else {
+                        group_occ[physical % ngroups] -= got;
+                    }
+                    bank = (physical % ngroups) * bpg + index % bpg;
+                } else {
+                    int64_t avail = IV_COUNT(&qr->tail);
+                    int64_t occ_b = tail_occ[sel], occ_a;
+                    got = avail < g ? avail : g;
+                    seqs = qr->tail.buf + qr->tail.head;
+                    qr->tail.head += got;
+                    occ_a = occ_b - got;
+                    tail_occ[sel] = occ_a;
+                    tail_total -= got;
+                    if (occ_b >= g && occ_a < g)
+                        big_cnt--;
+                }
+                if (got) {
+                    int64_t count = counters[sel] + got;
+                    counters[sel] = count;
+                    if (count >= 0 && count - got < 0)
+                        negatives--;
+                    if (count >= 0 && count < req_count[sel]) {
+                        int64_t entered = qr->req.buf[qr->req.head + count];
+                        crit_cache[sel] = entered;
+                        if (!heap_push(&crit, CRIT_KEY(entered, sel))) {
+                            err = ERR_OOM;
+                            goto done;
+                        }
+                    } else {
+                        crit_cache[sel] = CRIT_INF;
+                    }
+                    if (bank < 0) {
+                        /* cut-through: in the head SRAM at once; seqs
+                         * stays valid, the tail buffer is not pushed */
+                        for (j = 0; j < got; j++) {
+                            sram_total++;
+                            if (sram_cap >= 0 && sram_total > sram_cap) {
+                                err = ERR_STRICT;
+                                goto done;
+                            }
+                            if (!heap_push(&qr->sram, seqs[j])) {
+                                err = ERR_OOM;
+                                goto done;
+                            }
+                        }
+                    } else {
+                        int64_t id, *rec;
+                        if (rr_cap >= 0 && rr.len >= rr_cap) {
+                            err = ERR_STRICT;
+                            goto done;
+                        }
+                        id = rec_new(&pool);
+                        if (id < 0 || !iv_push(&rr, id)) {
+                            err = ERR_OOM;
+                            goto done;
+                        }
+                        rec = REC(&pool, id);
+                        rec[R_BANK] = bank;
+                        rec[R_ISSUED] = slot;
+                        rec[R_QUEUE] = sel;
+                        rec[R_COUNT] = got;
+                        memcpy(rec + R_CELLS, seqs,
+                               (size_t)got * sizeof(int64_t));
+                        if (rr.len > rr_peak)
+                            rr_peak = rr.len;
+                        dram_reads++;
+                    }
+                }
+            }
+        }
+
+        /* -- DSS tick: collect the completed transfers, issue on a period
+         *    boundary, then land the completed reads -- */
+        landed.len = 0;
+        if (flight_next <= slot) {
+            int64_t kept = 0;
+            flight_next = CRIT_INF;
+            for (j = 0; j < flight.len; j++) {
+                int64_t id = flight.buf[j];
+                const int64_t *rec = REC(&pool, id);
+                int64_t finish = rec[R_FINISH];
+                if (finish <= slot) {
+                    if (finish - rec[R_ISSUED] > max_delay)
+                        max_delay = finish - rec[R_ISSUED];
+                    if (rec[R_COUNT] >= 0) {
+                        if (!iv_push(&landed, id)) {
+                            err = ERR_OOM;
+                            goto done;
+                        }
+                    } else if (!iv_push(&pool.spare, id)) {
+                        err = ERR_OOM;
+                        goto done;
+                    }
+                } else {
+                    flight.buf[kept++] = id;
+                    if (finish < flight_next)
+                        flight_next = finish;
+                }
+            }
+            flight.len = kept;
+        }
+        if (period) {
+            /* The DSA: up to `issues` oldest entries whose bank is neither
+             * locked by the ORR nor issued this period. */
+            int64_t n_issued = 0, pos = 0;
+            while (pos < rr.len) {
+                int64_t id = rr.buf[pos], *rec = REC(&pool, id);
+                int64_t bank = rec[R_BANK], busy, finish;
+                int taken = locks[bank] != 0;
+                for (j = 0; j < n_issued && !taken; j++)
+                    taken = issued[j] == bank;
+                if (taken) {
+                    pos++;
+                    continue;
+                }
+                memmove(rr.buf + pos, rr.buf + pos + 1,
+                        (size_t)(rr.len - pos - 1) * sizeof(int64_t));
+                rr.len--;
+                if (last_issue != NO_SLOT && slot - last_issue < bus_slots
+                        && slot != last_issue) {
+                    err = ERR_STRICT;   /* the address-bus violation */
+                    goto done;
+                }
+                busy = busy_until[bank];
+                if (slot < busy) {
+                    conflicts++;
+                    if (cc->dram_strict) {
+                        err = ERR_STRICT;
+                        goto done;
+                    }
+                    finish = busy + ras;
+                } else {
+                    finish = slot + ras;
+                }
+                busy_until[bank] = finish;
+                last_issue = slot;
+                rec[R_FINISH] = finish;
+                if (!iv_push(&flight, id)) {
+                    err = ERR_OOM;
+                    goto done;
+                }
+                if (finish < flight_next)
+                    flight_next = finish;
+                issued[n_issued++] = bank;
+                if (n_issued == issues)
+                    break;
+            }
+            if (orr_len) {
+                int64_t *ring = orr_banks + orr_pos * issues;
+                for (j = 0; j < orr_cnt[orr_pos]; j++)
+                    locks[ring[j]]--;
+                orr_cnt[orr_pos] = n_issued;
+                for (j = 0; j < n_issued; j++) {
+                    ring[j] = issued[j];
+                    locks[issued[j]]++;
+                }
+                if (++orr_pos == orr_len)
+                    orr_pos = 0;
+            }
+        }
+        for (j = 0; j < landed.len; j++) {
+            int64_t id = landed.buf[j], k;
+            const int64_t *rec = REC(&pool, id);
+            qstate *ql = &qs[rec[R_QUEUE]];
+            for (k = 0; k < rec[R_COUNT]; k++) {
+                sram_total++;
+                if (sram_cap >= 0 && sram_total > sram_cap) {
+                    err = ERR_STRICT;
+                    goto done;
+                }
+                if (!heap_push(&ql->sram, rec[R_CELLS + k])) {
+                    err = ERR_OOM;
+                    goto done;
+                }
+            }
+            if (!iv_push(&pool.spare, id)) {
+                err = ERR_OOM;
+                goto done;
+            }
+        }
+
+        /* -- serve -- */
+        if (due >= 0) {
+            qstate *ql = &qs[due];
+            int64_t expected = p->delivered[due];
+            int ok = 1;
+            if (ql->sram.len && ql->sram.buf[0] == expected) {
+                heap_pop(&ql->sram);
+                sram_total--;
+            } else if (tail_occ[due]
+                       && ql->tail.buf[ql->tail.head] == expected) {
+                /* tail bypass: the in-order cell never left the tail */
+                ql->tail.head++;
+                if (--tail_occ[due] == g - 1)
+                    big_cnt--;
+                tail_total--;
+            } else {
+                if (!iv_push(&misses, due) || !iv_push(&misses, slot)) {
+                    err = ERR_OOM;
+                    goto done;
+                }
+                if (strict) {
+                    err = ERR_STRICT;
+                    goto done;
+                }
+                ok = 0;
+            }
+            if (ok) {
+                int64_t arrival_slot;
+                if (!IV_COUNT(&ql->arr)) {
+                    err = ERR_ARG;      /* a cell without an arrival slot */
+                    goto done;
+                }
+                p->delivered[due] = expected + 1;
+                cells_out++;
+                arrival_slot = ql->arr.buf[ql->arr.head++];
+                if (is_main) {
+                    n_delays++;
+                    err = hist_add(&delays, slot + 1 - arrival_slot);
+                    if (err != ERR_OK)
+                        goto done;
+                } else if (!iv_push(&drained, arrival_slot)) {
+                    err = ERR_OOM;
+                    goto done;
+                }
+            }
+        }
+        if (sram_total > max_head)
+            max_head = sram_total;
+
+        /* -- end of slot: backlog, and eligible for RandomArbiter -- */
+        if (is_main) {
+            if (a >= 0 && ++backlog[a] == 1 && arb_mode == ARB_RANDOM) {
+                int lo = 0, hi = elig_len;
+                while (lo < hi) {
+                    int mid = (lo + hi) >> 1;
+                    if (elig[mid] < a)
+                        lo = mid + 1;
+                    else
+                        hi = mid;
+                }
+                memmove(elig + lo + 1, elig + lo,
+                        (size_t)(elig_len - lo) * sizeof(int64_t));
+                elig[lo] = a;
+                elig_len++;
+            }
+            if (request >= 0) {
+                grants++;
+                if (--backlog[request] == 0 && arb_mode == ARB_RANDOM) {
+                    int lo = 0, hi = elig_len;
+                    while (lo < hi) {
+                        int mid = (lo + hi) >> 1;
+                        if (elig[mid] < request)
+                            lo = mid + 1;
+                        else
+                            hi = mid;
+                    }
+                    memmove(elig + lo, elig + lo + 1,
+                            (size_t)(elig_len - lo - 1) * sizeof(int64_t));
+                    elig_len--;
+                }
+            }
+        }
+    }
+
+done:
+    if (err == ERR_OK) {
+        /* ---- the one exact-size result (layout above cptrs) ---- */
+        int64_t n_pairs = hist_pairs(&delays);
+        int64_t size = queues_size(qs, nq, &crit) + 2 + 4 * rr.len
+                       + 5 * flight.len + orr_len + 2 * n_pairs
+                       + IV_COUNT(&misses) + IV_COUNT(&drained);
+        int64_t *w;
+        for (j = 0; j < rr.len; j++) {
+            int64_t n = REC(&pool, rr.buf[j])[R_COUNT];
+            size += n > 0 ? n : 0;
+        }
+        for (j = 0; j < flight.len; j++) {
+            int64_t n = REC(&pool, flight.buf[j])[R_COUNT];
+            size += n > 0 ? n : 0;
+        }
+        for (j = 0; j < orr_len; j++)
+            size += orr_cnt[j];
+        for (j = 0; renaming && j < nq; j++)
+            size += 1 + IV_COUNT(&names[j]);
+        for (j = 0; renaming && j < ngroups; j++)
+            size += 1 + free_names[j].len;
+        for (j = 0; j < nq; j++)
+            size += 1 + IV_COUNT(&locs[j]);
+        w = p->result = (int64_t *)malloc((size_t)size * sizeof(int64_t));
+        if (!w) {
+            err = ERR_OOM;
+            goto cleanup;
+        }
+        w = put_queues(w, qs, nq, &crit);
+        *w++ = rr.len;
+        for (j = 0; j < rr.len; j++)
+            w = rec_put(w, &pool, rr.buf[j], 0);
+        *w++ = flight.len;
+        for (j = 0; j < flight.len; j++)
+            w = rec_put(w, &pool, flight.buf[j], 1);
+        for (j = 0; j < orr_len; j++) {
+            *w++ = orr_cnt[j];
+            memcpy(w, orr_banks + j * issues,
+                   (size_t)orr_cnt[j] * sizeof(int64_t));
+            w += orr_cnt[j];
+        }
+        for (j = 0; renaming && j < nq; j++) {
+            *w++ = IV_COUNT(&names[j]) / 2;
+            w = put(w, &names[j]);
+        }
+        for (j = 0; renaming && j < ngroups; j++) {
+            *w++ = free_names[j].len;
+            w = put(w, &free_names[j]);
+        }
+        for (j = 0; j < nq; j++) {
+            *w++ = IV_COUNT(&locs[j]) / 2;
+            w = put(w, &locs[j]);
+        }
+        put_outcome(w, &delays, &misses, &drained);
+        c->result_len = size;
+
+        /* ---- scalars back ---- */
+        c->tail_total = tail_total;
+        c->dram_total = dram_total;
+        c->sram_total = sram_total;
+        c->la_pos = la_pos;
+        c->negatives = negatives;
+        c->cells_in = cells_in;
+        c->cells_out = cells_out;
+        c->dram_reads = dram_reads;
+        c->dram_writes = dram_writes;
+        c->dropped = dropped;
+        c->max_tail = max_tail;
+        c->max_head = max_head;
+        c->crit_len = crit.len;
+        c->eligible_len = elig_len;
+        c->n_delays = n_delays;
+        c->n_delay_pairs = n_pairs;
+        c->n_head_miss = IV_COUNT(&misses) / 2;
+        c->n_tail_miss = n_tail_miss;
+        c->n_drained = IV_COUNT(&drained);
+        c->arrivals_seen = arrivals_seen;
+        c->grants = grants;
+        cc->lat_pos = lat_pos;
+        cc->orr_pos = orr_pos;
+        cc->rr_peak = rr_peak;
+        cc->conflicts = conflicts;
+        cc->last_issue = last_issue;
+        cc->flight_next = flight_next;
+        cc->max_delay = max_delay;
+        if (arb_mode == ARB_RANDOM) {
+            memcpy(p->arb_key, arb.key, sizeof(arb.key));
+            p->arb_meta[0] = arb.pos;
+            p->arb_meta[1] = arb.consumed;
+        }
+    }
+    }
+
+cleanup:
+    free_queues(qs, nq);
+    if (locs)
+        for (i = 0; i < nq; i++)
+            free(locs[i].buf);
+    if (names)
+        for (i = 0; i < nq; i++)
+            free(names[i].buf);
+    if (free_names)
+        for (i = 0; i < ngroups; i++)
+            free(free_names[i].buf);
+    free(locs);
+    free(names);
+    free(free_names);
+    free(crit.buf);
+    free(misses.buf);
+    free(drained.buf);
+    free(rr.buf);
+    free(flight.buf);
+    free(landed.buf);
+    free(pool.recs.buf);
+    free(pool.spare.buf);
+    free(orr_cnt);
+    free(orr_banks);
+    free(issued);
     free(delays.count);
     free(rb_shift);
     return err;
@@ -1235,22 +2354,13 @@ int64_t fabric_run_window(fcfg *c, fptrs *p)
     f.granted = (uint64_t *)calloc((size_t)f.nw, sizeof(uint64_t));
     f.req_cnt = (int *)calloc((size_t)n, sizeof(int));
     f.gcnt = (int *)calloc((size_t)n, sizeof(int));
-    f.rb_shift = (int *)malloc((size_t)(n + 1) * sizeof(int));
+    f.rb_shift = randbelow_shifts(n);
     f.backlog = (int64_t *)calloc((size_t)n, sizeof(int64_t));
     f.per_egress = (int64_t *)calloc((size_t)n, sizeof(int64_t));
     if (!f.voq || !f.req || !f.gmask || !f.granted || !f.req_cnt || !f.gcnt
             || !f.rb_shift || !f.backlog || !f.per_egress) {
         err = ERR_OOM;
         goto cleanup;
-    }
-    {
-        int m, bits = 0;
-        f.rb_shift[0] = 32;
-        for (m = 1; m <= n; m++) {
-            if (m >> bits)
-                bits++;
-            f.rb_shift[m] = 32 - bits;
-        }
     }
     if (f.policy == POLICY_ISLIP) {
         if (!p->grant || !p->accept) {

@@ -51,17 +51,19 @@ model's order, errors included.  The resulting
 to the reference loop for every registered scenario by
 ``tests/sim/test_array_engine.py``.
 
-**The compiled span kernel.**  The RADS core hands each span to the C
-kernel of :mod:`repro.sim.kernel` when :meth:`_RADSCore._kernel_miss`
-passes (stock policies, a non-empty lookahead, ``num_queues`` up to
-``MAX_KERNEL_QUEUES``, an untraced run, at least ``MIN_KERNEL_SLOTS``
-slots, a loaded kernel); every other span — and every span the kernel
-aborts — runs on the core's scalar python loop on the same state.  With
-metrics enabled, the slots of a span that misses the kernel are counted as
-``engine.array.fallback.<reason>``.  The arrival plan of a stock Bernoulli
-process (Zipf and hotspot included) is deferred so the kernel draws it
-natively: the whole horizon of a monolithic run, each chunk of a streamed
-one.  CFDS has no kernel.
+**The compiled span kernel.**  Each core hands a span to its entry in the
+C kernel of :mod:`repro.sim.kernel` when its ``_kernel_miss`` passes (stock
+policies, ``num_queues`` up to ``MAX_KERNEL_QUEUES``, an untraced run, at
+least ``MIN_KERNEL_SLOTS`` slots, a loaded kernel; RADS also needs a
+non-empty lookahead); every other span — and every span the kernel aborts
+— runs on the core's scalar python loop on the same state, the oracle the
+kernel mirrors statement for statement.  The RADS entry runs
+``RandomArbiter``; the CFDS entry also runs ``LongestQueueArbiter`` and no
+arbiter.  With metrics enabled, the slots of a span that misses the kernel
+are counted as ``engine.array.fallback.<reason>``.  The arrival plan of a
+stock Bernoulli process (Zipf and hotspot included) is deferred so the
+RADS kernel draws it natively: the whole horizon of a monolithic run, each
+chunk of a streamed one; CFDS spans take python's plan.
 
 The engine consumes a *freshly built* buffer: it reads the configuration and
 the sizes of the issue-period machinery off the buffer object once and keeps
@@ -1040,15 +1042,44 @@ dram_group_occupancy` and ``dram_utilisation()`` answer for an array run.
                 + self.granularity)
 
     # ------------------------------------------------------------------ #
+    def _kernel_miss(self, num_slots: int) -> Optional[str]:
+        """Why a span cannot run on the span kernel's CFDS entry; see
+        :meth:`_RADSCore._kernel_miss` (the entry runs no arbiter,
+        ``RandomArbiter`` or ``LongestQueueArbiter``:
+        :func:`~repro.sim.kernel.cfds_arbiter`)."""
+        if not (self.fast_ecqf and self.fast_tail and kernel.cfds_arbiter(
+                self.sim.arbiter, self.num_queues) is not None):
+            return "policy"
+        if self.num_queues > kernel.MAX_KERNEL_QUEUES:
+            return "wide_queues"
+        if self.sim.trace is not None:
+            return "traced"
+        if num_slots < kernel.MIN_KERNEL_SLOTS:
+            return "short_span"
+        if kernel.load_kernel() is None:
+            return "unavailable"
+        return None
+
     def run_span(self, plan: Optional[List[Optional[int]]], num_slots: int,
                  main: bool = True) -> None:
-        """Simulate ``num_slots`` slots starting at ``self.slot``; see
+        """Simulate ``num_slots`` slots starting at ``self.slot``, on the
+        span kernel when :meth:`_kernel_miss` passes and the kernel
+        completes the span, else on the loop below; see
         :meth:`_RADSCore.run_span`."""
         self._check_not_finished()
         obs = get_metrics()
         if obs is not None:
             obs.inc("engine.array.spans")
             obs.inc("engine.array.span_slots", num_slots)
+        if num_slots > 0:
+            miss = self._kernel_miss(num_slots)
+            if miss is not None:
+                if obs is not None:
+                    obs.inc(f"engine.array.fallback.{miss}", num_slots)
+            elif ((plan is None or len(plan) >= num_slots)
+                    and kernel.run_cfds_span_kernel(self, plan, num_slots,
+                                                    main=main)):
+                return
         buffer = self.buffer
         sim = self.sim
         num_queues = self.num_queues

@@ -1,11 +1,13 @@
-"""Compiled span kernel for the array engine's RADS core and the switch's
-fabric stage.
+"""Compiled span kernel for the array engine's RADS and CFDS cores and the
+switch's fabric stage.
 
-The RADS core of ``engine="array"`` (:mod:`repro.sim.array_engine`) hands
-every span it can to this kernel, and the switch's
+The kernel has three entries.  The RADS and CFDS cores of
+``engine="array"`` (:mod:`repro.sim.array_engine`) hand every span they can
+to ``rads_run_span`` (:func:`run_span_kernel`) and ``cfds_run_span``
+(:func:`run_cfds_span_kernel`), and the switch's
 :class:`~repro.switch.model.FabricStream` every window of a stock fabric
-policy (:func:`run_fabric_window`); the python loops' ceiling is CPython's
-bytecode dispatch.  The bundled C99 source ``_spankernel.c`` is
+policy to ``fabric_run_window`` (:func:`run_fabric_window`); the python
+loops' ceiling is CPython's bytecode dispatch.  The bundled C99 source ``_spankernel.c`` is
 compiled on first use with the system compiler (``cc -O2 -march=native
 -shared -fPIC``, falling back to plain ``-O2``), cached under the user's
 private cache directory (``$XDG_CACHE_HOME`` or ``~/.cache``, created
@@ -33,6 +35,17 @@ the kernel is a pure accelerator: every result it produces is
 bit-identical to the reference loop (asserted by
 ``tests/sim/test_span_kernel.py``, which runs the suite with the kernel
 and with it switched off).
+
+The CFDS entry follows the same rules.  Python also hands it the latency
+ring, the per-bank ORR lock counts and busy-until slots, the group
+occupancy, in-use flags and write counts (all updated in place), and
+appends the Requests Register, the transfers in flight, the ORR ring, the
+renaming registers, free names and block locations to the shared state
+image (:func:`_state_image`); the result comes back in the same layout and
+:func:`_apply_result` reads the part both cores share.  Its arbiter is
+none, ``RandomArbiter`` or ``LongestQueueArbiter`` (:func:`cfds_arbiter`);
+every raise site of the python CFDS loop aborts the span with nothing
+written back, and the python loop replays it.
 
 The fabric entry follows the same rules.  Python hands it the window's
 ``int32`` arrival plan, iSLIP's pointers or the random policy's MT state,
@@ -87,6 +100,7 @@ from typing import List, NamedTuple, Optional, Union
 
 from repro.errors import ConfigurationError
 from repro.obs.metrics import get_metrics
+from repro.traffic.arbiters import LongestQueueArbiter, RandomArbiter
 from repro.types import MissRecord
 
 #: Environment kill switch: set to ``0``/``off``/``false`` to disable the
@@ -126,6 +140,10 @@ _ABORT_CODES = {1: "oom", 2: "strict", 3: "arg"}
 _ERR_PLAN = 4
 
 _CRIT_INF = (1 << 63) - 1  # INT64_MAX, the C marker for "no critical entry"
+_NO_SLOT = -(1 << 63)      # INT64_MIN, the C marker for "no issue yet"
+
+#: The CFDS entry's arbiter codes (``ARB_*`` in ``_spankernel.c``).
+_ARB_NONE, _ARB_RANDOM, _ARB_LONGEST = 0, 1, 2
 
 #: 2**53 — ``Random.random()`` returns ``comb / 2**53``.
 _F53 = 9007199254740992
@@ -138,6 +156,8 @@ _kernel_tried = False
 _release = None
 #: The kernel's ``fabric_run_window``.
 _fabric = None
+#: The kernel's ``cfds_run_span``.
+_cfds = None
 
 
 class KCfg(ctypes.Structure):
@@ -180,6 +200,25 @@ class KPtrs(ctypes.Structure):
         ("crit_cache", _I64P), ("eligible", _I64P), ("la_ring", _I64P),
         ("state", _I64P), ("result", _I64P),
     ]
+
+
+class CCfg(ctypes.Structure):
+    """Mirror of ``ccfg`` in ``_spankernel.c`` (field order is the ABI)."""
+
+    _fields_ = [("k", KCfg)] + [(n, ctypes.c_int64) for n in (
+        "arb_mode", "lat_len", "rr_cap", "issues", "ras", "bus_slots",
+        "dram_strict", "num_banks", "num_groups", "banks_per_group",
+        "num_physical", "renaming", "group_cap", "orr_len",
+        "lat_pos", "orr_pos", "rr_peak", "conflicts", "last_issue",
+        "flight_next", "max_delay")]
+
+
+class CPtrs(ctypes.Structure):
+    """Mirror of ``cptrs`` in ``_spankernel.c`` (field order is the ABI)."""
+
+    _fields_ = [("k", KPtrs)] + [(name, _I64P) for name in (
+        "lat_ring", "locks", "busy_until", "group_occ", "in_use",
+        "write_count")]
 
 
 class FCfg(ctypes.Structure):
@@ -378,7 +417,7 @@ def load_fabric_kernel():
 
 
 def _load() -> None:
-    global _kernel, _kernel_tried, _release, _fabric
+    global _kernel, _kernel_tried, _release, _fabric, _cfds
     with _lock:
         if _kernel_tried:
             return
@@ -407,11 +446,16 @@ def _load() -> None:
                     fabric.restype = ctypes.c_int64
                     fabric.argtypes = [ctypes.POINTER(FCfg),
                                        ctypes.POINTER(FPtrs)]
+                    cfds = lib.cfds_run_span
+                    cfds.restype = ctypes.c_int64
+                    cfds.argtypes = [ctypes.POINTER(CCfg),
+                                     ctypes.POINTER(CPtrs)]
         except (OSError, AttributeError):
             fn = None
         if fn is not None:
             _release = release
             _fabric = fabric
+            _cfds = cfds
         _kernel = fn
         _kernel_tried = True
         obs = get_metrics()
@@ -426,11 +470,13 @@ def _addr(arr: array, ptype):
     return ctypes.cast(arr.buffer_info()[0], ptype)
 
 
-def _state_image(core) -> array:
-    """The core's variable-length state in the kernel's image layout (see
-    ``kptrs`` in ``_spankernel.c``): per-queue SRAM and arrival-window
-    counts, then the tail, DRAM, SRAM, request and arrival contents queue
-    by queue, the critical heap, and the pending blocks."""
+def _state_image(core) -> list:
+    """The variable-length state both cores have, in the kernel's image
+    layout (see ``kptrs`` in ``_spankernel.c``): per-queue SRAM and
+    arrival-window counts, then the tail, DRAM, SRAM, request and arrival
+    contents queue by queue, and the critical heap.  Each entry appends its
+    core's own state and hands the kernel the whole as one ``array``
+    (:func:`_rads_image`, :func:`_cfds_image`)."""
     nq = core.num_queues
     arr_windows = [core.arr_slots[q][core.delivered[q] - core.arr_base[q]:]
                    for q in range(nq)]
@@ -441,19 +487,14 @@ def _state_image(core) -> array:
                  req_windows, arr_windows):
         image += chain.from_iterable(part)
     image += [(entered << 16) | queue for entered, queue in core.crit_heap]
-    for finish, queue, seqs in core.pending:
-        image += (finish, queue, len(seqs))
-        image += seqs
-    return array("q", image)
+    return image
 
 
-def _apply_result(core, cfg: KCfg, values) -> None:
-    """Read the kernel's result (the state image's layout, then delay
-    pairs, misses and drained slots) and its scalars in ``cfg`` into the
-    python core, whose per-queue scalars already hold the span's final
-    values."""
+def _apply_result(core, cfg: KCfg, it) -> None:
+    """Read the kernel's result for the state both cores have (the head of
+    ``_state_image``'s layout) from the iterator ``it`` into the python
+    core, whose per-queue scalars already hold the span's final values."""
     nq = core.num_queues
-    it = iter(values)
     sram_counts = list(islice(it, nq))
     arr_counts = list(islice(it, nq))
     for fifos, counts in ((core.tail_fifo, core.tail_occ),
@@ -472,11 +513,21 @@ def _apply_result(core, cfg: KCfg, values) -> None:
     core.arr_base[:] = core.delivered
     core.crit_heap[:] = [(key >> 16, key & 0xFFFF)
                          for key in islice(it, cfg.crit_len)]
-    pending = deque()
-    for _ in range(cfg.pending_len):
-        finish, queue, count = islice(it, 3)
-        pending.append((finish, queue, list(islice(it, count))))
-    core.pending = pending
+
+
+def _rads_image(core) -> array:
+    """The RADS entry's state image: :func:`_state_image`, then the pending
+    blocks (finish slot, queue, cell count, cells)."""
+    image = _state_image(core)
+    for finish, queue, seqs in core.pending:
+        image += (finish, queue, len(seqs))
+        image += seqs
+    return array("q", image)
+
+
+def _apply_outcome(core, cfg: KCfg, it) -> None:
+    """Read the result's tail (the main window's delay pairs, head misses
+    and drained slots) and the shared machine scalars in ``cfg``."""
     hist = core.hist
     pairs = list(islice(it, 2 * cfg.n_delay_pairs))
     for delay, count in zip(pairs[::2], pairs[1::2]):
@@ -492,9 +543,121 @@ def _apply_result(core, cfg: KCfg, values) -> None:
         setattr(core, name, getattr(cfg, name))
 
 
+def _rng_image(rng):
+    """``rng``'s state and the kernel's copy of it: the 624-word key and
+    ``[pos, consumed]``, which the kernel advances in place."""
+    state = rng.getstate()
+    return state, array("I", state[1][:624]), array("q", (state[1][624], 0))
+
+
+def _plan_array(aplan, num_slots: int) -> Optional[array]:
+    """The kernel's ``int32`` encoding of an explicit plan (``-1`` = no
+    arrival), or ``None`` when the kernel must leave the plan to python.
+
+    A negative entry is encoded one lower, so an entry naming queue -1
+    does not read as no arrival: the kernel aborts on it, as on any entry
+    naming no queue, and the python loop raises the reference's error."""
+    if len(aplan) < num_slots:
+        return None  # the kernel reads num_slots entries
+    try:
+        return array("i", [-1 if a is None else a if a >= 0 else a - 1
+                           for a in aplan])
+    except (OverflowError, TypeError):
+        return None  # no int32 queue id: python raises for it
+
+
+class _Handoff:
+    """The fixed-shape per-queue arrays of one kernel call, bound into the
+    ``kptrs`` both entries take, and the shared ``kcfg`` fields; the arrays
+    stay alive (and are never resized) across the C call."""
+
+    def __init__(self, core, ptr: KPtrs, state: array) -> None:
+        nq = core.num_queues
+        self.core = core
+        self.state = state
+        self.queues = {name: array("q", getattr(core, name))
+                       for name in _QUEUE_FIELDS}
+        self.crit_cache = array("q", [_CRIT_INF if v == math.inf else v
+                                      for v in core.crit_cache])
+        self.eligible = array("q", core.eligible)
+        self.eligible.frombytes(bytes(8 * (nq - len(self.eligible))))
+        self.la_ring = array("q", [-1 if v is None else v
+                                   for v in core.lookahead])
+        for name, values in self.queues.items():
+            setattr(ptr, name, _addr(values, _I64P))
+        ptr.crit_cache = _addr(self.crit_cache, _I64P)
+        ptr.eligible = _addr(self.eligible, _I64P)
+        ptr.la_ring = _addr(self.la_ring, _I64P)
+        ptr.state = _addr(state, _I64P)
+
+    def cfg(self, num_slots: int, main: bool, **fields) -> KCfg:
+        core = self.core
+        return KCfg(
+            num_queues=core.num_queues, granularity=core.granularity,
+            strict=1 if core.strict else 0, tail_cap=core.tail_cap,
+            dram_cap=-1 if core.dram_cap is None else core.dram_cap,
+            sram_cap=-1 if core.sram_cap is None else core.sram_cap,
+            la_len=core.la_len, num_slots=num_slots, start_slot=core.slot,
+            is_main=1 if main else 0,
+            ecqf_fallback=1 if core.ecqf_fallback else 0,
+            state_len=len(self.state), tail_total=core.tail_total,
+            dram_total=core.dram_total, sram_total=core.sram_total,
+            la_pos=core.la_pos, negatives=core.negatives,
+            cells_in=core.cells_in, cells_out=core.cells_out,
+            dram_reads=core.dram_reads, dram_writes=core.dram_writes,
+            dropped=core.dropped, max_tail=core.max_tail,
+            max_head=core.max_head, crit_len=len(core.crit_heap),
+            eligible_len=len(core.eligible), **fields)
+
+    def apply(self, cfg: KCfg, num_slots: int, main: bool) -> None:
+        """Write the updated arrays and the span's counts back."""
+        core = self.core
+        for name, after in self.queues.items():
+            getattr(core, name)[:] = after.tolist()
+        core.crit_cache[:] = [math.inf if v == _CRIT_INF else v
+                              for v in self.crit_cache]
+        core.eligible[:] = self.eligible.tolist()[:cfg.eligible_len]
+        core.lookahead[:] = [None if v < 0 else v for v in self.la_ring]
+        core.slot += num_slots
+        if main:
+            core.main_slots += num_slots
+            core.arrivals_count += cfg.arrivals_seen
+            core.departures += cfg.n_delays
+            core.idle_requests += num_slots - cfg.grants
+
+
+def _read_result(ptr: KPtrs, cfg: KCfg) -> List[int]:
+    """The kernel-owned result as a list, released once read."""
+    try:
+        result = (ctypes.c_int64 * cfg.result_len).from_address(
+            ctypes.addressof(ptr.result.contents))
+        return memoryview(result).cast("B").cast("q").tolist()
+    finally:
+        _release(ptr.result)
+
+
+def _observe(obs, ok: bool, rc: int, num_slots: int, plan_slots: int,
+             started: float, native_s: float) -> None:
+    """Count one kernel call and time it (see :func:`run_span_kernel`)."""
+    if ok:
+        obs.inc("engine.array.kernel_spans")
+        obs.inc("engine.array.kernel_slots", num_slots)
+        if plan_slots:
+            obs.inc("engine.array.kernel_plan_slots", plan_slots)
+    else:
+        obs.inc("engine.array.kernel_aborts")
+        obs.inc("engine.array.kernel_aborts."
+                + _ABORT_CODES.get(rc, "unknown"))
+        obs.inc("engine.array.fallback.abort", num_slots)
+    obs.observe("engine.array.kernel_native_s", native_s)
+    obs.observe("engine.array.kernel_handoff_s",
+                perf_counter() - started - native_s)
+
+
 def run_span_kernel(core, aplan, num_slots: int, main: bool = True,
                     bern=None, drain_slots: int = 0) -> bool:
-    """Run one span on the compiled kernel; ``True`` on success.
+    """Run one span of the RADS core on the compiled kernel; ``True`` on
+    success.
 
     ``aplan`` is the arrival plan — an ``Optional[int]`` list at least
     ``num_slots`` long — or ``None`` for a span without arrivals;
@@ -523,110 +686,59 @@ def run_span_kernel(core, aplan, num_slots: int, main: bool = True,
         return False
     obs = get_metrics()
     started = perf_counter()
-    nq = core.num_queues
 
     # -- RNG states -----------------------------------------------------
+    # Every array below stays bound to a local, so alive across the C call.
     rng = core.sim.arbiter._rng if main else None
     if main:
-        arb_state = rng.getstate()
-        arb_key = array("I", arb_state[1][:624])
-        arb_meta = array("q", (arb_state[1][624], 0))
+        arb_state, arb_key, arb_meta = _rng_image(rng)
         arb_tint = gate_threshold(core.sim.arbiter.load)
     else:
-        arb_state = None
         arb_key = array("I", bytes(4 * 624))
         arb_meta = array("q", (0, 0))
         arb_tint = 0
-    # Every array below stays bound to a local, so alive across the C call.
     ptr = KPtrs(arb_key=_addr(arb_key, _U32P),
                 arb_meta=_addr(arb_meta, _I64P))
 
     if bern is not None:
         bern_rng, bern_tint, cum_weights, total = bern
-        bern_state = bern_rng.getstate()
-        bern_key = array("I", bern_state[1][:624])
-        bern_meta = array("q", (bern_state[1][624], 0))
+        bern_state, bern_key, bern_meta = _rng_image(bern_rng)
         weights = array("d", cum_weights)
         plan_mode = 1
         ptr.bern_key = _addr(bern_key, _U32P)
         ptr.bern_meta = _addr(bern_meta, _I64P)
         ptr.cum_weights = _addr(weights, _F64P)
     else:
-        bern_rng = bern_state = None
+        bern_rng = None
         bern_tint, total = 0, 0.0
         plan_mode = 0 if (main and aplan is not None) else 2
         if plan_mode == 0:
-            if len(aplan) < num_slots:
-                return False  # the kernel reads num_slots entries
-            # The kernel's plan encoding: int32 queue ids, -1 = no arrival.
-            try:
-                plan = array("i", [-1 if a is None else a for a in aplan])
-            except (OverflowError, TypeError):
-                return False  # no int32 queue id: python raises for it
-            if plan.count(-1) != aplan.count(None):
-                # An entry naming queue -1 would read as no arrival; the
-                # python loop raises for it, as the reference does.
+            plan = _plan_array(aplan, num_slots)
+            if plan is None:
                 return False
             ptr.plan = _addr(plan, _I32P)
 
     # -- fixed-shape per-queue state, updated in place ------------------
-    queues = {name: array("q", getattr(core, name))
-              for name in _QUEUE_FIELDS}
-    crit_cache = array("q", [_CRIT_INF if v == math.inf else v
-                             for v in core.crit_cache])
-    eligible = array("q", core.eligible)
-    eligible.frombytes(bytes(8 * (nq - len(eligible))))  # capacity nq
-    la_ring = array("q", [-1 if v is None else v for v in core.lookahead])
-    state = _state_image(core)
-    for name, values in queues.items():
-        setattr(ptr, name, _addr(values, _I64P))
-    ptr.crit_cache = _addr(crit_cache, _I64P)
-    ptr.eligible = _addr(eligible, _I64P)
-    ptr.la_ring = _addr(la_ring, _I64P)
-    ptr.state = _addr(state, _I64P)
-
-    cfg = KCfg(
-        num_queues=nq, granularity=core.granularity,
-        strict=1 if core.strict else 0, tail_cap=core.tail_cap,
-        dram_cap=-1 if core.dram_cap is None else core.dram_cap,
-        sram_cap=-1 if core.sram_cap is None else core.sram_cap,
-        la_len=core.la_len, num_slots=num_slots, start_slot=core.slot,
-        is_main=1 if main else 0, arb_tint=arb_tint, plan_mode=plan_mode,
-        bern_tint=bern_tint, bern_total=total,
-        ecqf_fallback=1 if core.ecqf_fallback else 0,
-        state_len=len(state), tail_total=core.tail_total,
-        dram_total=core.dram_total, sram_total=core.sram_total,
-        la_pos=core.la_pos, negatives=core.negatives,
-        cells_in=core.cells_in, cells_out=core.cells_out,
-        dram_reads=core.dram_reads, dram_writes=core.dram_writes,
-        dropped=core.dropped, max_tail=core.max_tail,
-        max_head=core.max_head, crit_len=len(core.crit_heap),
-        pending_len=len(core.pending), eligible_len=len(core.eligible))
+    handoff = _Handoff(core, ptr, _rads_image(core))
+    cfg = handoff.cfg(num_slots, main, arb_tint=arb_tint,
+                      plan_mode=plan_mode, bern_tint=bern_tint,
+                      bern_total=total, pending_len=len(core.pending))
 
     native_started = perf_counter()
     rc = fn(ctypes.byref(cfg), ctypes.byref(ptr))
     native_s = perf_counter() - native_started
     if rc == _ERR_OK:
         # -- apply the kernel's state to the python core -----------------
-        try:
-            result = (ctypes.c_int64 * cfg.result_len).from_address(
-                ctypes.addressof(ptr.result.contents))
-            values = memoryview(result).cast("B").cast("q").tolist()
-        finally:
-            _release(ptr.result)
-        for name, after in queues.items():
-            getattr(core, name)[:] = after.tolist()
-        core.crit_cache[:] = [math.inf if v == _CRIT_INF else v
-                              for v in crit_cache]
-        core.eligible[:] = eligible.tolist()[:cfg.eligible_len]
-        core.lookahead[:] = [None if v < 0 else v for v in la_ring]
-        _apply_result(core, cfg, values)
-        core.slot += num_slots
+        it = iter(_read_result(ptr, cfg))
+        handoff.apply(cfg, num_slots, main)
+        _apply_result(core, cfg, it)
+        pending = deque()
+        for _ in range(cfg.pending_len):
+            finish, queue, count = islice(it, 3)
+            pending.append((finish, queue, list(islice(it, count))))
+        core.pending = pending
+        _apply_outcome(core, cfg, it)
         if main:
-            core.main_slots += num_slots
-            core.arrivals_count += cfg.arrivals_seen
-            core.departures += cfg.n_delays
-            core.idle_requests += num_slots - cfg.grants
             rng.setstate((3, tuple(arb_key) + (arb_meta[0],),
                           arb_state[2]))
         if bern_rng is not None:
@@ -636,19 +748,183 @@ def run_span_kernel(core, aplan, num_slots: int, main: bool = True,
     # python core is untouched — the caller's python loop replays the span
     # and raises (or recovers) with the exact reference state.
     if obs is not None:
-        if rc == _ERR_OK:
-            obs.inc("engine.array.kernel_spans")
-            obs.inc("engine.array.kernel_slots", num_slots)
-            if bern is not None:
-                obs.inc("engine.array.kernel_plan_slots", num_slots)
+        _observe(obs, rc == _ERR_OK, rc, num_slots,
+                 num_slots if bern is not None else 0, started, native_s)
+    return rc == _ERR_OK
+
+
+def cfds_arbiter(arbiter, num_queues: int) -> Optional[int]:
+    """The CFDS entry's code for ``arbiter`` (``ARB_*`` in
+    ``_spankernel.c``), or ``None`` when the kernel cannot run it: no
+    arbiter, a ``RandomArbiter``, or a ``LongestQueueArbiter`` over exactly
+    the buffer's ``num_queues`` (exact types: a subclass may override
+    ``next_request``)."""
+    if arbiter is None:
+        return _ARB_NONE
+    if type(arbiter) is RandomArbiter:
+        return _ARB_RANDOM
+    if (type(arbiter) is LongestQueueArbiter
+            and arbiter.num_queues == num_queues):
+        return _ARB_LONGEST
+    return None
+
+
+def _cfds_image(core) -> array:
+    """The CFDS entry's state image: :func:`_state_image`, then the CFDS
+    core's own variable-length state (the layout above ``cptrs`` in
+    ``_spankernel.c``): the Requests Register, the transfers in flight, the
+    ORR ring, the renaming registers and free names (with renaming) and the
+    block locations."""
+    image = _state_image(core)
+
+    def entry(bank, issued, queue, seqs):
+        if seqs is None:
+            image.extend((bank, issued, -1, -1))
         else:
-            obs.inc("engine.array.kernel_aborts")
-            obs.inc("engine.array.kernel_aborts."
-                    + _ABORT_CODES.get(rc, "unknown"))
-            obs.inc("engine.array.fallback.abort", num_slots)
-        obs.observe("engine.array.kernel_native_s", native_s)
-        obs.observe("engine.array.kernel_handoff_s",
-                    perf_counter() - started - native_s)
+            image.extend((bank, issued, queue, len(seqs)))
+            image.extend(seqs)
+
+    image.append(len(core.rr))
+    for rr_entry in core.rr:
+        entry(*rr_entry)
+    image.append(len(core.in_flight))
+    for finish, rr_entry in core.in_flight:
+        image.append(finish)
+        entry(*rr_entry)
+    for banks in core.orr:
+        image.append(len(banks))
+        image.extend(banks)
+    if core.names is not None:
+        for entries in core.names:
+            image.append(len(entries))
+            image.extend(chain.from_iterable(entries))
+        for names in core.free_names:
+            image.append(len(names))
+            image.extend(names)
+    for locations in core.block_locations:
+        image.append(len(locations))
+        image.extend(chain.from_iterable(locations))
+    return array("q", image)
+
+
+def _apply_cfds(core, ccfg: CCfg, it, fixed) -> None:
+    """Read the CFDS part of the result (``_cfds_image``'s layout) and the
+    CFDS arrays and scalars back into the core."""
+    def entry():
+        bank, issued, queue, count = islice(it, 4)
+        return (bank, issued, queue,
+                None if count < 0 else list(islice(it, count)))
+
+    core.rr[:] = [entry() for _ in range(next(it))]
+    core.in_flight[:] = [(next(it), entry()) for _ in range(next(it))]
+    core.orr[:] = [tuple(islice(it, next(it))) for _ in core.orr]
+    if core.names is not None:
+        for entries in core.names:
+            pairs = list(islice(it, 2 * next(it)))
+            entries.clear()
+            entries.extend([name, cells] for name, cells
+                           in zip(pairs[::2], pairs[1::2]))
+        for names in core.free_names:
+            names[:] = islice(it, next(it))
+    for locations in core.block_locations:
+        pairs = list(islice(it, 2 * next(it)))
+        locations.clear()
+        locations.extend(zip(pairs[::2], pairs[1::2]))
+    lat_ring, locks, busy_until, group_occ, in_use, write_count = fixed
+    core.latency_reg[:] = [None if v < 0 else v for v in lat_ring]
+    core.locks[:] = locks.tolist()
+    core.busy_until[:] = busy_until.tolist()
+    core.group_occ[:] = group_occ.tolist()   # the list the buffer reads
+    if core.in_use is not None:
+        core.in_use[:] = [v != 0 for v in in_use]
+    core.write_count[:] = write_count.tolist()
+    core.lat_pos = ccfg.lat_pos
+    core.orr_pos = ccfg.orr_pos
+    core.rr_peak = ccfg.rr_peak
+    core.conflicts = ccfg.conflicts
+    core.last_issue = None if ccfg.last_issue == _NO_SLOT else ccfg.last_issue
+    core.flight_next = (math.inf if ccfg.flight_next == _CRIT_INF
+                        else ccfg.flight_next)
+    core.max_delay = ccfg.max_delay
+
+
+def run_cfds_span_kernel(core, aplan, num_slots: int,
+                         main: bool = True) -> bool:
+    """Run one span of the CFDS core on the kernel's ``cfds_run_span``;
+    ``True`` on success.
+
+    The CFDS counterpart of :func:`run_span_kernel`, under the same rules:
+    ``aplan`` is an explicit plan or ``None``; the arbiter is one
+    :func:`cfds_arbiter` accepts; any failure leaves the core untouched for
+    the caller's python loop, which raises exactly where the reference
+    does; the same counters and timers are recorded.
+    """
+    fn = _cfds if load_kernel() is not None else None
+    arb_mode = cfds_arbiter(core.sim.arbiter, core.num_queues) \
+        if main else _ARB_NONE
+    if fn is None or arb_mode is None:
+        return False
+    obs = get_metrics()
+    started = perf_counter()
+    # Every array below stays bound to a local, so alive across the C call.
+    ptr = CPtrs()
+    arb_tint = 0
+    if arb_mode == _ARB_RANDOM:
+        arbiter = core.sim.arbiter
+        arb_state, arb_key, arb_meta = _rng_image(arbiter._rng)
+        arb_tint = gate_threshold(arbiter.load)
+        ptr.k.arb_key = _addr(arb_key, _U32P)
+        ptr.k.arb_meta = _addr(arb_meta, _I64P)
+    plan_mode = 2
+    if main and aplan is not None:
+        plan = _plan_array(aplan, num_slots)
+        if plan is None:
+            return False
+        ptr.k.plan = _addr(plan, _I32P)
+        plan_mode = 0
+
+    handoff = _Handoff(core, ptr.k, _cfds_image(core))
+    renaming = core.names is not None
+    fixed = (array("q", [-1 if v is None else v for v in core.latency_reg]),
+             array("q", core.locks), array("q", core.busy_until),
+             array("q", core.group_occ),
+             array("q", core.in_use if renaming else ()),
+             array("q", core.write_count))
+    for name, values in zip(("lat_ring", "locks", "busy_until", "group_occ",
+                             "in_use", "write_count"), fixed):
+        setattr(ptr, name, _addr(values, _I64P))
+    cfg = CCfg(
+        k=handoff.cfg(num_slots, main, arb_tint=arb_tint,
+                      plan_mode=plan_mode),
+        arb_mode=arb_mode, lat_len=core.lat_len,
+        rr_cap=-1 if core.rr_cap is None else core.rr_cap,
+        issues=core.issues, ras=core.ras, bus_slots=core.bus_slots,
+        dram_strict=1 if core.dram_strict else 0,
+        num_banks=len(core.locks), num_groups=core.num_groups,
+        banks_per_group=core.banks_per_group,
+        num_physical=len(core.write_count), renaming=1 if renaming else 0,
+        group_cap=-1 if core.group_cap is None else core.group_cap,
+        orr_len=len(core.orr), lat_pos=core.lat_pos, orr_pos=core.orr_pos,
+        rr_peak=core.rr_peak, conflicts=core.conflicts,
+        last_issue=_NO_SLOT if core.last_issue is None else core.last_issue,
+        flight_next=(_CRIT_INF if core.flight_next == math.inf
+                     else core.flight_next),
+        max_delay=core.max_delay)
+
+    native_started = perf_counter()
+    rc = fn(ctypes.byref(cfg), ctypes.byref(ptr))
+    native_s = perf_counter() - native_started
+    if rc == _ERR_OK:
+        it = iter(_read_result(ptr.k, cfg.k))
+        handoff.apply(cfg.k, num_slots, main)
+        _apply_result(core, cfg.k, it)
+        _apply_cfds(core, cfg, it, fixed)
+        _apply_outcome(core, cfg.k, it)
+        if arb_mode == _ARB_RANDOM:
+            arbiter._rng.setstate((3, tuple(arb_key) + (arb_meta[0],),
+                                   arb_state[2]))
+    if obs is not None:
+        _observe(obs, rc == _ERR_OK, rc, num_slots, 0, started, native_s)
     return rc == _ERR_OK
 
 

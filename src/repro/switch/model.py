@@ -5,7 +5,8 @@ Execution is two-stage, which is what makes switch runs shardable:
 1. **Fabric stage** (serial): every ingress port's traffic source is
    instantiated with a deterministic per-ingress seed; cells queue in
    per-ingress VOQs (one :class:`collections.deque` of arrival slots per
-   (ingress, egress) pair); the fabric arbiter computes one conflict-free
+   (ingress, egress) pair that holds cells); the fabric arbiter computes one
+   conflict-free
    matching per slot.  Because each egress accepts at most one cell per slot,
    the fabric's output is exactly ``N`` single-linecard arrival traces —
    the same admissibility model the paper's buffer assumes.  After the
@@ -16,14 +17,18 @@ Execution is two-stage, which is what makes switch runs shardable:
    every other window on the python loop, which is the oracle
    (``engine="reference"``) and gives identical results.
 
-2. **Port stage** (parallel, dominant): each egress trace plus the port's
+2. **Port stage** (parallel): each egress trace plus the port's
    buffer/arbiter template becomes an ordinary
    :class:`~repro.workloads.scenario.Scenario` (arrivals = a ``trace`` spec,
    queue index = source ingress modulo the port's queue count), executed as
    a :class:`~repro.runner.jobs.Job` through the existing
    :class:`~repro.runner.sweep.SweepRunner` — so ports shard across worker
    processes, results come back in port order, and the runner cache applies
-   unchanged.  Ports run on the ``array`` engine by default.
+   unchanged.  Ports run on the ``array`` engine by default, whose RADS and
+   CFDS cores run their spans on the span kernel; with the ports that fast,
+   the serial fabric stage and the trace plumbing around it outweigh the
+   port stage on the benchmark's 8-port switch, and a worker pool costs
+   more to start than the port work it splits.
 
 Per-port :class:`~repro.workloads.scenario.ScenarioResult` objects merge
 into a :class:`SwitchReport`; latency percentiles are computed over the
@@ -131,8 +136,10 @@ class FabricStream:
                                               seed=scenario.port_seed(i))
                         for i in range(n)]
         self.fabric = scenario.build_fabric()
-        # voq[i][e]: arrival slots of cells waiting at ingress i for egress e.
-        self._voq = [[deque() for _ in range(n)] for _ in range(n)]
+        # voq[i][e]: arrival slots of cells waiting at ingress i for egress
+        # e, only while the VOQ holds cells (a switch of N ports would
+        # otherwise keep N**2 deques, mostly empty).
+        self._voq: List[Dict[int, deque]] = [{} for _ in range(n)]
         # requests[i]: ascending egress ports with a non-empty VOQ at
         # ingress i — maintained incrementally (a VOQ changes emptiness at
         # most twice per slot) instead of being rescanned O(N^2) every slot.
@@ -157,12 +164,11 @@ class FabricStream:
         matched_egress = [False] * n
         matched_ingress = [False] * n
         for ingress, egress in matches:
-            queue = voq[ingress][egress]
-            try:
-                arrival_slot = queue.popleft()
-            except IndexError:
+            queue = voq[ingress].get(egress)
+            if queue is None:
                 raise ConfigurationError(
                     f"fabric arbiter matched empty VOQ ({ingress}, {egress})")
+            arrival_slot = queue.popleft()
             if matched_egress[egress]:
                 raise ConfigurationError(
                     f"fabric arbiter matched egress {egress} twice in slot "
@@ -174,6 +180,7 @@ class FabricStream:
             matched_egress[egress] = True
             matched_ingress[ingress] = True
             if not queue:
+                del voq[ingress][egress]
                 requests[ingress].remove(egress)
             self._ingress_backlog[ingress] -= 1
             self._backlog_total -= 1
@@ -242,15 +249,14 @@ class FabricStream:
         voq = self._voq
         requests = self._requests
         for ingress, egresses in enumerate(requests):
-            for egress in egresses:
-                voq[ingress][egress].clear()
+            voq[ingress].clear()
             egresses.clear()
         image = window.voqs
         at = 0
         while at < len(image):
             ingress, egress = divmod(image[at], n)
             count = image[at + 1]
-            voq[ingress][egress].extend(image[at + 2:at + 2 + count])
+            voq[ingress][egress] = deque(image[at + 2:at + 2 + count])
             requests[ingress].append(egress)
             at += 2 + count
         self._ingress_backlog[:] = window.backlog.tolist()
@@ -301,8 +307,9 @@ class FabricStream:
                             f"ingress {ingress} generated destination "
                             f"{destination}, but the switch has only {n} "
                             f"ports")
-                    queue = voq[ingress][destination]
-                    if not queue:
+                    queue = voq[ingress].get(destination)
+                    if queue is None:
+                        queue = voq[ingress][destination] = deque()
                         insort(requests[ingress], destination)
                     queue.append(slot)
                     ingress_backlog[ingress] += 1
@@ -384,6 +391,16 @@ def run_fabric(scenario: SwitchScenario,
     return traces, stream.stats
 
 
+def _queue_pattern(trace: List[Optional[int]], num_queues: int,
+                   num_ports: int) -> List[Optional[int]]:
+    """An egress trace's ingress indices as the port's queue indices
+    (``ingress mod num_queues``): the fabric's fresh list itself when the
+    port has a queue for every ingress."""
+    if num_queues >= num_ports:
+        return trace
+    return [None if src is None else src % num_queues for src in trace]
+
+
 def port_template(scenario: SwitchScenario, egress: int) -> Scenario:
     """The egress port as a single-port :class:`Scenario`, minus arrivals.
 
@@ -414,15 +431,16 @@ def port_scenarios(scenario: SwitchScenario,
     """One single-port :class:`Scenario` per egress, fed its fabric trace.
 
     The trace's ingress indices become buffer queue indices (``ingress mod
-    num_queues`` — one VOQ per source with the default sizing).
+    num_queues`` — one VOQ per source with the default sizing, where the
+    trace list itself is the pattern).
     """
     import dataclasses
 
     ports = []
     for egress, trace in enumerate(traces):
         template = port_template(scenario, egress)
-        num_queues = template.buffer["num_queues"]
-        pattern = [None if src is None else src % num_queues for src in trace]
+        pattern = _queue_pattern(trace, template.buffer["num_queues"],
+                                 scenario.num_ports)
         ports.append(dataclasses.replace(
             template,
             arrivals={"type": "trace", "params": {"pattern": pattern}},
@@ -624,10 +642,8 @@ class SwitchModel:
         queue_counts = [t.buffer["num_queues"] for t in templates]
         for _start, chunk_traces in stream.chunks():
             for egress, chunk in enumerate(chunk_traces):
-                num_queues = queue_counts[egress]
-                sessions[egress].feed(
-                    [None if src is None else src % num_queues
-                     for src in chunk])
+                sessions[egress].feed(_queue_pattern(
+                    chunk, queue_counts[egress], scenario.num_ports))
         ports = tuple(
             ScenarioResult.from_report(template.name, template.scheme,
                                        session.finish())

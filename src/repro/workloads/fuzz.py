@@ -9,8 +9,11 @@ paths, 64–256-port incast/permutation switches — and :func:`run_case` runs
 every sampled spec through both engines (the ``reference`` oracle and
 ``array``, on the compiled span kernel where it builds), monolithic *and*
 streamed, with random chunk/warmup/checkpoint boundaries, asserting
-bit-identical reports.  With ``REPRO_SPAN_KERNEL=0`` the ``array`` legs run
-the core's scalar python loop instead.
+bit-identical reports.  The legs that compare traces run the python loops
+(a traced span never reaches the kernel), so one untraced monolithic
+``array`` leg holds the kernel's spans to the oracle.  With
+``REPRO_SPAN_KERNEL=0`` the ``array`` legs run the core's scalar python loop
+instead.
 
 Everything is a pure function of ``(master_seed, index)``: a diverging case
 is dumped as a replayable JSON artifact carrying exactly those coordinates
@@ -433,6 +436,13 @@ def _run_scenario_case(case: FuzzCase, stream: bool,
         divergences += _compare_reports(f"monolithic-{engine}",
                                         outcomes[engine], baseline,
                                         include_trace=True)
+    # Leg 1b — the array engine untraced: a traced run never reaches the
+    # span kernel, so this is the leg that holds its spans to the oracle.
+    divergences += _compare_reports(
+        "monolithic-array-untraced",
+        _outcome(lambda: scenario.build_simulation().run(
+            scenario.num_slots, drain=drain, engine="array")),
+        baseline, include_trace=False)
 
     # Leg 2 — streamed with random chunk boundaries, every engine, vs the
     # monolithic reference (warmup 0 ⇒ bit-identical, trace included).

@@ -235,7 +235,7 @@ def _lossy_sim(scheme):
 
 
 @pytest.mark.parametrize("scheme,kernel_on", [
-    ("rads", True), ("rads", False), ("cfds", False)])
+    ("rads", True), ("rads", False), ("cfds", True), ("cfds", False)])
 def test_dropped_cells_cover_the_whole_array_run(scheme, kernel_on,
                                                  monkeypatch):
     """``dropped_cells`` reads the same after an array run as after a
@@ -267,7 +267,7 @@ def test_dropped_cells_cover_the_whole_array_run(scheme, kernel_on,
                 == reports["reference"].throughput.drops), mode
         if mode == "streamed":
             assert reports["array"].throughput.drops < dropped["array"]
-        if scheme == "rads" and kernel_on and kernel.load_kernel():
+        if kernel_on and kernel.load_kernel():
             assert registry.counter("engine.array.kernel_spans"), mode
 
 

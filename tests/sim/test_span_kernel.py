@@ -193,15 +193,26 @@ def test_strict_overflow_raises_identically(kernel_mode):
 
 
 def test_cfds_falls_back_to_array_core(kernel_mode):
-    """CFDS has no kernel: engine="array" runs its scalar CFDS core in both
-    kernel modes and matches the reference loop."""
+    """CFDS's 900-slot main span runs on the kernel's CFDS entry (with the
+    kill switch: on the array core's python loop), and its 50-slot drain
+    falls back to the python loop in both modes; either way the report
+    matches the reference loop."""
     def make_sim():
         return ClosedLoopSimulation(
             _build_buffer("cfds"), BernoulliArrivals(8, load=0.8, seed=5),
             RandomArbiter(8, seed=6))
 
-    reference, array = run_both(make_sim, 900)
+    reference = make_sim().run(900, engine="reference")
+    array, registry = _observed(lambda: make_sim().run(900, engine="array"))
     assert_reports_identical(reference, array)
+    drain = array.throughput.slots - 900
+    if kernel_mode == "kernel" and span_kernel.load_kernel() is not None:
+        assert registry.counter("engine.array.kernel_slots") == 900
+        assert _fallbacks(registry) == {"short_span": drain}
+    else:
+        assert registry.counter("engine.array.kernel_spans") == 0
+        assert _fallbacks(registry) == {"unavailable": 900,
+                                        "short_span": drain}
 
 
 # --------------------------------------------------------------------- #
@@ -709,9 +720,10 @@ def test_plan_entry_naming_no_queue_aborts_the_kernel(kernel_mode,
 def test_plan_entry_the_kernel_cannot_encode_raises(entry, kernel_mode):
     """An explicit plan entry of -1, the kernel's no-arrival code, is not
     read as an idle slot, and one past ``int32`` does not stop the plan's
-    conversion with ``array``'s error: the kernel declines the plan, and
-    the scalar loop raises the reference engine's error (for -1, rather
-    than indexing from the end of its per-queue lists)."""
+    conversion with ``array``'s error: the kernel aborts on the first and
+    declines the second, and the scalar loop raises the reference engine's
+    error (for -1, rather than indexing from the end of its per-queue
+    lists)."""
     pattern = [q % 8 for q in range(300)] + [entry] + [None] * 99
 
     def make_sim():

@@ -23,6 +23,35 @@ def _small(name: str, **overrides) -> SwitchScenario:
 
 
 class TestFabricStage:
+    def test_voq_table_holds_only_queued_egresses(self):
+        """A 256-port stream allocates under 5 MiB: VOQs exist only while
+        they hold cells (a table of 256**2 deques held 49.8 MiB)."""
+        import tracemalloc
+
+        from repro.switch.model import FabricStream
+
+        scenario = get_switch_scenario("uniform").with_overrides(
+            num_ports=256, num_slots=60)
+        tracemalloc.start()
+        try:
+            FabricStream(scenario)
+            _current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 * 2 ** 20
+
+    @pytest.mark.parametrize("engine", ["array", "reference"])
+    def test_256_port_fabric_unchanged(self, engine):
+        """The traces and FabricStats of a 256-port stage, pinned by
+        digest: the sparse VOQ table changes neither engine's stage."""
+        import hashlib
+
+        scenario = get_switch_scenario("uniform").with_overrides(
+            num_ports=256, num_slots=60)
+        traces, stats = run_fabric(scenario, engine=engine)
+        digest = hashlib.sha256(repr((traces, stats)).encode()).hexdigest()
+        assert digest[:16] == "a1e3048aa2289f32"
+
     def test_conservation_offered_equals_transferred_after_flush(self):
         traces, stats = run_fabric(_small("uniform"))
         assert stats.offered_cells == stats.transferred_cells
@@ -112,6 +141,25 @@ class TestPortScenarios:
             pattern = port.arrivals["params"]["pattern"]
             assert all(q is None or 0 <= q < 4 for q in pattern)
             assert pattern == [None if s is None else s % 4 for s in trace]
+
+    def test_port_with_a_queue_per_ingress_takes_the_trace_itself(self):
+        """With the default sizing (a queue per ingress) the fold is the
+        identity: the fabric's trace list is the pattern, uncopied."""
+        scenario = _small("uniform")
+        traces, _stats = run_fabric(scenario)
+        for port, trace in zip(port_scenarios(scenario, traces), traces):
+            assert port.arrivals["params"]["pattern"] is trace
+
+    def test_stream_folds_ingress_index_for_fewer_queues(self):
+        """The streaming path folds as the jobs path does."""
+        import dataclasses
+
+        scenario = _small("uniform")
+        template = dict(scenario.ports[0])
+        template["buffer"] = {"granularity": 4, "num_queues": 4}
+        narrow = dataclasses.replace(scenario, ports=(template,))
+        model = SwitchModel(narrow)
+        assert model.run_stream(chunk_slots=150) == model.run()
 
     def test_mixed_scheme_templates_cycle(self):
         scenario = _small("mixed-scheme")

@@ -223,3 +223,44 @@ class TestKernelFabricCoverage:
         assert fallbacks == {"switch.fabric.fallback.reference"}
         assert counters["switch.fabric.kernel_windows"] >= 2
         assert counters["switch.fabric.kernel_slots"] >= case.spec["num_slots"]
+
+
+class TestCFDSKernelReach:
+    """Single-port CFDS cases reach the span kernel's CFDS entry through
+    the untraced ``array`` leg (switch draws halve CFDS horizons to 50–120
+    arrival slots, so their port spans rarely reach ``MIN_KERNEL_SLOTS``).
+    The cases: those of the default master seed with a CFDS buffer, a
+    policy the entry runs (stock ECQF; no arbiter, ``random`` or
+    ``longest_queue``) and at least 192 slots, among the first 45."""
+
+    CASES = (7, 19, 21, 28, 34, 42)
+
+    @pytest.mark.parametrize("index", CASES)
+    def test_kernel_runs_and_agrees(self, index, monkeypatch):
+        from repro.obs.metrics import MetricsRegistry, using_metrics
+        from repro.sim import kernel
+
+        case = make_case(DEFAULT_MASTER_SEED, index)
+        spec = case.spec
+        assert case.kind == "scenario" and spec["scheme"] == "cfds"
+        assert spec["num_slots"] >= kernel.MIN_KERNEL_SLOTS
+        assert spec.get("head_mma") is None or \
+            spec["head_mma"]["type"] == "ecqf"
+        assert spec.get("arbiter") is None or \
+            spec["arbiter"]["type"] in ("random", "longest_queue")
+        registry = MetricsRegistry()
+        with using_metrics(registry):
+            assert run_case(case) == []
+        if kernel.load_kernel() is not None:
+            assert registry.counter("engine.array.kernel_spans") >= 1
+            assert registry.counter("engine.array.kernel_aborts") == 0
+
+        # REPRO_SPAN_KERNEL=0, read afresh: every array span runs python.
+        monkeypatch.setenv(kernel.KERNEL_ENV, "0")
+        monkeypatch.setattr(kernel, "_kernel", None)
+        monkeypatch.setattr(kernel, "_kernel_tried", False)
+        registry = MetricsRegistry()
+        with using_metrics(registry):
+            assert run_case(case) == []
+        assert registry.counter("engine.array.kernel_spans") == 0
+        assert registry.counter("engine.array.fallback.unavailable") > 0
