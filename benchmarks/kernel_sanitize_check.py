@@ -28,7 +28,11 @@ into a child interpreter with the sanitizer runtimes preloaded and real
    with a group capacity that drops blocks, non-strict DRAM without the
    ORR (bank conflicts serialise), the ``random`` and ``longest_queue``
    arbiters, a streamed run in 200- and 700-slot chunks with a mid-run
-   checkpoint, and an 8-port CFDS switch through ``run_stream``.
+   checkpoint, and an 8-port CFDS switch through ``run_stream``, and
+7. the arbiters and plans the two span entries share, each against the
+   reference engine, monolithic and streamed (warmup boundary inside a
+   chunk, one checkpoint resumed): RADS with ``longest_queue`` and with no
+   arbiter, and CFDS on a Bernoulli plan the kernel draws.
 
 Any out-of-bounds access or UB in the C source aborts the child with a
 sanitizer report, which this parent surfaces verbatim.
@@ -290,6 +294,52 @@ def switch_run(engine):
 
 cfds_check("8-port switch, run_stream", switch_run)
 print("cfds ok")
+
+# 7. The shared arbiters and plans: every shape must reach the kernel, and
+# the CFDS one must have its plan drawn there.
+def rads_shape(arbiter, seed):
+    return lambda: ClosedLoopSimulation(
+        RADSPacketBuffer(RADSConfig(num_queues=16, granularity=8)),
+        BernoulliArrivals(16, load=0.9, seed=seed), arbiter)
+
+shapes = (
+    ("rads longest_queue", rads_shape(LongestQueueArbiter(16), 43)),
+    ("rads no arbiter", rads_shape(None, 44)),
+    ("cfds bernoulli plan", lambda: ClosedLoopSimulation(
+        CFDSPacketBuffer(CFDSConfig(num_queues=8, dram_access_slots=8,
+                                    granularity=2, num_banks=32,
+                                    strict=False),
+                         group_capacity_cells=48),
+        BernoulliArrivals(8, load=0.9, seed=45),
+        RandomArbiter(8, load=0.7, seed=46))),
+)
+with tempfile.TemporaryDirectory() as tmp:
+    path = os.path.join(tmp, "shared.ckpt.json")
+    for label, make in shapes:
+        for mode in ("monolithic", "streamed"):
+            def run(engine, mode=mode, make=make):
+                if mode == "monolithic":
+                    return make().run(3000, engine=engine)
+                return make().run_stream(
+                    3000, engine=engine, chunk_slots=700, warmup_slots=1000,
+                    checkpoint_every=1500, checkpoint_path=path)
+            want = run("reference")
+            registry = MetricsRegistry()
+            with using_metrics(registry):
+                got = run("array")
+            if got != want or (mode == "streamed"
+                               and resume_stream(path) != want):
+                print(f"DIFFERENTIAL MISMATCH: {label}, {mode}",
+                      file=sys.stderr)
+                sys.exit(4)
+            if (not registry.counter("engine.array.kernel_spans")
+                    or (label.startswith("cfds")
+                        and not registry.counter(
+                            "engine.array.kernel_plan_slots"))):
+                print(f"KERNEL NOT REACHED: {label}, {mode}",
+                      file=sys.stderr)
+                sys.exit(4)
+print("shared arbiters and plans ok")
 print("SANITIZE CHECK PASSED")
 """
 

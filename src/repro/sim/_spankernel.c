@@ -6,13 +6,16 @@
  * no Python headers, so it builds anywhere a C99 compiler exists.  It has
  * three entry points:
  *  - rads_run_span executes exactly the slot loop of
- *    repro.sim.array_engine's RADS core (stock ECQF + threshold tail MMA +
- *    RandomArbiter, num_queues <= 65536 so a queue id fits the 16-bit
- *    field of CRIT_KEY);
- *  - cfds_run_span executes exactly the slot loop of its CFDS core (the
- *    same policies with the latency register, the DRAM Scheduler
- *    Subsystem and queue renaming; no arbiter, RandomArbiter or
- *    LongestQueueArbiter);
+ *    repro.sim.array_engine's RADS core, and cfds_run_span that of its
+ *    CFDS core.  Both run stock ECQF and the threshold tail MMA with no
+ *    arbiter, RandomArbiter or LongestQueueArbiter, on an explicit arrival
+ *    plan, a Bernoulli plan they draw themselves, or none; num_queues <=
+ *    65536, so a queue id fits the 16-bit field of CRIT_KEY.  They share
+ *    one SRAM/MMA half (the machine struct and its mach_* helpers: arrival
+ *    with cut-through, tail MMA pick, lookahead, ECQF, service, arbiter,
+ *    plan), and each keeps only its DRAM side inline: RADS its lossy DRAM
+ *    writes and pending blocks, CFDS queue renaming, the latency register,
+ *    the Requests Register and the DRAM Scheduler Subsystem;
  *  - fabric_run_window executes one window of
  *    repro.switch.model.FabricStream's python loop (VOQ arrivals and the
  *    islip, random or priority request/grant/accept match, num_ports <=
@@ -43,10 +46,10 @@
  *  - strict-mode overflow/miss aborts return an error code and the python
  *    core replays the span on its own scalar loop to raise with exact
  *    in-place state; non-strict misses and lossy DRAM drops are native;
- *  - the CFDS and fabric entries follow the same ownership rules; every
- *    raise site of the python CFDS loop, a fabric plan entry that names no
- *    egress, and any of their own checks abort, and the python loop
- *    replays the span or window.
+ *  - the fabric entry follows the same ownership rules; every raise site
+ *    of the python CFDS loop, a fabric plan entry that names no egress,
+ *    and any of the kernel's own checks abort, and the python loop replays
+ *    the span or window.
  */
 
 #include <stdint.h>
@@ -247,17 +250,48 @@ static void heap_pop(ivec *h)
 #define ERR_STRICT 2
 #define ERR_ARG 3   /* bad shape, or a plan entry names no queue */
 
+/* Resume a generator from its 624-word key and [pos, consumed]: ERR_ARG
+ * unless 0 <= pos <= MT_N (mt_next reads key[pos]). */
+static int64_t mt_load(mt_state *mt, const uint32_t *key, const int64_t *meta)
+{
+    if (!key || !meta || meta[0] < 0 || meta[0] > MT_N)
+        return ERR_ARG;
+    memcpy(mt->key, key, sizeof(mt->key));
+    mt->pos = (int)meta[0];
+    mt->consumed = 0;
+    return ERR_OK;
+}
+
+/* The generator's key and [pos, words consumed], for python's setstate(). */
+static void mt_store(const mt_state *mt, uint32_t *key, int64_t *meta)
+{
+    memcpy(key, mt->key, sizeof(mt->key));
+    meta[0] = mt->pos;
+    meta[1] = mt->consumed;
+}
+
 /* ------------------------------------------------------------------ */
 /* Kernel interface (mirrored by ctypes structs in repro.sim.kernel)   */
 /* ------------------------------------------------------------------ */
+
+/* The arbiters a span runs (kcfg.arb_mode; a drain window runs none). */
+#define ARB_NONE 0
+#define ARB_RANDOM 1        /* RandomArbiter */
+#define ARB_LONGEST 2       /* LongestQueueArbiter over num_queues */
+
+/* Where a main window's arrivals come from (kcfg.plan_mode). */
+#define PLAN_EXPLICIT 0     /* kptrs.plan */
+#define PLAN_BERNOULLI 1    /* drawn here: BernoulliArrivals' batch draw */
+#define PLAN_NONE 2
 
 typedef struct {
     /* configuration (in) */
     int64_t num_queues, granularity, strict, tail_cap;
     int64_t dram_cap, sram_cap;     /* -1 = unbounded (python None) */
     int64_t la_len, num_slots, start_slot, is_main;
+    int64_t arb_mode;               /* ARB_* */
     int64_t arb_tint;               /* ceil(arbiter.load * 2**53) */
-    int64_t plan_mode;              /* 0 = plan, 1 = bernoulli, 2 = none */
+    int64_t plan_mode;              /* PLAN_* */
     int64_t bern_tint;              /* ceil(arrivals.load * 2**53) */
     double bern_total;              /* cum_weights[-1] + 0.0 */
     int64_t ecqf_fallback;
@@ -279,18 +313,19 @@ typedef struct {
  *   tail cells (tail_occ[q] each)   dram cells (dram_occ[q] each)
  *   sram heaps (sram_cnt[q] each)   request entry slots (req_count[q] each)
  *   arrival slots (arr_cnt[q] each) crit heap keys (crit_len)
- *   pending blocks (pending_len x: finish slot, queue, cell count, cells)
  *
- * The result then appends the main window's delays folded into
+ * Each entry's own state follows (above rads_run_span and cptrs).  The
+ * result then appends the outcome: the main window's delays folded into
  * n_delay_pairs (delay, count) pairs in ascending delay order,
  * n_head_miss (queue, slot) pairs and n_drained arrival slots. */
 typedef struct {
-    uint32_t *arb_key;              /* in/out: 624 words */
+    uint32_t *arb_key;              /* in/out (ARB_RANDOM): 624 words */
     int64_t *arb_meta;              /* in/out: [pos, consumed] */
-    uint32_t *bern_key;             /* in/out (plan_mode 1) */
+    uint32_t *bern_key;             /* in/out (PLAN_BERNOULLI) */
     int64_t *bern_meta;
-    const double *cum_weights;      /* len num_queues (plan_mode 1) */
-    const int32_t *plan;            /* len num_slots (plan_mode 0), -1 = none */
+    const double *cum_weights;      /* len num_queues (PLAN_BERNOULLI) */
+    const int32_t *plan;            /* len num_slots (PLAN_EXPLICIT),
+                                       -1 = none */
     /* per-queue int64[num_queues], in/out */
     int64_t *backlog, *next_seqno, *delivered, *counters, *req_count;
     int64_t *tail_occ, *dram_occ, *crit_cache;
@@ -367,85 +402,7 @@ static int64_t *put(int64_t *w, const ivec *v)
     return w + n;
 }
 
-/* The image head both slot loops share (layout above kptrs): per-queue
- * tail, DRAM, SRAM, request and arrival contents, then the critical heap,
- * whose keys must name queues. */
-static int64_t load_queues(reader *r, qstate *qs, ivec *crit, const kcfg *c,
-                           const kptrs *p)
-{
-    const int nq = (int)c->num_queues;
-    const int64_t *sram_cnt = take(r, nq), *arr_cnt = take(r, nq);
-    int64_t err = ERR_OK;
-    int i;
-    if (!sram_cnt || !arr_cnt)
-        return ERR_ARG;
-    for (i = 0; i < nq && err == ERR_OK; i++)
-        err = iv_load(&qs[i].tail, r, p->tail_occ[i]);
-    for (i = 0; i < nq && err == ERR_OK; i++)
-        err = iv_load(&qs[i].dram, r, p->dram_occ[i]);
-    for (i = 0; i < nq && err == ERR_OK; i++)
-        err = iv_load(&qs[i].sram, r, sram_cnt[i]);
-    for (i = 0; i < nq && err == ERR_OK; i++)
-        err = iv_load(&qs[i].req, r, p->req_count[i]);
-    for (i = 0; i < nq && err == ERR_OK; i++)
-        err = iv_load(&qs[i].arr, r, arr_cnt[i]);
-    if (err == ERR_OK)
-        err = iv_load(crit, r, c->crit_len);
-    for (i = 0; i < crit->len && err == ERR_OK; i++)
-        if (crit->buf[i] < 0 || CRIT_QUEUE(crit->buf[i]) >= nq)
-            err = ERR_ARG;
-    return err;
-}
-
-/* Elements load_queues' part of the result takes. */
-static int64_t queues_size(const qstate *qs, int nq, const ivec *crit)
-{
-    int64_t size = 2 * (int64_t)nq + crit->len;
-    int i;
-    for (i = 0; i < nq; i++)
-        size += IV_COUNT(&qs[i].tail) + IV_COUNT(&qs[i].dram)
-                + IV_COUNT(&qs[i].sram) + IV_COUNT(&qs[i].req)
-                + IV_COUNT(&qs[i].arr);
-    return size;
-}
-
-static int64_t *put_queues(int64_t *w, const qstate *qs, int nq,
-                           const ivec *crit)
-{
-    int i;
-    for (i = 0; i < nq; i++)
-        *w++ = IV_COUNT(&qs[i].sram);
-    for (i = 0; i < nq; i++)
-        *w++ = IV_COUNT(&qs[i].arr);
-    for (i = 0; i < nq; i++)
-        w = put(w, &qs[i].tail);
-    for (i = 0; i < nq; i++)
-        w = put(w, &qs[i].dram);
-    for (i = 0; i < nq; i++)
-        w = put(w, &qs[i].sram);
-    for (i = 0; i < nq; i++)
-        w = put(w, &qs[i].req);
-    for (i = 0; i < nq; i++)
-        w = put(w, &qs[i].arr);
-    return put(w, crit);
-}
-
-static void free_queues(qstate *qs, int nq)
-{
-    int i;
-    if (!qs)
-        return;
-    for (i = 0; i < nq; i++) {
-        free(qs[i].tail.buf);
-        free(qs[i].dram.buf);
-        free(qs[i].sram.buf);
-        free(qs[i].req.buf);
-        free(qs[i].arr.buf);
-    }
-    free(qs);
-}
-
-/* (delay, count) pairs of the histogram, in ascending delay order. */
+/* Nonzero bins of h: the (delay, count) pairs put_hist writes. */
 static int64_t hist_pairs(const hist *h)
 {
     int64_t d, n = 0;
@@ -455,19 +412,16 @@ static int64_t hist_pairs(const hist *h)
     return n;
 }
 
-/* The result's tail both slot loops share: delay pairs, head misses,
- * drained arrival slots. */
-static void put_outcome(int64_t *w, const hist *delays, const ivec *misses,
-                        const ivec *drained)
+/* h's (delay, count) pairs, in ascending delay order. */
+static int64_t *put_hist(int64_t *w, const hist *h)
 {
     int64_t d;
-    for (d = 0; d <= delays->max && delays->count; d++)
-        if (delays->count[d]) {
+    for (d = 0; d <= h->max && h->count; d++)
+        if (h->count[d]) {
             *w++ = d;
-            *w++ = delays->count[d];
+            *w++ = h->count[d];
         }
-    w = put(w, misses);
-    put(w, drained);
+    return w;
 }
 
 /* 32 - bit_length(m) for m = 0..n, the mt_randbelow shift (NULL on OOM):
@@ -506,557 +460,679 @@ void rads_free_result(int64_t *result)
     free(result);
 }
 
+/* ------------------------------------------------------------------ */
+/* The SRAM/MMA half both span entries share                           */
+/* ------------------------------------------------------------------ */
+
+/* One span's machine: what RADS and CFDS have in common — arrival with
+ * cut-through, the threshold tail MMA, the lookahead, incremental ECQF,
+ * in-order service, the arbiter and the arrival plan.  Each entry's slot
+ * loop calls the helpers below and keeps only its own DRAM side inline. */
+typedef struct {
+    /* configuration */
+    int nq, g, strict, la_len, is_main, arb_mode, plan_mode, ecqf_fallback;
+    int64_t tail_cap, dram_cap, sram_cap, start_slot, arb_tint, bern_tint;
+    double bern_total;
+    const int32_t *plan;
+    const double *cum_weights;
+    /* the caller's fixed-shape arrays, updated in place */
+    int64_t *backlog, *next_seqno, *delivered, *counters, *req_count;
+    int64_t *tail_occ, *dram_occ, *crit_cache, *elig, *la_ring;
+    /* kernel-owned state */
+    qstate *qs;
+    ivec crit, misses, drained;
+    hist delays;
+    int *rb_shift;                  /* 32 - bit_length(m), m = 0..nq */
+    mt_state arb, bern;
+    /* machine scalars */
+    int64_t tail_total, dram_total, sram_total, negatives;
+    int64_t cells_in, cells_out, dram_reads, dram_writes, dropped;
+    int64_t max_tail, max_head, n_delays, n_tail_miss, arrivals_seen, grants;
+    int la_pos, elig_len, big_cnt, pc;
+} machine;
+
+/* Set m (zeroed by the caller; mach_free releases it whatever this
+ * returns) up from c and p: check the shared inputs and every id that
+ * indexes per-queue state, resume the arbiter's and the Bernoulli plan's
+ * generators, and load the image head (layout above kptrs) — per-queue
+ * tail, DRAM, SRAM, request and arrival contents, then the critical heap,
+ * whose keys must name queues — leaving r at the entry's own part. */
+static int64_t mach_open(machine *m, const kcfg *c, const kptrs *p,
+                         reader *r)
+{
+    const int64_t *sram_cnt, *arr_cnt;
+    int64_t err = ERR_OK;
+    int i, nq;
+    m->nq = nq = (int)c->num_queues;
+    m->g = (int)c->granularity;
+    m->la_len = (int)c->la_len;
+    if (nq < 1 || nq > MAX_QUEUES || m->g < 1 || m->la_len < 1
+            || c->la_pos < 0 || c->la_pos >= m->la_len
+            || c->eligible_len < 0 || c->eligible_len > nq
+            || c->arb_mode < ARB_NONE || c->arb_mode > ARB_LONGEST
+            || c->plan_mode < PLAN_EXPLICIT || c->plan_mode > PLAN_NONE)
+        return ERR_ARG;
+    m->strict = (int)c->strict;
+    m->is_main = (int)c->is_main;
+    m->arb_mode = m->is_main ? (int)c->arb_mode : ARB_NONE;
+    m->plan_mode = m->is_main ? (int)c->plan_mode : PLAN_NONE;
+    m->ecqf_fallback = (int)c->ecqf_fallback;
+    m->tail_cap = c->tail_cap;
+    m->dram_cap = c->dram_cap;
+    m->sram_cap = c->sram_cap;
+    m->start_slot = c->start_slot;
+    m->arb_tint = c->arb_tint;
+    m->bern_tint = c->bern_tint;
+    m->bern_total = c->bern_total;
+    m->plan = p->plan;
+    m->cum_weights = p->cum_weights;
+    m->backlog = p->backlog;
+    m->next_seqno = p->next_seqno;
+    m->delivered = p->delivered;
+    m->counters = p->counters;
+    m->req_count = p->req_count;
+    m->tail_occ = p->tail_occ;
+    m->dram_occ = p->dram_occ;
+    m->crit_cache = p->crit_cache;
+    m->elig = p->eligible;
+    m->la_ring = p->la_ring;
+    m->tail_total = c->tail_total;
+    m->dram_total = c->dram_total;
+    m->sram_total = c->sram_total;
+    m->negatives = c->negatives;
+    m->cells_in = c->cells_in;
+    m->cells_out = c->cells_out;
+    m->dram_reads = c->dram_reads;
+    m->dram_writes = c->dram_writes;
+    m->dropped = c->dropped;
+    m->max_tail = c->max_tail;
+    m->max_head = c->max_head;
+    m->la_pos = (int)c->la_pos;
+    m->elig_len = (int)c->eligible_len;
+    if ((m->plan_mode == PLAN_EXPLICIT && !m->plan)
+            || (m->plan_mode == PLAN_BERNOULLI && !m->cum_weights))
+        return ERR_ARG;
+    for (i = 0; i < m->la_len; i++)
+        if (m->la_ring[i] < -1 || m->la_ring[i] >= nq)
+            err = ERR_ARG;
+    for (i = 0; i < m->elig_len; i++)
+        if (m->elig[i] < 0 || m->elig[i] >= nq)
+            err = ERR_ARG;
+    if (err == ERR_OK && m->arb_mode == ARB_RANDOM)
+        err = mt_load(&m->arb, p->arb_key, p->arb_meta);
+    if (err == ERR_OK && m->plan_mode == PLAN_BERNOULLI)
+        err = mt_load(&m->bern, p->bern_key, p->bern_meta);
+    if (err != ERR_OK)
+        return err;
+    m->rb_shift = randbelow_shifts(nq);
+    m->qs = (qstate *)calloc((size_t)nq, sizeof(qstate));
+    if (!m->rb_shift || !m->qs)
+        return ERR_OOM;
+    for (i = 0; i < nq; i++)
+        if (m->tail_occ[i] >= m->g)
+            m->big_cnt++;
+    m->pc = (m->g - (int)(m->start_slot % m->g)) % m->g;
+
+    sram_cnt = take(r, nq);
+    arr_cnt = take(r, nq);
+    if (!sram_cnt || !arr_cnt)
+        return ERR_ARG;
+    for (i = 0; i < nq && err == ERR_OK; i++)
+        err = iv_load(&m->qs[i].tail, r, m->tail_occ[i]);
+    for (i = 0; i < nq && err == ERR_OK; i++)
+        err = iv_load(&m->qs[i].dram, r, m->dram_occ[i]);
+    for (i = 0; i < nq && err == ERR_OK; i++)
+        err = iv_load(&m->qs[i].sram, r, sram_cnt[i]);
+    for (i = 0; i < nq && err == ERR_OK; i++)
+        err = iv_load(&m->qs[i].req, r, m->req_count[i]);
+    for (i = 0; i < nq && err == ERR_OK; i++)
+        err = iv_load(&m->qs[i].arr, r, arr_cnt[i]);
+    if (err == ERR_OK)
+        err = iv_load(&m->crit, r, c->crit_len);
+    for (i = 0; i < m->crit.len && err == ERR_OK; i++)
+        if (m->crit.buf[i] < 0 || CRIT_QUEUE(m->crit.buf[i]) >= nq)
+            err = ERR_ARG;
+    return err;
+}
+
+/* The span's one exact-size result (layout above kptrs): the image head,
+ * `own` elements the entry writes at the returned address, then the main
+ * window's delay pairs, the head misses and the drained slots; NULL on
+ * OOM.  Writes the shared scalars and generator states back. */
+static int64_t *mach_close(machine *m, kcfg *c, kptrs *p, int64_t own)
+{
+    const int nq = m->nq;
+    int64_t n_pairs = hist_pairs(&m->delays), *w, *at;
+    int64_t size = 2 * (int64_t)nq + m->crit.len + own + 2 * n_pairs
+                   + IV_COUNT(&m->misses) + IV_COUNT(&m->drained);
+    int i;
+    for (i = 0; i < nq; i++)
+        size += IV_COUNT(&m->qs[i].tail) + IV_COUNT(&m->qs[i].dram)
+                + IV_COUNT(&m->qs[i].sram) + IV_COUNT(&m->qs[i].req)
+                + IV_COUNT(&m->qs[i].arr);
+    w = p->result = (int64_t *)malloc((size_t)size * sizeof(int64_t));
+    if (!w)
+        return NULL;
+    c->result_len = size;
+    for (i = 0; i < nq; i++)
+        *w++ = IV_COUNT(&m->qs[i].sram);
+    for (i = 0; i < nq; i++)
+        *w++ = IV_COUNT(&m->qs[i].arr);
+    for (i = 0; i < nq; i++)
+        w = put(w, &m->qs[i].tail);
+    for (i = 0; i < nq; i++)
+        w = put(w, &m->qs[i].dram);
+    for (i = 0; i < nq; i++)
+        w = put(w, &m->qs[i].sram);
+    for (i = 0; i < nq; i++)
+        w = put(w, &m->qs[i].req);
+    for (i = 0; i < nq; i++)
+        w = put(w, &m->qs[i].arr);
+    at = put(w, &m->crit);
+    put(put(put_hist(at + own, &m->delays), &m->misses), &m->drained);
+
+    c->tail_total = m->tail_total;
+    c->dram_total = m->dram_total;
+    c->sram_total = m->sram_total;
+    c->la_pos = m->la_pos;
+    c->negatives = m->negatives;
+    c->cells_in = m->cells_in;
+    c->cells_out = m->cells_out;
+    c->dram_reads = m->dram_reads;
+    c->dram_writes = m->dram_writes;
+    c->dropped = m->dropped;
+    c->max_tail = m->max_tail;
+    c->max_head = m->max_head;
+    c->crit_len = m->crit.len;
+    c->eligible_len = m->elig_len;
+    c->n_delays = m->n_delays;
+    c->n_delay_pairs = n_pairs;
+    c->n_head_miss = IV_COUNT(&m->misses) / 2;
+    c->n_tail_miss = m->n_tail_miss;
+    c->n_drained = IV_COUNT(&m->drained);
+    c->arrivals_seen = m->arrivals_seen;
+    c->grants = m->grants;
+    /* python setstate()s these verbatim */
+    if (m->arb_mode == ARB_RANDOM)
+        mt_store(&m->arb, p->arb_key, p->arb_meta);
+    if (m->plan_mode == PLAN_BERNOULLI)
+        mt_store(&m->bern, p->bern_key, p->bern_meta);
+    return at;
+}
+
+static void mach_free(machine *m)
+{
+    int i;
+    for (i = 0; m->qs && i < m->nq; i++) {
+        free(m->qs[i].tail.buf);
+        free(m->qs[i].dram.buf);
+        free(m->qs[i].sram.buf);
+        free(m->qs[i].req.buf);
+        free(m->qs[i].arr.buf);
+    }
+    free(m->qs);
+    free(m->crit.buf);
+    free(m->misses.buf);
+    free(m->drained.buf);
+    free(m->delays.count);
+    free(m->rb_shift);
+}
+
+/* 1 when the slot starts a period (a multiple of g), else 0. */
+static inline int mach_period(machine *m)
+{
+    if (--m->pc >= 0)
+        return 0;
+    m->pc = m->g - 1;
+    return 1;
+}
+
+/* The arbiter's request, -1 = none: RandomArbiter's gate draw, then its
+ * choice over the eligible list; or LongestQueueArbiter's largest
+ * backlog, lowest index on ties. */
+static inline int mach_arbitrate(machine *m)
+{
+    int request = -1, i;
+    if (m->arb_mode == ARB_RANDOM) {
+        if (mt_comb53(&m->arb) < m->arb_tint && m->elig_len)
+            request = (int)m->elig[mt_randbelow(&m->arb, m->elig_len,
+                                                m->rb_shift[m->elig_len])];
+    } else if (m->arb_mode == ARB_LONGEST) {
+        int64_t best = 0;
+        for (i = 0; i < m->nq; i++)
+            if (m->backlog[i] > best) {
+                best = m->backlog[i];
+                request = i;
+            }
+    }
+    return request;
+}
+
+/* The slot's arrival queue, -1 = none, -2 = a plan entry naming no queue:
+ * the explicit plan's entry, or BernoulliArrivals' gate draw and then
+ * choices() over the cumulative weights. */
+static inline int mach_arrival(machine *m, int64_t slot)
+{
+    int a = -1;
+    if (m->plan_mode == PLAN_EXPLICIT) {
+        a = m->plan[slot - m->start_slot];
+        if (a < -1 || a >= m->nq)
+            return -2;
+    } else if (m->plan_mode == PLAN_BERNOULLI
+               && mt_comb53(&m->bern) < m->bern_tint) {
+        double u = (double)mt_comb53(&m->bern)
+                   * (1.0 / 9007199254740992.0);
+        a = upper_bound_d(m->cum_weights, m->nq - 1, u * m->bern_total);
+    }
+    return a;
+}
+
+/* Cells into q's head SRAM (an SRAM overflow raises always). */
+static inline int64_t mach_land(machine *m, int q, const int64_t *cells,
+                                int64_t n)
+{
+    int64_t j;
+    for (j = 0; j < n; j++) {
+        m->sram_total++;
+        if (m->sram_cap >= 0 && m->sram_total > m->sram_cap)
+            return ERR_STRICT;
+        if (!heap_push(&m->qs[q].sram, cells[j]))
+            return ERR_OOM;
+    }
+    return ERR_OK;
+}
+
+/* ECQF's credit for n cells fetched or cut through to q's head: the
+ * counter rises, and q's critical entry moves to its (counter+1)-th
+ * pending request, or to none. */
+static inline int64_t mach_credit(machine *m, int q, int64_t n)
+{
+    int64_t count = m->counters[q] + n;
+    m->counters[q] = count;
+    if (count >= 0 && count - n < 0)
+        m->negatives--;
+    if (count >= 0 && count < m->req_count[q]) {
+        int64_t entered = m->qs[q].req.buf[m->qs[q].req.head + count];
+        m->crit_cache[q] = entered;
+        if (!heap_push(&m->crit, CRIT_KEY(entered, q)))
+            return ERR_OOM;
+    } else {
+        m->crit_cache[q] = CRIT_INF;
+    }
+    return ERR_OK;
+}
+
+/* Arrival on queue a: cut through to the head SRAM while a's whole
+ * backlog is on-chip, else enqueue on the tail (a tail miss when the tail
+ * SRAM is full). */
+static inline int64_t mach_arrive(machine *m, int a, int64_t slot)
+{
+    qstate *qa = &m->qs[a];
+    int64_t seqno = m->next_seqno[a]++, err;
+    m->arrivals_seen++;
+    if (!iv_push(&qa->arr, slot))
+        return ERR_OOM;
+    if (m->dram_occ[a] == 0 && m->tail_occ[a] == 0
+            && IV_COUNT(&qa->sram) < m->g) {
+        err = mach_land(m, a, &seqno, 1);
+        return err != ERR_OK ? err : mach_credit(m, a, 1);
+    }
+    if (m->tail_total >= m->tail_cap) {
+        m->n_tail_miss++;
+        return m->strict ? ERR_STRICT : ERR_OK;
+    }
+    if (!iv_push(&qa->tail, seqno))
+        return ERR_OOM;
+    if (++m->tail_occ[a] == m->g)
+        m->big_cnt++;
+    m->tail_total++;
+    m->cells_in++;
+    return ERR_OK;
+}
+
+/* The threshold tail MMA's pick: the fullest queue holding at least a
+ * block, lowest index on ties; -1 when none does. */
+static inline int mach_tail_pick(const machine *m)
+{
+    int64_t best = m->g - 1;
+    int i, sel = -1;
+    if (!m->big_cnt)
+        return -1;
+    for (i = 0; i < m->nq; i++)
+        if (m->tail_occ[i] > best) {
+            best = m->tail_occ[i];
+            sel = i;
+        }
+    return sel;
+}
+
+/* Up to n cells off the head of q's tail FIFO (eviction, cut-through
+ * fetch, tail bypass): *got of them, at the returned address, which stays
+ * valid until the FIFO's next push. */
+static inline const int64_t *mach_tail_take(machine *m, int q, int64_t n,
+                                            int64_t *got)
+{
+    ivec *t = &m->qs[q].tail;
+    int64_t occ = m->tail_occ[q];
+    const int64_t *cells;
+    *got = n = n < IV_COUNT(t) ? n : IV_COUNT(t);
+    if (!n)
+        return NULL;
+    cells = t->buf + t->head;
+    t->head += n;
+    m->tail_occ[q] = occ - n;
+    m->tail_total -= n;
+    if (occ >= m->g && occ - n < m->g)
+        m->big_cnt--;
+    return cells;
+}
+
+/* Up to n cells off the head of q's DRAM FIFO, as mach_tail_take. */
+static inline const int64_t *mach_dram_take(machine *m, int q, int64_t n,
+                                            int64_t *got)
+{
+    ivec *d = &m->qs[q].dram;
+    const int64_t *cells;
+    *got = n = n < IV_COUNT(d) ? n : IV_COUNT(d);
+    if (!n)
+        return NULL;
+    cells = d->buf + d->head;
+    d->head += n;
+    m->dram_occ[q] -= n;
+    m->dram_total -= n;
+    return cells;
+}
+
+/* n evicted cells onto q's DRAM FIFO (a bounded DRAM's overflow raises). */
+static inline int64_t mach_dram_put(machine *m, int q, const int64_t *cells,
+                                    int64_t n)
+{
+    if (m->dram_cap >= 0 && m->dram_total + n > m->dram_cap)
+        return ERR_STRICT;
+    if (!iv_append(&m->qs[q].dram, cells, n))
+        return ERR_OOM;
+    m->dram_total += n;
+    m->dram_occ[q] += n;
+    return ERR_OK;
+}
+
+/* The request enters the lookahead; the one it pushes out is returned
+ * (-1 = none). */
+static inline int mach_shift(machine *m, int request)
+{
+    int leaving = (int)m->la_ring[m->la_pos];
+    m->la_ring[m->la_pos] = request;
+    if (++m->la_pos == m->la_len)
+        m->la_pos = 0;
+    return leaving;
+}
+
+/* ECQF's bookkeeping for a request entering the pipeline and one leaving
+ * it to be served (-1 = none): the counter and the pipeline head advance
+ * together, so the critical entry moves only when a request becomes it or
+ * the counter goes negative. */
+static inline int64_t mach_pipeline(machine *m, int request, int leaving,
+                                    int64_t slot)
+{
+    if (request >= 0) {
+        int64_t count = m->req_count[request]++;
+        if (!iv_push(&m->qs[request].req, slot))
+            return ERR_OOM;
+        if (m->counters[request] == count) {
+            m->crit_cache[request] = slot;
+            if (!heap_push(&m->crit, CRIT_KEY(slot, request)))
+                return ERR_OOM;
+        }
+    }
+    if (leaving >= 0) {
+        if (--m->counters[leaving] == -1) {
+            m->negatives++;
+            m->crit_cache[leaving] = CRIT_INF;
+        }
+        m->qs[leaving].req.head++;  /* python compaction is layout-only */
+        m->req_count[leaving]--;
+    }
+    return ERR_OK;
+}
+
+/* ECQF's pick (repro.sim.array_engine._ecqf_select): a negative counter
+ * (lowest, then lowest index), else the earliest critical entry, else the
+ * most-deficit fallback; -1 = none. */
+static inline int mach_ecqf_select(machine *m)
+{
+    int i, sel = -1;
+    if (m->negatives) {
+        int64_t best = 0;
+        for (i = 0; i < m->nq; i++)
+            if (m->counters[i] < 0 && (sel < 0 || m->counters[i] < best)) {
+                best = m->counters[i];
+                sel = i;
+            }
+        return sel;
+    }
+    while (m->crit.len) {
+        int64_t top = m->crit.buf[0];
+        if (m->crit_cache[CRIT_QUEUE(top)] == CRIT_ENTERED(top))
+            return CRIT_QUEUE(top);
+        heap_pop(&m->crit);
+    }
+    if (m->ecqf_fallback) {
+        int64_t best = 0;
+        for (i = 0; i < m->nq; i++)
+            if (m->req_count[i]) {
+                int64_t deficit = m->req_count[i] - m->counters[i];
+                if (sel < 0 || deficit > best) {
+                    best = deficit;
+                    sel = i;
+                }
+            }
+        if (sel >= 0 && best <= 0)
+            sel = -1;
+    }
+    return sel;
+}
+
+/* Serve q's next in-order cell: from the head SRAM, else straight from
+ * the tail (the cell never left it), else a head miss. */
+static inline int64_t mach_serve(machine *m, int q, int64_t slot)
+{
+    qstate *ql = &m->qs[q];
+    int64_t expected = m->delivered[q], arrival_slot, got;
+    if (ql->sram.len && ql->sram.buf[0] == expected) {
+        heap_pop(&ql->sram);
+        m->sram_total--;
+    } else if (m->tail_occ[q] && ql->tail.buf[ql->tail.head] == expected) {
+        mach_tail_take(m, q, 1, &got);
+    } else {
+        if (!iv_push(&m->misses, q) || !iv_push(&m->misses, slot))
+            return ERR_OOM;
+        return m->strict ? ERR_STRICT : ERR_OK;
+    }
+    if (!IV_COUNT(&ql->arr))
+        return ERR_ARG;     /* a cell without an arrival slot */
+    m->delivered[q] = expected + 1;
+    m->cells_out++;
+    arrival_slot = ql->arr.buf[ql->arr.head++];
+    if (m->is_main) {
+        m->n_delays++;
+        return hist_add(&m->delays, slot + 1 - arrival_slot);
+    }
+    return iv_push(&m->drained, arrival_slot) ? ERR_OK : ERR_OOM;
+}
+
+/* Where q sits, or would sit, in the ascending eligible list. */
+static inline int elig_find(const machine *m, int q)
+{
+    int lo = 0, hi = m->elig_len;
+    while (lo < hi) {
+        int mid = (lo + hi) >> 1;
+        if (m->elig[mid] < q)
+            lo = mid + 1;
+        else
+            hi = mid;
+    }
+    return lo;
+}
+
+/* End of slot: the head SRAM's peak, then in a main window the backlog
+ * and the eligible list RandomArbiter draws from. */
+static inline void mach_end_slot(machine *m, int a, int request)
+{
+    int at;
+    if (m->sram_total > m->max_head)
+        m->max_head = m->sram_total;
+    if (!m->is_main)
+        return;
+    if (a >= 0 && ++m->backlog[a] == 1 && m->arb_mode == ARB_RANDOM) {
+        at = elig_find(m, a);
+        memmove(m->elig + at + 1, m->elig + at,
+                (size_t)(m->elig_len - at) * sizeof(int64_t));
+        m->elig[at] = a;
+        m->elig_len++;
+    }
+    if (request >= 0) {
+        m->grants++;
+        if (--m->backlog[request] == 0 && m->arb_mode == ARB_RANDOM) {
+            at = elig_find(m, request);
+            memmove(m->elig + at, m->elig + at + 1,
+                    (size_t)(m->elig_len - at - 1) * sizeof(int64_t));
+            m->elig_len--;
+        }
+    }
+}
+
+/* ------------------------------------------------------------------ */
+/* RADS span (repro.sim.array_engine._RADSCore.run_span)               */
+/* ------------------------------------------------------------------ */
+
+/* The RADS DRAM side: blocks evicted into DRAM, dropping what a bounded
+ * lossy DRAM has no room for, and fetched blocks pending until they land
+ * g slots later.  The RADS image is kptrs.state's head (mach_open)
+ * followed by the pending blocks (pending_len x: finish slot, queue, cell
+ * count, cells); the result has the same layout, then the outcome. */
 int64_t rads_run_span(kcfg *c, kptrs *p)
 {
-    const int nq = (int)c->num_queues;
-    const int g = (int)c->granularity;
-    const int strict = (int)c->strict;
-    const int64_t tail_cap = c->tail_cap;
-    const int64_t dram_cap = c->dram_cap;
-    const int64_t sram_cap = c->sram_cap;
-    const int la_len = (int)c->la_len;
-    const int64_t num_slots = c->num_slots;
-    const int is_main = (int)c->is_main;
-    const int plan_mode = (int)c->plan_mode;
-    int64_t err = ERR_OK;
-    int i, q2;
-    int *rb_shift = NULL;           /* 32 - bit_length(m), idx 0..nq */
-    qstate *qs = NULL;
-    ivec crit = {0}, pend = {0}, misses = {0}, drained = {0};
-    hist delays = {0};
-    mt_state arb, bern;
+    machine m;
+    reader r;
+    ivec pend = {0};
+    int64_t err, i, slot, pend_len = c->pending_len, next_land;
+    memset(&m, 0, sizeof(m));
     p->result = NULL;
-    if (nq < 1 || nq > MAX_QUEUES || g < 1 || la_len < 1
-            || c->la_pos < 0 || c->la_pos >= la_len
-            || c->eligible_len < 0 || c->eligible_len > nq
-            || c->pending_len < 0)
+    if (pend_len < 0)
         return ERR_ARG;
-    rb_shift = randbelow_shifts(nq);
-    qs = (qstate *)calloc((size_t)nq, sizeof(qstate));
-    if (!rb_shift || !qs) {
-        err = ERR_OOM;
-        goto cleanup;
+    r.at = p->state;
+    r.left = c->state_len;
+    err = mach_open(&m, c, p, &r);
+    for (i = 0; i < pend_len && err == ERR_OK; i++) {
+        const int64_t *entry = take(&r, 3);
+        if (!entry || entry[1] < 0 || entry[1] >= m.nq)
+            err = ERR_ARG;
+        else if (!iv_append(&pend, entry, 3))
+            err = ERR_OOM;
+        else
+            err = iv_load(&pend, &r, entry[2]);
     }
-
-    /* Every id that indexes per-queue state must name a queue. */
-    for (i = 0; i < la_len; i++)
-        if (p->la_ring[i] < -1 || p->la_ring[i] >= nq)
-            err = ERR_ARG;
-    for (i = 0; i < c->eligible_len; i++)
-        if (p->eligible[i] < 0 || p->eligible[i] >= nq)
-            err = ERR_ARG;
     if (err != ERR_OK)
         goto cleanup;
-
-    memcpy(arb.key, p->arb_key, sizeof(arb.key));
-    arb.pos = (int)p->arb_meta[0];
-    arb.consumed = 0;
-    if (plan_mode == 1) {
-        memcpy(bern.key, p->bern_key, sizeof(bern.key));
-        bern.pos = (int)p->bern_meta[0];
-        bern.consumed = 0;
-    }
-
-    /* ---- working state from the image ---- */
-    {
-        reader r = {p->state, c->state_len};
-        err = load_queues(&r, qs, &crit, c, p);
-        for (i = 0; i < c->pending_len && err == ERR_OK; i++) {
-            const int64_t *entry = take(&r, 3);
-            if (!entry || entry[1] < 0 || entry[1] >= nq) {
-                err = ERR_ARG;
-                break;
-            }
-            if (!iv_append(&pend, entry, 3))
-                err = ERR_OOM;
-            else
-                err = iv_load(&pend, &r, entry[2]);
-        }
-        if (err != ERR_OK)
-            goto cleanup;
-    }
-
-    {
-    /* ---- loop-local scalars ---- */
-    int64_t tail_total = c->tail_total, dram_total = c->dram_total;
-    int64_t sram_total = c->sram_total;
-    int la_pos = (int)c->la_pos;
-    int64_t negatives = c->negatives;
-    int64_t cells_in = c->cells_in, cells_out = c->cells_out;
-    int64_t dram_reads = c->dram_reads, dram_writes = c->dram_writes;
-    int64_t dropped = c->dropped;
-    int64_t max_tail = c->max_tail, max_head = c->max_head;
-    int64_t pend_len = c->pending_len;
-    int elig_len = (int)c->eligible_len;
-    int64_t n_delays = 0, n_tail_miss = 0;
-    int64_t arrivals_seen = 0, grants = 0;
-    int big_cnt = 0;
-    int64_t *elig = p->eligible;
-    int64_t *crit_cache = p->crit_cache;
-    int64_t *counters = p->counters;
-    int64_t *req_count = p->req_count;
-    int64_t *tail_occ = p->tail_occ;
-    int64_t *dram_occ = p->dram_occ;
-    int64_t slot, next_land;
-    int pc;
-
     next_land = pend_len ? pend.buf[pend.head] : NEVER;
 
-    for (i = 0; i < nq; i++)
-        if (tail_occ[i] >= g)
-            big_cnt++;
-    pc = (g - (int)(c->start_slot % g)) % g;
-
-    for (slot = c->start_slot; slot < c->start_slot + num_slots; slot++) {
-        int pol = 0;
-        int a = -1;         /* arrival queue, -1 = none */
-        int request = -1;   /* granted queue, -1 = none */
-        int leaving;
-        if (--pc < 0) {
-            pc = g - 1;
-            pol = 1;
+    for (slot = m.start_slot; slot < m.start_slot + c->num_slots; slot++) {
+        int pol = mach_period(&m);
+        int request = mach_arbitrate(&m);
+        int a = mach_arrival(&m, slot);
+        int leaving, sel;
+        if (a < -1) {
+            err = ERR_ARG;
+            goto done;
         }
+        if (a >= 0 && (err = mach_arrive(&m, a, slot)) != ERR_OK)
+            goto done;
 
-        if (is_main) {
-            /* -- arbiter: gate draw, then choice over eligible -- */
-            if (mt_comb53(&arb) < c->arb_tint && elig_len) {
-                request = (int)elig[mt_randbelow(&arb, elig_len,
-                                                 rb_shift[elig_len])];
+        /* -- tail MMA: evict a block; a bounded lossy DRAM keeps what
+         *    fits and drops the rest -- */
+        if (pol && (sel = mach_tail_pick(&m)) >= 0) {
+            int64_t evicted, stored;
+            /* blk stays valid: the tail FIFO is not pushed until the next
+             * arrival. */
+            const int64_t *blk = mach_tail_take(&m, sel, m.g, &evicted);
+            stored = evicted;
+            if (m.dram_cap >= 0 && !m.strict
+                    && m.dram_cap - m.dram_total < stored) {
+                int64_t keep = m.dram_cap - m.dram_total;
+                keep = keep > 0 ? keep : 0;
+                m.dropped += stored - keep;
+                stored = keep;
             }
-            /* -- arrival plan -- */
-            if (plan_mode == 0) {
-                a = p->plan[slot - c->start_slot];
-                if (a < -1 || a >= nq) {
-                    err = ERR_ARG;
-                    goto done;
-                }
-            } else if (plan_mode == 1) {
-                if (mt_comb53(&bern) < c->bern_tint) {
-                    double u = (double)mt_comb53(&bern)
-                               * (1.0 / 9007199254740992.0);
-                    a = upper_bound_d(p->cum_weights, nq - 1,
-                                      u * c->bern_total);
-                }
-            }
-        }
-
-        /* -- arrival: cut through to head SRAM or enqueue for the tail -- */
-        if (a >= 0) {
-            qstate *qa = &qs[a];
-            int64_t seqno = p->next_seqno[a]++;
-            arrivals_seen++;
-            if (!iv_push(&qa->arr, slot)) {
-                err = ERR_OOM;
+            if (stored && (err = mach_dram_put(&m, sel, blk, stored))
+                          != ERR_OK)
                 goto done;
-            }
-            if (dram_occ[a] == 0 && tail_occ[a] == 0
-                    && IV_COUNT(&qa->sram) < g) {
-                sram_total++;
-                if (sram_cap >= 0 && sram_total > sram_cap) {
-                    err = ERR_STRICT;   /* SRAM overflow raises always */
-                    goto done;
-                }
-                if (!heap_push(&qa->sram, seqno)) {
-                    err = ERR_OOM;
-                    goto done;
-                }
-                {
-                    int64_t count = ++counters[a];
-                    if (count == 0)
-                        negatives--;
-                    if (count >= 0 && count < req_count[a]) {
-                        int64_t entered = qa->req.buf[qa->req.head + count];
-                        crit_cache[a] = entered;
-                        if (!heap_push(&crit, CRIT_KEY(entered, a))) {
-                            err = ERR_OOM;
-                            goto done;
-                        }
-                    } else {
-                        crit_cache[a] = CRIT_INF;
-                    }
-                }
-            } else if (tail_total >= tail_cap) {
-                n_tail_miss++;
-                if (strict) {
-                    err = ERR_STRICT;
-                    goto done;
-                }
-            } else {
-                int64_t occ;
-                if (!iv_push(&qa->tail, seqno)) {
-                    err = ERR_OOM;
-                    goto done;
-                }
-                occ = ++tail_occ[a];
-                tail_total++;
-                cells_in++;
-                if (occ == g)
-                    big_cnt++;
-                if (!pol && tail_total > max_tail)
-                    max_tail = tail_total;
-            }
+            m.dram_writes++;
         }
+        if (m.tail_total > m.max_tail)
+            m.max_tail = m.tail_total;
 
-        /* -- tail MMA (threshold scan, gated on the block count) -- */
-        if (pol) {
-            if (big_cnt) {
-                int selection = -1;
-                int64_t best_occ = g - 1;
-                for (i = 0; i < nq; i++)
-                    if (tail_occ[i] > best_occ) {
-                        best_occ = tail_occ[i];
-                        selection = i;
-                    }
-                if (selection >= 0) {
-                    qstate *qt = &qs[selection];
-                    int64_t avail = IV_COUNT(&qt->tail);
-                    int evicted = avail < g ? (int)avail : g;
-                    int64_t *blk = qt->tail.buf + qt->tail.head;
-                    int64_t occ_b = tail_occ[selection];
-                    int64_t occ_a = occ_b - evicted;
-                    qt->tail.head += evicted;
-                    tail_occ[selection] = occ_a;
-                    tail_total -= evicted;
-                    if (occ_b >= g && occ_a < g)
-                        big_cnt--;
-                    if (evicted) {
-                        int stored = evicted;
-                        if (dram_cap >= 0 && !strict) {
-                            int64_t room = dram_cap - dram_total;
-                            if (room < stored) {
-                                int keep = room > 0 ? (int)room : 0;
-                                dropped += stored - keep;
-                                stored = keep;
-                            }
-                        }
-                        if (stored) {
-                            if (dram_cap >= 0
-                                    && dram_total + stored > dram_cap) {
-                                err = ERR_STRICT;
-                                goto done;
-                            }
-                            /* blk stays valid: the tail buffer is not
-                             * touched until the next push. */
-                            if (!iv_append(&qt->dram, blk, stored)) {
-                                err = ERR_OOM;
-                                goto done;
-                            }
-                            dram_total += stored;
-                            dram_occ[selection] += stored;
-                        }
-                        dram_writes++;
-                    }
-                }
-            }
-            if (tail_total > max_tail)
-                max_tail = tail_total;
-        }
-
-        /* -- head: lookahead shift, ECQF bookkeeping -- */
-        leaving = (int)p->la_ring[la_pos];
-        p->la_ring[la_pos] = request;
-        if (++la_pos == la_len)
-            la_pos = 0;
-        if (request >= 0) {
-            qstate *qr = &qs[request];
-            int64_t count;
-            if (!iv_push(&qr->req, slot)) {
-                err = ERR_OOM;
-                goto done;
-            }
-            count = req_count[request]++;
-            if (counters[request] == count) {
-                crit_cache[request] = slot;
-                if (!heap_push(&crit, CRIT_KEY(slot, request))) {
-                    err = ERR_OOM;
-                    goto done;
-                }
-            }
-        }
-        if (leaving >= 0) {
-            int64_t count = --counters[leaving];
-            if (count == -1) {
-                negatives++;
-                crit_cache[leaving] = CRIT_INF;
-            }
-            qs[leaving].req.head++;   /* python compaction is layout-only */
-            req_count[leaving]--;
-        }
-
-        /* -- transfer landings -- */
+        /* -- head: lookahead shift, ECQF bookkeeping, landings -- */
+        leaving = mach_shift(&m, request);
+        if ((err = mach_pipeline(&m, request, leaving, slot)) != ERR_OK)
+            goto done;
         if (next_land <= slot) {
             while (pend_len && pend.buf[pend.head] <= slot) {
-                int lq = (int)pend.buf[pend.head + 1];
                 int64_t cnt = pend.buf[pend.head + 2];
-                const int64_t *cells = pend.buf + pend.head + 3;
-                qstate *ql = &qs[lq];
-                for (q2 = 0; q2 < cnt; q2++) {
-                    sram_total++;
-                    if (sram_cap >= 0 && sram_total > sram_cap) {
-                        err = ERR_STRICT;
-                        goto done;
-                    }
-                    if (!heap_push(&ql->sram, cells[q2])) {
-                        err = ERR_OOM;
-                        goto done;
-                    }
-                }
+                err = mach_land(&m, (int)pend.buf[pend.head + 1],
+                                pend.buf + pend.head + 3, cnt);
+                if (err != ERR_OK)
+                    goto done;
                 pend.head += 3 + cnt;
                 pend_len--;
             }
             next_land = pend_len ? pend.buf[pend.head] : NEVER;
         }
 
-        /* -- ECQF select + replenish -- */
-        if (pol) {
-            int selection = -1;
-            if (negatives) {
-                int64_t best_counter = 0;
-                for (i = 0; i < nq; i++)
-                    if (counters[i] < 0
-                            && (selection < 0 || counters[i] < best_counter)) {
-                        best_counter = counters[i];
-                        selection = i;
-                    }
-            } else {
-                while (crit.len) {
-                    int64_t top = crit.buf[0];
-                    int tq = CRIT_QUEUE(top);
-                    if (crit_cache[tq] == CRIT_ENTERED(top)) {
-                        selection = tq;
-                        break;
-                    }
-                    heap_pop(&crit);
-                }
-                if (selection < 0 && c->ecqf_fallback) {
-                    int64_t best_deficit = 0;
-                    for (i = 0; i < nq; i++)
-                        if (req_count[i]) {
-                            int64_t deficit = req_count[i] - counters[i];
-                            if (selection < 0 || deficit > best_deficit) {
-                                best_deficit = deficit;
-                                selection = i;
-                            }
-                        }
-                    if (selection >= 0 && best_deficit <= 0)
-                        selection = -1;
-                }
-            }
-            if (selection >= 0) {
-                qstate *qr = &qs[selection];
-                int64_t got = 0, extra = 0, nseqs;
-                if (dram_occ[selection]) {
-                    int64_t avail = IV_COUNT(&qr->dram);
-                    got = avail < g ? avail : g;
-                }
-                if (got < g) {
-                    int64_t avail = IV_COUNT(&qr->tail);
-                    extra = avail < g - got ? avail : g - got;
-                }
-                nseqs = got + extra;
-                if (nseqs) {
-                    /* The block lands g slots from now: DRAM cells first,
-                     * then the cut-through rest from the tail. */
-                    if (!pend_len)
-                        next_land = slot + g;
-                    if (!iv_push(&pend, slot + g)
-                            || !iv_push(&pend, selection)
-                            || !iv_push(&pend, nseqs)
-                            || !iv_append(&pend, qr->dram.buf + qr->dram.head,
-                                          got)
-                            || !iv_append(&pend, qr->tail.buf + qr->tail.head,
-                                          extra)) {
-                        err = ERR_OOM;
-                        goto done;
-                    }
-                    pend_len++;
-                    dram_reads++;
-                }
-                if (got) {
-                    qr->dram.head += got;
-                    dram_occ[selection] -= got;
-                    dram_total -= got;
-                }
-                if (extra) {
-                    int64_t occ_b = tail_occ[selection];
-                    int64_t occ_a = occ_b - extra;
-                    qr->tail.head += extra;
-                    tail_occ[selection] = occ_a;
-                    tail_total -= extra;
-                    if (occ_b >= g && occ_a < g)
-                        big_cnt--;
-                }
-                if (nseqs) {
-                    int64_t count = counters[selection] + nseqs;
-                    counters[selection] = count;
-                    if (count >= 0 && count - nseqs < 0)
-                        negatives--;
-                    if (count >= 0 && count < req_count[selection]) {
-                        int64_t entered = qr->req.buf[qr->req.head + count];
-                        crit_cache[selection] = entered;
-                        if (!heap_push(&crit, CRIT_KEY(entered, selection))) {
-                            err = ERR_OOM;
-                            goto done;
-                        }
-                    } else {
-                        crit_cache[selection] = CRIT_INF;
-                    }
-                }
-            }
-        }
-
-        /* -- serve -- */
-        if (leaving >= 0) {
-            qstate *ql = &qs[leaving];
-            int64_t expected = p->delivered[leaving];
-            int ok = 1;
-            if (ql->sram.len && ql->sram.buf[0] == expected) {
-                heap_pop(&ql->sram);
-                sram_total--;
-            } else if (tail_occ[leaving]
-                       && ql->tail.buf[ql->tail.head] == expected) {
-                /* tail bypass: the in-order cell never left the tail */
-                int64_t occ;
-                ql->tail.head++;
-                occ = --tail_occ[leaving];
-                tail_total--;
-                if (occ == g - 1)
-                    big_cnt--;
-            } else {
-                if (!iv_push(&misses, leaving) || !iv_push(&misses, slot)) {
+        /* -- ECQF select, then the fetch: DRAM cells first, then the
+         *    cut-through rest from the tail, landing g slots from now -- */
+        if (pol && (sel = mach_ecqf_select(&m)) >= 0) {
+            int64_t got = 0, extra = 0;
+            const int64_t *cells = NULL, *rest = NULL;
+            if (m.dram_occ[sel])
+                cells = mach_dram_take(&m, sel, m.g, &got);
+            if (got < m.g)
+                rest = mach_tail_take(&m, sel, m.g - got, &extra);
+            if (got + extra) {
+                if (!pend_len)
+                    next_land = slot + m.g;
+                if (!iv_push(&pend, slot + m.g) || !iv_push(&pend, sel)
+                        || !iv_push(&pend, got + extra)
+                        || !iv_append(&pend, cells, got)
+                        || !iv_append(&pend, rest, extra)) {
                     err = ERR_OOM;
                     goto done;
                 }
-                if (strict) {
-                    err = ERR_STRICT;
+                pend_len++;
+                m.dram_reads++;
+                if ((err = mach_credit(&m, sel, got + extra)) != ERR_OK)
                     goto done;
-                }
-                ok = 0;
-            }
-            if (ok) {
-                int64_t arrival_slot;
-                if (!IV_COUNT(&ql->arr)) {
-                    err = ERR_ARG;      /* a cell without an arrival slot */
-                    goto done;
-                }
-                p->delivered[leaving] = expected + 1;
-                cells_out++;
-                arrival_slot = ql->arr.buf[ql->arr.head++];
-                if (is_main) {
-                    n_delays++;
-                    err = hist_add(&delays, slot + 1 - arrival_slot);
-                    if (err != ERR_OK)
-                        goto done;
-                } else if (!iv_push(&drained, arrival_slot)) {
-                    err = ERR_OOM;
-                    goto done;
-                }
             }
         }
-        if (sram_total > max_head)
-            max_head = sram_total;
 
-        /* -- end of slot: backlog + eligible -- */
-        if (is_main) {
-            if (a >= 0) {
-                int64_t count = ++p->backlog[a];
-                if (count == 1) {
-                    int lo = 0, hi = elig_len;
-                    while (lo < hi) {
-                        int mid = (lo + hi) >> 1;
-                        if (elig[mid] < a)
-                            lo = mid + 1;
-                        else
-                            hi = mid;
-                    }
-                    memmove(elig + lo + 1, elig + lo,
-                            (size_t)(elig_len - lo) * sizeof(int64_t));
-                    elig[lo] = a;
-                    elig_len++;
-                }
-            }
-            if (request >= 0) {
-                int64_t count;
-                grants++;
-                count = --p->backlog[request];
-                if (count == 0) {
-                    int lo = 0, hi = elig_len;
-                    while (lo < hi) {
-                        int mid = (lo + hi) >> 1;
-                        if (elig[mid] < request)
-                            lo = mid + 1;
-                        else
-                            hi = mid;
-                    }
-                    memmove(elig + lo, elig + lo + 1,
-                            (size_t)(elig_len - lo - 1) * sizeof(int64_t));
-                    elig_len--;
-                }
-            }
-        }
+        if (leaving >= 0 && (err = mach_serve(&m, leaving, slot)) != ERR_OK)
+            goto done;
+        mach_end_slot(&m, a, request);
     }
 
 done:
     if (err == ERR_OK) {
-        /* ---- the one exact-size result (layout above kptrs) ---- */
-        int64_t n_pairs = hist_pairs(&delays);
-        int64_t size = queues_size(qs, nq, &crit) + IV_COUNT(&pend)
-                       + 2 * n_pairs + IV_COUNT(&misses) + IV_COUNT(&drained);
-        int64_t *w = p->result = (int64_t *)malloc(
-            (size_t)(size > 0 ? size : 1) * sizeof(int64_t));
-        if (!w) {
+        int64_t *w = mach_close(&m, c, p, IV_COUNT(&pend));
+        if (w) {
+            put(w, &pend);
+            c->pending_len = pend_len;
+        } else {
             err = ERR_OOM;
-            goto cleanup;
         }
-        w = put_queues(w, qs, nq, &crit);
-        w = put(w, &pend);
-        put_outcome(w, &delays, &misses, &drained);
-        c->result_len = size;
-
-        /* ---- scalars back ---- */
-        c->tail_total = tail_total;
-        c->dram_total = dram_total;
-        c->sram_total = sram_total;
-        c->la_pos = la_pos;
-        c->negatives = negatives;
-        c->cells_in = cells_in;
-        c->cells_out = cells_out;
-        c->dram_reads = dram_reads;
-        c->dram_writes = dram_writes;
-        c->dropped = dropped;
-        c->max_tail = max_tail;
-        c->max_head = max_head;
-        c->crit_len = crit.len;
-        c->pending_len = pend_len;
-        c->eligible_len = elig_len;
-        c->n_delays = n_delays;
-        c->n_delay_pairs = n_pairs;
-        c->n_head_miss = IV_COUNT(&misses) / 2;
-        c->n_tail_miss = n_tail_miss;
-        c->n_drained = IV_COUNT(&drained);
-        c->arrivals_seen = arrivals_seen;
-        c->grants = grants;
-
-        /* ---- final RNG states (python setstate()s these verbatim) ---- */
-        memcpy(p->arb_key, arb.key, sizeof(arb.key));
-        p->arb_meta[0] = arb.pos;
-        p->arb_meta[1] = arb.consumed;
-        if (plan_mode == 1) {
-            memcpy(p->bern_key, bern.key, sizeof(bern.key));
-            p->bern_meta[0] = bern.pos;
-            p->bern_meta[1] = bern.consumed;
-        }
-    }
     }
 
 cleanup:
-    free_queues(qs, nq);
-    free(crit.buf);
+    mach_free(&m);
     free(pend.buf);
-    free(misses.buf);
-    free(drained.buf);
-    free(delays.count);
-    free(rb_shift);
     return err;
 }
 
@@ -1064,18 +1140,12 @@ cleanup:
 /* CFDS span (repro.sim.array_engine._CFDSCore.run_span)               */
 /* ------------------------------------------------------------------ */
 
-/* The arbiters the CFDS entry runs (the RADS entry runs RandomArbiter). */
-#define ARB_NONE 0
-#define ARB_RANDOM 1
-#define ARB_LONGEST 2
-
 /* "No issue yet" marker of last_issue (python None). */
 #define NO_SLOT INT64_MIN
 
 typedef struct {
-    kcfg k;                 /* plan_mode 0 or 2; pending_len 0 */
+    kcfg k;                 /* pending_len 0 */
     /* configuration (in) */
-    int64_t arb_mode;       /* ARB_* */
     int64_t lat_len;
     int64_t rr_cap;         /* -1 = unbounded */
     int64_t issues, ras, bus_slots, dram_strict;
@@ -1090,7 +1160,7 @@ typedef struct {
     int64_t max_delay;
 } ccfg;
 
-/* The CFDS state image is kptrs.state's head (load_queues) followed by
+/* The CFDS state image is kptrs.state's head (mach_open) followed by
  *
  *   Requests Register: count, then per entry bank, issue slot, landing
  *     queue, cell count (-1 = a write) and the cells
@@ -1103,7 +1173,7 @@ typedef struct {
  *   block locations: per logical queue the count, then (physical, index)
  *     pairs oldest first
  *
- * The result has the same layout, then put_outcome's tail. */
+ * The result has the same layout, then the outcome. */
 typedef struct {
     kptrs k;
     int64_t *lat_ring;      /* in/out, len lat_len, -1 = empty */
@@ -1181,6 +1251,30 @@ static int64_t *rec_put(int64_t *w, rpool *pool, int64_t id, int finish)
     return w + 4 + n;
 }
 
+/* A new Requests Register entry: a read of n cells landing on `queue`,
+ * or a write (queue -1, n -1, no cells); a full register raises. */
+static int64_t rr_push(rpool *pool, ivec *rr, const ccfg *cc,
+                       int64_t *rr_peak, int64_t bank, int64_t slot,
+                       int64_t queue, const int64_t *cells, int64_t n)
+{
+    int64_t id, *rec;
+    if (cc->rr_cap >= 0 && rr->len >= cc->rr_cap)
+        return ERR_STRICT;
+    id = rec_new(pool);
+    if (id < 0 || !iv_push(rr, id))
+        return ERR_OOM;
+    rec = REC(pool, id);
+    rec[R_BANK] = bank;
+    rec[R_ISSUED] = slot;
+    rec[R_QUEUE] = queue;
+    rec[R_COUNT] = n;
+    if (n > 0)
+        memcpy(rec + R_CELLS, cells, (size_t)n * sizeof(int64_t));
+    if (rr->len > *rr_peak)
+        *rr_peak = rr->len;
+    return ERR_OK;
+}
+
 /* Load a count and that many (name, n) pairs into v: a name below hi,
  * n not negative. */
 static int64_t pairs_load(ivec *v, reader *r, int64_t hi)
@@ -1218,25 +1312,17 @@ static int64_t allocate_name(ivec *free_names, int64_t num_groups,
     return free_names[best].buf[--free_names[best].len];
 }
 
+/* The CFDS DRAM side: eviction through renaming (or static group
+ * placement) into DRAM and the Requests Register, the latency register
+ * between the lookahead and service, the fetch into the Requests Register
+ * (or, with nothing in DRAM, cut-through from the tail straight into the
+ * head SRAM), and the DRAM Scheduler Subsystem's tick. */
 int64_t cfds_run_span(ccfg *cc, cptrs *cp)
 {
     kcfg *c = &cc->k;
     kptrs *p = &cp->k;
-    const int nq = (int)c->num_queues;
-    const int g = (int)c->granularity;
-    const int strict = (int)c->strict;
-    const int64_t tail_cap = c->tail_cap;
-    const int64_t dram_cap = c->dram_cap;
-    const int64_t sram_cap = c->sram_cap;
-    const int la_len = (int)c->la_len;
     const int lat_len = (int)cc->lat_len;
-    const int64_t num_slots = c->num_slots;
-    const int is_main = (int)c->is_main;
-    const int plan_mode = (int)c->plan_mode;
-    const int arb_mode = is_main ? (int)cc->arb_mode : ARB_NONE;
-    const int64_t rr_cap = cc->rr_cap;
     const int64_t issues = cc->issues, ras = cc->ras;
-    const int64_t bus_slots = cc->bus_slots;
     const int64_t num_banks = cc->num_banks;
     const int64_t ngroups = cc->num_groups, bpg = cc->banks_per_group;
     const int64_t nphys = cc->num_physical;
@@ -1248,56 +1334,46 @@ int64_t cfds_run_span(ccfg *cc, cptrs *cp)
     int64_t *in_use = cp->in_use, *write_count = cp->write_count;
     int64_t err = ERR_OK;
     int64_t i, j;
-    int *rb_shift = NULL;
-    qstate *qs = NULL;
-    ivec crit = {0}, misses = {0}, drained = {0};
+    machine m;
+    reader r;
     ivec rr = {0}, flight = {0}, landed = {0};
     ivec *names = NULL, *free_names = NULL, *locs = NULL;
     int64_t *orr_cnt = NULL, *orr_banks = NULL, *issued = NULL;
     rpool pool;
-    hist delays = {0};
-    mt_state arb;
+    memset(&m, 0, sizeof(m));
     memset(&pool, 0, sizeof(pool));
     p->result = NULL;
-    if (nq < 1 || nq > MAX_QUEUES || g < 1 || la_len < 0 || lat_len < 0
-            || (la_len && (c->la_pos < 0 || c->la_pos >= la_len))
-            || (lat_len && (cc->lat_pos < 0 || cc->lat_pos >= lat_len))
-            || c->eligible_len < 0 || c->eligible_len > nq
-            || c->pending_len != 0 || (plan_mode != 0 && plan_mode != 2)
-            || (plan_mode == 0 && is_main && !p->plan)
-            || arb_mode < ARB_NONE || arb_mode > ARB_LONGEST
+    if (lat_len < 0 || (lat_len && (cc->lat_pos < 0 || cc->lat_pos >= lat_len))
+            || c->pending_len != 0
             || issues < 1 || num_banks < 1 || ngroups < 1 || bpg < 1
-            || ngroups * bpg > num_banks || nphys < nq || orr_len < 0
+            || ngroups * bpg > num_banks || nphys < c->num_queues
+            || orr_len < 0
             || (orr_len && (cc->orr_pos < 0 || cc->orr_pos >= orr_len)))
         return ERR_ARG;
-    pool.stride = R_CELLS + g;
-    rb_shift = randbelow_shifts(nq);
-    qs = (qstate *)calloc((size_t)nq, sizeof(qstate));
-    locs = (ivec *)calloc((size_t)nq, sizeof(ivec));
+    r.at = p->state;
+    r.left = c->state_len;
+    err = mach_open(&m, c, p, &r);
+    if (err != ERR_OK)
+        goto cleanup;
+    pool.stride = R_CELLS + m.g;
+    locs = (ivec *)calloc((size_t)m.nq, sizeof(ivec));
     issued = (int64_t *)malloc((size_t)issues * sizeof(int64_t));
     orr_cnt = (int64_t *)calloc((size_t)(orr_len + 1), sizeof(int64_t));
     orr_banks = (int64_t *)malloc((size_t)(orr_len * issues + 1)
                                   * sizeof(int64_t));
     if (renaming) {
-        names = (ivec *)calloc((size_t)nq, sizeof(ivec));
+        names = (ivec *)calloc((size_t)m.nq, sizeof(ivec));
         free_names = (ivec *)calloc((size_t)ngroups, sizeof(ivec));
     }
-    if (!rb_shift || !qs || !locs || !issued || !orr_cnt || !orr_banks
+    if (!locs || !issued || !orr_cnt || !orr_banks
             || (renaming && (!names || !free_names))) {
         err = ERR_OOM;
         goto cleanup;
     }
 
-    /* Every id that indexes per-queue, per-bank or per-name state must
-     * name one. */
-    for (i = 0; i < la_len; i++)
-        if (p->la_ring[i] < -1 || p->la_ring[i] >= nq)
-            err = ERR_ARG;
+    /* Every id that indexes per-queue or per-name state must name one. */
     for (i = 0; i < lat_len; i++)
-        if (cp->lat_ring[i] < -1 || cp->lat_ring[i] >= nq)
-            err = ERR_ARG;
-    for (i = 0; i < c->eligible_len; i++)
-        if (p->eligible[i] < 0 || p->eligible[i] >= nq)
+        if (cp->lat_ring[i] < -1 || cp->lat_ring[i] >= m.nq)
             err = ERR_ARG;
     for (i = 0; i < nphys; i++)
         if (write_count[i] < 0)
@@ -1305,31 +1381,16 @@ int64_t cfds_run_span(ccfg *cc, cptrs *cp)
     if (err != ERR_OK)
         goto cleanup;
 
-    if (arb_mode == ARB_RANDOM) {
-        if (p->arb_meta[0] < 0 || p->arb_meta[0] > MT_N) {
-            err = ERR_ARG;
-            goto cleanup;
-        }
-        memcpy(arb.key, p->arb_key, sizeof(arb.key));
-        arb.pos = (int)p->arb_meta[0];
-        arb.consumed = 0;
-    }
-
-    /* ---- working state from the image ---- */
+    /* ---- the CFDS part of the image ---- */
     {
-        reader r = {p->state, c->state_len};
-        const int64_t *cnt;
+        const int64_t *cnt = take(&r, 1);
         int64_t id;
-        err = load_queues(&r, qs, &crit, c, p);
-        if (err != ERR_OK)
-            goto cleanup;
-        cnt = take(&r, 1);
         if (!cnt || *cnt < 0 || *cnt > r.left / 4) {
             err = ERR_ARG;
             goto cleanup;
         }
         for (j = *cnt; j > 0 && err == ERR_OK; j--) {
-            err = rec_load(&pool, &r, 0, nq, num_banks, g, &id);
+            err = rec_load(&pool, &r, 0, m.nq, num_banks, m.g, &id);
             if (err == ERR_OK && !iv_push(&rr, id))
                 err = ERR_OOM;
         }
@@ -1344,7 +1405,7 @@ int64_t cfds_run_span(ccfg *cc, cptrs *cp)
                 err = ERR_ARG;
                 break;
             }
-            err = rec_load(&pool, &r, *finish, nq, num_banks, g, &id);
+            err = rec_load(&pool, &r, *finish, m.nq, num_banks, m.g, &id);
             if (err == ERR_OK && !iv_push(&flight, id))
                 err = ERR_OOM;
         }
@@ -1363,7 +1424,7 @@ int64_t cfds_run_span(ccfg *cc, cptrs *cp)
                 orr_banks[j * issues + i] = banks[i];
             }
         }
-        for (j = 0; renaming && j < nq && err == ERR_OK; j++)
+        for (j = 0; renaming && j < m.nq && err == ERR_OK; j++)
             err = pairs_load(&names[j], &r, nphys);
         for (j = 0; renaming && j < ngroups && err == ERR_OK; j++) {
             cnt = take(&r, 1);
@@ -1376,7 +1437,7 @@ int64_t cfds_run_span(ccfg *cc, cptrs *cp)
                 if (free_names[j].buf[i] < 0 || free_names[j].buf[i] >= nphys)
                     err = ERR_ARG;
         }
-        for (j = 0; j < nq && err == ERR_OK; j++)
+        for (j = 0; j < m.nq && err == ERR_OK; j++)
             err = pairs_load(&locs[j], &r, nphys);
         if (err == ERR_OK && r.left != 0)
             err = ERR_ARG;
@@ -1385,234 +1446,86 @@ int64_t cfds_run_span(ccfg *cc, cptrs *cp)
     }
 
     {
-    /* ---- loop-local scalars ---- */
-    int64_t tail_total = c->tail_total, dram_total = c->dram_total;
-    int64_t sram_total = c->sram_total;
-    int la_pos = (int)c->la_pos, lat_pos = (int)cc->lat_pos;
+    int lat_pos = (int)cc->lat_pos;
     int64_t orr_pos = cc->orr_pos;
-    int64_t negatives = c->negatives;
-    int64_t cells_in = c->cells_in, cells_out = c->cells_out;
-    int64_t dram_reads = c->dram_reads, dram_writes = c->dram_writes;
-    int64_t dropped = c->dropped;
-    int64_t max_tail = c->max_tail, max_head = c->max_head;
     int64_t rr_peak = cc->rr_peak, conflicts = cc->conflicts;
     int64_t last_issue = cc->last_issue, flight_next = cc->flight_next;
     int64_t max_delay = cc->max_delay;
-    int elig_len = (int)c->eligible_len;
-    int64_t n_delays = 0, n_tail_miss = 0;
-    int64_t arrivals_seen = 0, grants = 0;
-    int big_cnt = 0;
-    int64_t *elig = p->eligible;
-    int64_t *crit_cache = p->crit_cache;
-    int64_t *counters = p->counters;
-    int64_t *req_count = p->req_count;
-    int64_t *tail_occ = p->tail_occ;
-    int64_t *dram_occ = p->dram_occ;
-    int64_t *backlog = p->backlog;
     int64_t slot;
-    int pc;
 
-    for (i = 0; i < nq; i++)
-        if (tail_occ[i] >= g)
-            big_cnt++;
-    pc = (g - (int)(c->start_slot % g)) % g;
-
-    for (slot = c->start_slot; slot < c->start_slot + num_slots; slot++) {
-        int period = 0;
-        int a = -1;         /* arrival queue, -1 = none */
-        int request = -1;   /* requested queue, -1 = none */
-        int leaving, due;
-        if (--pc < 0) {
-            pc = g - 1;
-            period = 1;
+    for (slot = m.start_slot; slot < m.start_slot + c->num_slots; slot++) {
+        int period = mach_period(&m);
+        int request = mach_arbitrate(&m);
+        int a = mach_arrival(&m, slot);
+        int leaving, due, sel;
+        if (a < -1) {
+            err = ERR_ARG;
+            goto done;
         }
-
-        if (is_main) {
-            /* -- arbiter, then the arrival plan -- */
-            if (arb_mode == ARB_RANDOM) {
-                if (mt_comb53(&arb) < c->arb_tint && elig_len)
-                    request = (int)elig[mt_randbelow(&arb, elig_len,
-                                                     rb_shift[elig_len])];
-            } else if (arb_mode == ARB_LONGEST) {
-                int64_t best = 0;
-                for (i = 0; i < nq; i++)
-                    if (backlog[i] > best) {
-                        best = backlog[i];
-                        request = (int)i;
-                    }
-            }
-            if (plan_mode == 0) {
-                a = p->plan[slot - c->start_slot];
-                if (a < -1 || a >= nq) {
-                    err = ERR_ARG;
-                    goto done;
-                }
-            }
-        }
-
-        /* -- arrival with cut-through routing -- */
-        if (a >= 0) {
-            qstate *qa = &qs[a];
-            int64_t seqno = p->next_seqno[a]++;
-            arrivals_seen++;
-            if (!iv_push(&qa->arr, slot)) {
-                err = ERR_OOM;
-                goto done;
-            }
-            if (dram_occ[a] == 0 && tail_occ[a] == 0
-                    && IV_COUNT(&qa->sram) < g) {
-                int64_t count;
-                sram_total++;
-                if (sram_cap >= 0 && sram_total > sram_cap) {
-                    err = ERR_STRICT;   /* SRAM overflow raises always */
-                    goto done;
-                }
-                if (!heap_push(&qa->sram, seqno)) {
-                    err = ERR_OOM;
-                    goto done;
-                }
-                count = ++counters[a];
-                if (count == 0)
-                    negatives--;
-                if (count >= 0 && count < req_count[a]) {
-                    int64_t entered = qa->req.buf[qa->req.head + count];
-                    crit_cache[a] = entered;
-                    if (!heap_push(&crit, CRIT_KEY(entered, a))) {
-                        err = ERR_OOM;
-                        goto done;
-                    }
-                } else {
-                    crit_cache[a] = CRIT_INF;
-                }
-            } else if (tail_total >= tail_cap) {
-                n_tail_miss++;
-                if (strict) {
-                    err = ERR_STRICT;
-                    goto done;
-                }
-            } else {
-                if (!iv_push(&qa->tail, seqno)) {
-                    err = ERR_OOM;
-                    goto done;
-                }
-                if (++tail_occ[a] == g)
-                    big_cnt++;
-                tail_total++;
-                cells_in++;
-            }
-        }
+        if (a >= 0 && (err = mach_arrive(&m, a, slot)) != ERR_OK)
+            goto done;
 
         /* -- tail MMA: evict a block through renaming (or static group
          *    placement) into DRAM and the Requests Register -- */
-        if (period && big_cnt) {
-            int sel = -1;
-            int64_t best_occ = g - 1;
-            for (i = 0; i < nq; i++)
-                if (tail_occ[i] > best_occ) {
-                    best_occ = tail_occ[i];
-                    sel = (int)i;
+        if (period && (sel = mach_tail_pick(&m)) >= 0) {
+            int64_t evicted, physical = -1, index;
+            /* blk stays valid: the tail FIFO is not pushed until the next
+             * arrival. */
+            const int64_t *blk = mach_tail_take(&m, sel, m.g, &evicted);
+            if (renaming) {
+                ivec *nm = &names[sel];
+                int64_t at = -1;
+                if (IV_COUNT(nm)) {
+                    at = nm->len - 2;
+                    physical = nm->buf[at];
+                    if (group_cap >= 0
+                            && group_occ[physical % ngroups] + evicted
+                               > group_cap)
+                        physical = -1;
                 }
-            if (sel >= 0) {
-                qstate *qt = &qs[sel];
-                int64_t avail = IV_COUNT(&qt->tail);
-                int64_t evicted = avail < g ? avail : g;
-                /* blk stays valid: the tail buffer is not touched until
-                 * the next push. */
-                const int64_t *blk = qt->tail.buf + qt->tail.head;
-                int64_t occ_b = tail_occ[sel], occ_a = occ_b - evicted;
-                qt->tail.head += evicted;
-                tail_occ[sel] = occ_a;
-                tail_total -= evicted;
-                if (occ_b >= g && occ_a < g)
-                    big_cnt--;
-                if (evicted) {
-                    int64_t physical = -1, index, id, *rec;
-                    if (renaming) {
-                        ivec *nm = &names[sel];
-                        int64_t at = -1;
-                        if (IV_COUNT(nm)) {
-                            at = nm->len - 2;
-                            physical = nm->buf[at];
-                            if (group_cap >= 0
-                                    && group_occ[physical % ngroups] + evicted
-                                       > group_cap)
-                                physical = -1;
-                        }
-                        if (physical < 0) {
-                            physical = allocate_name(free_names, ngroups,
-                                                     group_occ, group_cap,
-                                                     evicted);
-                            if (physical >= 0) {
-                                in_use[physical] = 1;
-                                if (!iv_push(nm, physical)
-                                        || !iv_push(nm, 0)) {
-                                    err = ERR_OOM;
-                                    goto done;
-                                }
-                                at = nm->len - 2;
-                            }
-                        }
-                        if (physical >= 0) {
-                            nm->buf[at + 1] += evicted;
-                            group_occ[physical % ngroups] += evicted;
-                        }
-                    } else {
-                        int64_t grp = sel % ngroups;
-                        if (group_cap < 0
-                                || group_occ[grp] + evicted <= group_cap) {
-                            physical = sel;
-                            group_occ[grp] += evicted;
-                        }
-                    }
-                    if (physical < 0) {
-                        dropped += evicted;
-                    } else {
-                        index = write_count[physical]++;
-                        if (dram_cap >= 0 && dram_total + evicted > dram_cap) {
-                            err = ERR_STRICT;   /* DRAM overflow raises */
-                            goto done;
-                        }
-                        if (!iv_append(&qt->dram, blk, evicted)
-                                || !iv_push(&locs[sel], physical)
-                                || !iv_push(&locs[sel], index)) {
+                if (physical < 0) {
+                    physical = allocate_name(free_names, ngroups, group_occ,
+                                             group_cap, evicted);
+                    if (physical >= 0) {
+                        in_use[physical] = 1;
+                        if (!iv_push(nm, physical) || !iv_push(nm, 0)) {
                             err = ERR_OOM;
                             goto done;
                         }
-                        dram_total += evicted;
-                        dram_occ[sel] += evicted;
-                        if (rr_cap >= 0 && rr.len >= rr_cap) {
-                            err = ERR_STRICT;   /* RR overflow raises */
-                            goto done;
-                        }
-                        id = rec_new(&pool);
-                        if (id < 0 || !iv_push(&rr, id)) {
-                            err = ERR_OOM;
-                            goto done;
-                        }
-                        rec = REC(&pool, id);
-                        rec[R_BANK] = (physical % ngroups) * bpg + index % bpg;
-                        rec[R_ISSUED] = slot;
-                        rec[R_QUEUE] = -1;
-                        rec[R_COUNT] = -1;
-                        if (rr.len > rr_peak)
-                            rr_peak = rr.len;
-                        dram_writes++;
+                        at = nm->len - 2;
                     }
                 }
+                if (physical >= 0) {
+                    nm->buf[at + 1] += evicted;
+                    group_occ[physical % ngroups] += evicted;
+                }
+            } else if (group_cap < 0
+                       || group_occ[sel % ngroups] + evicted <= group_cap) {
+                physical = sel;
+                group_occ[sel % ngroups] += evicted;
+            }
+            if (physical < 0) {
+                m.dropped += evicted;
+            } else {
+                index = write_count[physical]++;
+                err = mach_dram_put(&m, sel, blk, evicted);
+                if (err == ERR_OK && (!iv_push(&locs[sel], physical)
+                                      || !iv_push(&locs[sel], index)))
+                    err = ERR_OOM;
+                if (err == ERR_OK)
+                    err = rr_push(&pool, &rr, cc, &rr_peak,
+                                  (physical % ngroups) * bpg + index % bpg,
+                                  slot, -1, NULL, -1);
+                if (err != ERR_OK)
+                    goto done;
+                m.dram_writes++;
             }
         }
-        if (tail_total > max_tail)
-            max_tail = tail_total;
+        if (m.tail_total > m.max_tail)
+            m.max_tail = m.tail_total;
 
         /* -- head: lookahead -> latency register -> ECQF bookkeeping -- */
-        if (la_len) {
-            leaving = (int)p->la_ring[la_pos];
-            p->la_ring[la_pos] = request;
-            if (++la_pos == la_len)
-                la_pos = 0;
-        } else {
-            leaving = request;
-        }
+        leaving = mach_shift(&m, request);
         if (lat_len) {
             due = (int)cp->lat_ring[lat_pos];
             cp->lat_ring[lat_pos] = leaving;
@@ -1621,184 +1534,72 @@ int64_t cfds_run_span(ccfg *cc, cptrs *cp)
         } else {
             due = leaving;
         }
-        if (request >= 0) {
-            qstate *qr = &qs[request];
-            int64_t count;
-            if (!iv_push(&qr->req, slot)) {
-                err = ERR_OOM;
-                goto done;
-            }
-            count = req_count[request]++;
-            if (counters[request] == count) {
-                crit_cache[request] = slot;
-                if (!heap_push(&crit, CRIT_KEY(slot, request))) {
-                    err = ERR_OOM;
-                    goto done;
-                }
-            }
-        }
-        if (due >= 0) {
-            int64_t count = --counters[due];
-            if (count == -1) {
-                negatives++;
-                crit_cache[due] = CRIT_INF;
-            }
-            qs[due].req.head++;   /* python compaction is layout-only */
-            req_count[due]--;
-        }
+        if ((err = mach_pipeline(&m, request, due, slot)) != ERR_OK)
+            goto done;
 
         /* -- ECQF select, then fetch: DRAM pop, location pop, renaming
          *    debit, ECQF credit, Requests Register push (or cut-through
          *    from the tail straight into the head SRAM) -- */
-        if (period) {
-            int sel = -1;
-            if (negatives) {
-                int64_t best_counter = 0;
-                for (i = 0; i < nq; i++)
-                    if (counters[i] < 0
-                            && (sel < 0 || counters[i] < best_counter)) {
-                        best_counter = counters[i];
-                        sel = (int)i;
-                    }
-            } else {
-                while (crit.len) {
-                    int64_t top = crit.buf[0];
-                    int tq = CRIT_QUEUE(top);
-                    if (crit_cache[tq] == CRIT_ENTERED(top)) {
-                        sel = tq;
-                        break;
-                    }
-                    heap_pop(&crit);
+        if (period && (sel = mach_ecqf_select(&m)) >= 0) {
+            const int64_t *seqs;
+            int64_t got, bank = -1;
+            if (m.dram_occ[sel] > 0) {
+                ivec *loc = &locs[sel];
+                int64_t physical, index;
+                seqs = mach_dram_take(&m, sel, m.g, &got);
+                if (!IV_COUNT(loc)) {
+                    err = ERR_ARG;  /* a DRAM block without a location */
+                    goto done;
                 }
-                if (sel < 0 && c->ecqf_fallback) {
-                    int64_t best_deficit = 0;
-                    for (i = 0; i < nq; i++)
-                        if (req_count[i]) {
-                            int64_t deficit = req_count[i] - counters[i];
-                            if (sel < 0 || deficit > best_deficit) {
-                                best_deficit = deficit;
-                                sel = (int)i;
-                            }
-                        }
-                    if (sel >= 0 && best_deficit <= 0)
-                        sel = -1;
-                }
-            }
-            if (sel >= 0) {
-                qstate *qr = &qs[sel];
-                const int64_t *seqs;
-                int64_t got, bank = -1;
-                if (dram_occ[sel] > 0) {
-                    int64_t avail = IV_COUNT(&qr->dram), physical, index;
-                    ivec *loc = &locs[sel];
-                    got = avail < g ? avail : g;
-                    seqs = qr->dram.buf + qr->dram.head;
-                    qr->dram.head += got;
-                    dram_occ[sel] -= got;
-                    dram_total -= got;
-                    if (!IV_COUNT(loc)) {
-                        err = ERR_ARG;  /* a DRAM block without a location */
-                        goto done;
-                    }
-                    physical = loc->buf[loc->head];
-                    index = loc->buf[loc->head + 1];
-                    loc->head += 2;
-                    if (renaming) {
-                        ivec *nm = &names[sel];
-                        int64_t remaining = got;
-                        while (remaining) {
-                            int64_t name, count, taken;
-                            if (!IV_COUNT(nm)) {
-                                err = ERR_ARG;  /* cells without a name */
-                                goto done;
-                            }
-                            name = nm->buf[nm->head];
-                            count = nm->buf[nm->head + 1];
-                            taken = count < remaining ? count : remaining;
-                            group_occ[name % ngroups] -= taken;
-                            remaining -= taken;
-                            if (count == taken) {
-                                nm->head += 2;
-                                if (in_use[name]) {
-                                    in_use[name] = 0;
-                                    if (!iv_push(&free_names[name % ngroups],
-                                                 name)) {
-                                        err = ERR_OOM;
-                                        goto done;
-                                    }
-                                }
-                            } else {
-                                nm->buf[nm->head + 1] = count - taken;
-                            }
-                        }
-                    } else {
-                        group_occ[physical % ngroups] -= got;
-                    }
-                    bank = (physical % ngroups) * bpg + index % bpg;
-                } else {
-                    int64_t avail = IV_COUNT(&qr->tail);
-                    int64_t occ_b = tail_occ[sel], occ_a;
-                    got = avail < g ? avail : g;
-                    seqs = qr->tail.buf + qr->tail.head;
-                    qr->tail.head += got;
-                    occ_a = occ_b - got;
-                    tail_occ[sel] = occ_a;
-                    tail_total -= got;
-                    if (occ_b >= g && occ_a < g)
-                        big_cnt--;
-                }
-                if (got) {
-                    int64_t count = counters[sel] + got;
-                    counters[sel] = count;
-                    if (count >= 0 && count - got < 0)
-                        negatives--;
-                    if (count >= 0 && count < req_count[sel]) {
-                        int64_t entered = qr->req.buf[qr->req.head + count];
-                        crit_cache[sel] = entered;
-                        if (!heap_push(&crit, CRIT_KEY(entered, sel))) {
-                            err = ERR_OOM;
+                physical = loc->buf[loc->head];
+                index = loc->buf[loc->head + 1];
+                loc->head += 2;
+                if (renaming) {
+                    ivec *nm = &names[sel];
+                    int64_t remaining = got;
+                    while (remaining) {
+                        int64_t name, count, taken;
+                        if (!IV_COUNT(nm)) {
+                            err = ERR_ARG;  /* cells without a name */
                             goto done;
                         }
-                    } else {
-                        crit_cache[sel] = CRIT_INF;
-                    }
-                    if (bank < 0) {
-                        /* cut-through: in the head SRAM at once; seqs
-                         * stays valid, the tail buffer is not pushed */
-                        for (j = 0; j < got; j++) {
-                            sram_total++;
-                            if (sram_cap >= 0 && sram_total > sram_cap) {
-                                err = ERR_STRICT;
-                                goto done;
-                            }
-                            if (!heap_push(&qr->sram, seqs[j])) {
+                        name = nm->buf[nm->head];
+                        count = nm->buf[nm->head + 1];
+                        taken = count < remaining ? count : remaining;
+                        group_occ[name % ngroups] -= taken;
+                        remaining -= taken;
+                        if (count != taken) {
+                            nm->buf[nm->head + 1] = count - taken;
+                            continue;
+                        }
+                        nm->head += 2;
+                        if (in_use[name]) {
+                            in_use[name] = 0;
+                            if (!iv_push(&free_names[name % ngroups],
+                                         name)) {
                                 err = ERR_OOM;
                                 goto done;
                             }
                         }
-                    } else {
-                        int64_t id, *rec;
-                        if (rr_cap >= 0 && rr.len >= rr_cap) {
-                            err = ERR_STRICT;
-                            goto done;
-                        }
-                        id = rec_new(&pool);
-                        if (id < 0 || !iv_push(&rr, id)) {
-                            err = ERR_OOM;
-                            goto done;
-                        }
-                        rec = REC(&pool, id);
-                        rec[R_BANK] = bank;
-                        rec[R_ISSUED] = slot;
-                        rec[R_QUEUE] = sel;
-                        rec[R_COUNT] = got;
-                        memcpy(rec + R_CELLS, seqs,
-                               (size_t)got * sizeof(int64_t));
-                        if (rr.len > rr_peak)
-                            rr_peak = rr.len;
-                        dram_reads++;
                     }
+                } else {
+                    group_occ[physical % ngroups] -= got;
                 }
+                bank = (physical % ngroups) * bpg + index % bpg;
+            } else {
+                seqs = mach_tail_take(&m, sel, m.g, &got);
+            }
+            if (got) {
+                err = mach_credit(&m, sel, got);
+                if (err == ERR_OK)
+                    /* seqs stays valid: neither FIFO is pushed here */
+                    err = bank < 0 ? mach_land(&m, sel, seqs, got)
+                          : rr_push(&pool, &rr, cc, &rr_peak, bank, slot,
+                                    sel, seqs, got);
+                if (err != ERR_OK)
+                    goto done;
+                if (bank >= 0)
+                    m.dram_reads++;
             }
         }
 
@@ -1815,12 +1616,8 @@ int64_t cfds_run_span(ccfg *cc, cptrs *cp)
                 if (finish <= slot) {
                     if (finish - rec[R_ISSUED] > max_delay)
                         max_delay = finish - rec[R_ISSUED];
-                    if (rec[R_COUNT] >= 0) {
-                        if (!iv_push(&landed, id)) {
-                            err = ERR_OOM;
-                            goto done;
-                        }
-                    } else if (!iv_push(&pool.spare, id)) {
+                    if (!iv_push(rec[R_COUNT] >= 0 ? &landed : &pool.spare,
+                                 id)) {
                         err = ERR_OOM;
                         goto done;
                     }
@@ -1849,7 +1646,7 @@ int64_t cfds_run_span(ccfg *cc, cptrs *cp)
                 memmove(rr.buf + pos, rr.buf + pos + 1,
                         (size_t)(rr.len - pos - 1) * sizeof(int64_t));
                 rr.len--;
-                if (last_issue != NO_SLOT && slot - last_issue < bus_slots
+                if (last_issue != NO_SLOT && slot - last_issue < cc->bus_slots
                         && slot != last_issue) {
                     err = ERR_STRICT;   /* the address-bus violation */
                     goto done;
@@ -1892,140 +1689,46 @@ int64_t cfds_run_span(ccfg *cc, cptrs *cp)
             }
         }
         for (j = 0; j < landed.len; j++) {
-            int64_t id = landed.buf[j], k;
+            int64_t id = landed.buf[j];
             const int64_t *rec = REC(&pool, id);
-            qstate *ql = &qs[rec[R_QUEUE]];
-            for (k = 0; k < rec[R_COUNT]; k++) {
-                sram_total++;
-                if (sram_cap >= 0 && sram_total > sram_cap) {
-                    err = ERR_STRICT;
-                    goto done;
-                }
-                if (!heap_push(&ql->sram, rec[R_CELLS + k])) {
-                    err = ERR_OOM;
-                    goto done;
-                }
-            }
-            if (!iv_push(&pool.spare, id)) {
+            err = mach_land(&m, (int)rec[R_QUEUE], rec + R_CELLS,
+                            rec[R_COUNT]);
+            if (err == ERR_OK && !iv_push(&pool.spare, id))
                 err = ERR_OOM;
+            if (err != ERR_OK)
                 goto done;
-            }
         }
 
-        /* -- serve -- */
-        if (due >= 0) {
-            qstate *ql = &qs[due];
-            int64_t expected = p->delivered[due];
-            int ok = 1;
-            if (ql->sram.len && ql->sram.buf[0] == expected) {
-                heap_pop(&ql->sram);
-                sram_total--;
-            } else if (tail_occ[due]
-                       && ql->tail.buf[ql->tail.head] == expected) {
-                /* tail bypass: the in-order cell never left the tail */
-                ql->tail.head++;
-                if (--tail_occ[due] == g - 1)
-                    big_cnt--;
-                tail_total--;
-            } else {
-                if (!iv_push(&misses, due) || !iv_push(&misses, slot)) {
-                    err = ERR_OOM;
-                    goto done;
-                }
-                if (strict) {
-                    err = ERR_STRICT;
-                    goto done;
-                }
-                ok = 0;
-            }
-            if (ok) {
-                int64_t arrival_slot;
-                if (!IV_COUNT(&ql->arr)) {
-                    err = ERR_ARG;      /* a cell without an arrival slot */
-                    goto done;
-                }
-                p->delivered[due] = expected + 1;
-                cells_out++;
-                arrival_slot = ql->arr.buf[ql->arr.head++];
-                if (is_main) {
-                    n_delays++;
-                    err = hist_add(&delays, slot + 1 - arrival_slot);
-                    if (err != ERR_OK)
-                        goto done;
-                } else if (!iv_push(&drained, arrival_slot)) {
-                    err = ERR_OOM;
-                    goto done;
-                }
-            }
-        }
-        if (sram_total > max_head)
-            max_head = sram_total;
-
-        /* -- end of slot: backlog, and eligible for RandomArbiter -- */
-        if (is_main) {
-            if (a >= 0 && ++backlog[a] == 1 && arb_mode == ARB_RANDOM) {
-                int lo = 0, hi = elig_len;
-                while (lo < hi) {
-                    int mid = (lo + hi) >> 1;
-                    if (elig[mid] < a)
-                        lo = mid + 1;
-                    else
-                        hi = mid;
-                }
-                memmove(elig + lo + 1, elig + lo,
-                        (size_t)(elig_len - lo) * sizeof(int64_t));
-                elig[lo] = a;
-                elig_len++;
-            }
-            if (request >= 0) {
-                grants++;
-                if (--backlog[request] == 0 && arb_mode == ARB_RANDOM) {
-                    int lo = 0, hi = elig_len;
-                    while (lo < hi) {
-                        int mid = (lo + hi) >> 1;
-                        if (elig[mid] < request)
-                            lo = mid + 1;
-                        else
-                            hi = mid;
-                    }
-                    memmove(elig + lo, elig + lo + 1,
-                            (size_t)(elig_len - lo - 1) * sizeof(int64_t));
-                    elig_len--;
-                }
-            }
-        }
+        if (due >= 0 && (err = mach_serve(&m, due, slot)) != ERR_OK)
+            goto done;
+        mach_end_slot(&m, a, request);
     }
 
 done:
     if (err == ERR_OK) {
         /* ---- the one exact-size result (layout above cptrs) ---- */
-        int64_t n_pairs = hist_pairs(&delays);
-        int64_t size = queues_size(qs, nq, &crit) + 2 + 4 * rr.len
-                       + 5 * flight.len + orr_len + 2 * n_pairs
-                       + IV_COUNT(&misses) + IV_COUNT(&drained);
-        int64_t *w;
+        int64_t own = 2 + 4 * rr.len + 5 * flight.len + orr_len, *w;
         for (j = 0; j < rr.len; j++) {
             int64_t n = REC(&pool, rr.buf[j])[R_COUNT];
-            size += n > 0 ? n : 0;
+            own += n > 0 ? n : 0;
         }
         for (j = 0; j < flight.len; j++) {
             int64_t n = REC(&pool, flight.buf[j])[R_COUNT];
-            size += n > 0 ? n : 0;
+            own += n > 0 ? n : 0;
         }
         for (j = 0; j < orr_len; j++)
-            size += orr_cnt[j];
-        for (j = 0; renaming && j < nq; j++)
-            size += 1 + IV_COUNT(&names[j]);
+            own += orr_cnt[j];
+        for (j = 0; renaming && j < m.nq; j++)
+            own += 1 + IV_COUNT(&names[j]);
         for (j = 0; renaming && j < ngroups; j++)
-            size += 1 + free_names[j].len;
-        for (j = 0; j < nq; j++)
-            size += 1 + IV_COUNT(&locs[j]);
-        w = p->result = (int64_t *)malloc((size_t)size * sizeof(int64_t));
+            own += 1 + free_names[j].len;
+        for (j = 0; j < m.nq; j++)
+            own += 1 + IV_COUNT(&locs[j]);
+        w = mach_close(&m, c, p, own);
         if (!w) {
             err = ERR_OOM;
             goto cleanup;
         }
-        w = put_queues(w, qs, nq, &crit);
         *w++ = rr.len;
         for (j = 0; j < rr.len; j++)
             w = rec_put(w, &pool, rr.buf[j], 0);
@@ -2038,7 +1741,7 @@ done:
                    (size_t)orr_cnt[j] * sizeof(int64_t));
             w += orr_cnt[j];
         }
-        for (j = 0; renaming && j < nq; j++) {
+        for (j = 0; renaming && j < m.nq; j++) {
             *w++ = IV_COUNT(&names[j]) / 2;
             w = put(w, &names[j]);
         }
@@ -2046,35 +1749,10 @@ done:
             *w++ = free_names[j].len;
             w = put(w, &free_names[j]);
         }
-        for (j = 0; j < nq; j++) {
+        for (j = 0; j < m.nq; j++) {
             *w++ = IV_COUNT(&locs[j]) / 2;
             w = put(w, &locs[j]);
         }
-        put_outcome(w, &delays, &misses, &drained);
-        c->result_len = size;
-
-        /* ---- scalars back ---- */
-        c->tail_total = tail_total;
-        c->dram_total = dram_total;
-        c->sram_total = sram_total;
-        c->la_pos = la_pos;
-        c->negatives = negatives;
-        c->cells_in = cells_in;
-        c->cells_out = cells_out;
-        c->dram_reads = dram_reads;
-        c->dram_writes = dram_writes;
-        c->dropped = dropped;
-        c->max_tail = max_tail;
-        c->max_head = max_head;
-        c->crit_len = crit.len;
-        c->eligible_len = elig_len;
-        c->n_delays = n_delays;
-        c->n_delay_pairs = n_pairs;
-        c->n_head_miss = IV_COUNT(&misses) / 2;
-        c->n_tail_miss = n_tail_miss;
-        c->n_drained = IV_COUNT(&drained);
-        c->arrivals_seen = arrivals_seen;
-        c->grants = grants;
         cc->lat_pos = lat_pos;
         cc->orr_pos = orr_pos;
         cc->rr_peak = rr_peak;
@@ -2082,31 +1760,19 @@ done:
         cc->last_issue = last_issue;
         cc->flight_next = flight_next;
         cc->max_delay = max_delay;
-        if (arb_mode == ARB_RANDOM) {
-            memcpy(p->arb_key, arb.key, sizeof(arb.key));
-            p->arb_meta[0] = arb.pos;
-            p->arb_meta[1] = arb.consumed;
-        }
     }
     }
 
 cleanup:
-    free_queues(qs, nq);
-    if (locs)
-        for (i = 0; i < nq; i++)
-            free(locs[i].buf);
-    if (names)
-        for (i = 0; i < nq; i++)
-            free(names[i].buf);
-    if (free_names)
-        for (i = 0; i < ngroups; i++)
-            free(free_names[i].buf);
+    for (i = 0; locs && i < m.nq; i++)
+        free(locs[i].buf);
+    for (i = 0; names && i < m.nq; i++)
+        free(names[i].buf);
+    for (i = 0; free_names && i < ngroups; i++)
+        free(free_names[i].buf);
     free(locs);
     free(names);
     free(free_names);
-    free(crit.buf);
-    free(misses.buf);
-    free(drained.buf);
     free(rr.buf);
     free(flight.buf);
     free(landed.buf);
@@ -2115,8 +1781,7 @@ cleanup:
     free(orr_cnt);
     free(orr_banks);
     free(issued);
-    free(delays.count);
-    free(rb_shift);
+    mach_free(&m);
     return err;
 }
 
@@ -2333,7 +1998,7 @@ int64_t fabric_run_window(fcfg *c, fptrs *p)
     const int n = (int)c->num_ports;
     const int64_t num_slots = c->num_slots;
     int64_t err = ERR_OK, offered = 0, peak = c->peak, run = 0;
-    int64_t total, n_pairs = 0, image_len = 0, d, idx;
+    int64_t total, n_pairs, image_len = 0, idx;
     int64_t *w, *out = NULL;
     fabric f;
     int i, matched;
@@ -2375,14 +2040,10 @@ int64_t fabric_run_window(fcfg *c, fptrs *p)
                 err = ERR_ARG;
         if (err != ERR_OK)
             goto cleanup;
-    } else if (f.policy == POLICY_RANDOM) {
-        if (!p->rng_key || !p->rng_meta || p->rng_meta[0] < 0
-                || p->rng_meta[0] > MT_N) {
-            err = ERR_ARG;
-            goto cleanup;
-        }
-        memcpy(f.rng.key, p->rng_key, sizeof(f.rng.key));
-        f.rng.pos = (int)p->rng_meta[0];
+    } else if (f.policy == POLICY_RANDOM
+               && (err = mt_load(&f.rng, p->rng_key, p->rng_meta))
+                  != ERR_OK) {
+        goto cleanup;
     }
 
     /* ---- VOQs from the image ---- */
@@ -2473,9 +2134,7 @@ int64_t fabric_run_window(fcfg *c, fptrs *p)
         for (i = 1; i < n; i++)
             memmove(out + (int64_t)i * run, out + (int64_t)i * f.stride,
                     (size_t)run * sizeof(int64_t));
-    for (d = 0; d <= f.waits.max && f.waits.count; d++)
-        if (f.waits.count[d])
-            n_pairs++;
+    n_pairs = hist_pairs(&f.waits);
     for (idx = 0; idx < (int64_t)n * n; idx++)
         if (IV_COUNT(&f.voq[idx]))
             image_len += 2 + IV_COUNT(&f.voq[idx]);
@@ -2491,11 +2150,7 @@ int64_t fabric_run_window(fcfg *c, fptrs *p)
     w += n;
     memcpy(w, f.backlog, (size_t)n * sizeof(int64_t));
     w += n;
-    for (d = 0; d <= f.waits.max && f.waits.count; d++)
-        if (f.waits.count[d]) {
-            *w++ = d;
-            *w++ = f.waits.count[d];
-        }
+    w = put_hist(w, &f.waits);
     for (idx = 0; idx < (int64_t)n * n; idx++)
         if (IV_COUNT(&f.voq[idx])) {
             *w++ = idx;
@@ -2511,9 +2166,7 @@ int64_t fabric_run_window(fcfg *c, fptrs *p)
     c->peak = peak;
     c->n_wait_pairs = n_pairs;
     if (f.policy == POLICY_RANDOM) {
-        memcpy(p->rng_key, f.rng.key, sizeof(f.rng.key));
-        p->rng_meta[0] = f.rng.pos;
-        p->rng_meta[1] = f.rng.consumed;
+        mt_store(&f.rng, p->rng_key, p->rng_meta);
     }
 
 cleanup:

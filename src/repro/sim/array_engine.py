@@ -52,18 +52,19 @@ to the reference loop for every registered scenario by
 ``tests/sim/test_array_engine.py``.
 
 **The compiled span kernel.**  Each core hands a span to its entry in the
-C kernel of :mod:`repro.sim.kernel` when its ``_kernel_miss`` passes (stock
-policies, ``num_queues`` up to ``MAX_KERNEL_QUEUES``, an untraced run, at
-least ``MIN_KERNEL_SLOTS`` slots, a loaded kernel; RADS also needs a
-non-empty lookahead); every other span — and every span the kernel aborts
-— runs on the core's scalar python loop on the same state, the oracle the
-kernel mirrors statement for statement.  The RADS entry runs
-``RandomArbiter``; the CFDS entry also runs ``LongestQueueArbiter`` and no
-arbiter.  With metrics enabled, the slots of a span that misses the kernel
-are counted as ``engine.array.fallback.<reason>``.  The arrival plan of a
-stock Bernoulli process (Zipf and hotspot included) is deferred so the
-RADS kernel draws it natively: the whole horizon of a monolithic run, each
-chunk of a streamed one; CFDS spans take python's plan.
+C kernel of :mod:`repro.sim.kernel` when ``_kernel_miss`` passes (stock
+ECQF and threshold tail MMA, no arbiter, ``RandomArbiter`` or
+``LongestQueueArbiter``, ``num_queues`` up to ``MAX_KERNEL_QUEUES``, an
+untraced run, at least ``MIN_KERNEL_SLOTS`` slots, a loaded kernel); every
+other span — and every span the kernel aborts — runs on the core's scalar
+python loop on the same state, the oracle the kernel mirrors statement for
+statement.  Both entries share the kernel's SRAM/MMA half, so both run the
+same arbiters and plans, and one routing method, ``_kernel_route``, sends
+either core's spans there.  With metrics enabled, the slots of a span that
+misses the kernel are counted as ``engine.array.fallback.<reason>``.  The
+arrival plan of a stock Bernoulli process (Zipf and hotspot included) is
+deferred so the kernel draws it natively: the whole horizon of a
+monolithic run, each chunk of a streamed one, on either core.
 
 The engine consumes a *freshly built* buffer: it reads the configuration and
 the sizes of the issue-period machinery off the buffer object once and keeps
@@ -203,7 +204,7 @@ class _DeferredPlan:
     """A window of a stock Bernoulli arrival plan that has not been drawn
     yet.
 
-    The RADS core gets one for the whole horizon of a monolithic run and one
+    An array core gets one for the whole horizon of a monolithic run and one
     per chunk of a streamed run, so the compiled span kernel can draw the
     plan natively (same words, same doubles) and write the consumed RNG
     state back; a span that runs in python calls :meth:`materialize`, which
@@ -241,8 +242,9 @@ def window_plan(sim, core, start_slot: int, num_slots: int):
     """The arrival plan of the window ``[start_slot, start_slot +
     num_slots)``: a monolithic run's whole horizon or one streamed chunk.
 
-    Deferred (a :class:`_DeferredPlan`) when ``core`` is a RADS core and the
-    span kernel can draw the plan.  The kernel reproduces the stock batch
+    Deferred (a :class:`_DeferredPlan`) for an array core (``core`` is
+    ``None`` on the reference engine) when the span kernel can draw the
+    plan.  The kernel reproduces the stock batch
     draw of ``BernoulliArrivals``, so the process must be one (Zipf and
     hotspot are) that overrides neither ``arrivals`` nor ``arrivals_slice``
     and serves every window from ``arrivals`` (``slot_invariant``).  Its
@@ -259,7 +261,7 @@ def window_plan(sim, core, start_slot: int, num_slots: int):
     if proc is None:
         return [None] * num_slots
     cls = type(proc)
-    if (isinstance(core, _RADSCore) and isinstance(proc, BernoulliArrivals)
+    if (core is not None and isinstance(proc, BernoulliArrivals)
             and proc.slot_invariant
             and cls.arrivals is BernoulliArrivals.arrivals
             and cls.arrivals_slice is BernoulliArrivals.arrivals_slice
@@ -466,6 +468,67 @@ class _ArrayCoreBase:
                 "this array core already produced its report; build a new "
                 "simulation for another run")
 
+    def _kernel_miss(self, num_slots: int) -> Optional[str]:
+        """Why a span of ``num_slots`` cannot run on the span kernel — the
+        ``<reason>`` of its ``engine.array.fallback.<reason>`` counter — or
+        ``None`` when it can: stock ECQF and threshold tail MMA, an arbiter
+        :func:`~repro.sim.kernel.span_arbiter` takes, at most
+        ``MAX_KERNEL_QUEUES`` queues, an untraced run, at least
+        ``MIN_KERNEL_SLOTS`` slots and a loaded kernel."""
+        if not (self.fast_ecqf and self.fast_tail and kernel.span_arbiter(
+                self.sim.arbiter, self.num_queues) is not None):
+            return "policy"
+        if self.num_queues > kernel.MAX_KERNEL_QUEUES:
+            return "wide_queues"
+        if self.sim.trace is not None:
+            return "traced"
+        if num_slots < kernel.MIN_KERNEL_SLOTS:
+            return "short_span"
+        if kernel.load_kernel() is None:
+            return "unavailable"
+        return None
+
+    def _kernel_route(self, plan, num_slots: int, main: bool):
+        """Run the span on the core's kernel entry (:meth:`_run_kernel`)
+        when it can, and count it: ``(True, None)`` when the kernel ran it,
+        else ``(False, plan)`` with the plan the python loop runs — a
+        deferred plan drawn.
+
+        A deferred plan is drawn by the kernel, unless its process shares
+        the arbiter's RNG object: the python loop consumes the plan's words
+        strictly first, so they are drawn here, before the kernel runs the
+        span on the explicit plan, and counted as ``shared_rng``.  A kernel
+        call that draws the plan and aborts leaves the RNG untouched, and
+        the explicit plan would abort the same way, so the python loop
+        replays the span straight away.
+        """
+        self._check_not_finished()
+        obs = get_metrics()
+        if obs is not None:
+            obs.inc("engine.array.spans")
+            obs.inc("engine.array.span_slots", num_slots)
+        if num_slots > 0:
+            miss = self._kernel_miss(num_slots)
+            if miss is not None:
+                if obs is not None:
+                    obs.inc(f"engine.array.fallback.{miss}", num_slots)
+            elif (isinstance(plan, _DeferredPlan)
+                    and not plan.shares_rng(self.sim)):
+                if self._run_kernel(None, num_slots, main, plan.bern()):
+                    return True, None
+            else:
+                if isinstance(plan, _DeferredPlan):
+                    if obs is not None:
+                        obs.inc("engine.array.fallback.shared_rng",
+                                num_slots)
+                    plan = plan.materialize()
+                if ((plan is None or len(plan) >= num_slots)
+                        and self._run_kernel(plan, num_slots, main, None)):
+                    return True, None
+        if isinstance(plan, _DeferredPlan):
+            plan = plan.materialize()
+        return False, plan
+
     def finish(self, drain: bool = True):
         """Run the drain window (if requested) and assemble the report.
 
@@ -522,24 +585,9 @@ class _RADSCore(_ArrayCoreBase):
     def _drain_slots(self) -> int:
         return self.la_len + self.granularity
 
-    # ------------------------------------------------------------------ #
-    def _kernel_miss(self, num_slots: int) -> Optional[str]:
-        """Why a span of ``num_slots`` cannot run on the span kernel — the
-        ``<reason>`` of its ``engine.array.fallback.<reason>`` counter — or
-        ``None`` when it can."""
-        if not (self.fast_random and self.fast_ecqf and self.fast_tail):
-            return "policy"
-        if self.la_len <= 0:
-            return "no_lookahead"
-        if self.num_queues > kernel.MAX_KERNEL_QUEUES:
-            return "wide_queues"
-        if self.sim.trace is not None:
-            return "traced"
-        if num_slots < kernel.MIN_KERNEL_SLOTS:
-            return "short_span"
-        if kernel.load_kernel() is None:
-            return "unavailable"
-        return None
+    def _run_kernel(self, plan, num_slots: int, main: bool, bern) -> bool:
+        return kernel.run_span_kernel(self, plan, num_slots, main=main,
+                                      bern=bern)
 
     def run_span(self, plan, num_slots: int, main: bool = True) -> None:
         """Simulate ``num_slots`` slots starting at ``self.slot``.
@@ -547,41 +595,13 @@ class _RADSCore(_ArrayCoreBase):
         ``plan`` is the arrival plan for exactly this window (``None`` for a
         drain-only span, a :class:`_DeferredPlan` for a window of a stock
         Bernoulli process); ``main=False`` runs drain slots (no arrivals, no
-        requests, departures recorded for final-slot stamping).
+        requests, departures recorded for final-slot stamping).  The span
+        runs on the kernel when :meth:`_kernel_route` can put it there, and
+        on the loop below otherwise.
         """
-        self._check_not_finished()
-        obs = get_metrics()
-        if obs is not None:
-            obs.inc("engine.array.spans")
-            obs.inc("engine.array.span_slots", num_slots)
-        if num_slots > 0:
-            miss = self._kernel_miss(num_slots)
-            if miss is not None:
-                if obs is not None:
-                    obs.inc(f"engine.array.fallback.{miss}", num_slots)
-            elif (isinstance(plan, _DeferredPlan)
-                    and not plan.shares_rng(self.sim)):
-                # The kernel draws the plan natively.  An abort leaves the
-                # RNG untouched, and the explicit plan would abort the same
-                # way, so the python loop replays the span straight away.
-                if kernel.run_span_kernel(self, None, num_slots, main=True,
-                                          bern=plan.bern()):
-                    return
-            else:
-                if isinstance(plan, _DeferredPlan):
-                    # The arrival process shares the arbiter's RNG object:
-                    # the python loop consumes the plan's words strictly
-                    # first, so draw them here.
-                    if obs is not None:
-                        obs.inc("engine.array.fallback.shared_rng",
-                                num_slots)
-                    plan = plan.materialize()
-                if ((plan is None or len(plan) >= num_slots)
-                        and kernel.run_span_kernel(self, plan, num_slots,
-                                                   main=main)):
-                    return
-        if isinstance(plan, _DeferredPlan):
-            plan = plan.materialize()
+        ran, plan = self._kernel_route(plan, num_slots, main)
+        if ran:
+            return
         buffer = self.buffer
         sim = self.sim
         num_queues = self.num_queues
@@ -1041,45 +1061,17 @@ dram_group_occupancy` and ``dram_utilisation()`` answer for an array run.
         return (self.la_len + self.lat_len + self.dram_access_slots
                 + self.granularity)
 
-    # ------------------------------------------------------------------ #
-    def _kernel_miss(self, num_slots: int) -> Optional[str]:
-        """Why a span cannot run on the span kernel's CFDS entry; see
-        :meth:`_RADSCore._kernel_miss` (the entry runs no arbiter,
-        ``RandomArbiter`` or ``LongestQueueArbiter``:
-        :func:`~repro.sim.kernel.cfds_arbiter`)."""
-        if not (self.fast_ecqf and self.fast_tail and kernel.cfds_arbiter(
-                self.sim.arbiter, self.num_queues) is not None):
-            return "policy"
-        if self.num_queues > kernel.MAX_KERNEL_QUEUES:
-            return "wide_queues"
-        if self.sim.trace is not None:
-            return "traced"
-        if num_slots < kernel.MIN_KERNEL_SLOTS:
-            return "short_span"
-        if kernel.load_kernel() is None:
-            return "unavailable"
-        return None
+    def _run_kernel(self, plan, num_slots: int, main: bool, bern) -> bool:
+        return kernel.run_cfds_span_kernel(self, plan, num_slots, main=main,
+                                           bern=bern)
 
-    def run_span(self, plan: Optional[List[Optional[int]]], num_slots: int,
-                 main: bool = True) -> None:
+    def run_span(self, plan, num_slots: int, main: bool = True) -> None:
         """Simulate ``num_slots`` slots starting at ``self.slot``, on the
-        span kernel when :meth:`_kernel_miss` passes and the kernel
-        completes the span, else on the loop below; see
-        :meth:`_RADSCore.run_span`."""
-        self._check_not_finished()
-        obs = get_metrics()
-        if obs is not None:
-            obs.inc("engine.array.spans")
-            obs.inc("engine.array.span_slots", num_slots)
-        if num_slots > 0:
-            miss = self._kernel_miss(num_slots)
-            if miss is not None:
-                if obs is not None:
-                    obs.inc(f"engine.array.fallback.{miss}", num_slots)
-            elif ((plan is None or len(plan) >= num_slots)
-                    and kernel.run_cfds_span_kernel(self, plan, num_slots,
-                                                    main=main)):
-                return
+        span kernel when :meth:`_kernel_route` can put it there, else on
+        the loop below; see :meth:`_RADSCore.run_span`."""
+        ran, plan = self._kernel_route(plan, num_slots, main)
+        if ran:
+            return
         buffer = self.buffer
         sim = self.sim
         num_queues = self.num_queues

@@ -17,10 +17,16 @@ source and the interpreter/platform tags, and loaded through :mod:`ctypes`
 
 The kernel executes whole spans natively: it resumes the arbiter's (and,
 for a deferred Bernoulli plan, the arrival process's) Mersenne Twister from
-the ``random.Random`` state and runs the exact RADS slot loop.  Python
-hands it only fixed-shape :mod:`array` buffers — per-queue scalars, the
-eligible list, the lookahead ring, RNG keys, the arrival plan — plus one
-image of the core's variable-length state (:func:`_state_image`).  Every
+the ``random.Random`` state and runs the core's exact slot loop.  The two
+span entries share the SRAM/MMA half of that loop (arrival with
+cut-through, the threshold tail MMA, the lookahead, ECQF, service), and
+so the arbiters and plans: each runs no arbiter, ``RandomArbiter`` or
+``LongestQueueArbiter`` (:func:`span_arbiter`), on an explicit plan, a
+Bernoulli plan it draws itself, or none, marshalled once for both by
+``_Handoff``.  Python hands it only fixed-shape :mod:`array` buffers —
+per-queue scalars, the eligible list, the lookahead ring, RNG keys, the
+arrival plan — plus one image of the core's variable-length state
+(:func:`_state_image`).  Every
 buffer that grows during the span is the kernel's own; it returns one
 exact-size result (the new state, the main window's delays already folded
 into ``(delay, count)`` pairs, misses and drained slots), which
@@ -42,10 +48,9 @@ occupancy, in-use flags and write counts (all updated in place), and
 appends the Requests Register, the transfers in flight, the ORR ring, the
 renaming registers, free names and block locations to the shared state
 image (:func:`_state_image`); the result comes back in the same layout and
-:func:`_apply_result` reads the part both cores share.  Its arbiter is
-none, ``RandomArbiter`` or ``LongestQueueArbiter`` (:func:`cfds_arbiter`);
-every raise site of the python CFDS loop aborts the span with nothing
-written back, and the python loop replays it.
+:func:`_apply_result` reads the part both cores share.  Every raise site
+of the python CFDS loop aborts the span with nothing written back, and
+the python loop replays it.
 
 The fabric entry follows the same rules.  Python hands it the window's
 ``int32`` arrival plan, iSLIP's pointers or the random policy's MT state,
@@ -142,8 +147,11 @@ _ERR_PLAN = 4
 _CRIT_INF = (1 << 63) - 1  # INT64_MAX, the C marker for "no critical entry"
 _NO_SLOT = -(1 << 63)      # INT64_MIN, the C marker for "no issue yet"
 
-#: The CFDS entry's arbiter codes (``ARB_*`` in ``_spankernel.c``).
+#: The span entries' arbiter codes (``ARB_*`` in ``_spankernel.c``).
 _ARB_NONE, _ARB_RANDOM, _ARB_LONGEST = 0, 1, 2
+
+#: The span entries' arrival-plan modes (``PLAN_*`` in ``_spankernel.c``).
+_PLAN_EXPLICIT, _PLAN_BERNOULLI, _PLAN_NONE = 0, 1, 2
 
 #: 2**53 — ``Random.random()`` returns ``comb / 2**53``.
 _F53 = 9007199254740992
@@ -166,7 +174,7 @@ class KCfg(ctypes.Structure):
     _fields_ = [(n, ctypes.c_int64) for n in (
         "num_queues", "granularity", "strict", "tail_cap",
         "dram_cap", "sram_cap", "la_len", "num_slots", "start_slot",
-        "is_main", "arb_tint", "plan_mode", "bern_tint")] + [
+        "is_main", "arb_mode", "arb_tint", "plan_mode", "bern_tint")] + [
         ("bern_total", ctypes.c_double)] + [
         (n, ctypes.c_int64) for n in (
             "ecqf_fallback", "state_len",
@@ -206,7 +214,7 @@ class CCfg(ctypes.Structure):
     """Mirror of ``ccfg`` in ``_spankernel.c`` (field order is the ABI)."""
 
     _fields_ = [("k", KCfg)] + [(n, ctypes.c_int64) for n in (
-        "arb_mode", "lat_len", "rr_cap", "issues", "ras", "bus_slots",
+        "lat_len", "rr_cap", "issues", "ras", "bus_slots",
         "dram_strict", "num_banks", "num_groups", "banks_per_group",
         "num_physical", "renaming", "group_cap", "orr_len",
         "lat_pos", "orr_pos", "rr_peak", "conflicts", "last_issue",
@@ -566,15 +574,63 @@ def _plan_array(aplan, num_slots: int) -> Optional[array]:
         return None  # no int32 queue id: python raises for it
 
 
-class _Handoff:
-    """The fixed-shape per-queue arrays of one kernel call, bound into the
-    ``kptrs`` both entries take, and the shared ``kcfg`` fields; the arrays
-    stay alive (and are never resized) across the C call."""
+def span_arbiter(arbiter, num_queues: int) -> Optional[int]:
+    """The span entries' code for ``arbiter`` (``ARB_*`` in
+    ``_spankernel.c``), or ``None`` when the kernel cannot run it: no
+    arbiter, a ``RandomArbiter``, or a ``LongestQueueArbiter`` over exactly
+    the buffer's ``num_queues`` (exact types: a subclass may override
+    ``next_request``)."""
+    if arbiter is None:
+        return _ARB_NONE
+    if type(arbiter) is RandomArbiter:
+        return _ARB_RANDOM
+    if (type(arbiter) is LongestQueueArbiter
+            and arbiter.num_queues == num_queues):
+        return _ARB_LONGEST
+    return None
 
-    def __init__(self, core, ptr: KPtrs, state: array) -> None:
-        nq = core.num_queues
+
+class _Handoff:
+    """What both span entries take, bound into their ``kptrs``: the
+    arbiter (its code, and ``RandomArbiter``'s MT state), the arrival plan
+    (its mode, and the explicit ``int32`` plan or a deferred Bernoulli
+    plan's MT state and cumulative weights), the fixed-shape per-queue
+    arrays and the state image.  The arrays stay alive (and are never
+    resized) across the C call.  ``fields`` is ``None`` when the kernel
+    cannot run the span's arbiter or plan."""
+
+    def __init__(self, core, ptr: KPtrs, aplan, num_slots: int, main: bool,
+                 bern, image) -> None:
         self.core = core
-        self.state = state
+        self.num_slots = num_slots
+        self.main = main
+        self.rngs = []
+        self.fields = None
+        arbiter = core.sim.arbiter if main else None
+        arb_mode = span_arbiter(arbiter, core.num_queues)
+        if arb_mode is None:
+            return
+        fields = dict(arb_mode=arb_mode, plan_mode=_PLAN_NONE)
+        if arb_mode == _ARB_RANDOM:
+            ptr.arb_key, ptr.arb_meta = self._rng(arbiter._rng)
+            fields["arb_tint"] = gate_threshold(arbiter.load)
+        if bern is not None:
+            rng, tint, cum_weights, total = bern
+            ptr.bern_key, ptr.bern_meta = self._rng(rng)
+            self.weights = array("d", cum_weights)
+            ptr.cum_weights = _addr(self.weights, _F64P)
+            fields.update(plan_mode=_PLAN_BERNOULLI, bern_tint=tint,
+                          bern_total=total)
+        elif main and aplan is not None:
+            self.plan = _plan_array(aplan, num_slots)
+            if self.plan is None:
+                return
+            ptr.plan = _addr(self.plan, _I32P)
+            fields["plan_mode"] = _PLAN_EXPLICIT
+        self.fields = fields
+
+        nq = core.num_queues
+        self.state = image(core)
         self.queues = {name: array("q", getattr(core, name))
                        for name in _QUEUE_FIELDS}
         self.crit_cache = array("q", [_CRIT_INF if v == math.inf else v
@@ -588,17 +644,24 @@ class _Handoff:
         ptr.crit_cache = _addr(self.crit_cache, _I64P)
         ptr.eligible = _addr(self.eligible, _I64P)
         ptr.la_ring = _addr(self.la_ring, _I64P)
-        ptr.state = _addr(state, _I64P)
+        ptr.state = _addr(self.state, _I64P)
 
-    def cfg(self, num_slots: int, main: bool, **fields) -> KCfg:
+    def _rng(self, rng):
+        """Pointers to ``rng``'s key and ``[pos, consumed]`` for the
+        kernel, whose advanced state :meth:`apply` hands back."""
+        state, key, meta = _rng_image(rng)
+        self.rngs.append((rng, state, key, meta))
+        return _addr(key, _U32P), _addr(meta, _I64P)
+
+    def cfg(self, **fields) -> KCfg:
         core = self.core
         return KCfg(
             num_queues=core.num_queues, granularity=core.granularity,
             strict=1 if core.strict else 0, tail_cap=core.tail_cap,
             dram_cap=-1 if core.dram_cap is None else core.dram_cap,
             sram_cap=-1 if core.sram_cap is None else core.sram_cap,
-            la_len=core.la_len, num_slots=num_slots, start_slot=core.slot,
-            is_main=1 if main else 0,
+            la_len=core.la_len, num_slots=self.num_slots,
+            start_slot=core.slot, is_main=1 if self.main else 0,
             ecqf_fallback=1 if core.ecqf_fallback else 0,
             state_len=len(self.state), tail_total=core.tail_total,
             dram_total=core.dram_total, sram_total=core.sram_total,
@@ -607,11 +670,15 @@ class _Handoff:
             dram_reads=core.dram_reads, dram_writes=core.dram_writes,
             dropped=core.dropped, max_tail=core.max_tail,
             max_head=core.max_head, crit_len=len(core.crit_heap),
-            eligible_len=len(core.eligible), **fields)
+            eligible_len=len(core.eligible), **self.fields, **fields)
 
-    def apply(self, cfg: KCfg, num_slots: int, main: bool) -> None:
-        """Write the updated arrays and the span's counts back."""
+    def apply(self, cfg: KCfg, it) -> None:
+        """Write the updated arrays, the span's counts, the generators'
+        states and the state both cores have (the head of
+        :func:`_state_image`'s layout, read from the iterator ``it``
+        over the result) back."""
         core = self.core
+        num_slots = self.num_slots
         for name, after in self.queues.items():
             getattr(core, name)[:] = after.tolist()
         core.crit_cache[:] = [math.inf if v == _CRIT_INF else v
@@ -619,11 +686,14 @@ class _Handoff:
         core.eligible[:] = self.eligible.tolist()[:cfg.eligible_len]
         core.lookahead[:] = [None if v < 0 else v for v in self.la_ring]
         core.slot += num_slots
-        if main:
+        if self.main:
             core.main_slots += num_slots
             core.arrivals_count += cfg.arrivals_seen
             core.departures += cfg.n_delays
             core.idle_requests += num_slots - cfg.grants
+        for rng, state, key, meta in self.rngs:
+            rng.setstate((3, tuple(key) + (meta[0],), state[2]))
+        _apply_result(core, cfg, it)
 
 
 def _read_result(ptr: KPtrs, cfg: KCfg) -> List[int]:
@@ -662,11 +732,12 @@ def run_span_kernel(core, aplan, num_slots: int, main: bool = True,
     ``aplan`` is the arrival plan — an ``Optional[int]`` list at least
     ``num_slots`` long — or ``None`` for a span without arrivals;
     ``bern = (rng, tint, cum_weights, total)`` makes the kernel draw the
-    Bernoulli arrival plan natively instead.  On any failure (kernel
-    unavailable, strict-mode abort inside the span, allocation failure, a
-    plan entry naming no queue) the python core is left untouched and the
-    caller falls back to a python loop, which reproduces the exact outcome
-    — including the exception and the post-raise state.
+    Bernoulli arrival plan natively instead.  The arbiter is one
+    :func:`span_arbiter` accepts.  On any failure (kernel unavailable,
+    strict-mode abort inside the span, allocation failure, a plan entry
+    naming no queue) the python core is left untouched and the caller
+    falls back to a python loop, which reproduces the exact outcome —
+    including the exception and the post-raise state.
 
     ``drain_slots`` must be 0: a drain window is a span of its own
     (``main=False``).  The parameter stays only because the benchmark's
@@ -686,87 +757,32 @@ def run_span_kernel(core, aplan, num_slots: int, main: bool = True,
         return False
     obs = get_metrics()
     started = perf_counter()
-
-    # -- RNG states -----------------------------------------------------
-    # Every array below stays bound to a local, so alive across the C call.
-    rng = core.sim.arbiter._rng if main else None
-    if main:
-        arb_state, arb_key, arb_meta = _rng_image(rng)
-        arb_tint = gate_threshold(core.sim.arbiter.load)
-    else:
-        arb_key = array("I", bytes(4 * 624))
-        arb_meta = array("q", (0, 0))
-        arb_tint = 0
-    ptr = KPtrs(arb_key=_addr(arb_key, _U32P),
-                arb_meta=_addr(arb_meta, _I64P))
-
-    if bern is not None:
-        bern_rng, bern_tint, cum_weights, total = bern
-        bern_state, bern_key, bern_meta = _rng_image(bern_rng)
-        weights = array("d", cum_weights)
-        plan_mode = 1
-        ptr.bern_key = _addr(bern_key, _U32P)
-        ptr.bern_meta = _addr(bern_meta, _I64P)
-        ptr.cum_weights = _addr(weights, _F64P)
-    else:
-        bern_rng = None
-        bern_tint, total = 0, 0.0
-        plan_mode = 0 if (main and aplan is not None) else 2
-        if plan_mode == 0:
-            plan = _plan_array(aplan, num_slots)
-            if plan is None:
-                return False
-            ptr.plan = _addr(plan, _I32P)
-
-    # -- fixed-shape per-queue state, updated in place ------------------
-    handoff = _Handoff(core, ptr, _rads_image(core))
-    cfg = handoff.cfg(num_slots, main, arb_tint=arb_tint,
-                      plan_mode=plan_mode, bern_tint=bern_tint,
-                      bern_total=total, pending_len=len(core.pending))
+    ptr = KPtrs()
+    handoff = _Handoff(core, ptr, aplan, num_slots, main, bern, _rads_image)
+    if handoff.fields is None:
+        return False
+    cfg = handoff.cfg(pending_len=len(core.pending))
 
     native_started = perf_counter()
     rc = fn(ctypes.byref(cfg), ctypes.byref(ptr))
     native_s = perf_counter() - native_started
     if rc == _ERR_OK:
-        # -- apply the kernel's state to the python core -----------------
         it = iter(_read_result(ptr, cfg))
-        handoff.apply(cfg, num_slots, main)
-        _apply_result(core, cfg, it)
+        handoff.apply(cfg, it)
         pending = deque()
         for _ in range(cfg.pending_len):
             finish, queue, count = islice(it, 3)
             pending.append((finish, queue, list(islice(it, count))))
         core.pending = pending
         _apply_outcome(core, cfg, it)
-        if main:
-            rng.setstate((3, tuple(arb_key) + (arb_meta[0],),
-                          arb_state[2]))
-        if bern_rng is not None:
-            bern_rng.setstate((3, tuple(bern_key) + (bern_meta[0],),
-                               bern_state[2]))
-    # Otherwise nothing was written back: the arrays above are copies, the
-    # python core is untouched — the caller's python loop replays the span
-    # and raises (or recovers) with the exact reference state.
+    # Otherwise nothing was written back: the arrays handed over are
+    # copies, the python core is untouched — the caller's python loop
+    # replays the span and raises (or recovers) with the exact reference
+    # state.
     if obs is not None:
         _observe(obs, rc == _ERR_OK, rc, num_slots,
                  num_slots if bern is not None else 0, started, native_s)
     return rc == _ERR_OK
-
-
-def cfds_arbiter(arbiter, num_queues: int) -> Optional[int]:
-    """The CFDS entry's code for ``arbiter`` (``ARB_*`` in
-    ``_spankernel.c``), or ``None`` when the kernel cannot run it: no
-    arbiter, a ``RandomArbiter``, or a ``LongestQueueArbiter`` over exactly
-    the buffer's ``num_queues`` (exact types: a subclass may override
-    ``next_request``)."""
-    if arbiter is None:
-        return _ARB_NONE
-    if type(arbiter) is RandomArbiter:
-        return _ARB_RANDOM
-    if (type(arbiter) is LongestQueueArbiter
-            and arbiter.num_queues == num_queues):
-        return _ARB_LONGEST
-    return None
 
 
 def _cfds_image(core) -> array:
@@ -848,42 +864,27 @@ def _apply_cfds(core, ccfg: CCfg, it, fixed) -> None:
     core.max_delay = ccfg.max_delay
 
 
-def run_cfds_span_kernel(core, aplan, num_slots: int,
-                         main: bool = True) -> bool:
+def run_cfds_span_kernel(core, aplan, num_slots: int, main: bool = True,
+                         bern=None) -> bool:
     """Run one span of the CFDS core on the kernel's ``cfds_run_span``;
     ``True`` on success.
 
-    The CFDS counterpart of :func:`run_span_kernel`, under the same rules:
-    ``aplan`` is an explicit plan or ``None``; the arbiter is one
-    :func:`cfds_arbiter` accepts; any failure leaves the core untouched for
-    the caller's python loop, which raises exactly where the reference
-    does; the same counters and timers are recorded.
+    The CFDS counterpart of :func:`run_span_kernel`, under the same rules
+    and with the same arbiters and plans: any failure leaves the core
+    untouched for the caller's python loop, which raises exactly where the
+    reference does; the same counters and timers are recorded.
     """
     fn = _cfds if load_kernel() is not None else None
-    arb_mode = cfds_arbiter(core.sim.arbiter, core.num_queues) \
-        if main else _ARB_NONE
-    if fn is None or arb_mode is None:
+    if fn is None:
         return False
     obs = get_metrics()
     started = perf_counter()
     # Every array below stays bound to a local, so alive across the C call.
     ptr = CPtrs()
-    arb_tint = 0
-    if arb_mode == _ARB_RANDOM:
-        arbiter = core.sim.arbiter
-        arb_state, arb_key, arb_meta = _rng_image(arbiter._rng)
-        arb_tint = gate_threshold(arbiter.load)
-        ptr.k.arb_key = _addr(arb_key, _U32P)
-        ptr.k.arb_meta = _addr(arb_meta, _I64P)
-    plan_mode = 2
-    if main and aplan is not None:
-        plan = _plan_array(aplan, num_slots)
-        if plan is None:
-            return False
-        ptr.k.plan = _addr(plan, _I32P)
-        plan_mode = 0
-
-    handoff = _Handoff(core, ptr.k, _cfds_image(core))
+    handoff = _Handoff(core, ptr.k, aplan, num_slots, main, bern,
+                       _cfds_image)
+    if handoff.fields is None:
+        return False
     renaming = core.names is not None
     fixed = (array("q", [-1 if v is None else v for v in core.latency_reg]),
              array("q", core.locks), array("q", core.busy_until),
@@ -894,9 +895,7 @@ def run_cfds_span_kernel(core, aplan, num_slots: int,
                              "in_use", "write_count"), fixed):
         setattr(ptr, name, _addr(values, _I64P))
     cfg = CCfg(
-        k=handoff.cfg(num_slots, main, arb_tint=arb_tint,
-                      plan_mode=plan_mode),
-        arb_mode=arb_mode, lat_len=core.lat_len,
+        k=handoff.cfg(), lat_len=core.lat_len,
         rr_cap=-1 if core.rr_cap is None else core.rr_cap,
         issues=core.issues, ras=core.ras, bus_slots=core.bus_slots,
         dram_strict=1 if core.dram_strict else 0,
@@ -916,15 +915,12 @@ def run_cfds_span_kernel(core, aplan, num_slots: int,
     native_s = perf_counter() - native_started
     if rc == _ERR_OK:
         it = iter(_read_result(ptr.k, cfg.k))
-        handoff.apply(cfg.k, num_slots, main)
-        _apply_result(core, cfg.k, it)
+        handoff.apply(cfg.k, it)
         _apply_cfds(core, cfg, it, fixed)
         _apply_outcome(core, cfg.k, it)
-        if arb_mode == _ARB_RANDOM:
-            arbiter._rng.setstate((3, tuple(arb_key) + (arb_meta[0],),
-                                   arb_state[2]))
     if obs is not None:
-        _observe(obs, rc == _ERR_OK, rc, num_slots, 0, started, native_s)
+        _observe(obs, rc == _ERR_OK, rc, num_slots,
+                 num_slots if bern is not None else 0, started, native_s)
     return rc == _ERR_OK
 
 
@@ -1002,9 +998,7 @@ def run_fabric_window(num_ports: int, policy: str, start_slot: int,
         ptr.grant = _addr(grant, _I64P)
         ptr.accept = _addr(accept, _I64P)
     if rng is not None:
-        rng_state = rng.getstate()
-        rng_key = array("I", rng_state[1][:624])
-        rng_meta = array("q", (rng_state[1][624], 0))
+        rng_state, rng_key, rng_meta = _rng_image(rng)
         ptr.rng_key = _addr(rng_key, _U32P)
         ptr.rng_meta = _addr(rng_meta, _I64P)
     cfg = FCfg(num_ports=n, policy=FABRIC_POLICIES.index(policy),

@@ -7,12 +7,12 @@ chunks:
 
 * **Chunked arrival plans** — each chunk's plan covers just its window
   (:func:`~repro.sim.array_engine.window_plan`), so peak memory is
-  ``O(chunk_slots)``, independent of the horizon.  On the RADS array core a
+  ``O(chunk_slots)``, independent of the horizon.  On either array core a
   stock Bernoulli process (Zipf and hotspot included) hands the chunk over
   undrawn, and the span kernel draws it natively as it does a monolithic
   run's; a span the kernel declines draws it in python with the same
-  ``arrivals()`` call.  Every other process, and every other core, asks
-  the process for its window
+  ``arrivals()`` call.  Every other process, and the reference engine,
+  asks the process for its window
   (:meth:`~repro.traffic.arrivals.ArrivalProcess.arrivals_slice`).  The
   chunk concatenation is stream-identical to one monolithic plan, so with
   ``warmup_slots=0`` a streamed run's report is **bit-identical** to

@@ -2,7 +2,8 @@
 
 cppcheck and clang-tidy are CI tools (installed in the ``lint-invariants``
 job); locally these tests skip when the binaries are absent so the tier-1
-suite stays dependency-free.
+suite stays dependency-free.  The warning gate needs only the compiler the
+kernel itself is built with, and skips without one.
 """
 
 import shutil
@@ -12,12 +13,26 @@ from pathlib import Path
 import pytest
 
 import repro
+from repro.sim import kernel
 
 SOURCE = Path(repro.__file__).parent / "sim" / "_spankernel.c"
 
 
 def test_kernel_source_is_bundled():
     assert SOURCE.is_file()
+
+
+def test_kernel_builds_warning_free(tmp_path):
+    """Every warning of -Wall -Wextra is an error: the build the kernel's
+    loader runs must stay clean under them."""
+    cc = kernel._compiler()
+    if cc is None:
+        pytest.skip("no C compiler")
+    proc = subprocess.run(
+        [cc, "-std=c99", "-Wall", "-Wextra", "-Werror", "-O2", "-shared",
+         "-fPIC", "-o", str(tmp_path / "spankernel.so"), str(SOURCE)],
+        capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
 
 
 @pytest.mark.skipif(shutil.which("cppcheck") is None,

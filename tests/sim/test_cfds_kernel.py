@@ -33,7 +33,12 @@ from repro.traffic.arbiters import (
     OldestCellArbiter,
     RandomArbiter,
 )
-from repro.traffic.arrivals import BurstyArrivals, TraceArrivals
+from repro.traffic.arrivals import (
+    BernoulliArrivals,
+    BurstyArrivals,
+    TraceArrivals,
+    ZipfArrivals,
+)
 from repro.workloads.registry import get_scenario, scenario_names
 
 needs_kernel = pytest.mark.skipif(
@@ -69,10 +74,21 @@ def _arbiter(kind, num_queues):
     return None
 
 
+#: Stock Bernoulli processes, by ``make_sim``'s ``arrivals`` name: the
+#: kernel draws their plans itself.
+DRAWN = {
+    "bernoulli": lambda num_queues, load: BernoulliArrivals(
+        num_queues, load=load, seed=5),
+    "zipf": lambda num_queues, load: ZipfArrivals(
+        num_queues, exponent=1.2, load=load, seed=5),
+}
+
+
 def make_sim(arbiter="random", granularity=2, renaming=True, group_cap=None,
              fallback=True, head_mma=None, patch=None, num_queues=8,
              load=0.95, arrivals=None, record_trace=False, **config):
-    """An 8-queue CFDS machine (B=8, 32 banks) fed bursty traffic.
+    """An 8-queue CFDS machine (B=8, 32 banks) fed bursty traffic, or the
+    process ``arrivals`` names in :data:`DRAWN`, or ``arrivals`` itself.
 
     ``patch`` bends the buffer's scheduler where no config reaches:
     ``no_orr`` drops the Ongoing Requests Register, so banks are reissued
@@ -91,6 +107,8 @@ def make_sim(arbiter="random", granularity=2, renaming=True, group_cap=None,
     if arrivals is None:
         arrivals = BurstyArrivals(num_queues, mean_burst_cells=16, load=load,
                                   seed=5)
+    elif isinstance(arrivals, str):
+        arrivals = DRAWN[arrivals](num_queues, load)
     return ClosedLoopSimulation(buffer, arrivals,
                                 _arbiter(arbiter, num_queues),
                                 record_trace=record_trace)
@@ -217,11 +235,21 @@ STREAM_SLOTS = 2000
 STREAM_KNOBS = dict(arbiter="random", group_cap=48, strict=False)
 
 
+def _stream_reference(knobs, warmup_slots):
+    sim = make_sim(**knobs)
+    return outcome(sim, sim.run_stream(STREAM_SLOTS, engine="reference",
+                                       chunk_slots=500,
+                                       warmup_slots=warmup_slots))
+
+
 @pytest.fixture(scope="module")
 def stream_reference():
-    sim = make_sim(**STREAM_KNOBS)
-    return outcome(sim, sim.run_stream(STREAM_SLOTS, engine="reference",
-                                       chunk_slots=500, warmup_slots=450))
+    return _stream_reference(STREAM_KNOBS, 450)
+
+
+@pytest.fixture(scope="module")
+def stream_reference_of():
+    return _stream_reference
 
 
 @pytest.mark.parametrize("chunk_slots", [1, 191, 192, 700])
@@ -261,6 +289,94 @@ def test_streamed_chunks_resume_on_the_other_path(chunk_slots, first,
 
 
 # --------------------------------------------------------------------- #
+# Stock Bernoulli plans the kernel draws.
+# --------------------------------------------------------------------- #
+
+def _spy_batch_draws(patcher):
+    """Record the size of every ``BernoulliArrivals.arrivals`` call (Zipf
+    inherits it): the plans drawn in python."""
+    calls = []
+    stock = BernoulliArrivals.arrivals
+
+    def arrivals(self, num_slots):
+        calls.append(num_slots)
+        return stock(self, num_slots)
+
+    patcher.setattr(BernoulliArrivals, "arrivals", arrivals)
+    return calls
+
+
+@pytest.mark.parametrize("process", sorted(DRAWN))
+def test_kernel_draws_stock_bernoulli_plans(process, monkeypatch):
+    """A stock Bernoulli or Zipf process hands the CFDS entry its RNG
+    state, and the kernel draws the main span's plan: the outcome equals
+    the reference engine's, and python draws no plan."""
+    reference = run_engine("reference", arrivals=process)
+    with monkeypatch.context() as patcher:
+        calls = _spy_batch_draws(patcher)
+        array, registry = observed(lambda: run_engine("array",
+                                                      arrivals=process))
+    assert array == reference
+    assert_kernel_ran(registry)
+    drawn = registry.counter("engine.array.kernel_plan_slots")
+    assert drawn == (1500 if span_kernel.load_kernel() is not None else 0)
+    assert sum(calls) == 1500 - drawn
+
+
+@pytest.mark.parametrize("process", sorted(DRAWN))
+def test_streamed_kernel_drawn_plans(process, stream_reference_of,
+                                     monkeypatch, tmp_path):
+    """Streamed in 700-slot chunks with the warmup boundary at 600, whose
+    100-slot rest is a short span python draws, and resumed from the
+    checkpoint at 1400: the kernel draws the other 1900 slots' plans, and
+    the reports equal the reference engine's."""
+    path = tmp_path / "cfds.ckpt.json"
+    knobs = dict(arrivals=process, group_cap=48, strict=False)
+
+    def run():
+        sim = make_sim(**knobs)
+        report = sim.run_stream(STREAM_SLOTS, engine="array",
+                                chunk_slots=700, warmup_slots=600,
+                                checkpoint_every=1400, checkpoint_path=path)
+        return outcome(sim, report)
+
+    reference = stream_reference_of(knobs, warmup_slots=600)
+    with monkeypatch.context() as patcher:
+        calls = _spy_batch_draws(patcher)
+        streamed, registry = observed(run)
+    resumed = resume_stream(path)
+    assert streamed == reference
+    assert (resumed.throughput, resumed.latency, resumed.buffer_result) \
+        == reference[:3]
+    assert_kernel_ran(registry)
+    drawn = registry.counter("engine.array.kernel_plan_slots")
+    assert drawn == (1900 if span_kernel.load_kernel() is not None else 0)
+    assert sum(calls) == STREAM_SLOTS - drawn
+
+
+@needs_kernel
+def test_shared_rng_plan_is_drawn_in_python(monkeypatch):
+    """A process sharing the arbiter's RNG object has its plan drawn in
+    python ahead of the span's arbiter draws, counted as ``shared_rng``,
+    and the kernel then runs the span on that plan: the outcome equals the
+    python loop's.  (The reference loop interleaves the two processes'
+    draws, so only the array core's two paths are comparable.)"""
+    def run():
+        sim = make_sim(arrivals="bernoulli", lookahead=200)
+        sim.arrivals._rng = sim.arbiter._rng
+        return outcome(sim, sim.run(600, engine="array"))
+
+    with monkeypatch.context() as patcher:
+        _disable_kernel(patcher)
+        python = run()
+    array, registry = observed(run)
+    assert array == python
+    assert _fallbacks(registry) == {"shared_rng": 600}
+    assert registry.counter("engine.array.kernel_spans") == 2
+    assert registry.counter("engine.array.kernel_plan_slots") == 0
+
+
+# --------------------------------------------------------------------- #
 # Span by span: the kernel core's whole state equals the python core's.
 # --------------------------------------------------------------------- #
 
@@ -283,8 +399,10 @@ def core_state(core):
     if core.names is not None:
         state["names"] = [[list(entry) for entry in entries]
                           for entries in core.names]
-    rng = getattr(core.sim.arbiter, "_rng", None)
-    state["rng"] = rng.getstate() if rng else None
+    for name, source in (("rng", core.sim.arbiter),
+                         ("arrivals_rng", core.sim.arrivals)):
+        rng = getattr(source, "_rng", None)
+        state[name] = rng.getstate() if rng else None
     return state
 
 
@@ -329,8 +447,9 @@ SPANS = [192, 700, 191, 1, 300, 250]
     dict(arbiter="random", patch="no_orr", strict=False, granularity=1),
     dict(arbiter="longest_queue", granularity=8, fallback=False,
          lookahead=1, latency=0, strict=False),
+    dict(arbiter="random", arrivals="bernoulli", group_cap=40, strict=False),
 ], ids=["renaming-dropping", "static-dropping", "fill-only",
-        "bank-conflicts", "head-misses"])
+        "bank-conflicts", "head-misses", "bernoulli-drawn"])
 def test_state_equal_after_every_span(knobs, monkeypatch):
     assert step_both(knobs, SPANS, monkeypatch) is None
 

@@ -30,7 +30,11 @@ from repro.sim.array_engine import build_array_core
 from repro.sim.engine import ClosedLoopSimulation
 from repro.sim.streaming import StreamingSimulation, resume_stream
 from repro.workloads.registry import get_scenario
-from repro.traffic.arbiters import OldestCellArbiter, RandomArbiter
+from repro.traffic.arbiters import (
+    LongestQueueArbiter,
+    OldestCellArbiter,
+    RandomArbiter,
+)
 from repro.traffic.arrivals import (
     BernoulliArrivals,
     HotspotArrivals,
@@ -652,14 +656,128 @@ def test_fallback_reason_abort():
 
 def test_fallback_reason_no_lookahead():
     """No buffer config yields an empty lookahead (it is at least one
-    slot), so the kernel's defensive gate is pinned on a patched core."""
+    slot), so no fallback reason names it: a core patched to an empty
+    lookahead still goes to the kernel, whose shape check aborts the span
+    as ``arg``, and the python loop runs it."""
     sim = ClosedLoopSimulation(
         _build_buffer("rads"), BernoulliArrivals(8, load=0.5, seed=3),
         RandomArbiter(8, seed=4))
     core = build_array_core(sim)
     assert core._kernel_miss(1000) in (None, "unavailable")
     core.la_len = 0
-    assert core._kernel_miss(1000) == "no_lookahead"
+    assert core._kernel_miss(1000) in (None, "unavailable")
+    registry = MetricsRegistry()
+    with using_metrics(registry):
+        core.run_span(sim.arrivals.arrivals(1000), 1000)
+    assert core.slot == 1000
+    assert registry.counter("engine.array.kernel_spans") == 0
+    if span_kernel.load_kernel() is not None:
+        assert _abort_codes(registry) == {"arg": 1}
+        assert _fallbacks(registry) == {"abort": 1000}
+    else:
+        assert _fallbacks(registry) == {"unavailable": 1000}
+
+
+#: One leg per Mersenne Twister key a span entry resumes: the scheme, and
+#: the generator whose position the patched marshal hands over as -1.
+CORRUPT_KEYS = {
+    "rads-arbiter": ("rads", lambda sim: sim.arbiter._rng),
+    "rads-bernoulli": ("rads", lambda sim: sim.arrivals._rng),
+    "cfds-arbiter": ("cfds", lambda sim: sim.arbiter._rng),
+}
+
+
+@pytest.mark.parametrize("leg", sorted(CORRUPT_KEYS))
+def test_mt_position_out_of_range_aborts(leg, monkeypatch):
+    """A generator position outside [0, 624] would make the kernel read
+    before the key (``key[-1]`` at -1): every entry rejects it as ``arg``
+    before drawing, and the python loop runs the span from the untouched
+    generator, so the report equals the kernel-off run."""
+    if span_kernel.load_kernel() is None:
+        pytest.skip("no C compiler: the span kernel never runs")
+    scheme, generator = CORRUPT_KEYS[leg]
+
+    def make_sim():
+        return ClosedLoopSimulation(
+            _build_buffer(scheme), BernoulliArrivals(8, load=0.8, seed=5),
+            RandomArbiter(8, seed=6))
+
+    scalar = without_kernel(monkeypatch,
+                            lambda: make_sim().run(900, engine="array"))
+    sim = make_sim()
+    target = generator(sim)
+    stock = span_kernel._rng_image
+
+    def corrupted(rng):
+        state, key, meta = stock(rng)
+        if rng is target:
+            meta[0] = -1
+        return state, key, meta
+
+    monkeypatch.setattr(span_kernel, "_rng_image", corrupted)
+    array, registry = _observed(lambda: sim.run(900, engine="array"))
+    assert_reports_identical(scalar, array)
+    assert _abort_codes(registry) == {"arg": 1}
+    assert registry.counter("engine.array.fallback.abort") == 900
+
+
+class _LongestQueue(LongestQueueArbiter):
+    """A subclass: it may override ``next_request``, so the kernel declines
+    it."""
+
+
+def _rads_sim(arbiter):
+    return ClosedLoopSimulation(
+        RADSPacketBuffer(RADSConfig(num_queues=8, granularity=4)),
+        BernoulliArrivals(8, load=0.9, seed=71), arbiter)
+
+
+@pytest.mark.parametrize("mode", ["monolithic", "streamed"])
+@pytest.mark.parametrize("arbiter", ["longest_queue", None])
+def test_rads_runs_longest_queue_and_no_arbiter(arbiter, mode, kernel_mode,
+                                                monkeypatch, tmp_path):
+    """The RADS entry runs the arbiters the CFDS entry runs: a
+    ``LongestQueueArbiter`` over the buffer's queues, and no arbiter.
+    Monolithic, and streamed in uneven chunks with the warmup boundary
+    inside one and a checkpoint resumed, the report equals the reference
+    engine's and the kernel-off run's, and no span counts ``policy``."""
+    path = tmp_path / "rads.ckpt.json"
+
+    def run(engine):
+        sim = _rads_sim(LongestQueueArbiter(8) if arbiter else None)
+        if mode == "monolithic":
+            return sim.run(3000, engine=engine)
+        return sim.run_stream(3000, engine=engine, chunk_slots=700,
+                              warmup_slots=1000, checkpoint_every=1500,
+                              checkpoint_path=path)
+
+    reference = run("reference")
+    scalar = without_kernel(monkeypatch, lambda: run("array"))
+    array, registry = _observed(lambda: run("array"))
+    assert_reports_identical(reference, array)
+    assert_reports_identical(scalar, array)
+    assert "policy" not in _fallbacks(registry)
+    _assert_kernel_ran(registry, kernel_mode)
+    if mode == "streamed":
+        resumed, registry = _observed(lambda: resume_stream(path))
+        assert_reports_identical(reference, resumed)
+        assert "policy" not in _fallbacks(registry)
+        _assert_kernel_ran(registry, kernel_mode)
+
+
+@pytest.mark.parametrize("arbiter", ["subclass", "fewer-queues"])
+def test_rads_longest_queue_variants_count_policy(arbiter):
+    """A ``LongestQueueArbiter`` subclass, or one over fewer queues than the
+    buffer has, stays on the python loop as ``policy``."""
+    def make_sim():
+        return _rads_sim(_LongestQueue(8) if arbiter == "subclass"
+                         else LongestQueueArbiter(7))
+
+    reference = make_sim().run(600, engine="reference")
+    array, registry = _observed(lambda: make_sim().run(600, engine="array"))
+    assert_reports_identical(reference, array)
+    assert _fallbacks(registry) == {"policy": array.throughput.slots}
+    assert registry.counter("engine.array.kernel_spans") == 0
 
 
 # --------------------------------------------------------------------- #
