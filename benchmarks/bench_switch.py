@@ -1,12 +1,12 @@
 """Benchmark: the multi-port switch pipeline.
 
-The switch executes in two stages: a serial crossbar fabric stage (the
-pipeline's Amdahl ceiling — tracked on its own here and in ``repro bench``)
-and a port stage sharded over the experiment runner's workers.  The
-benchmark times the fabric alone, the registered suite's scenarios
-end-to-end, and the sharded vs serial port stage, and asserts the merged
-report stays identical whichever worker count ran the ports — sharding is
-an execution detail, never a different simulation.
+A switch run streams the crossbar fabric stage (the pipeline's Amdahl
+ceiling — tracked on its own here and in ``repro bench``) straight into
+the egress ports, in one in-process job.  The benchmark times the fabric
+alone, the registered suite's scenarios end-to-end, and ``jobs=1`` vs
+``jobs=4`` (which the port stage no longer splits across workers: a pool
+cost more than the span kernel's port work it split), and asserts the
+merged report stays identical whichever ``jobs`` was given.
 """
 
 import time
@@ -61,4 +61,4 @@ def test_sharded_report_identical_and_timed(echo):
     assert reports[1] == reports[4]
     echo(format_table(
         ["jobs", "best (ms)", "port-kslots/s"], rows,
-        title="Switch port stage — serial vs sharded (8-port CFDS switch)"))
+        title="Switch run — jobs=1 vs jobs=4 (8-port CFDS switch)"))

@@ -28,7 +28,9 @@ into a child interpreter with the sanitizer runtimes preloaded and real
    with a group capacity that drops blocks, non-strict DRAM without the
    ORR (bank conflicts serialise), the ``random`` and ``longest_queue``
    arbiters, a streamed run in 200- and 700-slot chunks with a mid-run
-   checkpoint, and an 8-port CFDS switch through ``run_stream``, and
+   checkpoint, and an 8-port CFDS switch in 250-slot fabric windows,
+   whose ingress plans the fabric entry draws (it exits 4 if it drew
+   none) and whose ``int32`` rows the CFDS entry runs as its plans, and
 7. the arbiters and plans the two span entries share, each against the
    reference engine, monolithic and streamed (warmup boundary inside a
    chunk, one checkpoint resumed): RADS with ``longest_queue`` and with no
@@ -254,6 +256,7 @@ def cfds_check(label, run, want_drops=False, want_conflicts=False):
             or (want_conflicts and not got[0].buffer_result.bank_conflicts)):
         print(f"KERNEL NOT REACHED: cfds {label}", file=sys.stderr)
         sys.exit(4)
+    return registry
 
 for label, knobs, drops, conflicts in (
         ("renaming, dropping groups", dict(group_cap=40), True, False),
@@ -289,10 +292,15 @@ switch = dataclasses.replace(switch, ports=({
 
 def switch_run(engine):
     # The report names its engine; the fabric and the ports must agree.
-    report = SwitchModel(switch).run_stream(engine=engine, chunk_slots=250)
+    report = SwitchModel(switch).run(engine=engine, chunk_slots=250)
     return report.fabric, report.ports, None
 
-cfds_check("8-port switch, run_stream", switch_run)
+# The fabric kernel draws the ingress plans and hands its int32 rows to the
+# ports' CFDS entry as their explicit plans.
+if not cfds_check("8-port switch, 250-slot windows", switch_run).counter(
+        "switch.fabric.kernel_plan_slots"):
+    print("KERNEL NOT REACHED: switch ingress plans", file=sys.stderr)
+    sys.exit(4)
 print("cfds ok")
 
 # 7. The shared arbiters and plans: every shape must reach the kernel, and

@@ -4,15 +4,16 @@ Every PR that touches a hot path needs a comparable baseline; this module
 provides it.  The suite is a *fixed* set of benchmarks — the closed-loop
 scenario on each engine, the wide-queue stressor that magnifies per-slot
 overhead, a CFDS scenario exercising the DRAM scheduler subsystem, the
-head-MMA ablation, the multi-port switch pipeline (the serial fabric
-stage alone, then the full run with ports serial vs sharded over 4
-workers), and the long-horizon streaming path (chunked runs, with and
-without checkpointing) — each timed for a handful of repetitions, with the **median**
-wall-clock time recorded per benchmark.  Results are written as JSON
-(``BENCH_20.json`` by default; the number tracks the PR that produced the
-file), so successive snapshots can be diffed mechanically::
+head-MMA ablation, the multi-port switch pipeline (the fabric stage
+alone, then the full run at ``jobs=1`` and ``jobs=4``), and the
+long-horizon streaming path (chunked runs, with and without
+checkpointing) — each timed for a handful of repetitions, with the
+**median** wall-clock time recorded per benchmark.
+Results are written as JSON (``BENCH_22.json`` by default; the number
+tracks the PR that produced the file), so successive snapshots can be
+diffed mechanically::
 
-    python -m repro bench                 # full suite -> BENCH_20.json
+    python -m repro bench                 # full suite -> BENCH_22.json
     python -m repro bench --quick         # reduced slot counts (CI perf-smoke)
     python -m repro bench --filter wide   # only the wide-queue benchmarks
 
@@ -36,7 +37,7 @@ from repro.errors import ValidationError
 
 #: Default output file.  The suffix tracks the PR that produced the
 #: snapshot so the repository can accumulate a BENCH_<n>.json trajectory.
-DEFAULT_OUTPUT = "BENCH_20.json"
+DEFAULT_OUTPUT = "BENCH_22.json"
 
 #: JSON schema version of the output document.
 SCHEMA = 1
@@ -57,8 +58,8 @@ MMA_QUEUES = 16
 MMA_GRANULARITY = 4
 MMA_SLOTS = 12_000
 SWITCH_PORTS = 8
-#: Arrival slots of the switch pairs, quick and full alike (their jobs4 /
-#: jobs1 ratio is gated, and the pool's start-up is a fixed cost).
+#: Arrival slots of the switch pair, quick and full alike (their jobs4 /
+#: jobs1 ratio is gated, and a worker pool's start-up is a fixed cost).
 SWITCH_SLOTS = 6000
 #: Slot count of the fabric-stage-only benchmark (the serial stage is the
 #: switch pipeline's Amdahl ceiling, so its trajectory is tracked alone).
@@ -183,9 +184,11 @@ def switch_bench_scenario(num_slots: int = SWITCH_SLOTS):
     CFDS ports are the heaviest per-port workload (DSS + latency register in
     the loop), so this is where sharding ports across workers would pay —
     the configuration the ``switch-scaling`` derived ratio tracks.  With the
-    ports on the span kernel, the pool's start-up now outweighs the port
-    work it splits, and the ratio reads below 1.  Not a registered
-    scenario: benchmarks must not drift when the registry grows.
+    ports on the span kernel a worker pool cost more than it split, so a
+    switch run is one in-process job whatever ``jobs`` is, and the ratio
+    reads about 1: it falls if ``jobs`` ever buys a pool that loses again.
+    Not a registered scenario: benchmarks must not drift when the registry
+    grows.
     """
     from repro.switch import SwitchScenario
 
@@ -315,10 +318,10 @@ SUITE: Tuple[BenchCase, ...] = (
           "crossbar fabric stage alone (serial, iSLIP, 8 ports)",
           lambda quick: _fabric_setup(quick)),
     _case("switch/cfds-8port/jobs1",
-          "8-port CFDS switch, ports run serially",
+          "8-port CFDS switch, jobs=1",
           lambda quick: _switch_setup(1, quick)),
     _case("switch/cfds-8port/jobs4",
-          "8-port CFDS switch, ports sharded over 4 workers",
+          "8-port CFDS switch, jobs=4 (one in-process job all the same)",
           lambda quick: _switch_setup(4, quick)),
     _case("stream/long-horizon/array",
           "long-horizon streamed run, array engine, chunked plans",
@@ -417,10 +420,8 @@ def run_suite(quick: bool = False,
         "created_unix": time.time(),
         "python": sys.version.split()[0],
         "platform": platform.platform(),
-        # Interprets the sharding ratios: on a single-CPU machine the
-        # jobs4/jobs1 pair is expected to be ~1x (sharding is overhead-
-        # neutral); real scaling shows wherever cpus > 1.  Affinity-aware —
-        # the same count that caps the SweepRunner pool doing the sharding.
+        # Affinity-aware — the same count that caps every SweepRunner
+        # pool.
         "cpus": available_cpus(),
         "benchmarks": [result.as_json() for result in results],
         "derived": derived,

@@ -126,10 +126,10 @@ def build_parser() -> argparse.ArgumentParser:
     # restores fail-fast.
     robust = argparse.ArgumentParser(add_help=False)
     robust.add_argument("--timeout", type=float, default=None, metavar="S",
-                        help="per-job wall-clock timeout in seconds; a job "
-                             "exceeding it is retried, then quarantined "
-                             "(needs --jobs >= 2: enforcement kills the "
-                             "job's worker process)")
+                        help="per-job wall-clock timeout in seconds (a "
+                             "switch run is one job); a job exceeding it is "
+                             "retried, then quarantined (enforcement runs "
+                             "every job in a worker process it can kill)")
     robust.add_argument("--retries", type=int, default=2, metavar="N",
                         help="retries for transiently failed jobs (worker "
                              "death, timeout, TransientJobError) with "
@@ -240,8 +240,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="run one named multi-port switch scenario",
         description=("Run a switch scenario from the switch registry (see "
                      "--list): N per-port buffers behind a crossbar fabric, "
-                     "ports sharded across worker processes.  The merged "
-                     "report is identical for every --jobs value."))
+                     "whose stage streams straight into the ports in one "
+                     "job.  The report is identical for every "
+                     "--chunk-slots."))
     switch.add_argument("name", nargs="?", metavar="NAME",
                         help="switch scenario name (see --list)")
     switch.add_argument("--list", action="store_true", dest="list_switches",
@@ -258,17 +259,13 @@ def build_parser() -> argparse.ArgumentParser:
                         default=None,
                         help="override the scenario's fabric arbiter "
                              "(default parameters)")
-    switch.add_argument("--stream", action="store_true",
-                        help="stream the fabric's per-egress traces "
-                             "straight into in-process port sessions "
-                             "(bounded memory; bit-identical to the "
-                             "sharded path; --jobs is ignored)")
     switch.add_argument("--chunk-slots", type=int, default=None, metavar="N",
-                        help="streaming chunk size in slots for --stream "
-                             "(default: 65536)")
+                        help="the fabric stage's window in slots (default: "
+                             "65536); memory is bounded by it")
     switch.add_argument("-j", "--jobs", type=int, default=1, metavar="N",
-                        help="worker processes for the port stage (0 = one "
-                             "per CPU; default: 1, serial)")
+                        help="worker processes for a --from-spec sweep (0 = "
+                             "one per CPU; default: 1); one switch run is one "
+                             "in-process job whatever N is")
     switch.add_argument("--from-spec", default=None, metavar="FILE",
                         help="compile a YAML sweep document (kind: switch) "
                              "with grid expansion and run every job through "
@@ -295,8 +292,8 @@ def build_parser() -> argparse.ArgumentParser:
                            "(default: the frozen CI seed)")
     fuzz.add_argument("--stream", action="store_true",
                       help="add the expensive streamed legs: warmup offsets, "
-                           "checkpoint/resume, and both-engine switch "
-                           "streaming")
+                           "checkpoint/resume, and the switch's per-port "
+                           "oracle and drawn windows on both engines")
     fuzz.add_argument("--faults", action="store_true",
                       help="add the chaos legs: re-run each case under "
                            "seeded fault injection (worker kills, transient "
@@ -622,13 +619,9 @@ def _run_switch_command(parser: argparse.ArgumentParser,
             scenario = dataclasses.replace(
                 scenario, fabric={"type": args.fabric, "params": {}})
         engine = args.engine if args.engine is not None else DEFAULT_ENGINE
-        if args.stream or args.chunk_slots is not None:
-            report = SwitchModel(scenario).run_stream(
-                engine=engine, chunk_slots=args.chunk_slots)
-        else:
-            runner = SweepRunner(jobs=args.jobs, **_runner_options(args))
-            report = SwitchModel(scenario).run(engine=engine, jobs=args.jobs,
-                                               runner=runner)
+        runner = SweepRunner(jobs=args.jobs, **_runner_options(args))
+        report = SwitchModel(scenario).run(engine=engine, runner=runner,
+                                           chunk_slots=args.chunk_slots)
     except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -614,7 +614,12 @@ class SweepRunner:
                         ready.extend(due)
                 if (ready or dispatched) and not fleet:
                     spawn_fleet()
-                while ready:
+                # At most one task in flight per worker: a supervisor that
+                # queued every task up front could block in put() on a full
+                # task pipe while every worker blocks putting its result
+                # into a full result pipe, and never reach its poll loop
+                # (where timeouts fire) again.
+                while ready and len(dispatched) < workers:
                     position = ready.popleft()
                     if position not in remaining:
                         continue

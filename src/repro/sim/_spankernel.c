@@ -19,7 +19,9 @@
  *  - fabric_run_window executes one window of
  *    repro.switch.model.FabricStream's python loop (VOQ arrivals and the
  *    islip, random or priority request/grant/accept match, num_ports <=
- *    MAX_PORTS), on request bitsets of any width.
+ *    MAX_PORTS), on request bitsets of any width, from explicit ingress
+ *    plans or Bernoulli plans it draws per ingress with the span entries'
+ *    draw (bern_draw), and returns int32 egress rows.
  * Everything is integer arithmetic except the two places CPython uses
  * doubles — random() and choices() — which are reproduced with the
  * identical IEEE-754 expressions (this translation unit must never be
@@ -455,6 +457,20 @@ static int upper_bound_d(const double *a, int hi, double x)
     return lo;
 }
 
+/* One slot of BernoulliArrivals' batch draw over n destinations: the
+ * load gate random() < load (tint = ceil(load * 2**53)), then choices()
+ * over the cumulative weights; -1 = no arrival.  The span entries draw a
+ * queue with it, the fabric entry each ingress's egress. */
+static inline int bern_draw(mt_state *mt, int64_t tint, const double *cum,
+                            int n, double total)
+{
+    double u;
+    if (mt_comb53(mt) >= tint)
+        return -1;
+    u = (double)mt_comb53(mt) * (1.0 / 9007199254740992.0);
+    return upper_bound_d(cum, n - 1, u * total);
+}
+
 void rads_free_result(int64_t *result)
 {
     free(result);
@@ -718,11 +734,9 @@ static inline int mach_arrival(machine *m, int64_t slot)
         a = m->plan[slot - m->start_slot];
         if (a < -1 || a >= m->nq)
             return -2;
-    } else if (m->plan_mode == PLAN_BERNOULLI
-               && mt_comb53(&m->bern) < m->bern_tint) {
-        double u = (double)mt_comb53(&m->bern)
-                   * (1.0 / 9007199254740992.0);
-        a = upper_bound_d(m->cum_weights, m->nq - 1, u * m->bern_total);
+    } else if (m->plan_mode == PLAN_BERNOULLI) {
+        a = bern_draw(&m->bern, m->bern_tint, m->cum_weights, m->nq,
+                      m->bern_total);
     }
     return a;
 }
@@ -1807,6 +1821,8 @@ typedef struct {
     int64_t num_ports, policy, num_slots, start_slot;
     int64_t flush;          /* 0: arrival window of num_slots slots; 1: flush
                                until the VOQs drain, at most num_slots */
+    int64_t plan_mode;      /* arrival windows: PLAN_EXPLICIT (fptrs.plan)
+                               or PLAN_BERNOULLI (drawn per ingress) */
     int64_t state_len;      /* elements in fptrs.state */
     /* in/out */
     int64_t peak;           /* peak ingress backlog so far */
@@ -1819,8 +1835,9 @@ typedef struct {
  * egress order, that index, the cell count and the cells' arrival slots.
  * The result is
  *
- *   trace rows (num_ports x slots_run, egress-major: the ingress whose
- *   cell entered the egress in that slot, -1 = none)
+ *   trace rows (num_ports x slots_run int32, egress-major: the ingress
+ *   whose cell entered the egress in that slot, -1 = none), padded to a
+ *   whole int64 word
  *   per-egress cells moved in the window (num_ports)
  *   per-ingress backlog after the window (num_ports)
  *   n_wait_pairs (wait, count) pairs in ascending wait order
@@ -1829,8 +1846,16 @@ typedef struct {
     uint32_t *rng_key;      /* in/out: 624 words (random) */
     int64_t *rng_meta;      /* in/out: [pos, consumed] (random) */
     int64_t *grant, *accept;    /* in/out: num_ports pointers each (islip) */
-    const int32_t *plan;    /* arrival windows: num_ports x num_slots,
+    const int32_t *plan;    /* PLAN_EXPLICIT: num_ports x num_slots,
                                ingress-major, -1 = no arrival */
+    /* PLAN_BERNOULLI, per ingress: its generator (624 words and
+     * [pos, consumed], in/out), load gate, weight total and num_ports
+     * cumulative weights */
+    uint32_t *bern_key;
+    int64_t *bern_meta;
+    const int64_t *bern_tint;
+    const double *bern_total;
+    const double *cum_weights;
     const int64_t *state;   /* in: the VOQ image, state_len */
     int64_t *result;        /* out: kernel-owned, result_len */
 } fptrs;
@@ -1910,9 +1935,11 @@ typedef struct {
     uint64_t *granted;      /* ingresses holding a grant this slot */
     int *rb_shift;          /* 32 - bit_length(m), m = 0..n (random) */
     int64_t *backlog, *per_egress, *grant, *accept;
-    int64_t *trace, stride, start;
+    int32_t *trace;
+    int64_t stride, start;
     int64_t backlog_total, transferred;
     mt_state rng;
+    mt_state *src;          /* per ingress (PLAN_BERNOULLI) */
     hist waits;
 } fabric;
 
@@ -1998,8 +2025,9 @@ int64_t fabric_run_window(fcfg *c, fptrs *p)
     const int n = (int)c->num_ports;
     const int64_t num_slots = c->num_slots;
     int64_t err = ERR_OK, offered = 0, peak = c->peak, run = 0;
-    int64_t total, n_pairs, image_len = 0, idx;
+    int64_t total, n_pairs, image_len = 0, idx, words;
     int64_t *w, *out = NULL;
+    const int drawn = !c->flush && c->plan_mode == PLAN_BERNOULLI;
     fabric f;
     int i, matched;
 
@@ -2007,7 +2035,11 @@ int64_t fabric_run_window(fcfg *c, fptrs *p)
     memset(&f, 0, sizeof(f));
     if (n < 1 || n > MAX_PORTS || c->policy < POLICY_ISLIP
             || c->policy > POLICY_PRIORITY || num_slots < 1
-            || c->start_slot < 0 || (!c->flush && !p->plan))
+            || c->start_slot < 0
+            || (!c->flush && c->plan_mode != PLAN_EXPLICIT && !drawn)
+            || (!c->flush && !drawn && !p->plan)
+            || (drawn && (!p->bern_key || !p->bern_meta || !p->bern_tint
+                          || !p->bern_total || !p->cum_weights)))
         return ERR_ARG;
     f.n = n;
     f.nw = (n + 63) / 64;
@@ -2045,6 +2077,17 @@ int64_t fabric_run_window(fcfg *c, fptrs *p)
                   != ERR_OK) {
         goto cleanup;
     }
+    if (drawn) {
+        f.src = (mt_state *)malloc((size_t)n * sizeof(mt_state));
+        if (!f.src) {
+            err = ERR_OOM;
+            goto cleanup;
+        }
+        for (i = 0; i < n; i++)
+            if ((err = mt_load(&f.src[i], p->bern_key + (int64_t)i * MT_N,
+                               p->bern_meta + 2 * (int64_t)i)) != ERR_OK)
+                goto cleanup;
+    }
 
     /* ---- VOQs from the image ---- */
     {
@@ -2080,20 +2123,24 @@ int64_t fabric_run_window(fcfg *c, fptrs *p)
         err = ERR_ARG;
         goto cleanup;
     }
-    out = (int64_t *)malloc((size_t)n * (size_t)f.stride * sizeof(int64_t));
+    words = ((int64_t)n * f.stride + 1) / 2;
+    out = (int64_t *)malloc((size_t)words * sizeof(int64_t));
     if (!out) {
         err = ERR_OOM;
         goto cleanup;
     }
+    f.trace = (int32_t *)out;
     for (idx = 0; idx < (int64_t)n * f.stride; idx++)
-        out[idx] = -1;
-    f.trace = out;
+        f.trace[idx] = -1;
 
     if (!c->flush) {
         for (run = 0; run < num_slots; run++) {
             int64_t slot = f.start + run;
             for (i = 0; i < n; i++) {
-                int a = p->plan[(int64_t)i * num_slots + run];
+                int a = drawn ? bern_draw(&f.src[i], p->bern_tint[i],
+                                          p->cum_weights + (int64_t)i * n,
+                                          n, p->bern_total[i])
+                              : p->plan[(int64_t)i * num_slots + run];
                 ivec *v;
                 if (a == -1)
                     continue;
@@ -2132,20 +2179,22 @@ int64_t fabric_run_window(fcfg *c, fptrs *p)
     /* ---- the one exact-size result ---- */
     if (run < f.stride)
         for (i = 1; i < n; i++)
-            memmove(out + (int64_t)i * run, out + (int64_t)i * f.stride,
-                    (size_t)run * sizeof(int64_t));
+            memmove(f.trace + (int64_t)i * run,
+                    f.trace + (int64_t)i * f.stride,
+                    (size_t)run * sizeof(int32_t));
     n_pairs = hist_pairs(&f.waits);
     for (idx = 0; idx < (int64_t)n * n; idx++)
         if (IV_COUNT(&f.voq[idx]))
             image_len += 2 + IV_COUNT(&f.voq[idx]);
-    total = (int64_t)n * run + 2 * (int64_t)n + 2 * n_pairs + image_len;
+    words = ((int64_t)n * run + 1) / 2;
+    total = words + 2 * (int64_t)n + 2 * n_pairs + image_len;
     w = (int64_t *)realloc(out, (size_t)total * sizeof(int64_t));
     if (!w) {
         err = ERR_OOM;
         goto cleanup;
     }
     out = w;
-    w += (int64_t)n * run;
+    w += words;
     memcpy(w, f.per_egress, (size_t)n * sizeof(int64_t));
     w += n;
     memcpy(w, f.backlog, (size_t)n * sizeof(int64_t));
@@ -2168,6 +2217,10 @@ int64_t fabric_run_window(fcfg *c, fptrs *p)
     if (f.policy == POLICY_RANDOM) {
         mt_store(&f.rng, p->rng_key, p->rng_meta);
     }
+    if (drawn)
+        for (i = 0; i < n; i++)
+            mt_store(&f.src[i], p->bern_key + (int64_t)i * MT_N,
+                     p->bern_meta + 2 * (int64_t)i);
 
 cleanup:
     if (f.voq)
@@ -2182,6 +2235,7 @@ cleanup:
     free(f.rb_shift);
     free(f.backlog);
     free(f.per_egress);
+    free(f.src);
     free(f.waits.count);
     free(out);
     return err;

@@ -91,6 +91,7 @@ retired names ``numpy`` and ``batched`` run ``array`` and ``reference``.
 
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_left, insort
 from collections import deque
 from heapq import heappop, heappush
@@ -238,37 +239,57 @@ class _DeferredPlan:
         return self.proc.arrivals(self.num_slots)
 
 
+def deferred_plan(proc, num_queues: int,
+                  num_slots: int) -> Optional[_DeferredPlan]:
+    """``proc``'s next ``num_slots`` arrivals over ``num_queues`` queues
+    as a :class:`_DeferredPlan` the span kernel can draw, or ``None`` when
+    the kernel cannot draw them.
+
+    The kernel reproduces the stock batch draw of ``BernoulliArrivals``,
+    so the process must be one (Zipf and hotspot are) that overrides
+    neither ``arrivals`` nor ``arrivals_slice`` and serves every window
+    from ``arrivals`` (``slot_invariant``).  Its weights must cover exactly
+    the ``num_queues`` the kernel searches: a process with fewer runs on
+    python's plan, and one with more raises the reference engine's error.
+    And they must not sum to zero, which ``choices()`` reports on the
+    first arrival, in python.  The switch's fabric stage asks the same of
+    every ingress, over its egress ports.
+    """
+    cls = type(proc)
+    if (isinstance(proc, BernoulliArrivals) and proc.slot_invariant
+            and cls.arrivals is BernoulliArrivals.arrivals
+            and cls.arrivals_slice is BernoulliArrivals.arrivals_slice
+            and len(proc.weights) == num_queues):
+        cum_weights = list(accumulate(proc.weights))
+        if cum_weights[-1] > 0.0:
+            return _DeferredPlan(proc, num_slots, cum_weights)
+    return None
+
+
+def row_plan(row: array) -> List[Optional[int]]:
+    """An ``int32`` row plan (``-1`` = no arrival, as the switch's fabric
+    stage hands its ports) as the python loops read a plan."""
+    return [None if a == -1 else a for a in row]
+
+
 def window_plan(sim, core, start_slot: int, num_slots: int):
     """The arrival plan of the window ``[start_slot, start_slot +
     num_slots)``: a monolithic run's whole horizon or one streamed chunk.
 
-    Deferred (a :class:`_DeferredPlan`) for an array core (``core`` is
+    Deferred (:func:`deferred_plan`) for an array core (``core`` is
     ``None`` on the reference engine) when the span kernel can draw the
-    plan.  The kernel reproduces the stock batch
-    draw of ``BernoulliArrivals``, so the process must be one (Zipf and
-    hotspot are) that overrides neither ``arrivals`` nor ``arrivals_slice``
-    and serves every window from ``arrivals`` (``slot_invariant``).  Its
-    weights must cover exactly the buffer's queues, because the kernel
-    searches the buffer's ``num_queues`` of them: a process with fewer
-    queues runs on python's plan, and one with more raises the reference
-    engine's error.  And they must not sum to zero, which ``choices()``
-    reports on the first arrival, in python.  Otherwise the plan is the
-    process's own window
+    plan over the buffer's queues.  Otherwise the plan is the process's
+    own window
     (:meth:`~repro.traffic.arrivals.ArrivalProcess.arrivals_slice`), or all
     ``None`` without an arrival process.
     """
     proc = sim.arrivals
     if proc is None:
         return [None] * num_slots
-    cls = type(proc)
-    if (core is not None and isinstance(proc, BernoulliArrivals)
-            and proc.slot_invariant
-            and cls.arrivals is BernoulliArrivals.arrivals
-            and cls.arrivals_slice is BernoulliArrivals.arrivals_slice
-            and len(proc.weights) == core.num_queues):
-        cum_weights = list(accumulate(proc.weights))
-        if cum_weights[-1] > 0.0:
-            return _DeferredPlan(proc, num_slots, cum_weights)
+    if core is not None:
+        plan = deferred_plan(proc, core.num_queues, num_slots)
+        if plan is not None:
+            return plan
     window = proc.arrivals_slice(start_slot, num_slots)
     return window if isinstance(window, list) else list(window)
 
@@ -492,7 +513,8 @@ class _ArrayCoreBase:
         """Run the span on the core's kernel entry (:meth:`_run_kernel`)
         when it can, and count it: ``(True, None)`` when the kernel ran it,
         else ``(False, plan)`` with the plan the python loop runs — a
-        deferred plan drawn.
+        deferred plan drawn, an ``int32`` row decoded (:func:`row_plan`).
+        The kernel takes a row as its explicit plan as it is.
 
         A deferred plan is drawn by the kernel, unless its process shares
         the arbiter's RNG object: the python loop consumes the plan's words
@@ -527,6 +549,8 @@ class _ArrayCoreBase:
                     return True, None
         if isinstance(plan, _DeferredPlan):
             plan = plan.materialize()
+        elif isinstance(plan, array):
+            plan = row_plan(plan)
         return False, plan
 
     def finish(self, drain: bool = True):

@@ -234,8 +234,8 @@ class FCfg(ctypes.Structure):
 
     _fields_ = [(n, ctypes.c_int64) for n in (
         "num_ports", "policy", "num_slots", "start_slot", "flush",
-        "state_len", "peak", "slots_run", "offered", "transferred",
-        "n_wait_pairs", "result_len")]
+        "plan_mode", "state_len", "peak", "slots_run", "offered",
+        "transferred", "n_wait_pairs", "result_len")]
 
 
 class FPtrs(ctypes.Structure):
@@ -243,6 +243,9 @@ class FPtrs(ctypes.Structure):
 
     _fields_ = [("rng_key", _U32P), ("rng_meta", _I64P),
                 ("grant", _I64P), ("accept", _I64P), ("plan", _I32P),
+                ("bern_key", _U32P), ("bern_meta", _I64P),
+                ("bern_tint", _I64P), ("bern_total", _F64P),
+                ("cum_weights", _F64P),
                 ("state", _I64P), ("result", _I64P)]
 
 
@@ -562,11 +565,15 @@ def _plan_array(aplan, num_slots: int) -> Optional[array]:
     """The kernel's ``int32`` encoding of an explicit plan (``-1`` = no
     arrival), or ``None`` when the kernel must leave the plan to python.
 
-    A negative entry is encoded one lower, so an entry naming queue -1
-    does not read as no arrival: the kernel aborts on it, as on any entry
-    naming no queue, and the python loop raises the reference's error."""
+    An ``int32`` row (a switch port's egress row) is that encoding
+    already and goes as it is.  In a list, a negative entry is encoded one
+    lower, so an entry naming queue -1 does not read as no arrival: the
+    kernel aborts on it, as on any entry naming no queue, and the python
+    loop raises the reference's error."""
     if len(aplan) < num_slots:
         return None  # the kernel reads num_slots entries
+    if isinstance(aplan, array) and aplan.typecode == "i":
+        return aplan
     try:
         return array("i", [-1 if a is None else a if a >= 0 else a - 1
                            for a in aplan])
@@ -929,8 +936,9 @@ class FabricWindow(NamedTuple):
 
     #: Slots the window ran (a flush window stops once the VOQs drain).
     slots: int
-    #: Per egress, per slot: the ingress whose cell entered, or ``None``.
-    traces: List[List[Optional[int]]]
+    #: Per egress, an ``int32`` row: per slot, the ingress whose cell
+    #: entered, or ``-1``.
+    traces: List[array]
     #: Cells moved into each egress during the window.
     per_egress: array
     #: Per-ingress backlog after the window.
@@ -946,17 +954,22 @@ class FabricWindow(NamedTuple):
 
 def run_fabric_window(num_ports: int, policy: str, start_slot: int,
                       num_slots: int, plans, voqs: array, peak: int,
-                      pointers=None, rng=None) -> Union[FabricWindow, str]:
+                      pointers=None, rng=None,
+                      bern=None) -> Union[FabricWindow, str]:
     """Run one crossbar window on the compiled kernel.
 
     ``plans`` holds each ingress's destinations (``Optional[int]`` lists)
-    for an arrival window of ``num_slots`` slots; ``plans=None`` makes it a
-    flush window, which runs until the VOQs drain, at most ``num_slots``
-    slots.  ``voqs`` is the VOQ image (see ``fptrs`` in ``_spankernel.c``)
-    and ``peak`` the peak ingress backlog so far.  ``policy`` names one of
-    :data:`FABRIC_POLICIES`; ``pointers`` are iSLIP's ``(grant, accept)``
-    lists and ``rng`` the random policy's ``random.Random``, both advanced
-    in place when the window succeeds.
+    for an arrival window of ``num_slots`` slots; ``bern`` instead makes
+    the kernel draw every ingress's Bernoulli plan, one ``(rng, tint,
+    cum_weights, total)`` per ingress (each its own ``random.Random``,
+    ``num_ports`` weights each), advanced in place when the window
+    succeeds.  With neither it is a flush window, which runs until the
+    VOQs drain, at most ``num_slots`` slots.  ``voqs`` is the VOQ image
+    (see ``fptrs`` in ``_spankernel.c``) and ``peak`` the peak ingress
+    backlog so far.  ``policy`` names one of :data:`FABRIC_POLICIES`;
+    ``pointers`` are iSLIP's ``(grant, accept)`` lists and ``rng`` the
+    random policy's ``random.Random``, both advanced in place when the
+    window succeeds.
 
     Returns a :class:`FabricWindow`, or the reason the window must run on
     the python loop instead, with nothing written back: ``unavailable``
@@ -969,6 +982,7 @@ def run_fabric_window(num_ports: int, policy: str, start_slot: int,
     n = num_ports
     # Every array below stays bound to a local, so alive across the C call.
     ptr = FPtrs(state=_addr(voqs, _I64P))
+    plan_mode = _PLAN_EXPLICIT
     if plans is not None:
         if len(plans) != n:
             return "plan"  # the kernel reads num_ports plans
@@ -990,6 +1004,29 @@ def run_fabric_window(num_ports: int, policy: str, start_slot: int,
             # loop raises for it.
             return "plan"
         ptr.plan = _addr(plan, _I32P)
+    elif bern is not None:
+        if len(bern) != n:
+            return "abort"  # the kernel reads num_ports of each
+        generators = [(gen, gen.getstate()) for gen, _tint, _cum, _total
+                      in bern]
+        bern_key = array("I")
+        bern_meta = array("q")
+        for _gen, state in generators:
+            bern_key.extend(state[1][:624])
+            bern_meta.extend((state[1][624], 0))
+        tints = array("q", [tint for _gen, tint, _cum, _total in bern])
+        totals = array("d", [total for _gen, _tint, _cum, total in bern])
+        weights = array("d")
+        for _gen, _tint, cum_weights, _total in bern:
+            weights.extend(cum_weights)
+        if len(weights) != n * n:
+            return "abort"
+        ptr.bern_key = _addr(bern_key, _U32P)
+        ptr.bern_meta = _addr(bern_meta, _I64P)
+        ptr.bern_tint = _addr(tints, _I64P)
+        ptr.bern_total = _addr(totals, _F64P)
+        ptr.cum_weights = _addr(weights, _F64P)
+        plan_mode = _PLAN_BERNOULLI
     if pointers is not None:
         grant = array("q", pointers[0])
         accept = array("q", pointers[1])
@@ -1003,20 +1040,26 @@ def run_fabric_window(num_ports: int, policy: str, start_slot: int,
         ptr.rng_meta = _addr(rng_meta, _I64P)
     cfg = FCfg(num_ports=n, policy=FABRIC_POLICIES.index(policy),
                num_slots=num_slots, start_slot=start_slot,
-               flush=1 if plans is None else 0, state_len=len(voqs),
-               peak=peak)
+               flush=1 if plans is None and bern is None else 0,
+               plan_mode=plan_mode, state_len=len(voqs), peak=peak)
     rc = fn(ctypes.byref(cfg), ctypes.byref(ptr))
-    plan = None  # read; freed before the read-back grows the traces
+    plan = weights = None  # read; freed before the read-back
     if rc != _ERR_OK:
         return "plan" if rc == _ERR_PLAN else "abort"
     slots = cfg.slots_run
+    row_bytes = 4 * slots
+    # The rows are int32, padded to a whole int64 word.
+    tail_at = 8 * ((n * slots + 1) // 2)
     try:
         values = memoryview((ctypes.c_int64 * cfg.result_len).from_address(
-            ctypes.addressof(ptr.result.contents))).cast("B").cast("q")
-        traces = [[None if ingress < 0 else ingress
-                   for ingress in values[e * slots:(e + 1) * slots]]
-                  for e in range(n)]
-        tail = array("q", values[n * slots:])
+            ctypes.addressof(ptr.result.contents))).cast("B")
+        traces = []
+        for egress in range(n):
+            row = array("i")
+            row.frombytes(values[egress * row_bytes:(egress + 1) * row_bytes])
+            traces.append(row)
+        tail = array("q")
+        tail.frombytes(values[tail_at:])
     finally:
         _release(ptr.result)
     if pointers is not None:
@@ -1024,6 +1067,10 @@ def run_fabric_window(num_ports: int, policy: str, start_slot: int,
         pointers[1][:] = accept.tolist()
     if rng is not None:
         rng.setstate((3, tuple(rng_key) + (rng_meta[0],), rng_state[2]))
+    if bern is not None:
+        for i, (gen, state) in enumerate(generators):
+            gen.setstate((3, tuple(bern_key[i * 624:(i + 1) * 624])
+                          + (bern_meta[2 * i],), state[2]))
     waits_end = 2 * n + 2 * cfg.n_wait_pairs
     return FabricWindow(
         slots=slots, traces=traces, per_egress=tail[:n],

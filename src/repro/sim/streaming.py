@@ -40,8 +40,9 @@ against truncation and corruption, not against tampering.
 
 Open-ended *feed* sessions (``num_slots=None``) accept externally generated
 arrival chunks via :meth:`StreamingSimulation.feed` — that is how the switch
-layer streams per-egress fabric traces straight into port simulations
-without ever materialising them.
+layer streams per-egress fabric rows (``int32``, which an array core's span
+kernel takes as its explicit plan) straight into port simulations without
+ever materialising a whole trace.
 """
 
 from __future__ import annotations
@@ -52,7 +53,8 @@ import json
 import os
 import pickle
 import time
-from typing import Any, Callable, Dict, List, Optional
+from array import array
+from typing import Any, Callable, Dict, Optional
 
 import repro
 from repro.errors import (
@@ -67,6 +69,7 @@ from repro.sim.array_engine import (
     DEFAULT_ENGINE,
     build_array_core,
     resolve_engine,
+    row_plan,
     split_plan,
     window_plan,
 )
@@ -248,8 +251,10 @@ MetricsRegistry` of what it did — chunks executed, slots processed,
             "eta_s": remaining / rate if rate > 0 else None,
         })
 
-    def feed(self, plan: List[Optional[int]]) -> None:
-        """Advance ``len(plan)`` slots with externally supplied arrivals.
+    def feed(self, plan) -> None:
+        """Advance ``len(plan)`` slots with externally supplied arrivals:
+        an ``Optional[int]`` list, or an ``int32`` row (``-1`` = no
+        arrival), which an array core's span kernel takes as it is.
 
         Only valid on open-ended sessions (``num_slots=None``); the warmup
         boundary is honoured even when it falls inside a fed chunk.
@@ -258,7 +263,12 @@ MetricsRegistry` of what it did — chunks executed, slots processed,
             raise ConfigurationError(
                 "feed() is for open-ended sessions; this one has num_slots "
                 f"= {self.num_slots}")
-        self._execute(plan if isinstance(plan, list) else list(plan))
+        if isinstance(plan, array):
+            if self._core is None:
+                plan = row_plan(plan)
+        elif not isinstance(plan, list):
+            plan = list(plan)
+        self._execute(plan)
 
     def _execute(self, plan) -> None:
         """Advance over ``plan`` (a list, or a chunk the kernel may draw),

@@ -12,14 +12,16 @@ This package scales the reproduction to that system level:
   spec with JSON round-trip;
 * :mod:`repro.switch.registry` — the named registry behind
   ``python -m repro switch``;
-* :mod:`repro.switch.model` — the two-stage execution model (serial fabric
-  stage, port stage sharded over the experiment runner) and the merged
-  :class:`SwitchReport`.
+* :mod:`repro.switch.model` — the execution model (the fabric stage
+  streamed into in-process port sessions, one job through the experiment
+  runner) and the merged :class:`SwitchReport`;
+* :mod:`repro.switch.oracle` — the same report the long way round, each
+  port its own ``trace`` scenario: the tests' and the fuzzer's oracle.
 
 A switch port is executed as an ordinary single-port
-:class:`~repro.workloads.scenario.Scenario` whose arrivals are the fabric's
-egress trace — single-port scenarios are the degenerate one-port case, not a
-separate code path.
+:class:`~repro.workloads.scenario.Scenario` fed the fabric's egress rows —
+single-port scenarios are the degenerate one-port case, not a separate code
+path.
 """
 
 from repro.switch.fabric import (
@@ -35,7 +37,6 @@ from repro.switch.model import (
     FabricStream,
     SwitchModel,
     SwitchReport,
-    port_scenarios,
     port_template,
     run_fabric,
     run_switch_spec,
@@ -73,7 +74,6 @@ __all__ = [
     "all_switch_scenarios",
     "build_ingress_traffic",
     "get_switch_scenario",
-    "port_scenarios",
     "port_template",
     "register_switch_scenario",
     "run_fabric",

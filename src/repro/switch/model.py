@@ -1,40 +1,37 @@
-"""The multi-port switch model: fabric stage, sharded ports, merged report.
+"""The multi-port switch model: fabric stage, port stage, merged report.
 
-Execution is two-stage, which is what makes switch runs shardable:
+A switch run streams the fabric stage straight into the egress ports:
 
-1. **Fabric stage** (serial): every ingress port's traffic source is
-   instantiated with a deterministic per-ingress seed; cells queue in
-   per-ingress VOQs (one :class:`collections.deque` of arrival slots per
-   (ingress, egress) pair that holds cells); the fabric arbiter computes one
-   conflict-free
-   matching per slot.  Because each egress accepts at most one cell per slot,
-   the fabric's output is exactly ``N`` single-linecard arrival traces —
-   the same admissibility model the paper's buffer assumes.  After the
-   arrival phase the fabric *flushes*: matching continues without new
-   arrivals until every VOQ is empty.  The stage runs in bounded windows
-   (:class:`FabricStream`); a window of a stock policy runs on the span
-   kernel's fabric entry (:func:`repro.sim.kernel.run_fabric_window`),
-   every other window on the python loop, which is the oracle
-   (``engine="reference"``) and gives identical results.
+1. **Fabric stage**: every ingress port's traffic source is instantiated
+   with a deterministic per-ingress seed; cells queue in per-ingress VOQs;
+   the fabric arbiter computes one conflict-free matching per slot.
+   Because each egress accepts at most one cell per slot, the fabric's
+   output is exactly ``N`` single-linecard arrival traces — the same
+   admissibility model the paper's buffer assumes.  After the arrival
+   phase the fabric *flushes* until every VOQ is empty.  The stage runs in
+   bounded windows (:class:`FabricStream`), each yielding one ``int32``
+   row per egress; a window of a stock policy runs on the span kernel's
+   fabric entry, which also draws stock Bernoulli, Zipf and hotspot
+   ingress plans itself, and every other window on the python loop, the
+   oracle (``engine="reference"``), with identical results.
 
-2. **Port stage** (parallel): each egress trace plus the port's
-   buffer/arbiter template becomes an ordinary
-   :class:`~repro.workloads.scenario.Scenario` (arrivals = a ``trace`` spec,
-   queue index = source ingress modulo the port's queue count), executed as
-   a :class:`~repro.runner.jobs.Job` through the existing
-   :class:`~repro.runner.sweep.SweepRunner` — so ports shard across worker
-   processes, results come back in port order, and the runner cache applies
-   unchanged.  Ports run on the ``array`` engine by default, whose RADS and
-   CFDS cores run their spans on the span kernel; with the ports that fast,
-   the serial fabric stage and the trace plumbing around it outweigh the
-   port stage on the benchmark's 8-port switch, and a worker pool costs
-   more to start than the port work it splits.
+2. **Port stage**: each egress port is an open-ended streaming session
+   built from its single-port template (:func:`port_template`; queue
+   index = source ingress modulo the port's queue count), fed its rows as
+   the windows arrive; an array core's span kernel takes a row as its
+   explicit plan as it is.  The fabric stage and every port run in one
+   :class:`~repro.runner.jobs.Job` (:func:`run_port_stage`) through the
+   :class:`~repro.runner.sweep.SweepRunner`: in-process, or in one worker
+   process when the runner enforces a timeout.  No egress trace crosses a
+   process.  The ports are not split across workers: each worker would
+   rerun the whole fabric stage and pay the pool's start-up, which costs
+   more than the span kernel's port work it would split.
 
 Per-port :class:`~repro.workloads.scenario.ScenarioResult` objects merge
 into a :class:`SwitchReport`; latency percentiles are computed over the
 *merged* per-port histograms, so the aggregate tail is exact, not an average
 of port tails.  The whole pipeline is deterministic: the same spec produces
-the same ``SwitchReport`` for any ``--jobs`` value.
+the same ``SwitchReport`` for any ``chunk_slots``.
 """
 
 from __future__ import annotations
@@ -46,12 +43,13 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, SweepFailure
 from repro.obs.metrics import get_metrics
 from repro.obs.trace import emit as trace_emit
 from repro.runner.jobs import Job
 from repro.runner.sweep import JobFailure, SweepRunner
 from repro.sim import DEFAULT_ENGINE, kernel, resolve_engine
+from repro.sim.array_engine import deferred_plan, row_plan
 from repro.sim.stats import LatencyStats
 from repro.switch.fabric import (
     ISLIPFabricArbiter,
@@ -62,12 +60,7 @@ from repro.switch.scenario import SwitchScenario
 from repro.switch.traffic import build_ingress_traffic
 from repro.workloads.scenario import Scenario, ScenarioResult
 
-#: Job function executed per port — the single-port scenario runner, which is
-#: the whole point: a switch port *is* the degenerate one-port case.
-PORT_JOB_FUNC = "repro.workloads.scenario:run_scenario_spec"
-
-#: The stock policies the fabric kernel runs, by exact type, with the
-#: kernel's name for each.
+#: The stock policies the fabric kernel runs, by exact type.
 _KERNEL_POLICIES = {
     ISLIPFabricArbiter: "islip",
     RandomFabricArbiter: "random",
@@ -93,28 +86,25 @@ class FabricStats:
 
 
 class FabricStream:
-    """The crossbar stage as a stream of per-egress trace chunks.
+    """The crossbar stage as a stream of per-egress row windows.
 
-    Instead of materialising every egress trace as one O(``total_slots``)
-    list, the stage runs in bounded windows: each iteration of
-    :meth:`chunks` yields ``(start_slot, chunk_traces)`` where
-    ``chunk_traces[e][i]`` is the ingress whose cell entered egress ``e`` at
-    slot ``start_slot + i`` (or ``None``).  Ingress arrival plans are drawn
-    per window through
-    :meth:`~repro.traffic.arrivals.ArrivalProcess.arrivals_slice`, so the
-    concatenated chunks are bit-identical to the monolithic stage for every
-    chunk size (each ingress owns its RNG) — :func:`run_fabric` is literally
-    this stream plus concatenation.  After the arrival phase the stage
-    flushes until every VOQ is empty, still in bounded windows;
-    :attr:`stats` is available once the generator is exhausted.
+    The stage runs in bounded windows: each iteration of :meth:`chunks`
+    yields ``(start_slot, rows)`` where ``rows[e]`` is an ``int32`` array
+    whose entry ``i`` is the ingress whose cell entered egress ``e`` at
+    slot ``start_slot + i`` (``-1`` = none).  Each ingress owns its RNG, so
+    the rows concatenate to the same stage for every chunk size
+    (:func:`run_fabric` is this stream plus concatenation).  After the
+    arrival phase the stage flushes until every VOQ is empty, still in
+    bounded windows; :attr:`stats` is set once the generator is exhausted.
 
-    A window whose fabric is a stock policy (exact type) runs on the span
-    kernel unless ``engine`` is ``reference``, the switch is wider than
-    :data:`~repro.sim.kernel.MAX_FABRIC_PORTS` or the kernel is
-    unavailable; a window the kernel declines or aborts runs on the python
-    loop from untouched state.  With metrics on, each window counts once:
-    ``switch.fabric.kernel_windows`` (plus its slots in
-    ``switch.fabric.kernel_slots``) or ``switch.fabric.fallback.<reason>``.
+    A window of a stock policy (exact type) runs on the span kernel when
+    :meth:`_kernel_miss` passes, which draws its ingress plans where it
+    can (:meth:`_plans`); a window the kernel declines or aborts runs on
+    the python loop from untouched state.  With metrics on, each window
+    counts once: ``switch.fabric.kernel_windows`` (its slots in
+    ``switch.fabric.kernel_slots``, its ingress slots in
+    ``switch.fabric.kernel_plan_slots`` when the kernel drew the plans) or
+    ``switch.fabric.fallback.<reason>``.
     """
 
     def __init__(self, scenario: SwitchScenario,
@@ -155,8 +145,7 @@ class FabricStream:
         self.stats: Optional[FabricStats] = None
 
     # ------------------------------------------------------------------ #
-    def _transfer_slot(self, slot: int,
-                       traces: List[List[Optional[int]]]) -> int:
+    def _transfer_slot(self, slot: int, rows: List[array]) -> int:
         n = self.num_ports
         voq = self._voq
         requests = self._requests
@@ -185,12 +174,12 @@ class FabricStream:
             self._ingress_backlog[ingress] -= 1
             self._backlog_total -= 1
             self._waits.record_delay(slot - arrival_slot)
-            traces[egress].append(ingress)
+            rows[egress].append(ingress)
             self._per_egress[egress] += 1
             self._transferred += 1
         for egress in range(n):
             if not matched_egress[egress]:
-                traces[egress].append(None)
+                rows[egress].append(-1)
         return len(matches)
 
     def _kernel_miss(self) -> Optional[str]:
@@ -208,10 +197,28 @@ class FabricStream:
             return "unavailable"
         return None
 
-    def _kernel_window(self, start: int, count: int, plans):
-        """Run one window on the fabric kernel and apply it to the stream;
-        returns ``(traces, slots)``, or ``None`` (with the window's
-        fallback counted) when the python loop must run it instead."""
+    def _plans(self, start: int, count: int):
+        """The window's ingress plans and whether the fabric kernel draws
+        them (deferred): it does when the window runs on the kernel and
+        every ingress qualifies (:func:`deferred_plan` over the egress
+        ports, each with its own generator); python draws them otherwise."""
+        if self._kernel_miss() is None:
+            plans = [deferred_plan(source, self.num_ports, count)
+                     for source in self.sources]
+            if None not in plans and len(
+                    {id(plan.proc._rng) for plan in plans}) == len(plans):
+                return plans, True
+        plans = [source.arrivals_slice(start, count)
+                 for source in self.sources]
+        return [p if isinstance(p, list) else list(p) for p in plans], False
+
+    def _kernel_window(self, start: int, count: int, plans,
+                       drawn: bool = False):
+        """Run one window on the fabric kernel and apply it to the stream:
+        an arrival window on ``plans`` (deferred ones the kernel draws when
+        ``drawn``), a flush window on none.  Returns ``(rows, slots)``, or
+        ``None`` (with the window's fallback counted, and every generator
+        untouched) when the python loop must run it instead."""
         reason = self._kernel_miss()
         if reason is None:
             n = self.num_ports
@@ -225,10 +232,12 @@ class FabricStream:
             fabric = self.fabric
             policy = _KERNEL_POLICIES[type(fabric)]
             window = kernel.run_fabric_window(
-                n, policy, start, count, plans, image, self._peak_backlog,
+                n, policy, start, count, None if drawn else plans, image,
+                self._peak_backlog,
                 pointers=((fabric._grant, fabric._accept)
                           if policy == "islip" else None),
-                rng=fabric._rng if policy == "random" else None)
+                rng=fabric._rng if policy == "random" else None,
+                bern=[plan.bern() for plan in plans] if drawn else None)
             if isinstance(window, str):
                 reason = window
             else:
@@ -241,6 +250,9 @@ class FabricStream:
         if obs is not None:
             obs.inc("switch.fabric.kernel_windows")
             obs.inc("switch.fabric.kernel_slots", window.slots)
+            if drawn:
+                obs.inc("switch.fabric.kernel_plan_slots",
+                        self.num_ports * window.slots)
         return window.traces, window.slots
 
     def _apply_window(self, window) -> None:
@@ -272,8 +284,8 @@ class FabricStream:
         self._peak_backlog = window.peak
 
     def chunks(self):
-        """Yield ``(start_slot, chunk_traces)`` windows; arrival phase first,
-        then the flush windows, all bounded by ``chunk_slots``.
+        """Yield ``(start_slot, rows)`` windows; arrival phase first, then
+        the flush windows, all bounded by ``chunk_slots``.
 
         Each window runs on the fabric kernel when :meth:`_kernel_miss`
         passes and the kernel completes it, and on the python loop below
@@ -286,16 +298,15 @@ class FabricStream:
         start = 0
         while start < slots:
             count = min(self.chunk_slots, slots - start)
-            plans = []
-            for source in self.sources:
-                plan = source.arrivals_slice(start, count)
-                plans.append(plan if isinstance(plan, list) else list(plan))
-            done = self._kernel_window(start, count, plans)
+            plans, drawn = self._plans(start, count)
+            done = self._kernel_window(start, count, plans, drawn)
             if done is not None:
                 yield start, done[0]
                 start += count
                 continue
-            traces: List[List[Optional[int]]] = [[] for _ in range(n)]
+            if drawn:
+                plans = [plan.materialize() for plan in plans]
+            rows = [array("i") for _ in range(n)]
             for offset in range(count):
                 slot = start + offset
                 for ingress in range(n):
@@ -317,8 +328,8 @@ class FabricStream:
                     self._offered += 1
                     if ingress_backlog[ingress] > self._peak_backlog:
                         self._peak_backlog = ingress_backlog[ingress]
-                self._transfer_slot(slot, traces)
-            yield start, traces
+                self._transfer_slot(slot, rows)
+            yield start, rows
             start += count
 
         flush_slots = 0
@@ -329,10 +340,10 @@ class FabricStream:
                 flush_slots += done[1]
                 yield slots + flush_slots - done[1], done[0]
                 continue
-            traces = [[] for _ in range(n)]
+            rows = [array("i") for _ in range(n)]
             flushed = 0
             while self._backlog_total > 0 and flushed < self.chunk_slots:
-                if self._transfer_slot(slots + flush_slots, traces) == 0:
+                if self._transfer_slot(slots + flush_slots, rows) == 0:
                     # Unreachable with the stock policies (all are
                     # work-conserving), but a custom arbiter must not be
                     # able to hang the stage.
@@ -341,7 +352,7 @@ class FabricStream:
                         "non-empty")
                 flush_slots += 1
                 flushed += 1
-            yield slots + flush_slots - flushed, traces
+            yield slots + flush_slots - flushed, rows
 
         self.stats = FabricStats(
             slots=slots,
@@ -385,30 +396,26 @@ def run_fabric(scenario: SwitchScenario,
     n = scenario.num_ports
     stream = FabricStream(scenario, num_slots, engine=engine)
     traces: List[List[Optional[int]]] = [[] for _ in range(n)]
-    for _start, chunk_traces in stream.chunks():
-        for egress, chunk in enumerate(chunk_traces):
-            traces[egress].extend(chunk)
+    for _start, rows in stream.chunks():
+        for trace, row in zip(traces, rows):
+            trace.extend(row_plan(row))
     return traces, stream.stats
 
 
-def _queue_pattern(trace: List[Optional[int]], num_queues: int,
-                   num_ports: int) -> List[Optional[int]]:
-    """An egress trace's ingress indices as the port's queue indices
-    (``ingress mod num_queues``): the fabric's fresh list itself when the
-    port has a queue for every ingress."""
+def queue_row(row: array, num_queues: int, num_ports: int) -> array:
+    """An egress row's ingress indices as the port's queue indices
+    (``ingress mod num_queues``): the row itself when the port has a queue
+    for every ingress."""
     if num_queues >= num_ports:
-        return trace
-    return [None if src is None else src % num_queues for src in trace]
+        return row
+    return array("i", [-1 if src == -1 else src % num_queues for src in row])
 
 
 def port_template(scenario: SwitchScenario, egress: int) -> Scenario:
     """The egress port as a single-port :class:`Scenario`, minus arrivals.
 
-    The jobs path attaches the materialised fabric trace as a ``trace``
-    arrival spec (:func:`port_scenarios`); the streaming path feeds the
-    fabric chunks directly into an open-ended session.  Both build their
-    buffer and arbiter from this one template, which is what keeps the two
-    execution modes bit-identical.
+    A port stage session builds its buffer and arbiter from this template
+    and is fed the port's fabric rows (:func:`queue_row`).
     """
     spec = scenario.port_spec(egress)
     return Scenario(
@@ -426,27 +433,52 @@ def port_template(scenario: SwitchScenario, egress: int) -> Scenario:
     )
 
 
-def port_scenarios(scenario: SwitchScenario,
-                   traces: List[List[Optional[int]]]) -> List[Scenario]:
-    """One single-port :class:`Scenario` per egress, fed its fabric trace.
+def run_port_stage(spec: Mapping[str, Any], engine: str = DEFAULT_ENGINE,
+                   num_slots: Optional[int] = None,
+                   chunk_slots: Optional[int] = None,
+                   ) -> Tuple[FabricStats, Tuple[ScenarioResult, ...]]:
+    """Port-stage job: run the fabric stage into every egress port; returns
+    the fabric's stats and the port results, in port order.
 
-    The trace's ingress indices become buffer queue indices (``ingress mod
-    num_queues`` — one VOQ per source with the default sizing, where the
-    trace list itself is the pattern).
+    A window's rows are held back and the next window appended while the
+    two fit ``chunk_slots``, so the flush windows join the last arrival
+    window: a port runs one main span per fed window, plus its drain.  A
+    port's session opens at its first feed, so when the run fits one
+    window each port is opened, fed, finished and dropped in turn.
     """
-    import dataclasses
+    from repro.sim.streaming import StreamingSimulation
 
-    ports = []
-    for egress, trace in enumerate(traces):
-        template = port_template(scenario, egress)
-        pattern = _queue_pattern(trace, template.buffer["num_queues"],
-                                 scenario.num_ports)
-        ports.append(dataclasses.replace(
-            template,
-            arrivals={"type": "trace", "params": {"pattern": pattern}},
-            num_slots=len(pattern),
-        ))
-    return ports
+    scenario = SwitchScenario.from_spec(spec)
+    n = scenario.num_ports
+    stream = FabricStream(scenario, num_slots, chunk_slots, engine)
+    templates = [port_template(scenario, egress) for egress in range(n)]
+    sessions: List[Any] = [None] * len(templates)
+
+    def feed(index: int, row: array) -> None:
+        template = templates[index]
+        if sessions[index] is None:
+            sessions[index] = StreamingSimulation(
+                template.build_simulation(), None, engine=stream.engine)
+        sessions[index].feed(queue_row(row, template.buffer["num_queues"], n))
+
+    held = None
+    for _start, rows in stream.chunks():
+        if held is not None and (len(held[0]) + len(rows[0])
+                                 <= stream.chunk_slots):
+            for row, more in zip(held, rows):
+                row.extend(more)
+            continue
+        for index, row in enumerate(held or ()):
+            feed(index, row)
+        held = rows
+    results = []
+    for index, template in enumerate(templates):
+        feed(index, held[index] if held is not None else array("i"))
+        report = sessions[index].finish()
+        sessions[index] = None  # drop the port's core
+        results.append(ScenarioResult.from_report(template.name,
+                                                  template.scheme, report))
+    return stream.stats, tuple(results)
 
 
 # --------------------------------------------------------------------- #
@@ -467,10 +499,12 @@ class SwitchReport:
     fabric: FabricStats
     ports: Tuple[ScenarioResult, ...]
     #: Ports whose job was quarantined by a non-strict runner, as structured
-    #: :class:`~repro.runner.sweep.JobFailure` records.  Empty on a healthy
-    #: run (and on every cached report written before this field existed).
-    #: Aggregates below are computed over the *surviving* ports only — a
-    #: partial report says so explicitly rather than pretending to totals.
+    #: :class:`~repro.runner.sweep.JobFailure` records.  Always empty from
+    #: :meth:`SwitchModel.run`, whose one port-stage job carries every port
+    #: (it raises instead), and on every cached report written before this
+    #: field existed.  Aggregates below are computed over the *surviving*
+    #: ports only — a partial report says so explicitly rather than
+    #: pretending to totals.
     failures: Tuple[JobFailure, ...] = ()
 
     # -- aggregate counters ------------------------------------------- #
@@ -551,8 +585,7 @@ class SwitchModel:
 
     Args:
         scenario: the switch scenario to run (use
-            :meth:`SwitchScenario.with_overrides` for ad-hoc port/slot
-            overrides).
+            :meth:`SwitchScenario.with_overrides` for overrides).
     """
 
     def __init__(self, scenario: SwitchScenario) -> None:
@@ -560,116 +593,63 @@ class SwitchModel:
 
     def build_port_jobs(self, engine: str = DEFAULT_ENGINE,
                         num_slots: Optional[int] = None,
-                        ) -> Tuple[List[Job], FabricStats]:
-        """Run the fabric stage and return one runner job per egress port,
-        together with the fabric stage's statistics.
-
-        Exposed separately so callers (the CLI's ``--dry-run``, tests) can
-        inspect the sharding without executing the port stage.
-        """
-        traces, stats = run_fabric(self.scenario, num_slots, engine=engine)
-        jobs = [Job(func=PORT_JOB_FUNC,
-                    kwargs={"spec": port.to_spec(), "engine": engine},
-                    tag=f"port{index}")
-                for index, port in enumerate(
-                    port_scenarios(self.scenario, traces))]
-        return jobs, stats
+                        chunk_slots: Optional[int] = None) -> List[Job]:
+        """The switch's one :func:`run_port_stage` job, as a list (callers
+        may inspect or rerun it without the runner)."""
+        return [Job(func="repro.switch.model:run_port_stage",
+                    kwargs={"spec": self.scenario.to_spec(), "engine": engine,
+                            "num_slots": num_slots,
+                            "chunk_slots": chunk_slots},
+                    tag="ports")]
 
     def run(self,
             *,
             engine: str = DEFAULT_ENGINE,
             jobs: int = 1,
             runner: Optional[SweepRunner] = None,
-            num_slots: Optional[int] = None) -> SwitchReport:
+            num_slots: Optional[int] = None,
+            chunk_slots: Optional[int] = None) -> SwitchReport:
         """Simulate the switch and merge the per-port reports.
 
         Args:
-            engine: simulation core for every port (``array`` by default;
-                both engines are bit-identical, so this is purely a speed
-                knob).
-            jobs: worker processes for the port stage (``0`` = one per CPU);
-                ignored when an explicit ``runner`` is given.
-            runner: an existing :class:`SweepRunner` (to share a cache);
-                defaults to an uncached runner with ``jobs`` workers.
+            engine: simulation core for the fabric and every port
+                (``array`` by default; both engines are bit-identical).
+            jobs: validated and otherwise ignored: the fabric and every
+                port run as one job (see the module docstring).
+            runner: an existing :class:`SweepRunner` (to share a cache, or
+                to enforce a timeout, which runs the job in a worker).
             num_slots: override the scenario's arrival-slot count.
+            chunk_slots: the fabric's window size (default: 65536).
+
+        A strict runner raises the job's error; a non-strict one's
+        quarantined job raises :class:`~repro.errors.SweepFailure`.
         """
         started = time.perf_counter()
         engine = resolve_engine(engine)
-        port_jobs, stats = self.build_port_jobs(engine, num_slots)
+        if chunk_slots is not None and chunk_slots <= 0:
+            raise ConfigurationError("chunk_slots must be positive")
         if runner is None:
             runner = SweepRunner(jobs=jobs)
-        results = runner.run(port_jobs)
-        # A non-strict runner quarantines poisoned port jobs as JobFailure
-        # entries; the merged report keeps them separate from the surviving
-        # ports so aggregates stay well-typed and provenance is explicit.
-        report = SwitchReport(
-            name=self.scenario.name,
-            num_ports=self.scenario.num_ports,
-            engine=engine,
-            fabric=stats,
-            ports=tuple(r for r in results if not isinstance(r, JobFailure)),
-            failures=tuple(r for r in results if isinstance(r, JobFailure)))
-        self._observe_run(report, "jobs", time.perf_counter() - started)
-        return report
-
-    def run_stream(self,
-                   *,
-                   engine: str = DEFAULT_ENGINE,
-                   num_slots: Optional[int] = None,
-                   chunk_slots: Optional[int] = None) -> SwitchReport:
-        """Simulate the switch with bounded memory: the fabric stage streams
-        per-egress trace chunks (:class:`FabricStream`) straight into one
-        open-ended port session per egress, so no egress trace — and no port
-        arrival plan — is ever materialised whole.  Peak memory is
-        O(``ports * chunk_slots``), independent of the horizon, and the
-        merged report is bit-identical to :meth:`run` for every chunk size.
-        """
-        from repro.sim.engine import ClosedLoopSimulation
-        from repro.sim.streaming import StreamingSimulation
-
-        started = time.perf_counter()
-        engine = resolve_engine(engine)
-        scenario = self.scenario
-        stream = FabricStream(scenario, num_slots, chunk_slots, engine)
-        templates = [port_template(scenario, egress)
-                     for egress in range(scenario.num_ports)]
-        sessions = []
-        for template in templates:
-            sim = ClosedLoopSimulation(template.build_buffer(), None,
-                                       template.build_arbiter())
-            sessions.append(StreamingSimulation(sim, None, engine=engine,
-                                                chunk_slots=chunk_slots))
-        queue_counts = [t.buffer["num_queues"] for t in templates]
-        for _start, chunk_traces in stream.chunks():
-            for egress, chunk in enumerate(chunk_traces):
-                sessions[egress].feed(_queue_pattern(
-                    chunk, queue_counts[egress], scenario.num_ports))
-        ports = tuple(
-            ScenarioResult.from_report(template.name, template.scheme,
-                                       session.finish())
-            for template, session in zip(templates, sessions))
-        report = SwitchReport(name=scenario.name,
-                              num_ports=scenario.num_ports,
-                              engine=engine,
-                              fabric=stream.stats,
-                              ports=ports)
-        self._observe_run(report, "stream", time.perf_counter() - started)
-        return report
-
-    @staticmethod
-    def _observe_run(report: SwitchReport, mode: str,
-                     duration: float) -> None:
-        """Publish what a completed switch run did (pure recording: runs
-        after every port report exists, so it cannot perturb one)."""
+        [result] = runner.run(self.build_port_jobs(engine, num_slots,
+                                                   chunk_slots))
+        if isinstance(result, JobFailure):
+            raise SweepFailure(result)
+        stats, ports = result
+        report = SwitchReport(name=self.scenario.name,
+                              num_ports=self.scenario.num_ports,
+                              engine=engine, fabric=stats, ports=ports)
+        # Pure recording, after every port report exists.
+        duration = time.perf_counter() - started
         obs = get_metrics()
         if obs is not None:
             obs.inc("switch.runs")
-            obs.inc("switch.port_reports", report.num_ports)
+            obs.inc("switch.port_reports", len(report.ports))
             obs.observe("switch.run_s", duration)
-        trace_emit("switch_run", scenario=report.name, mode=mode,
+        trace_emit("switch_run", scenario=report.name,
                    ports=report.num_ports, engine=report.engine,
                    arrivals=report.arrivals, departures=report.departures,
                    drops=report.drops, duration_s=round(duration, 6))
+        return report
 
 
 def run_switch_spec(spec: Mapping[str, Any],
@@ -680,8 +660,8 @@ def run_switch_spec(spec: Mapping[str, Any],
     """Job entry point: rebuild the switch scenario from its spec and run it.
 
     This is what the ``switch-suite`` experiment executes per scenario; the
-    port stage runs serially inside the worker (``jobs=1``) because the
-    outer sweep already parallelises across scenarios.
+    whole switch runs in one job inside the worker because the outer sweep
+    already parallelises across scenarios.
     """
     scenario = SwitchScenario.from_spec(spec).with_overrides(
         num_ports=num_ports, num_slots=num_slots)
@@ -692,11 +672,11 @@ __all__ = [
     "DEFAULT_ENGINE",
     "FabricStats",
     "FabricStream",
-    "PORT_JOB_FUNC",
     "SwitchModel",
     "SwitchReport",
-    "port_scenarios",
     "port_template",
+    "queue_row",
     "run_fabric",
+    "run_port_stage",
     "run_switch_spec",
 ]

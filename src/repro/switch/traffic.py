@@ -148,7 +148,7 @@ def build_ingress_traffic(spec: Mapping[str, Any],
     if "pattern" in params:
         # Replayed destination traces rescale with the port count by folding
         # (a trace captured on a larger switch drives a smaller one), the
-        # same rule port_scenarios applies to ingress→queue mapping.  The
+        # same rule queue_row applies to ingress→queue mapping.  The
         # stochastic generators are NOT folded: an out-of-range destination
         # from one of those is a bug the fabric stage must reject.
         params["pattern"] = [None if dest is None else dest % num_ports

@@ -650,6 +650,7 @@ def _run_fault_legs(case: FuzzCase, stream: bool,
 def _run_switch_case(case: FuzzCase, stream: bool,
                      rng: random.Random) -> List[Divergence]:
     from repro.switch.model import SwitchModel
+    from repro.switch.oracle import run_port_oracle
 
     scenario = SwitchScenario.from_spec(case.spec)
     divergences: List[Divergence] = []
@@ -660,17 +661,22 @@ def _run_switch_case(case: FuzzCase, stream: bool,
             lambda engine=engine: SwitchModel(scenario).run(engine=engine))
     baseline = outcomes["reference"]
     for engine in ENGINES[1:]:
-        divergences += _compare_switch(f"jobs-{engine}", outcomes[engine],
+        divergences += _compare_switch(f"run-{engine}", outcomes[engine],
                                        baseline)
 
-    # The streamed fabric path: one rng-chosen engine by default (it is the
-    # expensive leg at 64+ ports), both under --stream.
+    # The per-port trace oracle (the whole fabric traces, each port its own
+    # trace scenario: a second path to the same report) and a drawn fabric
+    # window: one rng-chosen engine by default (the expensive legs at 64+
+    # ports), both under --stream.
     stream_engines = ENGINES if stream else (rng.choice(ENGINES),)
     for engine in stream_engines:
+        oracle = _outcome(
+            lambda engine=engine: run_port_oracle(scenario, engine))
+        divergences += _compare_switch(f"oracle-{engine}", oracle, baseline)
         chunk = rng.choice([None, rng.randint(1, scenario.num_slots + 7)])
         outcome = _outcome(
-            lambda engine=engine, chunk=chunk: SwitchModel(scenario)
-            .run_stream(engine=engine, chunk_slots=chunk))
+            lambda engine=engine, chunk=chunk: SwitchModel(scenario).run(
+                engine=engine, chunk_slots=chunk))
         divergences += _compare_switch(f"stream-{engine}-chunk{chunk}",
                                        outcome, baseline)
     return divergences

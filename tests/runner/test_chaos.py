@@ -13,6 +13,10 @@ container (and worker kills are real ``os._exit`` deaths, not simulations).
 """
 
 import os
+import signal
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -188,6 +192,41 @@ class TestTimeouts:
             SweepRunner(jobs=1, retries=-1)
         with pytest.raises(ConfigurationError):
             SweepRunner(jobs=1, backoff_s=-0.1)
+
+
+class TestLargePayloads:
+    #: Eight echo jobs of a 10,000-int list over two workers.
+    SCRIPT = (
+        "from repro.runner.jobs import Job\n"
+        "from repro.runner.sweep import SweepRunner\n"
+        "payload = list(range(10_000))\n"
+        "jobs = [Job(func='tests.runner.chaos_jobs:echo',\n"
+        "            kwargs={'value': payload}, tag=f'echo{i}')\n"
+        "        for i in range(8)]\n"
+        "assert SweepRunner(jobs=2, timeout=5).run(jobs) == [payload] * 8\n")
+
+    def test_large_tasks_and_results_finish(self):
+        """Tasks and results both larger than a pipe's buffer: a supervisor
+        that queued every task before reading a result blocked in ``put``
+        while both workers blocked putting their results, and ``timeout``
+        never fired.  The sweep runs in a child with a deadline (its whole
+        process group is killed on expiry), so a hang fails the test
+        instead of hanging the suite."""
+        root = Path(__file__).resolve().parents[2]
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+        child = subprocess.Popen([sys.executable, "-c", self.SCRIPT],
+                                 cwd=root, env=env, start_new_session=True,
+                                 stdout=subprocess.PIPE,
+                                 stderr=subprocess.STDOUT, text=True)
+        try:
+            output, _ = child.communicate(timeout=60)
+        except subprocess.TimeoutExpired:
+            os.killpg(child.pid, signal.SIGKILL)
+            child.communicate()
+            pytest.fail("the fleet deadlocked on large tasks and results")
+        assert child.returncode == 0, output
 
 
 class TestCrashResumeFromCache:

@@ -60,13 +60,25 @@ class TestSwitchCli:
 
     def test_identical_report_across_jobs_values(self, capsys):
         """The acceptance criterion, at CLI level: the rendered report is
-        byte-identical whichever worker count sharded the ports."""
+        byte-identical whichever ``--jobs`` was given."""
         assert main(["switch", "hotspot-egress", "--slots", "300",
                      "--jobs", "1"]) == 0
         serial = capsys.readouterr().out
         assert main(["switch", "hotspot-egress", "--slots", "300",
                      "--jobs", "4"]) == 0
         assert capsys.readouterr().out == serial
+
+    def test_chunk_slots_leave_the_report_unchanged(self, capsys):
+        assert main(["switch", "hotspot-egress", "--slots", "300"]) == 0
+        whole = capsys.readouterr().out
+        assert main(["switch", "hotspot-egress", "--slots", "300",
+                     "--chunk-slots", "41", "--jobs", "2"]) == 0
+        assert capsys.readouterr().out == whole
+
+    def test_every_run_streams_so_stream_is_no_flag(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["switch", "uniform", "--stream"])
+        assert excinfo.value.code == 2
 
 
 class TestSwitchSuiteExperiment:

@@ -255,11 +255,11 @@ def test_bad_plan_entry_raises_as_the_python_loop(bad_entry, policy):
 def test_metrics_do_not_change_reports():
     scn = get_switch_scenario("hotspot-egress").with_overrides(num_slots=300)
     plain = SwitchModel(scn).run()
-    streamed = SwitchModel(scn).run_stream(chunk_slots=64)
+    streamed = SwitchModel(scn).run(chunk_slots=64)
     registry = MetricsRegistry()
     with using_metrics(registry):
         observed = SwitchModel(scn).run()
-        observed_stream = SwitchModel(scn).run_stream(chunk_slots=64)
+        observed_stream = SwitchModel(scn).run(chunk_slots=64)
     assert observed == plain
     assert observed_stream.fabric == streamed.fabric == plain.fabric
     assert observed_stream.ports == streamed.ports == plain.ports
@@ -275,3 +275,105 @@ def test_engines_agree_through_the_switch_model():
     array_run = SwitchModel(scn).run(engine="array")
     assert array_run.fabric == reference.fabric
     assert array_run.ports == reference.ports
+
+
+# --------------------------------------------------------------------- #
+# Ingress plans the kernel draws
+# --------------------------------------------------------------------- #
+
+def ingress_windows(scn, engine, chunk_slots):
+    """Every window with every ingress generator's state after it, the
+    stage's stats and the routing counters."""
+    registry = MetricsRegistry()
+    stream = FabricStream(scn, chunk_slots=chunk_slots, engine=engine)
+    windows = []
+    with using_metrics(registry):
+        for start, rows in stream.chunks():
+            windows.append((start, rows, [source._rng.getstate()
+                                          for source in stream.sources]))
+    return windows, stream.stats, registry.counters()
+
+
+@pytest.mark.parametrize("chunk_slots", [1, 73, None])
+@pytest.mark.parametrize("traffic", ["bernoulli", "hotspot", "zipf"])
+def test_kernel_draws_ingress_plans_as_python_does(traffic, chunk_slots):
+    """Window by window, the kernel-drawn plans leave the rows and every
+    ingress generator where python's draw leaves them."""
+    scn = scenario("random", traffic, 8, slots=150)
+    got = ingress_windows(scn, "array", chunk_slots)
+    want = ingress_windows(scn, "reference", chunk_slots)
+    assert got[:2] == want[:2]
+    assert got[2]["switch.fabric.kernel_plan_slots"] == 8 * 150
+    assert "switch.fabric.kernel_plan_slots" not in want[2]
+
+
+def test_aborted_window_leaves_ingress_generators_untouched(monkeypatch):
+    """A window the kernel aborts after loading the ingress generators
+    writes none of them back: python draws the window's plans from where
+    they stood and its loop replays the window."""
+    real = kernel.run_fabric_window
+    starts = []
+
+    def abort_second(n, policy, start, count, plans, voqs, peak, **kwargs):
+        starts.append(start)
+        if len(starts) == 2:
+            voqs = array("q", [n * n, 1, 0])  # names no VOQ: ERR_ARG
+        return real(n, policy, start, count, plans, voqs, peak, **kwargs)
+
+    scn = scenario("islip", "bernoulli", 8, slots=150)
+    monkeypatch.setattr(kernel, "run_fabric_window", abort_second)
+    got = ingress_windows(scn, "array", 50)
+    monkeypatch.setattr(kernel, "run_fabric_window", real)
+    assert got[:2] == ingress_windows(scn, "reference", 50)[:2]
+    assert starts[1] == 50
+    assert got[2]["switch.fabric.fallback.abort"] == 1
+    assert got[2]["switch.fabric.kernel_plan_slots"] == 8 * 100
+
+
+def test_kernel_abort_leaves_ingress_generators_untouched():
+    rngs = [random.Random(seed) for seed in range(3)]
+    before = [rng.getstate() for rng in rngs]
+    bern = [(rng, kernel.gate_threshold(0.9), [1.0, 2.0, 3.0], 3.0)
+            for rng in rngs]
+    image = array("q", [3, 1, 0, 2, 1, 0])
+    assert kernel.run_fabric_window(
+        3, "priority", 5, 4, None, image, 1, bern=bern) == "abort"
+    assert [rng.getstate() for rng in rngs] == before
+
+
+@pytest.mark.parametrize("engine", ["array", "reference"])
+@pytest.mark.parametrize("traffic", sorted(TRAFFIC) + ["trace-driven"])
+def test_kernel_plan_slots_counter(traffic, engine):
+    """Ports x arrival slots for bernoulli, zipf and hotspot traffic on the
+    kernel; 0 for incast, permutation and trace-driven traffic, and on the
+    reference engine.  Counting leaves the report as it was."""
+    if traffic == "trace-driven":
+        scn = get_switch_scenario("trace-driven").with_overrides(
+            num_slots=200)
+    else:
+        scn = scenario("islip", traffic, 8, slots=200)
+    plain = SwitchModel(scn).run(engine=engine, chunk_slots=64)
+    registry = MetricsRegistry()
+    with using_metrics(registry):
+        observed = SwitchModel(scn).run(engine=engine, chunk_slots=64)
+    assert observed == plain
+    drawn = (engine == "array"
+             and traffic in ("bernoulli", "hotspot", "zipf"))
+    assert registry.counter("switch.fabric.kernel_plan_slots") == (
+        scn.num_ports * 200 if drawn else 0)
+
+
+def test_shared_ingress_generator_keeps_python_plans():
+    """Ingress plans go to the kernel only when every ingress has its own
+    generator: two ingresses drawing from one generator draw in python."""
+    scn = scenario("islip", "bernoulli", 4, slots=100)
+    got, want = (FabricStream(scn, engine=engine) for engine in
+                 ("array", "reference"))
+    for stream in (got, want):
+        stream.sources[1]._rng = stream.sources[0]._rng
+    registry = MetricsRegistry()
+    with using_metrics(registry):
+        rows = [window for window in got.chunks()]
+    assert rows == [window for window in want.chunks()]
+    assert registry.counter("switch.fabric.kernel_windows") >= 1
+    assert not registry.counter("switch.fabric.kernel_plan_slots")

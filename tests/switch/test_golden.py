@@ -4,8 +4,8 @@ The single-port scenarios have had golden ``summary()`` snapshots since
 PR 4 (``tests/workloads/test_golden.py``); these extend the same net to the
 switch layer: every registered switch scenario has a committed JSON snapshot
 of its ``SwitchReport.summary()`` under ``tests/fixtures/golden/switch/``.
-The cross-engine and jobs-vs-stream tests prove the execution paths agree
-*with each other*; the fixtures prove they agree *with the past*.
+The cross-engine, window-size and per-port-oracle tests prove the execution
+paths agree *with each other*; the fixtures prove they agree *with the past*.
 
 After an intentional behaviour change, regenerate with::
 
@@ -65,11 +65,11 @@ def test_no_orphaned_switch_golden_fixtures():
 
 def test_switch_golden_fixtures_are_path_independent():
     """The fixture pins behaviour, not an execution path: any engine and
-    the streamed fabric path must match it (spot-checked on one scenario)."""
+    any window size must match it (spot-checked on one scenario)."""
     scenario = get_switch_scenario("uniform")
     stored = json.loads(
         (GOLDEN_DIR / "uniform.json").read_text(encoding="utf-8"))
     model = SwitchModel(scenario)
     assert _canonical(model.run(engine="reference").summary()) == stored
-    assert _canonical(
-        SwitchModel(scenario).run_stream(engine="array").summary()) == stored
+    assert _canonical(SwitchModel(scenario).run(
+        engine="array", jobs=2, chunk_slots=777).summary()) == stored

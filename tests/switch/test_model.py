@@ -3,7 +3,9 @@ worker counts, exact conservation through the fabric, and the merged report."""
 
 import pytest
 
+from repro.errors import ConfigurationError, SweepFailure
 from repro.runner.cache import ResultCache
+from repro.runner.jobs import run_job
 from repro.runner.sweep import SweepRunner
 from repro.sim.stats import LatencyStats
 from repro.switch import (
@@ -14,7 +16,8 @@ from repro.switch import (
     run_switch_spec,
     switch_scenario_names,
 )
-from repro.switch.model import port_scenarios
+from repro.switch.model import FabricStream, port_template, queue_row
+from repro.switch.oracle import port_scenarios, run_port_oracle
 from repro.workloads.scenario import Scenario, ScenarioResult
 
 
@@ -144,33 +147,35 @@ class TestPortScenarios:
 
     def test_port_with_a_queue_per_ingress_takes_the_trace_itself(self):
         """With the default sizing (a queue per ingress) the fold is the
-        identity: the fabric's trace list is the pattern, uncopied."""
+        identity: the fabric's row is the port's plan, uncopied."""
         scenario = _small("uniform")
-        traces, _stats = run_fabric(scenario)
-        for port, trace in zip(port_scenarios(scenario, traces), traces):
-            assert port.arrivals["params"]["pattern"] is trace
+        for _start, rows in FabricStream(scenario).chunks():
+            for egress, row in enumerate(rows):
+                queues = port_template(scenario, egress).buffer["num_queues"]
+                assert queue_row(row, queues, scenario.num_ports) is row
 
     def test_stream_folds_ingress_index_for_fewer_queues(self):
-        """The streaming path folds as the jobs path does."""
+        """The streamed port stage folds as the per-port trace oracle
+        does."""
         import dataclasses
 
         scenario = _small("uniform")
         template = dict(scenario.ports[0])
         template["buffer"] = {"granularity": 4, "num_queues": 4}
         narrow = dataclasses.replace(scenario, ports=(template,))
-        model = SwitchModel(narrow)
-        assert model.run_stream(chunk_slots=150) == model.run()
+        assert SwitchModel(narrow).run(chunk_slots=150) == run_port_oracle(
+            narrow)
 
     def test_mixed_scheme_templates_cycle(self):
         scenario = _small("mixed-scheme")
-        traces, _stats = run_fabric(scenario)
-        schemes = [p.scheme for p in port_scenarios(scenario, traces)]
+        schemes = [port_template(scenario, egress).scheme
+                   for egress in range(scenario.num_ports)]
         assert schemes == ["rads", "cfds"] * 4
 
     def test_per_port_seeds_differ(self):
         scenario = _small("uniform")
-        traces, _stats = run_fabric(scenario)
-        seeds = {p.seed for p in port_scenarios(scenario, traces)}
+        seeds = {port_template(scenario, egress).seed
+                 for egress in range(scenario.num_ports)}
         assert len(seeds) == scenario.num_ports
 
 
@@ -219,10 +224,40 @@ class TestDeterminism:
         assert 0 <= report.arrivals - report.departures <= 2 * report.num_ports
 
     def test_report_identical_across_jobs_counts(self):
-        scenario = _small("mixed-scheme")
-        serial = SwitchModel(scenario).run(jobs=1)
-        sharded = SwitchModel(scenario).run(jobs=3)
-        assert serial == sharded
+        """On both engines, every ``jobs`` value and every ``chunk_slots``
+        give the same report, and so does the port-stage job run by
+        hand."""
+        scenario = get_switch_scenario("mixed-scheme").with_overrides(
+            num_slots=250)
+        for engine in ("array", "reference"):
+            serial = SwitchModel(scenario).run(engine=engine, jobs=1)
+            for jobs in (1, 2, 3, 8):
+                for chunk_slots in (None, 1, 137, 10_000):
+                    assert SwitchModel(scenario).run(
+                        engine=engine, jobs=jobs, chunk_slots=chunk_slots
+                    ) == serial, (engine, jobs, chunk_slots)
+            [job] = SwitchModel(scenario).build_port_jobs(engine)
+            assert run_job(job) == (serial.fabric, serial.ports)
+
+    def test_failed_port_stage_raises(self, monkeypatch):
+        """The switch is one job: a strict runner raises its error, and a
+        non-strict runner's quarantined job raises SweepFailure."""
+        import repro.switch.model as model
+
+        real = model.port_template
+
+        def poisoned(scenario, egress):
+            if egress == 5:
+                raise ConfigurationError("poisoned port")
+            return real(scenario, egress)
+
+        monkeypatch.setattr(model, "port_template", poisoned)
+        scenario = _small("uniform")
+        with pytest.raises(SweepFailure, match="poisoned port"):
+            SwitchModel(scenario).run(
+                runner=SweepRunner(jobs=2, strict=False, retries=0))
+        with pytest.raises(ConfigurationError, match="poisoned port"):
+            SwitchModel(scenario).run(jobs=2)
 
     def test_report_identical_across_engines(self):
         scenario = _small("uniform")
