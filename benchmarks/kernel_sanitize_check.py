@@ -34,7 +34,15 @@ into a child interpreter with the sanitizer runtimes preloaded and real
 7. the arbiters and plans the two span entries share, each against the
    reference engine, monolithic and streamed (warmup boundary inside a
    chunk, one checkpoint resumed): RADS with ``longest_queue`` and with no
-   arbiter, and CFDS on a Bernoulli plan the kernel draws.
+   arbiter, and CFDS on a Bernoulli plan the kernel draws, and
+8. on both span entries, each against the reference engine: every other
+   stock arbiter (``oldest_cell``, the round-robin and strided
+   adversaries, ``trace``, and ``intermittent`` over ``random`` and over
+   ``longest_queue``), MDQF, a traced run, a run streamed in 1-slot
+   spans, and every abort kind (tail SRAM and DRAM overflow, and on CFDS
+   head SRAM and Requests Register overflow, a strict head miss, a bank conflict, an address-bus
+   violation, an arrival and a trace entry naming no queue), whose
+   exception must match the reference's type and message.
 
 Any out-of-bounds access or UB in the C source aborts the child with a
 sanitizer report, which this parent surfaces verbatim.
@@ -129,7 +137,7 @@ print("differential ok")
 
 # 3. Streamed Zipf run, plans drawn by the kernel: 1300-slot chunks over
 # 7000 slots, the warmup boundary at 2000 inside the second chunk, and a
-# checkpoint at 4000 whose mark leaves a 100-slot span the kernel declines.
+# checkpoint at 4000 whose mark leaves a 100-slot span.
 def zipf_sim():
     return ClosedLoopSimulation(
         RADSPacketBuffer(RADSConfig(num_queues=32, granularity=8)),
@@ -348,6 +356,120 @@ with tempfile.TemporaryDirectory() as tmp:
                       file=sys.stderr)
                 sys.exit(4)
 print("shared arbiters and plans ok")
+
+# 8. The rest of the stock policies, traced and 1-slot spans, and every
+# abort kind, on both span entries.
+import dataclasses as _dc
+
+from repro.core.ongoing_register import OngoingRequestsRegister as _ORR
+from repro.mma.mdqf import MDQF
+from repro.traffic.arbiters import (IntermittentArbiter, OldestCellArbiter,
+                                    RoundRobinAdversary, StridedAdversary,
+                                    TraceArbiter)
+from repro.traffic.arrivals import TraceArrivals
+
+def machine(scheme, arbiter, arrivals=None, head_mma=None, patch=None,
+            record_trace=False, **config):
+    if scheme == "rads":
+        buffer = RADSPacketBuffer(
+            RADSConfig(num_queues=8, granularity=4, **config),
+            **({"head_mma": head_mma} if head_mma else {}))
+    else:
+        buffer = CFDSPacketBuffer(
+            CFDSConfig(num_queues=8, dram_access_slots=8, granularity=2,
+                       num_banks=32, **config),
+            **({"head_mma": head_mma} if head_mma else {}))
+        if patch == "no_orr":
+            buffer.scheduler.ongoing = _ORR(0)
+        elif patch == "bus":
+            buffer.scheduler.dram.timing = _dc.replace(
+                buffer.scheduler.dram.timing, address_bus_slots=3)
+    return ClosedLoopSimulation(
+        buffer, arrivals or BurstyArrivals(8, mean_burst_cells=16, load=0.9,
+                                           seed=51),
+        arbiter, record_trace=record_trace)
+
+def outcome(make, engine, mode):
+    sim = make()
+    try:
+        if mode == "monolithic":
+            report = sim.run(1200, engine=engine)
+        else:
+            report = sim.run_stream(1200, engine=engine, chunk_slots=1)
+    except Exception as exc:
+        return ("error", type(exc).__name__, str(exc))
+    return (report, report.trace and report.trace.events)
+
+def check(label, make, mode="monolithic", error=None):
+    registry = MetricsRegistry()
+    with using_metrics(registry):
+        got = outcome(make, "array", mode)
+    if got != outcome(make, "reference", mode) or (
+            error and got[:2] != ("error", error)):
+        print(f"DIFFERENTIAL MISMATCH: {label}, {mode}", file=sys.stderr)
+        sys.exit(4)
+    reached = (registry.counter("engine.array.kernel_aborts") if error
+               else registry.counter("engine.array.kernel_slots"))
+    if not reached or registry.counter("engine.array.span_slots") == 0:
+        print(f"KERNEL NOT REACHED: {label}, {mode}", file=sys.stderr)
+        sys.exit(4)
+
+pattern = [q % 8 for q in range(0, 900, 3)] * 3
+for scheme in ("rads", "cfds"):
+    for label, arbiter in (
+            ("oldest_cell", lambda: OldestCellArbiter(8)),
+            ("round robin", lambda: RoundRobinAdversary(8, start_queue=3)),
+            ("strided", lambda: StridedAdversary(8, stride=3, burst=2)),
+            ("trace", lambda: TraceArbiter(pattern)),
+            ("intermittent random", lambda: IntermittentArbiter(
+                RandomArbiter(8, load=0.9, seed=52), 40, 25)),
+            ("intermittent longest", lambda: IntermittentArbiter(
+                LongestQueueArbiter(8), 7, 3)),
+    ):
+        check(f"{scheme} {label}",
+              lambda arbiter=arbiter: machine(scheme, arbiter()))
+    check(f"{scheme} mdqf", lambda: machine(
+        scheme, RandomArbiter(8, load=0.8, seed=53), head_mma=MDQF()))
+    check(f"{scheme} traced", lambda: machine(
+        scheme, StridedAdversary(8, stride=5), record_trace=True))
+    check(f"{scheme} 1-slot spans", lambda: machine(
+        scheme, RoundRobinAdversary(8), record_trace=True), "streamed")
+    check(f"{scheme} arrival naming no queue", lambda: machine(
+        scheme, RandomArbiter(8, seed=54),
+        TraceArrivals([q % 8 for q in range(300)] + [9])),
+        error="ValidationError")
+    check(f"{scheme} trace entry naming no queue", lambda: machine(
+        scheme, TraceArbiter([None] * 200 + [-1])),
+        error="ArbiterContractError")
+    check(f"{scheme} tail overflow", lambda: machine(
+        scheme, RandomArbiter(8, load=0.3, seed=55), tail_sram_cells=6),
+        error="BufferOverflowError")
+    # 40 cells a queue, then a round robin a one-slot lookahead cannot
+    # keep up with.
+    check(f"{scheme} strict head miss", lambda: machine(
+        scheme, TraceArbiter([None] * 320 + pattern),
+        TraceArrivals([q % 8 for q in range(320)]), lookahead=1,
+        **({} if scheme == "rads" else {"latency": 0})),
+        error="CacheMissError")
+check("rads DRAM overflow", lambda: machine(
+    "rads", RandomArbiter(8, load=0.2, seed=56), dram_cells=20),
+    error="BufferOverflowError")
+check("cfds DRAM overflow", lambda: machine(
+    "cfds", RandomArbiter(8, load=0.2, seed=56), dram_cells=30),
+    error="BufferOverflowError")
+check("cfds SRAM overflow", lambda: machine(
+    "cfds", LongestQueueArbiter(8), head_sram_cells=20),
+    error="BufferOverflowError")
+check("cfds Requests Register overflow", lambda: machine(
+    "cfds", LongestQueueArbiter(8), rr_capacity=1),
+    error="BufferOverflowError")
+check("cfds bank conflict", lambda: machine(
+    "cfds", RandomArbiter(8, load=0.7, seed=57), patch="no_orr"),
+    error="BankConflictError")
+check("cfds address bus", lambda: machine(
+    "cfds", RandomArbiter(8, load=0.7, seed=58), patch="bus"),
+    error="ConfigurationError")
+print("native policies and aborts ok")
 print("SANITIZE CHECK PASSED")
 """
 

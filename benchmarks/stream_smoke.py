@@ -9,10 +9,9 @@ long streamed run (1M slots in CI), with metrics on, and fails if:
   512 — an interpreter plus a chunk's arrival plan is comfortably under
   100 MB, so a regression that materialises an O(slots) structure on the
   streaming path trips this immediately);
-* the span kernel loads but did not draw the arrivals of every main span
-  it runs — each chunk, cut at the warmup boundary, of at least
-  ``MIN_KERNEL_SLOTS`` slots — itself (``engine.array.kernel_plan_slots``),
-  so a change that sends streamed plans back to python fails here;
+* the span kernel loads but did not draw the arrivals of every main slot
+  itself (``engine.array.kernel_plan_slots``), so a change that sends
+  streamed plans back to python fails here;
 * a run checkpointed mid-way and resumed in a *fresh process state* does not
   reproduce the uninterrupted run's report bit for bit.
 
@@ -46,21 +45,6 @@ def peak_rss_mb() -> float:
     return usage / 1024
 
 
-def kernel_drawn_slots(num_slots: int, chunk_slots: int, warmup: int,
-                       min_span: int) -> int:
-    """Main slots of a streamed run whose arrivals the span kernel draws:
-    every span of at least ``min_span`` slots, once the warmup boundary has
-    cut the chunk it falls in."""
-    spans = []
-    for start in range(0, num_slots, chunk_slots):
-        stop = min(start + chunk_slots, num_slots)
-        if start < warmup < stop:
-            spans += [warmup - start, stop - warmup]
-        else:
-            spans.append(stop - start)
-    return sum(span for span in spans if span >= min_span)
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--slots", type=int, default=DEFAULT_SLOTS)
@@ -72,7 +56,7 @@ def main(argv=None) -> int:
 
     from repro.bench.suite import stream_scenario
     from repro.obs.metrics import using_metrics
-    from repro.sim.kernel import MIN_KERNEL_SLOTS, load_kernel
+    from repro.sim.kernel import load_kernel
     from repro.sim.streaming import StreamingSimulation, resume_stream
 
     scenario = stream_scenario(num_slots=args.slots)
@@ -95,14 +79,12 @@ def main(argv=None) -> int:
         return 1
     drawn = registry.counter("engine.array.kernel_plan_slots")
     if load_kernel() is not None:
-        expected = kernel_drawn_slots(args.slots, args.chunk_slots,
-                                      args.warmup, MIN_KERNEL_SLOTS)
         print(f"span kernel drew {drawn} of {args.slots} main slots' "
-              f"arrivals ({expected} in spans it runs)")
-        if drawn != expected:
+              "arrivals")
+        if drawn != args.slots:
             print("FAIL: streamed arrival plans did not all reach the span "
                   "kernel (engine.array.kernel_plan_slots "
-                  f"{drawn} != {expected})", file=sys.stderr)
+                  f"{drawn} != {args.slots})", file=sys.stderr)
             return 1
     else:
         print("span kernel unavailable: arrival plans drawn in python")

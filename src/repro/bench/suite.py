@@ -9,11 +9,11 @@ alone, then the full run at ``jobs=1`` and ``jobs=4``), and the
 long-horizon streaming path (chunked runs, with and without
 checkpointing) — each timed for a handful of repetitions, with the
 **median** wall-clock time recorded per benchmark.
-Results are written as JSON (``BENCH_22.json`` by default; the number
+Results are written as JSON (``BENCH_23.json`` by default; the number
 tracks the PR that produced the file), so successive snapshots can be
 diffed mechanically::
 
-    python -m repro bench                 # full suite -> BENCH_22.json
+    python -m repro bench                 # full suite -> BENCH_23.json
     python -m repro bench --quick         # reduced slot counts (CI perf-smoke)
     python -m repro bench --filter wide   # only the wide-queue benchmarks
 
@@ -37,19 +37,18 @@ from repro.errors import ValidationError
 
 #: Default output file.  The suffix tracks the PR that produced the
 #: snapshot so the repository can accumulate a BENCH_<n>.json trajectory.
-DEFAULT_OUTPUT = "BENCH_22.json"
+DEFAULT_OUTPUT = "BENCH_23.json"
 
 #: JSON schema version of the output document.
 SCHEMA = 1
 
 #: Slot counts used when ``--quick`` trims the suite for CI smoke runs.
-QUICK_WIDE_SLOTS = 1500
 QUICK_MMA_SLOTS = 3000
 
-#: Slots of the two registered-scenario pairs, quick and full alike: the
-#: CFDS pair's array-over-reference ratio is gated, and with both schemes on
-#: the span kernel a ratio depends on the horizon, so the quick run times
-#: the baseline's horizon.
+#: Slots of the two registered-scenario pairs and of the wide pair, quick
+#: and full alike: their array-over-reference ratios are gated, and on the
+#: span kernel a ratio depends on the horizon, so the quick run times the
+#: baseline's horizon.
 SCENARIO_SLOTS = 10_000
 
 WIDE_QUEUES = 128
@@ -145,13 +144,12 @@ def _registered_scenario_setup(scenario_name: str, engine: str,
 
 
 def _wide_setup(engine: str, quick: bool) -> BenchSetup:
-    slots = QUICK_WIDE_SLOTS if quick else WIDE_SLOTS
-    scenario = wide_scenario(num_slots=slots)
+    scenario = wide_scenario(num_slots=WIDE_SLOTS)
 
     def thunk():
         return scenario.run(engine=engine)
 
-    return thunk, {"slots": slots, "scheme": scenario.scheme,
+    return thunk, {"slots": WIDE_SLOTS, "scheme": scenario.scheme,
                    "queues": WIDE_QUEUES, "engine": engine}
 
 

@@ -25,7 +25,7 @@ from repro.core.renaming import RenamingTable
 from repro.core.scheduler import DRAMSchedulerSubsystem
 from repro.core.tail_buffer import CFDSTailBuffer
 from repro.dram.store import DRAMQueueStore
-from repro.errors import RenamingError
+from repro.errors import RenamingError, arrival_error
 from repro.mma.base import HeadMMA
 from repro.types import Cell, ReplenishRequest, SimulationResult, TransferDirection
 
@@ -128,6 +128,9 @@ class CFDSPacketBuffer:
 
         arrival_cell: Optional[Cell] = None
         if arrival is not None:
+            if type(arrival) is not int or arrival not in self._arrival_seqno:
+                raise arrival_error(arrival, len(self._arrival_seqno),
+                                    self._slot)
             seqno = self._arrival_seqno[arrival]
             arrival_cell = Cell(queue=arrival, seqno=seqno, arrival_slot=self._slot)
             self._arrival_seqno[arrival] = seqno + 1

@@ -130,6 +130,15 @@ class ArbiterContractError(ReproError):
         self.slot = slot
 
 
+def arrival_error(arrival: object, num_queues: int,
+                  slot: int) -> ValidationError:
+    """The error every engine raises for an arrival entry that names no
+    queue: anything but ``None`` or a plain ``int`` in ``[0, num_queues)``."""
+    return ValidationError(
+        f"arrival {arrival!r} at slot {slot} names no queue: an arrival must "
+        f"be None or an int in [0, {num_queues})")
+
+
 class StaleSimulationError(ReproError):
     """A simulation that has already run (or been stepped) was run again.
 

@@ -17,7 +17,10 @@ event                  emitted by
 =====================  =================================================
 ``trace_open``         the writer itself, first line of every file
 ``run_start``          ``ClosedLoopSimulation.run`` (any engine)
-``run_end``            ditto — includes the report's headline numbers
+``run_end``            ditto, and the streaming epilogue — the report's
+                       headline numbers and the ``path`` that ran it:
+                       ``kernel`` with its ``spans``, or ``reference``
+                       with the array engine's fallback ``reason``
 ``chunk``              every streamed execution window
 ``stream_finish``      streaming epilogue — cumulative session counters
 ``checkpoint_saved``   ``StreamingSimulation.save_checkpoint``
@@ -182,7 +185,8 @@ def summarize_trace(path: os.PathLike) -> Dict[str, Any]:
 
     Returns a dict with the event-type histogram, the wall-clock span, chunk
     throughput (from ``chunk`` events), checkpoint save/restore latencies,
-    sweep cache hit/miss counts and any fuzz divergences.
+    sweep cache hit/miss counts, any fuzz divergences and, per engine, the
+    runs and slots on each path (``run_end`` events).
     """
     events = read_events(path)
     by_type: Dict[str, int] = {}
@@ -227,6 +231,17 @@ def summarize_trace(path: os.PathLike) -> Dict[str, Any]:
     if runs:
         summary["runs"] = len(runs)
         summary["slots_simulated"] = sum(e.get("slots", 0) for e in runs)
+        # engine -> path -> [runs, slots]; a fallback names its reason.
+        paths: Dict[str, Dict[str, List[int]]] = {}
+        for event in runs:
+            path = event.get("path", "unknown")
+            if event.get("reason"):
+                path = f"{path} ({event['reason']})"
+            tally = paths.setdefault(str(event.get("engine")), {}) \
+                .setdefault(path, [0, 0])
+            tally[0] += 1
+            tally[1] += event.get("slots", 0)
+        summary["paths"] = paths
     return summary
 
 
@@ -254,6 +269,14 @@ def render_trace_summary(summary: Dict[str, Any]) -> str:
     if "runs" in summary:
         lines.append(f"runs: {summary['runs']}, "
                      f"{summary['slots_simulated']} slots simulated")
+    for engine, paths in sorted(summary.get("paths", {}).items()):
+        runs = sum(tally[0] for tally in paths.values())
+        slots = sum(tally[1] for tally in paths.values())
+        shares = [f"{path} {100 * count / runs:.0f}% of runs, "
+                  f"{100 * path_slots / slots if slots else 0:.0f}% of "
+                  f"slots" for path, (count, path_slots)
+                  in sorted(paths.items())]
+        lines.append(f"  {engine}: " + "; ".join(shares))
     for div in summary.get("fuzz_divergences", []):
         lines.append(f"DIVERGENCE: case {div['index']} "
                      f"leg {div['leg']} ({div['field']})")

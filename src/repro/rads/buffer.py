@@ -18,6 +18,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional
 
 from repro.dram.store import DRAMQueueStore
+from repro.errors import arrival_error
 from repro.mma.base import HeadMMA
 from repro.rads.config import RADSConfig
 from repro.rads.head_buffer import RADSHeadBuffer
@@ -122,6 +123,9 @@ class RADSPacketBuffer:
 
         arrival_cell: Optional[Cell] = None
         if arrival is not None:
+            if type(arrival) is not int or arrival not in self._arrival_seqno:
+                raise arrival_error(arrival, len(self._arrival_seqno),
+                                    self._slot)
             seqno = self._arrival_seqno[arrival]
             arrival_cell = Cell(queue=arrival, seqno=seqno, arrival_slot=self._slot)
             self._arrival_seqno[arrival] = seqno + 1

@@ -280,7 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
         FUZZ, parents=[obs],
         help="differentially fuzz random specs across every engine",
         description=("Draw seeded random scenario/switch specs "
-                     "(repro.workloads.fuzz) and run each on all three "
+                     "(repro.workloads.fuzz) and run each on both "
                      "engines, monolithic and streamed, asserting "
                      "bit-identical reports.  Diverging specs are dumped as "
                      "replayable JSON artifacts."))

@@ -5,17 +5,20 @@
  * loaded through ctypes; it is NOT a CPython extension module and includes
  * no Python headers, so it builds anywhere a C99 compiler exists.  It has
  * three entry points:
- *  - rads_run_span executes exactly the slot loop of
- *    repro.sim.array_engine's RADS core, and cfds_run_span that of its
- *    CFDS core.  Both run stock ECQF and the threshold tail MMA with no
- *    arbiter, RandomArbiter or LongestQueueArbiter, on an explicit arrival
- *    plan, a Bernoulli plan they draw themselves, or none; num_queues <=
- *    65536, so a queue id fits the 16-bit field of CRIT_KEY.  They share
- *    one SRAM/MMA half (the machine struct and its mach_* helpers: arrival
- *    with cut-through, tail MMA pick, lookahead, ECQF, service, arbiter,
- *    plan), and each keeps only its DRAM side inline: RADS its lossy DRAM
- *    writes and pending blocks, CFDS queue renaming, the latency register,
- *    the Requests Register and the DRAM Scheduler Subsystem;
+ *  - rads_run_span and cfds_run_span are the array engine's only slot
+ *    loops, one per buffer scheme; the object model (engine="reference")
+ *    is their oracle.  Both run the stock head MMAs (ECQF, with or without
+ *    its most-deficit fallback, and MDQF), the threshold tail MMA and every
+ *    stock arbiter (none, random, longest queue, oldest cell, round robin,
+ *    strided, trace, and intermittent over any of these), on an explicit
+ *    arrival plan, a Bernoulli plan they draw themselves, or none, for
+ *    spans of any length, traced or not; num_queues <= 65536, so a queue
+ *    id fits the 16-bit field of CRIT_KEY.  They share one SRAM/MMA half
+ *    (the machine struct and its mach_* helpers: arbiter, plan, arrival
+ *    with cut-through, tail MMA pick, lookahead, head MMA, service), and
+ *    each keeps only its DRAM side inline: RADS its lossy DRAM writes and
+ *    pending blocks, CFDS queue renaming, the latency register, the
+ *    Requests Register and the DRAM Scheduler Subsystem;
  *  - fabric_run_window executes one window of
  *    repro.switch.model.FabricStream's python loop (VOQ arrivals and the
  *    islip, random or priority request/grant/accept match, num_ports <=
@@ -23,35 +26,35 @@
  *    plans or Bernoulli plans it draws per ingress with the span entries'
  *    draw (bern_draw), and returns int32 egress rows.
  * Everything is integer arithmetic except the two places CPython uses
- * doubles — random() and choices() — which are reproduced with the
+ * doubles -- random() and choices() -- which are reproduced with the
  * identical IEEE-754 expressions (this translation unit must never be
  * compiled with -ffast-math).
  *
  * Buffer ownership: python hands in only fixed-shape arrays (per-queue
  * scalars, the eligible list, the lookahead ring, RNG keys, the arrival
- * plan) plus one read-only image of the variable-length state.  Every
- * buffer that grows during the span — per-queue FIFO contents, SRAM heaps,
- * the critical heap, pending blocks, delays, misses, drained slots — is
- * the kernel's own, and the span's outcome comes back as one exact-size
- * result that python reads and then releases with rads_free_result().  No
- * capacity is negotiated with the caller, so there is nothing to
- * overflow.
+ * plan, a trace arbiter's pattern) plus one read-only image of the
+ * variable-length state.  Every buffer that grows during the span --
+ * per-queue FIFO contents, SRAM heaps, the critical heap, pending blocks,
+ * delays, misses, drained slots, trace rows -- is the kernel's own, and
+ * the span's outcome comes back as one exact-size result that python reads
+ * and then releases with rads_free_result().  No capacity is negotiated
+ * with the caller, so there is nothing to overflow.
  *
  * Exactness contract:
  *  - the Mersenne Twister below is the reference mt19937ar generator that
  *    CPython's random.Random wraps; the kernel starts from the key/pos
  *    handed in and reports the words it consumed, so the python side ends
- *    bit-identical to a scalar run;
+ *    bit-identical to the reference engine;
  *  - heaps only need the heap invariant (keys are unique), so the C sift
- *    need not mirror heapq's internal move order — every pop yields the
+ *    need not mirror heapq's internal move order -- every pop yields the
  *    same minimum the python heap would;
- *  - strict-mode overflow/miss aborts return an error code and the python
- *    core replays the span on its own scalar loop to raise with exact
- *    in-place state; non-strict misses and lossy DRAM drops are native;
- *  - the fabric entry follows the same ownership rules; every raise site
- *    of the python CFDS loop, a fabric plan entry that names no egress,
- *    and any of the kernel's own checks abort, and the python loop replays
- *    the span or window.
+ *  - every raise site of the reference engine stops the span with an
+ *    abort record (an ERR_* code, the slot and the integers the exception
+ *    carries), nothing written back, and python raises the reference's
+ *    exception from it; non-strict misses and lossy DRAM drops are native;
+ *  - the fabric entry follows the same ownership rules; a fabric plan entry
+ *    that names no egress, and any of the kernel's own checks abort, and
+ *    the python loop replays the window.
  */
 
 #include <stdint.h>
@@ -246,11 +249,27 @@ static void heap_pop(ivec *h)
 /* "No pending landing" sentinel (compares greater than any slot). */
 #define NEVER (INT64_C(1) << 62)
 
-/* Error codes (mirror the strict-mode raises; the python side replays). */
+/* Error codes.  A span entry that stops early reports the slot and up to
+ * three integers with its code (kcfg.err_*), and python raises the
+ * reference engine's exception from them. */
 #define ERR_OK 0
 #define ERR_OOM 1
-#define ERR_STRICT 2
-#define ERR_ARG 3   /* bad shape, or a plan entry names no queue */
+#define ERR_ARG 2       /* bad shape or state */
+#define ERR_PLAN 3      /* an arrival naming no queue (fabric: no egress) */
+#define ERR_STATE 4     /* fabric: an empty VOQ matched, or a flush slot
+                           matched none */
+#define ERR_OVERFLOW 5  /* err: structure (OV_*), capacity, occupancy */
+#define ERR_MISS 6      /* a strict head miss; err: queue */
+#define ERR_CONFLICT 7  /* a strict bank conflict; err: bank, busy until */
+#define ERR_BUS 8       /* an address-bus violation; err: the last issue
+                           slot, the bus slots */
+#define ERR_ARBITER 9   /* a trace arbiter entry naming no queue */
+
+/* The structures an ERR_OVERFLOW names. */
+#define OV_SRAM 0
+#define OV_TAIL 1
+#define OV_DRAM 2
+#define OV_RR 3
 
 /* Resume a generator from its 624-word key and [pos, consumed]: ERR_ARG
  * unless 0 <= pos <= MT_N (mt_next reads key[pos]). */
@@ -276,10 +295,22 @@ static void mt_store(const mt_state *mt, uint32_t *key, int64_t *meta)
 /* Kernel interface (mirrored by ctypes structs in repro.sim.kernel)   */
 /* ------------------------------------------------------------------ */
 
-/* The arbiters a span runs (kcfg.arb_mode; a drain window runs none). */
+/* The arbiters a span runs (kcfg.arb_mode; a drain window runs none),
+ * each over exactly num_queues; an IntermittentArbiter runs its inner
+ * arbiter's mode behind the on/off gate (kcfg.gate_*). */
 #define ARB_NONE 0
 #define ARB_RANDOM 1        /* RandomArbiter */
-#define ARB_LONGEST 2       /* LongestQueueArbiter over num_queues */
+#define ARB_LONGEST 2       /* LongestQueueArbiter */
+#define ARB_OLDEST 3        /* OldestCellArbiter; arb_s0 = _rotation */
+#define ARB_ROUND_ROBIN 4   /* RoundRobinAdversary; arb_s0 = _next */
+#define ARB_STRIDED 5       /* StridedAdversary; arb_s0 = _current,
+                               arb_s1 = _issued_in_burst */
+#define ARB_TRACE 6         /* TraceArbiter; kptrs.arb_pattern */
+
+/* The head MMA (kcfg.head_mma). */
+#define HEAD_ECQF 0         /* ECQF without its most-deficit fallback */
+#define HEAD_ECQF_FALLBACK 1
+#define HEAD_MDQF 2
 
 /* Where a main window's arrivals come from (kcfg.plan_mode). */
 #define PLAN_EXPLICIT 0     /* kptrs.plan */
@@ -293,12 +324,19 @@ typedef struct {
     int64_t la_len, num_slots, start_slot, is_main;
     int64_t arb_mode;               /* ARB_* */
     int64_t arb_tint;               /* ceil(arbiter.load * 2**53) */
+    int64_t arb_stride;             /* ARB_STRIDED: stride % num_queues */
+    int64_t arb_burst;              /* ARB_STRIDED: burst */
+    int64_t gate_on, gate_period;   /* IntermittentArbiter: on_slots and
+                                       on_slots + off_slots; period 0 =
+                                       no gate */
     int64_t plan_mode;              /* PLAN_* */
     int64_t bern_tint;              /* ceil(arrivals.load * 2**53) */
     double bern_total;              /* cum_weights[-1] + 0.0 */
-    int64_t ecqf_fallback;
+    int64_t head_mma;               /* HEAD_* */
+    int64_t traced;                 /* 1: return each main slot's row */
     int64_t state_len;              /* elements in kptrs.state */
     /* machine scalars (in/out) */
+    int64_t arb_s0, arb_s1;         /* the arbiter's own state (ARB_*) */
     int64_t tail_total, dram_total, sram_total, la_pos, negatives;
     int64_t cells_in, cells_out, dram_reads, dram_writes, dropped;
     int64_t max_tail, max_head;
@@ -306,6 +344,7 @@ typedef struct {
     /* results (out) */
     int64_t n_delays, n_delay_pairs, n_head_miss, n_tail_miss, n_drained;
     int64_t arrivals_seen, grants, result_len;
+    int64_t err_slot, err_a, err_b, err_c;  /* the abort record */
 } kcfg;
 
 /* The variable-length state image (kptrs.state, read-only) and the head
@@ -319,7 +358,8 @@ typedef struct {
  * Each entry's own state follows (above rads_run_span and cptrs).  The
  * result then appends the outcome: the main window's delays folded into
  * n_delay_pairs (delay, count) pairs in ascending delay order,
- * n_head_miss (queue, slot) pairs and n_drained arrival slots. */
+ * n_head_miss (queue, slot) pairs, n_drained arrival slots and, for a
+ * traced main window, each slot's (arrival, request), -1 = none. */
 typedef struct {
     uint32_t *arb_key;              /* in/out (ARB_RANDOM): 624 words */
     int64_t *arb_meta;              /* in/out: [pos, consumed] */
@@ -328,6 +368,8 @@ typedef struct {
     const double *cum_weights;      /* len num_queues (PLAN_BERNOULLI) */
     const int32_t *plan;            /* len num_slots (PLAN_EXPLICIT),
                                        -1 = none */
+    const int32_t *arb_pattern;     /* len num_slots (ARB_TRACE): -1 =
+                                       none, below -1 = no queue */
     /* per-queue int64[num_queues], in/out */
     int64_t *backlog, *next_seqno, *delivered, *counters, *req_count;
     int64_t *tail_occ, *dram_occ, *crit_cache;
@@ -480,32 +522,56 @@ void rads_free_result(int64_t *result)
 /* The SRAM/MMA half both span entries share                           */
 /* ------------------------------------------------------------------ */
 
-/* One span's machine: what RADS and CFDS have in common — arrival with
- * cut-through, the threshold tail MMA, the lookahead, incremental ECQF,
+/* One span's machine: what RADS and CFDS have in common -- arrival with
+ * cut-through, the threshold tail MMA, the lookahead, the head MMA,
  * in-order service, the arbiter and the arrival plan.  Each entry's slot
  * loop calls the helpers below and keeps only its own DRAM side inline. */
 typedef struct {
     /* configuration */
-    int nq, g, strict, la_len, is_main, arb_mode, plan_mode, ecqf_fallback;
+    int nq, g, strict, la_len, is_main, arb_mode, plan_mode, head_mma;
+    int traced;
     int64_t tail_cap, dram_cap, sram_cap, start_slot, arb_tint, bern_tint;
+    int64_t arb_stride, arb_burst, gate_on, gate_period;
     double bern_total;
-    const int32_t *plan;
+    const int32_t *plan, *pattern;
     const double *cum_weights;
     /* the caller's fixed-shape arrays, updated in place */
     int64_t *backlog, *next_seqno, *delivered, *counters, *req_count;
     int64_t *tail_occ, *dram_occ, *crit_cache, *elig, *la_ring;
     /* kernel-owned state */
     qstate *qs;
-    ivec crit, misses, drained;
+    ivec crit, misses, drained, events;
     hist delays;
     int *rb_shift;                  /* 32 - bit_length(m), m = 0..nq */
     mt_state arb, bern;
     /* machine scalars */
+    int64_t arb_s0, arb_s1;
     int64_t tail_total, dram_total, sram_total, negatives;
     int64_t cells_in, cells_out, dram_reads, dram_writes, dropped;
     int64_t max_tail, max_head, n_delays, n_tail_miss, arrivals_seen, grants;
+    int64_t slot, err[3];           /* the current slot; an abort's record */
     int la_pos, elig_len, big_cnt, pc;
 } machine;
+
+/* Stop the span with `code` and up to three integers for python's
+ * exception (the slot is m->slot). */
+static int64_t mach_fail(machine *m, int64_t code, int64_t a, int64_t b,
+                         int64_t c)
+{
+    m->err[0] = a;
+    m->err[1] = b;
+    m->err[2] = c;
+    return code;
+}
+
+/* The abort record of a span that stopped with `err`. */
+static void mach_record(const machine *m, kcfg *c)
+{
+    c->err_slot = m->slot;
+    c->err_a = m->err[0];
+    c->err_b = m->err[1];
+    c->err_c = m->err[2];
+}
 
 /* Set m (zeroed by the caller; mach_free releases it whatever this
  * returns) up from c and p: check the shared inputs and every id that
@@ -522,25 +588,38 @@ static int64_t mach_open(machine *m, const kcfg *c, const kptrs *p,
     m->nq = nq = (int)c->num_queues;
     m->g = (int)c->granularity;
     m->la_len = (int)c->la_len;
+    m->slot = c->start_slot;
     if (nq < 1 || nq > MAX_QUEUES || m->g < 1 || m->la_len < 1
             || c->la_pos < 0 || c->la_pos >= m->la_len
             || c->eligible_len < 0 || c->eligible_len > nq
-            || c->arb_mode < ARB_NONE || c->arb_mode > ARB_LONGEST
-            || c->plan_mode < PLAN_EXPLICIT || c->plan_mode > PLAN_NONE)
+            || c->arb_mode < ARB_NONE || c->arb_mode > ARB_TRACE
+            || c->plan_mode < PLAN_EXPLICIT || c->plan_mode > PLAN_NONE
+            || c->head_mma < HEAD_ECQF || c->head_mma > HEAD_MDQF
+            || c->gate_period < 0
+            || (c->gate_period && c->gate_on < 1)
+            || c->num_slots < 0 || c->start_slot < 0)
         return ERR_ARG;
     m->strict = (int)c->strict;
     m->is_main = (int)c->is_main;
     m->arb_mode = m->is_main ? (int)c->arb_mode : ARB_NONE;
     m->plan_mode = m->is_main ? (int)c->plan_mode : PLAN_NONE;
-    m->ecqf_fallback = (int)c->ecqf_fallback;
+    m->head_mma = (int)c->head_mma;
+    m->traced = m->is_main && c->traced;
     m->tail_cap = c->tail_cap;
     m->dram_cap = c->dram_cap;
     m->sram_cap = c->sram_cap;
     m->start_slot = c->start_slot;
     m->arb_tint = c->arb_tint;
+    m->arb_stride = c->arb_stride;
+    m->arb_burst = c->arb_burst;
+    m->gate_on = c->gate_on;
+    m->gate_period = c->gate_period;
+    m->arb_s0 = c->arb_s0;
+    m->arb_s1 = c->arb_s1;
     m->bern_tint = c->bern_tint;
     m->bern_total = c->bern_total;
     m->plan = p->plan;
+    m->pattern = p->arb_pattern;
     m->cum_weights = p->cum_weights;
     m->backlog = p->backlog;
     m->next_seqno = p->next_seqno;
@@ -566,7 +645,14 @@ static int64_t mach_open(machine *m, const kcfg *c, const kptrs *p,
     m->la_pos = (int)c->la_pos;
     m->elig_len = (int)c->eligible_len;
     if ((m->plan_mode == PLAN_EXPLICIT && !m->plan)
-            || (m->plan_mode == PLAN_BERNOULLI && !m->cum_weights))
+            || (m->plan_mode == PLAN_BERNOULLI && !m->cum_weights)
+            || (m->arb_mode == ARB_TRACE && !m->pattern)
+            || ((m->arb_mode == ARB_OLDEST || m->arb_mode == ARB_ROUND_ROBIN
+                 || m->arb_mode == ARB_STRIDED)
+                && (m->arb_s0 < 0 || m->arb_s0 >= nq))
+            || (m->arb_mode == ARB_STRIDED
+                && (m->arb_s1 < 0 || m->arb_stride < 0
+                    || m->arb_stride >= nq || m->arb_burst < 1)))
         return ERR_ARG;
     for (i = 0; i < m->la_len; i++)
         if (m->la_ring[i] < -1 || m->la_ring[i] >= nq)
@@ -620,7 +706,8 @@ static int64_t *mach_close(machine *m, kcfg *c, kptrs *p, int64_t own)
     const int nq = m->nq;
     int64_t n_pairs = hist_pairs(&m->delays), *w, *at;
     int64_t size = 2 * (int64_t)nq + m->crit.len + own + 2 * n_pairs
-                   + IV_COUNT(&m->misses) + IV_COUNT(&m->drained);
+                   + IV_COUNT(&m->misses) + IV_COUNT(&m->drained)
+                   + IV_COUNT(&m->events);
     int i;
     for (i = 0; i < nq; i++)
         size += IV_COUNT(&m->qs[i].tail) + IV_COUNT(&m->qs[i].dram)
@@ -645,7 +732,8 @@ static int64_t *mach_close(machine *m, kcfg *c, kptrs *p, int64_t own)
     for (i = 0; i < nq; i++)
         w = put(w, &m->qs[i].arr);
     at = put(w, &m->crit);
-    put(put(put_hist(at + own, &m->delays), &m->misses), &m->drained);
+    put(put(put(put_hist(at + own, &m->delays), &m->misses), &m->drained),
+        &m->events);
 
     c->tail_total = m->tail_total;
     c->dram_total = m->dram_total;
@@ -668,6 +756,8 @@ static int64_t *mach_close(machine *m, kcfg *c, kptrs *p, int64_t own)
     c->n_drained = IV_COUNT(&m->drained);
     c->arrivals_seen = m->arrivals_seen;
     c->grants = m->grants;
+    c->arb_s0 = m->arb_s0;
+    c->arb_s1 = m->arb_s1;
     /* python setstate()s these verbatim */
     if (m->arb_mode == ARB_RANDOM)
         mt_store(&m->arb, p->arb_key, p->arb_meta);
@@ -690,6 +780,7 @@ static void mach_free(machine *m)
     free(m->crit.buf);
     free(m->misses.buf);
     free(m->drained.buf);
+    free(m->events.buf);
     free(m->delays.count);
     free(m->rb_shift);
 }
@@ -703,23 +794,78 @@ static inline int mach_period(machine *m)
     return 1;
 }
 
-/* The arbiter's request, -1 = none: RandomArbiter's gate draw, then its
- * choice over the eligible list; or LongestQueueArbiter's largest
- * backlog, lowest index on ties. */
-static inline int mach_arbitrate(machine *m)
+/* The first queue with backlog from `from` on, wrapping; -1 = none. */
+static inline int mach_scan(const machine *m, int64_t from)
+{
+    int i, q = (int)from;
+    for (i = 0; i < m->nq; i++, q = q + 1 == m->nq ? 0 : q + 1)
+        if (m->backlog[q] > 0)
+            return q;
+    return -1;
+}
+
+/* The arbiter's request at `slot` (repro.traffic.arbiters, each over
+ * num_queues), -1 = none, -2 = a trace entry naming no queue.  An
+ * intermittent gate idles the off phase of every on + off slots without
+ * calling the inner arbiter. */
+static inline int mach_arbitrate(machine *m, int64_t slot)
 {
     int request = -1, i;
-    if (m->arb_mode == ARB_RANDOM) {
+    if (m->gate_period && slot % m->gate_period >= m->gate_on)
+        return -1;
+    switch (m->arb_mode) {
+    case ARB_RANDOM:
+        /* the gate draw, then choice() over the eligible list */
         if (mt_comb53(&m->arb) < m->arb_tint && m->elig_len)
             request = (int)m->elig[mt_randbelow(&m->arb, m->elig_len,
                                                 m->rb_shift[m->elig_len])];
-    } else if (m->arb_mode == ARB_LONGEST) {
+        break;
+    case ARB_LONGEST: {
+        /* the largest backlog, lowest index on ties */
         int64_t best = 0;
         for (i = 0; i < m->nq; i++)
             if (m->backlog[i] > best) {
                 best = m->backlog[i];
                 request = i;
             }
+        break;
+    }
+    case ARB_OLDEST:
+        /* scan from the rotation, which advances by one per request */
+        request = mach_scan(m, m->arb_s0);
+        if (request >= 0)
+            m->arb_s0 = m->arb_s0 + 1 == m->nq ? 0 : m->arb_s0 + 1;
+        break;
+    case ARB_ROUND_ROBIN:
+        /* scan from the next queue; the one after the request is next */
+        request = mach_scan(m, m->arb_s0);
+        if (request >= 0)
+            m->arb_s0 = request + 1 == m->nq ? 0 : request + 1;
+        break;
+    case ARB_STRIDED:
+        /* the rest of the burst, then the stride walk's next backlogged
+         * queue */
+        if (m->arb_s1 < m->arb_burst && m->backlog[m->arb_s0] > 0) {
+            m->arb_s1++;
+            return (int)m->arb_s0;
+        }
+        for (i = 0; i < m->nq; i++) {
+            m->arb_s0 = (m->arb_s0 + m->arb_stride) % m->nq;
+            if (m->backlog[m->arb_s0] > 0) {
+                m->arb_s1 = 1;
+                return (int)m->arb_s0;
+            }
+        }
+        m->arb_s1 = 0;
+        break;
+    case ARB_TRACE:
+        /* the pattern's entry, none while its queue has no backlog */
+        request = m->pattern[slot - m->start_slot];
+        if (request < -1 || request >= m->nq)
+            return -2;
+        if (request >= 0 && m->backlog[request] <= 0)
+            request = -1;
+        break;
     }
     return request;
 }
@@ -749,16 +895,17 @@ static inline int64_t mach_land(machine *m, int q, const int64_t *cells,
     for (j = 0; j < n; j++) {
         m->sram_total++;
         if (m->sram_cap >= 0 && m->sram_total > m->sram_cap)
-            return ERR_STRICT;
+            return mach_fail(m, ERR_OVERFLOW, OV_SRAM, m->sram_cap,
+                             m->sram_total);
         if (!heap_push(&m->qs[q].sram, cells[j]))
             return ERR_OOM;
     }
     return ERR_OK;
 }
 
-/* ECQF's credit for n cells fetched or cut through to q's head: the
- * counter rises, and q's critical entry moves to its (counter+1)-th
- * pending request, or to none. */
+/* The head MMA's credit for n cells fetched or cut through to q's head:
+ * the counter rises, and q's critical entry moves to its (counter+1)-th
+ * pending request, or to none (MDQF keeps no critical heap). */
 static inline int64_t mach_credit(machine *m, int q, int64_t n)
 {
     int64_t count = m->counters[q] + n;
@@ -768,7 +915,8 @@ static inline int64_t mach_credit(machine *m, int q, int64_t n)
     if (count >= 0 && count < m->req_count[q]) {
         int64_t entered = m->qs[q].req.buf[m->qs[q].req.head + count];
         m->crit_cache[q] = entered;
-        if (!heap_push(&m->crit, CRIT_KEY(entered, q)))
+        if (m->head_mma != HEAD_MDQF
+                && !heap_push(&m->crit, CRIT_KEY(entered, q)))
             return ERR_OOM;
     } else {
         m->crit_cache[q] = CRIT_INF;
@@ -793,7 +941,8 @@ static inline int64_t mach_arrive(machine *m, int a, int64_t slot)
     }
     if (m->tail_total >= m->tail_cap) {
         m->n_tail_miss++;
-        return m->strict ? ERR_STRICT : ERR_OK;
+        return m->strict ? mach_fail(m, ERR_OVERFLOW, OV_TAIL, m->tail_cap,
+                                     m->tail_total + 1) : ERR_OK;
     }
     if (!iv_push(&qa->tail, seqno))
         return ERR_OOM;
@@ -857,12 +1006,15 @@ static inline const int64_t *mach_dram_take(machine *m, int q, int64_t n,
     return cells;
 }
 
-/* n evicted cells onto q's DRAM FIFO (a bounded DRAM's overflow raises). */
+/* n evicted cells onto q's DRAM FIFO (a bounded DRAM's overflow raises at
+ * the first cell past its capacity). */
 static inline int64_t mach_dram_put(machine *m, int q, const int64_t *cells,
                                     int64_t n)
 {
     if (m->dram_cap >= 0 && m->dram_total + n > m->dram_cap)
-        return ERR_STRICT;
+        return mach_fail(m, ERR_OVERFLOW, OV_DRAM, m->dram_cap,
+                         (m->dram_total > m->dram_cap ? m->dram_total
+                          : m->dram_cap) + 1);
     if (!iv_append(&m->qs[q].dram, cells, n))
         return ERR_OOM;
     m->dram_total += n;
@@ -881,10 +1033,10 @@ static inline int mach_shift(machine *m, int request)
     return leaving;
 }
 
-/* ECQF's bookkeeping for a request entering the pipeline and one leaving
- * it to be served (-1 = none): the counter and the pipeline head advance
- * together, so the critical entry moves only when a request becomes it or
- * the counter goes negative. */
+/* The pending-request view for a request entering the pipeline and one
+ * leaving it to be served (-1 = none): the counter and the pipeline head
+ * advance together, so the critical entry moves only when a request
+ * becomes it or the counter goes negative. */
 static inline int64_t mach_pipeline(machine *m, int request, int leaving,
                                     int64_t slot)
 {
@@ -894,7 +1046,8 @@ static inline int64_t mach_pipeline(machine *m, int request, int leaving,
             return ERR_OOM;
         if (m->counters[request] == count) {
             m->crit_cache[request] = slot;
-            if (!heap_push(&m->crit, CRIT_KEY(slot, request)))
+            if (m->head_mma != HEAD_MDQF
+                    && !heap_push(&m->crit, CRIT_KEY(slot, request)))
                 return ERR_OOM;
         }
     }
@@ -909,12 +1062,29 @@ static inline int64_t mach_pipeline(machine *m, int request, int leaving,
     return ERR_OK;
 }
 
-/* ECQF's pick (repro.sim.array_engine._ecqf_select): a negative counter
- * (lowest, then lowest index), else the earliest critical entry, else the
- * most-deficit fallback; -1 = none. */
-static inline int mach_ecqf_select(machine *m)
+/* The head MMA's pick, -1 = none.  ECQF (repro.mma.ecqf): a negative
+ * counter (lowest, then lowest index), else the earliest critical entry
+ * (the queue whose (counter+1)-th pending request entered first, the top
+ * of the lazy critical heap), else the most-deficit fallback.  MDQF
+ * (repro.mma.mdqf): the largest pending - counter over all queues, lowest
+ * index on ties, none only when that is <= 0 and nothing is pending. */
+static inline int mach_select(machine *m)
 {
     int i, sel = -1;
+    if (m->head_mma == HEAD_MDQF) {
+        int64_t best = m->req_count[0] - m->counters[0];
+        int64_t demand = 0;
+        sel = 0;
+        for (i = 0; i < m->nq; i++) {
+            int64_t deficit = m->req_count[i] - m->counters[i];
+            demand |= m->req_count[i];
+            if (deficit > best) {
+                best = deficit;
+                sel = i;
+            }
+        }
+        return best <= 0 && !demand ? -1 : sel;
+    }
     if (m->negatives) {
         int64_t best = 0;
         for (i = 0; i < m->nq; i++)
@@ -930,7 +1100,7 @@ static inline int mach_ecqf_select(machine *m)
             return CRIT_QUEUE(top);
         heap_pop(&m->crit);
     }
-    if (m->ecqf_fallback) {
+    if (m->head_mma == HEAD_ECQF_FALLBACK) {
         int64_t best = 0;
         for (i = 0; i < m->nq; i++)
             if (m->req_count[i]) {
@@ -960,7 +1130,7 @@ static inline int64_t mach_serve(machine *m, int q, int64_t slot)
     } else {
         if (!iv_push(&m->misses, q) || !iv_push(&m->misses, slot))
             return ERR_OOM;
-        return m->strict ? ERR_STRICT : ERR_OK;
+        return m->strict ? mach_fail(m, ERR_MISS, q, 0, 0) : ERR_OK;
     }
     if (!IV_COUNT(&ql->arr))
         return ERR_ARG;     /* a cell without an arrival slot */
@@ -1015,8 +1185,28 @@ static inline void mach_end_slot(machine *m, int a, int request)
     }
 }
 
+/* The slot's request and arrival (-1 = none), recorded in a traced span,
+ * and the arrival taken in; a trace entry or an arrival naming no queue
+ * stops the span. */
+static inline int64_t mach_intake(machine *m, int64_t slot, int *request,
+                                  int *a)
+{
+    m->slot = slot;
+    *request = mach_arbitrate(m, slot);
+    *a = -1;
+    if (*request < -1)
+        return ERR_ARBITER;
+    *a = mach_arrival(m, slot);
+    if (*a < -1)
+        return ERR_PLAN;
+    if (m->traced && (!iv_push(&m->events, *a)
+                      || !iv_push(&m->events, *request)))
+        return ERR_OOM;
+    return *a >= 0 ? mach_arrive(m, *a, slot) : ERR_OK;
+}
+
 /* ------------------------------------------------------------------ */
-/* RADS span (repro.sim.array_engine._RADSCore.run_span)               */
+/* RADS span                                                           */
 /* ------------------------------------------------------------------ */
 
 /* The RADS DRAM side: blocks evicted into DRAM, dropping what a bounded
@@ -1052,14 +1242,8 @@ int64_t rads_run_span(kcfg *c, kptrs *p)
 
     for (slot = m.start_slot; slot < m.start_slot + c->num_slots; slot++) {
         int pol = mach_period(&m);
-        int request = mach_arbitrate(&m);
-        int a = mach_arrival(&m, slot);
-        int leaving, sel;
-        if (a < -1) {
-            err = ERR_ARG;
-            goto done;
-        }
-        if (a >= 0 && (err = mach_arrive(&m, a, slot)) != ERR_OK)
+        int request, a, leaving, sel;
+        if ((err = mach_intake(&m, slot, &request, &a)) != ERR_OK)
             goto done;
 
         /* -- tail MMA: evict a block; a bounded lossy DRAM keeps what
@@ -1102,9 +1286,9 @@ int64_t rads_run_span(kcfg *c, kptrs *p)
             next_land = pend_len ? pend.buf[pend.head] : NEVER;
         }
 
-        /* -- ECQF select, then the fetch: DRAM cells first, then the
+        /* -- head MMA select, then the fetch: DRAM cells first, then the
          *    cut-through rest from the tail, landing g slots from now -- */
-        if (pol && (sel = mach_ecqf_select(&m)) >= 0) {
+        if (pol && (sel = mach_select(&m)) >= 0) {
             int64_t got = 0, extra = 0;
             const int64_t *cells = NULL, *rest = NULL;
             if (m.dram_occ[sel])
@@ -1145,13 +1329,15 @@ done:
     }
 
 cleanup:
+    if (err != ERR_OK)
+        mach_record(&m, c);
     mach_free(&m);
     free(pend.buf);
     return err;
 }
 
 /* ------------------------------------------------------------------ */
-/* CFDS span (repro.sim.array_engine._CFDSCore.run_span)               */
+/* CFDS span                                                           */
 /* ------------------------------------------------------------------ */
 
 /* "No issue yet" marker of last_issue (python None). */
@@ -1267,13 +1453,13 @@ static int64_t *rec_put(int64_t *w, rpool *pool, int64_t id, int finish)
 
 /* A new Requests Register entry: a read of n cells landing on `queue`,
  * or a write (queue -1, n -1, no cells); a full register raises. */
-static int64_t rr_push(rpool *pool, ivec *rr, const ccfg *cc,
+static int64_t rr_push(machine *m, rpool *pool, ivec *rr, const ccfg *cc,
                        int64_t *rr_peak, int64_t bank, int64_t slot,
                        int64_t queue, const int64_t *cells, int64_t n)
 {
     int64_t id, *rec;
     if (cc->rr_cap >= 0 && rr->len >= cc->rr_cap)
-        return ERR_STRICT;
+        return mach_fail(m, ERR_OVERFLOW, OV_RR, cc->rr_cap, rr->len + 1);
     id = rec_new(pool);
     if (id < 0 || !iv_push(rr, id))
         return ERR_OOM;
@@ -1304,9 +1490,9 @@ static int64_t pairs_load(ivec *v, reader *r, int64_t hi)
     return err;
 }
 
-/* The free physical name _allocate_name picks: from the group with the
- * fewest cells among those with a free name and room for `cells`, ties to
- * the lowest group; -1 when there is none. */
+/* The free physical name RenamingTable._allocate_physical picks: from
+ * the group with the fewest cells among those with a free name and room
+ * for `cells`, ties to the lowest group; -1 when there is none. */
 static int64_t allocate_name(ivec *free_names, int64_t num_groups,
                              const int64_t *group_occ, int64_t group_cap,
                              int64_t cells)
@@ -1469,14 +1655,8 @@ int64_t cfds_run_span(ccfg *cc, cptrs *cp)
 
     for (slot = m.start_slot; slot < m.start_slot + c->num_slots; slot++) {
         int period = mach_period(&m);
-        int request = mach_arbitrate(&m);
-        int a = mach_arrival(&m, slot);
-        int leaving, due, sel;
-        if (a < -1) {
-            err = ERR_ARG;
-            goto done;
-        }
-        if (a >= 0 && (err = mach_arrive(&m, a, slot)) != ERR_OK)
+        int request, a, leaving, due, sel;
+        if ((err = mach_intake(&m, slot, &request, &a)) != ERR_OK)
             goto done;
 
         /* -- tail MMA: evict a block through renaming (or static group
@@ -1527,7 +1707,7 @@ int64_t cfds_run_span(ccfg *cc, cptrs *cp)
                                       || !iv_push(&locs[sel], index)))
                     err = ERR_OOM;
                 if (err == ERR_OK)
-                    err = rr_push(&pool, &rr, cc, &rr_peak,
+                    err = rr_push(&m, &pool, &rr, cc, &rr_peak,
                                   (physical % ngroups) * bpg + index % bpg,
                                   slot, -1, NULL, -1);
                 if (err != ERR_OK)
@@ -1551,10 +1731,10 @@ int64_t cfds_run_span(ccfg *cc, cptrs *cp)
         if ((err = mach_pipeline(&m, request, due, slot)) != ERR_OK)
             goto done;
 
-        /* -- ECQF select, then fetch: DRAM pop, location pop, renaming
-         *    debit, ECQF credit, Requests Register push (or cut-through
-         *    from the tail straight into the head SRAM) -- */
-        if (period && (sel = mach_ecqf_select(&m)) >= 0) {
+        /* -- head MMA select, then fetch: DRAM pop, location pop, renaming
+         *    debit, credit, Requests Register push (or cut-through from
+         *    the tail straight into the head SRAM) -- */
+        if (period && (sel = mach_select(&m)) >= 0) {
             const int64_t *seqs;
             int64_t got, bank = -1;
             if (m.dram_occ[sel] > 0) {
@@ -1608,8 +1788,8 @@ int64_t cfds_run_span(ccfg *cc, cptrs *cp)
                 if (err == ERR_OK)
                     /* seqs stays valid: neither FIFO is pushed here */
                     err = bank < 0 ? mach_land(&m, sel, seqs, got)
-                          : rr_push(&pool, &rr, cc, &rr_peak, bank, slot,
-                                    sel, seqs, got);
+                          : rr_push(&m, &pool, &rr, cc, &rr_peak, bank,
+                                    slot, sel, seqs, got);
                 if (err != ERR_OK)
                     goto done;
                 if (bank >= 0)
@@ -1662,14 +1842,15 @@ int64_t cfds_run_span(ccfg *cc, cptrs *cp)
                 rr.len--;
                 if (last_issue != NO_SLOT && slot - last_issue < cc->bus_slots
                         && slot != last_issue) {
-                    err = ERR_STRICT;   /* the address-bus violation */
+                    err = mach_fail(&m, ERR_BUS, last_issue, cc->bus_slots,
+                                    0);
                     goto done;
                 }
                 busy = busy_until[bank];
                 if (slot < busy) {
                     conflicts++;
                     if (cc->dram_strict) {
-                        err = ERR_STRICT;
+                        err = mach_fail(&m, ERR_CONFLICT, bank, busy, 0);
                         goto done;
                     }
                     finish = busy + ras;
@@ -1778,6 +1959,8 @@ done:
     }
 
 cleanup:
+    if (err != ERR_OK)
+        mach_record(&m, c);
     for (i = 0; locs && i < m.nq; i++)
         free(locs[i].buf);
     for (i = 0; names && i < m.nq; i++)
@@ -1812,9 +1995,6 @@ cleanup:
 #define POLICY_RANDOM 1
 #define POLICY_PRIORITY 2
 
-/* More error codes; python replays the window and raises (or not). */
-#define ERR_PLAN 4   /* a plan entry names no egress port */
-#define ERR_STATE 5  /* an empty VOQ matched, or a flush slot matched none */
 
 typedef struct {
     /* configuration (in) */

@@ -4,67 +4,61 @@ The object model (``RADSPacketBuffer``/``CFDSPacketBuffer`` driven by
 :class:`~repro.sim.engine.ClosedLoopSimulation`) allocates a ``Cell``
 dataclass per arrival, keeps every FIFO as a deque of cell objects and every
 SRAM as a heap of ``(seqno, id, cell)`` tuples, and walks half a dozen
-attribute chains per slot.  That per-slot object traffic is what dominates
-long closed-loop runs.  This module re-implements the *same machine* on flat
-integer state:
+attribute chains per slot.  This module keeps the *same machine* as flat
+integer state, and the compiled span kernel (:mod:`repro.sim.kernel`) runs
+every slot of it:
 
 * a cell is identified by its ``(queue, seqno)`` pair; per-queue seqnos are
-  dense, so the cell's ``arrival_slot`` lives in a compacting cursor list
-  indexed by seqno — no cell objects exist at all;
+  dense, so the cells' arrival slots live in a per-queue list indexed by
+  seqno — no cell objects exist at all;
 * the tail-SRAM and DRAM per-queue FIFOs are :class:`collections.deque`
-  queues of seqnos; occupancies are flat ``int`` lists updated in the loop;
+  queues of seqnos, with flat ``int`` occupancy lists;
 * the head SRAM is a per-queue min-heap of bare seqnos (out-of-order block
   delivery in CFDS still yields in-order service);
-* the lookahead and latency shift registers are preallocated lists with a
-  rotating cursor;
-* the latency histogram is accumulated as a plain dict of ints and folded
-  into :class:`~repro.sim.stats.LatencyStats` once, after the loop.
+* the lookahead and latency shift registers are lists with a rotating
+  cursor;
+* the latency histogram is a plain dict of ints, folded into
+  :class:`~repro.sim.stats.LatencyStats` once, after the run.
 
-Policy decisions are never approximated.  Custom MMA or arbiter objects are
-invoked with exactly the views the object model hands them; for the stock
-policies the engine substitutes *algebraically identical* incremental forms:
+Policy decisions are never approximated; the kernel runs the stock
+policies in *algebraically identical* incremental forms:
 
 * **ECQF** — the O(lookahead) walk ("first queue whose bookkeeping occupancy
   would go negative") always selects the queue whose ``(counter+1)``-th
-  outstanding request entered the pipeline earliest.  The engine keeps each
-  queue's request entry-slots in a cursor list and tracks that *critical
-  entry slot* per queue in a lazily invalidated min-heap.  The tracked value
-  only changes when a request enters the pipeline or the queue's counter is
-  credited — a request leaving the pipeline moves the counter and the cursor
-  together, cancelling out — so maintenance is O(log Q) per event and a
-  selection is an O(1) amortised heap peek instead of a 400-entry walk.
-* **ThresholdTailMMA** — inlined occupancy max-scan, skipped entirely while
-  the tail SRAM holds less than one block.
+  outstanding request entered the pipeline earliest.  The core keeps each
+  queue's request entry slots (``req_slots``) and pending count
+  (``req_count``), and the kernel tracks that *critical entry slot* per
+  queue in a lazily invalidated min-heap, so a selection is an O(1)
+  amortised heap peek instead of a 400-entry walk.
+* **MDQF** — the same pending counts make its deficit scan O(Q).
+* **ThresholdTailMMA** — an occupancy max-scan, skipped while no queue
+  holds a block.
 * **RandomArbiter** — the per-slot "list the backlogged queues" rebuild is
-  replaced by an incrementally maintained sorted list (the engine already
-  knows every backlog transition); the RNG draw sequence is unchanged, so the
-  request stream is bit-identical.
+  replaced by an incrementally maintained sorted list (``eligible``); the
+  RNG draw sequence is unchanged, so the request stream is bit-identical.
 
 For CFDS, the issue-period machinery — the DRAM scheduler subsystem
 (Requests Register with its oldest-ready select, Ongoing Requests Register,
 banked-DRAM timing), queue renaming and the block-cyclic bank mapping — is
-re-implemented on the core's own flat state too, configured once from the
-buffer's objects; it makes the object model's decisions in the object
-model's order, errors included.  The resulting
-:class:`~repro.sim.engine.SimulationReport`
-(throughput, latency histogram, buffer statistics) is asserted bit-identical
-to the reference loop for every registered scenario by
-``tests/sim/test_array_engine.py``.
+flat state of the core too, configured once from the buffer's objects; the
+kernel makes the object model's decisions in the object model's order,
+errors included.  The resulting
+:class:`~repro.sim.engine.SimulationReport` (throughput, latency
+histogram, buffer statistics) is asserted bit-identical to the reference
+loop for every registered scenario by ``tests/sim/test_array_engine.py``
+and by the differential fuzzer.
 
-**The compiled span kernel.**  Each core hands a span to its entry in the
-C kernel of :mod:`repro.sim.kernel` when ``_kernel_miss`` passes (stock
-ECQF and threshold tail MMA, no arbiter, ``RandomArbiter`` or
-``LongestQueueArbiter``, ``num_queues`` up to ``MAX_KERNEL_QUEUES``, an
-untraced run, at least ``MIN_KERNEL_SLOTS`` slots, a loaded kernel); every
-other span — and every span the kernel aborts — runs on the core's scalar
-python loop on the same state, the oracle the kernel mirrors statement for
-statement.  Both entries share the kernel's SRAM/MMA half, so both run the
-same arbiters and plans, and one routing method, ``_kernel_route``, sends
-either core's spans there.  With metrics enabled, the slots of a span that
-misses the kernel are counted as ``engine.array.fallback.<reason>``.  The
-arrival plan of a stock Bernoulli process (Zipf and hotspot included) is
-deferred so the kernel draws it natively: the whole horizon of a
-monolithic run, each chunk of a streamed one, on either core.
+**Routing, once per run.**  :func:`kernel_miss` decides whether the kernel
+can run a simulation: stock head MMA (ECQF or MDQF) and threshold tail MMA,
+a stock arbiter over exactly the buffer's queues
+(:func:`~repro.sim.kernel.span_arbiter`), at most ``MAX_KERNEL_QUEUES``
+queues and a loaded kernel.  A run it cannot take goes wholly to the
+reference engine, and with metrics on its slots are counted as
+``engine.array.fallback.<reason>``.  A span the kernel aborts raises the
+reference engine's exception from the kernel's abort record.  The arrival
+plan of a stock Bernoulli process (Zipf and hotspot included) is deferred
+so the kernel draws it natively: the whole horizon of a monolithic run,
+each chunk of a streamed one, on either core.
 
 The engine consumes a *freshly built* buffer: it reads the configuration and
 the sizes of the issue-period machinery off the buffer object once and keeps
@@ -72,18 +66,19 @@ all state in its own arrays, so the buffer instance itself is not stepped
 (a CFDS core shares only its group-occupancy list, which the buffer's
 ``dram_group_occupancy()`` reads).  Running an
 already-run (or hand-stepped) simulation on the array engine raises
-:class:`~repro.errors.StaleSimulationError`.
+:class:`~repro.errors.StaleSimulationError`, whatever would have run it.
 
 **Chunked execution.**  The engine state lives in a core object
-(:func:`build_array_core`) whose :meth:`run_span` method simulates any
-number of slots and can be called repeatedly — that is what the streaming
-path (:mod:`repro.sim.streaming`) uses to run arbitrarily long horizons on
-bounded memory and to checkpoint mid-run: a core holds only plain data
-(lists, deques, dicts, ints) plus references to the simulation and buffer
-objects, so pickling the core captures the complete machine state.  The
-streaming driver takes each chunk's plan from :func:`window_plan`, and
-:func:`run_array`, the monolithic convenience wrapper (one main span, one
-drain span, one report), takes its whole horizon's plan from it.
+(:func:`build_array_core`) whose :meth:`~_ArrayCoreBase.run_span` method
+simulates any number of slots and can be called repeatedly — that is what
+the streaming path (:mod:`repro.sim.streaming`) uses to run arbitrarily
+long horizons on bounded memory and to checkpoint mid-run: a core holds
+only plain data (lists, deques, dicts, ints) plus references to the
+simulation and buffer objects, so pickling the core captures the complete
+machine state.  The streaming driver takes each chunk's plan from
+:func:`window_plan`, and :func:`run_array`, the monolithic convenience
+wrapper (one main span, one drain span, one report), takes its whole
+horizon's plan from it.
 
 :func:`resolve_engine` is the one place engine names are checked: the
 retired names ``numpy`` and ``batched`` run ``array`` and ``reference``.
@@ -92,25 +87,21 @@ retired names ``numpy`` and ``batched`` run ``array`` and ``reference``.
 from __future__ import annotations
 
 from array import array
-from bisect import bisect_left, insort
 from collections import deque
-from heapq import heappop, heappush
 from itertools import accumulate
 from typing import List, Optional
 
 from repro.errors import (
-    ArbiterContractError,
-    BankConflictError,
-    BufferOverflowError,
-    CacheMissError,
+    CheckpointError,
     ConfigurationError,
     StaleSimulationError,
 )
 from repro.mma.ecqf import ECQF
+from repro.mma.mdqf import MDQF
 from repro.mma.tail_mma import ThresholdTailMMA
 from repro.obs.metrics import get_metrics
 from repro.sim import kernel
-from repro.traffic.arbiters import RandomArbiter
+from repro.traffic.arbiters import IntermittentArbiter, RandomArbiter
 from repro.traffic.arrivals import BernoulliArrivals
 from repro.types import MissRecord, SimulationResult
 
@@ -129,10 +120,6 @@ _RETIRED_ENGINES = {"numpy": "array", "batched": "reference"}
 #: "No critical entry" marker in the per-queue critical-slot cache.
 _INF = float("inf")
 
-#: Compaction threshold of the cursor lists (amortised O(1): at least half
-#: of the storage is reclaimed whenever a deletion is triggered).
-_COMPACT = 8192
-
 
 def resolve_engine(engine: str) -> str:
     """The engine that runs for ``engine``: a retired name maps to its
@@ -146,6 +133,36 @@ def resolve_engine(engine: str) -> str:
     return engine
 
 
+def kernel_miss(sim) -> Optional[str]:
+    """Why the span kernel cannot run ``sim`` — the ``<reason>`` of the
+    ``engine.array.fallback.<reason>`` counter its run's slots go to — or
+    ``None`` when it can: stock ECQF or MDQF and threshold tail MMA (exact
+    types: a subclass may override the policy), an arbiter
+    :func:`~repro.sim.kernel.span_arbiter` takes, at most
+    ``MAX_KERNEL_QUEUES`` queues and a loaded kernel."""
+    buffer = sim.buffer
+    num_queues = buffer.config.num_queues
+    tail_mma = buffer.tail.mma
+    if not (type(buffer.head.mma) in (ECQF, MDQF)
+            and type(tail_mma) is ThresholdTailMMA
+            and tail_mma.granularity == buffer.config.granularity
+            and kernel.span_arbiter(sim.arbiter, num_queues) is not None):
+        return "policy"
+    if num_queues > kernel.MAX_KERNEL_QUEUES:
+        return "wide_queues"
+    if kernel.load_kernel() is None:
+        return "unavailable"
+    return None
+
+
+def count_fallback(reason: str, num_slots: int) -> None:
+    """Count ``num_slots`` slots of a run the array engine handed to the
+    reference engine (``engine.array.fallback.<reason>``)."""
+    obs = get_metrics()
+    if obs is not None and num_slots:
+        obs.inc(f"engine.array.fallback.{reason}", num_slots)
+
+
 def run_array(sim, num_slots: int, drain: bool = True):
     """Run ``sim`` for ``num_slots`` slots on the struct-of-arrays core.
 
@@ -157,26 +174,25 @@ def run_array(sim, num_slots: int, drain: bool = True):
             :meth:`ClosedLoopSimulation.run` does.
 
     Returns:
-        The same :class:`~repro.sim.engine.SimulationReport` the object-model
-        loops produce, bit for bit.
+        The same :class:`~repro.sim.engine.SimulationReport` the reference
+        engine produces, bit for bit — from the reference engine itself when
+        :func:`kernel_miss` names a reason.
     """
     if num_slots < 0:
         raise ConfigurationError("num_slots must be non-negative")
-    core = build_array_core(sim)
+    core, reason = route_core(sim)
+    if core is None:
+        report = sim._run_reference(num_slots, drain)
+        count_fallback(reason, report.throughput.slots)
+        return report
     plan = (window_plan(sim, core, 0, num_slots)
             if sim.arrivals is not None else None)
     core.run_span(plan, num_slots)
     return core.finish(drain=drain)
 
 
-def build_array_core(sim):
-    """Build the struct-of-arrays core for ``sim``'s buffer scheme.
-
-    Raises :class:`~repro.errors.StaleSimulationError` unless the simulation
-    is freshly built (the array engine replays a run from slot 0 on its own
-    state arrays, so a pre-stepped buffer or an already-run simulation would
-    silently produce a wrong report).
-    """
+def _check_fresh(sim) -> None:
+    """Raise unless ``sim`` is freshly built on a RADS or CFDS buffer."""
     from repro.core.buffer import CFDSPacketBuffer
     from repro.rads.buffer import RADSPacketBuffer
 
@@ -189,16 +205,84 @@ def build_array_core(sim):
         raise StaleSimulationError(
             "the array engine replays a run from slot 0 and requires a "
             "freshly built simulation (build a new buffer for every run)")
+    if not isinstance(buffer, (RADSPacketBuffer, CFDSPacketBuffer)):
+        raise ConfigurationError(
+            "the array engine supports RADSPacketBuffer and "
+            f"CFDSPacketBuffer, got {type(buffer).__name__}")
+
+
+def route_core(sim):
+    """``(core, None)`` with the array core for ``sim`` when the span
+    kernel can run it, else ``(None, reason)`` with the :func:`kernel_miss`
+    reason its run goes to the reference engine; a stale simulation raises
+    either way (:func:`build_array_core`)."""
+    _check_fresh(sim)
+    reason = kernel_miss(sim)
+    return (build_array_core(sim) if reason is None else None), reason
+
+
+def build_array_core(sim):
+    """Build the struct-of-arrays core for ``sim``'s buffer scheme.
+
+    Raises :class:`~repro.errors.StaleSimulationError` unless the simulation
+    is freshly built (the array engine replays a run from slot 0 on its own
+    state arrays, so a pre-stepped buffer or an already-run simulation would
+    silently produce a wrong report).
+    """
+    from repro.rads.buffer import RADSPacketBuffer
+
+    _check_fresh(sim)
     obs = get_metrics()
     if obs is not None:
         obs.inc("engine.array.cores_built")
-    if isinstance(buffer, RADSPacketBuffer):
-        return _RADSCore(sim, buffer)
-    if isinstance(buffer, CFDSPacketBuffer):
-        return _CFDSCore(sim, buffer)
-    raise ConfigurationError(
-        "the array engine supports RADSPacketBuffer and CFDSPacketBuffer, "
-        f"got {type(buffer).__name__}")
+    if isinstance(sim.buffer, RADSPacketBuffer):
+        return _RADSCore(sim, sim.buffer)
+    return _CFDSCore(sim, sim.buffer)
+
+
+def resume_core(core) -> None:
+    """Ready a core restored from a checkpoint for the span kernel.
+
+    Raises :class:`~repro.errors.CheckpointError` when the kernel cannot
+    run it (:func:`kernel_miss`).  A core that kept no pending-request view
+    (a checkpoint of an MDQF run from before MDQF ran on the kernel) gets
+    it rebuilt from its lookahead and latency rings, and the eligible list
+    a random arbiter draws from is rebuilt from the backlog.
+    """
+    reason = kernel_miss(core.sim)
+    if reason is not None:
+        raise CheckpointError(
+            f"the checkpoint's array core cannot run on the span kernel "
+            f"({reason}); rerun it on engine='reference'")
+    if not core.fast_ecqf:
+        _rebuild_pending_view(core)
+    core.eligible[:] = [queue for queue, count in enumerate(core.backlog)
+                        if count > 0]
+
+
+def _rebuild_pending_view(core) -> None:
+    """The pending-request view (``req_slots``, ``req_count``, the
+    negative-counter count and the critical entries) from the requests in
+    the core's shift registers: the latency register (CFDS) holds the
+    oldest, then the lookahead; the request at position ``k`` of a ring,
+    oldest first, entered ``k`` slots after the ring's oldest."""
+    rings = [(core.lookahead, core.la_pos, core.slot - core.la_len)]
+    if isinstance(core, _CFDSCore) and core.lat_len:
+        rings.insert(0, (core.latency_reg, core.lat_pos,
+                         core.slot - core.la_len - core.lat_len))
+    req_slots: List[List[int]] = [[] for _ in range(core.num_queues)]
+    for ring, pos, oldest in rings:
+        for offset, queue in enumerate(ring[pos:] + ring[:pos]):
+            if queue is not None:
+                req_slots[queue].append(oldest + offset)
+    core.req_slots[:] = req_slots
+    core.req_head[:] = [0] * core.num_queues
+    core.req_count[:] = [len(slots) for slots in req_slots]
+    core.negatives = sum(1 for count in core.counters if count < 0)
+    core.crit_cache[:] = [slots[count] if 0 <= count < len(slots) else _INF
+                          for count, slots in zip(core.counters, req_slots)]
+    core.crit_heap[:] = []  # MDQF, the one such policy, keeps no heap
+    core.fast_ecqf = True
 
 
 class _DeferredPlan:
@@ -208,9 +292,8 @@ class _DeferredPlan:
     An array core gets one for the whole horizon of a monolithic run and one
     per chunk of a streamed run, so the compiled span kernel can draw the
     plan natively (same words, same doubles) and write the consumed RNG
-    state back; a span that runs in python calls :meth:`materialize`, which
-    advances the process RNG exactly as the ``arrivals()`` call would have
-    at this point.
+    state back; :meth:`materialize` instead advances the process RNG
+    exactly as the ``arrivals()`` call would have at this point.
     """
 
     __slots__ = ("proc", "num_slots", "cum_weights", "total")
@@ -225,9 +308,13 @@ class _DeferredPlan:
         return self.num_slots
 
     def shares_rng(self, sim) -> bool:
-        """True when the process draws from the arbiter's RNG object, whose
-        draws for a span must then follow the plan's."""
-        return self.proc._rng is getattr(sim.arbiter, "_rng", None)
+        """True when the process draws from the arbiter's RNG object (an
+        intermittent arbiter's inner one), whose draws for a span must then
+        follow the plan's."""
+        arbiter = sim.arbiter
+        if type(arbiter) is IntermittentArbiter:
+            arbiter = arbiter.inner
+        return self.proc._rng is getattr(arbiter, "_rng", None)
 
     def bern(self):
         """The kernel's ``bern`` argument: the process RNG, the load gate's
@@ -249,11 +336,12 @@ def deferred_plan(proc, num_queues: int,
     so the process must be one (Zipf and hotspot are) that overrides
     neither ``arrivals`` nor ``arrivals_slice`` and serves every window
     from ``arrivals`` (``slot_invariant``).  Its weights must cover exactly
-    the ``num_queues`` the kernel searches: a process with fewer runs on
-    python's plan, and one with more raises the reference engine's error.
-    And they must not sum to zero, which ``choices()`` reports on the
-    first arrival, in python.  The switch's fabric stage asks the same of
-    every ingress, over its egress ports.
+    the ``num_queues`` the kernel searches: a process with fewer or more
+    is drawn in python (one with more raises the reference engine's error
+    at its first arrival past the buffer's queues).  And they must not sum
+    to zero, which ``choices()`` reports on the first arrival, in python.
+    The switch's fabric stage asks the same of every ingress, over its
+    egress ports.
     """
     cls = type(proc)
     if (isinstance(proc, BernoulliArrivals) and proc.slot_invariant
@@ -268,7 +356,7 @@ def deferred_plan(proc, num_queues: int,
 
 def row_plan(row: array) -> List[Optional[int]]:
     """An ``int32`` row plan (``-1`` = no arrival, as the switch's fabric
-    stage hands its ports) as the python loops read a plan."""
+    stage hands its ports) as the reference engine reads a plan."""
     return [None if a == -1 else a for a in row]
 
 
@@ -300,87 +388,15 @@ def split_plan(core, plan, cut: int):
 
     A deferred plan splits into two deferred parts, unless its process
     shares the arbiter's RNG: then the whole window is drawn here, before
-    the arbiter draws for either part, as for an undeferred chunk, and each
-    part the kernel would otherwise have drawn is counted as
-    ``engine.array.fallback.shared_rng`` (a part it declines is counted
-    under its own reason when it runs).
+    the arbiter draws for either part, as for an undeferred chunk.
     """
     if isinstance(plan, _DeferredPlan):
         if not plan.shares_rng(core.sim):
             return (_DeferredPlan(plan.proc, cut, plan.cum_weights),
                     _DeferredPlan(plan.proc, plan.num_slots - cut,
                                   plan.cum_weights))
-        obs = get_metrics()
-        if obs is not None:
-            drawn = sum(part for part in (cut, plan.num_slots - cut)
-                        if core._kernel_miss(part) is None)
-            if drawn:
-                obs.inc("engine.array.fallback.shared_rng", drawn)
         plan = plan.materialize()
     return plan[:cut], plan[cut:]
-
-
-def _pop_block(fifo: deque, count: int, out: List[int]) -> None:
-    """Move up to ``count`` cells from the head of ``fifo`` to ``out`` (the
-    block-transfer path: one call per DRAM access, not one per cell)."""
-    if count >= len(fifo):
-        out.extend(fifo)
-        fifo.clear()
-    else:
-        popleft = fifo.popleft
-        for _ in range(count):
-            out.append(popleft())
-
-
-# --------------------------------------------------------------------- #
-# Incremental ECQF
-# --------------------------------------------------------------------- #
-
-def _ecqf_select(counters: List[int], negatives: int, req_count: List[int],
-                 crit_heap: List, crit_cache: List, fallback: bool
-                 ) -> Optional[int]:
-    """ECQF's selection from the incrementally maintained critical view.
-
-    Identical, case by case, to :meth:`repro.mma.ecqf.ECQF.select`:
-
-    * any queue with a negative bookkeeping counter wins (lowest counter,
-      then lowest index) — the walk's early-negative branch;
-    * otherwise the walk marks a queue critical at its ``(counter+1)``-th
-      pending request, so the winner is the queue whose critical request
-      entered the pipeline earliest — the top of the lazy min-heap (entry
-      slots are unique, so there are no ties to break);
-    * otherwise the most-deficit fallback: largest ``pending - counter``
-      among queues with pending requests (ties to the lowest index), only if
-      that deficit is positive.
-    """
-    if negatives:
-        best_queue = -1
-        best_counter = 0
-        for queue, counter in enumerate(counters):
-            if counter < 0 and (best_queue < 0 or counter < best_counter):
-                best_counter = counter
-                best_queue = queue
-        return best_queue
-    while crit_heap:
-        entered, queue = crit_heap[0]
-        if crit_cache[queue] == entered:
-            return queue
-        heappop(crit_heap)
-    if not fallback:
-        return None
-    best_queue = -1
-    best_deficit = 0
-    queue = 0
-    for counter, pending in zip(counters, req_count):
-        if pending:
-            deficit = pending - counter
-            if best_queue < 0 or deficit > best_deficit:
-                best_deficit = deficit
-                best_queue = queue
-        queue += 1
-    if best_queue < 0 or best_deficit <= 0:
-        return None
-    return best_queue
 
 
 # --------------------------------------------------------------------- #
@@ -391,10 +407,10 @@ class _ArrayCoreBase:
     """State shared by the RADS and CFDS struct-of-arrays cores.
 
     A core holds *only plain data* (lists, deques, dicts, ints) plus
-    references to the simulation and buffer objects — policy callables and
-    RNG method handles are re-derived at the top of every :meth:`run_span`,
-    never stored — so pickling a core (together with its simulation, in one
-    payload) captures the complete machine state for checkpoint/resume.
+    references to the simulation and buffer objects — the span kernel's
+    inputs are re-derived at every :meth:`run_span`, never stored — so
+    pickling a core (together with its simulation, in one payload) captures
+    the complete machine state for checkpoint/resume.
     """
 
     def __init__(self, sim, buffer) -> None:
@@ -408,12 +424,16 @@ class _ArrayCoreBase:
         self.la_len = config.effective_lookahead
         tail_mma = buffer.tail.mma
         head_mma = buffer.head.mma
-        # Exact-type checks: a subclass may override the policy, in which
-        # case the generic (object-invoking) path is used instead.
+        # The policy flags of checkpoint version 3.  ``fast_ecqf`` marks a
+        # core that keeps the pending-request view below (every core the
+        # kernel runs; :func:`resume_core` rebuilds it for one that did
+        # not), and ``ecqf_fallback`` is ECQF's most-deficit fallback.
+        # Nothing reads ``fast_tail`` and ``fast_random`` any more; they
+        # stay so a version-3 checkpoint has one layout on every tree.
         self.fast_tail = (type(tail_mma) is ThresholdTailMMA
                           and tail_mma.granularity == self.granularity)
-        self.fast_ecqf = type(head_mma) is ECQF
-        self.ecqf_fallback = (self.fast_ecqf
+        self.fast_ecqf = True
+        self.ecqf_fallback = (type(head_mma) is ECQF
                               and head_mma.fallback_to_most_deficit)
         self.fast_random = type(sim.arbiter) is RandomArbiter
         self.eligible: List[int] = []  # ascending queues with backlog > 0
@@ -438,11 +458,10 @@ class _ArrayCoreBase:
         self.counters = [0] * num_queues
         self.lookahead: List[Optional[int]] = [None] * self.la_len
         self.la_pos = 0
-        # Incremental ECQF view (maintained only when the stock policy
-        # runs): per-queue entry slots of the requests currently in the
-        # pipeline (cursor lists), the per-queue pending count, the number
-        # of queues with a negative counter, and the lazy heap of critical
-        # entry slots.
+        # The pending-request view the head MMAs read: per-queue entry
+        # slots of the requests currently in the pipeline (cursor lists),
+        # the per-queue pending count, the number of queues with a negative
+        # counter, and ECQF's critical entry slots with their lazy heap.
         self.req_slots: List[List[int]] = [[] for _ in range(num_queues)]
         self.req_head = [0] * num_queues
         self.req_count = [0] * num_queues
@@ -489,69 +508,42 @@ class _ArrayCoreBase:
                 "this array core already produced its report; build a new "
                 "simulation for another run")
 
-    def _kernel_miss(self, num_slots: int) -> Optional[str]:
-        """Why a span of ``num_slots`` cannot run on the span kernel — the
-        ``<reason>`` of its ``engine.array.fallback.<reason>`` counter — or
-        ``None`` when it can: stock ECQF and threshold tail MMA, an arbiter
-        :func:`~repro.sim.kernel.span_arbiter` takes, at most
-        ``MAX_KERNEL_QUEUES`` queues, an untraced run, at least
-        ``MIN_KERNEL_SLOTS`` slots and a loaded kernel."""
-        if not (self.fast_ecqf and self.fast_tail and kernel.span_arbiter(
-                self.sim.arbiter, self.num_queues) is not None):
-            return "policy"
-        if self.num_queues > kernel.MAX_KERNEL_QUEUES:
-            return "wide_queues"
-        if self.sim.trace is not None:
-            return "traced"
-        if num_slots < kernel.MIN_KERNEL_SLOTS:
-            return "short_span"
-        if kernel.load_kernel() is None:
-            return "unavailable"
-        return None
+    def run_span(self, plan, num_slots: int, main: bool = True) -> None:
+        """Simulate ``num_slots`` slots starting at ``self.slot`` on the
+        span kernel.
 
-    def _kernel_route(self, plan, num_slots: int, main: bool):
-        """Run the span on the core's kernel entry (:meth:`_run_kernel`)
-        when it can, and count it: ``(True, None)`` when the kernel ran it,
-        else ``(False, plan)`` with the plan the python loop runs — a
-        deferred plan drawn, an ``int32`` row decoded (:func:`row_plan`).
-        The kernel takes a row as its explicit plan as it is.
-
-        A deferred plan is drawn by the kernel, unless its process shares
-        the arbiter's RNG object: the python loop consumes the plan's words
-        strictly first, so they are drawn here, before the kernel runs the
-        span on the explicit plan, and counted as ``shared_rng``.  A kernel
-        call that draws the plan and aborts leaves the RNG untouched, and
-        the explicit plan would abort the same way, so the python loop
-        replays the span straight away.
+        ``plan`` is the arrival plan for exactly this window (``None`` for a
+        drain-only span, a :class:`_DeferredPlan` for a window of a stock
+        Bernoulli process, an ``Optional[int]`` list or an ``int32`` row);
+        ``main=False`` runs drain slots (no arrivals, no requests,
+        departures recorded for final-slot stamping).  A deferred plan is
+        drawn by the kernel, unless its process shares the arbiter's RNG
+        object: then its words come strictly first, so python draws them
+        here.  A span the kernel aborts raises the reference engine's
+        exception.
         """
         self._check_not_finished()
         obs = get_metrics()
         if obs is not None:
             obs.inc("engine.array.spans")
             obs.inc("engine.array.span_slots", num_slots)
-        if num_slots > 0:
-            miss = self._kernel_miss(num_slots)
-            if miss is not None:
-                if obs is not None:
-                    obs.inc(f"engine.array.fallback.{miss}", num_slots)
-            elif (isinstance(plan, _DeferredPlan)
-                    and not plan.shares_rng(self.sim)):
-                if self._run_kernel(None, num_slots, main, plan.bern()):
-                    return True, None
+        if num_slots <= 0:
+            return
+        bern = None
+        if not main:
+            plan = None
+        elif isinstance(plan, _DeferredPlan):
+            if plan.shares_rng(self.sim):
+                plan = plan.materialize()
             else:
-                if isinstance(plan, _DeferredPlan):
-                    if obs is not None:
-                        obs.inc("engine.array.fallback.shared_rng",
-                                num_slots)
-                    plan = plan.materialize()
-                if ((plan is None or len(plan) >= num_slots)
-                        and self._run_kernel(plan, num_slots, main, None)):
-                    return True, None
-        if isinstance(plan, _DeferredPlan):
-            plan = plan.materialize()
-        elif isinstance(plan, array):
-            plan = row_plan(plan)
-        return False, plan
+                bern, plan = plan.bern(), None
+        if plan is not None and len(plan) < num_slots:
+            raise ConfigurationError(
+                f"the arrival plan covers {len(plan)} slots, but the span "
+                f"runs {num_slots}")
+        if not self._run_kernel(plan, num_slots, main, bern):
+            raise ConfigurationError(
+                "the span kernel is not loaded; run on engine='reference'")
 
     def finish(self, drain: bool = True):
         """Run the drain window (if requested) and assemble the report.
@@ -592,13 +584,9 @@ class _ArrayCoreBase:
 # --------------------------------------------------------------------- #
 
 class _RADSCore(_ArrayCoreBase):
-    """Struct-of-arrays machine for :class:`~repro.rads.buffer.RADSPacketBuffer`.
-
-    A span runs on the compiled span kernel (:mod:`repro.sim.kernel`) when
-    :meth:`_kernel_miss` passes and the kernel completes it, and on the
-    scalar loop of :meth:`run_span` otherwise.  Both mutate the same state,
-    so kernel and python spans mix freely (chunks, drains, checkpoints).
-    """
+    """Struct-of-arrays machine for :class:`~repro.rads.buffer.RADSPacketBuffer`:
+    the shared state plus the blocks in flight from DRAM to the head SRAM,
+    run by the kernel's ``rads_run_span``."""
 
     def __init__(self, sim, buffer) -> None:
         super().__init__(sim, buffer)
@@ -613,361 +601,6 @@ class _RADSCore(_ArrayCoreBase):
         return kernel.run_span_kernel(self, plan, num_slots, main=main,
                                       bern=bern)
 
-    def run_span(self, plan, num_slots: int, main: bool = True) -> None:
-        """Simulate ``num_slots`` slots starting at ``self.slot``.
-
-        ``plan`` is the arrival plan for exactly this window (``None`` for a
-        drain-only span, a :class:`_DeferredPlan` for a window of a stock
-        Bernoulli process); ``main=False`` runs drain slots (no arrivals, no
-        requests, departures recorded for final-slot stamping).  The span
-        runs on the kernel when :meth:`_kernel_route` can put it there, and
-        on the loop below otherwise.
-        """
-        ran, plan = self._kernel_route(plan, num_slots, main)
-        if ran:
-            return
-        buffer = self.buffer
-        sim = self.sim
-        num_queues = self.num_queues
-        granularity = self.granularity
-        strict = self.strict
-        tail_cap = self.tail_cap
-        dram_cap = self.dram_cap
-        sram_cap = self.sram_cap
-        la_len = self.la_len
-        tail_select = buffer.tail.mma.select
-        head_select = buffer.head.mma.select
-        fast_tail = self.fast_tail
-        fast_ecqf = self.fast_ecqf
-        ecqf_fallback = self.ecqf_fallback
-
-        arbiter = sim.arbiter
-        fast_random = self.fast_random
-        if main and fast_random:
-            # RandomArbiter, verbatim: one uniform draw for the load gate,
-            # one choice() over the ascending backlogged-queue list
-            # (maintained incrementally below).
-            arb_random = arbiter._rng.random
-            arb_randbelow = arbiter._rng._randbelow
-            arb_load = arbiter.load
-            eligible = self.eligible
-            next_request = None
-        else:
-            next_request = (arbiter.next_request
-                            if main and arbiter is not None else None)
-            eligible = self.eligible
-        trace_events = (sim.trace.events
-                        if main and sim.trace is not None else None)
-
-        # Flat per-queue state (see the class docstrings for the layout).
-        backlog = self.backlog
-        next_seqno = self.next_seqno
-        delivered = self.delivered
-        arr_slots = self.arr_slots
-        arr_base = self.arr_base
-        tail_fifo = self.tail_fifo
-        tail_occ = self.tail_occ
-        tail_total = self.tail_total
-        dram_fifo = self.dram_fifo
-        dram_occ = self.dram_occ
-        dram_total = self.dram_total
-        sram_heap = self.sram_heap
-        sram_total = self.sram_total
-        counters = self.counters
-        lookahead = self.lookahead
-        la_pos = self.la_pos
-        pending = self.pending
-        req_slots = self.req_slots
-        req_head = self.req_head
-        req_count = self.req_count
-        negatives = self.negatives
-        crit_cache = self.crit_cache
-        crit_heap = self.crit_heap
-
-        arrivals_count = self.arrivals_count
-        departures = self.departures
-        idle_requests = self.idle_requests
-        cells_in = self.cells_in
-        cells_out = self.cells_out
-        dram_reads = self.dram_reads
-        dram_writes = self.dram_writes
-        dropped = self.dropped
-        max_tail = self.max_tail
-        max_head = self.max_head
-        head_misses = self.head_misses
-        tail_misses = self.tail_misses
-        hist = self.hist
-        drained = self.drained
-
-        start = self.slot
-        for slot in range(start, start + num_slots):
-            if main:
-                arrival = plan[slot - start] if plan is not None else None
-                if fast_random:
-                    if arb_random() >= arb_load or not eligible:
-                        request = None
-                    else:
-                        request = eligible[arb_randbelow(len(eligible))]
-                elif next_request is not None:
-                    request = next_request(slot, backlog)
-                    if request is not None:
-                        if type(request) is int and 0 <= request < num_queues:
-                            if backlog[request] <= 0:
-                                request = None
-                        else:
-                            raise ArbiterContractError(request, num_queues,
-                                                       slot)
-                else:
-                    request = None
-                if trace_events is not None:
-                    trace_events.append((arrival, request))
-            else:
-                arrival = None
-                request = None
-
-            # -- arrival: assign the seqno; cut through to the head SRAM
-            #    when the queue's whole backlog lives on-chip, else enqueue
-            #    for the tail.
-            tail_seqno = -1
-            if arrival is not None:
-                if not 0 <= arrival < num_queues:
-                    # The reference buffer's queue-keyed seqno table raises
-                    # this for a queue it lacks; the engines raise alike.
-                    raise KeyError(  # repro-lint: disable=error-taxonomy
-                        arrival)
-                seqno = next_seqno[arrival]
-                next_seqno[arrival] = seqno + 1
-                arr_slots[arrival].append(slot)
-                if (dram_occ[arrival] == 0 and tail_occ[arrival] == 0
-                        and len(sram_heap[arrival]) < granularity):
-                    sram_total += 1
-                    if sram_cap is not None and sram_total > sram_cap:
-                        raise BufferOverflowError("SRAM", sram_cap, sram_total)
-                    heappush(sram_heap[arrival], seqno)
-                    count = counters[arrival] + 1
-                    counters[arrival] = count
-                    if fast_ecqf:
-                        if count == 0:
-                            negatives -= 1
-                        if 0 <= count < req_count[arrival]:
-                            entered = req_slots[arrival][req_head[arrival] + count]
-                            crit_cache[arrival] = entered
-                            heappush(crit_heap, (entered, arrival))
-                        else:
-                            crit_cache[arrival] = _INF
-                else:
-                    tail_seqno = seqno
-
-            # -- tail subsystem (t-SRAM accept + threshold MMA eviction).
-            if tail_seqno >= 0:
-                if tail_total + 1 > tail_cap:
-                    tail_misses.append(None)
-                    if strict:
-                        raise BufferOverflowError("tail SRAM", tail_cap,
-                                                  tail_total + 1)
-                else:
-                    tail_fifo[arrival].append(tail_seqno)
-                    tail_occ[arrival] += 1
-                    tail_total += 1
-                    cells_in += 1
-            if slot % granularity == 0:
-                if fast_tail:
-                    selection = None
-                    if tail_total >= granularity:
-                        best_occ = granularity - 1
-                        for queue, occ in enumerate(tail_occ):
-                            if occ > best_occ:
-                                best_occ = occ
-                                selection = queue
-                else:
-                    selection = tail_select(tail_occ)
-                if selection is not None:
-                    block: List[int] = []
-                    _pop_block(tail_fifo[selection], granularity, block)
-                    evicted = len(block)
-                    tail_occ[selection] -= evicted
-                    tail_total -= evicted
-                    if block:
-                        stored = evicted
-                        if dram_cap is not None and not strict:
-                            room = dram_cap - dram_total
-                            if room < stored:
-                                keep = room if room > 0 else 0
-                                dropped += stored - keep
-                                del block[keep:]
-                                stored = keep
-                        if stored:
-                            fifo = dram_fifo[selection]
-                            for seq in block:
-                                if dram_cap is not None and dram_total >= dram_cap:
-                                    raise BufferOverflowError("DRAM", dram_cap,
-                                                              dram_total + 1)
-                                fifo.append(seq)
-                                dram_total += 1
-                            dram_occ[selection] += stored
-                        dram_writes += 1
-            if tail_total > max_tail:
-                max_tail = tail_total
-
-            # -- head subsystem: lookahead shift, transfer landings, ECQF,
-            #    serve.
-            if la_len:
-                leaving = lookahead[la_pos]
-                lookahead[la_pos] = request
-                la_pos += 1
-                if la_pos == la_len:
-                    la_pos = 0
-            else:
-                leaving = request
-            if fast_ecqf:
-                if request is not None:
-                    req_slots[request].append(slot)
-                    count = req_count[request]
-                    req_count[request] = count + 1
-                    if counters[request] == count:
-                        # The request just appended is the critical one.
-                        crit_cache[request] = slot
-                        heappush(crit_heap, (slot, request))
-                if leaving is not None:
-                    # Counter and pipeline head advance together, so the
-                    # critical entry slot is unchanged — unless the counter
-                    # goes negative.
-                    count = counters[leaving] - 1
-                    counters[leaving] = count
-                    if count == -1:
-                        negatives += 1
-                        crit_cache[leaving] = _INF
-                    head = req_head[leaving] + 1
-                    pipeline = req_slots[leaving]
-                    if head == len(pipeline):
-                        pipeline.clear()
-                        head = 0
-                    elif head >= _COMPACT and head * 2 >= len(pipeline):
-                        del pipeline[:head]
-                        head = 0
-                    req_head[leaving] = head
-                    req_count[leaving] -= 1
-            elif leaving is not None:
-                counters[leaving] -= 1
-            while pending and pending[0][0] <= slot:
-                _, landing_queue, seqs = pending.popleft()
-                heap = sram_heap[landing_queue]
-                for seq in seqs:
-                    sram_total += 1
-                    if sram_cap is not None and sram_total > sram_cap:
-                        raise BufferOverflowError("SRAM", sram_cap, sram_total)
-                    heappush(heap, seq)
-            if slot % granularity == 0:
-                if fast_ecqf:
-                    selection = _ecqf_select(counters, negatives, req_count,
-                                             crit_heap, crit_cache,
-                                             ecqf_fallback)
-                else:
-                    contents = (lookahead[la_pos:] + lookahead[:la_pos]
-                                if la_len else [])
-                    selection = head_select(list(counters), contents)
-                if selection is not None:
-                    seqs = []
-                    if dram_occ[selection]:
-                        _pop_block(dram_fifo[selection], granularity, seqs)
-                        got = len(seqs)
-                        dram_occ[selection] -= got
-                        dram_total -= got
-                    else:
-                        got = 0
-                    if got < granularity:
-                        # Cut-through: the rest of the block never reached
-                        # DRAM.
-                        _pop_block(tail_fifo[selection], granularity - got, seqs)
-                        extra = len(seqs) - got
-                        tail_occ[selection] -= extra
-                        tail_total -= extra
-                    if seqs:
-                        count = counters[selection] + len(seqs)
-                        counters[selection] = count
-                        if fast_ecqf:
-                            if count >= 0 and count - len(seqs) < 0:
-                                negatives -= 1
-                            if 0 <= count < req_count[selection]:
-                                entered = req_slots[selection][
-                                    req_head[selection] + count]
-                                crit_cache[selection] = entered
-                                heappush(crit_heap, (entered, selection))
-                            else:
-                                crit_cache[selection] = _INF
-                        pending.append((slot + granularity, selection, seqs))
-                        dram_reads += 1
-            if leaving is not None:
-                expected = delivered[leaving]
-                heap = sram_heap[leaving]
-                if heap and heap[0] == expected:
-                    heappop(heap)
-                    sram_total -= 1
-                elif tail_occ[leaving] and tail_fifo[leaving][0] == expected:
-                    # Tail bypass: the in-order cell never left the tail SRAM.
-                    tail_fifo[leaving].popleft()
-                    tail_occ[leaving] -= 1
-                    tail_total -= 1
-                else:
-                    head_misses.append(MissRecord(queue=leaving, slot=slot))
-                    if strict:
-                        raise CacheMissError(leaving, slot)
-                    expected = None
-                if expected is not None:
-                    delivered[leaving] = expected + 1
-                    cells_out += 1
-                    store = arr_slots[leaving]
-                    head = expected - arr_base[leaving]
-                    arrival_slot = store[head]
-                    if head >= _COMPACT - 1 and (head + 1) * 2 >= len(store):
-                        del store[:head + 1]
-                        arr_base[leaving] = expected + 1
-                    if main:
-                        departures += 1
-                        delay = slot + 1 - arrival_slot
-                        hist[delay] = hist.get(delay, 0) + 1
-                    else:
-                        drained.append(arrival_slot)
-            if sram_total > max_head:
-                max_head = sram_total
-
-            if main:
-                if arrival is not None:
-                    arrivals_count += 1
-                    count = backlog[arrival] + 1
-                    backlog[arrival] = count
-                    if fast_random and count == 1:
-                        insort(eligible, arrival)
-                if request is None:
-                    idle_requests += 1
-                else:
-                    count = backlog[request] - 1
-                    backlog[request] = count
-                    if fast_random and count == 0:
-                        del eligible[bisect_left(eligible, request)]
-
-        # Write the loop-local scalars back (the container state mutated in
-        # place and needs no copy-back).
-        self.slot = start + num_slots
-        if main:
-            self.main_slots += num_slots
-        self.tail_total = tail_total
-        self.dram_total = dram_total
-        self.sram_total = sram_total
-        self.la_pos = la_pos
-        self.negatives = negatives
-        self.arrivals_count = arrivals_count
-        self.departures = departures
-        self.idle_requests = idle_requests
-        self.cells_in = cells_in
-        self.cells_out = cells_out
-        self.dram_reads = dram_reads
-        self.dram_writes = dram_writes
-        self.dropped = dropped
-        self.max_tail = max_tail
-        self.max_head = max_head
-
-    # ------------------------------------------------------------------ #
     def _result(self, final_slot: int) -> SimulationResult:
         return SimulationResult(
             slots_simulated=final_slot,
@@ -984,24 +617,6 @@ class _RADSCore(_ArrayCoreBase):
 # --------------------------------------------------------------------- #
 # CFDS
 # --------------------------------------------------------------------- #
-
-def _allocate_name(free_names: List[List[int]], group_occ: List[int],
-                   group_cap: Optional[int], cells: int) -> int:
-    """A free physical queue name from the group with the fewest cells
-    among those with a free name and room for ``cells``, ties to the lowest
-    group (:meth:`~repro.core.renaming.RenamingTable._allocate_physical`),
-    or -1 when there is none (the object model's ``RenamingError``)."""
-    best = -1
-    best_occ = 0
-    for group, names in enumerate(free_names):
-        if names:
-            occ = group_occ[group]
-            if ((group_cap is None or group_cap - occ >= cells)
-                    and (best < 0 or occ < best_occ)):
-                best = group
-                best_occ = occ
-    return free_names[best].pop() if best >= 0 else -1
-
 
 class _CFDSCore(_ArrayCoreBase):
     """Struct-of-arrays machine for :class:`~repro.core.buffer.CFDSPacketBuffer`.
@@ -1089,543 +704,6 @@ dram_group_occupancy` and ``dram_utilisation()`` answer for an array run.
         return kernel.run_cfds_span_kernel(self, plan, num_slots, main=main,
                                            bern=bern)
 
-    def run_span(self, plan, num_slots: int, main: bool = True) -> None:
-        """Simulate ``num_slots`` slots starting at ``self.slot``, on the
-        span kernel when :meth:`_kernel_route` can put it there, else on
-        the loop below; see :meth:`_RADSCore.run_span`."""
-        ran, plan = self._kernel_route(plan, num_slots, main)
-        if ran:
-            return
-        buffer = self.buffer
-        sim = self.sim
-        num_queues = self.num_queues
-        granularity = self.granularity  # the reduced granularity b
-        strict = self.strict
-        tail_cap = self.tail_cap
-        dram_cap = self.dram_cap
-        sram_cap = self.sram_cap
-        la_len = self.la_len
-        lat_len = self.lat_len
-        tail_select = buffer.tail.mma.select
-        head_select = buffer.head.mma.select
-        fast_tail = self.fast_tail
-        fast_ecqf = self.fast_ecqf
-        ecqf_fallback = self.ecqf_fallback
-
-        # Issue-period machinery (see the class docstring).
-        rr = self.rr
-        rr_cap = self.rr_cap
-        rr_peak = self.rr_peak
-        issues = self.issues
-        orr = self.orr
-        orr_len = len(orr)
-        orr_pos = self.orr_pos
-        locks = self.locks
-        busy_until = self.busy_until
-        ras = self.ras
-        bus_slots = self.bus_slots
-        dram_strict = self.dram_strict
-        conflicts = self.conflicts
-        last_issue = self.last_issue
-        in_flight = self.in_flight
-        flight_next = self.flight_next
-        max_delay = self.max_delay
-        num_groups = self.num_groups
-        banks_per_group = self.banks_per_group
-        group_cap = self.group_cap
-        group_occ = self.group_occ
-        names = self.names
-        free_names = self.free_names
-        in_use = self.in_use
-        block_locations = self.block_locations
-        write_count = self.write_count
-
-        arbiter = sim.arbiter
-        fast_random = self.fast_random
-        if main and fast_random:
-            arb_random = arbiter._rng.random
-            arb_randbelow = arbiter._rng._randbelow
-            arb_load = arbiter.load
-            eligible = self.eligible
-            next_request = None
-        else:
-            next_request = (arbiter.next_request
-                            if main and arbiter is not None else None)
-            eligible = self.eligible
-        trace_events = (sim.trace.events
-                        if main and sim.trace is not None else None)
-
-        backlog = self.backlog
-        next_seqno = self.next_seqno
-        delivered = self.delivered
-        arr_slots = self.arr_slots
-        arr_base = self.arr_base
-        tail_fifo = self.tail_fifo
-        tail_occ = self.tail_occ
-        tail_total = self.tail_total
-        dram_fifo = self.dram_fifo
-        dram_occ = self.dram_occ
-        dram_total = self.dram_total
-        sram_heap = self.sram_heap
-        sram_total = self.sram_total
-        counters = self.counters
-        lookahead = self.lookahead
-        la_pos = self.la_pos
-        latency_reg = self.latency_reg
-        lat_pos = self.lat_pos
-        req_slots = self.req_slots
-        req_head = self.req_head
-        req_count = self.req_count
-        negatives = self.negatives
-        crit_cache = self.crit_cache
-        crit_heap = self.crit_heap
-
-        arrivals_count = self.arrivals_count
-        departures = self.departures
-        idle_requests = self.idle_requests
-        cells_in = self.cells_in
-        cells_out = self.cells_out
-        dram_reads = self.dram_reads
-        dram_writes = self.dram_writes
-        dropped = self.dropped
-        max_tail = self.max_tail
-        max_head = self.max_head
-        head_misses = self.head_misses
-        tail_misses = self.tail_misses
-        hist = self.hist
-        drained = self.drained
-
-        start = self.slot
-        for slot in range(start, start + num_slots):
-            if main:
-                arrival = plan[slot - start] if plan is not None else None
-                if fast_random:
-                    if arb_random() >= arb_load or not eligible:
-                        request = None
-                    else:
-                        request = eligible[arb_randbelow(len(eligible))]
-                elif next_request is not None:
-                    request = next_request(slot, backlog)
-                    if request is not None:
-                        if type(request) is int and 0 <= request < num_queues:
-                            if backlog[request] <= 0:
-                                request = None
-                        else:
-                            raise ArbiterContractError(request, num_queues,
-                                                       slot)
-                else:
-                    request = None
-                if trace_events is not None:
-                    trace_events.append((arrival, request))
-            else:
-                arrival = None
-                request = None
-            period = slot % granularity == 0
-
-            # -- arrival with cut-through routing.
-            tail_seqno = -1
-            if arrival is not None:
-                if not 0 <= arrival < num_queues:
-                    # The reference buffer's queue-keyed seqno table raises
-                    # this for a queue it lacks; the engines raise alike.
-                    raise KeyError(  # repro-lint: disable=error-taxonomy
-                        arrival)
-                seqno = next_seqno[arrival]
-                next_seqno[arrival] = seqno + 1
-                arr_slots[arrival].append(slot)
-                if (dram_occ[arrival] == 0 and tail_occ[arrival] == 0
-                        and len(sram_heap[arrival]) < granularity):
-                    sram_total += 1
-                    if sram_cap is not None and sram_total > sram_cap:
-                        raise BufferOverflowError("SRAM", sram_cap, sram_total)
-                    heappush(sram_heap[arrival], seqno)
-                    count = counters[arrival] + 1
-                    counters[arrival] = count
-                    if fast_ecqf:
-                        if count == 0:
-                            negatives -= 1
-                        if 0 <= count < req_count[arrival]:
-                            entered = req_slots[arrival][req_head[arrival] + count]
-                            crit_cache[arrival] = entered
-                            heappush(crit_heap, (entered, arrival))
-                        else:
-                            crit_cache[arrival] = _INF
-                else:
-                    tail_seqno = seqno
-
-            # -- tail subsystem: accept + threshold MMA eviction through the
-            #    Requests Register.
-            if tail_seqno >= 0:
-                if tail_total + 1 > tail_cap:
-                    tail_misses.append(None)
-                    if strict:
-                        raise BufferOverflowError("tail SRAM", tail_cap,
-                                                  tail_total + 1)
-                else:
-                    tail_fifo[arrival].append(tail_seqno)
-                    tail_occ[arrival] += 1
-                    tail_total += 1
-                    cells_in += 1
-            if period:
-                if fast_tail:
-                    selection = None
-                    if tail_total >= granularity:
-                        best_occ = granularity - 1
-                        for queue, occ in enumerate(tail_occ):
-                            if occ > best_occ:
-                                best_occ = occ
-                                selection = queue
-                else:
-                    selection = tail_select(tail_occ)
-                if selection is not None:
-                    block: List[int] = []
-                    _pop_block(tail_fifo[selection], granularity, block)
-                    evicted = len(block)
-                    tail_occ[selection] -= evicted
-                    tail_total -= evicted
-                    if block:
-                        # Place the block: through the renaming register's
-                        # tail entry (a new physical queue when its group is
-                        # full), or in the queue's own group without
-                        # renaming.  -1: no room, the block is dropped.
-                        if names is not None:
-                            entries = names[selection]
-                            physical = -1
-                            if entries:
-                                entry = entries[-1]
-                                physical = entry[0]
-                                if (group_cap is not None
-                                        and group_occ[physical % num_groups]
-                                        + evicted > group_cap):
-                                    physical = -1
-                            if physical < 0:
-                                physical = _allocate_name(
-                                    free_names, group_occ, group_cap, evicted)
-                                if physical >= 0:
-                                    in_use[physical] = True
-                                    entry = [physical, 0]
-                                    entries.append(entry)
-                            if physical >= 0:
-                                entry[1] += evicted
-                                group_occ[physical % num_groups] += evicted
-                        else:
-                            physical = selection
-                            group = physical % num_groups
-                            if (group_cap is not None
-                                    and group_occ[group] + evicted > group_cap):
-                                physical = -1
-                            else:
-                                group_occ[group] += evicted
-                        if physical < 0:
-                            dropped += evicted
-                        else:
-                            index = write_count[physical]
-                            write_count[physical] = index + 1
-                            fifo = dram_fifo[selection]
-                            for seq in block:
-                                if dram_cap is not None and dram_total >= dram_cap:
-                                    raise BufferOverflowError("DRAM", dram_cap,
-                                                              dram_total + 1)
-                                fifo.append(seq)
-                                dram_total += 1
-                            dram_occ[selection] += evicted
-                            block_locations[selection].append((physical, index))
-                            if rr_cap is not None and len(rr) >= rr_cap:
-                                raise BufferOverflowError(
-                                    "Requests Register", rr_cap, len(rr) + 1)
-                            rr.append(((physical % num_groups) * banks_per_group
-                                       + index % banks_per_group,
-                                       slot, -1, None))
-                            if len(rr) > rr_peak:
-                                rr_peak = len(rr)
-                            dram_writes += 1
-            if tail_total > max_tail:
-                max_tail = tail_total
-
-            # -- head subsystem: lookahead -> latency register -> MMA -> DSS
-            #    tick -> serve (same phasing as CFDSHeadBuffer.step).
-            if la_len:
-                leaving = lookahead[la_pos]
-                lookahead[la_pos] = request
-                la_pos += 1
-                if la_pos == la_len:
-                    la_pos = 0
-            else:
-                leaving = request
-            if lat_len:
-                due = latency_reg[lat_pos]
-                latency_reg[lat_pos] = leaving
-                lat_pos += 1
-                if lat_pos == lat_len:
-                    lat_pos = 0
-            else:
-                due = leaving
-            if fast_ecqf:
-                if request is not None:
-                    req_slots[request].append(slot)
-                    count = req_count[request]
-                    req_count[request] = count + 1
-                    if counters[request] == count:
-                        crit_cache[request] = slot
-                        heappush(crit_heap, (slot, request))
-                if due is not None:
-                    count = counters[due] - 1
-                    counters[due] = count
-                    if count == -1:
-                        negatives += 1
-                        crit_cache[due] = _INF
-                    head = req_head[due] + 1
-                    pipeline = req_slots[due]
-                    if head == len(pipeline):
-                        pipeline.clear()
-                        head = 0
-                    elif head >= _COMPACT and head * 2 >= len(pipeline):
-                        del pipeline[:head]
-                        head = 0
-                    req_head[due] = head
-                    req_count[due] -= 1
-            elif due is not None:
-                counters[due] -= 1
-            if period:
-                if fast_ecqf:
-                    selection = _ecqf_select(counters, negatives, req_count,
-                                             crit_heap, crit_cache,
-                                             ecqf_fallback)
-                else:
-                    # The MMA reasons over every promised-but-unserved
-                    # request in service order: latency register first, then
-                    # the lookahead.
-                    pending_view = (latency_reg[lat_pos:] + latency_reg[:lat_pos]
-                                    if lat_len else [])
-                    if la_len:
-                        pending_view = (pending_view + lookahead[la_pos:]
-                                        + lookahead[:la_pos])
-                    selection = head_select(list(counters), pending_view)
-                if selection is not None:
-                    seqs: List[int] = []
-                    if dram_occ[selection] > 0:
-                        _pop_block(dram_fifo[selection], granularity, seqs)
-                        got = len(seqs)
-                        dram_occ[selection] -= got
-                        dram_total -= got
-                        physical, index = block_locations[selection].popleft()
-                        if names is not None:
-                            # Debit the renaming register's head entries;
-                            # a drained physical queue returns to its
-                            # group's free names.
-                            entries = names[selection]
-                            remaining = got
-                            while remaining:
-                                entry = entries[0]
-                                name = entry[0]
-                                count = entry[1]
-                                take = count if count < remaining else remaining
-                                group_occ[name % num_groups] -= take
-                                remaining -= take
-                                if count == take:
-                                    entries.popleft()
-                                    if in_use[name]:
-                                        in_use[name] = False
-                                        free_names[name % num_groups].append(
-                                            name)
-                                else:
-                                    entry[1] = count - take
-                        else:
-                            group_occ[physical % num_groups] -= got
-                        bank = ((physical % num_groups) * banks_per_group
-                                + index % banks_per_group)
-                    else:
-                        _pop_block(tail_fifo[selection], granularity, seqs)
-                        got = len(seqs)
-                        tail_occ[selection] -= got
-                        tail_total -= got
-                        bank = -1
-                    if seqs:
-                        count = counters[selection] + got
-                        counters[selection] = count
-                        if fast_ecqf:
-                            if count >= 0 and count - got < 0:
-                                negatives -= 1
-                            if 0 <= count < req_count[selection]:
-                                entered = req_slots[selection][
-                                    req_head[selection] + count]
-                                crit_cache[selection] = entered
-                                heappush(crit_heap, (entered, selection))
-                            else:
-                                crit_cache[selection] = _INF
-                        if bank < 0:
-                            # Cut-through: available to the head SRAM
-                            # immediately.
-                            heap = sram_heap[selection]
-                            for seq in seqs:
-                                sram_total += 1
-                                if sram_cap is not None and sram_total > sram_cap:
-                                    raise BufferOverflowError("SRAM", sram_cap,
-                                                              sram_total)
-                                heappush(heap, seq)
-                        else:
-                            if rr_cap is not None and len(rr) >= rr_cap:
-                                raise BufferOverflowError(
-                                    "Requests Register", rr_cap, len(rr) + 1)
-                            rr.append((bank, slot, selection, seqs))
-                            if len(rr) > rr_peak:
-                                rr_peak = len(rr)
-                            dram_reads += 1
-
-            # -- DSS tick (DRAMSchedulerSubsystem.tick): collect the
-            #    transfers that completed, issue on a period boundary, then
-            #    land the completed reads in the head SRAM.
-            landed = None
-            if flight_next <= slot:
-                landed = []
-                still = []
-                flight_next = _INF
-                for transfer in in_flight:
-                    finish = transfer[0]
-                    if finish <= slot:
-                        delay = finish - transfer[1][1]
-                        if delay > max_delay:
-                            max_delay = delay
-                        if transfer[1][3] is not None:
-                            landed.append(transfer[1])
-                    else:
-                        still.append(transfer)
-                        if finish < flight_next:
-                            flight_next = finish
-                in_flight[:] = still
-            if period:
-                # The DSA: up to ``issues`` oldest entries whose bank is
-                # neither locked by the ORR nor issued this period.
-                issued = ()
-                if rr:
-                    issued = []
-                    position = 0
-                    while position < len(rr):
-                        entry = rr[position]
-                        bank = entry[0]
-                        if locks[bank] or bank in issued:
-                            position += 1
-                            continue
-                        del rr[position]
-                        # BankedDRAM.start_access.
-                        if (last_issue is not None
-                                and slot - last_issue < bus_slots
-                                and slot != last_issue):
-                            raise ConfigurationError(
-                                f"address bus violation: accesses at slots "
-                                f"{last_issue} and {slot} are closer than "
-                                f"{bus_slots} slots")
-                        busy = busy_until[bank]
-                        if slot < busy:
-                            conflicts += 1
-                            if dram_strict:
-                                raise BankConflictError(bank, slot, busy)
-                            finish = busy + ras
-                        else:
-                            finish = slot + ras
-                        busy_until[bank] = finish
-                        last_issue = slot
-                        in_flight.append((finish, entry))
-                        if finish < flight_next:
-                            flight_next = finish
-                        issued.append(bank)
-                        if len(issued) == issues:
-                            break
-                    issued = tuple(issued)
-                if orr_len:
-                    for bank in orr[orr_pos]:
-                        locks[bank] -= 1
-                    orr[orr_pos] = issued
-                    for bank in issued:
-                        locks[bank] += 1
-                    orr_pos += 1
-                    if orr_pos == orr_len:
-                        orr_pos = 0
-            if landed:
-                for entry in landed:
-                    heap = sram_heap[entry[2]]
-                    for seq in entry[3]:
-                        sram_total += 1
-                        if sram_cap is not None and sram_total > sram_cap:
-                            raise BufferOverflowError("SRAM", sram_cap,
-                                                      sram_total)
-                        heappush(heap, seq)
-
-            if due is not None:
-                expected = delivered[due]
-                heap = sram_heap[due]
-                if heap and heap[0] == expected:
-                    heappop(heap)
-                    sram_total -= 1
-                elif tail_occ[due] and tail_fifo[due][0] == expected:
-                    tail_fifo[due].popleft()
-                    tail_occ[due] -= 1
-                    tail_total -= 1
-                else:
-                    head_misses.append(MissRecord(queue=due, slot=slot))
-                    if strict:
-                        raise CacheMissError(due, slot)
-                    expected = None
-                if expected is not None:
-                    delivered[due] = expected + 1
-                    cells_out += 1
-                    store = arr_slots[due]
-                    head = expected - arr_base[due]
-                    arrival_slot = store[head]
-                    if head >= _COMPACT - 1 and (head + 1) * 2 >= len(store):
-                        del store[:head + 1]
-                        arr_base[due] = expected + 1
-                    if main:
-                        departures += 1
-                        delay = slot + 1 - arrival_slot
-                        hist[delay] = hist.get(delay, 0) + 1
-                    else:
-                        drained.append(arrival_slot)
-            if sram_total > max_head:
-                max_head = sram_total
-
-            if main:
-                if arrival is not None:
-                    arrivals_count += 1
-                    count = backlog[arrival] + 1
-                    backlog[arrival] = count
-                    if fast_random and count == 1:
-                        insort(eligible, arrival)
-                if request is None:
-                    idle_requests += 1
-                else:
-                    count = backlog[request] - 1
-                    backlog[request] = count
-                    if fast_random and count == 0:
-                        del eligible[bisect_left(eligible, request)]
-
-        self.slot = start + num_slots
-        if main:
-            self.main_slots += num_slots
-        self.tail_total = tail_total
-        self.dram_total = dram_total
-        self.sram_total = sram_total
-        self.la_pos = la_pos
-        self.lat_pos = lat_pos
-        self.negatives = negatives
-        self.rr_peak = rr_peak
-        self.orr_pos = orr_pos
-        self.conflicts = conflicts
-        self.last_issue = last_issue
-        self.flight_next = flight_next
-        self.max_delay = max_delay
-        self.arrivals_count = arrivals_count
-        self.departures = departures
-        self.idle_requests = idle_requests
-        self.cells_in = cells_in
-        self.cells_out = cells_out
-        self.dram_reads = dram_reads
-        self.dram_writes = dram_writes
-        self.dropped = dropped
-        self.max_tail = max_tail
-        self.max_head = max_head
-
-    # ------------------------------------------------------------------ #
     def _result(self, final_slot: int) -> SimulationResult:
         return SimulationResult(
             slots_simulated=final_slot,

@@ -7,12 +7,11 @@ Two engines produce bit-identical reports:
   slot, stepping the buffer object itself.  It is the behavioural ground
   truth, and the only engine that accepts any buffer exposing the
   interface below, or a simulation whose buffer was already stepped.
-* the **array engine** (``engine="array"``, the default) — a
-  struct-of-arrays re-implementation of the whole buffer hot path
-  (:mod:`repro.sim.array_engine`): cells become bare integers in
-  per-queue deques, lists and heaps, with zero per-slot allocation.  Its RADS
-  core runs each span it can on the compiled span kernel
-  (:mod:`repro.sim.kernel`) and the rest on its own scalar loop.
+* the **array engine** (``engine="array"``, the default) — the same
+  machine as flat integer state (:mod:`repro.sim.array_engine`), every slot
+  of it run by the compiled span kernel (:mod:`repro.sim.kernel`).  A run
+  the kernel cannot take (a custom policy, too many queues, no C compiler)
+  goes wholly to the reference loop.
 
 Equivalence holds because arrival processes and arbiters draw from separate
 seeded RNGs (pre-generating arrivals does not perturb the arbiter's stream)
@@ -32,7 +31,12 @@ from repro.errors import ArbiterContractError, ConfigurationError
 from repro.obs.metrics import get_metrics
 from repro.obs.trace import emit as trace_emit
 from repro.obs.trace import get_trace
-from repro.sim.array_engine import DEFAULT_ENGINE, resolve_engine, run_array
+from repro.sim.array_engine import (
+    DEFAULT_ENGINE,
+    kernel_miss,
+    resolve_engine,
+    run_array,
+)
 from repro.sim.stats import LatencyStats, ThroughputStats
 from repro.traffic.arbiters import Arbiter
 from repro.traffic.arrivals import ArrivalProcess
@@ -128,6 +132,13 @@ class ClosedLoopSimulation:
         started = time.perf_counter()
         report = self._run_engine(num_slots, drain, engine)
         duration = time.perf_counter() - started
+        # Which implementation ran (run_array decides it from the policies,
+        # which the run does not change): the kernel, with its span count,
+        # or the reference loop, with the array engine's reason.
+        reason = kernel_miss(self) if engine == "array" else None
+        path = (dict(path="kernel", spans=int(num_slots > 0) + int(drain))
+                if engine == "array" and reason is None
+                else dict(path="reference", reason=reason))
         if obs is not None:
             obs.inc(f"engine.{engine}.runs")
             obs.inc("engine.slots_simulated", num_slots)
@@ -144,7 +155,7 @@ class ClosedLoopSimulation:
                    drops=report.throughput.drops,
                    duration_s=round(duration, 6),
                    slots_per_s=(round(num_slots / duration)
-                                if duration > 0 else None))
+                                if duration > 0 else None), **path)
         return report
 
     def _run_engine(self, num_slots: int, drain: bool,
@@ -152,6 +163,12 @@ class ClosedLoopSimulation:
         """Dispatch to the selected core and assemble the report."""
         if engine == "array":
             return run_array(self, num_slots, drain=drain)
+        return self._run_reference(num_slots, drain)
+
+    def _run_reference(self, num_slots: int,
+                       drain: bool) -> SimulationReport:
+        """The reference engine's run: the per-slot loop, the drain and
+        the report."""
         self._run_slots(num_slots)
         if drain:
             for cell in self.buffer.drain():

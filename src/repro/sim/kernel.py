@@ -2,45 +2,48 @@
 switch's fabric stage.
 
 The kernel has three entries.  The RADS and CFDS cores of
-``engine="array"`` (:mod:`repro.sim.array_engine`) hand every span they can
-to ``rads_run_span`` (:func:`run_span_kernel`) and ``cfds_run_span``
-(:func:`run_cfds_span_kernel`), and the switch's
+``engine="array"`` (:mod:`repro.sim.array_engine`) run every span on
+``rads_run_span`` (:func:`run_span_kernel`) and ``cfds_run_span``
+(:func:`run_cfds_span_kernel`), their only slot loops, and the switch's
 :class:`~repro.switch.model.FabricStream` every window of a stock fabric
-policy to ``fabric_run_window`` (:func:`run_fabric_window`); the python
-loops' ceiling is CPython's bytecode dispatch.  The bundled C99 source ``_spankernel.c`` is
-compiled on first use with the system compiler (``cc -O2 -march=native
--shared -fPIC``, falling back to plain ``-O2``), cached under the user's
-private cache directory (``$XDG_CACHE_HOME`` or ``~/.cache``, created
-``0o700`` and ownership-verified before every load) keyed by a hash of the
-source and the interpreter/platform tags, and loaded through :mod:`ctypes`
-— no ``Python.h``, no build backend, no wheels, no numpy.
+policy on ``fabric_run_window`` (:func:`run_fabric_window`).  The bundled
+C99 source ``_spankernel.c`` is compiled on first use with the system
+compiler (``cc -O2 -march=native -shared -fPIC``, falling back to plain
+``-O2``), cached under the user's private cache directory
+(``$XDG_CACHE_HOME`` or ``~/.cache``, created ``0o700`` and
+ownership-verified before every load) keyed by a hash of the source and the
+interpreter/platform tags, and loaded through :mod:`ctypes` — no
+``Python.h``, no build backend, no wheels, no numpy.
 
 The kernel executes whole spans natively: it resumes the arbiter's (and,
 for a deferred Bernoulli plan, the arrival process's) Mersenne Twister from
-the ``random.Random`` state and runs the core's exact slot loop.  The two
-span entries share the SRAM/MMA half of that loop (arrival with
-cut-through, the threshold tail MMA, the lookahead, ECQF, service), and
-so the arbiters and plans: each runs no arbiter, ``RandomArbiter`` or
-``LongestQueueArbiter`` (:func:`span_arbiter`), on an explicit plan, a
-Bernoulli plan it draws itself, or none, marshalled once for both by
-``_Handoff``.  Python hands it only fixed-shape :mod:`array` buffers —
-per-queue scalars, the eligible list, the lookahead ring, RNG keys, the
-arrival plan — plus one image of the core's variable-length state
-(:func:`_state_image`).  Every
-buffer that grows during the span is the kernel's own; it returns one
+the ``random.Random`` state and runs the core's slot loop.  The two span
+entries share the SRAM/MMA half of that loop (arrival with cut-through,
+the threshold tail MMA, the lookahead, ECQF or MDQF, service), and so the
+arbiters and plans: each runs every stock arbiter (:func:`span_arbiter`),
+on an explicit plan, a Bernoulli plan it draws itself, or none,
+marshalled once for both by ``_Handoff``.  Python hands it only
+fixed-shape :mod:`array` buffers — per-queue scalars, the eligible list,
+the lookahead ring, RNG keys, the arrival plan, a trace arbiter's pattern —
+plus one image of the core's variable-length state (:func:`_state_image`).
+Every buffer that grows during the span is the kernel's own; it returns one
 exact-size result (the new state, the main window's delays already folded
-into ``(delay, count)`` pairs, misses and drained slots), which
-:func:`run_span_kernel` reads through a :class:`memoryview`, applies to the
-python core and releases with the kernel's ``rads_free_result``.  It takes
-any ``num_queues`` up to :data:`MAX_KERNEL_QUEUES`: its arbiter draws read
-whole 32-bit words and its arrival plan is ``int32`` (``-1`` = no
-arrival).  Failure at any stage — no compiler, compile error, load error,
-strict-mode aborts inside the span, or the ``REPRO_SPAN_KERNEL=0`` kill
-switch — falls back to the core's scalar loop on the untouched state, so
-the kernel is a pure accelerator: every result it produces is
-bit-identical to the reference loop (asserted by
-``tests/sim/test_span_kernel.py``, which runs the suite with the kernel
-and with it switched off).
+into ``(delay, count)`` pairs, misses, drained slots and, for a traced run,
+each slot's arrival and request), which :func:`run_span_kernel` reads
+through a :class:`memoryview`, applies to the python core and releases with
+the kernel's ``rads_free_result``.  It takes any ``num_queues`` up to
+:data:`MAX_KERNEL_QUEUES` and spans of any length: its arbiter draws read
+whole 32-bit words, and its arrival plan and trace pattern are ``int32``
+(``-1`` = none; an entry that names no queue is encoded as one the kernel
+aborts on).
+
+A span that stops early — every raise site of the reference engine, an
+allocation failure, a rejected input — writes nothing back and returns an
+abort record: the error code, the slot and the integers the reference's
+exception carries.  :func:`_raise_abort` raises that exception, with the
+same type and message; nothing is replayed.  Every result is bit-identical
+to the reference engine's (asserted by ``tests/sim/test_span_kernel.py``,
+``tests/sim/test_cfds_kernel.py`` and the differential fuzzer).
 
 The CFDS entry follows the same rules.  Python also hands it the latency
 ring, the per-bank ORR lock counts and busy-until slots, the group
@@ -48,18 +51,17 @@ occupancy, in-use flags and write counts (all updated in place), and
 appends the Requests Register, the transfers in flight, the ORR ring, the
 renaming registers, free names and block locations to the shared state
 image (:func:`_state_image`); the result comes back in the same layout and
-:func:`_apply_result` reads the part both cores share.  Every raise site
-of the python CFDS loop aborts the span with nothing written back, and
-the python loop replays it.
+:func:`_apply_result` reads the part both cores share.
 
-The fabric entry follows the same rules.  Python hands it the window's
-``int32`` arrival plan, iSLIP's pointers or the random policy's MT state,
-and one read-only image of the VOQ contents; the kernel runs the window's
-arrivals and request/grant/accept matches and returns one exact-size
-result (trace rows, the new VOQ image, per-ingress backlog, per-egress
-counts, folded waits), released with the same ``rads_free_result``.  A
-plan entry that names no egress, or any kernel error, leaves everything
-untouched and the python loop replays the window, raising exactly where
+The fabric entry follows the same ownership rules.  Python hands it the
+window's ``int32`` arrival plan, iSLIP's pointers or the random policy's MT
+state, and one read-only image of the VOQ contents; the kernel runs the
+window's arrivals and request/grant/accept matches and returns one
+exact-size result (trace rows, the new VOQ image, per-ingress backlog,
+per-egress counts, folded waits), released with the same
+``rads_free_result``.  A plan entry that names no egress, or any kernel
+error, leaves everything untouched and the fabric's python loop (the
+reference engine's fabric stage) replays the window, raising exactly where
 the reference does.
 
 Sanitizer-hardened builds
@@ -81,8 +83,8 @@ real ``malloc`` in use::
 so overflows on Python-allocated buffers would go unseen.)  The
 ``benchmarks/kernel_sanitize_check.py`` harness sets all of this up and
 replays its stressors; CI runs it in the ``kernel-sanitize`` job.  Without
-the preload, ``CDLL`` fails and the core falls back to its scalar loop as
-usual.
+the preload, ``CDLL`` fails, no kernel loads, and array runs go to the
+reference engine as on a host without a compiler.
 """
 
 from __future__ import annotations
@@ -103,24 +105,31 @@ from pathlib import Path
 from time import perf_counter
 from typing import List, NamedTuple, Optional, Union
 
-from repro.errors import ConfigurationError
+from repro.errors import (
+    ArbiterContractError,
+    BankConflictError,
+    BufferOverflowError,
+    CacheMissError,
+    ConfigurationError,
+    arrival_error,
+)
+from repro.mma.mdqf import MDQF
 from repro.obs.metrics import get_metrics
-from repro.traffic.arbiters import LongestQueueArbiter, RandomArbiter
+from repro.traffic.arbiters import (
+    IntermittentArbiter,
+    LongestQueueArbiter,
+    OldestCellArbiter,
+    RandomArbiter,
+    RoundRobinAdversary,
+    StridedAdversary,
+    TraceArbiter,
+)
 from repro.types import MissRecord
-
-#: Environment kill switch: set to ``0``/``off``/``false`` to disable the
-#: compiled kernel (the scalar python loop runs instead; results identical).
-KERNEL_ENV = "REPRO_SPAN_KERNEL"
 
 #: Set to ``1``/``on`` to compile the kernel with ASan+UBSan (abort on any
 #: memory error or UB).  See the module docstring for the required runtime
 #: environment; results remain bit-identical to the production build.
 SANITIZE_ENV = "REPRO_SPAN_KERNEL_SANITIZE"
-
-#: Spans shorter than this stay on the python loop — the per-span state
-#: marshalling is O(state), so tiny chunks would pay more moving state
-#: than simulating it.
-MIN_KERNEL_SLOTS = 192
 
 #: Largest ``num_queues`` the kernel takes: its critical-heap keys pack the
 #: queue id into 16 bits (``CRIT_KEY`` in ``_spankernel.c``).
@@ -135,20 +144,48 @@ FABRIC_POLICIES = ("islip", "random", "priority")
 
 _SOURCE = Path(__file__).with_name("_spankernel.c")
 
-_ERR_OK = 0
+#: The kernel's error codes (``ERR_*`` in ``_spankernel.c``).
+(_ERR_OK, _ERR_OOM, _ERR_ARG, _ERR_PLAN, _ERR_STATE, _ERR_OVERFLOW,
+ _ERR_MISS, _ERR_CONFLICT, _ERR_BUS, _ERR_ARBITER) = range(10)
 
-#: The kernel's error codes (``ERR_*`` in ``_spankernel.c``), as named in
-#: the ``engine.array.kernel_aborts.<code>`` counters.
-_ABORT_CODES = {1: "oom", 2: "strict", 3: "arg"}
+#: The error codes as named in the ``engine.array.kernel_aborts.<code>``
+#: counters.
+_ABORT_CODES = {_ERR_OOM: "oom", _ERR_ARG: "arg", _ERR_PLAN: "plan",
+                _ERR_OVERFLOW: "overflow", _ERR_MISS: "miss",
+                _ERR_CONFLICT: "conflict", _ERR_BUS: "bus",
+                _ERR_ARBITER: "arbiter"}
 
-#: ``ERR_PLAN`` in ``_spankernel.c``: a fabric plan entry naming no egress.
-_ERR_PLAN = 4
+#: The structures an ``ERR_OVERFLOW`` names (``OV_*``), as the reference's
+#: :class:`~repro.errors.BufferOverflowError` names them.
+_STRUCTURES = ("SRAM", "tail SRAM", "DRAM", "Requests Register")
 
 _CRIT_INF = (1 << 63) - 1  # INT64_MAX, the C marker for "no critical entry"
 _NO_SLOT = -(1 << 63)      # INT64_MIN, the C marker for "no issue yet"
 
-#: The span entries' arbiter codes (``ARB_*`` in ``_spankernel.c``).
-_ARB_NONE, _ARB_RANDOM, _ARB_LONGEST = 0, 1, 2
+#: An ``int32`` plan or pattern entry that names no queue; the kernel aborts
+#: on it.
+_NO_QUEUE = -2
+
+#: A bound for python ints the kernel reads as ``int64`` (bursts, on/off
+#: periods): past any slot, so clamping to it changes no decision.
+_I62 = 1 << 62
+
+#: The span entries' arbiter codes (``ARB_*`` in ``_spankernel.c``), by
+#: exact type, and the attributes of each arbiter's own state the kernel
+#: reads and writes back (``arb_s0``, ``arb_s1``).
+_ARB_NONE = 0
+_ARB_CODES = {RandomArbiter: 1, LongestQueueArbiter: 2,
+              OldestCellArbiter: 3, RoundRobinAdversary: 4,
+              StridedAdversary: 5, TraceArbiter: 6}
+_ARB_RANDOM = _ARB_CODES[RandomArbiter]
+_ARB_STRIDED = _ARB_CODES[StridedAdversary]
+_ARB_TRACE = _ARB_CODES[TraceArbiter]
+_ARB_STATE = {OldestCellArbiter: ("_rotation",),
+              RoundRobinAdversary: ("_next",),
+              StridedAdversary: ("_current", "_issued_in_burst")}
+
+#: The head MMAs (``HEAD_*`` in ``_spankernel.c``).
+_HEAD_ECQF, _HEAD_ECQF_FALLBACK, _HEAD_MDQF = 0, 1, 2
 
 #: The span entries' arrival-plan modes (``PLAN_*`` in ``_spankernel.c``).
 _PLAN_EXPLICIT, _PLAN_BERNOULLI, _PLAN_NONE = 0, 1, 2
@@ -174,16 +211,18 @@ class KCfg(ctypes.Structure):
     _fields_ = [(n, ctypes.c_int64) for n in (
         "num_queues", "granularity", "strict", "tail_cap",
         "dram_cap", "sram_cap", "la_len", "num_slots", "start_slot",
-        "is_main", "arb_mode", "arb_tint", "plan_mode", "bern_tint")] + [
+        "is_main", "arb_mode", "arb_tint", "arb_stride", "arb_burst",
+        "gate_on", "gate_period", "plan_mode", "bern_tint")] + [
         ("bern_total", ctypes.c_double)] + [
         (n, ctypes.c_int64) for n in (
-            "ecqf_fallback", "state_len",
+            "head_mma", "traced", "state_len", "arb_s0", "arb_s1",
             "tail_total", "dram_total", "sram_total", "la_pos", "negatives",
             "cells_in", "cells_out", "dram_reads", "dram_writes", "dropped",
             "max_tail", "max_head", "crit_len", "pending_len",
             "eligible_len",
             "n_delays", "n_delay_pairs", "n_head_miss", "n_tail_miss",
-            "n_drained", "arrivals_seen", "grants", "result_len")]
+            "n_drained", "arrivals_seen", "grants", "result_len",
+            "err_slot", "err_a", "err_b", "err_c")]
 
 
 _U32P = ctypes.POINTER(ctypes.c_uint32)
@@ -203,7 +242,8 @@ class KPtrs(ctypes.Structure):
     _fields_ = [
         ("arb_key", _U32P), ("arb_meta", _I64P),
         ("bern_key", _U32P), ("bern_meta", _I64P),
-        ("cum_weights", _F64P), ("plan", _I32P)] + [
+        ("cum_weights", _F64P), ("plan", _I32P),
+        ("arb_pattern", _I32P)] + [
         (name, _I64P) for name in _QUEUE_FIELDS] + [
         ("crit_cache", _I64P), ("eligible", _I64P), ("la_ring", _I64P),
         ("state", _I64P), ("result", _I64P),
@@ -247,12 +287,6 @@ class FPtrs(ctypes.Structure):
                 ("bern_tint", _I64P), ("bern_total", _F64P),
                 ("cum_weights", _F64P),
                 ("state", _I64P), ("result", _I64P)]
-
-
-def kernel_enabled() -> bool:
-    """False when the ``REPRO_SPAN_KERNEL`` kill switch is set."""
-    return os.environ.get(KERNEL_ENV, "").strip().lower() not in (
-        "0", "off", "false", "no")
 
 
 def sanitize_enabled() -> bool:
@@ -435,13 +469,13 @@ def _load() -> None:
         fn = None
         try:
             # The kernel reads RNG keys and the plan as 32-bit words.
-            if (kernel_enabled() and _SOURCE.is_file()
+            if (_SOURCE.is_file()
                     and array("I").itemsize == array("i").itemsize == 4):
                 path = _cache_path()
                 # Load nothing we do not exclusively own: a pre-planted
                 # cache dir or .so (wrong owner, group/other-writable, or
-                # a symlink) is skipped, not trusted — the core falls back
-                # to its scalar loop.
+                # a symlink) is skipped, not trusted — array runs go to the
+                # reference engine.
                 if ((path.is_file() or _compile(path))
                         and _trusted(path.parent, want_dir=True)
                         and _trusted(path)):
@@ -537,8 +571,9 @@ def _rads_image(core) -> array:
 
 
 def _apply_outcome(core, cfg: KCfg, it) -> None:
-    """Read the result's tail (the main window's delay pairs, head misses
-    and drained slots) and the shared machine scalars in ``cfg``."""
+    """Read the result's tail (the main window's delay pairs, head misses,
+    drained slots and, for a traced span, each slot's arrival and request)
+    and the shared machine scalars in ``cfg``."""
     hist = core.hist
     pairs = list(islice(it, 2 * cfg.n_delay_pairs))
     for delay, count in zip(pairs[::2], pairs[1::2]):
@@ -547,7 +582,10 @@ def _apply_outcome(core, cfg: KCfg, it) -> None:
     core.head_misses.extend(MissRecord(queue=queue, slot=slot)
                             for queue, slot in zip(misses[::2], misses[1::2]))
     core.tail_misses.extend([None] * cfg.n_tail_miss)
-    core.drained.extend(it)
+    core.drained.extend(islice(it, cfg.n_drained))
+    if cfg.traced:
+        events = [None if v < 0 else v for v in it]
+        core.sim.trace.events.extend(zip(events[::2], events[1::2]))
     for name in ("tail_total", "dram_total", "sram_total", "la_pos",
                  "negatives", "cells_in", "cells_out", "dram_reads",
                  "dram_writes", "dropped", "max_tail", "max_head"):
@@ -561,66 +599,85 @@ def _rng_image(rng):
     return state, array("I", state[1][:624]), array("q", (state[1][624], 0))
 
 
-def _plan_array(aplan, num_slots: int) -> Optional[array]:
-    """The kernel's ``int32`` encoding of an explicit plan (``-1`` = no
-    arrival), or ``None`` when the kernel must leave the plan to python.
-
-    An ``int32`` row (a switch port's egress row) is that encoding
-    already and goes as it is.  In a list, a negative entry is encoded one
-    lower, so an entry naming queue -1 does not read as no arrival: the
-    kernel aborts on it, as on any entry naming no queue, and the python
-    loop raises the reference's error."""
-    if len(aplan) < num_slots:
-        return None  # the kernel reads num_slots entries
-    if isinstance(aplan, array) and aplan.typecode == "i":
-        return aplan
-    try:
-        return array("i", [-1 if a is None else a if a >= 0 else a - 1
-                           for a in aplan])
-    except (OverflowError, TypeError):
-        return None  # no int32 queue id: python raises for it
+def _queue_array(entries, num_queues: int) -> array:
+    """The kernel's ``int32`` encoding of a plan or trace pattern: ``-1``
+    for ``None``, the queue for a plain ``int`` in ``[0, num_queues)``, and
+    ``_NO_QUEUE``, which the kernel aborts on, for anything else."""
+    return array("i", [-1 if e is None
+                       else e if type(e) is int and 0 <= e < num_queues
+                       else _NO_QUEUE for e in entries])
 
 
 def span_arbiter(arbiter, num_queues: int) -> Optional[int]:
     """The span entries' code for ``arbiter`` (``ARB_*`` in
-    ``_spankernel.c``), or ``None`` when the kernel cannot run it: no
-    arbiter, a ``RandomArbiter``, or a ``LongestQueueArbiter`` over exactly
-    the buffer's ``num_queues`` (exact types: a subclass may override
-    ``next_request``)."""
+    ``_spankernel.c``), or ``None`` when the kernel cannot run it.
+
+    It runs no arbiter and every stock arbiter of exact type (a subclass
+    may override ``next_request``) over exactly the buffer's
+    ``num_queues`` (a ``TraceArbiter`` has no queue count), and an
+    ``IntermittentArbiter`` over any of these, one level deep, as its inner
+    arbiter's code behind the on/off gate."""
     if arbiter is None:
         return _ARB_NONE
-    if type(arbiter) is RandomArbiter:
-        return _ARB_RANDOM
-    if (type(arbiter) is LongestQueueArbiter
-            and arbiter.num_queues == num_queues):
-        return _ARB_LONGEST
-    return None
+    if type(arbiter) is IntermittentArbiter:
+        arbiter = arbiter.inner
+    code = _ARB_CODES.get(type(arbiter))
+    if code is None or (code != _ARB_TRACE
+                        and arbiter.num_queues != num_queues):
+        return None
+    return code
 
 
 class _Handoff:
     """What both span entries take, bound into their ``kptrs``: the
-    arbiter (its code, and ``RandomArbiter``'s MT state), the arrival plan
-    (its mode, and the explicit ``int32`` plan or a deferred Bernoulli
-    plan's MT state and cumulative weights), the fixed-shape per-queue
-    arrays and the state image.  The arrays stay alive (and are never
-    resized) across the C call.  ``fields`` is ``None`` when the kernel
-    cannot run the span's arbiter or plan."""
+    arbiter (its code, its own state, ``RandomArbiter``'s MT state, a
+    ``TraceArbiter``'s pattern window, an intermittent gate), the head MMA,
+    the arrival plan (its mode, and the explicit ``int32`` plan or a
+    deferred Bernoulli plan's MT state and cumulative weights), the
+    fixed-shape per-queue arrays and the state image.  The arrays stay
+    alive (and are never resized) across the C call."""
 
     def __init__(self, core, ptr: KPtrs, aplan, num_slots: int, main: bool,
                  bern, image) -> None:
+        self.started = perf_counter()
         self.core = core
         self.num_slots = num_slots
         self.main = main
         self.rngs = []
-        self.fields = None
+        nq = core.num_queues
+        traced = main and core.sim.trace is not None
+        head = (_HEAD_MDQF if type(core.buffer.head.mma) is MDQF
+                else _HEAD_ECQF_FALLBACK if core.ecqf_fallback
+                else _HEAD_ECQF)
+        fields = dict(plan_mode=_PLAN_NONE, head_mma=head,
+                      traced=1 if traced else 0)
         arbiter = core.sim.arbiter if main else None
-        arb_mode = span_arbiter(arbiter, core.num_queues)
+        arb_mode = span_arbiter(arbiter, nq)
         if arb_mode is None:
-            return
-        fields = dict(arb_mode=arb_mode, plan_mode=_PLAN_NONE)
+            raise ConfigurationError(
+                f"the span kernel runs no {type(arbiter).__name__} over "
+                f"{nq} queues")
+        if type(arbiter) is IntermittentArbiter:
+            fields.update(gate_on=min(arbiter.on_slots, _I62),
+                          gate_period=min(arbiter.on_slots
+                                          + arbiter.off_slots, _I62))
+            arbiter = arbiter.inner
+        self.arbiter = arbiter
+        fields["arb_mode"] = arb_mode
+        for name, attr in zip(("arb_s0", "arb_s1"),
+                              _ARB_STATE.get(type(arbiter), ())):
+            fields[name] = getattr(arbiter, attr)
         if arb_mode == _ARB_RANDOM:
             ptr.arb_key, ptr.arb_meta = self._rng(arbiter._rng)
             fields["arb_tint"] = gate_threshold(arbiter.load)
+        elif arb_mode == _ARB_STRIDED:
+            fields.update(arb_stride=arbiter.stride % nq,
+                          arb_burst=min(arbiter.burst, _I62))
+        elif arb_mode == _ARB_TRACE:
+            window = arbiter.pattern[core.slot:core.slot + num_slots]
+            self.pattern = _queue_array(window, nq)
+            self.pattern.extend([-1] * (num_slots - len(window)))
+            ptr.arb_pattern = _addr(self.pattern, _I32P)
         if bern is not None:
             rng, tint, cum_weights, total = bern
             ptr.bern_key, ptr.bern_meta = self._rng(rng)
@@ -629,14 +686,14 @@ class _Handoff:
             fields.update(plan_mode=_PLAN_BERNOULLI, bern_tint=tint,
                           bern_total=total)
         elif main and aplan is not None:
-            self.plan = _plan_array(aplan, num_slots)
-            if self.plan is None:
-                return
+            # An int32 row (a switch port's egress row) goes as it is.
+            self.plan = (aplan if isinstance(aplan, array)
+                         and aplan.typecode == "i"
+                         else _queue_array(aplan[:num_slots], nq))
             ptr.plan = _addr(self.plan, _I32P)
             fields["plan_mode"] = _PLAN_EXPLICIT
         self.fields = fields
 
-        nq = core.num_queues
         self.state = image(core)
         self.queues = {name: array("q", getattr(core, name))
                        for name in _QUEUE_FIELDS}
@@ -669,7 +726,6 @@ class _Handoff:
             sram_cap=-1 if core.sram_cap is None else core.sram_cap,
             la_len=core.la_len, num_slots=self.num_slots,
             start_slot=core.slot, is_main=1 if self.main else 0,
-            ecqf_fallback=1 if core.ecqf_fallback else 0,
             state_len=len(self.state), tail_total=core.tail_total,
             dram_total=core.dram_total, sram_total=core.sram_total,
             la_pos=core.la_pos, negatives=core.negatives,
@@ -680,10 +736,10 @@ class _Handoff:
             eligible_len=len(core.eligible), **self.fields, **fields)
 
     def apply(self, cfg: KCfg, it) -> None:
-        """Write the updated arrays, the span's counts, the generators'
-        states and the state both cores have (the head of
-        :func:`_state_image`'s layout, read from the iterator ``it``
-        over the result) back."""
+        """Write the updated arrays, the span's counts, the arbiter's and
+        the generators' states and the state both cores have (the head of
+        :func:`_state_image`'s layout, read from the iterator ``it`` over
+        the result) back."""
         core = self.core
         num_slots = self.num_slots
         for name, after in self.queues.items():
@@ -698,6 +754,9 @@ class _Handoff:
             core.arrivals_count += cfg.arrivals_seen
             core.departures += cfg.n_delays
             core.idle_requests += num_slots - cfg.grants
+        for name, attr in zip(("arb_s0", "arb_s1"),
+                              _ARB_STATE.get(type(self.arbiter), ())):
+            setattr(self.arbiter, attr, getattr(cfg, name))
         for rng, state, key, meta in self.rngs:
             rng.setstate((3, tuple(key) + (meta[0],), state[2]))
         _apply_result(core, cfg, it)
@@ -713,10 +772,10 @@ def _read_result(ptr: KPtrs, cfg: KCfg) -> List[int]:
         _release(ptr.result)
 
 
-def _observe(obs, ok: bool, rc: int, num_slots: int, plan_slots: int,
+def _observe(obs, rc: int, num_slots: int, plan_slots: int,
              started: float, native_s: float) -> None:
     """Count one kernel call and time it (see :func:`run_span_kernel`)."""
-    if ok:
+    if rc == _ERR_OK:
         obs.inc("engine.array.kernel_spans")
         obs.inc("engine.array.kernel_slots", num_slots)
         if plan_slots:
@@ -725,26 +784,72 @@ def _observe(obs, ok: bool, rc: int, num_slots: int, plan_slots: int,
         obs.inc("engine.array.kernel_aborts")
         obs.inc("engine.array.kernel_aborts."
                 + _ABORT_CODES.get(rc, "unknown"))
-        obs.inc("engine.array.fallback.abort", num_slots)
     obs.observe("engine.array.kernel_native_s", native_s)
     obs.observe("engine.array.kernel_handoff_s",
                 perf_counter() - started - native_s)
 
 
+def _raise_abort(core, rc: int, cfg: KCfg, handoff: _Handoff, aplan):
+    """Raise the reference engine's exception for a span that stopped with
+    ``rc`` and ``cfg``'s abort record: its slot and the integers the
+    exception carries.  An arrival or trace entry that names no queue is
+    read back from the plan or the pattern, as the reference reads it."""
+    slot = cfg.err_slot
+    if rc == _ERR_OOM:
+        raise MemoryError("the span kernel ran out of memory")
+    if rc == _ERR_OVERFLOW and 0 <= cfg.err_a < len(_STRUCTURES):
+        raise BufferOverflowError(_STRUCTURES[cfg.err_a], cfg.err_b,
+                                  cfg.err_c)
+    if rc == _ERR_MISS:
+        raise CacheMissError(cfg.err_a, slot)
+    if rc == _ERR_CONFLICT:
+        raise BankConflictError(cfg.err_a, slot, cfg.err_b)
+    if rc == _ERR_BUS:
+        raise ConfigurationError(
+            f"address bus violation: accesses at slots {cfg.err_a} and "
+            f"{slot} are closer than {cfg.err_b} slots")
+    if rc == _ERR_PLAN:
+        raise arrival_error(aplan[slot - core.slot], core.num_queues, slot)
+    if rc == _ERR_ARBITER:
+        raise ArbiterContractError(handoff.arbiter.pattern[slot],
+                                   core.num_queues, slot)
+    raise ConfigurationError(
+        f"the span kernel rejected the core's state at slot {slot} "
+        f"(error {_ABORT_CODES.get(rc, rc)})")
+
+
+def _call(fn, cfg, ptr, handoff: _Handoff, aplan, bern, apply) -> bool:
+    """Run one span entry and apply its result, or raise from its abort
+    record; both counted and timed (see :func:`run_span_kernel`)."""
+    obs = get_metrics()
+    native_started = perf_counter()
+    rc = fn(ctypes.byref(cfg), ctypes.byref(ptr))
+    native_s = perf_counter() - native_started
+    if rc == _ERR_OK:
+        apply()
+    if obs is not None:
+        _observe(obs, rc, handoff.num_slots,
+                 handoff.num_slots if bern is not None else 0,
+                 handoff.started, native_s)
+    if rc != _ERR_OK:
+        # Nothing was written back: the arrays handed over are copies.
+        _raise_abort(handoff.core, rc,
+                     cfg if isinstance(cfg, KCfg) else cfg.k, handoff, aplan)
+    return True
+
+
 def run_span_kernel(core, aplan, num_slots: int, main: bool = True,
                     bern=None, drain_slots: int = 0) -> bool:
-    """Run one span of the RADS core on the compiled kernel; ``True`` on
-    success.
+    """Run one span of the RADS core on the compiled kernel; ``True`` once
+    it ran, ``False`` when no kernel is loaded.
 
-    ``aplan`` is the arrival plan — an ``Optional[int]`` list at least
-    ``num_slots`` long — or ``None`` for a span without arrivals;
-    ``bern = (rng, tint, cum_weights, total)`` makes the kernel draw the
-    Bernoulli arrival plan natively instead.  The arbiter is one
-    :func:`span_arbiter` accepts.  On any failure (kernel unavailable,
-    strict-mode abort inside the span, allocation failure, a plan entry
-    naming no queue) the python core is left untouched and the caller
-    falls back to a python loop, which reproduces the exact outcome —
-    including the exception and the post-raise state.
+    ``aplan`` is the arrival plan — an ``Optional[int]`` list or an
+    ``int32`` row at least ``num_slots`` long — or ``None`` for a span
+    without arrivals; ``bern = (rng, tint, cum_weights, total)`` makes the
+    kernel draw the Bernoulli arrival plan natively instead.  The arbiter
+    is one :func:`span_arbiter` accepts.  A span the kernel stops early
+    leaves the python core untouched and raises the reference engine's
+    exception (:func:`_raise_abort`).
 
     ``drain_slots`` must be 0: a drain window is a span of its own
     (``main=False``).  The parameter stays only because the benchmark's
@@ -762,18 +867,11 @@ def run_span_kernel(core, aplan, num_slots: int, main: bool = True,
     fn = load_kernel()
     if fn is None:
         return False
-    obs = get_metrics()
-    started = perf_counter()
     ptr = KPtrs()
     handoff = _Handoff(core, ptr, aplan, num_slots, main, bern, _rads_image)
-    if handoff.fields is None:
-        return False
     cfg = handoff.cfg(pending_len=len(core.pending))
 
-    native_started = perf_counter()
-    rc = fn(ctypes.byref(cfg), ctypes.byref(ptr))
-    native_s = perf_counter() - native_started
-    if rc == _ERR_OK:
+    def apply():
         it = iter(_read_result(ptr, cfg))
         handoff.apply(cfg, it)
         pending = deque()
@@ -782,14 +880,8 @@ def run_span_kernel(core, aplan, num_slots: int, main: bool = True,
             pending.append((finish, queue, list(islice(it, count))))
         core.pending = pending
         _apply_outcome(core, cfg, it)
-    # Otherwise nothing was written back: the arrays handed over are
-    # copies, the python core is untouched — the caller's python loop
-    # replays the span and raises (or recovers) with the exact reference
-    # state.
-    if obs is not None:
-        _observe(obs, rc == _ERR_OK, rc, num_slots,
-                 num_slots if bern is not None else 0, started, native_s)
-    return rc == _ERR_OK
+
+    return _call(fn, cfg, ptr, handoff, aplan, bern, apply)
 
 
 def _cfds_image(core) -> array:
@@ -874,24 +966,20 @@ def _apply_cfds(core, ccfg: CCfg, it, fixed) -> None:
 def run_cfds_span_kernel(core, aplan, num_slots: int, main: bool = True,
                          bern=None) -> bool:
     """Run one span of the CFDS core on the kernel's ``cfds_run_span``;
-    ``True`` on success.
+    ``True`` once it ran, ``False`` when no kernel is loaded.
 
     The CFDS counterpart of :func:`run_span_kernel`, under the same rules
-    and with the same arbiters and plans: any failure leaves the core
-    untouched for the caller's python loop, which raises exactly where the
-    reference does; the same counters and timers are recorded.
+    and with the same arbiters and plans: a span the kernel stops early
+    leaves the core untouched and raises the reference engine's exception;
+    the same counters and timers are recorded.
     """
     fn = _cfds if load_kernel() is not None else None
     if fn is None:
         return False
-    obs = get_metrics()
-    started = perf_counter()
     # Every array below stays bound to a local, so alive across the C call.
     ptr = CPtrs()
     handoff = _Handoff(core, ptr.k, aplan, num_slots, main, bern,
                        _cfds_image)
-    if handoff.fields is None:
-        return False
     renaming = core.names is not None
     fixed = (array("q", [-1 if v is None else v for v in core.latency_reg]),
              array("q", core.locks), array("q", core.busy_until),
@@ -917,18 +1005,13 @@ def run_cfds_span_kernel(core, aplan, num_slots: int, main: bool = True,
                      else core.flight_next),
         max_delay=core.max_delay)
 
-    native_started = perf_counter()
-    rc = fn(ctypes.byref(cfg), ctypes.byref(ptr))
-    native_s = perf_counter() - native_started
-    if rc == _ERR_OK:
+    def apply():
         it = iter(_read_result(ptr.k, cfg.k))
         handoff.apply(cfg.k, it)
         _apply_cfds(core, cfg, it, fixed)
         _apply_outcome(core, cfg.k, it)
-    if obs is not None:
-        _observe(obs, rc == _ERR_OK, rc, num_slots,
-                 num_slots if bern is not None else 0, started, native_s)
-    return rc == _ERR_OK
+
+    return _call(fn, cfg, ptr, handoff, aplan, bern, apply)
 
 
 class FabricWindow(NamedTuple):

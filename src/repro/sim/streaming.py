@@ -10,9 +10,8 @@ chunks:
   ``O(chunk_slots)``, independent of the horizon.  On either array core a
   stock Bernoulli process (Zipf and hotspot included) hands the chunk over
   undrawn, and the span kernel draws it natively as it does a monolithic
-  run's; a span the kernel declines draws it in python with the same
-  ``arrivals()`` call.  Every other process, and the reference engine,
-  asks the process for its window
+  run's.  Every other process, and the reference engine, asks the process
+  for its window
   (:meth:`~repro.traffic.arrivals.ArrivalProcess.arrivals_slice`).  The
   chunk concatenation is stream-identical to one monolithic plan, so with
   ``warmup_slots=0`` a streamed run's report is **bit-identical** to
@@ -67,8 +66,11 @@ from repro.obs.metrics import MetricsRegistry, get_metrics
 from repro.obs.trace import emit as trace_emit
 from repro.sim.array_engine import (
     DEFAULT_ENGINE,
-    build_array_core,
+    count_fallback,
+    kernel_miss,
     resolve_engine,
+    resume_core,
+    route_core,
     row_plan,
     split_plan,
     window_plan,
@@ -172,8 +174,12 @@ MetricsRegistry` of what it did — chunks executed, slots processed,
         # operations per *chunk*, invisible next to a 64k-slot window).
         self._obs = MetricsRegistry()
         # The array core carries the machine state between chunks (and
-        # enforces the freshly-built-buffer contract up front).
-        self._core = build_array_core(sim) if engine == "array" else None
+        # enforces the freshly-built-buffer contract up front); a run the
+        # span kernel cannot take runs on the reference engine, decided
+        # here, once.
+        self._core = self._fallback = None
+        if engine == "array":
+            self._core, self._fallback = route_core(sim)
         self.slot = 0                    # arrival/request slots completed
         self._warmup_done = warmup_slots == 0
         self._measured_from = 0          # slot measurement started at
@@ -297,6 +303,8 @@ MetricsRegistry` of what it did — chunks executed, slots processed,
             self._core.run_span(plan, count)
         else:
             self.sim._run_slots(count, start_slot=self.slot, plan=plan)
+            if self._fallback is not None:
+                count_fallback(self._fallback, count)
         self.slot += count
         duration = time.perf_counter() - started
         self._obs.inc("stream.chunks")
@@ -347,9 +355,12 @@ MetricsRegistry` of what it did — chunks executed, slots processed,
         else:
             buffer = sim.buffer
             if self.drain:
+                drain_from = buffer.slot
                 for cell in buffer.drain():
                     sim.throughput.departures += 1
                     sim.latency.record(cell.arrival_slot, buffer.slot)
+                if self._fallback is not None:
+                    count_fallback(self._fallback, buffer.slot - drain_from)
             sim.throughput.slots = buffer.slot
             sim.throughput.drops = (buffer.dropped_cells
                                     - self._drops_baseline)
@@ -370,6 +381,15 @@ MetricsRegistry` of what it did — chunks executed, slots processed,
                    measured_from=self._measured_from,
                    engine=self.engine, label=self.label,
                    counters=snapshot["counters"])
+        spans = self._obs.counter("stream.chunks") + int(self.drain)
+        trace_emit("run_end", engine=self.engine,
+                   slots=report.throughput.slots,
+                   arrivals=report.throughput.arrivals,
+                   departures=report.throughput.departures,
+                   drops=report.throughput.drops,
+                   **(dict(path="kernel", spans=spans)
+                      if self._core is not None
+                      else dict(path="reference", reason=self._fallback)))
         return report
 
     def metrics_snapshot(self) -> Dict[str, Any]:
@@ -503,6 +523,12 @@ MetricsRegistry` of what it did — chunks executed, slots processed,
         session.progress = progress
         session.progress_every = progress_every
         session._core = payload["core"]
+        session._fallback = None
+        if engine == "array":
+            if session._core is not None:
+                resume_core(session._core)
+            else:
+                session._fallback = kernel_miss(session.sim) or "unavailable"
         session.slot = payload["slot"]
         session._warmup_done = payload["warmup_done"]
         session._measured_from = payload["measured_from"]

@@ -200,7 +200,10 @@ class TraceArbiter(Arbiter):
     Recorded requests that are no longer admissible against the buffer being
     replayed into (possible when replaying a trace captured on a different
     buffer variant) are skipped rather than raised, matching the admissibility
-    filtering the simulation engine applies.
+    filtering the simulation engine applies.  An entry that names no queue
+    (not ``None`` or an ``int`` in range) is returned as it is, so the
+    engines' contract check raises
+    :class:`~repro.errors.ArbiterContractError` at its slot.
     """
 
     def __init__(self, pattern: Sequence[Optional[int]]) -> None:
@@ -213,6 +216,7 @@ class TraceArbiter(Arbiter):
         if not 0 <= slot < len(self.pattern):
             return None
         request = self.pattern[slot]
-        if request is not None and backlog[request] <= 0:
+        if (type(request) is int and 0 <= request < len(backlog)
+                and backlog[request] <= 0):
             return None
         return request

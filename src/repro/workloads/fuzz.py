@@ -7,13 +7,11 @@ the *generative* extension of that net: :func:`sample_scenario` and
 — heavy-tailed WAN/datacenter mixes, lossy bounded-DRAM configs, custom-MMA
 paths, 64–256-port incast/permutation switches — and :func:`run_case` runs
 every sampled spec through both engines (the ``reference`` oracle and
-``array``, on the compiled span kernel where it builds), monolithic *and*
-streamed, with random chunk/warmup/checkpoint boundaries, asserting
-bit-identical reports.  The legs that compare traces run the python loops
-(a traced span never reaches the kernel), so one untraced monolithic
-``array`` leg holds the kernel's spans to the oracle.  With
-``REPRO_SPAN_KERNEL=0`` the ``array`` legs run the core's scalar python loop
-instead.
+``array``, whose every slot the compiled span kernel runs), monolithic
+*and* streamed, with random chunk/warmup/checkpoint boundaries, asserting
+bit-identical reports, traces included.  Only a spec with a custom policy
+(a user subclass) sends its ``array`` legs to the reference engine, which
+``--metrics`` counts as ``engine.array.fallback.policy``.
 
 Everything is a pure function of ``(master_seed, index)``: a diverging case
 is dumped as a replayable JSON artifact carrying exactly those coordinates
@@ -157,12 +155,12 @@ def _sample_buffer(rng: random.Random, scheme: str,
 def _sample_head_mma(rng: random.Random) -> Optional[Dict[str, Any]]:
     roll = rng.random()
     if roll < 0.60:
-        return None  # stock policy (ECQF + fallback), the engines' fast path
+        return None  # the buffer's stock policy, ECQF with its fallback
     if roll < 0.80:
-        # Explicit MDQF: routes every engine through its generic MMA path.
+        # Explicit MDQF: the span kernel's deficit scan against the
+        # reference's MDQF object.
         return {"type": "mdqf", "params": {}}
-    # Explicit ECQF; half the time without the most-deficit fallback, which
-    # is off the array engine's fast path even though the type matches.
+    # Explicit ECQF; half the time without the most-deficit fallback.
     return {"type": "ecqf",
             "params": {"fallback_to_most_deficit": rng.random() < 0.5}}
 
@@ -436,8 +434,8 @@ def _run_scenario_case(case: FuzzCase, stream: bool,
         divergences += _compare_reports(f"monolithic-{engine}",
                                         outcomes[engine], baseline,
                                         include_trace=True)
-    # Leg 1b — the array engine untraced: a traced run never reaches the
-    # span kernel, so this is the leg that holds its spans to the oracle.
+    # Leg 1b — the array engine untraced: the kernel returns no trace rows,
+    # its other output must not change.
     divergences += _compare_reports(
         "monolithic-array-untraced",
         _outcome(lambda: scenario.build_simulation().run(

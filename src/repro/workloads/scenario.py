@@ -83,8 +83,9 @@ SCHEMES: Dict[str, Tuple[type, type]] = {
 
 #: Head-MMA factories, keyed by the type string used in scenario specs.
 #: ``None`` in a spec keeps the buffer's stock policy (ECQF with fallback);
-#: naming one explicitly routes the run through the generic MMA path of
-#: every engine — the "custom MMA" surface the differential harness covers.
+#: naming one builds that policy explicitly.  Both run on the array
+#: engine's span kernel; a head MMA outside this table (a user subclass)
+#: sends an array run to the reference engine.
 MMA_TYPES: Dict[str, type] = {
     "ecqf": ECQF,
     "mdqf": MDQF,

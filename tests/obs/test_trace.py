@@ -166,3 +166,60 @@ class TestInspector:
         summary = summarize_trace(path)
         assert summary["events"] == 0
         assert summary["span_s"] == 0.0
+
+
+class TestPathLedger:
+    """``run_end`` says which implementation ran a run, and the summary
+    gives each engine's share of runs and slots on each path."""
+
+    def run_traced(self, tmp_path, runs):
+        path = tmp_path / "paths.ndjson"
+        with TraceWriter(path) as writer, using_trace(writer):
+            for run in runs:
+                run()
+        return path
+
+    def test_run_end_names_the_path_and_the_summary_shares_it(
+            self, tmp_path):
+        from repro.sim import kernel
+        from repro.traffic.arbiters import LongestQueueArbiter
+        from repro.workloads.registry import get_scenario
+
+        class Subclass(LongestQueueArbiter):
+            """A user subclass: its runs go to the reference engine."""
+
+        scenario = get_scenario("uniform-bernoulli")
+
+        def custom():
+            sim = scenario.build_simulation()
+            sim.arbiter = Subclass(8)
+            sim.run(300, engine="array")
+
+        def streamed():
+            scenario.build_simulation().run_stream(300, engine="array",
+                                                   chunk_slots=100)
+
+        path = self.run_traced(tmp_path, [
+            lambda: scenario.build_simulation().run(300, engine="array"),
+            custom, streamed,
+            lambda: scenario.build_simulation().run(300,
+                                                    engine="reference")])
+        ends = [e for e in read_events(path) if e["event"] == "run_end"]
+        assert len(ends) == 4
+        on_kernel = kernel.load_kernel() is not None
+        if on_kernel:
+            assert (ends[0]["path"], ends[0]["spans"]) == ("kernel", 2)
+            assert (ends[2]["path"], ends[2]["spans"]) == ("kernel", 4)
+        assert (ends[1]["path"], ends[1]["reason"]) == ("reference",
+                                                        "policy")
+        assert (ends[3]["path"], ends[3]["reason"]) == ("reference", None)
+        summary = summarize_trace(path)
+        if on_kernel:
+            assert set(summary["paths"]["array"]) == {
+                "kernel", "reference (policy)"}
+            assert summary["paths"]["array"]["kernel"][0] == 2
+            text = render_trace_summary(summary)
+            assert "array: kernel 67% of runs" in text
+            assert "reference (policy) 33% of runs" in text
+        assert summary["paths"]["reference"] == {
+            "reference": [1, ends[3]["slots"]]}

@@ -1,12 +1,15 @@
 """Acceptance tests of the span kernel's CFDS entry (``cfds_run_span``).
 
-A CFDS span runs on the kernel when ``_CFDSCore._kernel_miss`` passes, and
-on the core's python loop (the oracle) otherwise or when the kernel aborts.
-Every case here holds a kernel run against the reference engine or against
-the python loop: reports, ``dram_group_occupancy()``,
+Every span of a CFDS array run runs on the kernel when
+:func:`~repro.sim.array_engine.kernel_miss` passes; otherwise the whole
+run goes to the reference engine (the oracle), and a span the kernel
+aborts raises the reference's exception.  Every case here holds a kernel
+run against the reference engine: reports, ``dram_group_occupancy()``,
 ``dram_utilisation()``, ``dropped_cells`` and the arbiter's RNG state, and,
-span by span, the core's whole state.
+span by span, the outcome so far.
 """
+
+import copy
 
 import dataclasses
 
@@ -19,7 +22,9 @@ from repro.errors import (
     BankConflictError,
     BufferOverflowError,
     CacheMissError,
+    CheckpointError,
     ConfigurationError,
+    ValidationError,
 )
 from repro.mma.ecqf import ECQF
 from repro.mma.mdqf import MDQF
@@ -136,10 +141,12 @@ def run_engine(engine, num_slots=1500, **knobs):
 
 
 def assert_kernel_ran(registry):
-    """At least one span took the kernel (when it loads), none aborted."""
+    """Every span took the kernel (when it loads), none aborted."""
     assert registry.counter("engine.array.kernel_aborts") == 0
     if span_kernel.load_kernel() is not None:
         assert registry.counter("engine.array.kernel_spans") >= 1
+        assert registry.counter("engine.array.kernel_slots") == \
+            registry.counter("engine.array.span_slots")
 
 
 def assert_kernel_equals_reference(num_slots=1500, **knobs):
@@ -157,8 +164,8 @@ def assert_kernel_equals_reference(num_slots=1500, **knobs):
 
 @pytest.mark.parametrize("name", CFDS_SCENARIOS)
 def test_registered_cfds_scenarios(name):
-    """Every registered CFDS scenario; those whose arbiter the kernel runs
-    take it, the adversaries stay on the python loop as ``policy``."""
+    """Every registered CFDS scenario, the adversaries included, runs every
+    slot on the kernel."""
     scenario = get_scenario(name)
 
     def run(engine):
@@ -168,11 +175,7 @@ def test_registered_cfds_scenarios(name):
     reference = run("reference")
     array, registry = observed(lambda: run("array"))
     assert array == reference
-    if scenario.arbiter["type"] in ("random", "longest_queue"):
-        assert_kernel_ran(registry)
-    else:
-        assert registry.counter("engine.array.kernel_spans") == 0
-        assert registry.counter("engine.array.fallback.policy") > 0
+    assert_kernel_ran(registry)
 
 
 @pytest.mark.parametrize("renaming", [True, False], ids=["renaming",
@@ -258,7 +261,10 @@ def test_streamed_chunks_resume_on_the_other_path(chunk_slots, first,
                                                   stream_reference,
                                                   monkeypatch, tmp_path):
     """A streamed run (warmup inside a chunk, two checkpoints) matches the
-    reference; its last checkpoint, resumed on the other path, does too."""
+    reference, on the kernel and, with the kernel unloaded ("python"), on
+    the reference engine.  A checkpoint of a kernel run cannot resume
+    without the kernel (a typed error); one of a run the kernel did not
+    take resumes on the reference engine, kernel or not."""
     path = tmp_path / "cfds.ckpt.json"
 
     def run():
@@ -274,14 +280,17 @@ def test_streamed_chunks_resume_on_the_other_path(chunk_slots, first,
         streamed, registry = observed(run)
     assert streamed == stream_reference
     kernel_spans = registry.counter("engine.array.kernel_spans")
-    if first == "python" or chunk_slots < span_kernel.MIN_KERNEL_SLOTS:
+    if first == "python":
         assert kernel_spans == 0
+        assert registry.counter("engine.array.fallback.unavailable") > 0
     elif span_kernel.load_kernel() is not None:
         assert kernel_spans > 0
-    with monkeypatch.context() as patcher:
-        if first == "kernel":
+        assert_kernel_ran(registry)
+        with monkeypatch.context() as patcher:
             _disable_kernel(patcher)
-        resumed = resume_stream(path)
+            with pytest.raises(CheckpointError, match="unavailable"):
+                resume_stream(path)
+    resumed = resume_stream(path)
     # The resumed simulation is rebuilt from the checkpoint, so only the
     # report is compared.
     assert (resumed.throughput, resumed.latency, resumed.buffer_result) \
@@ -326,10 +335,9 @@ def test_kernel_draws_stock_bernoulli_plans(process, monkeypatch):
 @pytest.mark.parametrize("process", sorted(DRAWN))
 def test_streamed_kernel_drawn_plans(process, stream_reference_of,
                                      monkeypatch, tmp_path):
-    """Streamed in 700-slot chunks with the warmup boundary at 600, whose
-    100-slot rest is a short span python draws, and resumed from the
-    checkpoint at 1400: the kernel draws the other 1900 slots' plans, and
-    the reports equal the reference engine's."""
+    """Streamed in 700-slot chunks with the warmup boundary at 600, and
+    resumed from the checkpoint at 1400: the kernel draws every slot's
+    plan, and the reports equal the reference engine's."""
     path = tmp_path / "cfds.ckpt.json"
     knobs = dict(arrivals=process, group_cap=48, strict=False)
 
@@ -350,89 +358,75 @@ def test_streamed_kernel_drawn_plans(process, stream_reference_of,
         == reference[:3]
     assert_kernel_ran(registry)
     drawn = registry.counter("engine.array.kernel_plan_slots")
-    assert drawn == (1900 if span_kernel.load_kernel() is not None else 0)
+    assert drawn == (STREAM_SLOTS if span_kernel.load_kernel() is not None
+                     else 0)
     assert sum(calls) == STREAM_SLOTS - drawn
 
 
 @needs_kernel
-def test_shared_rng_plan_is_drawn_in_python(monkeypatch):
+def test_shared_rng_plan_is_drawn_in_python():
     """A process sharing the arbiter's RNG object has its plan drawn in
-    python ahead of the span's arbiter draws, counted as ``shared_rng``,
-    and the kernel then runs the span on that plan: the outcome equals the
-    python loop's.  (The reference loop interleaves the two processes'
-    draws, so only the array core's two paths are comparable.)"""
-    def run():
+    python ahead of the span's arbiter draws, and the kernel then runs the
+    span on that plan: the outcome equals the reference engine's streamed
+    in one window, which draws in the same order (a monolithic reference
+    run interleaves the two processes' draws)."""
+    def make():
         sim = make_sim(arrivals="bernoulli", lookahead=200)
         sim.arrivals._rng = sim.arbiter._rng
-        return outcome(sim, sim.run(600, engine="array"))
+        return sim
 
-    with monkeypatch.context() as patcher:
-        _disable_kernel(patcher)
-        python = run()
-    array, registry = observed(run)
-    assert array == python
-    assert _fallbacks(registry) == {"shared_rng": 600}
+    sim = make()
+    reference = outcome(sim, sim.run_stream(600, engine="reference",
+                                            chunk_slots=600))
+    sim = make()
+    array, registry = observed(lambda: outcome(sim, sim.run(
+        600, engine="array")))
+    assert array == reference
+    assert _fallbacks(registry) == {}
     assert registry.counter("engine.array.kernel_spans") == 2
     assert registry.counter("engine.array.kernel_plan_slots") == 0
 
 
 # --------------------------------------------------------------------- #
-# Span by span: the kernel core's whole state equals the python core's.
+# Span by span: the kernel core's outcome so far equals the reference's.
 # --------------------------------------------------------------------- #
 
-def core_state(core):
-    """The core's state with layout-only differences folded away
-    (compacted cursor lists; heaps hold the same keys in any valid
-    order)."""
-    state = dict(vars(core))
-    del state["sim"], state["buffer"], state["req_head"], state["arr_base"]
-    nq = core.num_queues
-    state["req_slots"] = [core.req_slots[q][core.req_head[q]:]
-                          for q in range(nq)]
-    state["arr_slots"] = [
-        core.arr_slots[q][core.delivered[q] - core.arr_base[q]:]
-        for q in range(nq)]
-    state["crit_heap"] = sorted(core.crit_heap)
-    state["sram_heap"] = [sorted(heap) for heap in core.sram_heap]
-    for name in ("tail_fifo", "dram_fifo", "block_locations"):
-        state[name] = [list(fifo) for fifo in state[name]]
-    if core.names is not None:
-        state["names"] = [[list(entry) for entry in entries]
-                          for entries in core.names]
-    for name, source in (("rng", core.sim.arbiter),
-                         ("arrivals_rng", core.sim.arrivals)):
-        rng = getattr(source, "_rng", None)
-        state[name] = rng.getstate() if rng else None
-    return state
+def _outcome_so_far(sim, core=None):
+    """The outcome of a copy of ``sim`` and its array core (the reference
+    engine's without one) closed without a drain, where the run stands."""
+    sim, core = copy.deepcopy((sim, core))
+    return outcome(sim, core.finish(drain=False) if core is not None
+                   else sim._run_reference(0, drain=False))
 
 
-def step_both(knobs, spans, monkeypatch):
-    """Run the same spans on a kernel core and on a python core; assert
-    their states agree after every span (or that both raise alike)."""
+def step_both(knobs, spans):
+    """Run the same spans on a kernel core and on the reference engine;
+    assert their outcomes agree after every span (or that both raise
+    alike), and after the drain."""
     sims = [make_sim(**knobs), make_sim(**knobs)]
-    cores = [build_array_core(sim) for sim in sims]
+    core = build_array_core(sims[0])
+    reference = sims[1]
     start = 0
     for num_slots in spans:
-        plans = [window_plan(sim, core, start, num_slots)
-                 for sim, core in zip(sims, cores)]
         errors = []
-        for index, (core, plan) in enumerate(zip(cores, plans)):
-            with monkeypatch.context() as patcher:
-                if index:
-                    _disable_kernel(patcher)
-                try:
-                    core.run_span(plan, num_slots)
-                    errors.append(None)
-                except Exception as exc:  # compared below
-                    errors.append((type(exc), str(exc)))
+        for run in (
+                lambda: core.run_span(
+                    window_plan(sims[0], core, start, num_slots), num_slots),
+                lambda: reference._run_slots(
+                    num_slots, start_slot=start,
+                    plan=window_plan(reference, None, start, num_slots))):
+            try:
+                run()
+                errors.append(None)
+            except Exception as exc:  # compared below
+                errors.append((type(exc), str(exc)))
         assert errors[0] == errors[1]
-        assert core_state(cores[0]) == core_state(cores[1])
         if errors[0] is not None:
             return errors[0]
         start += num_slots
-    for core in cores:
-        core.finish()
-    assert core_state(cores[0]) == core_state(cores[1])
+        assert _outcome_so_far(sims[0], core) == _outcome_so_far(reference)
+    array = outcome(sims[0], core.finish())
+    assert array == outcome(reference, reference._run_reference(0, True))
     return None
 
 
@@ -450,36 +444,36 @@ SPANS = [192, 700, 191, 1, 300, 250]
     dict(arbiter="random", arrivals="bernoulli", group_cap=40, strict=False),
 ], ids=["renaming-dropping", "static-dropping", "fill-only",
         "bank-conflicts", "head-misses", "bernoulli-drawn"])
-def test_state_equal_after_every_span(knobs, monkeypatch):
-    assert step_both(knobs, SPANS, monkeypatch) is None
+def test_state_equal_after_every_span(knobs):
+    assert step_both(knobs, SPANS) is None
 
 
 # --------------------------------------------------------------------- #
-# Every raise site: the kernel aborts, writes nothing back, and the python
-# replay raises the reference's error.
+# Every raise site: the kernel aborts, writes nothing back, and raises the
+# reference's error from its abort record.
 # --------------------------------------------------------------------- #
 
-#: One machine per raise site of the python loop, with the kernel's abort
-#: code for it.
+#: One machine per raise site of the reference engine, with the kernel's
+#: abort code for it.
 RAISE_SITES = {
     "sram": (dict(head_sram_cells=20, arbiter="longest_queue"),
-             BufferOverflowError, "strict"),
-    "dram": (dict(dram_cells=30), BufferOverflowError, "strict"),
+             BufferOverflowError, "overflow"),
+    "dram": (dict(dram_cells=30), BufferOverflowError, "overflow"),
     "requests-register": (dict(rr_capacity=1, arbiter="longest_queue"),
-                          BufferOverflowError, "strict"),
+                          BufferOverflowError, "overflow"),
     "tail": (dict(granularity=4, tail_sram_cells=10),
-             BufferOverflowError, "strict"),
-    "address-bus": (dict(patch="bus"), ConfigurationError, "strict"),
-    "bank-conflict": (dict(patch="no_orr"), BankConflictError, "strict"),
-    "head-miss": (dict(lookahead=1, latency=0), CacheMissError, "strict"),
-    "no-queue": (dict(arrivals=TraceArrivals([3] * 400 + [8])), KeyError,
-                 "arg"),
+             BufferOverflowError, "overflow"),
+    "address-bus": (dict(patch="bus"), ConfigurationError, "bus"),
+    "bank-conflict": (dict(patch="no_orr"), BankConflictError, "conflict"),
+    "head-miss": (dict(lookahead=1, latency=0), CacheMissError, "miss"),
+    "no-queue": (dict(arrivals=TraceArrivals([3] * 400 + [8])),
+                 ValidationError, "plan"),
 }
 
 
 @needs_kernel
 @pytest.mark.parametrize("site", sorted(RAISE_SITES))
-def test_error_parity_at_each_raise_site(site, monkeypatch):
+def test_error_parity_at_each_raise_site(site):
     knobs, error, code = RAISE_SITES[site]
     with pytest.raises(error) as reference:
         make_sim(**knobs).run(1500, engine="reference")
@@ -489,11 +483,9 @@ def test_error_parity_at_each_raise_site(site, monkeypatch):
     assert str(array.value) == str(reference.value)
     assert registry.counter("engine.array.kernel_spans") == 0
     assert registry.counter(f"engine.array.kernel_aborts.{code}") == 1
-    assert registry.counter("engine.array.fallback.abort") == 1500
-    # Nothing written back: the aborted core's state after the python
-    # replay equals a python-only core's.
-    assert step_both(knobs, [1500], monkeypatch) == (type(array.value),
-                                                     str(array.value))
+    assert _fallbacks(registry) == {}
+    # Uneven spans raise alike, at the same span, after equal outcomes.
+    assert step_both(knobs, SPANS) == (type(array.value), str(array.value))
 
 
 @needs_kernel
@@ -518,16 +510,18 @@ def _fallbacks(registry):
             if name.startswith(prefix)}
 
 
-#: Each case's reason and machine.  A 200-slot lookahead makes the drain
-#: window a span the kernel would take too, except for ``short_span``.
+#: Each case's reason and machine (a 200-slot lookahead).  A run the
+#: kernel cannot take goes wholly to the reference engine; the cases whose
+#: reason is ``None`` once missed the kernel (MDQF, the oldest-cell arbiter,
+#: a traced run, a short span) and now run on it.
 FALLBACKS = {
-    "policy-mdqf": ("policy", dict(head_mma=MDQF())),
-    "policy-oldest-cell": ("policy", dict(arbiter="oldest_cell")),
+    "policy-mdqf": (None, dict(head_mma=MDQF())),
+    "policy-oldest-cell": (None, dict(arbiter="oldest_cell")),
     "policy-subclass": ("policy", dict(arbiter="longest_queue-subclass")),
     "policy-queue-count": ("policy",
                            dict(arbiter="longest_queue-fewer-queues")),
-    "traced": ("traced", dict(record_trace=True)),
-    "short_span": ("short_span", {}),
+    "traced": (None, dict(record_trace=True)),
+    "short_span": (None, {}),
     "wide_queues": ("wide_queues", {}),
     "unavailable": ("unavailable", {}),
 }
@@ -535,30 +529,35 @@ FALLBACKS = {
 
 @pytest.mark.parametrize("case", sorted(FALLBACKS))
 def test_fallback_reason_counts_every_span_once(case, monkeypatch):
-    """Every span of the run misses the kernel for one reason, and the
-    counter holds exactly the slots of all spans."""
+    """A run the kernel cannot take counts all its slots, once, under its
+    reason, and runs no span on the array core; every other run runs every
+    span on the kernel and counts no fallback."""
     reason, knobs = FALLBACKS[case]
     if reason == "wide_queues":
         monkeypatch.setattr(span_kernel, "MAX_KERNEL_QUEUES", 4)
     if reason == "unavailable":
         _disable_kernel(monkeypatch)
-    num_slots = 100 if reason == "short_span" else 600
-    if reason != "short_span":
+    num_slots = 100 if case == "short_span" else 600
+    if case != "short_span":
         knobs = dict(knobs, lookahead=200)
     reference = run_engine("reference", num_slots, **knobs)
     array, registry = observed(lambda: run_engine("array", num_slots,
                                                   **knobs))
     assert array == reference
-    assert registry.counter("engine.array.spans") == 2
-    assert _fallbacks(registry) == {
-        reason: registry.counter("engine.array.span_slots")}
+    if reason is None:
+        assert _fallbacks(registry) == {}
+        assert registry.counter("engine.array.spans") == 2
+        assert_kernel_ran(registry)
+        return
+    assert registry.counter("engine.array.spans") == 0
+    assert _fallbacks(registry) == {reason: array[0].slots}
     assert registry.counter("engine.array.kernel_spans") == 0
 
 
 @needs_kernel
 def test_fallback_reason_abort():
-    """A span the kernel aborts counts under ``abort`` only, its native and
-    handoff time once, and is released nothing."""
+    """A span the kernel aborts counts no fallback, its abort, and its
+    native and handoff time once, and is released nothing."""
     released = []
     release = span_kernel._release
 
@@ -574,8 +573,9 @@ def test_fallback_reason_abort():
             make_sim(**knobs).run(600, engine="array")
         assert not released
         run_engine("array", 600)
-        assert len(released) == 1
-    assert _fallbacks(registry) == {"abort": 600}
+        assert len(released) == 2
+    assert _fallbacks(registry) == {}
+    assert registry.counter("engine.array.kernel_aborts.overflow") == 1
     timers = registry.snapshot()["timers"]
     for name in ("kernel_native_s", "kernel_handoff_s"):
         assert timers[f"engine.array.{name}"]["count"] == 1

@@ -119,3 +119,95 @@ def test_gating_still_matches_across_engines():
         assert reports[engine].latency == reports["reference"].latency
         assert (reports[engine].trace.events
                 == reports["reference"].trace.events)
+
+
+# --------------------------------------------------------------------- #
+# Trace arbiters and arrival plans whose entries name no queue.
+# --------------------------------------------------------------------- #
+
+#: The scheme of each leg, and a machine of 8 queues on it.
+SCHEMES = ("rads", "cfds")
+
+
+def _traced_sim(scheme, arrivals, requests):
+    from repro.core.buffer import CFDSPacketBuffer
+    from repro.core.config import CFDSConfig
+    from repro.rads.buffer import RADSPacketBuffer
+    from repro.rads.config import RADSConfig
+    from repro.sim.engine import ClosedLoopSimulation
+    from repro.traffic.arbiters import TraceArbiter
+    from repro.traffic.arrivals import TraceArrivals
+
+    buffer = (RADSPacketBuffer(RADSConfig(num_queues=8, granularity=4))
+              if scheme == "rads" else
+              CFDSPacketBuffer(CFDSConfig(num_queues=8, dram_access_slots=8,
+                                          granularity=2, num_banks=32)))
+    return ClosedLoopSimulation(buffer, TraceArrivals(arrivals),
+                                TraceArbiter(requests))
+
+
+def _run(sim, mode, engine):
+    if mode == "monolithic":
+        return sim.run(300, engine=engine)
+    return sim.run_stream(300, engine=engine, chunk_slots=37)
+
+
+def _raised(make_sim, mode, engine, error):
+    with pytest.raises(error) as excinfo:
+        _run(make_sim(), mode, engine)
+    return type(excinfo.value), str(excinfo.value)
+
+
+#: Each queue once and again, one cell a slot, then idle.
+FILL = [q % 8 for q in range(120)]
+
+
+@pytest.mark.parametrize("mode", ["monolithic", "streamed"])
+@pytest.mark.parametrize("scheme", SCHEMES)
+@pytest.mark.parametrize("entry", [200, -1, 1.5, "x"],
+                         ids=["past-last", "minus-one", "float", "string"])
+def test_trace_arbiter_entry_naming_no_queue_raises(entry, scheme, mode):
+    """A trace arbiter entry that is not a plain int in range is handed to
+    the engines' contract check, which raises the same
+    ``ArbiterContractError`` at its slot on both engines."""
+    requests = [None] * 60 + [q % 8 for q in range(30)] + [entry]
+
+    def make_sim():
+        return _traced_sim(scheme, FILL, requests)
+
+    reference = _raised(make_sim, mode, "reference", ArbiterContractError)
+    assert reference[1] == (
+        f"arbiter returned {entry!r} at slot 90, but a request must be "
+        "None or an int in [0, 8)")
+    assert _raised(make_sim, mode, "array", ArbiterContractError) \
+        == reference
+
+
+@pytest.mark.parametrize("engine", ["reference", "array"])
+def test_trace_arbiter_minus_one_raises_with_the_last_queue_empty(engine):
+    """-1 does not read queue 7's backlog: with queue 7 empty it still
+    raises instead of idling."""
+    sim = _traced_sim("rads", [q % 7 for q in range(70)],
+                      [None] * 40 + [-1])
+    with pytest.raises(ArbiterContractError, match="returned -1 at slot 40"):
+        sim.run(100, engine=engine)
+
+
+@pytest.mark.parametrize("mode", ["monolithic", "streamed"])
+@pytest.mark.parametrize("scheme", SCHEMES)
+@pytest.mark.parametrize("entry", [8, -1, 2 ** 40],
+                         ids=["past-last", "minus-one", "past-int32"])
+def test_arrival_entry_naming_no_queue_raises(entry, scheme, mode):
+    """An arrival entry that names no queue raises ``ValidationError``
+    naming the slot and the entry, the same on both engines (the kernel
+    from its abort record)."""
+    from repro.errors import ValidationError
+
+    def make_sim():
+        return _traced_sim(scheme, FILL[:100] + [entry], FILL)
+
+    reference = _raised(make_sim, mode, "reference", ValidationError)
+    assert reference[1] == (
+        f"arrival {entry!r} at slot 100 names no queue: an arrival must be "
+        "None or an int in [0, 8)")
+    assert _raised(make_sim, mode, "array", ValidationError) == reference

@@ -101,3 +101,25 @@ def test_checkpoint_naming_batched_resumes(tmp_path):
                     encoding="utf-8")
     with pytest.raises(CheckpointError, match="unknown engine 'warp'"):
         resume_stream(path)
+
+
+@pytest.mark.parametrize("retired,engine", PAIRS)
+def test_cli_scenario_and_switch(retired, engine, capsys):
+    """``--engine`` takes a retired name on ``scenario`` and ``switch``:
+    the report equals the replacement's, and a switch report names the
+    engine that ran."""
+    from repro.runner.cli import main
+
+    outputs = []
+    for chosen in (retired, engine):
+        assert main(["scenario", "uniform-bernoulli", "--slots", "600",
+                     "--engine", chosen]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+    outputs = []
+    for chosen in (retired, engine):
+        assert main(["switch", "uniform", "--slots", "150",
+                     "--engine", chosen]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+    assert f"{engine} engine" in outputs[0]

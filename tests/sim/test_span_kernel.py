@@ -1,11 +1,10 @@
 """Acceptance tests of the compiled span kernel under ``engine="array"``.
 
 Most cases run twice, through the ``kernel_mode`` fixture: with the span
-kernel (when it builds — without a compiler that leg re-runs the scalar
-loop) and with it switched off, so the array core's scalar python loop
-runs every span.  Either way the report must be bit-identical to the
-reference loop, or, where the reference loop is too slow (the wide
-machines), to the kernel-off array run.
+kernel (when it builds), and with it unloaded, so the array engine hands
+the whole run to the reference engine and counts its slots as
+``engine.array.fallback.unavailable``.  Either way the report must be
+bit-identical to the reference engine's.
 """
 
 import os
@@ -19,6 +18,7 @@ from repro.errors import (
     BufferOverflowError,
     ConfigurationError,
     StaleSimulationError,
+    ValidationError,
 )
 from repro.core.buffer import CFDSPacketBuffer
 from repro.core.config import CFDSConfig
@@ -45,9 +45,8 @@ from repro.traffic.arrivals import (
 from repro.workloads import all_scenarios
 from repro.workloads.registry import scenario_names
 
-#: Both execution tiers of the RADS core: the compiled span kernel (when it
-#: loads — without a compiler this leg just re-runs the scalar loop) and the
-#: scalar python loop (kernel force-disabled).
+#: Both routes of an array run: the compiled span kernel (when it loads)
+#: and, with the kernel unloaded, the reference engine.
 KERNEL_MODES = ("kernel", "no-kernel")
 
 
@@ -85,14 +84,6 @@ def run_both(make_sim, num_slots, drain=True):
     return reference, array
 
 
-def without_kernel(monkeypatch, run):
-    """``run()`` with the span kernel switched off: the array core's scalar
-    loop runs every span."""
-    with monkeypatch.context() as patcher:
-        _disable_kernel(patcher)
-        return run()
-
-
 # --------------------------------------------------------------------- #
 # The registered suite, through both kernel modes.
 # --------------------------------------------------------------------- #
@@ -114,15 +105,19 @@ def test_numpy_identical_without_drain(name, kernel_mode):
 
 
 def test_numpy_identical_with_trace_recorded():
-    """A traced run cannot use the kernel (the trace needs per-slot
-    events) — the scalar loop must still be bit-identical, trace
-    included."""
+    """A traced run runs on the kernel, which returns each main slot's
+    arrival and request: bit-identical to the reference, trace included."""
     scenario = next(s for s in all_scenarios()
                     if s.name == "uniform-bernoulli")
     reference = scenario.run(engine="reference", record_trace=True)
-    array = scenario.run(engine="array", record_trace=True)
+    array, registry = _observed(
+        lambda: scenario.run(engine="array", record_trace=True))
     assert_reports_identical(reference, array)
     assert reference.trace.events == array.trace.events
+    assert len(array.trace.events) == scenario.num_slots
+    if span_kernel.load_kernel() is not None:
+        assert registry.counter("engine.array.kernel_slots") == \
+            array.throughput.slots
 
 
 # --------------------------------------------------------------------- #
@@ -181,8 +176,8 @@ def test_lossy_run_counts_identical_drops(drain, kernel_mode):
 
 
 def test_strict_overflow_raises_identically(kernel_mode):
-    """A strict-mode overflow aborts the kernel; the python replay must
-    surface the same exception the reference loop raises."""
+    """A strict-mode overflow aborts the kernel, which raises the same
+    exception the reference loop raises from its abort record."""
     def make_sim():
         return ClosedLoopSimulation(
             _build_buffer("rads", tail_sram_cells=3, strict=True),
@@ -197,10 +192,10 @@ def test_strict_overflow_raises_identically(kernel_mode):
 
 
 def test_cfds_falls_back_to_array_core(kernel_mode):
-    """CFDS's 900-slot main span runs on the kernel's CFDS entry (with the
-    kill switch: on the array core's python loop), and its 50-slot drain
-    falls back to the python loop in both modes; either way the report
-    matches the reference loop."""
+    """CFDS's 900-slot main span and its 50-slot drain both run on the
+    kernel's CFDS entry; with the kernel unloaded the whole run goes to
+    the reference engine.  Either way the report matches the reference
+    loop."""
     def make_sim():
         return ClosedLoopSimulation(
             _build_buffer("cfds"), BernoulliArrivals(8, load=0.8, seed=5),
@@ -209,14 +204,15 @@ def test_cfds_falls_back_to_array_core(kernel_mode):
     reference = make_sim().run(900, engine="reference")
     array, registry = _observed(lambda: make_sim().run(900, engine="array"))
     assert_reports_identical(reference, array)
-    drain = array.throughput.slots - 900
     if kernel_mode == "kernel" and span_kernel.load_kernel() is not None:
-        assert registry.counter("engine.array.kernel_slots") == 900
-        assert _fallbacks(registry) == {"short_span": drain}
+        assert registry.counter("engine.array.kernel_slots") == \
+            array.throughput.slots
+        assert registry.counter("engine.array.kernel_spans") == 2
+        assert _fallbacks(registry) == {}
     else:
         assert registry.counter("engine.array.kernel_spans") == 0
-        assert _fallbacks(registry) == {"unavailable": 900,
-                                        "short_span": drain}
+        assert _fallbacks(registry) == {
+            "unavailable": array.throughput.slots}
 
 
 # --------------------------------------------------------------------- #
@@ -238,15 +234,6 @@ def test_numpy_engine_rejects_second_run():
     sim.run(200, engine="array")
     with pytest.raises(StaleSimulationError, match="freshly built"):
         sim.run(200, engine="array")
-
-
-def test_kernel_kill_switch(monkeypatch):
-    monkeypatch.setenv(span_kernel.KERNEL_ENV, "0")
-    assert not span_kernel.kernel_enabled()
-    monkeypatch.setenv(span_kernel.KERNEL_ENV, "off")
-    assert not span_kernel.kernel_enabled()
-    monkeypatch.delenv(span_kernel.KERNEL_ENV)
-    assert span_kernel.kernel_enabled()
 
 
 def test_unknown_engine_error_lists_both_engines():
@@ -296,15 +283,6 @@ def _observed(run):
     return report, registry
 
 
-def _baseline(kernel_mode, monkeypatch, run):
-    """The report an array run must match: in the kernel leg the same run
-    with the kernel off, in the kill-switch leg the reference loop.
-    ``run(engine)`` performs the run."""
-    if kernel_mode == "kernel":
-        return without_kernel(monkeypatch, lambda: run("array"))
-    return run("reference")
-
-
 def _timer_count(registry, name):
     return registry.snapshot()["timers"].get(name, {}).get("count", 0)
 
@@ -319,20 +297,23 @@ def _assert_timed_per_call(registry):
 
 
 def _assert_kernel_ran(registry, kernel_mode):
-    """The array run took the span kernel (with the kill switch: did not),
-    so a silent scalar fallback cannot pass for a kernel run."""
+    """The array run took the span kernel for every slot (with the kernel
+    unloaded: went to the reference engine), so a silent fallback cannot
+    pass for a kernel run."""
     spans = registry.counter("engine.array.kernel_spans")
     assert registry.counter("engine.array.kernel_aborts") == 0
     _assert_timed_per_call(registry)
     if kernel_mode == "no-kernel":
         assert spans == 0
         assert registry.counter("engine.array.fallback.unavailable") > 0
-    elif span_kernel.kernel_enabled() and span_kernel._compiler() is not None:
+    elif span_kernel._compiler() is not None:
         assert spans > 0
+        assert registry.counter("engine.array.kernel_slots") == \
+            registry.counter("engine.array.span_slots")
 
 
 @pytest.mark.parametrize("num_queues", WIDE_QUEUES)
-def test_wide_monolithic_deferred_plan(num_queues, kernel_mode, monkeypatch):
+def test_wide_monolithic_deferred_plan(num_queues, kernel_mode):
     """A weighted Bernoulli plan the kernel draws itself (deferred), then
     the drain window as a span of its own."""
     def make_sim():
@@ -342,15 +323,14 @@ def test_wide_monolithic_deferred_plan(num_queues, kernel_mode, monkeypatch):
 
     _assert_plan_reaches_wide_queues(
         make_sim().arrivals.arrivals(3000), num_queues)
-    baseline = _baseline(kernel_mode, monkeypatch,
-                         lambda engine: make_sim().run(3000, engine=engine))
+    baseline = make_sim().run(3000, engine="reference")
     array, registry = _observed(lambda: make_sim().run(3000, engine="array"))
     assert_reports_identical(baseline, array)
     _assert_kernel_ran(registry, kernel_mode)
 
 
 @pytest.mark.parametrize("num_queues", WIDE_QUEUES)
-def test_wide_explicit_markov_plan(num_queues, kernel_mode, monkeypatch):
+def test_wide_explicit_markov_plan(num_queues, kernel_mode):
     """A non-Bernoulli plan drawn in python and handed to the kernel as an
     explicit plan."""
     def make_sim():
@@ -359,8 +339,7 @@ def test_wide_explicit_markov_plan(num_queues, kernel_mode, monkeypatch):
 
     _assert_plan_reaches_wide_queues(
         make_sim().arrivals.arrivals(2400), num_queues)
-    baseline = _baseline(kernel_mode, monkeypatch,
-                         lambda engine: make_sim().run(2400, engine=engine))
+    baseline = make_sim().run(2400, engine="reference")
     array, registry = _observed(lambda: make_sim().run(2400, engine="array"))
     assert_reports_identical(baseline, array)
     _assert_kernel_ran(registry, kernel_mode)
@@ -368,10 +347,10 @@ def test_wide_explicit_markov_plan(num_queues, kernel_mode, monkeypatch):
 
 @pytest.mark.parametrize("num_queues", WIDE_QUEUES)
 def test_wide_stream_with_warmup_and_resume(num_queues, kernel_mode,
-                                            monkeypatch, tmp_path):
+                                            tmp_path):
     """Streamed wide run: the warmup and checkpoint marks cut the 700-slot
-    chunks unevenly (some below the kernel's minimum span), and resuming
-    from the last checkpoint reproduces the uninterrupted report."""
+    chunks unevenly, and resuming from the last checkpoint reproduces the
+    uninterrupted report."""
     def make_sim():
         return _wide_sim(num_queues, BernoulliArrivals(
             num_queues, load=0.9, seed=13,
@@ -379,9 +358,7 @@ def test_wide_stream_with_warmup_and_resume(num_queues, kernel_mode,
 
     geometry = dict(chunk_slots=700, warmup_slots=450)
     path = tmp_path / "wide.ckpt.json"
-    baseline = _baseline(kernel_mode, monkeypatch,
-                         lambda engine: make_sim().run_stream(
-                             4100, engine=engine, **geometry))
+    baseline = make_sim().run_stream(4100, engine="reference", **geometry)
     array, registry = _observed(lambda: make_sim().run_stream(
         4100, engine="array", checkpoint_every=1500, checkpoint_path=path,
         **geometry))
@@ -411,14 +388,14 @@ STREAM_SLOTS = 4000
 
 #: Chunkings of a 4000-slot stream, each with a warmup boundary inside a
 #: chunk and one checkpoint mark, and the main slots whose plan the kernel
-#: draws: every span below MIN_KERNEL_SLOTS; uneven chunks whose warmup
-#: split leaves a 50-slot span; one 65,536-slot chunk cut by the warmup
-#: boundary and the mark.
+#: draws (all of them, spans of any length): short chunks; uneven chunks
+#: whose warmup split leaves a 50-slot span; one 65,536-slot chunk cut by
+#: the warmup boundary and the mark.
 STREAM_GEOMETRIES = {
     "short-chunks": (dict(chunk_slots=150, warmup_slots=1000,
-                          checkpoint_every=2000), 0),
+                          checkpoint_every=2000), STREAM_SLOTS),
     "uneven": (dict(chunk_slots=1300, warmup_slots=1250,
-                    checkpoint_every=2450), STREAM_SLOTS - 50),
+                    checkpoint_every=2450), STREAM_SLOTS),
     "chunk-65536": (dict(chunk_slots=65536, warmup_slots=1700,
                          checkpoint_every=3000), STREAM_SLOTS),
 }
@@ -443,10 +420,10 @@ def _spy_batch_draws(patcher):
 def test_streamed_kernel_drawn_plans_identical(process, geometry,
                                                kernel_mode, monkeypatch,
                                                tmp_path):
-    """A streamed stock Bernoulli run matches the reference engine and the
-    kernel-off array run, uninterrupted and resumed from its mid-run
-    checkpoint; every main slot's arrival is drawn once, by the kernel or
-    by one python ``arrivals()`` call for a span the kernel declines."""
+    """A streamed stock Bernoulli run matches the reference engine,
+    uninterrupted and resumed from its mid-run checkpoint; every main
+    slot's arrival is drawn once, by the kernel, or by python's
+    ``arrivals()`` when the run went to the reference engine."""
     num_queues, make_arrivals = STREAM_PROCESSES[process]
     geometry, kernel_drawn = STREAM_GEOMETRIES[geometry]
     path = tmp_path / "stream.ckpt.json"
@@ -460,14 +437,12 @@ def test_streamed_kernel_drawn_plans_identical(process, geometry,
                      **geometry)
 
     reference = run("reference")
-    scalar = without_kernel(monkeypatch, lambda: run("array"))
     with monkeypatch.context() as patcher:
         calls = _spy_batch_draws(patcher)
         array, registry = _observed(lambda: run("array"))
         python_drawn = sum(calls)
         resumed = resume_stream(path)
     assert_reports_identical(reference, array)
-    assert_reports_identical(scalar, array)
     assert_reports_identical(reference, resumed)
     drawn = registry.counter("engine.array.kernel_plan_slots")
     if kernel_mode == "kernel" and span_kernel.load_kernel() is not None:
@@ -511,18 +486,18 @@ def test_process_with_more_queues_than_the_buffer_raises(mode, kernel_mode):
     """An arrival on a queue the buffer lacks raises the reference engine's
     error; the kernel neither draws the plan nor maps it onto the buffer's
     queues."""
-    with pytest.raises(KeyError) as reference:
+    with pytest.raises(ValidationError) as reference:
         _run_mode(lambda: _mismatched_sim(16), mode, "reference")
     registry = MetricsRegistry()
-    with using_metrics(registry), pytest.raises(KeyError) as array:
+    with using_metrics(registry), pytest.raises(ValidationError) as array:
         _run_mode(lambda: _mismatched_sim(16), mode, "array")
-    assert array.value.args == reference.value.args
+    assert str(array.value) == str(reference.value)
     assert registry.counter("engine.array.kernel_plan_slots") == 0
     assert registry.counter("engine.array.kernel_spans") == 0
 
 
 # --------------------------------------------------------------------- #
-# Why a span missed the kernel: engine.array.fallback.<reason>.
+# Why a run missed the kernel: engine.array.fallback.<reason>.
 # --------------------------------------------------------------------- #
 
 def _fallbacks(registry):
@@ -535,37 +510,57 @@ def _fallbacks(registry):
 @pytest.mark.parametrize("reason", ["policy", "traced", "short_span",
                                     "wide_queues", "unavailable"])
 def test_fallback_reason_counts_every_slot(reason, monkeypatch):
-    """One config per static reason: every span of the run misses the
-    kernel for that reason alone, and the counter holds all its slots."""
+    """One config per reason a run once missed the kernel.  A run the
+    kernel cannot take (a custom arbiter, too many queues, no kernel) goes
+    wholly to the reference engine, and the counter holds all its slots; a
+    traced run and one of short spans now run wholly on the kernel."""
     if reason == "wide_queues":
         monkeypatch.setattr(span_kernel, "MAX_KERNEL_QUEUES", 4)
     if reason == "unavailable":
         monkeypatch.setattr(span_kernel, "_kernel", None)
         monkeypatch.setattr(span_kernel, "_kernel_tried", True)
-    arbiter = (OldestCellArbiter(8) if reason == "policy"
+    arbiter = (_LongestQueue(8) if reason == "policy"
                else RandomArbiter(8, seed=4))
-    # Short spans: 100 main slots and a 32-slot drain (B=4).  Otherwise
-    # B=32, whose 312-slot drain window is no short span of its own.
+    # Short spans: 100 main slots and a 32-slot drain (B=4).
     short = reason == "short_span"
-    sim = ClosedLoopSimulation(
-        RADSPacketBuffer(RADSConfig(num_queues=8,
-                                    granularity=4 if short else 32)),
-        BernoulliArrivals(8, load=0.5, seed=3),
-        arbiter, record_trace=reason == "traced")
+
+    def make_sim():
+        return ClosedLoopSimulation(
+            RADSPacketBuffer(RADSConfig(num_queues=8,
+                                        granularity=4 if short else 32)),
+            BernoulliArrivals(8, load=0.5, seed=3),
+            arbiter, record_trace=reason == "traced")
+
     num_slots = 100 if short else 600
-    report, registry = _observed(lambda: sim.run(num_slots, engine="array"))
+    reference = make_sim().run(num_slots, engine="reference")
+    report, registry = _observed(lambda: make_sim().run(num_slots,
+                                                        engine="array"))
+    assert_reports_identical(reference, report)
+    if reason in ("traced", "short_span"):
+        if span_kernel.load_kernel() is not None:
+            assert _fallbacks(registry) == {}
+            assert registry.counter("engine.array.kernel_slots") == \
+                report.throughput.slots
+        return
     assert _fallbacks(registry) == {reason: report.throughput.slots}
-    assert registry.counter("engine.array.span_slots") == \
-        report.throughput.slots
+    assert registry.counter("engine.array.span_slots") == 0
     assert registry.counter("engine.array.kernel_spans") == 0
 
 
-def test_fallback_reason_shared_rng(monkeypatch):
+def _one_chunk_reference(make_sim, num_slots, **geometry):
+    """The reference engine streamed with each window's plan drawn whole
+    before the window's arbiter draws, as the array core draws a plan
+    whose process shares the arbiter's RNG (a monolithic reference run
+    interleaves the two processes' draws)."""
+    geometry.setdefault("chunk_slots", num_slots)
+    return make_sim().run_stream(num_slots, engine="reference", **geometry)
+
+
+def test_fallback_reason_shared_rng():
     """An arrival process sharing the arbiter's RNG cannot have its plan
-    drawn by the kernel: the main span draws it in python first (then runs
-    on the kernel with it), exactly as the scalar loop orders the draws.
-    (The reference loop interleaves the two processes' draws, so with one
-    shared RNG only the array core's two loops are comparable.)"""
+    drawn by the kernel: the main span draws it in python first, then
+    runs on the kernel with it, and no fallback is counted.  The report
+    equals the reference engine's on the same draw order."""
     if span_kernel.load_kernel() is None:
         pytest.skip("no C compiler: the span kernel never runs")
 
@@ -573,17 +568,16 @@ def test_fallback_reason_shared_rng(monkeypatch):
         arrivals = BernoulliArrivals(8, load=0.5, seed=3)
         arbiter = RandomArbiter(8, seed=4)
         arbiter._rng = arrivals._rng
-        # B=32: the drain window is long enough for the kernel too.
         return ClosedLoopSimulation(
             RADSPacketBuffer(RADSConfig(num_queues=8, granularity=32)),
             arrivals, arbiter)
 
-    scalar = without_kernel(monkeypatch,
-                            lambda: make_sim().run(600, engine="array"))
+    reference = _one_chunk_reference(make_sim, 600)
     array, registry = _observed(lambda: make_sim().run(600, engine="array"))
-    assert_reports_identical(scalar, array)
-    assert _fallbacks(registry) == {"shared_rng": 600}
+    assert_reports_identical(reference, array)
+    assert _fallbacks(registry) == {}
     assert registry.counter("engine.array.kernel_spans") == 2
+    assert registry.counter("engine.array.kernel_plan_slots") == 0
 
 
 class _PythonWindows(BernoulliArrivals):
@@ -595,11 +589,11 @@ class _PythonWindows(BernoulliArrivals):
         return super().arrivals_slice(start_slot, num_slots)
 
 
-def test_fallback_reason_shared_rng_streamed(monkeypatch):
+def test_fallback_reason_shared_rng_streamed():
     """Streamed, the shared RNG keeps each chunk's plan drawn in python
     ahead of the chunk's arbiter draws, whole even when the warmup
-    boundary splits the chunk: the report equals the kernel-off run and
-    the run whose windows are python's."""
+    boundary splits the chunk: the report equals the reference engine's
+    streamed run and the run whose windows are python's."""
     if span_kernel.load_kernel() is None:
         pytest.skip("no C compiler: the span kernel never runs")
 
@@ -614,15 +608,14 @@ def test_fallback_reason_shared_rng_streamed(monkeypatch):
     geometry = dict(chunk_slots=400, warmup_slots=1000)
     windows = make_sim(_PythonWindows).run_stream(2000, engine="array",
                                                   **geometry)
-    scalar = without_kernel(monkeypatch, lambda: make_sim().run_stream(
-        2000, engine="array", **geometry))
+    reference = _one_chunk_reference(make_sim, 2000, **geometry)
     array, registry = _observed(lambda: make_sim().run_stream(
         2000, engine="array", **geometry))
     assert_reports_identical(windows, array)
-    assert_reports_identical(scalar, array)
+    assert_reports_identical(reference, array)
     # Every chunk; the split one (800-1200) was drawn at the split and runs
     # its two parts on explicit plans.
-    assert _fallbacks(registry) == {"shared_rng": 2000}
+    assert _fallbacks(registry) == {}
     assert registry.counter("engine.array.kernel_plan_slots") == 0
     assert registry.counter("engine.array.kernel_spans") == 7
 
@@ -635,47 +628,50 @@ def _abort_codes(registry):
 
 
 def test_fallback_reason_abort():
-    """A strict-mode overflow aborts every kernel attempt; the python loop
-    then raises, and only the abort reason is recorded, every abort under
-    the kernel's ``strict`` code."""
+    """A strict-mode overflow aborts the kernel span, which raises the
+    reference engine's exception from its abort record: one abort, under
+    the kernel's ``overflow`` code, no fallback and no replay."""
     if span_kernel.load_kernel() is None:
         pytest.skip("no C compiler: the span kernel never runs")
-    sim = ClosedLoopSimulation(
-        _build_buffer("rads", tail_sram_cells=3, strict=True),
-        BernoulliArrivals(8, load=1.0, seed=11),
-        RandomArbiter(8, seed=12, load=0.3))
+
+    def make_sim():
+        return ClosedLoopSimulation(
+            _build_buffer("rads", tail_sram_cells=3, strict=True),
+            BernoulliArrivals(8, load=1.0, seed=11),
+            RandomArbiter(8, seed=12, load=0.3))
+
+    with pytest.raises(BufferOverflowError) as reference:
+        make_sim().run(1200, engine="reference")
     registry = MetricsRegistry()
-    with using_metrics(registry), pytest.raises(BufferOverflowError):
-        sim.run(1200, engine="array")
-    assert set(_fallbacks(registry)) == {"abort"}
-    aborts = registry.counter("engine.array.kernel_aborts")
-    assert aborts > 0
-    assert _abort_codes(registry) == {"strict": aborts}
+    with using_metrics(registry), pytest.raises(BufferOverflowError) as array:
+        make_sim().run(1200, engine="array")
+    assert str(array.value) == str(reference.value)
+    assert _fallbacks(registry) == {}
+    assert registry.counter("engine.array.kernel_aborts") == 1
+    assert _abort_codes(registry) == {"overflow": 1}
     _assert_timed_per_call(registry)
 
 
 def test_fallback_reason_no_lookahead():
     """No buffer config yields an empty lookahead (it is at least one
     slot), so no fallback reason names it: a core patched to an empty
-    lookahead still goes to the kernel, whose shape check aborts the span
-    as ``arg``, and the python loop runs it."""
+    lookahead still goes to the kernel, whose shape check rejects the span
+    as ``arg``, with the core untouched."""
+    if span_kernel.load_kernel() is None:
+        pytest.skip("no C compiler: the span kernel never runs")
     sim = ClosedLoopSimulation(
         _build_buffer("rads"), BernoulliArrivals(8, load=0.5, seed=3),
         RandomArbiter(8, seed=4))
     core = build_array_core(sim)
-    assert core._kernel_miss(1000) in (None, "unavailable")
     core.la_len = 0
-    assert core._kernel_miss(1000) in (None, "unavailable")
     registry = MetricsRegistry()
-    with using_metrics(registry):
+    with using_metrics(registry), pytest.raises(ConfigurationError,
+                                                match="rejected"):
         core.run_span(sim.arrivals.arrivals(1000), 1000)
-    assert core.slot == 1000
+    assert core.slot == 0
     assert registry.counter("engine.array.kernel_spans") == 0
-    if span_kernel.load_kernel() is not None:
-        assert _abort_codes(registry) == {"arg": 1}
-        assert _fallbacks(registry) == {"abort": 1000}
-    else:
-        assert _fallbacks(registry) == {"unavailable": 1000}
+    assert _abort_codes(registry) == {"arg": 1}
+    assert _fallbacks(registry) == {}
 
 
 #: One leg per Mersenne Twister key a span entry resumes: the scheme, and
@@ -691,21 +687,15 @@ CORRUPT_KEYS = {
 def test_mt_position_out_of_range_aborts(leg, monkeypatch):
     """A generator position outside [0, 624] would make the kernel read
     before the key (``key[-1]`` at -1): every entry rejects it as ``arg``
-    before drawing, and the python loop runs the span from the untouched
-    generator, so the report equals the kernel-off run."""
+    before drawing, leaving the generator untouched."""
     if span_kernel.load_kernel() is None:
         pytest.skip("no C compiler: the span kernel never runs")
     scheme, generator = CORRUPT_KEYS[leg]
-
-    def make_sim():
-        return ClosedLoopSimulation(
-            _build_buffer(scheme), BernoulliArrivals(8, load=0.8, seed=5),
-            RandomArbiter(8, seed=6))
-
-    scalar = without_kernel(monkeypatch,
-                            lambda: make_sim().run(900, engine="array"))
-    sim = make_sim()
+    sim = ClosedLoopSimulation(
+        _build_buffer(scheme), BernoulliArrivals(8, load=0.8, seed=5),
+        RandomArbiter(8, seed=6))
     target = generator(sim)
+    before = target.getstate()
     stock = span_kernel._rng_image
 
     def corrupted(rng):
@@ -715,10 +705,12 @@ def test_mt_position_out_of_range_aborts(leg, monkeypatch):
         return state, key, meta
 
     monkeypatch.setattr(span_kernel, "_rng_image", corrupted)
-    array, registry = _observed(lambda: sim.run(900, engine="array"))
-    assert_reports_identical(scalar, array)
+    registry = MetricsRegistry()
+    with using_metrics(registry), pytest.raises(ConfigurationError,
+                                                match="rejected"):
+        sim.run(900, engine="array")
     assert _abort_codes(registry) == {"arg": 1}
-    assert registry.counter("engine.array.fallback.abort") == 900
+    assert target.getstate() == before
 
 
 class _LongestQueue(LongestQueueArbiter):
@@ -735,12 +727,12 @@ def _rads_sim(arbiter):
 @pytest.mark.parametrize("mode", ["monolithic", "streamed"])
 @pytest.mark.parametrize("arbiter", ["longest_queue", None])
 def test_rads_runs_longest_queue_and_no_arbiter(arbiter, mode, kernel_mode,
-                                                monkeypatch, tmp_path):
+                                                tmp_path):
     """The RADS entry runs the arbiters the CFDS entry runs: a
     ``LongestQueueArbiter`` over the buffer's queues, and no arbiter.
     Monolithic, and streamed in uneven chunks with the warmup boundary
     inside one and a checkpoint resumed, the report equals the reference
-    engine's and the kernel-off run's, and no span counts ``policy``."""
+    engine's, and no run counts ``policy``."""
     path = tmp_path / "rads.ckpt.json"
 
     def run(engine):
@@ -752,10 +744,8 @@ def test_rads_runs_longest_queue_and_no_arbiter(arbiter, mode, kernel_mode,
                               checkpoint_path=path)
 
     reference = run("reference")
-    scalar = without_kernel(monkeypatch, lambda: run("array"))
     array, registry = _observed(lambda: run("array"))
     assert_reports_identical(reference, array)
-    assert_reports_identical(scalar, array)
     assert "policy" not in _fallbacks(registry)
     _assert_kernel_ran(registry, kernel_mode)
     if mode == "streamed":
@@ -768,7 +758,8 @@ def test_rads_runs_longest_queue_and_no_arbiter(arbiter, mode, kernel_mode,
 @pytest.mark.parametrize("arbiter", ["subclass", "fewer-queues"])
 def test_rads_longest_queue_variants_count_policy(arbiter):
     """A ``LongestQueueArbiter`` subclass, or one over fewer queues than the
-    buffer has, stays on the python loop as ``policy``."""
+    buffer has, sends the whole run to the reference engine as
+    ``policy``."""
     def make_sim():
         return _rads_sim(_LongestQueue(8) if arbiter == "subclass"
                          else LongestQueueArbiter(7))
@@ -803,12 +794,11 @@ def test_streamed_backlog_migration_identical(kernel_mode):
     assert array.throughput.arrivals > 3000
 
 
-def test_plan_entry_naming_no_queue_aborts_the_kernel(kernel_mode,
-                                                      monkeypatch):
+def test_plan_entry_naming_no_queue_aborts_the_kernel(kernel_mode):
     """An explicit plan entry past the last queue makes the kernel abort
     before it indexes any per-queue state (unchecked, it would write out
-    of bounds); the python replay then fails exactly as the scalar loop
-    and the reference engine do."""
+    of bounds), and python raises the reference engine's error for the
+    entry at its slot."""
     pattern = [q % 8 for q in range(300)] + [8] + [None] * 99
 
     def make_sim():
@@ -816,20 +806,17 @@ def test_plan_entry_naming_no_queue_aborts_the_kernel(kernel_mode,
             _build_buffer("rads"), TraceArrivals(pattern),
             RandomArbiter(8, seed=2))
 
-    with pytest.raises(KeyError) as reference:
+    with pytest.raises(ValidationError) as reference:
         make_sim().run(400, engine="reference")
-    with pytest.raises(KeyError) as scalar:
-        without_kernel(monkeypatch,
-                       lambda: make_sim().run(400, engine="array"))
-    assert scalar.value.args == reference.value.args == (8,)
+    assert str(reference.value) == (
+        "arrival 8 at slot 300 names no queue: an arrival must be None or "
+        "an int in [0, 8)")
     registry = MetricsRegistry()
-    with using_metrics(registry), pytest.raises(KeyError) as array:
+    with using_metrics(registry), pytest.raises(ValidationError) as array:
         make_sim().run(400, engine="array")
-    assert array.value.args == (8,)
+    assert str(array.value) == str(reference.value)
     if kernel_mode == "kernel" and span_kernel.load_kernel() is not None:
-        aborts = registry.counter("engine.array.kernel_aborts")
-        assert aborts > 0
-        assert _abort_codes(registry) == {"arg": aborts}
+        assert _abort_codes(registry) == {"plan": 1}
     assert registry.counter("engine.array.kernel_spans") == 0
 
 
@@ -838,10 +825,10 @@ def test_plan_entry_naming_no_queue_aborts_the_kernel(kernel_mode,
 def test_plan_entry_the_kernel_cannot_encode_raises(entry, kernel_mode):
     """An explicit plan entry of -1, the kernel's no-arrival code, is not
     read as an idle slot, and one past ``int32`` does not stop the plan's
-    conversion with ``array``'s error: the kernel aborts on the first and
-    declines the second, and the scalar loop raises the reference engine's
-    error (for -1, rather than indexing from the end of its per-queue
-    lists)."""
+    conversion with ``array``'s error: each becomes the kernel's abort
+    sentinel, and python raises the reference engine's error for the
+    original entry (for -1, rather than indexing from the end of a
+    per-queue list)."""
     pattern = [q % 8 for q in range(300)] + [entry] + [None] * 99
 
     def make_sim():
@@ -849,12 +836,13 @@ def test_plan_entry_the_kernel_cannot_encode_raises(entry, kernel_mode):
             _build_buffer("rads"), TraceArrivals(pattern),
             RandomArbiter(8, seed=2))
 
-    with pytest.raises(KeyError) as reference:
+    with pytest.raises(ValidationError) as reference:
         make_sim().run(400, engine="reference")
     registry = MetricsRegistry()
-    with using_metrics(registry), pytest.raises(KeyError) as array:
+    with using_metrics(registry), pytest.raises(ValidationError) as array:
         make_sim().run(400, engine="array")
-    assert array.value.args == reference.value.args == (entry,)
+    assert str(array.value) == str(reference.value)
+    assert f"arrival {entry} at slot 300" in str(array.value)
     assert registry.counter("engine.array.kernel_spans") == 0
 
 
