@@ -1,7 +1,7 @@
 """``repro lint`` — AST-based enforcement of the project's written contracts.
 
 The codebase rests on invariants that ordinary linters cannot see: every
-engine must be bit-exact, the picklable span cores must stay numpy-free,
+engine must be bit-exact, the span cores must pickle without a kernel,
 library failures must speak the :mod:`repro.errors` taxonomy, and
 observability must never run per slot.  Each contract is a named
 :class:`~repro.lint.engine.Rule` with ``file:line`` diagnostics and an

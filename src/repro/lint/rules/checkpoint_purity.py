@@ -1,22 +1,25 @@
-"""``checkpoint-purity`` — picklable span cores stay numpy/ctypes-free.
+"""``checkpoint-purity`` — span cores pickle without a loaded kernel.
 
 Streaming checkpoints pickle the span cores (``_ArrayCoreBase`` and every
-subclass) as plain Python, so a snapshot carries no numpy object and
-resumes on a machine *without* the compiled kernel.  An earlier kernel
-bridge had exactly this bug: it stashed a ctypes ``(c_int64 * n)`` view
-on the core as ``_bl8_arr``, which pickled the whole buffer (or failed
-outright) and broke numpy-free resume.  The
-fix moved it to a ``WeakKeyDictionary`` keyed by the core — state lives
-*beside* the core, never *on* it.
+subclass) together with their simulation, and a snapshot must unpickle,
+and resume, in a process that has not loaded the compiled kernel, or on
+another host.  So a core holds the machine in the kernel's encoding only
+as plain data: ints, lists, dicts and ``array('q')`` images (the
+per-queue arrays and the kernel's state image, which pickle as bytes and
+which the kernel reads through a pointer taken per call).  What the
+kernel call itself needs — ctypes structures, pointers and views into
+kernel-owned memory — lives in locals of the call, never on the core: an
+earlier bridge stashed a ctypes ``(c_int64 * n)`` view on the core as
+``_bl8_arr``, which pickled the whole buffer or failed outright.
 
 This rule enforces that shape statically: inside any class in the
 core-class closure (built over the whole file set in :meth:`prepare`, so
 subclasses in other modules are covered), an attribute assignment
 ``self.x = <expr>`` — or ``core.x = <expr>`` for parameters named
-``core`` anywhere in ``sim/`` — must not bind numpy/ctypes values,
-lambdas, generators, or open file handles.  Element-wise writes
-(``core.backlog[:] = ...``) are fine: they fill a plain list, they don't
-rebind the attribute.
+``core`` anywhere in ``sim/`` — must not bind ctypes or numpy values,
+lambdas, generators, or open file handles.  ``array`` values and
+element-wise writes (``core.backlog[:] = ...``, which fill the array the
+core already holds) are fine.
 
 Scope: ``sim`` (the only package defining span cores).
 """
@@ -35,12 +38,14 @@ CORE_ROOTS = frozenset({"_ArrayCoreBase"})
 
 class CheckpointPurityRule(Rule):
     name = "checkpoint-purity"
-    summary = "span cores never hold ndarray/ctypes/lambda/file attributes"
+    summary = "span cores never hold ctypes/numpy/lambda/file attributes"
     contract = (
         "Classes reachable from the picklable span cores (_ArrayCoreBase "
-        "closure) assign only plain-Python state to attributes; numpy "
-        "arrays, ctypes buffers, lambdas, generators and file handles "
-        "break numpy-free checkpoint resume (the _bl8_arr bug class).")
+        "closure) must pickle without a loaded kernel: they hold plain "
+        "Python state, with array('q') images as the sanctioned form of "
+        "the kernel's encoding; ctypes objects, numpy arrays, lambdas, "
+        "generators and file handles on a core break checkpoint resume "
+        "(the _bl8_arr bug class).")
     scope = frozenset({"sim"})
 
     def __init__(self) -> None:
@@ -136,9 +141,10 @@ class CheckpointPurityRule(Rule):
                         yield self.finding(
                             file, target,
                             f"{receiver}.{target.attr} = {impure} would be "
-                            f"pickled with {owner} and break numpy-free "
-                            "checkpoint resume; keep it in a "
-                            "WeakKeyDictionary beside the core",
+                            f"pickled with {owner}, which must pickle "
+                            "without a loaded kernel; hold kernel state as "
+                            "an array('q') image and keep ctypes objects "
+                            "in locals of the kernel call",
                             target.attr)
             elif isinstance(node, ast.AnnAssign) and node.value is not None:
                 impure = self._impurity(
@@ -150,8 +156,8 @@ class CheckpointPurityRule(Rule):
                     yield self.finding(
                         file, target,
                         f"{receiver}.{target.attr} = {impure} would be "
-                        f"pickled with {owner} and break numpy-free "
-                        "checkpoint resume",
+                        f"pickled with {owner}, which must pickle "
+                        "without a loaded kernel",
                         target.attr)
 
     def _impurity(self, value: ast.expr, numpy_names: Set[str],

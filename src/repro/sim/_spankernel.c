@@ -37,8 +37,9 @@
  * per-queue FIFO contents, SRAM heaps, the critical heap, pending blocks,
  * delays, misses, drained slots, trace rows -- is the kernel's own, and
  * the span's outcome comes back as one exact-size result that python reads
- * and then releases with rads_free_result().  No capacity is negotiated
- * with the caller, so there is nothing to overflow.
+ * and then releases with rads_free_result().  Its head is the new image,
+ * which python keeps unread and hands back as the next span's.  No
+ * capacity is negotiated with the caller, so there is nothing to overflow.
  *
  * Exactness contract:
  *  - the Mersenne Twister below is the reference mt19937ar generator that
@@ -334,7 +335,7 @@ typedef struct {
     double bern_total;              /* cum_weights[-1] + 0.0 */
     int64_t head_mma;               /* HEAD_* */
     int64_t traced;                 /* 1: return each main slot's row */
-    int64_t state_len;              /* elements in kptrs.state */
+    int64_t state_len;              /* image elements (in/out) */
     /* machine scalars (in/out) */
     int64_t arb_s0, arb_s1;         /* the arbiter's own state (ARB_*) */
     int64_t tail_total, dram_total, sram_total, la_pos, negatives;
@@ -700,7 +701,8 @@ static int64_t mach_open(machine *m, const kcfg *c, const kptrs *p,
 /* The span's one exact-size result (layout above kptrs): the image head,
  * `own` elements the entry writes at the returned address, then the main
  * window's delay pairs, the head misses and the drained slots; NULL on
- * OOM.  Writes the shared scalars and generator states back. */
+ * OOM.  Writes the new image's length (head and own), the shared scalars
+ * and generator states back. */
 static int64_t *mach_close(machine *m, kcfg *c, kptrs *p, int64_t own)
 {
     const int nq = m->nq;
@@ -732,6 +734,7 @@ static int64_t *mach_close(machine *m, kcfg *c, kptrs *p, int64_t own)
     for (i = 0; i < nq; i++)
         w = put(w, &m->qs[i].arr);
     at = put(w, &m->crit);
+    c->state_len = at + own - p->result;
     put(put(put(put_hist(at + own, &m->delays), &m->misses), &m->drained),
         &m->events);
 

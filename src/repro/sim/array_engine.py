@@ -5,18 +5,18 @@ The object model (``RADSPacketBuffer``/``CFDSPacketBuffer`` driven by
 dataclass per arrival, keeps every FIFO as a deque of cell objects and every
 SRAM as a heap of ``(seqno, id, cell)`` tuples, and walks half a dozen
 attribute chains per slot.  This module keeps the *same machine* as flat
-integer state, and the compiled span kernel (:mod:`repro.sim.kernel`) runs
-every slot of it:
+integer state, held once, in the compiled span kernel's own encoding
+(:mod:`repro.sim.kernel`), which runs every slot of it:
 
 * a cell is identified by its ``(queue, seqno)`` pair; per-queue seqnos are
-  dense, so the cells' arrival slots live in a per-queue list indexed by
-  seqno — no cell objects exist at all;
-* the tail-SRAM and DRAM per-queue FIFOs are :class:`collections.deque`
-  queues of seqnos, with flat ``int`` occupancy lists;
-* the head SRAM is a per-queue min-heap of bare seqnos (out-of-order block
-  delivery in CFDS still yields in-order service);
-* the lookahead and latency shift registers are lists with a rotating
-  cursor;
+  dense, so a queue's cells in flight are its arrival slots in seqno order
+  — no cell objects exist at all;
+* per-queue counts (backlog, seqnos, occupancies, MMA counters), the
+  eligible list and the lookahead and latency shift registers (``-1`` =
+  empty) are ``array('q')``s;
+* the FIFO contents, head-SRAM heaps and every other variable-length part
+  of the machine are one image (``image``) that only the kernel reads: it
+  takes the image at the start of a span and hands the next one back;
 * the latency histogram is a plain dict of ints, folded into
   :class:`~repro.sim.stats.LatencyStats` once, after the run.
 
@@ -25,11 +25,11 @@ policies in *algebraically identical* incremental forms:
 
 * **ECQF** — the O(lookahead) walk ("first queue whose bookkeeping occupancy
   would go negative") always selects the queue whose ``(counter+1)``-th
-  outstanding request entered the pipeline earliest.  The core keeps each
-  queue's request entry slots (``req_slots``) and pending count
-  (``req_count``), and the kernel tracks that *critical entry slot* per
-  queue in a lazily invalidated min-heap, so a selection is an O(1)
-  amortised heap peek instead of a 400-entry walk.
+  outstanding request entered the pipeline earliest.  The kernel keeps each
+  queue's request entry slots and pending count (``req_count``), and tracks
+  that *critical entry slot* per queue (``crit_cache``) in a lazily
+  invalidated min-heap, so a selection is an O(1) amortised heap peek
+  instead of a 400-entry walk.
 * **MDQF** — the same pending counts make its deficit scan O(Q).
 * **ThresholdTailMMA** — an occupancy max-scan, skipped while no queue
   holds a block.
@@ -51,8 +51,9 @@ and by the differential fuzzer.
 **Routing, once per run.**  :func:`kernel_miss` decides whether the kernel
 can run a simulation: stock head MMA (ECQF or MDQF) and threshold tail MMA,
 a stock arbiter over exactly the buffer's queues
-(:func:`~repro.sim.kernel.span_arbiter`), at most ``MAX_KERNEL_QUEUES``
-queues and a loaded kernel.  A run it cannot take goes wholly to the
+(:func:`~repro.sim.kernel.span_arbiter`), an arrival process with an RNG of
+its own, at most ``MAX_KERNEL_QUEUES`` queues and a loaded kernel.  A run
+it cannot take goes wholly to the
 reference engine, and with metrics on its slots are counted as
 ``engine.array.fallback.<reason>``.  A span the kernel aborts raises the
 reference engine's exception from the kernel's abort record.  The arrival
@@ -63,8 +64,8 @@ each chunk of a streamed one, on either core.
 The engine consumes a *freshly built* buffer: it reads the configuration and
 the sizes of the issue-period machinery off the buffer object once and keeps
 all state in its own arrays, so the buffer instance itself is not stepped
-(a CFDS core shares only its group-occupancy list, which the buffer's
-``dram_group_occupancy()`` reads).  Running an
+(a CFDS core shares only its group-occupancy array, which it puts in place
+of the buffer's list, so ``dram_group_occupancy()`` reads it).  Running an
 already-run (or hand-stepped) simulation on the array engine raises
 :class:`~repro.errors.StaleSimulationError`, whatever would have run it.
 
@@ -73,9 +74,11 @@ already-run (or hand-stepped) simulation on the array engine raises
 simulates any number of slots and can be called repeatedly — that is what
 the streaming path (:mod:`repro.sim.streaming`) uses to run arbitrarily
 long horizons on bounded memory and to checkpoint mid-run: a core holds
-only plain data (lists, deques, dicts, ints) plus references to the
-simulation and buffer objects, so pickling the core captures the complete
-machine state.  The streaming driver takes each chunk's plan from
+only plain data (ints, lists, dicts, and ``array('q')``s in the kernel's
+encoding, the image included) plus references to the simulation and
+buffer objects, so pickling the core captures the complete machine state,
+and no kernel need be loaded to pickle or unpickle it.  The streaming
+driver takes each chunk's plan from
 :func:`window_plan`, and :func:`run_array`, the monolithic convenience
 wrapper (one main span, one drain span, one report), takes its whole
 horizon's plan from it.
@@ -87,7 +90,6 @@ retired names ``numpy`` and ``batched`` run ``array`` and ``reference``.
 from __future__ import annotations
 
 from array import array
-from collections import deque
 from itertools import accumulate
 from typing import List, Optional
 
@@ -101,7 +103,7 @@ from repro.mma.mdqf import MDQF
 from repro.mma.tail_mma import ThresholdTailMMA
 from repro.obs.metrics import get_metrics
 from repro.sim import kernel
-from repro.traffic.arbiters import IntermittentArbiter, RandomArbiter
+from repro.traffic.arbiters import IntermittentArbiter
 from repro.traffic.arrivals import BernoulliArrivals
 from repro.types import MissRecord, SimulationResult
 
@@ -116,9 +118,6 @@ DEFAULT_ENGINE = "array"
 #: ``numpy`` was this core plus the span kernel, ``batched`` was an
 #: object-model loop (any buffer, already-stepped simulations).
 _RETIRED_ENGINES = {"numpy": "array", "batched": "reference"}
-
-#: "No critical entry" marker in the per-queue critical-slot cache.
-_INF = float("inf")
 
 
 def resolve_engine(engine: str) -> str:
@@ -138,8 +137,14 @@ def kernel_miss(sim) -> Optional[str]:
     ``engine.array.fallback.<reason>`` counter its run's slots go to — or
     ``None`` when it can: stock ECQF or MDQF and threshold tail MMA (exact
     types: a subclass may override the policy), an arbiter
-    :func:`~repro.sim.kernel.span_arbiter` takes, at most
-    ``MAX_KERNEL_QUEUES`` queues and a loaded kernel."""
+    :func:`~repro.sim.kernel.span_arbiter` takes, an arrival process that
+    does not draw from the arbiter's RNG object (``shared_rng``), at most
+    ``MAX_KERNEL_QUEUES`` queues and a loaded kernel.
+
+    The reference engine interleaves a shared RNG's draws slot by slot, the
+    process's before the arbiter's; the array core draws a window's plan
+    before any of the window's arbiter draws, so its report would differ.
+    """
     buffer = sim.buffer
     num_queues = buffer.config.num_queues
     tail_mma = buffer.tail.mma
@@ -148,6 +153,12 @@ def kernel_miss(sim) -> Optional[str]:
             and tail_mma.granularity == buffer.config.granularity
             and kernel.span_arbiter(sim.arbiter, num_queues) is not None):
         return "policy"
+    arbiter = sim.arbiter
+    if type(arbiter) is IntermittentArbiter:
+        arbiter = arbiter.inner
+    rng = getattr(arbiter, "_rng", None)
+    if rng is not None and getattr(sim.arrivals, "_rng", None) is rng:
+        return "shared_rng"
     if num_queues > kernel.MAX_KERNEL_QUEUES:
         return "wide_queues"
     if kernel.load_kernel() is None:
@@ -241,48 +252,14 @@ def build_array_core(sim):
 
 
 def resume_core(core) -> None:
-    """Ready a core restored from a checkpoint for the span kernel.
-
-    Raises :class:`~repro.errors.CheckpointError` when the kernel cannot
-    run it (:func:`kernel_miss`).  A core that kept no pending-request view
-    (a checkpoint of an MDQF run from before MDQF ran on the kernel) gets
-    it rebuilt from its lookahead and latency rings, and the eligible list
-    a random arbiter draws from is rebuilt from the backlog.
-    """
+    """Check that a core restored from a checkpoint can run on the span
+    kernel: :class:`~repro.errors.CheckpointError` when it cannot
+    (:func:`kernel_miss`)."""
     reason = kernel_miss(core.sim)
     if reason is not None:
         raise CheckpointError(
             f"the checkpoint's array core cannot run on the span kernel "
             f"({reason}); rerun it on engine='reference'")
-    if not core.fast_ecqf:
-        _rebuild_pending_view(core)
-    core.eligible[:] = [queue for queue, count in enumerate(core.backlog)
-                        if count > 0]
-
-
-def _rebuild_pending_view(core) -> None:
-    """The pending-request view (``req_slots``, ``req_count``, the
-    negative-counter count and the critical entries) from the requests in
-    the core's shift registers: the latency register (CFDS) holds the
-    oldest, then the lookahead; the request at position ``k`` of a ring,
-    oldest first, entered ``k`` slots after the ring's oldest."""
-    rings = [(core.lookahead, core.la_pos, core.slot - core.la_len)]
-    if isinstance(core, _CFDSCore) and core.lat_len:
-        rings.insert(0, (core.latency_reg, core.lat_pos,
-                         core.slot - core.la_len - core.lat_len))
-    req_slots: List[List[int]] = [[] for _ in range(core.num_queues)]
-    for ring, pos, oldest in rings:
-        for offset, queue in enumerate(ring[pos:] + ring[:pos]):
-            if queue is not None:
-                req_slots[queue].append(oldest + offset)
-    core.req_slots[:] = req_slots
-    core.req_head[:] = [0] * core.num_queues
-    core.req_count[:] = [len(slots) for slots in req_slots]
-    core.negatives = sum(1 for count in core.counters if count < 0)
-    core.crit_cache[:] = [slots[count] if 0 <= count < len(slots) else _INF
-                          for count, slots in zip(core.counters, req_slots)]
-    core.crit_heap[:] = []  # MDQF, the one such policy, keeps no heap
-    core.fast_ecqf = True
 
 
 class _DeferredPlan:
@@ -293,7 +270,8 @@ class _DeferredPlan:
     per chunk of a streamed run, so the compiled span kernel can draw the
     plan natively (same words, same doubles) and write the consumed RNG
     state back; :meth:`materialize` instead advances the process RNG
-    exactly as the ``arrivals()`` call would have at this point.
+    exactly as the ``arrivals()`` call would have at this point (the
+    switch's fabric stage draws a window in python so).
     """
 
     __slots__ = ("proc", "num_slots", "cum_weights", "total")
@@ -306,15 +284,6 @@ class _DeferredPlan:
 
     def __len__(self) -> int:
         return self.num_slots
-
-    def shares_rng(self, sim) -> bool:
-        """True when the process draws from the arbiter's RNG object (an
-        intermittent arbiter's inner one), whose draws for a span must then
-        follow the plan's."""
-        arbiter = sim.arbiter
-        if type(arbiter) is IntermittentArbiter:
-            arbiter = arbiter.inner
-        return self.proc._rng is getattr(arbiter, "_rng", None)
 
     def bern(self):
         """The kernel's ``bern`` argument: the process RNG, the load gate's
@@ -382,20 +351,13 @@ def window_plan(sim, core, start_slot: int, num_slots: int):
     return window if isinstance(window, list) else list(window)
 
 
-def split_plan(core, plan, cut: int):
+def split_plan(plan, cut: int):
     """``plan``'s first ``cut`` slots and the rest (a warmup boundary inside
-    a chunk).
-
-    A deferred plan splits into two deferred parts, unless its process
-    shares the arbiter's RNG: then the whole window is drawn here, before
-    the arbiter draws for either part, as for an undeferred chunk.
-    """
+    a chunk); a deferred plan splits into two deferred parts."""
     if isinstance(plan, _DeferredPlan):
-        if not plan.shares_rng(core.sim):
-            return (_DeferredPlan(plan.proc, cut, plan.cum_weights),
-                    _DeferredPlan(plan.proc, plan.num_slots - cut,
-                                  plan.cum_weights))
-        plan = plan.materialize()
+        return (_DeferredPlan(plan.proc, cut, plan.cum_weights),
+                _DeferredPlan(plan.proc, plan.num_slots - cut,
+                              plan.cum_weights))
     return plan[:cut], plan[cut:]
 
 
@@ -406,68 +368,53 @@ def split_plan(core, plan, cut: int):
 class _ArrayCoreBase:
     """State shared by the RADS and CFDS struct-of-arrays cores.
 
-    A core holds *only plain data* (lists, deques, dicts, ints) plus
-    references to the simulation and buffer objects — the span kernel's
-    inputs are re-derived at every :meth:`run_span`, never stored — so
-    pickling a core (together with its simulation, in one payload) captures
-    the complete machine state for checkpoint/resume.
+    The machine lives here once, in the span kernel's encoding: fixed-shape
+    state as ``array('q')``s and scalars, the rest as the kernel's image
+    (``image``, built by :func:`~repro.sim.kernel.empty_image` and replaced
+    by the one each span returns), which no python code reads.  A core
+    holds *only plain data* (ints, lists, dicts and those arrays) plus
+    references to the simulation and buffer objects, so pickling a core
+    (together with its simulation, in one payload) captures the complete
+    machine state for checkpoint/resume.
     """
 
     def __init__(self, sim, buffer) -> None:
         self.sim = sim
         self.buffer = buffer
         config = buffer.config
-        self.num_queues = config.num_queues
+        num_queues = self.num_queues = config.num_queues
         self.granularity = config.granularity
         self.strict = config.strict
         self.tail_cap = config.effective_tail_sram_cells
         self.la_len = config.effective_lookahead
-        tail_mma = buffer.tail.mma
         head_mma = buffer.head.mma
-        # The policy flags of checkpoint version 3.  ``fast_ecqf`` marks a
-        # core that keeps the pending-request view below (every core the
-        # kernel runs; :func:`resume_core` rebuilds it for one that did
-        # not), and ``ecqf_fallback`` is ECQF's most-deficit fallback.
-        # Nothing reads ``fast_tail`` and ``fast_random`` any more; they
-        # stay so a version-3 checkpoint has one layout on every tree.
-        self.fast_tail = (type(tail_mma) is ThresholdTailMMA
-                          and tail_mma.granularity == self.granularity)
-        self.fast_ecqf = True
         self.ecqf_fallback = (type(head_mma) is ECQF
                               and head_mma.fallback_to_most_deficit)
-        self.fast_random = type(sim.arbiter) is RandomArbiter
-        self.eligible: List[int] = []  # ascending queues with backlog > 0
 
-        num_queues = self.num_queues
         self.slot = 0                  # next slot to simulate
         self.main_slots = 0            # arrival/request slots executed so far
         self.finished = False
-        self.backlog = [0] * num_queues
-        self.next_seqno = [0] * num_queues
-        self.delivered = [0] * num_queues
-        self.arr_slots: List[List[int]] = [[] for _ in range(num_queues)]
-        self.arr_base = [0] * num_queues
-        self.tail_fifo = [deque() for _ in range(num_queues)]
-        self.tail_occ = [0] * num_queues
-        self.tail_total = 0
-        self.dram_fifo = [deque() for _ in range(num_queues)]
-        self.dram_occ = [0] * num_queues
-        self.dram_total = 0
-        self.sram_heap: List[List[int]] = [[] for _ in range(num_queues)]
-        self.sram_total = 0
-        self.counters = [0] * num_queues
-        self.lookahead: List[Optional[int]] = [None] * self.la_len
+        zeros = array("q", bytes(8 * num_queues))
+        self.backlog = zeros[:]
+        self.next_seqno = zeros[:]
+        self.delivered = zeros[:]
+        self.counters = zeros[:]
+        self.req_count = zeros[:]      # requests pending in the pipeline
+        self.tail_occ = zeros[:]
+        self.dram_occ = zeros[:]
+        # ECQF's critical entry slot per queue (``CRIT_INF`` = none), the
+        # queues with backlog in ascending order (the first
+        # ``eligible_len``) and the lookahead ring (``-1`` = no request).
+        self.crit_cache = array("q", [kernel.CRIT_INF]) * num_queues
+        self.eligible = zeros[:]
+        self.eligible_len = 0
+        self.la_ring = array("q", [-1]) * self.la_len
         self.la_pos = 0
-        # The pending-request view the head MMAs read: per-queue entry
-        # slots of the requests currently in the pipeline (cursor lists),
-        # the per-queue pending count, the number of queues with a negative
-        # counter, and ECQF's critical entry slots with their lazy heap.
-        self.req_slots: List[List[int]] = [[] for _ in range(num_queues)]
-        self.req_head = [0] * num_queues
-        self.req_count = [0] * num_queues
-        self.negatives = 0
-        self.crit_cache: List = [_INF] * num_queues
-        self.crit_heap: List = []
+        self.tail_total = 0
+        self.dram_total = 0
+        self.sram_total = 0
+        self.negatives = 0             # queues with a negative counter
+        self.crit_len = 0              # critical-heap keys in the image
 
         self.arrivals_count = 0
         self.departures = 0
@@ -514,13 +461,11 @@ class _ArrayCoreBase:
 
         ``plan`` is the arrival plan for exactly this window (``None`` for a
         drain-only span, a :class:`_DeferredPlan` for a window of a stock
-        Bernoulli process, an ``Optional[int]`` list or an ``int32`` row);
-        ``main=False`` runs drain slots (no arrivals, no requests,
-        departures recorded for final-slot stamping).  A deferred plan is
-        drawn by the kernel, unless its process shares the arbiter's RNG
-        object: then its words come strictly first, so python draws them
-        here.  A span the kernel aborts raises the reference engine's
-        exception.
+        Bernoulli process, which the kernel draws, an ``Optional[int]`` list
+        or an ``int32`` row); ``main=False`` runs drain slots (no arrivals,
+        no requests, departures recorded for final-slot stamping).  A span
+        the kernel aborts raises the reference engine's exception and
+        leaves the core, the simulation and their generators as they were.
         """
         self._check_not_finished()
         obs = get_metrics()
@@ -533,10 +478,7 @@ class _ArrayCoreBase:
         if not main:
             plan = None
         elif isinstance(plan, _DeferredPlan):
-            if plan.shares_rng(self.sim):
-                plan = plan.materialize()
-            else:
-                bern, plan = plan.bern(), None
+            bern, plan = plan.bern(), None
         if plan is not None and len(plan) < num_slots:
             raise ConfigurationError(
                 f"the arrival plan covers {len(plan)} slots, but the span "
@@ -585,14 +527,16 @@ class _ArrayCoreBase:
 
 class _RADSCore(_ArrayCoreBase):
     """Struct-of-arrays machine for :class:`~repro.rads.buffer.RADSPacketBuffer`:
-    the shared state plus the blocks in flight from DRAM to the head SRAM,
-    run by the kernel's ``rads_run_span``."""
+    the shared state plus the blocks in flight from DRAM to the head SRAM
+    (``pending_len`` of them, in the image), run by the kernel's
+    ``rads_run_span``."""
 
     def __init__(self, sim, buffer) -> None:
         super().__init__(sim, buffer)
         self.dram_cap = buffer.dram.capacity_cells
         self.sram_cap = buffer.head.sram.capacity_cells
-        self.pending = deque()  # (finish_slot, queue, [seqnos]) DRAM->SRAM
+        self.pending_len = 0
+        self.image = kernel.empty_image(self.num_queues)
 
     def _drain_slots(self) -> int:
         return self.la_len + self.granularity
@@ -621,30 +565,30 @@ class _RADSCore(_ArrayCoreBase):
 class _CFDSCore(_ArrayCoreBase):
     """Struct-of-arrays machine for :class:`~repro.core.buffer.CFDSPacketBuffer`.
 
-    The issue-period machinery is the core's own flat state, configured once
+    The issue-period machinery is the core's own state, configured once
     from the buffer's objects at construction and never stepped through
-    them (they keep their initial state, apart from the group-occupancy
-    list, which is shared — see below):
+    them (they keep their initial state, apart from the group occupancy,
+    which is shared — see below).  Beside the shared state it keeps, in the
+    kernel's encoding:
 
-    * the Requests Register ``rr``: ``(bank, issue_slot, landing_queue,
-      seqs)`` entries in age order (``seqs`` is ``None`` for a write), and
-      its peak occupancy;
-    * the Ongoing Requests Register: a lock count per bank plus ``orr``, a
-      ring of the banks issued in each of the last ``orr_size`` periods;
-    * the banked DRAM: per-bank busy-until slots, the conflict count and
-      the last issue slot;
-    * the transfers in flight, ``(finish_slot, rr_entry)`` in issue order,
-      the earliest finish among them and the largest request-to-data delay
-      seen;
-    * queue renaming (Section 6): per logical queue a deque of ``[physical,
-      cells]`` entries, the free physical names of each group as stacks,
-      in-use flags, and the group occupancy;
-    * each logical queue's ``(physical, block_index)`` locations in DRAM
-      and each physical queue's write count.
+    * the latency register ``lat_ring`` (``-1`` = no request);
+    * the Ongoing Requests Register's lock count per bank (``locks``), the
+      banked DRAM's busy-until slot per bank, the conflict count, the last
+      issue slot (``kernel.NO_SLOT`` = none), the earliest finish among
+      the transfers in flight (``kernel.CRIT_INF`` = none), the largest
+      request-to-data delay seen and the Requests Register's peak;
+    * queue renaming's (Section 6) in-use flags per physical queue (empty
+      without renaming), each physical queue's write count and the group
+      occupancy;
+    * in the image: the Requests Register, the transfers in flight, the
+      ORR ring of the banks issued in each of the last ``orr_len``
+      periods, the renaming registers and free names, and each logical
+      queue's block locations in DRAM.
 
-    The group-occupancy list *is* the renaming table's (or, without
-    renaming, the buffer's), so :meth:`~repro.core.buffer.CFDSPacketBuffer.\
-dram_group_occupancy` and ``dram_utilisation()`` answer for an array run.
+    The group-occupancy array takes the place of the renaming table's (or,
+    without renaming, the buffer's) list, so
+    :meth:`~repro.core.buffer.CFDSPacketBuffer.dram_group_occupancy` and
+    ``dram_utilisation()`` answer for an array run.
     """
 
     def __init__(self, sim, buffer) -> None:
@@ -654,7 +598,7 @@ dram_group_occupancy` and ``dram_utilisation()`` answer for an array run.
         self.sram_cap = buffer.head.sram.capacity_cells
         self.lat_len = config.effective_latency
         self.dram_access_slots = config.dram_access_slots
-        self.latency_reg: List[Optional[int]] = [None] * self.lat_len
+        self.lat_ring = array("q", [-1]) * self.lat_len
         self.lat_pos = 0
 
         scheduler = buffer.scheduler
@@ -667,34 +611,34 @@ dram_group_occupancy` and ``dram_utilisation()`` answer for an array run.
         self.dram_strict = scheduler.dram.strict
         self.num_groups = mapping.num_groups
         self.banks_per_group = mapping.banks_per_group
-        self.rr: List[tuple] = []
         self.rr_peak = 0
-        self.orr: List[tuple] = [()] * scheduler.ongoing.length
+        self.orr_len = scheduler.ongoing.length
         self.orr_pos = 0
-        self.locks = [0] * timing.num_banks
-        self.busy_until = [0] * timing.num_banks
+        banks = array("q", bytes(8 * timing.num_banks))
+        self.locks = banks[:]
+        self.busy_until = banks[:]
         self.conflicts = 0
-        self.last_issue: Optional[int] = None
-        self.in_flight: List[tuple] = []
-        self.flight_next = _INF
+        self.last_issue = kernel.NO_SLOT
+        self.flight_next = kernel.CRIT_INF
         self.max_delay = 0
 
         renaming = buffer.renaming
-        self.block_locations = [deque() for _ in range(self.num_queues)]
-        self.write_count = [0] * mapping.num_queues
+        self.renaming = renaming is not None
+        self.write_count = array("q", bytes(8 * mapping.num_queues))
+        table = buffer if renaming is None else renaming
+        self.group_occ = table._group_occupancy = array(
+            "q", table._group_occupancy)
         if renaming is None:
             self.group_cap = buffer.group_capacity_cells
-            self.group_occ = buffer._group_occupancy
-            self.names = None
-            self.free_names = None
-            self.in_use = None
+            self.in_use = array("q")
+            free_names = None
         else:
             self.group_cap = renaming.group_capacity_cells
-            self.group_occ = renaming._group_occupancy
-            self.names = [deque() for _ in range(self.num_queues)]
-            self.free_names = [list(renaming._free_by_group[group])
-                               for group in range(self.num_groups)]
-            self.in_use = [False] * renaming.num_physical
+            self.in_use = array("q", bytes(8 * renaming.num_physical))
+            free_names = [renaming._free_by_group[group]
+                          for group in range(self.num_groups)]
+        self.image = kernel.empty_image(self.num_queues, self.orr_len,
+                                        free_names)
 
     def _drain_slots(self) -> int:
         return (self.la_len + self.lat_len + self.dram_access_slots

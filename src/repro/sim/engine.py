@@ -10,13 +10,17 @@ Two engines produce bit-identical reports:
 * the **array engine** (``engine="array"``, the default) — the same
   machine as flat integer state (:mod:`repro.sim.array_engine`), every slot
   of it run by the compiled span kernel (:mod:`repro.sim.kernel`).  A run
-  the kernel cannot take (a custom policy, too many queues, no C compiler)
-  goes wholly to the reference loop.
+  the kernel cannot take (a custom policy, an arrival process drawing from
+  the arbiter's RNG, too many queues, no C compiler) goes wholly to the
+  reference loop.
 
 Equivalence holds because arrival processes and arbiters draw from separate
 seeded RNGs (pre-generating arrivals does not perturb the arbiter's stream)
 and because the array engine's incremental state replays exactly the
-transitions the buffer objects make.  It is asserted for every registered
+transitions the buffer objects make.  A process that shares the arbiter's
+RNG object breaks the first premise: its plan drawn ahead of a window
+differs from the per-slot interleaving, so such a run stays on the
+reference loop, and only a monolithic run is its reference.  It is asserted for every registered
 scenario by the workloads and array-engine test suites and by the
 differential fuzzer.
 """
@@ -199,7 +203,8 @@ class ClosedLoopSimulation:
         the report's statistics, and can write resumable checkpoints every
         ``checkpoint_every`` slots.  With ``warmup_slots=0`` the report is
         bit-identical to :meth:`run` on the same engine, for every chunk
-        size.
+        size, provided the arrival process and the arbiter draw from
+        separate RNGs (each chunk's plan is drawn before its arbiter draws).
         """
         from repro.sim.streaming import StreamingSimulation
 

@@ -22,36 +22,39 @@ entries share the SRAM/MMA half of that loop (arrival with cut-through,
 the threshold tail MMA, the lookahead, ECQF or MDQF, service), and so the
 arbiters and plans: each runs every stock arbiter (:func:`span_arbiter`),
 on an explicit plan, a Bernoulli plan it draws itself, or none,
-marshalled once for both by ``_Handoff``.  Python hands it only
-fixed-shape :mod:`array` buffers — per-queue scalars, the eligible list,
-the lookahead ring, RNG keys, the arrival plan, a trace arbiter's pattern —
-plus one image of the core's variable-length state (:func:`_state_image`).
-Every buffer that grows during the span is the kernel's own; it returns one
-exact-size result (the new state, the main window's delays already folded
-into ``(delay, count)`` pairs, misses, drained slots and, for a traced run,
-each slot's arrival and request), which :func:`run_span_kernel` reads
-through a :class:`memoryview`, applies to the python core and releases with
-the kernel's ``rads_free_result``.  It takes any ``num_queues`` up to
-:data:`MAX_KERNEL_QUEUES` and spans of any length: its arbiter draws read
-whole 32-bit words, and its arrival plan and trace pattern are ``int32``
-(``-1`` = none; an entry that names no queue is encoded as one the kernel
-aborts on).
+marshalled once for both by ``_Handoff``.
+
+The kernel's encoding is the array core's only copy of the machine.  Its
+fixed-shape state — per-queue counts, the critical-entry cache, the
+eligible list, the lookahead ring and, for CFDS, the latency ring, the
+per-bank ORR locks and busy-until slots, the group occupancy, in-use flags
+and write counts — lives on the core as ``array('q')``s, which the kernel
+updates in copies taken per call.  The variable-length state — FIFO
+contents, SRAM heaps, the critical heap, pending blocks and, for CFDS, the
+Requests Register, the transfers in flight, the ORR ring, the renaming
+registers, free names and block locations — is one image that python
+never walks: :func:`empty_image` builds a fresh core's, and every span
+hands the kernel the core's image and keeps the one it returns.  Every
+buffer that grows during the span is the kernel's own; it returns one
+exact-size result (the new image, then the main window's delays already
+folded into ``(delay, count)`` pairs, misses, drained slots and, for a
+traced run, each slot's arrival and request), which :func:`_read_result`
+copies out and releases with the kernel's ``rads_free_result``.  It takes
+any ``num_queues`` up to :data:`MAX_KERNEL_QUEUES` and spans of any length:
+its arbiter draws read whole 32-bit words, and its arrival plan and trace
+pattern are ``int32`` (``-1`` = none; an entry that names no queue is
+encoded as one the kernel aborts on).
 
 A span that stops early — every raise site of the reference engine, an
-allocation failure, a rejected input — writes nothing back and returns an
-abort record: the error code, the slot and the integers the reference's
-exception carries.  :func:`_raise_abort` raises that exception, with the
-same type and message; nothing is replayed.  Every result is bit-identical
-to the reference engine's (asserted by ``tests/sim/test_span_kernel.py``,
-``tests/sim/test_cfds_kernel.py`` and the differential fuzzer).
-
-The CFDS entry follows the same rules.  Python also hands it the latency
-ring, the per-bank ORR lock counts and busy-until slots, the group
-occupancy, in-use flags and write counts (all updated in place), and
-appends the Requests Register, the transfers in flight, the ORR ring, the
-renaming registers, free names and block locations to the shared state
-image (:func:`_state_image`); the result comes back in the same layout and
-:func:`_apply_result` reads the part both cores share.
+allocation failure, a rejected input — returns an abort record: the error
+code, the slot and the integers the reference's exception carries.  The
+core's arrays, image, scalars and the generators are written back only
+after a span that succeeds, so an aborted one leaves them as they were,
+and :func:`_raise_abort` raises the reference's exception, with the same
+type and message; nothing is replayed.  Every result is bit-identical to
+the reference engine's (asserted by ``tests/sim/test_span_kernel.py``,
+``tests/sim/test_cfds_kernel.py`` and the differential fuzzer).  The CFDS
+entry follows the same rules.
 
 The fabric entry follows the same ownership rules.  Python hands it the
 window's ``int32`` arrival plan, iSLIP's pointers or the random policy's MT
@@ -99,8 +102,6 @@ import sysconfig
 import tempfile
 import threading
 from array import array
-from collections import deque
-from itertools import chain, islice
 from pathlib import Path
 from time import perf_counter
 from typing import List, NamedTuple, Optional, Union
@@ -159,8 +160,10 @@ _ABORT_CODES = {_ERR_OOM: "oom", _ERR_ARG: "arg", _ERR_PLAN: "plan",
 #: :class:`~repro.errors.BufferOverflowError` names them.
 _STRUCTURES = ("SRAM", "tail SRAM", "DRAM", "Requests Register")
 
-_CRIT_INF = (1 << 63) - 1  # INT64_MAX, the C marker for "no critical entry"
-_NO_SLOT = -(1 << 63)      # INT64_MIN, the C marker for "no issue yet"
+#: INT64_MAX, the C marker for "no critical entry" (and "nothing in
+#: flight"), and INT64_MIN, for "no issue yet".
+CRIT_INF = (1 << 63) - 1
+NO_SLOT = -(1 << 63)
 
 #: An ``int32`` plan or pattern entry that names no queue; the kernel aborts
 #: on it.
@@ -230,10 +233,20 @@ _I32P = ctypes.POINTER(ctypes.c_int32)
 _I64P = ctypes.POINTER(ctypes.c_int64)
 _F64P = ctypes.POINTER(ctypes.c_double)
 
-#: The per-queue ``int`` lists the kernel updates in place, in ``kptrs``
-#: order (``crit_cache`` follows them; it marks "none" with ``math.inf``).
-_QUEUE_FIELDS = ("backlog", "next_seqno", "delivered", "counters",
-                 "req_count", "tail_occ", "dram_occ")
+#: The core's fixed-shape arrays both span entries update, in ``kptrs``
+#: order, and the CFDS entry's own, in ``cptrs`` order.
+_ARRAYS = ("backlog", "next_seqno", "delivered", "counters", "req_count",
+           "tail_occ", "dram_occ", "crit_cache", "eligible", "la_ring")
+_CFDS_ARRAYS = ("lat_ring", "locks", "busy_until", "group_occ", "in_use",
+                "write_count")
+
+#: The core's machine scalars both span entries take and hand back
+#: (``kcfg``), and the CFDS entry's own (``ccfg``).
+_SCALARS = ("tail_total", "dram_total", "sram_total", "la_pos", "negatives",
+            "cells_in", "cells_out", "dram_reads", "dram_writes", "dropped",
+            "max_tail", "max_head", "crit_len", "eligible_len")
+_CFDS_SCALARS = ("lat_pos", "orr_pos", "rr_peak", "conflicts", "last_issue",
+                 "flight_next", "max_delay")
 
 
 class KPtrs(ctypes.Structure):
@@ -244,10 +257,7 @@ class KPtrs(ctypes.Structure):
         ("bern_key", _U32P), ("bern_meta", _I64P),
         ("cum_weights", _F64P), ("plan", _I32P),
         ("arb_pattern", _I32P)] + [
-        (name, _I64P) for name in _QUEUE_FIELDS] + [
-        ("crit_cache", _I64P), ("eligible", _I64P), ("la_ring", _I64P),
-        ("state", _I64P), ("result", _I64P),
-    ]
+        (name, _I64P) for name in _ARRAYS + ("state", "result")]
 
 
 class CCfg(ctypes.Structure):
@@ -264,9 +274,7 @@ class CCfg(ctypes.Structure):
 class CPtrs(ctypes.Structure):
     """Mirror of ``cptrs`` in ``_spankernel.c`` (field order is the ABI)."""
 
-    _fields_ = [("k", KPtrs)] + [(name, _I64P) for name in (
-        "lat_ring", "locks", "busy_until", "group_occ", "in_use",
-        "write_count")]
+    _fields_ = [("k", KPtrs)] + [(name, _I64P) for name in _CFDS_ARRAYS]
 
 
 class FCfg(ctypes.Structure):
@@ -515,81 +523,29 @@ def _addr(arr: array, ptype):
     return ctypes.cast(arr.buffer_info()[0], ptype)
 
 
-def _state_image(core) -> list:
-    """The variable-length state both cores have, in the kernel's image
-    layout (see ``kptrs`` in ``_spankernel.c``): per-queue SRAM and
-    arrival-window counts, then the tail, DRAM, SRAM, request and arrival
-    contents queue by queue, and the critical heap.  Each entry appends its
-    core's own state and hands the kernel the whole as one ``array``
-    (:func:`_rads_image`, :func:`_cfds_image`)."""
-    nq = core.num_queues
-    arr_windows = [core.arr_slots[q][core.delivered[q] - core.arr_base[q]:]
-                   for q in range(nq)]
-    req_windows = [core.req_slots[q][core.req_head[q]:] for q in range(nq)]
-    image = [len(heap) for heap in core.sram_heap]
-    image += [len(window) for window in arr_windows]
-    for part in (core.tail_fifo, core.dram_fifo, core.sram_heap,
-                 req_windows, arr_windows):
-        image += chain.from_iterable(part)
-    image += [(entered << 16) | queue for entered, queue in core.crit_heap]
+def empty_image(num_queues: int, orr_len: Optional[int] = None,
+                free_names=None) -> array:
+    """A fresh core's state image, in the kernel's layout (above ``kptrs``
+    and ``cptrs`` in ``_spankernel.c``): zero SRAM and arrival-window
+    counts, so every per-queue part and the critical heap are empty and no
+    block is pending.  A CFDS core (``orr_len`` given) adds an empty
+    Requests Register and in-flight list, ``orr_len`` empty ORR slots,
+    with renaming empty renaming registers and ``free_names`` (each group's
+    stack of free physical names), and no block locations.
+
+    This is the one python function that knows the layout: every later
+    image is the one the kernel hands back.
+    """
+    image = array("q", bytes(16 * num_queues))
+    if orr_len is not None:
+        image.frombytes(bytes(8 * (2 + orr_len)))
+        if free_names is not None:
+            image.frombytes(bytes(8 * num_queues))
+            for names in free_names:
+                image.append(len(names))
+                image.extend(names)
+        image.frombytes(bytes(8 * num_queues))
     return image
-
-
-def _apply_result(core, cfg: KCfg, it) -> None:
-    """Read the kernel's result for the state both cores have (the head of
-    ``_state_image``'s layout) from the iterator ``it`` into the python
-    core, whose per-queue scalars already hold the span's final values."""
-    nq = core.num_queues
-    sram_counts = list(islice(it, nq))
-    arr_counts = list(islice(it, nq))
-    for fifos, counts in ((core.tail_fifo, core.tail_occ),
-                          (core.dram_fifo, core.dram_occ)):
-        for fifo, count in zip(fifos, counts):
-            if count or fifo:
-                fifo.clear()
-                fifo.extend(islice(it, count))
-    for heap, count in zip(core.sram_heap, sram_counts):
-        heap[:] = islice(it, count)        # valid heap, identical pops
-    for pipeline, count in zip(core.req_slots, core.req_count):
-        pipeline[:] = islice(it, count)
-    core.req_head[:] = [0] * nq
-    for store, count in zip(core.arr_slots, arr_counts):
-        store[:] = islice(it, count)
-    core.arr_base[:] = core.delivered
-    core.crit_heap[:] = [(key >> 16, key & 0xFFFF)
-                         for key in islice(it, cfg.crit_len)]
-
-
-def _rads_image(core) -> array:
-    """The RADS entry's state image: :func:`_state_image`, then the pending
-    blocks (finish slot, queue, cell count, cells)."""
-    image = _state_image(core)
-    for finish, queue, seqs in core.pending:
-        image += (finish, queue, len(seqs))
-        image += seqs
-    return array("q", image)
-
-
-def _apply_outcome(core, cfg: KCfg, it) -> None:
-    """Read the result's tail (the main window's delay pairs, head misses,
-    drained slots and, for a traced span, each slot's arrival and request)
-    and the shared machine scalars in ``cfg``."""
-    hist = core.hist
-    pairs = list(islice(it, 2 * cfg.n_delay_pairs))
-    for delay, count in zip(pairs[::2], pairs[1::2]):
-        hist[delay] = hist.get(delay, 0) + count
-    misses = list(islice(it, 2 * cfg.n_head_miss))
-    core.head_misses.extend(MissRecord(queue=queue, slot=slot)
-                            for queue, slot in zip(misses[::2], misses[1::2]))
-    core.tail_misses.extend([None] * cfg.n_tail_miss)
-    core.drained.extend(islice(it, cfg.n_drained))
-    if cfg.traced:
-        events = [None if v < 0 else v for v in it]
-        core.sim.trace.events.extend(zip(events[::2], events[1::2]))
-    for name in ("tail_total", "dram_total", "sram_total", "la_pos",
-                 "negatives", "cells_in", "cells_out", "dram_reads",
-                 "dram_writes", "dropped", "max_tail", "max_head"):
-        setattr(core, name, getattr(cfg, name))
 
 
 def _rng_image(rng):
@@ -633,12 +589,14 @@ class _Handoff:
     arbiter (its code, its own state, ``RandomArbiter``'s MT state, a
     ``TraceArbiter``'s pattern window, an intermittent gate), the head MMA,
     the arrival plan (its mode, and the explicit ``int32`` plan or a
-    deferred Bernoulli plan's MT state and cumulative weights), the
-    fixed-shape per-queue arrays and the state image.  The arrays stay
-    alive (and are never resized) across the C call."""
+    deferred Bernoulli plan's MT state and cumulative weights), copies of
+    the core's fixed-shape arrays and its state image.  The kernel updates
+    the copies, and :meth:`apply` copies them back after a span that
+    succeeds, so an aborted span leaves the core's arrays as they were.
+    Every array stays alive (and is never resized) across the C call."""
 
     def __init__(self, core, ptr: KPtrs, aplan, num_slots: int, main: bool,
-                 bern, image) -> None:
+                 bern) -> None:
         self.started = perf_counter()
         self.core = core
         self.num_slots = num_slots
@@ -693,22 +651,18 @@ class _Handoff:
             ptr.plan = _addr(self.plan, _I32P)
             fields["plan_mode"] = _PLAN_EXPLICIT
         self.fields = fields
+        self.arrays = []
+        self.bind(ptr, _ARRAYS)
+        ptr.state = _addr(core.image, _I64P)
 
-        self.state = image(core)
-        self.queues = {name: array("q", getattr(core, name))
-                       for name in _QUEUE_FIELDS}
-        self.crit_cache = array("q", [_CRIT_INF if v == math.inf else v
-                                      for v in core.crit_cache])
-        self.eligible = array("q", core.eligible)
-        self.eligible.frombytes(bytes(8 * (nq - len(self.eligible))))
-        self.la_ring = array("q", [-1 if v is None else v
-                                   for v in core.lookahead])
-        for name, values in self.queues.items():
-            setattr(ptr, name, _addr(values, _I64P))
-        ptr.crit_cache = _addr(self.crit_cache, _I64P)
-        ptr.eligible = _addr(self.eligible, _I64P)
-        ptr.la_ring = _addr(self.la_ring, _I64P)
-        ptr.state = _addr(self.state, _I64P)
+    def bind(self, ptr, names) -> None:
+        """Point ``ptr``'s fields ``names`` at copies of the core's arrays
+        of the same names."""
+        for name in names:
+            kept = getattr(self.core, name)
+            copy = kept[:]
+            self.arrays.append((kept, copy))
+            setattr(ptr, name, _addr(copy, _I64P))
 
     def _rng(self, rng):
         """Pointers to ``rng``'s key and ``[pos, consumed]`` for the
@@ -726,28 +680,22 @@ class _Handoff:
             sram_cap=-1 if core.sram_cap is None else core.sram_cap,
             la_len=core.la_len, num_slots=self.num_slots,
             start_slot=core.slot, is_main=1 if self.main else 0,
-            state_len=len(self.state), tail_total=core.tail_total,
-            dram_total=core.dram_total, sram_total=core.sram_total,
-            la_pos=core.la_pos, negatives=core.negatives,
-            cells_in=core.cells_in, cells_out=core.cells_out,
-            dram_reads=core.dram_reads, dram_writes=core.dram_writes,
-            dropped=core.dropped, max_tail=core.max_tail,
-            max_head=core.max_head, crit_len=len(core.crit_heap),
-            eligible_len=len(core.eligible), **self.fields, **fields)
+            state_len=len(core.image),
+            **{name: getattr(core, name) for name in _SCALARS},
+            **self.fields, **fields)
 
-    def apply(self, cfg: KCfg, it) -> None:
-        """Write the updated arrays, the span's counts, the arbiter's and
-        the generators' states and the state both cores have (the head of
-        :func:`_state_image`'s layout, read from the iterator ``it`` over
-        the result) back."""
+    def apply(self, cfg: KCfg, ptr: KPtrs) -> None:
+        """Write the span back: the updated arrays, the new image, the
+        machine scalars and counts, the arbiter's and the generators'
+        states, and the outcome that follows the image in the result."""
+        image, outcome = _read_result(ptr, cfg)
         core = self.core
         num_slots = self.num_slots
-        for name, after in self.queues.items():
-            getattr(core, name)[:] = after.tolist()
-        core.crit_cache[:] = [math.inf if v == _CRIT_INF else v
-                              for v in self.crit_cache]
-        core.eligible[:] = self.eligible.tolist()[:cfg.eligible_len]
-        core.lookahead[:] = [None if v < 0 else v for v in self.la_ring]
+        for kept, copy in self.arrays:
+            kept[:] = copy
+        core.image = image
+        for name in _SCALARS:
+            setattr(core, name, getattr(cfg, name))
         core.slot += num_slots
         if self.main:
             core.main_slots += num_slots
@@ -759,15 +707,35 @@ class _Handoff:
             setattr(self.arbiter, attr, getattr(cfg, name))
         for rng, state, key, meta in self.rngs:
             rng.setstate((3, tuple(key) + (meta[0],), state[2]))
-        _apply_result(core, cfg, it)
+        # The outcome: the main window's delay pairs, head misses, drained
+        # slots and, for a traced span, each slot's arrival and request.
+        hist = core.hist
+        at = 2 * cfg.n_delay_pairs
+        for delay, count in zip(outcome[:at:2], outcome[1:at:2]):
+            hist[delay] = hist.get(delay, 0) + count
+        misses = outcome[at:at + 2 * cfg.n_head_miss]
+        core.head_misses.extend(MissRecord(queue=queue, slot=slot)
+                                for queue, slot in zip(misses[::2],
+                                                       misses[1::2]))
+        core.tail_misses.extend([None] * cfg.n_tail_miss)
+        at += len(misses)
+        core.drained.extend(outcome[at:at + cfg.n_drained])
+        if cfg.traced:
+            events = [None if v < 0 else v
+                      for v in outcome[at + cfg.n_drained:]]
+            core.sim.trace.events.extend(zip(events[::2], events[1::2]))
 
 
-def _read_result(ptr: KPtrs, cfg: KCfg) -> List[int]:
-    """The kernel-owned result as a list, released once read."""
+def _read_result(ptr: KPtrs, cfg: KCfg):
+    """The kernel-owned result, released once read: its head, the new
+    state image (``cfg.state_len`` elements), copied whole into an
+    ``array``, and the outcome that follows it as a list."""
     try:
-        result = (ctypes.c_int64 * cfg.result_len).from_address(
-            ctypes.addressof(ptr.result.contents))
-        return memoryview(result).cast("B").cast("q").tolist()
+        view = memoryview((ctypes.c_int64 * cfg.result_len).from_address(
+            ctypes.addressof(ptr.result.contents))).cast("B")
+        image = array("q")
+        image.frombytes(view[:8 * cfg.state_len])
+        return image, view[8 * cfg.state_len:].cast("q").tolist()
     finally:
         _release(ptr.result)
 
@@ -857,8 +825,9 @@ def run_span_kernel(core, aplan, num_slots: int, main: bool = True,
 
     With metrics on, every kernel call records two timers:
     ``engine.array.kernel_native_s`` (the C call) and
-    ``engine.array.kernel_handoff_s`` (the rest of the call: marshal,
-    read-back and apply).
+    ``engine.array.kernel_handoff_s`` (the rest of the call: the array
+    copies in and back, the RNG keys, the image's copy out of the result
+    and the outcome's parse).
     """
     if drain_slots:
         raise ConfigurationError(
@@ -868,99 +837,14 @@ def run_span_kernel(core, aplan, num_slots: int, main: bool = True,
     if fn is None:
         return False
     ptr = KPtrs()
-    handoff = _Handoff(core, ptr, aplan, num_slots, main, bern, _rads_image)
-    cfg = handoff.cfg(pending_len=len(core.pending))
+    handoff = _Handoff(core, ptr, aplan, num_slots, main, bern)
+    cfg = handoff.cfg(pending_len=core.pending_len)
 
     def apply():
-        it = iter(_read_result(ptr, cfg))
-        handoff.apply(cfg, it)
-        pending = deque()
-        for _ in range(cfg.pending_len):
-            finish, queue, count = islice(it, 3)
-            pending.append((finish, queue, list(islice(it, count))))
-        core.pending = pending
-        _apply_outcome(core, cfg, it)
+        handoff.apply(cfg, ptr)
+        core.pending_len = cfg.pending_len
 
     return _call(fn, cfg, ptr, handoff, aplan, bern, apply)
-
-
-def _cfds_image(core) -> array:
-    """The CFDS entry's state image: :func:`_state_image`, then the CFDS
-    core's own variable-length state (the layout above ``cptrs`` in
-    ``_spankernel.c``): the Requests Register, the transfers in flight, the
-    ORR ring, the renaming registers and free names (with renaming) and the
-    block locations."""
-    image = _state_image(core)
-
-    def entry(bank, issued, queue, seqs):
-        if seqs is None:
-            image.extend((bank, issued, -1, -1))
-        else:
-            image.extend((bank, issued, queue, len(seqs)))
-            image.extend(seqs)
-
-    image.append(len(core.rr))
-    for rr_entry in core.rr:
-        entry(*rr_entry)
-    image.append(len(core.in_flight))
-    for finish, rr_entry in core.in_flight:
-        image.append(finish)
-        entry(*rr_entry)
-    for banks in core.orr:
-        image.append(len(banks))
-        image.extend(banks)
-    if core.names is not None:
-        for entries in core.names:
-            image.append(len(entries))
-            image.extend(chain.from_iterable(entries))
-        for names in core.free_names:
-            image.append(len(names))
-            image.extend(names)
-    for locations in core.block_locations:
-        image.append(len(locations))
-        image.extend(chain.from_iterable(locations))
-    return array("q", image)
-
-
-def _apply_cfds(core, ccfg: CCfg, it, fixed) -> None:
-    """Read the CFDS part of the result (``_cfds_image``'s layout) and the
-    CFDS arrays and scalars back into the core."""
-    def entry():
-        bank, issued, queue, count = islice(it, 4)
-        return (bank, issued, queue,
-                None if count < 0 else list(islice(it, count)))
-
-    core.rr[:] = [entry() for _ in range(next(it))]
-    core.in_flight[:] = [(next(it), entry()) for _ in range(next(it))]
-    core.orr[:] = [tuple(islice(it, next(it))) for _ in core.orr]
-    if core.names is not None:
-        for entries in core.names:
-            pairs = list(islice(it, 2 * next(it)))
-            entries.clear()
-            entries.extend([name, cells] for name, cells
-                           in zip(pairs[::2], pairs[1::2]))
-        for names in core.free_names:
-            names[:] = islice(it, next(it))
-    for locations in core.block_locations:
-        pairs = list(islice(it, 2 * next(it)))
-        locations.clear()
-        locations.extend(zip(pairs[::2], pairs[1::2]))
-    lat_ring, locks, busy_until, group_occ, in_use, write_count = fixed
-    core.latency_reg[:] = [None if v < 0 else v for v in lat_ring]
-    core.locks[:] = locks.tolist()
-    core.busy_until[:] = busy_until.tolist()
-    core.group_occ[:] = group_occ.tolist()   # the list the buffer reads
-    if core.in_use is not None:
-        core.in_use[:] = [v != 0 for v in in_use]
-    core.write_count[:] = write_count.tolist()
-    core.lat_pos = ccfg.lat_pos
-    core.orr_pos = ccfg.orr_pos
-    core.rr_peak = ccfg.rr_peak
-    core.conflicts = ccfg.conflicts
-    core.last_issue = None if ccfg.last_issue == _NO_SLOT else ccfg.last_issue
-    core.flight_next = (math.inf if ccfg.flight_next == _CRIT_INF
-                        else ccfg.flight_next)
-    core.max_delay = ccfg.max_delay
 
 
 def run_cfds_span_kernel(core, aplan, num_slots: int, main: bool = True,
@@ -976,19 +860,9 @@ def run_cfds_span_kernel(core, aplan, num_slots: int, main: bool = True,
     fn = _cfds if load_kernel() is not None else None
     if fn is None:
         return False
-    # Every array below stays bound to a local, so alive across the C call.
     ptr = CPtrs()
-    handoff = _Handoff(core, ptr.k, aplan, num_slots, main, bern,
-                       _cfds_image)
-    renaming = core.names is not None
-    fixed = (array("q", [-1 if v is None else v for v in core.latency_reg]),
-             array("q", core.locks), array("q", core.busy_until),
-             array("q", core.group_occ),
-             array("q", core.in_use if renaming else ()),
-             array("q", core.write_count))
-    for name, values in zip(("lat_ring", "locks", "busy_until", "group_occ",
-                             "in_use", "write_count"), fixed):
-        setattr(ptr, name, _addr(values, _I64P))
+    handoff = _Handoff(core, ptr.k, aplan, num_slots, main, bern)
+    handoff.bind(ptr, _CFDS_ARRAYS)
     cfg = CCfg(
         k=handoff.cfg(), lat_len=core.lat_len,
         rr_cap=-1 if core.rr_cap is None else core.rr_cap,
@@ -996,20 +870,16 @@ def run_cfds_span_kernel(core, aplan, num_slots: int, main: bool = True,
         dram_strict=1 if core.dram_strict else 0,
         num_banks=len(core.locks), num_groups=core.num_groups,
         banks_per_group=core.banks_per_group,
-        num_physical=len(core.write_count), renaming=1 if renaming else 0,
+        num_physical=len(core.write_count),
+        renaming=1 if core.renaming else 0,
         group_cap=-1 if core.group_cap is None else core.group_cap,
-        orr_len=len(core.orr), lat_pos=core.lat_pos, orr_pos=core.orr_pos,
-        rr_peak=core.rr_peak, conflicts=core.conflicts,
-        last_issue=_NO_SLOT if core.last_issue is None else core.last_issue,
-        flight_next=(_CRIT_INF if core.flight_next == math.inf
-                     else core.flight_next),
-        max_delay=core.max_delay)
+        orr_len=core.orr_len,
+        **{name: getattr(core, name) for name in _CFDS_SCALARS})
 
     def apply():
-        it = iter(_read_result(ptr.k, cfg.k))
-        handoff.apply(cfg.k, it)
-        _apply_cfds(core, cfg, it, fixed)
-        _apply_outcome(core, cfg.k, it)
+        handoff.apply(cfg.k, ptr.k)
+        for name in _CFDS_SCALARS:
+            setattr(core, name, getattr(cfg, name))
 
     return _call(fn, cfg, ptr, handoff, aplan, bern, apply)
 

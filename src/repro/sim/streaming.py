@@ -16,7 +16,11 @@ chunks:
   chunk concatenation is stream-identical to one monolithic plan, so with
   ``warmup_slots=0`` a streamed run's report is **bit-identical** to
   :meth:`~repro.sim.engine.ClosedLoopSimulation.run` on the same engine, for
-  every chunk size (asserted by the differential suite).
+  every chunk size (asserted by the differential suite).  That assumes the
+  arrival process and the arbiter draw from separate RNGs: a chunk's plan
+  is drawn before the chunk's arbiter draws, where a monolithic reference
+  run interleaves them slot by slot (the array engine runs such a
+  simulation on the reference engine, as ``shared_rng``).
 * **Warmup discard** — the first ``warmup_slots`` slots run normally (the
   machine state evolves exactly as always) but the measurement collectors
   (latency histogram, throughput counters, drop count) restart at the warmup
@@ -81,13 +85,14 @@ from repro.sim.stats import LatencyStats, ThroughputStats
 #: enough that a chunk's arrival plan is a few hundred kilobytes.
 DEFAULT_CHUNK_SLOTS = 65536
 
-#: Checkpoint envelope identification.  Version 3: the CFDS array core
-#: keeps its Requests Register, ORR, bank timing and renaming state in its
-#: own flat lists (version 2 snapshots pickle a core that stepped the
-#: buffer's scheduler objects; version 1 ones a ring-buffer class that no
-#: longer exists).
+#: Checkpoint envelope identification.  Version 4: an array core keeps
+#: the machine once, in the span kernel's encoding — ``array('q')``s and
+#: the kernel's state image.  Older snapshots are refused, not converted:
+#: version 3 pickled python mirrors of that state (lists, deques, heaps),
+#: version 2 a CFDS core that stepped the buffer's scheduler objects, and
+#: version 1 a ring-buffer class that no longer exists.
 CHECKPOINT_FORMAT = "repro-stream-checkpoint"
-CHECKPOINT_VERSION = 3
+CHECKPOINT_VERSION = 4
 
 
 class StreamingSimulation:
@@ -283,8 +288,7 @@ MetricsRegistry` of what it did — chunks executed, slots processed,
         count = len(plan)
         if (not self._warmup_done
                 and self.slot < self.warmup_slots <= self.slot + count):
-            head, plan = split_plan(self._core, plan,
-                                    self.warmup_slots - self.slot)
+            head, plan = split_plan(plan, self.warmup_slots - self.slot)
             self._span(head)
             self._reset_measurement()
             self._warmup_done = True

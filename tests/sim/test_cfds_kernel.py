@@ -12,6 +12,7 @@ span by span, the outcome so far.
 import copy
 
 import dataclasses
+import pickle
 
 import pytest
 
@@ -363,28 +364,24 @@ def test_streamed_kernel_drawn_plans(process, stream_reference_of,
     assert sum(calls) == STREAM_SLOTS - drawn
 
 
-@needs_kernel
 def test_shared_rng_plan_is_drawn_in_python():
-    """A process sharing the arbiter's RNG object has its plan drawn in
-    python ahead of the span's arbiter draws, and the kernel then runs the
-    span on that plan: the outcome equals the reference engine's streamed
-    in one window, which draws in the same order (a monolithic reference
-    run interleaves the two processes' draws)."""
+    """A process sharing the arbiter's RNG object sends the whole run to
+    the reference engine as ``shared_rng`` (the reference interleaves the
+    two draws slot by slot; a plan drawn ahead of its span would not): the
+    outcome equals a monolithic reference run's."""
     def make():
         sim = make_sim(arrivals="bernoulli", lookahead=200)
         sim.arrivals._rng = sim.arbiter._rng
         return sim
 
     sim = make()
-    reference = outcome(sim, sim.run_stream(600, engine="reference",
-                                            chunk_slots=600))
+    reference = outcome(sim, sim.run(600, engine="reference"))
     sim = make()
     array, registry = observed(lambda: outcome(sim, sim.run(
         600, engine="array")))
     assert array == reference
-    assert _fallbacks(registry) == {}
-    assert registry.counter("engine.array.kernel_spans") == 2
-    assert registry.counter("engine.array.kernel_plan_slots") == 0
+    assert _fallbacks(registry) == {"shared_rng": array[0].slots}
+    assert registry.counter("engine.array.kernel_spans") == 0
 
 
 # --------------------------------------------------------------------- #
@@ -486,6 +483,30 @@ def test_error_parity_at_each_raise_site(site):
     assert _fallbacks(registry) == {}
     # Uneven spans raise alike, at the same span, after equal outcomes.
     assert step_both(knobs, SPANS) == (type(array.value), str(array.value))
+
+
+#: Two raise sites and the slots of a first span that succeeds before the
+#: span that raises.
+ABORTED_AFTER = {"head-miss": 3, "requests-register": 10}
+
+
+@needs_kernel
+@pytest.mark.parametrize("site", sorted(ABORTED_AFTER))
+def test_aborted_span_leaves_the_core_unchanged(site):
+    """A span the kernel aborts writes nothing back: after one span that
+    succeeded, the raising span leaves the simulation and its core (the
+    arrays, the image, the scalars, the shared group occupancy and the
+    arbiter's generator) pickling to the same bytes as before it."""
+    knobs, error, _code = RAISE_SITES[site]
+    sim = make_sim(**knobs)
+    core = build_array_core(sim)
+    first = ABORTED_AFTER[site]
+    core.run_span(window_plan(sim, core, 0, first), first)
+    plan = window_plan(sim, core, first, 1000)
+    before = pickle.dumps((sim, core))
+    with pytest.raises(error):
+        core.run_span(plan, 1000)
+    assert pickle.dumps((sim, core)) == before
 
 
 @needs_kernel

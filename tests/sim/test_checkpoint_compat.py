@@ -1,74 +1,37 @@
-"""Version-3 stream checkpoints written before MDQF, the adversaries and
-``intermittent`` ran on the span kernel resume on it.
+"""Version-3 stream checkpoints are refused, not converted.
 
 The fixtures were saved at slot 2345 of 5000 (700-slot chunks, warmup 900)
-by array cores whose python slot loop ran those policies: the MDQF cores
-kept no pending-request view, and the intermittent core no eligible list
-for its inner random arbiter.  ``resume_core`` rebuilds both, and the
-resumed run must equal the reference engine's uninterrupted one.
+by version-3 array cores, which pickled python mirrors of the machine
+(lists, deques and heaps) that the version-4 core no longer has: two MDQF
+cores (RADS and CFDS) and a RADS core under an intermittent arbiter.  A
+version-4 core keeps the machine once, in the span kernel's encoding, so
+``resume_stream`` rejects each file by its envelope version, with a
+one-line :class:`~repro.errors.CheckpointError` naming both versions,
+before it unpickles anything; a sweep worker then recomputes the run from
+scratch.
 """
 
+import json
 from pathlib import Path
 
 import pytest
 
-from repro.core.buffer import CFDSPacketBuffer
-from repro.core.config import CFDSConfig
 from repro.errors import CheckpointError
-from repro.mma.mdqf import MDQF
-from repro.obs.metrics import MetricsRegistry, using_metrics
-from repro.rads.buffer import RADSPacketBuffer
-from repro.rads.config import RADSConfig
-from repro.sim import kernel
-from repro.sim.engine import ClosedLoopSimulation
-from repro.sim.streaming import resume_stream
-from repro.traffic.arbiters import IntermittentArbiter, RandomArbiter
-from repro.traffic.arrivals import BernoulliArrivals, BurstyArrivals
+from repro.sim.streaming import CHECKPOINT_VERSION, resume_stream
 
 FIXTURES = Path(__file__).resolve().parents[1] / "fixtures" / "checkpoints"
 
-
-def _rads(head_mma=None, arbiter=None):
-    return ClosedLoopSimulation(
-        RADSPacketBuffer(RADSConfig(num_queues=8, granularity=4,
-                                    strict=False), head_mma=head_mma),
-        BernoulliArrivals(8, load=0.9, seed=3),
-        arbiter or RandomArbiter(8, seed=4, load=0.95))
+NAMES = ("cfds-mdqf", "rads-intermittent", "rads-mdqf")
 
 
-def _cfds(head_mma=None):
-    return ClosedLoopSimulation(
-        CFDSPacketBuffer(CFDSConfig(num_queues=8, dram_access_slots=8,
-                                    granularity=2, num_banks=32,
-                                    strict=False), head_mma=head_mma),
-        BurstyArrivals(8, mean_burst_cells=16, load=0.9, seed=5),
-        RandomArbiter(8, seed=6, load=0.95))
-
-
-#: Each fixture and the simulation it checkpointed.
-CASES = {
-    "rads-mdqf": lambda: _rads(MDQF()),
-    "cfds-mdqf": lambda: _cfds(MDQF()),
-    "rads-intermittent": lambda: _rads(arbiter=IntermittentArbiter(
-        RandomArbiter(8, seed=7, load=0.9), 50, 20)),
-}
-
-
-@pytest.mark.parametrize("name", sorted(CASES))
-def test_checkpoint_resumes_on_the_kernel(name):
+@pytest.mark.parametrize("name", NAMES)
+def test_version_3_checkpoint_is_refused(name):
     path = FIXTURES / f"{name}.ckpt.json"
-    if kernel.load_kernel() is None:
-        with pytest.raises(CheckpointError, match="unavailable"):
-            resume_stream(path)
-        return
-    want = CASES[name]().run_stream(5000, engine="reference",
-                                    chunk_slots=700, warmup_slots=900)
-    registry = MetricsRegistry()
-    with using_metrics(registry):
-        # The fixtures set no checkpoint_every: nothing is written back.
-        got = resume_stream(path)
-    assert got.throughput == want.throughput
-    assert got.latency == want.latency
-    assert got.buffer_result == want.buffer_result
-    assert registry.counter("engine.array.kernel_slots") == \
-        registry.counter("engine.array.span_slots") > 5000 - 2345
+    assert json.loads(path.read_text(encoding="utf-8"))["version"] == 3
+    assert CHECKPOINT_VERSION == 4
+    with pytest.raises(CheckpointError) as error:
+        resume_stream(path)
+    message = str(error.value)
+    assert "\n" not in message
+    assert "format version 3" in message
+    assert "reads version 4" in message

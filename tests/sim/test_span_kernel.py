@@ -8,6 +8,7 @@ bit-identical to the reference engine's.
 """
 
 import os
+import pickle
 import subprocess
 import sys
 from pathlib import Path
@@ -26,7 +27,7 @@ from repro.obs.metrics import MetricsRegistry, using_metrics
 from repro.rads.buffer import RADSPacketBuffer
 from repro.rads.config import RADSConfig
 from repro.sim import kernel as span_kernel
-from repro.sim.array_engine import build_array_core
+from repro.sim.array_engine import build_array_core, window_plan
 from repro.sim.engine import ClosedLoopSimulation
 from repro.sim.streaming import StreamingSimulation, resume_stream
 from repro.workloads.registry import get_scenario
@@ -547,77 +548,46 @@ def test_fallback_reason_counts_every_slot(reason, monkeypatch):
     assert registry.counter("engine.array.kernel_spans") == 0
 
 
-def _one_chunk_reference(make_sim, num_slots, **geometry):
-    """The reference engine streamed with each window's plan drawn whole
-    before the window's arbiter draws, as the array core draws a plan
-    whose process shares the arbiter's RNG (a monolithic reference run
-    interleaves the two processes' draws)."""
-    geometry.setdefault("chunk_slots", num_slots)
-    return make_sim().run_stream(num_slots, engine="reference", **geometry)
+def _shared_rng_sim():
+    """Arrivals drawn from the arbiter's own RNG object."""
+    arrivals = BernoulliArrivals(8, load=0.5, seed=3)
+    arbiter = RandomArbiter(8, seed=4)
+    arbiter._rng = arrivals._rng
+    return ClosedLoopSimulation(
+        RADSPacketBuffer(RADSConfig(num_queues=8, granularity=32)),
+        arrivals, arbiter)
 
 
 def test_fallback_reason_shared_rng():
-    """An arrival process sharing the arbiter's RNG cannot have its plan
-    drawn by the kernel: the main span draws it in python first, then
-    runs on the kernel with it, and no fallback is counted.  The report
-    equals the reference engine's on the same draw order."""
-    if span_kernel.load_kernel() is None:
-        pytest.skip("no C compiler: the span kernel never runs")
-
-    def make_sim():
-        arrivals = BernoulliArrivals(8, load=0.5, seed=3)
-        arbiter = RandomArbiter(8, seed=4)
-        arbiter._rng = arrivals._rng
-        return ClosedLoopSimulation(
-            RADSPacketBuffer(RADSConfig(num_queues=8, granularity=32)),
-            arrivals, arbiter)
-
-    reference = _one_chunk_reference(make_sim, 600)
-    array, registry = _observed(lambda: make_sim().run(600, engine="array"))
+    """An arrival process sharing the arbiter's RNG object sends the whole
+    run to the reference engine as ``shared_rng``: the reference engine
+    interleaves the two draws slot by slot, which a plan drawn ahead of its
+    span cannot.  The report equals a monolithic reference run's."""
+    reference = _shared_rng_sim().run(600, engine="reference")
+    array, registry = _observed(lambda: _shared_rng_sim().run(
+        600, engine="array"))
     assert_reports_identical(reference, array)
-    assert _fallbacks(registry) == {}
-    assert registry.counter("engine.array.kernel_spans") == 2
-    assert registry.counter("engine.array.kernel_plan_slots") == 0
-
-
-class _PythonWindows(BernoulliArrivals):
-    """Serves every streamed window from python, as all processes did
-    before the kernel drew streamed plans (overriding ``arrivals_slice``
-    turns the kernel draw away)."""
-
-    def arrivals_slice(self, start_slot, num_slots):
-        return super().arrivals_slice(start_slot, num_slots)
+    assert _fallbacks(registry) == {"shared_rng": array.throughput.slots}
+    assert registry.counter("engine.array.spans") == 0
+    assert registry.counter("engine.array.kernel_spans") == 0
 
 
 def test_fallback_reason_shared_rng_streamed():
-    """Streamed, the shared RNG keeps each chunk's plan drawn in python
-    ahead of the chunk's arbiter draws, whole even when the warmup
-    boundary splits the chunk: the report equals the reference engine's
-    streamed run and the run whose windows are python's."""
-    if span_kernel.load_kernel() is None:
-        pytest.skip("no C compiler: the span kernel never runs")
-
-    def make_sim(process=BernoulliArrivals):
-        arrivals = process(8, load=0.5, seed=3)
-        arbiter = RandomArbiter(8, seed=4)
-        arbiter._rng = arrivals._rng
-        return ClosedLoopSimulation(
-            RADSPacketBuffer(RADSConfig(num_queues=8, granularity=32)),
-            arrivals, arbiter)
-
+    """Streamed, a shared RNG sends every chunk to the reference engine as
+    ``shared_rng``, the warmup boundary inside a chunk included: the report
+    equals the reference engine's run in the same chunks (each chunk's
+    plan drawn before the chunk's arbiter draws, which only matches a
+    monolithic run when the two RNGs are separate)."""
     geometry = dict(chunk_slots=400, warmup_slots=1000)
-    windows = make_sim(_PythonWindows).run_stream(2000, engine="array",
-                                                  **geometry)
-    reference = _one_chunk_reference(make_sim, 2000, **geometry)
-    array, registry = _observed(lambda: make_sim().run_stream(
+    reference = _shared_rng_sim().run_stream(2000, engine="reference",
+                                             **geometry)
+    array, registry = _observed(lambda: _shared_rng_sim().run_stream(
         2000, engine="array", **geometry))
-    assert_reports_identical(windows, array)
     assert_reports_identical(reference, array)
-    # Every chunk; the split one (800-1200) was drawn at the split and runs
-    # its two parts on explicit plans.
-    assert _fallbacks(registry) == {}
-    assert registry.counter("engine.array.kernel_plan_slots") == 0
-    assert registry.counter("engine.array.kernel_spans") == 7
+    # Every slot, the warmup's included (the report measures from it).
+    assert _fallbacks(registry) == {
+        "shared_rng": array.throughput.slots + geometry["warmup_slots"]}
+    assert registry.counter("engine.array.kernel_spans") == 0
 
 
 def _abort_codes(registry):
@@ -650,6 +620,27 @@ def test_fallback_reason_abort():
     assert registry.counter("engine.array.kernel_aborts") == 1
     assert _abort_codes(registry) == {"overflow": 1}
     _assert_timed_per_call(registry)
+
+
+def test_aborted_span_leaves_the_core_unchanged():
+    """A span the kernel aborts writes nothing back: after one span that
+    succeeded, a strict tail overflow raises, and the simulation and its
+    core (the arrays, the image, the scalars, and the arbiter's and the
+    kernel-drawn plan's generators) pickle to the same bytes as before the
+    span."""
+    if span_kernel.load_kernel() is None:
+        pytest.skip("no C compiler: the span kernel never runs")
+    sim = ClosedLoopSimulation(
+        _build_buffer("rads", tail_sram_cells=3, strict=True),
+        BernoulliArrivals(8, load=1.0, seed=11),
+        RandomArbiter(8, seed=12, load=0.3))
+    core = build_array_core(sim)
+    core.run_span(window_plan(sim, core, 0, 20), 20)
+    plan = window_plan(sim, core, 20, 1000)
+    before = pickle.dumps((sim, core))
+    with pytest.raises(BufferOverflowError, match="tail SRAM"):
+        core.run_span(plan, 1000)
+    assert pickle.dumps((sim, core)) == before
 
 
 def test_fallback_reason_no_lookahead():
