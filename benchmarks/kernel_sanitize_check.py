@@ -22,8 +22,12 @@ into a child interpreter with the sanitizer runtimes preloaded and real
    process's two weights), and
 5. the fabric entry: a 64-port ``random`` switch in 1- and 7-slot windows
    (flush windows included) and a 256-port ``islip`` switch, whose request
-   bitsets span four words, each against the reference engine's python
-   fabric, and
+   bitsets span four words, in 7-slot windows (each window reads back the
+   wide VOQ image the last one returned) and at the default window, each
+   against the reference engine's python fabric, and a stream whose plan
+   holds an entry naming no egress in its third window, which must raise
+   the reference's ``ConfigurationError`` from the kernel's abort record
+   after the same two windows, and
 6. the CFDS entry, each against the reference engine: renaming on and off
    with a group capacity that drops blocks, non-strict DRAM without the
    ORR (bank conflicts serialise), the ``random`` and ``longest_queue``
@@ -205,7 +209,7 @@ def fabric_run(scenario, engine, chunk_slots):
 
 for ports, policy, traffic, slots, chunks in (
         (64, "random", "incast", 60, (1, 7)),
-        (256, "islip", "uniform", 40, (None,)),
+        (256, "islip", "uniform", 40, (7, None)),
 ):
     scenario = dataclasses.replace(
         get_switch_scenario(traffic).with_overrides(num_ports=ports,
@@ -224,6 +228,32 @@ for ports, policy, traffic, slots, chunks in (
             print(f"KERNEL NOT REACHED: fabric {ports} ports {policy} "
                   f"chunk {chunk}", file=sys.stderr)
             sys.exit(4)
+
+from repro.errors import ConfigurationError
+
+def bad_plan_run(engine):
+    scenario = dataclasses.replace(
+        get_switch_scenario("uniform").with_overrides(num_ports=8,
+                                                      num_slots=30),
+        traffic={"type": "trace",
+                 "params": {"pattern": [1, 2, None, 3] * 5 + [0, 1.5]}},
+        fabric={"type": "islip", "params": {}})
+    stream = FabricStream(scenario, chunk_slots=10, engine=engine)
+    windows = []
+    try:
+        for window in stream.chunks():
+            windows.append(window)
+    except ConfigurationError as exc:
+        return windows, str(exc)
+    return windows, None
+
+registry = MetricsRegistry()
+with using_metrics(registry):
+    got = bad_plan_run("array")
+if (got != bad_plan_run("reference") or got[1] is None or len(got[0]) != 2
+        or registry.counter("switch.fabric.kernel_windows") != 2):
+    print("DIFFERENTIAL MISMATCH: fabric bad plan entry", file=sys.stderr)
+    sys.exit(4)
 print("fabric ok")
 
 # 6. The CFDS entry: reports, group occupancy and drops against the

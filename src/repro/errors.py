@@ -139,6 +139,16 @@ def arrival_error(arrival: object, num_queues: int,
         f"be None or an int in [0, {num_queues})")
 
 
+def destination_error(destination: object, ingress: int,
+                      num_ports: int) -> ConfigurationError:
+    """The error both fabric engines raise for an ingress plan entry that
+    names no egress: anything but ``None`` or a plain ``int`` in
+    ``[0, num_ports)``."""
+    return ConfigurationError(
+        f"ingress {ingress} generated destination {destination!r}, but the "
+        f"switch has only {num_ports} ports")
+
+
 class StaleSimulationError(ReproError):
     """A simulation that has already run (or been stepped) was run again.
 

@@ -53,9 +53,11 @@
  *    abort record (an ERR_* code, the slot and the integers the exception
  *    carries), nothing written back, and python raises the reference's
  *    exception from it; non-strict misses and lossy DRAM drops are native;
- *  - the fabric entry follows the same ownership rules; a fabric plan entry
- *    that names no egress, and any of the kernel's own checks abort, and
- *    the python loop replays the window.
+ *  - the fabric entry follows the same rules: python keeps the VOQ image it
+ *    returns unread and hands it back as the next window's, and a window
+ *    that stops (a plan entry naming no egress, an empty VOQ matched, a
+ *    flush slot without a match, a bad input) reports its code, slot and,
+ *    for a plan entry, the ingress (fcfg.err_*), nothing written back.
  */
 
 #include <stdint.h>
@@ -2011,6 +2013,9 @@ typedef struct {
     int64_t peak;           /* peak ingress backlog so far */
     /* out */
     int64_t slots_run, offered, transferred, n_wait_pairs, result_len;
+    /* the abort record: the slot the window stopped in (its first slot
+     * when it stopped before one ran) and, for ERR_PLAN, the ingress */
+    int64_t err_slot, err_ingress;
 } fcfg;
 
 /* The VOQ image (fptrs.state, read-only) and the tail of the result share
@@ -2215,6 +2220,8 @@ int64_t fabric_run_window(fcfg *c, fptrs *p)
     int i, matched;
 
     p->result = NULL;
+    c->err_slot = c->start_slot;
+    c->err_ingress = -1;
     memset(&f, 0, sizeof(f));
     if (n < 1 || n > MAX_PORTS || c->policy < POLICY_ISLIP
             || c->policy > POLICY_PRIORITY || num_slots < 1
@@ -2319,6 +2326,7 @@ int64_t fabric_run_window(fcfg *c, fptrs *p)
     if (!c->flush) {
         for (run = 0; run < num_slots; run++) {
             int64_t slot = f.start + run;
+            c->err_slot = slot;
             for (i = 0; i < n; i++) {
                 int a = drawn ? bern_draw(&f.src[i], p->bern_tint[i],
                                           p->cum_weights + (int64_t)i * n,
@@ -2328,6 +2336,7 @@ int64_t fabric_run_window(fcfg *c, fptrs *p)
                 if (a == -1)
                     continue;
                 if (a < 0 || a >= n) {
+                    c->err_ingress = i;
                     err = ERR_PLAN;
                     goto cleanup;
                 }
@@ -2351,6 +2360,7 @@ int64_t fabric_run_window(fcfg *c, fptrs *p)
         }
     } else {
         for (run = 0; run < f.stride && f.backlog_total > 0; run++) {
+            c->err_slot = f.start + run;
             err = fabric_slot(&f, f.start + run, &matched);
             if (err == ERR_OK && !matched)
                 err = ERR_STATE;

@@ -267,11 +267,10 @@ class _DeferredPlan:
     yet.
 
     An array core gets one for the whole horizon of a monolithic run and one
-    per chunk of a streamed run, so the compiled span kernel can draw the
-    plan natively (same words, same doubles) and write the consumed RNG
-    state back; :meth:`materialize` instead advances the process RNG
-    exactly as the ``arrivals()`` call would have at this point (the
-    switch's fabric stage draws a window in python so).
+    per chunk of a streamed run, and the switch's fabric stage one per
+    ingress and window, so the compiled span kernel can draw the plan
+    natively (same words, same doubles) and write the consumed RNG state
+    back.
     """
 
     __slots__ = ("proc", "num_slots", "cum_weights", "total")
@@ -290,9 +289,6 @@ class _DeferredPlan:
         integer threshold and the cumulative weights."""
         return (self.proc._rng, kernel.gate_threshold(self.proc.load),
                 self.cum_weights, self.total)
-
-    def materialize(self) -> List[Optional[int]]:
-        return self.proc.arrivals(self.num_slots)
 
 
 def deferred_plan(proc, num_queues: int,

@@ -171,15 +171,22 @@ class ClosedLoopSimulation:
 
     def _run_reference(self, num_slots: int,
                        drain: bool) -> SimulationReport:
-        """The reference engine's run: the per-slot loop, the drain and
-        the report."""
+        """The reference engine's run: the per-slot loop, then
+        :meth:`_reference_epilogue`."""
         self._run_slots(num_slots)
+        return self._reference_epilogue(drain)
+
+    def _reference_epilogue(self, drain: bool,
+                            drops_baseline: int = 0) -> SimulationReport:
+        """The reference engine's drain and report, for a monolithic run
+        and a streamed one alike: drops count from ``drops_baseline``, the
+        buffer's drops before a stream's measured window."""
         if drain:
             for cell in self.buffer.drain():
                 self.throughput.departures += 1
                 self.latency.record(cell.arrival_slot, self.buffer.slot)
         self.throughput.slots = self.buffer.slot
-        self.throughput.drops = self.buffer.dropped_cells
+        self.throughput.drops = self.buffer.dropped_cells - drops_baseline
         return SimulationReport(throughput=self.throughput,
                                 latency=self.latency,
                                 buffer_result=self.buffer.combined_result(),

@@ -56,16 +56,15 @@ the reference engine's (asserted by ``tests/sim/test_span_kernel.py``,
 ``tests/sim/test_cfds_kernel.py`` and the differential fuzzer).  The CFDS
 entry follows the same rules.
 
-The fabric entry follows the same ownership rules.  Python hands it the
-window's ``int32`` arrival plan, iSLIP's pointers or the random policy's MT
-state, and one read-only image of the VOQ contents; the kernel runs the
-window's arrivals and request/grant/accept matches and returns one
-exact-size result (trace rows, the new VOQ image, per-ingress backlog,
-per-egress counts, folded waits), released with the same
-``rads_free_result``.  A plan entry that names no egress, or any kernel
-error, leaves everything untouched and the fabric's python loop (the
-reference engine's fabric stage) replays the window, raising exactly where
-the reference does.
+The fabric entry follows the same rules.  Python hands it the window's
+``int32`` arrival plan (encoded as the span entries') or the ingress
+generators, iSLIP's pointers or the random policy's MT state, and the VOQ
+image the last window returned, the stream's only copy of the VOQs.  The
+kernel returns one exact-size result (trace rows, per-egress counts,
+per-ingress backlog, folded waits, the new VOQ image), released with the
+same ``rads_free_result``.  A window it stops writes nothing back and
+raises from its abort record (a plan entry naming no egress: the
+reference's :func:`~repro.errors.destination_error`); nothing is replayed.
 
 Sanitizer-hardened builds
 -------------------------
@@ -104,7 +103,7 @@ import threading
 from array import array
 from pathlib import Path
 from time import perf_counter
-from typing import List, NamedTuple, Optional, Union
+from typing import List, NamedTuple, Optional
 
 from repro.errors import (
     ArbiterContractError,
@@ -113,6 +112,7 @@ from repro.errors import (
     CacheMissError,
     ConfigurationError,
     arrival_error,
+    destination_error,
 )
 from repro.mma.mdqf import MDQF
 from repro.obs.metrics import get_metrics
@@ -150,8 +150,9 @@ _SOURCE = Path(__file__).with_name("_spankernel.c")
  _ERR_MISS, _ERR_CONFLICT, _ERR_BUS, _ERR_ARBITER) = range(10)
 
 #: The error codes as named in the ``engine.array.kernel_aborts.<code>``
-#: counters.
+#: counters and the fabric entry's errors.
 _ABORT_CODES = {_ERR_OOM: "oom", _ERR_ARG: "arg", _ERR_PLAN: "plan",
+                _ERR_STATE: "state",
                 _ERR_OVERFLOW: "overflow", _ERR_MISS: "miss",
                 _ERR_CONFLICT: "conflict", _ERR_BUS: "bus",
                 _ERR_ARBITER: "arbiter"}
@@ -283,7 +284,8 @@ class FCfg(ctypes.Structure):
     _fields_ = [(n, ctypes.c_int64) for n in (
         "num_ports", "policy", "num_slots", "start_slot", "flush",
         "plan_mode", "state_len", "peak", "slots_run", "offered",
-        "transferred", "n_wait_pairs", "result_len")]
+        "transferred", "n_wait_pairs", "result_len", "err_slot",
+        "err_ingress")]
 
 
 class FPtrs(ctypes.Structure):
@@ -555,6 +557,21 @@ def _rng_image(rng):
     return state, array("I", state[1][:624]), array("q", (state[1][624], 0))
 
 
+def _rng_restore(rng, state, key, meta) -> None:
+    """Set ``rng`` to the kernel's advanced copy of its
+    :func:`_rng_image`: ``key``'s 624 words at position ``meta[0]``, with
+    ``state``'s Gaussian cache."""
+    rng.setstate((3, tuple(key) + (meta[0],), state[2]))
+
+
+def _copied(view, typecode: str = "q") -> array:
+    """A byte view of a kernel result copied out as an array of
+    ``typecode``, ``int64`` by default."""
+    values = array(typecode)
+    values.frombytes(view)
+    return values
+
+
 def _queue_array(entries, num_queues: int) -> array:
     """The kernel's ``int32`` encoding of a plan or trace pattern: ``-1``
     for ``None``, the queue for a plain ``int`` in ``[0, num_queues)``, and
@@ -706,7 +723,7 @@ class _Handoff:
                               _ARB_STATE.get(type(self.arbiter), ())):
             setattr(self.arbiter, attr, getattr(cfg, name))
         for rng, state, key, meta in self.rngs:
-            rng.setstate((3, tuple(key) + (meta[0],), state[2]))
+            _rng_restore(rng, state, key, meta)
         # The outcome: the main window's delay pairs, head misses, drained
         # slots and, for a traced span, each slot's arrival and request.
         hist = core.hist
@@ -733,9 +750,8 @@ def _read_result(ptr: KPtrs, cfg: KCfg):
     try:
         view = memoryview((ctypes.c_int64 * cfg.result_len).from_address(
             ctypes.addressof(ptr.result.contents))).cast("B")
-        image = array("q")
-        image.frombytes(view[:8 * cfg.state_len])
-        return image, view[8 * cfg.state_len:].cast("q").tolist()
+        return (_copied(view[:8 * cfg.state_len]),
+                view[8 * cfg.state_len:].cast("q").tolist())
     finally:
         _release(ptr.result)
 
@@ -907,73 +923,60 @@ class FabricWindow(NamedTuple):
 
 def run_fabric_window(num_ports: int, policy: str, start_slot: int,
                       num_slots: int, plans, voqs: array, peak: int,
-                      pointers=None, rng=None,
-                      bern=None) -> Union[FabricWindow, str]:
+                      pointers=None, rng=None, bern=None) -> FabricWindow:
     """Run one crossbar window on the compiled kernel.
 
-    ``plans`` holds each ingress's destinations (``Optional[int]`` lists)
-    for an arrival window of ``num_slots`` slots; ``bern`` instead makes
-    the kernel draw every ingress's Bernoulli plan, one ``(rng, tint,
+    ``plans`` holds each ingress's destinations for an arrival window,
+    ``num_ports`` sequences of ``num_slots`` entries; ``bern`` instead
+    makes the kernel draw every ingress's Bernoulli plan, one ``(rng, tint,
     cum_weights, total)`` per ingress (each its own ``random.Random``,
-    ``num_ports`` weights each), advanced in place when the window
-    succeeds.  With neither it is a flush window, which runs until the
-    VOQs drain, at most ``num_slots`` slots.  ``voqs`` is the VOQ image
-    (see ``fptrs`` in ``_spankernel.c``) and ``peak`` the peak ingress
-    backlog so far.  ``policy`` names one of :data:`FABRIC_POLICIES`;
-    ``pointers`` are iSLIP's ``(grant, accept)`` lists and ``rng`` the
-    random policy's ``random.Random``, both advanced in place when the
-    window succeeds.
+    ``num_ports`` weights each).  With neither it is a flush window, which
+    runs until the VOQs drain, at most ``num_slots`` slots.  ``voqs`` is
+    the VOQ image the last window returned (empty at first; layout above
+    ``fptrs`` in ``_spankernel.c``) and ``peak`` the peak ingress backlog
+    so far.  ``policy`` names one of :data:`FABRIC_POLICIES`; ``pointers``
+    are iSLIP's ``(grant, accept)`` lists and ``rng`` the random policy's
+    ``random.Random``, advanced in place as the generators are.
 
-    Returns a :class:`FabricWindow`, or the reason the window must run on
-    the python loop instead, with nothing written back: ``unavailable``
-    (no kernel), ``plan`` (an entry that is not ``None`` or an egress port:
-    the python loop raises for it) or ``abort`` (any other kernel error).
+    A window the kernel stops writes nothing back and raises: the
+    reference's :func:`~repro.errors.destination_error` for a plan entry
+    that is not ``None`` or a port id, :class:`MemoryError` when the kernel
+    runs out of memory, and a one-line ``ConfigurationError`` otherwise:
+    inputs of the wrong shape, no kernel, or a kernel error (too many
+    ports, a malformed image) named with its slot.
     """
     fn = load_fabric_kernel()
     if fn is None:
-        return "unavailable"
+        raise ConfigurationError("the fabric kernel is not loaded")
     n = num_ports
     # Every array below stays bound to a local, so alive across the C call.
     ptr = FPtrs(state=_addr(voqs, _I64P))
     plan_mode = _PLAN_EXPLICIT
     if plans is not None:
-        if len(plans) != n:
-            return "plan"  # the kernel reads num_ports plans
+        if len(plans) != n or any(len(entries) != num_slots
+                                  for entries in plans):
+            raise ConfigurationError(
+                f"the fabric kernel takes {n} ingress plans of {num_slots} "
+                f"slots each")
         plan = array("i")
-        idle = 0
-        try:
-            for entries in plans:
-                if len(entries) < num_slots:
-                    return "plan"  # the python loop runs off its end
-                entries = entries[:num_slots]
-                idle += entries.count(None)
-                plan.extend(array("i", [-1 if destination is None
-                                        else destination
-                                        for destination in entries]))
-        except (OverflowError, TypeError):
-            return "plan"  # no int32 port id: python raises for it
-        if plan.count(-1) != idle:
-            # An entry naming port -1 would read as no arrival; the python
-            # loop raises for it.
-            return "plan"
+        for entries in plans:
+            plan.extend(_queue_array(entries, n))
         ptr.plan = _addr(plan, _I32P)
     elif bern is not None:
-        if len(bern) != n:
-            return "abort"  # the kernel reads num_ports of each
-        generators = [(gen, gen.getstate()) for gen, _tint, _cum, _total
-                      in bern]
-        bern_key = array("I")
-        bern_meta = array("q")
-        for _gen, state in generators:
-            bern_key.extend(state[1][:624])
-            bern_meta.extend((state[1][624], 0))
-        tints = array("q", [tint for _gen, tint, _cum, _total in bern])
-        totals = array("d", [total for _gen, _tint, _cum, total in bern])
-        weights = array("d")
-        for _gen, _tint, cum_weights, _total in bern:
+        if len(bern) != n or any(len(cum_weights) != n for _gen, _tint,
+                                 cum_weights, _total in bern):
+            raise ConfigurationError(
+                f"the fabric kernel draws {n} ingress plans over {n} ports")
+        images = [_rng_image(gen) for gen, _tint, _cum, _total in bern]
+        bern_key, bern_meta = array("I"), array("q")
+        tints, totals, weights = array("q"), array("d"), array("d")
+        for (_gen, tint, cum_weights, total), (_state, key, meta) in zip(
+                bern, images):
+            bern_key.extend(key)
+            bern_meta.extend(meta)
+            tints.append(tint)
+            totals.append(total)
             weights.extend(cum_weights)
-        if len(weights) != n * n:
-            return "abort"
         ptr.bern_key = _addr(bern_key, _U32P)
         ptr.bern_meta = _addr(bern_meta, _I64P)
         ptr.bern_tint = _addr(tints, _I64P)
@@ -984,49 +987,58 @@ def run_fabric_window(num_ports: int, policy: str, start_slot: int,
         grant = array("q", pointers[0])
         accept = array("q", pointers[1])
         if len(grant) != n or len(accept) != n:
-            return "abort"  # the kernel reads num_ports of each
+            raise ConfigurationError(
+                f"iSLIP's grant and accept pointers must number {n} each")
         ptr.grant = _addr(grant, _I64P)
         ptr.accept = _addr(accept, _I64P)
     if rng is not None:
-        rng_state, rng_key, rng_meta = _rng_image(rng)
-        ptr.rng_key = _addr(rng_key, _U32P)
-        ptr.rng_meta = _addr(rng_meta, _I64P)
+        rng_image = _rng_image(rng)
+        ptr.rng_key = _addr(rng_image[1], _U32P)
+        ptr.rng_meta = _addr(rng_image[2], _I64P)
     cfg = FCfg(num_ports=n, policy=FABRIC_POLICIES.index(policy),
                num_slots=num_slots, start_slot=start_slot,
                flush=1 if plans is None and bern is None else 0,
                plan_mode=plan_mode, state_len=len(voqs), peak=peak)
     rc = fn(ctypes.byref(cfg), ctypes.byref(ptr))
     plan = weights = None  # read; freed before the read-back
+    if rc == _ERR_PLAN and plans is not None:
+        ingress = cfg.err_ingress
+        raise destination_error(plans[ingress][cfg.err_slot - start_slot],
+                                ingress, n)
+    if rc == _ERR_OOM:
+        raise MemoryError("the fabric kernel ran out of memory")
     if rc != _ERR_OK:
-        return "plan" if rc == _ERR_PLAN else "abort"
+        raise ConfigurationError(
+            f"the fabric kernel stopped at slot {cfg.err_slot} "
+            f"(error {_ABORT_CODES.get(rc, rc)})")
     slots = cfg.slots_run
     row_bytes = 4 * slots
-    # The rows are int32, padded to a whole int64 word.
-    tail_at = 8 * ((n * slots + 1) // 2)
+    # The rows are int32, padded to a whole int64 word; then per-egress
+    # counts, per-ingress backlog, the wait pairs and the VOQ image.
+    at = 8 * ((n * slots + 1) // 2)
+    waits_at = at + 16 * n
+    voqs_at = waits_at + 16 * cfg.n_wait_pairs
     try:
-        values = memoryview((ctypes.c_int64 * cfg.result_len).from_address(
+        view = memoryview((ctypes.c_int64 * cfg.result_len).from_address(
             ctypes.addressof(ptr.result.contents))).cast("B")
-        traces = []
-        for egress in range(n):
-            row = array("i")
-            row.frombytes(values[egress * row_bytes:(egress + 1) * row_bytes])
-            traces.append(row)
-        tail = array("q")
-        tail.frombytes(values[tail_at:])
+        window = FabricWindow(
+            slots=slots,
+            traces=[_copied(view[e * row_bytes:(e + 1) * row_bytes], "i")
+                    for e in range(n)],
+            per_egress=_copied(view[at:at + 8 * n]),
+            backlog=_copied(view[at + 8 * n:waits_at]),
+            waits=_copied(view[waits_at:voqs_at]),
+            voqs=_copied(view[voqs_at:]), offered=cfg.offered,
+            transferred=cfg.transferred, peak=cfg.peak)
     finally:
         _release(ptr.result)
     if pointers is not None:
         pointers[0][:] = grant.tolist()
         pointers[1][:] = accept.tolist()
     if rng is not None:
-        rng.setstate((3, tuple(rng_key) + (rng_meta[0],), rng_state[2]))
+        _rng_restore(rng, *rng_image)
     if bern is not None:
-        for i, (gen, state) in enumerate(generators):
-            gen.setstate((3, tuple(bern_key[i * 624:(i + 1) * 624])
-                          + (bern_meta[2 * i],), state[2]))
-    waits_end = 2 * n + 2 * cfg.n_wait_pairs
-    return FabricWindow(
-        slots=slots, traces=traces, per_egress=tail[:n],
-        backlog=tail[n:2 * n], waits=tail[2 * n:waits_end],
-        voqs=tail[waits_end:], offered=cfg.offered,
-        transferred=cfg.transferred, peak=cfg.peak)
+        for i, ((gen, *_), (state, *_)) in enumerate(zip(bern, images)):
+            _rng_restore(gen, state, bern_key[624 * i:624 * (i + 1)],
+                         bern_meta[2 * i:2 * i + 2])
+    return window

@@ -337,8 +337,6 @@ MetricsRegistry` of what it did — chunks executed, slots processed,
         epilogue bit for bit; with warmup, ``throughput.slots`` counts only
         the measured window and drops are measured from the warmup boundary.
         """
-        from repro.sim.engine import SimulationReport
-
         if self._finished:
             # Identical on every engine: without this guard the non-core
             # path would re-run the drain window and return inflated slot
@@ -353,25 +351,15 @@ MetricsRegistry` of what it did — chunks executed, slots processed,
             raise ConfigurationError(
                 f"only {self.slot} slots were fed, but warmup_slots is "
                 f"{self.warmup_slots}")
-        sim = self.sim
         if self._core is not None:
             report = self._core.finish(drain=self.drain)
         else:
-            buffer = sim.buffer
-            if self.drain:
-                drain_from = buffer.slot
-                for cell in buffer.drain():
-                    sim.throughput.departures += 1
-                    sim.latency.record(cell.arrival_slot, buffer.slot)
-                if self._fallback is not None:
-                    count_fallback(self._fallback, buffer.slot - drain_from)
-            sim.throughput.slots = buffer.slot
-            sim.throughput.drops = (buffer.dropped_cells
-                                    - self._drops_baseline)
-            report = SimulationReport(throughput=sim.throughput,
-                                      latency=sim.latency,
-                                      buffer_result=buffer.combined_result(),
-                                      trace=sim.trace)
+            drain_from = self.sim.buffer.slot
+            report = self.sim._reference_epilogue(self.drain,
+                                                  self._drops_baseline)
+            if self.drain and self._fallback is not None:
+                count_fallback(self._fallback,
+                               self.sim.buffer.slot - drain_from)
         report.throughput.slots -= self._measured_from
         self._finished = True
         # Cumulative session totals: across a checkpoint/resume these are

@@ -10,10 +10,11 @@ A switch run streams the fabric stage straight into the egress ports:
    admissibility model the paper's buffer assumes.  After the arrival
    phase the fabric *flushes* until every VOQ is empty.  The stage runs in
    bounded windows (:class:`FabricStream`), each yielding one ``int32``
-   row per egress; a window of a stock policy runs on the span kernel's
-   fabric entry, which also draws stock Bernoulli, Zipf and hotspot
-   ingress plans itself, and every other window on the python loop, the
-   oracle (``engine="reference"``), with identical results.
+   row per egress.  A stream picks its path once: a stock policy runs
+   every window on the span kernel's fabric entry, which also draws stock
+   Bernoulli, Zipf and hotspot ingress plans itself and hands back the
+   VOQ image the stream keeps; anything else, and ``engine="reference"``,
+   runs the python loop, the oracle, with identical results.
 
 2. **Port stage**: each egress port is an open-ended streaming session
    built from its single-port template (:func:`port_template`; queue
@@ -43,7 +44,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
-from repro.errors import ConfigurationError, SweepFailure
+from repro.errors import ConfigurationError, SweepFailure, destination_error
 from repro.obs.metrics import get_metrics
 from repro.obs.trace import emit as trace_emit
 from repro.runner.jobs import Job
@@ -97,11 +98,14 @@ class FabricStream:
     arrival phase the stage flushes until every VOQ is empty, still in
     bounded windows; :attr:`stats` is set once the generator is exhausted.
 
-    A window of a stock policy (exact type) runs on the span kernel when
-    :meth:`_kernel_miss` passes, which draws its ingress plans where it
-    can (:meth:`_plans`); a window the kernel declines or aborts runs on
-    the python loop from untouched state.  With metrics on, each window
-    counts once: ``switch.fabric.kernel_windows`` (its slots in
+    The stream picks its path once, when it is built
+    (:meth:`_kernel_miss`).  A stock policy (exact type) runs every window
+    on the span kernel's fabric entry, which draws the ingress plans where
+    it can (:meth:`_plans`); the VOQ image a window returns is the stream's
+    only copy of the VOQs and the next window's input, and a window the
+    kernel stops raises the reference's exception, nothing replayed.
+    Anything else runs the python loop, the oracle.  With metrics on, each
+    window counts once: ``switch.fabric.kernel_windows`` (its slots in
     ``switch.fabric.kernel_slots``, its ingress slots in
     ``switch.fabric.kernel_plan_slots`` when the kernel drew the plans) or
     ``switch.fabric.fallback.<reason>``.
@@ -126,9 +130,14 @@ class FabricStream:
                                               seed=scenario.port_seed(i))
                         for i in range(n)]
         self.fabric = scenario.build_fabric()
-        # voq[i][e]: arrival slots of cells waiting at ingress i for egress
-        # e, only while the VOQ holds cells (a switch of N ports would
-        # otherwise keep N**2 deques, mostly empty).
+        #: The python loop's ``switch.fabric.fallback.<reason>``, or
+        #: ``None`` on the fabric kernel.
+        self._miss = self._kernel_miss()
+        #: The kernel path's VOQs: the image the last window returned.
+        self._voqs = array("q")
+        # The python path's VOQs.  voq[i][e]: arrival slots of cells waiting
+        # at ingress i for egress e, only while the VOQ holds cells (a
+        # switch of N ports would otherwise keep N**2 deques, mostly empty).
         self._voq: List[Dict[int, deque]] = [{} for _ in range(n)]
         # requests[i]: ascending egress ports with a non-empty VOQ at
         # ingress i — maintained incrementally (a VOQ changes emptiness at
@@ -183,9 +192,9 @@ class FabricStream:
         return len(matches)
 
     def _kernel_miss(self) -> Optional[str]:
-        """Why the next window cannot run on the fabric kernel — the
-        ``<reason>`` of its ``switch.fabric.fallback.<reason>`` counter —
-        or ``None`` when it can."""
+        """Why the stream cannot run on the fabric kernel — the ``<reason>``
+        of its ``switch.fabric.fallback.<reason>`` counter — or ``None``
+        when it can."""
         if self.engine == "reference":
             return "reference"
         if type(self.fabric) not in _KERNEL_POLICIES:
@@ -199,54 +208,54 @@ class FabricStream:
 
     def _plans(self, start: int, count: int):
         """The window's ingress plans and whether the fabric kernel draws
-        them (deferred): it does when the window runs on the kernel and
-        every ingress qualifies (:func:`deferred_plan` over the egress
-        ports, each with its own generator); python draws them otherwise."""
-        if self._kernel_miss() is None:
+        them (deferred): it does on the kernel path when every ingress
+        qualifies (:func:`deferred_plan` over the egress ports, each with
+        its own generator); python draws them otherwise, ``count`` entries
+        per ingress."""
+        if self._miss is None:
             plans = [deferred_plan(source, self.num_ports, count)
                      for source in self.sources]
             if None not in plans and len(
                     {id(plan.proc._rng) for plan in plans}) == len(plans):
                 return plans, True
-        plans = [source.arrivals_slice(start, count)
-                 for source in self.sources]
-        return [p if isinstance(p, list) else list(p) for p in plans], False
+        plans = []
+        for ingress, source in enumerate(self.sources):
+            plan = source.arrivals_slice(start, count)
+            if not isinstance(plan, list):
+                plan = list(plan)
+            if len(plan) != count:
+                raise ConfigurationError(
+                    f"ingress {ingress} generated {len(plan)} arrivals for "
+                    f"the {count}-slot window at slot {start}")
+            plans.append(plan)
+        return plans, False
 
-    def _kernel_window(self, start: int, count: int, plans,
-                       drawn: bool = False):
-        """Run one window on the fabric kernel and apply it to the stream:
-        an arrival window on ``plans`` (deferred ones the kernel draws when
-        ``drawn``), a flush window on none.  Returns ``(rows, slots)``, or
-        ``None`` (with the window's fallback counted, and every generator
-        untouched) when the python loop must run it instead."""
-        reason = self._kernel_miss()
-        if reason is None:
-            n = self.num_ports
-            voq = self._voq
-            image = array("q")
-            for ingress, egresses in enumerate(self._requests):
-                for egress in egresses:
-                    queue = voq[ingress][egress]
-                    image.extend((ingress * n + egress, len(queue)))
-                    image.extend(queue)
-            fabric = self.fabric
-            policy = _KERNEL_POLICIES[type(fabric)]
-            window = kernel.run_fabric_window(
-                n, policy, start, count, None if drawn else plans, image,
-                self._peak_backlog,
-                pointers=((fabric._grant, fabric._accept)
-                          if policy == "islip" else None),
-                rng=fabric._rng if policy == "random" else None,
-                bern=[plan.bern() for plan in plans] if drawn else None)
-            if isinstance(window, str):
-                reason = window
-            else:
-                self._apply_window(window)
+    def _kernel_window(self, start: int, count: int, arrivals: bool):
+        """Run one window on the fabric kernel, from the stream's VOQ image
+        to the one it returns: an arrival window of ``count`` slots, or a
+        flush window that stops once the VOQs drain.  Returns ``(rows,
+        slots)``."""
+        plans, drawn = (self._plans(start, count) if arrivals
+                        else (None, False))
+        fabric = self.fabric
+        policy = _KERNEL_POLICIES[type(fabric)]
+        window = kernel.run_fabric_window(
+            self.num_ports, policy, start, count, None if drawn else plans,
+            self._voqs, self._peak_backlog,
+            pointers=((fabric._grant, fabric._accept)
+                      if policy == "islip" else None),
+            rng=fabric._rng if policy == "random" else None,
+            bern=[plan.bern() for plan in plans] if drawn else None)
+        self._voqs = window.voqs
+        self._backlog_total = sum(window.backlog)
+        self._per_egress = [before + cells for before, cells
+                            in zip(self._per_egress, window.per_egress)]
+        for delay, cells in zip(window.waits[::2], window.waits[1::2]):
+            self._waits.record_delay(delay, cells)
+        self._offered += window.offered
+        self._transferred += window.transferred
+        self._peak_backlog = window.peak
         obs = get_metrics()
-        if reason is not None:
-            if obs is not None:
-                obs.inc(f"switch.fabric.fallback.{reason}")
-            return None
         if obs is not None:
             obs.inc("switch.fabric.kernel_windows")
             obs.inc("switch.fabric.kernel_slots", window.slots)
@@ -255,104 +264,65 @@ class FabricStream:
                         self.num_ports * window.slots)
         return window.traces, window.slots
 
-    def _apply_window(self, window) -> None:
-        """Fold a kernel window's outcome into the python stage's state."""
+    def _python_window(self, start: int, count: int, arrivals: bool):
+        """Run one window on the python loop, the oracle; the window and
+        its result as :meth:`_kernel_window`'s."""
+        obs = get_metrics()
+        if obs is not None:
+            obs.inc(f"switch.fabric.fallback.{self._miss}")
         n = self.num_ports
-        voq = self._voq
-        requests = self._requests
-        for ingress, egresses in enumerate(requests):
-            voq[ingress].clear()
-            egresses.clear()
-        image = window.voqs
-        at = 0
-        while at < len(image):
-            ingress, egress = divmod(image[at], n)
-            count = image[at + 1]
-            voq[ingress][egress] = deque(image[at + 2:at + 2 + count])
-            requests[ingress].append(egress)
-            at += 2 + count
-        self._ingress_backlog[:] = window.backlog.tolist()
-        self._backlog_total = sum(self._ingress_backlog)
-        per_egress = self._per_egress
-        for egress, cells in enumerate(window.per_egress):
-            per_egress[egress] += cells
-        waits = window.waits
-        for delay, count in zip(waits[::2], waits[1::2]):
-            self._waits.record_delay(delay, count)
-        self._offered += window.offered
-        self._transferred += window.transferred
-        self._peak_backlog = window.peak
-
-    def chunks(self):
-        """Yield ``(start_slot, rows)`` windows; arrival phase first, then
-        the flush windows, all bounded by ``chunk_slots``.
-
-        Each window runs on the fabric kernel when :meth:`_kernel_miss`
-        passes and the kernel completes it, and on the python loop below
-        otherwise; both produce the identical window."""
-        n = self.num_ports
-        slots = self.slots
+        rows = [array("i") for _ in range(n)]
+        plans = self._plans(start, count)[0] if arrivals else ()
         voq = self._voq
         requests = self._requests
         ingress_backlog = self._ingress_backlog
+        ran = 0
+        while ran < count and (arrivals or self._backlog_total > 0):
+            slot = start + ran
+            for ingress, plan in enumerate(plans):
+                destination = plan[ran]
+                if destination is None:
+                    continue
+                if type(destination) is not int or not 0 <= destination < n:
+                    raise destination_error(destination, ingress, n)
+                queue = voq[ingress].get(destination)
+                if queue is None:
+                    queue = voq[ingress][destination] = deque()
+                    insort(requests[ingress], destination)
+                queue.append(slot)
+                ingress_backlog[ingress] += 1
+                self._backlog_total += 1
+                self._offered += 1
+                if ingress_backlog[ingress] > self._peak_backlog:
+                    self._peak_backlog = ingress_backlog[ingress]
+            if self._transfer_slot(slot, rows) == 0 and not arrivals:
+                # Unreachable with the stock policies (all are
+                # work-conserving), but a custom arbiter must not be able
+                # to hang the flush.
+                raise ConfigurationError(
+                    "fabric arbiter made no progress while VOQs were "
+                    "non-empty")
+            ran += 1
+        return rows, ran
+
+    def chunks(self):
+        """Yield ``(start_slot, rows)`` windows; arrival phase first, then
+        the flush windows, all bounded by ``chunk_slots``, every one on the
+        stream's path."""
+        window = (self._kernel_window if self._miss is None
+                  else self._python_window)
+        slots = self.slots
         start = 0
         while start < slots:
             count = min(self.chunk_slots, slots - start)
-            plans, drawn = self._plans(start, count)
-            done = self._kernel_window(start, count, plans, drawn)
-            if done is not None:
-                yield start, done[0]
-                start += count
-                continue
-            if drawn:
-                plans = [plan.materialize() for plan in plans]
-            rows = [array("i") for _ in range(n)]
-            for offset in range(count):
-                slot = start + offset
-                for ingress in range(n):
-                    destination = plans[ingress][offset]
-                    if destination is None:
-                        continue
-                    if not 0 <= destination < n:
-                        raise ConfigurationError(
-                            f"ingress {ingress} generated destination "
-                            f"{destination}, but the switch has only {n} "
-                            f"ports")
-                    queue = voq[ingress].get(destination)
-                    if queue is None:
-                        queue = voq[ingress][destination] = deque()
-                        insort(requests[ingress], destination)
-                    queue.append(slot)
-                    ingress_backlog[ingress] += 1
-                    self._backlog_total += 1
-                    self._offered += 1
-                    if ingress_backlog[ingress] > self._peak_backlog:
-                        self._peak_backlog = ingress_backlog[ingress]
-                self._transfer_slot(slot, rows)
-            yield start, rows
+            yield start, window(start, count, True)[0]
             start += count
 
         flush_slots = 0
         while self._backlog_total > 0:
-            done = self._kernel_window(slots + flush_slots, self.chunk_slots,
-                                       None)
-            if done is not None:
-                flush_slots += done[1]
-                yield slots + flush_slots - done[1], done[0]
-                continue
-            rows = [array("i") for _ in range(n)]
-            flushed = 0
-            while self._backlog_total > 0 and flushed < self.chunk_slots:
-                if self._transfer_slot(slots + flush_slots, rows) == 0:
-                    # Unreachable with the stock policies (all are
-                    # work-conserving), but a custom arbiter must not be
-                    # able to hang the stage.
-                    raise ConfigurationError(
-                        "fabric arbiter made no progress while VOQs were "
-                        "non-empty")
-                flush_slots += 1
-                flushed += 1
-            yield slots + flush_slots - flushed, rows
+            rows, ran = window(slots + flush_slots, self.chunk_slots, False)
+            yield slots + flush_slots, rows
+            flush_slots += ran
 
         self.stats = FabricStats(
             slots=slots,

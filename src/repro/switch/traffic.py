@@ -148,9 +148,11 @@ def build_ingress_traffic(spec: Mapping[str, Any],
     if "pattern" in params:
         # Replayed destination traces rescale with the port count by folding
         # (a trace captured on a larger switch drives a smaller one), the
-        # same rule queue_row applies to ingress→queue mapping.  The
-        # stochastic generators are NOT folded: an out-of-range destination
-        # from one of those is a bug the fabric stage must reject.
-        params["pattern"] = [None if dest is None else dest % num_ports
+        # same rule queue_row applies to ingress→queue mapping.  Only port
+        # ids fold: anything but a non-negative plain int, like an
+        # out-of-range destination from a stochastic generator, is an entry
+        # the fabric stage must reject.
+        params["pattern"] = [dest % num_ports
+                             if type(dest) is int and dest >= 0 else dest
                              for dest in params["pattern"]]
     return cls(**params)

@@ -5,8 +5,10 @@
 ``engine="reference"`` runs the python loop, the oracle.  Window by window
 the two must agree on the traces, the :class:`FabricStats` and the
 arbiter's state afterwards, for every port count, traffic type and window
-size, and every window the kernel cannot run (or aborts) must fall back to
-the python loop from untouched state.
+size.  A stream picks its path once, when it is built; on the kernel path
+the VOQ image each window returns is the next window's input and the
+stream's only copy of the VOQs, and a window the kernel stops raises the
+reference's exception with nothing written back, not replayed.
 """
 
 import dataclasses
@@ -118,31 +120,61 @@ def test_flush_windows_of_one_slot():
     assert stats.flush_slots > 10
 
 
-def test_python_and_kernel_windows_interleave(monkeypatch):
-    """Windows 0-2 run on python, 3-5 on the kernel, 6-8 on python, ...:
-    the VOQ image and the arbiter state round-trip both ways."""
-    fabric_fn = kernel.load_fabric_kernel()
+def test_each_window_takes_the_image_the_last_one_returned(monkeypatch):
+    """The kernel path keeps one copy of the VOQs: the image each window
+    returns goes untouched into the next, and no python VOQ is filled."""
+    real = kernel.run_fabric_window
+    handed, returned = [], []
+
+    def recording(n, policy, start, count, plans, voqs, peak, **kwargs):
+        handed.append(voqs)
+        window = real(n, policy, start, count, plans, voqs, peak, **kwargs)
+        returned.append(window.voqs)
+        return window
+
+    monkeypatch.setattr(kernel, "run_fabric_window", recording)
     for policy in POLICIES:
+        handed.clear()
+        returned.clear()
         scn = scenario(policy, "incast", 8, slots=200)
         stream = FabricStream(scn, chunk_slots=9)
-        registry = MetricsRegistry()
-        monkeypatch.setattr(kernel, "_fabric", None)
-        windows = []
-        with using_metrics(registry):
-            for index, window in enumerate(stream.chunks()):
-                windows.append(window)
-                monkeypatch.setattr(kernel, "_fabric", fabric_fn
-                                    if (index + 1) // 3 % 2 else None)
-        want = run_windows(scn, "reference", 9)
-        assert windows == want[0]
-        assert stream.stats == want[1]
-        assert arbiter_state(stream.fabric) == want[2]
-        counters = registry.counters()
-        assert counters["switch.fabric.kernel_windows"] >= 3
-        assert counters["switch.fabric.fallback.unavailable"] >= 3
-        assert (counters["switch.fabric.kernel_windows"]
-                + counters["switch.fabric.fallback.unavailable"]
-                == len(windows))
+        windows = list(stream.chunks())
+        assert len(handed) == len(windows) > 20
+        assert handed[0] == array("q")
+        assert all(voqs is last for voqs, last in zip(handed[1:], returned))
+        assert any(len(voqs) for voqs in handed)
+        assert len(returned[-1]) == 0
+        assert stream._voq == [{} for _ in range(8)]
+        assert stream._requests == [[] for _ in range(8)]
+        assert stream._ingress_backlog == [0] * 8
+        assert (windows, stream.stats) == run_windows(scn, "reference",
+                                                      9)[:2]
+
+
+@pytest.mark.parametrize("engine", ["array", "reference"])
+def test_the_path_is_chosen_once_per_stream(monkeypatch, engine):
+    calls = []
+    real = FabricStream._kernel_miss
+
+    def counted(self):
+        calls.append(self)
+        return real(self)
+
+    monkeypatch.setattr(FabricStream, "_kernel_miss", counted)
+    stream = FabricStream(scenario("random", "incast", 8, slots=100),
+                          chunk_slots=7, engine=engine)
+    assert sum(1 for _ in stream.chunks()) > 14
+    assert calls == [stream]
+
+
+@pytest.mark.parametrize("traffic", ["bernoulli", "incast"])
+@pytest.mark.parametrize("policy", ["islip", "random"])
+def test_256_ports_in_short_windows(policy, traffic):
+    """A wide image read back across many windows: four-word request
+    bitsets, 7-slot windows, flush windows included."""
+    stats = assert_kernel_matches_python(
+        scenario(policy, traffic, 256, slots=30), chunk_slots=7)
+    assert stats.flush_slots > 7
 
 
 # --------------------------------------------------------------------- #
@@ -182,11 +214,13 @@ def test_unavailable_kernel_runs_on_python(monkeypatch):
 
 def test_kernel_rejects_ports_past_its_cap():
     n = kernel.MAX_FABRIC_PORTS + 1
-    pointers = ([0] * n, [0] * n)
-    assert kernel.run_fabric_window(
-        n, "islip", 0, 1, [[None]] * n, array("q"), 0,
-        pointers=pointers) == "abort"
-    assert pointers == ([0] * n, [0] * n)
+    pointers = ([1] * n, [2] * n)
+    with pytest.raises(ConfigurationError,
+                       match=r"^the fabric kernel stopped at slot 3 "
+                             r"\(error arg\)$"):
+        kernel.run_fabric_window(n, "islip", 3, 1, [[None]] * n, array("q"),
+                                 0, pointers=pointers)
+    assert pointers == ([1] * n, [2] * n)
 
 
 def test_kernel_abort_leaves_arbiter_state_untouched():
@@ -195,9 +229,22 @@ def test_kernel_abort_leaves_arbiter_state_untouched():
     rng = random.Random(5)
     before = rng.getstate()
     image = array("q", [3, 1, 0, 2, 1, 0])
-    assert kernel.run_fabric_window(
-        2, "random", 5, 4, None, image, 1, rng=rng) == "abort"
+    with pytest.raises(ConfigurationError, match="error arg"):
+        kernel.run_fabric_window(2, "random", 5, 4, None, image, 1, rng=rng)
     assert rng.getstate() == before
+
+
+@pytest.mark.parametrize("plans, pointers, message", [
+    ([[None] * 4], ([0, 0], [0, 0]), "the fabric kernel takes 2 ingress"),
+    ([[None] * 4, [None] * 3], ([0, 0], [0, 0]),
+     "the fabric kernel takes 2 ingress"),
+    ([[None] * 4] * 2, ([0, 0], [0]), "iSLIP's grant and accept"),
+])
+def test_kernel_inputs_of_the_wrong_shape_raise(plans, pointers, message):
+    with pytest.raises(ConfigurationError, match=f"^{message}"):
+        kernel.run_fabric_window(2, "islip", 0, 4, plans, array("q"), 0,
+                                 pointers=pointers)
+    assert pointers[0] == [0, 0]
 
 
 # --------------------------------------------------------------------- #
@@ -214,12 +261,17 @@ class Planned(ArrivalProcess):
         return self.plan[slot] if slot < len(self.plan) else None
 
 
-def raised(engine, bad_entry, policy):
+def planned_stream(engine, bad_entry, policy):
     scn = scenario(policy, ports=4, slots=30)
     stream = FabricStream(scn, chunk_slots=10, engine=engine)
     plan = [None, 1, 2, None] * 5 + [3, 2, bad_entry, 0]
     stream.sources[2] = Planned(plan)
     stream.sources[3] = Planned([0] * 22 + [bad_entry])
+    return stream
+
+
+def raised(engine, bad_entry, policy):
+    stream = planned_stream(engine, bad_entry, policy)
     registry = MetricsRegistry()
     windows = []
     with using_metrics(registry), pytest.raises(Exception) as info:
@@ -230,22 +282,68 @@ def raised(engine, bad_entry, policy):
             registry.counters())
 
 
+def after_two_windows(bad_entry, policy):
+    stream = planned_stream("reference", bad_entry, policy)
+    windows = stream.chunks()
+    next(windows)
+    next(windows)
+    return arbiter_state(stream.fabric), stream._peak_backlog
+
+
 @pytest.mark.parametrize("policy", POLICIES)
-@pytest.mark.parametrize("bad_entry", [4, 9, -1, -7, 2 ** 40, 1.0])
+@pytest.mark.parametrize("bad_entry",
+                         [4, 9, -1, -7, 2 ** 40, 1.0, True, "x"])
 def test_bad_plan_entry_raises_as_the_python_loop(bad_entry, policy):
-    """The window holding the bad entry falls back to the python loop,
-    which raises the reference's error at the same slot and ingress."""
+    """The kernel stops at the bad entry and raises the reference's error,
+    read back from the plan at the abort record's slot and ingress, after
+    the same two windows; it writes nothing of the third window back."""
     got = raised("array", bad_entry, policy)
     want = raised("reference", bad_entry, policy)
-    assert got[:5] == want[:5]
+    assert got[:3] == want[:3]
     assert len(got[2]) == 2  # two clean windows ran, the third raised
-    if isinstance(bad_entry, int):
-        assert got[0] is ConfigurationError
-        assert got[1] == (f"ingress 2 generated destination {bad_entry}, "
-                          f"but the switch has only 4 ports")
+    assert got[0] is ConfigurationError
+    assert got[1] == (f"ingress 2 generated destination {bad_entry!r}, "
+                      f"but the switch has only 4 ports")
+    assert got[3:5] == after_two_windows(bad_entry, policy)
     counters = got[5]
     assert counters["switch.fabric.kernel_windows"] == 2
-    assert counters["switch.fabric.fallback.plan"] == 1
+    assert not any(name.startswith("switch.fabric.fallback.")
+                   for name in counters)
+
+
+@pytest.mark.parametrize("engine", ["array", "reference"])
+def test_short_ingress_window_raises(engine):
+    class Short(ArrivalProcess):
+        def next_arrival(self, slot):
+            return None
+
+        def arrivals_slice(self, start_slot, num_slots):
+            return [None] * (num_slots - (start_slot > 0))
+
+    stream = FabricStream(scenario(ports=4, slots=30), chunk_slots=10,
+                          engine=engine)
+    stream.sources[1] = Short()
+    windows = stream.chunks()
+    next(windows)
+    with pytest.raises(ConfigurationError,
+                       match=r"^ingress 1 generated 9 arrivals for the "
+                             r"10-slot window at slot 10$"):
+        next(windows)
+
+
+@pytest.mark.parametrize("engine", ["array", "reference"])
+@pytest.mark.parametrize("bad_entry", [-1, 1.5])
+def test_bad_trace_pattern_raises(engine, bad_entry):
+    """A trace pattern folds only its port ids onto the switch; any other
+    entry reaches the fabric stage, which rejects it."""
+    scn = dataclasses.replace(
+        scenario(ports=4, slots=6),
+        traffic={"type": "trace",
+                 "params": {"pattern": [1, 2, None, bad_entry, 3, 0]}})
+    with pytest.raises(ConfigurationError,
+                       match=f"^ingress 0 generated destination "
+                             f"{bad_entry!r}, but"):
+        SwitchModel(scn).run(engine=engine)
 
 
 # --------------------------------------------------------------------- #
@@ -309,8 +407,8 @@ def test_kernel_draws_ingress_plans_as_python_does(traffic, chunk_slots):
 
 def test_aborted_window_leaves_ingress_generators_untouched(monkeypatch):
     """A window the kernel aborts after loading the ingress generators
-    writes none of them back: python draws the window's plans from where
-    they stood and its loop replays the window."""
+    raises and writes none of them back: every generator stays where
+    window 1 left it."""
     real = kernel.run_fabric_window
     starts = []
 
@@ -321,13 +419,17 @@ def test_aborted_window_leaves_ingress_generators_untouched(monkeypatch):
         return real(n, policy, start, count, plans, voqs, peak, **kwargs)
 
     scn = scenario("islip", "bernoulli", 8, slots=150)
+    want = ingress_windows(scn, "reference", 50)[0][0]
     monkeypatch.setattr(kernel, "run_fabric_window", abort_second)
-    got = ingress_windows(scn, "array", 50)
-    monkeypatch.setattr(kernel, "run_fabric_window", real)
-    assert got[:2] == ingress_windows(scn, "reference", 50)[:2]
-    assert starts[1] == 50
-    assert got[2]["switch.fabric.fallback.abort"] == 1
-    assert got[2]["switch.fabric.kernel_plan_slots"] == 8 * 100
+    stream = FabricStream(scn, chunk_slots=50)
+    windows = stream.chunks()
+    assert next(windows) == want[:2]
+    with pytest.raises(ConfigurationError,
+                       match=r"^the fabric kernel stopped at slot 50 "
+                             r"\(error arg\)$"):
+        next(windows)
+    assert starts == [0, 50]
+    assert [source._rng.getstate() for source in stream.sources] == want[2]
 
 
 def test_kernel_abort_leaves_ingress_generators_untouched():
@@ -336,8 +438,9 @@ def test_kernel_abort_leaves_ingress_generators_untouched():
     bern = [(rng, kernel.gate_threshold(0.9), [1.0, 2.0, 3.0], 3.0)
             for rng in rngs]
     image = array("q", [3, 1, 0, 2, 1, 0])
-    assert kernel.run_fabric_window(
-        3, "priority", 5, 4, None, image, 1, bern=bern) == "abort"
+    with pytest.raises(ConfigurationError, match="error arg"):
+        kernel.run_fabric_window(3, "priority", 5, 4, None, image, 1,
+                                 bern=bern)
     assert [rng.getstate() for rng in rngs] == before
 
 
