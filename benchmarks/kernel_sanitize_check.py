@@ -46,7 +46,17 @@ into a child interpreter with the sanitizer runtimes preloaded and real
    spans, and every abort kind (tail SRAM and DRAM overflow, and on CFDS
    head SRAM and Requests Register overflow, a strict head miss, a bank conflict, an address-bus
    violation, an arrival and a trace entry naming no queue), whose
-   exception must match the reference's type and message.
+   exception must match the reference's type and message, and
+9. the span entries' incremental forms at their edges and the resumes of
+   version-4 snapshots: the tier-1 tests named ``test_edge_*`` in
+   ``tests/sim/test_span_kernel.py`` and ``tests/sim/test_cfds_kernel.py``
+   (Bernoulli weights the guided draw must search like python's bisect or
+   that no guide holds for, queue counts at the bitset's word and the
+   guide's bucket boundaries, Zipf at 512 queues, blocks that land behind
+   later cells of their queue) and ``test_version_4_*`` in
+   ``tests/sim/test_checkpoint_compat.py`` (snapshots whose head SRAMs are
+   heaps), run by pytest in the sanitized child; any failure or skip
+   fails the stage.
 
 Any out-of-bounds access or UB in the C source aborts the child with a
 sanitizer report, which this parent surfaces verbatim.
@@ -500,6 +510,40 @@ check("cfds address bus", lambda: machine(
     "cfds", RandomArbiter(8, load=0.7, seed=58), patch="bus"),
     error="ConfigurationError")
 print("native policies and aborts ok")
+
+# 9. The incremental forms' edge cases and the version-4 resumes: the
+# tier-1 tests that hold them, every one of which must pass here.
+from pathlib import Path
+
+import pytest
+
+import repro
+
+class Outcomes:
+    def __init__(self):
+        self.passed = self.other = 0
+
+    def pytest_runtest_logreport(self, report):
+        if report.when == "call" and report.passed:
+            self.passed += 1
+        elif report.failed or report.skipped:
+            self.other += 1
+
+root = Path(repro.__file__).resolve().parents[2]
+outcomes = Outcomes()
+code = pytest.main(
+    ["-q", "-p", "no:cacheprovider", "--rootdir", str(root),
+     "-k", "test_edge_ or test_version_4_"]
+    + [str(root / "tests" / "sim" / name) for name in (
+        "test_span_kernel.py", "test_cfds_kernel.py",
+        "test_checkpoint_compat.py")],
+    plugins=[outcomes])
+if code != 0 or outcomes.other or not outcomes.passed:
+    print(f"DIFFERENTIAL MISMATCH: edge cases and version-4 resumes "
+          f"(pytest exit {int(code)}, {outcomes.passed} passed, "
+          f"{outcomes.other} failed or skipped)", file=sys.stderr)
+    sys.exit(4)
+print(f"edge cases and version-4 resumes ok ({outcomes.passed} tests)")
 print("SANITIZE CHECK PASSED")
 """
 

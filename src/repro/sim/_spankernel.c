@@ -31,24 +31,32 @@
  * compiled with -ffast-math).
  *
  * Buffer ownership: python hands in only fixed-shape arrays (per-queue
- * scalars, the eligible list, the lookahead ring, RNG keys, the arrival
- * plan, a trace arbiter's pattern) plus one read-only image of the
- * variable-length state.  Every buffer that grows during the span --
- * per-queue FIFO contents, SRAM heaps, the critical heap, pending blocks,
- * delays, misses, drained slots, trace rows -- is the kernel's own, and
- * the span's outcome comes back as one exact-size result that python reads
- * and then releases with rads_free_result().  Its head is the new image,
- * which python keeps unread and hands back as the next span's.  No
- * capacity is negotiated with the caller, so there is nothing to overflow.
+ * scalars, the lookahead ring, RNG keys, the arrival plan, a trace
+ * arbiter's pattern) plus one read-only image of the variable-length
+ * state.  Every buffer that grows during the span -- per-queue FIFO and
+ * head SRAM contents, the critical heap, pending blocks, delays, misses,
+ * drained slots, trace rows -- is the kernel's own, as is what a span
+ * derives at open (the random arbiter's bitset of backlogged queues, the
+ * Bernoulli draw's guide).  The span's outcome comes back as one
+ * exact-size result that python reads and then releases with
+ * rads_free_result().  Its head is the new image, which python keeps
+ * unread and hands back as the next span's.  No capacity is negotiated
+ * with the caller, so there is nothing to overflow.
  *
  * Exactness contract:
  *  - the Mersenne Twister below is the reference mt19937ar generator that
  *    CPython's random.Random wraps; the kernel starts from the key/pos
- *    handed in and reports the words it consumed, so the python side ends
- *    bit-identical to the reference engine;
- *  - heaps only need the heap invariant (keys are unique), so the C sift
- *    need not mirror heapq's internal move order -- every pop yields the
- *    same minimum the python heap would;
+ *    handed in and hands back the key/pos it stopped at, so the python
+ *    side ends bit-identical to the reference engine;
+ *  - a queue's head SRAM is its cells in ascending seqno order (seqnos
+ *    are unique), so service reads the minimum the python heap would pop
+ *    at the cursor; the image lists them ascending, which is also a valid
+ *    heap, and an image whose segment is a heap loads ascending too;
+ *  - the critical heap only needs the heap invariant (keys are unique),
+ *    so the C sift need not mirror heapq's internal move order -- every
+ *    pop yields the same minimum the python heap would;
+ *  - choices()' search may start within a guide bucket (draw_guide) only
+ *    where that provably finds what python's whole-range bisect finds;
  *  - every raise site of the reference engine stops the span with an
  *    abort record (an ERR_* code, the slot and the integers the exception
  *    carries), nothing written back, and python raises the reference's
@@ -77,7 +85,6 @@
 typedef struct {
     uint32_t key[MT_N];
     int pos;
-    int64_t consumed;
 } mt_state;
 
 static uint32_t mt_next(mt_state *mt)
@@ -100,7 +107,6 @@ static uint32_t mt_next(mt_state *mt)
         mt->pos = 0;
     }
     y = mt->key[mt->pos++];
-    mt->consumed++;
     y ^= (y >> 11);
     y ^= (y << 7) & 0x9d2c5680UL;
     y ^= (y << 15) & 0xefc60000UL;
@@ -128,7 +134,7 @@ static int mt_randbelow(mt_state *mt, int m, int shift)
 }
 
 /* ------------------------------------------------------------------ */
-/* Growable int64 array: FIFO by cursor, or a heap (head stays 0)      */
+/* Growable int64 array: read by cursor, or a heap (head stays 0)      */
 /* ------------------------------------------------------------------ */
 
 typedef struct {
@@ -186,6 +192,19 @@ static int iv_append(ivec *v, const int64_t *src, int64_t n)
     return 1;
 }
 
+/* x into an ascending v: appended, then moved back past any larger
+ * element. */
+static int iv_insert(ivec *v, int64_t x)
+{
+    int64_t at;
+    if (!iv_push(v, x))
+        return 0;
+    for (at = v->len - 1; at > v->head && v->buf[at - 1] > x; at--)
+        v->buf[at] = v->buf[at - 1];
+    v->buf[at] = x;
+    return 1;
+}
+
 /* ------------------------------------------------------------------ */
 /* Min-heaps (unique keys -> any valid heap pops identically)          */
 /* ------------------------------------------------------------------ */
@@ -235,6 +254,99 @@ static void heap_pop(ivec *h)
         heap_down(h->buf, h->len, 0);
 }
 
+/* ------------------------------------------------------------------ */
+/* Bitsets: random arbiters pick the k-th set bit                      */
+/* ------------------------------------------------------------------ */
+
+static int ctz64(uint64_t x)    /* x != 0 */
+{
+#if defined(__GNUC__)
+    return __builtin_ctzll(x);
+#else
+    int k = 0;
+    while (!(x & 1)) {
+        x >>= 1;
+        k++;
+    }
+    return k;
+#endif
+}
+
+static int popcount64(uint64_t x)
+{
+#if defined(__GNUC__)
+    return __builtin_popcountll(x);
+#else
+    int k = 0;
+    while (x) {
+        x &= x - 1;
+        k++;
+    }
+    return k;
+#endif
+}
+
+#define ONES8 UINT64_C(0x0101010101010101)
+#define MSBS8 UINT64_C(0x8080808080808080)
+
+/* Per byte, 1 where x's byte <= y's, else 0 (bytes below 0x80). */
+static inline uint64_t leq8(uint64_t x, uint64_t y)
+{
+    return ((((y | MSBS8) - (x & ~MSBS8)) ^ x ^ y) & MSBS8) >> 7;
+}
+
+/* The k-th lowest set bit of x (0 <= k < popcount(x)), broadword (Vigna,
+ * "Broadword implementation of rank/select queries"): byte-wise prefix
+ * popcounts locate the byte, then the byte's bits spread one per byte
+ * locate the bit.  No pdep: it is microcoded on some cores. */
+static int select64(uint64_t x, int k)
+{
+    uint64_t s = x - ((x & UINT64_C(0xaaaaaaaaaaaaaaaa)) >> 1), b;
+    int place;
+    s = (s & UINT64_C(0x3333333333333333))
+        + ((s >> 2) & UINT64_C(0x3333333333333333));
+    s = ((s + (s >> 4)) & UINT64_C(0x0f0f0f0f0f0f0f0f)) * ONES8;
+    place = (int)((leq8(s, (uint64_t)k * ONES8) * ONES8 >> 53)
+                  & ~UINT64_C(7));
+    k -= (int)(((s << 8) >> place) & 0xff);
+    b = ((x >> place) & 0xff) * ONES8 & UINT64_C(0x8040201008040201);
+    b = (((b | ((b | MSBS8) - ONES8)) & MSBS8) >> 7) * ONES8;
+    return place + (int)(leq8(b, (uint64_t)k * ONES8) * ONES8 >> 56);
+}
+
+/* Lowest set bit at or after `from` in an nw-word bitset, or -1. */
+static int bits_from(const uint64_t *w, int nw, int from)
+{
+    int k = from >> 6;
+    uint64_t x;
+    if (k >= nw)
+        return -1;
+    x = w[k] & (~UINT64_C(0) << (from & 63));
+    for (;;) {
+        if (x)
+            return (k << 6) + ctz64(x);
+        if (++k >= nw)
+            return -1;
+        x = w[k];
+    }
+}
+
+/* The k-th lowest set bit (k = 0 is the lowest), or -1. */
+static int bits_nth(const uint64_t *w, int nw, int k)
+{
+    int j;
+    for (j = 0; j < nw; j++) {
+        int c = popcount64(w[j]);
+        if (k < c)
+            return (j << 6) + select64(w[j], k);
+        k -= c;
+    }
+    return -1;
+}
+
+#define BIT_SET(w, b) ((w)[(b) >> 6] |= UINT64_C(1) << ((b) & 63))
+#define BIT_CLEAR(w, b) ((w)[(b) >> 6] &= ~(UINT64_C(1) << ((b) & 63)))
+
 /* crit heap entries: (entered << 16) | queue keeps tuple ordering for
  * entered < 2^46 and queue < 2^16 — entered is a slot number, bounded by
  * the horizon, and ties break on the queue index exactly like the python
@@ -274,7 +386,7 @@ static void heap_pop(ivec *h)
 #define OV_DRAM 2
 #define OV_RR 3
 
-/* Resume a generator from its 624-word key and [pos, consumed]: ERR_ARG
+/* Resume a generator from its 624-word key and meta = [pos]: ERR_ARG
  * unless 0 <= pos <= MT_N (mt_next reads key[pos]). */
 static int64_t mt_load(mt_state *mt, const uint32_t *key, const int64_t *meta)
 {
@@ -282,16 +394,14 @@ static int64_t mt_load(mt_state *mt, const uint32_t *key, const int64_t *meta)
         return ERR_ARG;
     memcpy(mt->key, key, sizeof(mt->key));
     mt->pos = (int)meta[0];
-    mt->consumed = 0;
     return ERR_OK;
 }
 
-/* The generator's key and [pos, words consumed], for python's setstate(). */
+/* The generator's key and [pos], for python's setstate(). */
 static void mt_store(const mt_state *mt, uint32_t *key, int64_t *meta)
 {
     memcpy(key, mt->key, sizeof(mt->key));
     meta[0] = mt->pos;
-    meta[1] = mt->consumed;
 }
 
 /* ------------------------------------------------------------------ */
@@ -343,7 +453,7 @@ typedef struct {
     int64_t tail_total, dram_total, sram_total, la_pos, negatives;
     int64_t cells_in, cells_out, dram_reads, dram_writes, dropped;
     int64_t max_tail, max_head;
-    int64_t crit_len, pending_len, eligible_len;
+    int64_t crit_len, pending_len;
     /* results (out) */
     int64_t n_delays, n_delay_pairs, n_head_miss, n_tail_miss, n_drained;
     int64_t arrivals_seen, grants, result_len;
@@ -365,7 +475,7 @@ typedef struct {
  * traced main window, each slot's (arrival, request), -1 = none. */
 typedef struct {
     uint32_t *arb_key;              /* in/out (ARB_RANDOM): 624 words */
-    int64_t *arb_meta;              /* in/out: [pos, consumed] */
+    int64_t *arb_meta;              /* in/out: [pos] */
     uint32_t *bern_key;             /* in/out (PLAN_BERNOULLI) */
     int64_t *bern_meta;
     const double *cum_weights;      /* len num_queues (PLAN_BERNOULLI) */
@@ -376,7 +486,6 @@ typedef struct {
     /* per-queue int64[num_queues], in/out */
     int64_t *backlog, *next_seqno, *delivered, *counters, *req_count;
     int64_t *tail_occ, *dram_occ, *crit_cache;
-    int64_t *eligible;              /* sorted, len eligible_len, cap nq */
     int64_t *la_ring;               /* in/out, len la_len, -1 = empty */
     const int64_t *state;           /* in: the state image, state_len */
     int64_t *result;                /* out: kernel-owned, result_len */
@@ -384,7 +493,7 @@ typedef struct {
 
 typedef struct {
     ivec tail, dram, req, arr;      /* FIFOs by cursor */
-    ivec sram;                      /* heap */
+    ivec sram;                      /* ascending seqnos, read by cursor */
 } qstate;
 
 /* Delay histogram of the main window, indexed by delay. */
@@ -489,9 +598,10 @@ static int *randbelow_shifts(int n)
     return shift;
 }
 
-static int upper_bound_d(const double *a, int hi, double x)
+/* bisect_right(a, x, lo, hi): the first index in [lo, hi) whose element
+ * exceeds x, else hi, by python's own probe sequence. */
+static inline int upper_bound_d(const double *a, int lo, int hi, double x)
 {
-    int lo = 0;
     while (lo < hi) {
         int mid = (lo + hi) >> 1;
         if (x < a[mid])
@@ -502,18 +612,66 @@ static int upper_bound_d(const double *a, int hi, double x)
     return lo;
 }
 
+/* Where choices() searches: the random() numerator comb (53 bits) scaled
+ * to the weight total, as python computes it. */
+#define DRAW_X(comb, total) \
+    ((double)(comb) * (1.0 / 9007199254740992.0) * (total))
+
+/* The guide of a draw over n cumulative weights: 2^bits buckets of the
+ * 53-bit numerator (2^bits the smallest power of two >= n), guide[j] the
+ * search's result at comb = j << (53 - bits), guide[2^bits] = n - 1.  The
+ * result at any comb of bucket j lies in [guide[j], guide[j + 1]]: comb
+ * -> x rounds monotonically when the total is finite and not negative,
+ * and the search's result is monotone in x when the weights are finite
+ * and non-decreasing.  Otherwise (a weight made negative after the
+ * process was built, an infinite one) there is no guide and every draw
+ * searches the whole range, on python's probe sequence.  Built in one
+ * merge walk; NULL (and *err untouched) when there is none, *err =
+ * ERR_OOM when it cannot be allocated. */
+static int *draw_guide(const double *cum, int n, double total, int *bits,
+                       int64_t *err)
+{
+    int i, j, k = 0, *guide;
+    if (!(total >= 0.0 && total - total == 0.0))
+        return NULL;
+    for (i = 0; i < n; i++)
+        if (!(cum[i] - cum[i] == 0.0 && (i == 0 || cum[i - 1] <= cum[i])))
+            return NULL;
+    while ((1 << k) < n)
+        k++;
+    guide = (int *)malloc(((size_t)1 << k) * sizeof(int) + sizeof(int));
+    if (!guide) {
+        *err = ERR_OOM;
+        return NULL;
+    }
+    for (i = j = 0; j < 1 << k; j++) {
+        double x = DRAW_X((int64_t)j << (53 - k), total);
+        while (i < n - 1 && !(x < cum[i]))
+            i++;
+        guide[j] = i;
+    }
+    guide[1 << k] = n - 1;
+    *bits = k;
+    return guide;
+}
+
 /* One slot of BernoulliArrivals' batch draw over n destinations: the
  * load gate random() < load (tint = ceil(load * 2**53)), then choices()
- * over the cumulative weights; -1 = no arrival.  The span entries draw a
- * queue with it, the fabric entry each ingress's egress. */
+ * over the cumulative weights, within the comb's bucket when a guide is
+ * given (draw_guide); -1 = no arrival.  The span entries draw a queue
+ * with it, the fabric entry each ingress's egress (without a guide). */
 static inline int bern_draw(mt_state *mt, int64_t tint, const double *cum,
-                            int n, double total)
+                            int n, double total, const int *guide, int bits)
 {
-    double u;
+    int64_t comb;
     if (mt_comb53(mt) >= tint)
         return -1;
-    u = (double)mt_comb53(mt) * (1.0 / 9007199254740992.0);
-    return upper_bound_d(cum, n - 1, u * total);
+    comb = mt_comb53(mt);
+    if (guide) {
+        guide += comb >> (53 - bits);
+        return upper_bound_d(cum, guide[0], guide[1], DRAW_X(comb, total));
+    }
+    return upper_bound_d(cum, 0, n - 1, DRAW_X(comb, total));
 }
 
 void rads_free_result(int64_t *result)
@@ -540,12 +698,15 @@ typedef struct {
     const double *cum_weights;
     /* the caller's fixed-shape arrays, updated in place */
     int64_t *backlog, *next_seqno, *delivered, *counters, *req_count;
-    int64_t *tail_occ, *dram_occ, *crit_cache, *elig, *la_ring;
+    int64_t *tail_occ, *dram_occ, *crit_cache, *la_ring;
     /* kernel-owned state */
     qstate *qs;
     ivec crit, misses, drained, events;
     hist delays;
     int *rb_shift;                  /* 32 - bit_length(m), m = 0..nq */
+    uint64_t *elig;                 /* ARB_RANDOM: backlogged queues */
+    int *guide;                     /* PLAN_BERNOULLI: draw_guide's, or
+                                       NULL */
     mt_state arb, bern;
     /* machine scalars */
     int64_t arb_s0, arb_s1;
@@ -553,7 +714,7 @@ typedef struct {
     int64_t cells_in, cells_out, dram_reads, dram_writes, dropped;
     int64_t max_tail, max_head, n_delays, n_tail_miss, arrivals_seen, grants;
     int64_t slot, err[3];           /* the current slot; an abort's record */
-    int la_pos, elig_len, big_cnt, pc;
+    int la_pos, elig_nw, elig_len, guide_bits, big_cnt, pc;
 } machine;
 
 /* Stop the span with `code` and up to three integers for python's
@@ -579,9 +740,13 @@ static void mach_record(const machine *m, kcfg *c)
 /* Set m (zeroed by the caller; mach_free releases it whatever this
  * returns) up from c and p: check the shared inputs and every id that
  * indexes per-queue state, resume the arbiter's and the Bernoulli plan's
- * generators, and load the image head (layout above kptrs) — per-queue
- * tail, DRAM, SRAM, request and arrival contents, then the critical heap,
- * whose keys must name queues — leaving r at the entry's own part. */
+ * generators, derive the random arbiter's set of backlogged queues from
+ * the backlog and the Bernoulli plan's guide from its weights, and load
+ * the image head (layout above kptrs) — per-queue tail, DRAM, SRAM,
+ * request and arrival contents, then the critical heap, whose keys must
+ * name queues — leaving r at the entry's own part.  Each head SRAM is
+ * loaded cell by cell into ascending order, so an image of the kernel
+ * that kept each as a heap loads too. */
 static int64_t mach_open(machine *m, const kcfg *c, const kptrs *p,
                          reader *r)
 {
@@ -594,7 +759,6 @@ static int64_t mach_open(machine *m, const kcfg *c, const kptrs *p,
     m->slot = c->start_slot;
     if (nq < 1 || nq > MAX_QUEUES || m->g < 1 || m->la_len < 1
             || c->la_pos < 0 || c->la_pos >= m->la_len
-            || c->eligible_len < 0 || c->eligible_len > nq
             || c->arb_mode < ARB_NONE || c->arb_mode > ARB_TRACE
             || c->plan_mode < PLAN_EXPLICIT || c->plan_mode > PLAN_NONE
             || c->head_mma < HEAD_ECQF || c->head_mma > HEAD_MDQF
@@ -632,7 +796,6 @@ static int64_t mach_open(machine *m, const kcfg *c, const kptrs *p,
     m->tail_occ = p->tail_occ;
     m->dram_occ = p->dram_occ;
     m->crit_cache = p->crit_cache;
-    m->elig = p->eligible;
     m->la_ring = p->la_ring;
     m->tail_total = c->tail_total;
     m->dram_total = c->dram_total;
@@ -646,7 +809,6 @@ static int64_t mach_open(machine *m, const kcfg *c, const kptrs *p,
     m->max_tail = c->max_tail;
     m->max_head = c->max_head;
     m->la_pos = (int)c->la_pos;
-    m->elig_len = (int)c->eligible_len;
     if ((m->plan_mode == PLAN_EXPLICIT && !m->plan)
             || (m->plan_mode == PLAN_BERNOULLI && !m->cum_weights)
             || (m->arb_mode == ARB_TRACE && !m->pattern)
@@ -660,19 +822,31 @@ static int64_t mach_open(machine *m, const kcfg *c, const kptrs *p,
     for (i = 0; i < m->la_len; i++)
         if (m->la_ring[i] < -1 || m->la_ring[i] >= nq)
             err = ERR_ARG;
-    for (i = 0; i < m->elig_len; i++)
-        if (m->elig[i] < 0 || m->elig[i] >= nq)
-            err = ERR_ARG;
     if (err == ERR_OK && m->arb_mode == ARB_RANDOM)
         err = mt_load(&m->arb, p->arb_key, p->arb_meta);
-    if (err == ERR_OK && m->plan_mode == PLAN_BERNOULLI)
+    if (err == ERR_OK && m->plan_mode == PLAN_BERNOULLI) {
         err = mt_load(&m->bern, p->bern_key, p->bern_meta);
+        if (err == ERR_OK)
+            m->guide = draw_guide(m->cum_weights, nq, m->bern_total,
+                                  &m->guide_bits, &err);
+    }
     if (err != ERR_OK)
         return err;
     m->rb_shift = randbelow_shifts(nq);
     m->qs = (qstate *)calloc((size_t)nq, sizeof(qstate));
     if (!m->rb_shift || !m->qs)
         return ERR_OOM;
+    if (m->arb_mode == ARB_RANDOM) {
+        m->elig_nw = (nq + 63) / 64;
+        m->elig = (uint64_t *)calloc((size_t)m->elig_nw, sizeof(uint64_t));
+        if (!m->elig)
+            return ERR_OOM;
+        for (i = 0; i < nq; i++)
+            if (m->backlog[i] > 0) {
+                BIT_SET(m->elig, i);
+                m->elig_len++;
+            }
+    }
     for (i = 0; i < nq; i++)
         if (m->tail_occ[i] >= m->g)
             m->big_cnt++;
@@ -686,8 +860,14 @@ static int64_t mach_open(machine *m, const kcfg *c, const kptrs *p,
         err = iv_load(&m->qs[i].tail, r, m->tail_occ[i]);
     for (i = 0; i < nq && err == ERR_OK; i++)
         err = iv_load(&m->qs[i].dram, r, m->dram_occ[i]);
-    for (i = 0; i < nq && err == ERR_OK; i++)
-        err = iv_load(&m->qs[i].sram, r, sram_cnt[i]);
+    for (i = 0; i < nq && err == ERR_OK; i++) {
+        const int64_t *cells = take(r, sram_cnt[i]);
+        int64_t j;
+        err = cells ? ERR_OK : ERR_ARG;
+        for (j = 0; j < sram_cnt[i] && err == ERR_OK; j++)
+            if (!iv_insert(&m->qs[i].sram, cells[j]))
+                err = ERR_OOM;
+    }
     for (i = 0; i < nq && err == ERR_OK; i++)
         err = iv_load(&m->qs[i].req, r, m->req_count[i]);
     for (i = 0; i < nq && err == ERR_OK; i++)
@@ -753,7 +933,6 @@ static int64_t *mach_close(machine *m, kcfg *c, kptrs *p, int64_t own)
     c->max_tail = m->max_tail;
     c->max_head = m->max_head;
     c->crit_len = m->crit.len;
-    c->eligible_len = m->elig_len;
     c->n_delays = m->n_delays;
     c->n_delay_pairs = n_pairs;
     c->n_head_miss = IV_COUNT(&m->misses) / 2;
@@ -788,6 +967,8 @@ static void mach_free(machine *m)
     free(m->events.buf);
     free(m->delays.count);
     free(m->rb_shift);
+    free(m->elig);
+    free(m->guide);
 }
 
 /* 1 when the slot starts a period (a multiple of g), else 0. */
@@ -820,10 +1001,12 @@ static inline int mach_arbitrate(machine *m, int64_t slot)
         return -1;
     switch (m->arb_mode) {
     case ARB_RANDOM:
-        /* the gate draw, then choice() over the eligible list */
+        /* the gate draw, then choice() over the backlogged queues in
+         * ascending order: the k-th set bit */
         if (mt_comb53(&m->arb) < m->arb_tint && m->elig_len)
-            request = (int)m->elig[mt_randbelow(&m->arb, m->elig_len,
-                                                m->rb_shift[m->elig_len])];
+            request = bits_nth(m->elig, m->elig_nw,
+                               mt_randbelow(&m->arb, m->elig_len,
+                                            m->rb_shift[m->elig_len]));
         break;
     case ARB_LONGEST: {
         /* the largest backlog, lowest index on ties */
@@ -887,12 +1070,15 @@ static inline int mach_arrival(machine *m, int64_t slot)
             return -2;
     } else if (m->plan_mode == PLAN_BERNOULLI) {
         a = bern_draw(&m->bern, m->bern_tint, m->cum_weights, m->nq,
-                      m->bern_total);
+                      m->bern_total, m->guide, m->guide_bits);
     }
     return a;
 }
 
-/* Cells into q's head SRAM (an SRAM overflow raises always). */
+/* Cells into q's head SRAM (an SRAM overflow raises always), each
+ * appended and moved back past any larger seqno, so the SRAM stays
+ * ascending: a cut-through cell can overtake a block in flight, and CFDS
+ * blocks can land out of order. */
 static inline int64_t mach_land(machine *m, int q, const int64_t *cells,
                                 int64_t n)
 {
@@ -902,7 +1088,7 @@ static inline int64_t mach_land(machine *m, int q, const int64_t *cells,
         if (m->sram_cap >= 0 && m->sram_total > m->sram_cap)
             return mach_fail(m, ERR_OVERFLOW, OV_SRAM, m->sram_cap,
                              m->sram_total);
-        if (!heap_push(&m->qs[q].sram, cells[j]))
+        if (!iv_insert(&m->qs[q].sram, cells[j]))
             return ERR_OOM;
     }
     return ERR_OK;
@@ -1127,8 +1313,8 @@ static inline int64_t mach_serve(machine *m, int q, int64_t slot)
 {
     qstate *ql = &m->qs[q];
     int64_t expected = m->delivered[q], arrival_slot, got;
-    if (ql->sram.len && ql->sram.buf[0] == expected) {
-        heap_pop(&ql->sram);
+    if (IV_COUNT(&ql->sram) && ql->sram.buf[ql->sram.head] == expected) {
+        ql->sram.head++;
         m->sram_total--;
     } else if (m->tail_occ[q] && ql->tail.buf[ql->tail.head] == expected) {
         mach_tail_take(m, q, 1, &got);
@@ -1149,42 +1335,22 @@ static inline int64_t mach_serve(machine *m, int q, int64_t slot)
     return iv_push(&m->drained, arrival_slot) ? ERR_OK : ERR_OOM;
 }
 
-/* Where q sits, or would sit, in the ascending eligible list. */
-static inline int elig_find(const machine *m, int q)
-{
-    int lo = 0, hi = m->elig_len;
-    while (lo < hi) {
-        int mid = (lo + hi) >> 1;
-        if (m->elig[mid] < q)
-            lo = mid + 1;
-        else
-            hi = mid;
-    }
-    return lo;
-}
-
 /* End of slot: the head SRAM's peak, then in a main window the backlog
- * and the eligible list RandomArbiter draws from. */
+ * and the set of backlogged queues RandomArbiter draws from. */
 static inline void mach_end_slot(machine *m, int a, int request)
 {
-    int at;
     if (m->sram_total > m->max_head)
         m->max_head = m->sram_total;
     if (!m->is_main)
         return;
-    if (a >= 0 && ++m->backlog[a] == 1 && m->arb_mode == ARB_RANDOM) {
-        at = elig_find(m, a);
-        memmove(m->elig + at + 1, m->elig + at,
-                (size_t)(m->elig_len - at) * sizeof(int64_t));
-        m->elig[at] = a;
+    if (a >= 0 && ++m->backlog[a] == 1 && m->elig) {
+        BIT_SET(m->elig, a);
         m->elig_len++;
     }
     if (request >= 0) {
         m->grants++;
-        if (--m->backlog[request] == 0 && m->arb_mode == ARB_RANDOM) {
-            at = elig_find(m, request);
-            memmove(m->elig + at, m->elig + at + 1,
-                    (size_t)(m->elig_len - at - 1) * sizeof(int64_t));
+        if (--m->backlog[request] == 0 && m->elig) {
+            BIT_CLEAR(m->elig, request);
             m->elig_len--;
         }
     }
@@ -2032,13 +2198,12 @@ typedef struct {
  *   the VOQ image after the window. */
 typedef struct {
     uint32_t *rng_key;      /* in/out: 624 words (random) */
-    int64_t *rng_meta;      /* in/out: [pos, consumed] (random) */
+    int64_t *rng_meta;      /* in/out: [pos] (random) */
     int64_t *grant, *accept;    /* in/out: num_ports pointers each (islip) */
     const int32_t *plan;    /* PLAN_EXPLICIT: num_ports x num_slots,
                                ingress-major, -1 = no arrival */
-    /* PLAN_BERNOULLI, per ingress: its generator (624 words and
-     * [pos, consumed], in/out), load gate, weight total and num_ports
-     * cumulative weights */
+    /* PLAN_BERNOULLI, per ingress: its generator (624 words and [pos],
+     * in/out), load gate, weight total and num_ports cumulative weights */
     uint32_t *bern_key;
     int64_t *bern_meta;
     const int64_t *bern_tint;
@@ -2047,71 +2212,6 @@ typedef struct {
     const int64_t *state;   /* in: the VOQ image, state_len */
     int64_t *result;        /* out: kernel-owned, result_len */
 } fptrs;
-
-static int ctz64(uint64_t x)    /* x != 0 */
-{
-#if defined(__GNUC__)
-    return __builtin_ctzll(x);
-#else
-    int k = 0;
-    while (!(x & 1)) {
-        x >>= 1;
-        k++;
-    }
-    return k;
-#endif
-}
-
-static int popcount64(uint64_t x)
-{
-#if defined(__GNUC__)
-    return __builtin_popcountll(x);
-#else
-    int k = 0;
-    while (x) {
-        x &= x - 1;
-        k++;
-    }
-    return k;
-#endif
-}
-
-/* Lowest set bit at or after `from` in an nw-word bitset, or -1. */
-static int bits_from(const uint64_t *w, int nw, int from)
-{
-    int k = from >> 6;
-    uint64_t x;
-    if (k >= nw)
-        return -1;
-    x = w[k] & (~UINT64_C(0) << (from & 63));
-    for (;;) {
-        if (x)
-            return (k << 6) + ctz64(x);
-        if (++k >= nw)
-            return -1;
-        x = w[k];
-    }
-}
-
-/* The k-th lowest set bit (k = 0 is the lowest), or -1. */
-static int bits_nth(const uint64_t *w, int nw, int k)
-{
-    int j;
-    for (j = 0; j < nw; j++) {
-        uint64_t x = w[j];
-        int c = popcount64(x);
-        if (k < c) {
-            while (k--)
-                x &= x - 1;
-            return (j << 6) + ctz64(x);
-        }
-        k -= c;
-    }
-    return -1;
-}
-
-#define BIT_SET(w, b) ((w)[(b) >> 6] |= UINT64_C(1) << ((b) & 63))
-#define BIT_CLEAR(w, b) ((w)[(b) >> 6] &= ~(UINT64_C(1) << ((b) & 63)))
 
 typedef struct {
     int n, nw, policy;
@@ -2275,7 +2375,7 @@ int64_t fabric_run_window(fcfg *c, fptrs *p)
         }
         for (i = 0; i < n; i++)
             if ((err = mt_load(&f.src[i], p->bern_key + (int64_t)i * MT_N,
-                               p->bern_meta + 2 * (int64_t)i)) != ERR_OK)
+                               p->bern_meta + i)) != ERR_OK)
                 goto cleanup;
     }
 
@@ -2330,7 +2430,7 @@ int64_t fabric_run_window(fcfg *c, fptrs *p)
             for (i = 0; i < n; i++) {
                 int a = drawn ? bern_draw(&f.src[i], p->bern_tint[i],
                                           p->cum_weights + (int64_t)i * n,
-                                          n, p->bern_total[i])
+                                          n, p->bern_total[i], NULL, 0)
                               : p->plan[(int64_t)i * num_slots + run];
                 ivec *v;
                 if (a == -1)
@@ -2413,7 +2513,7 @@ int64_t fabric_run_window(fcfg *c, fptrs *p)
     if (drawn)
         for (i = 0; i < n; i++)
             mt_store(&f.src[i], p->bern_key + (int64_t)i * MT_N,
-                     p->bern_meta + 2 * (int64_t)i);
+                     p->bern_meta + i);
 
 cleanup:
     if (f.voq)

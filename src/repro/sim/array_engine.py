@@ -11,10 +11,10 @@ integer state, held once, in the compiled span kernel's own encoding
 * a cell is identified by its ``(queue, seqno)`` pair; per-queue seqnos are
   dense, so a queue's cells in flight are its arrival slots in seqno order
   — no cell objects exist at all;
-* per-queue counts (backlog, seqnos, occupancies, MMA counters), the
-  eligible list and the lookahead and latency shift registers (``-1`` =
-  empty) are ``array('q')``s;
-* the FIFO contents, head-SRAM heaps and every other variable-length part
+* per-queue counts (backlog, seqnos, occupancies, MMA counters) and the
+  lookahead and latency shift registers (``-1`` = empty) are
+  ``array('q')``s;
+* the FIFO contents, the head SRAMs and every other variable-length part
   of the machine are one image (``image``) that only the kernel reads: it
   takes the image at the start of a span and hands the next one back;
 * the latency histogram is a plain dict of ints, folded into
@@ -34,8 +34,19 @@ policies in *algebraically identical* incremental forms:
 * **ThresholdTailMMA** — an occupancy max-scan, skipped while no queue
   holds a block.
 * **RandomArbiter** — the per-slot "list the backlogged queues" rebuild is
-  replaced by an incrementally maintained sorted list (``eligible``); the
-  RNG draw sequence is unchanged, so the request stream is bit-identical.
+  replaced by a bitset the kernel derives from ``backlog`` at the start of
+  a span and updates as backlogs leave and reach zero; ``choice()``'s
+  index picks the k-th set bit, which is the list's k-th entry, so the
+  RNG draw sequence and the request stream are bit-identical.
+* **BernoulliArrivals** — ``choices()``' bisect over the cumulative
+  weights starts from a guide: the kernel splits the 53-bit draw into as
+  many buckets as the next power of two of the queue count and searches
+  only the range a bucket can reach (``docs/architecture.md`` gives the
+  argument).
+* **Head SRAM** — python's per-queue heap of ``(seqno, id, cell)`` is an
+  ascending run of seqnos read by cursor: a landing cell moves back past
+  any larger seqno, which only a cell that overtook a block in flight
+  (cut-through, or a CFDS block landing out of order) has.
 
 For CFDS, the issue-period machinery — the DRAM scheduler subsystem
 (Requests Register with its oldest-ready select, Ongoing Requests Register,
@@ -398,12 +409,9 @@ class _ArrayCoreBase:
         self.req_count = zeros[:]      # requests pending in the pipeline
         self.tail_occ = zeros[:]
         self.dram_occ = zeros[:]
-        # ECQF's critical entry slot per queue (``CRIT_INF`` = none), the
-        # queues with backlog in ascending order (the first
-        # ``eligible_len``) and the lookahead ring (``-1`` = no request).
+        # ECQF's critical entry slot per queue (``CRIT_INF`` = none) and
+        # the lookahead ring (``-1`` = no request).
         self.crit_cache = array("q", [kernel.CRIT_INF]) * num_queues
-        self.eligible = zeros[:]
-        self.eligible_len = 0
         self.la_ring = array("q", [-1]) * self.la_len
         self.la_pos = 0
         self.tail_total = 0

@@ -26,16 +26,19 @@ marshalled once for both by ``_Handoff``.
 
 The kernel's encoding is the array core's only copy of the machine.  Its
 fixed-shape state — per-queue counts, the critical-entry cache, the
-eligible list, the lookahead ring and, for CFDS, the latency ring, the
-per-bank ORR locks and busy-until slots, the group occupancy, in-use flags
-and write counts — lives on the core as ``array('q')``s, which the kernel
-updates in copies taken per call.  The variable-length state — FIFO
-contents, SRAM heaps, the critical heap, pending blocks and, for CFDS, the
-Requests Register, the transfers in flight, the ORR ring, the renaming
-registers, free names and block locations — is one image that python
-never walks: :func:`empty_image` builds a fresh core's, and every span
-hands the kernel the core's image and keeps the one it returns.  Every
-buffer that grows during the span is the kernel's own; it returns one
+lookahead ring and, for CFDS, the latency ring, the per-bank ORR locks and
+busy-until slots, the group occupancy, in-use flags and write counts —
+lives on the core as ``array('q')``s, which the kernel updates in copies
+taken per call; what the kernel derives from it at the start of a span
+(``RandomArbiter``'s bitset of backlogged queues, the guide of a drawn
+Bernoulli plan) is its own and never crosses the call.  The
+variable-length state — FIFO contents, the head SRAMs (each ascending),
+the critical heap, pending blocks and, for CFDS, the Requests Register,
+the transfers in flight, the ORR ring, the renaming registers, free names
+and block locations — is one image that python never walks:
+:func:`empty_image` builds a fresh core's, and every span hands the
+kernel the core's image and keeps the one it returns.  Every buffer that
+grows during the span is the kernel's own; it returns one
 exact-size result (the new image, then the main window's delays already
 folded into ``(delay, count)`` pairs, misses, drained slots and, for a
 traced run, each slot's arrival and request), which :func:`_read_result`
@@ -222,22 +225,16 @@ class KCfg(ctypes.Structure):
             "head_mma", "traced", "state_len", "arb_s0", "arb_s1",
             "tail_total", "dram_total", "sram_total", "la_pos", "negatives",
             "cells_in", "cells_out", "dram_reads", "dram_writes", "dropped",
-            "max_tail", "max_head", "crit_len", "pending_len",
-            "eligible_len",
-            "n_delays", "n_delay_pairs", "n_head_miss", "n_tail_miss",
+            "max_tail", "max_head", "crit_len", "pending_len", "n_delays",
+            "n_delay_pairs", "n_head_miss", "n_tail_miss",
             "n_drained", "arrivals_seen", "grants", "result_len",
             "err_slot", "err_a", "err_b", "err_c")]
 
 
-_U32P = ctypes.POINTER(ctypes.c_uint32)
-_I32P = ctypes.POINTER(ctypes.c_int32)
-_I64P = ctypes.POINTER(ctypes.c_int64)
-_F64P = ctypes.POINTER(ctypes.c_double)
-
 #: The core's fixed-shape arrays both span entries update, in ``kptrs``
 #: order, and the CFDS entry's own, in ``cptrs`` order.
 _ARRAYS = ("backlog", "next_seqno", "delivered", "counters", "req_count",
-           "tail_occ", "dram_occ", "crit_cache", "eligible", "la_ring")
+           "tail_occ", "dram_occ", "crit_cache", "la_ring")
 _CFDS_ARRAYS = ("lat_ring", "locks", "busy_until", "group_occ", "in_use",
                 "write_count")
 
@@ -245,20 +242,25 @@ _CFDS_ARRAYS = ("lat_ring", "locks", "busy_until", "group_occ", "in_use",
 #: (``kcfg``), and the CFDS entry's own (``ccfg``).
 _SCALARS = ("tail_total", "dram_total", "sram_total", "la_pos", "negatives",
             "cells_in", "cells_out", "dram_reads", "dram_writes", "dropped",
-            "max_tail", "max_head", "crit_len", "eligible_len")
+            "max_tail", "max_head", "crit_len")
 _CFDS_SCALARS = ("lat_pos", "orr_pos", "rr_peak", "conflicts", "last_issue",
                  "flight_next", "max_delay")
+
+
+def _pointers(*names):
+    """A ``_fields_`` list of ``c_void_p`` pointers: each is set from an
+    array's ``buffer_info()[0]`` (the caller keeps the array alive, and
+    never resizes it, across the kernel call), and the kernel's result is
+    read back as an address."""
+    return [(name, ctypes.c_void_p) for name in names]
 
 
 class KPtrs(ctypes.Structure):
     """Mirror of ``kptrs`` in ``_spankernel.c`` (field order is the ABI)."""
 
-    _fields_ = [
-        ("arb_key", _U32P), ("arb_meta", _I64P),
-        ("bern_key", _U32P), ("bern_meta", _I64P),
-        ("cum_weights", _F64P), ("plan", _I32P),
-        ("arb_pattern", _I32P)] + [
-        (name, _I64P) for name in _ARRAYS + ("state", "result")]
+    _fields_ = _pointers("arb_key", "arb_meta", "bern_key", "bern_meta",
+                         "cum_weights", "plan", "arb_pattern", *_ARRAYS,
+                         "state", "result")
 
 
 class CCfg(ctypes.Structure):
@@ -275,7 +277,7 @@ class CCfg(ctypes.Structure):
 class CPtrs(ctypes.Structure):
     """Mirror of ``cptrs`` in ``_spankernel.c`` (field order is the ABI)."""
 
-    _fields_ = [("k", KPtrs)] + [(name, _I64P) for name in _CFDS_ARRAYS]
+    _fields_ = [("k", KPtrs)] + _pointers(*_CFDS_ARRAYS)
 
 
 class FCfg(ctypes.Structure):
@@ -291,12 +293,9 @@ class FCfg(ctypes.Structure):
 class FPtrs(ctypes.Structure):
     """Mirror of ``fptrs`` in ``_spankernel.c`` (field order is the ABI)."""
 
-    _fields_ = [("rng_key", _U32P), ("rng_meta", _I64P),
-                ("grant", _I64P), ("accept", _I64P), ("plan", _I32P),
-                ("bern_key", _U32P), ("bern_meta", _I64P),
-                ("bern_tint", _I64P), ("bern_total", _F64P),
-                ("cum_weights", _F64P),
-                ("state", _I64P), ("result", _I64P)]
+    _fields_ = _pointers("rng_key", "rng_meta", "grant", "accept", "plan",
+                         "bern_key", "bern_meta", "bern_tint", "bern_total",
+                         "cum_weights", "state", "result")
 
 
 def sanitize_enabled() -> bool:
@@ -496,7 +495,7 @@ def _load() -> None:
                                    ctypes.POINTER(KPtrs)]
                     release = lib.rads_free_result
                     release.restype = None
-                    release.argtypes = [_I64P]
+                    release.argtypes = [ctypes.c_void_p]
                     fabric = lib.fabric_run_window
                     fabric.restype = ctypes.c_int64
                     fabric.argtypes = [ctypes.POINTER(FCfg),
@@ -517,12 +516,6 @@ def _load() -> None:
         if obs is not None:
             obs.inc("engine.array.kernel_loaded" if fn is not None
                     else "engine.array.kernel_unavailable")
-
-
-def _addr(arr: array, ptype):
-    """A ctypes pointer to ``arr``'s storage (the caller keeps ``arr``
-    alive, and never resizes it, across the kernel call)."""
-    return ctypes.cast(arr.buffer_info()[0], ptype)
 
 
 def empty_image(num_queues: int, orr_len: Optional[int] = None,
@@ -552,9 +545,9 @@ def empty_image(num_queues: int, orr_len: Optional[int] = None,
 
 def _rng_image(rng):
     """``rng``'s state and the kernel's copy of it: the 624-word key and
-    ``[pos, consumed]``, which the kernel advances in place."""
+    ``[pos]``, which the kernel advances in place."""
     state = rng.getstate()
-    return state, array("I", state[1][:624]), array("q", (state[1][624], 0))
+    return state, array("I", state[1][:624]), array("q", (state[1][624],))
 
 
 def _rng_restore(rng, state, key, meta) -> None:
@@ -652,12 +645,12 @@ class _Handoff:
             window = arbiter.pattern[core.slot:core.slot + num_slots]
             self.pattern = _queue_array(window, nq)
             self.pattern.extend([-1] * (num_slots - len(window)))
-            ptr.arb_pattern = _addr(self.pattern, _I32P)
+            ptr.arb_pattern = self.pattern.buffer_info()[0]
         if bern is not None:
             rng, tint, cum_weights, total = bern
             ptr.bern_key, ptr.bern_meta = self._rng(rng)
             self.weights = array("d", cum_weights)
-            ptr.cum_weights = _addr(self.weights, _F64P)
+            ptr.cum_weights = self.weights.buffer_info()[0]
             fields.update(plan_mode=_PLAN_BERNOULLI, bern_tint=tint,
                           bern_total=total)
         elif main and aplan is not None:
@@ -665,12 +658,12 @@ class _Handoff:
             self.plan = (aplan if isinstance(aplan, array)
                          and aplan.typecode == "i"
                          else _queue_array(aplan[:num_slots], nq))
-            ptr.plan = _addr(self.plan, _I32P)
+            ptr.plan = self.plan.buffer_info()[0]
             fields["plan_mode"] = _PLAN_EXPLICIT
         self.fields = fields
         self.arrays = []
         self.bind(ptr, _ARRAYS)
-        ptr.state = _addr(core.image, _I64P)
+        ptr.state = core.image.buffer_info()[0]
 
     def bind(self, ptr, names) -> None:
         """Point ``ptr``'s fields ``names`` at copies of the core's arrays
@@ -679,14 +672,14 @@ class _Handoff:
             kept = getattr(self.core, name)
             copy = kept[:]
             self.arrays.append((kept, copy))
-            setattr(ptr, name, _addr(copy, _I64P))
+            setattr(ptr, name, copy.buffer_info()[0])
 
     def _rng(self, rng):
-        """Pointers to ``rng``'s key and ``[pos, consumed]`` for the
-        kernel, whose advanced state :meth:`apply` hands back."""
+        """The addresses of ``rng``'s key and ``[pos]`` for the kernel,
+        whose advanced state :meth:`apply` hands back."""
         state, key, meta = _rng_image(rng)
         self.rngs.append((rng, state, key, meta))
-        return _addr(key, _U32P), _addr(meta, _I64P)
+        return key.buffer_info()[0], meta.buffer_info()[0]
 
     def cfg(self, **fields) -> KCfg:
         core = self.core
@@ -749,7 +742,7 @@ def _read_result(ptr: KPtrs, cfg: KCfg):
     ``array``, and the outcome that follows it as a list."""
     try:
         view = memoryview((ctypes.c_int64 * cfg.result_len).from_address(
-            ctypes.addressof(ptr.result.contents))).cast("B")
+            ptr.result)).cast("B")
         return (_copied(view[:8 * cfg.state_len]),
                 view[8 * cfg.state_len:].cast("q").tolist())
     finally:
@@ -950,7 +943,7 @@ def run_fabric_window(num_ports: int, policy: str, start_slot: int,
         raise ConfigurationError("the fabric kernel is not loaded")
     n = num_ports
     # Every array below stays bound to a local, so alive across the C call.
-    ptr = FPtrs(state=_addr(voqs, _I64P))
+    ptr = FPtrs(state=voqs.buffer_info()[0])
     plan_mode = _PLAN_EXPLICIT
     if plans is not None:
         if len(plans) != n or any(len(entries) != num_slots
@@ -961,7 +954,7 @@ def run_fabric_window(num_ports: int, policy: str, start_slot: int,
         plan = array("i")
         for entries in plans:
             plan.extend(_queue_array(entries, n))
-        ptr.plan = _addr(plan, _I32P)
+        ptr.plan = plan.buffer_info()[0]
     elif bern is not None:
         if len(bern) != n or any(len(cum_weights) != n for _gen, _tint,
                                  cum_weights, _total in bern):
@@ -977,11 +970,11 @@ def run_fabric_window(num_ports: int, policy: str, start_slot: int,
             tints.append(tint)
             totals.append(total)
             weights.extend(cum_weights)
-        ptr.bern_key = _addr(bern_key, _U32P)
-        ptr.bern_meta = _addr(bern_meta, _I64P)
-        ptr.bern_tint = _addr(tints, _I64P)
-        ptr.bern_total = _addr(totals, _F64P)
-        ptr.cum_weights = _addr(weights, _F64P)
+        ptr.bern_key = bern_key.buffer_info()[0]
+        ptr.bern_meta = bern_meta.buffer_info()[0]
+        ptr.bern_tint = tints.buffer_info()[0]
+        ptr.bern_total = totals.buffer_info()[0]
+        ptr.cum_weights = weights.buffer_info()[0]
         plan_mode = _PLAN_BERNOULLI
     if pointers is not None:
         grant = array("q", pointers[0])
@@ -989,12 +982,12 @@ def run_fabric_window(num_ports: int, policy: str, start_slot: int,
         if len(grant) != n or len(accept) != n:
             raise ConfigurationError(
                 f"iSLIP's grant and accept pointers must number {n} each")
-        ptr.grant = _addr(grant, _I64P)
-        ptr.accept = _addr(accept, _I64P)
+        ptr.grant = grant.buffer_info()[0]
+        ptr.accept = accept.buffer_info()[0]
     if rng is not None:
         rng_image = _rng_image(rng)
-        ptr.rng_key = _addr(rng_image[1], _U32P)
-        ptr.rng_meta = _addr(rng_image[2], _I64P)
+        ptr.rng_key = rng_image[1].buffer_info()[0]
+        ptr.rng_meta = rng_image[2].buffer_info()[0]
     cfg = FCfg(num_ports=n, policy=FABRIC_POLICIES.index(policy),
                num_slots=num_slots, start_slot=start_slot,
                flush=1 if plans is None and bern is None else 0,
@@ -1020,7 +1013,7 @@ def run_fabric_window(num_ports: int, policy: str, start_slot: int,
     voqs_at = waits_at + 16 * cfg.n_wait_pairs
     try:
         view = memoryview((ctypes.c_int64 * cfg.result_len).from_address(
-            ctypes.addressof(ptr.result.contents))).cast("B")
+            ptr.result)).cast("B")
         window = FabricWindow(
             slots=slots,
             traces=[_copied(view[e * row_bytes:(e + 1) * row_bytes], "i")
@@ -1040,5 +1033,5 @@ def run_fabric_window(num_ports: int, policy: str, start_slot: int,
     if bern is not None:
         for i, ((gen, *_), (state, *_)) in enumerate(zip(bern, images)):
             _rng_restore(gen, state, bern_key[624 * i:624 * (i + 1)],
-                         bern_meta[2 * i:2 * i + 2])
+                         bern_meta[i:i + 1])
     return window

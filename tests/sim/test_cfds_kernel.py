@@ -80,6 +80,16 @@ def _arbiter(kind, num_queues):
     return None
 
 
+#: Weight vectors the guided draw must search exactly like python's
+#: bisect: zero weights at both ends (empty buckets at the edges), all
+#: weight on the last queue (every bucket's search starts at the end), a
+#: last queue lighter than a bucket (the last bucket's search ends there).
+EDGE_WEIGHTS = {
+    "zeros-at-both-ends": [0.0, 0.0, 3.0, 1.0, 0.5, 2.0, 1.0, 0.0, 0.0],
+    "all-on-the-last-queue": [0.0] * 8 + [1.0],
+    "light-last-queue": [1.0] * 7 + [0.05],
+}
+
 #: Stock Bernoulli processes, by ``make_sim``'s ``arrivals`` name: the
 #: kernel draws their plans itself.
 DRAWN = {
@@ -94,7 +104,9 @@ def make_sim(arbiter="random", granularity=2, renaming=True, group_cap=None,
              fallback=True, head_mma=None, patch=None, num_queues=8,
              load=0.95, arrivals=None, record_trace=False, **config):
     """An 8-queue CFDS machine (B=8, 32 banks) fed bursty traffic, or the
-    process ``arrivals`` names in :data:`DRAWN`, or ``arrivals`` itself.
+    process ``arrivals`` names in :data:`DRAWN`, or a Bernoulli process
+    over the weights it names in :data:`EDGE_WEIGHTS`, or ``arrivals``
+    itself.
 
     ``patch`` bends the buffer's scheduler where no config reaches:
     ``no_orr`` drops the Ongoing Requests Register, so banks are reissued
@@ -114,7 +126,9 @@ def make_sim(arbiter="random", granularity=2, renaming=True, group_cap=None,
         arrivals = BurstyArrivals(num_queues, mean_burst_cells=16, load=load,
                                   seed=5)
     elif isinstance(arrivals, str):
-        arrivals = DRAWN[arrivals](num_queues, load)
+        arrivals = (DRAWN[arrivals](num_queues, load) if arrivals in DRAWN
+                    else BernoulliArrivals(num_queues, load=load, seed=5,
+                                           weights=EDGE_WEIGHTS[arrivals]))
     return ClosedLoopSimulation(buffer, arrivals,
                                 _arbiter(arbiter, num_queues),
                                 record_trace=record_trace)
@@ -382,6 +396,49 @@ def test_shared_rng_plan_is_drawn_in_python():
     assert array == reference
     assert _fallbacks(registry) == {"shared_rng": array[0].slots}
     assert registry.counter("engine.array.kernel_spans") == 0
+
+
+# --------------------------------------------------------------------- #
+# The shared incremental forms at their edges, on the CFDS entry: the
+# guided Bernoulli draw, RandomArbiter's bitset, the in-order head SRAM.
+# --------------------------------------------------------------------- #
+
+def assert_kernel_draws_like_reference(num_slots, **knobs):
+    """:func:`assert_kernel_equals_reference` on a plan the kernel draws
+    for every main slot."""
+    reference = run_engine("reference", num_slots, **knobs)
+    array, registry = observed(lambda: run_engine("array", num_slots,
+                                                  **knobs))
+    assert array == reference
+    assert_kernel_ran(registry)
+    assert registry.counter("engine.array.kernel_plan_slots") == num_slots
+
+
+@needs_kernel
+@pytest.mark.parametrize("num_queues", (1, 63, 64, 65, 130))
+def test_edge_queue_counts_under_random_arbiter(num_queues):
+    """Queue counts at the bitset's word boundaries and the guide's bucket
+    boundaries."""
+    assert_kernel_draws_like_reference(2000, num_queues=num_queues,
+                                       arrivals="bernoulli", strict=False)
+
+
+@needs_kernel
+@pytest.mark.parametrize("name", sorted(EDGE_WEIGHTS))
+def test_edge_guided_draw_weights(name):
+    assert_kernel_draws_like_reference(
+        2000, num_queues=len(EDGE_WEIGHTS[name]), arrivals=name,
+        strict=False)
+
+
+@needs_kernel
+def test_edge_blocks_land_out_of_order(late_landings):
+    """A block read from DRAM lands after later cells of its queue, which
+    the MMA fetched from the tail by cut-through while the read waited in
+    the Requests Register or was in flight.  The kernel moves the read's
+    cells back past them."""
+    assert_kernel_equals_reference(3000, arbiter="longest_queue")
+    assert any("block" in held for held in late_landings)
 
 
 # --------------------------------------------------------------------- #

@@ -371,6 +371,121 @@ def test_wide_stream_with_warmup_and_resume(num_queues, kernel_mode,
 
 
 # --------------------------------------------------------------------- #
+# The kernel's incremental forms at their edges: the guided Bernoulli
+# draw, RandomArbiter's bitset of backlogged queues, the in-order head
+# SRAM.
+# --------------------------------------------------------------------- #
+
+needs_kernel = pytest.mark.skipif(
+    span_kernel.load_kernel() is None,
+    reason="no C compiler: the span kernel never runs")
+
+
+def _edge_sim(num_queues, weights=None, arrivals=None, granularity=4,
+              seed=61):
+    """RADS under RandomArbiter, fed a Bernoulli process the kernel draws
+    (``weights``, uniform by default) or ``arrivals``."""
+    if arrivals is None:
+        arrivals = BernoulliArrivals(num_queues, load=0.9, seed=seed,
+                                     weights=weights)
+    return ClosedLoopSimulation(
+        RADSPacketBuffer(RADSConfig(num_queues=num_queues,
+                                    granularity=granularity)),
+        arrivals, RandomArbiter(num_queues, load=0.95, seed=seed + 1))
+
+
+def _assert_edge_case(make_sim, num_slots=3000, chunk_slots=None):
+    """The kernel's report equals the reference's, every span on the
+    kernel, the arrival plan drawn there; returns the reference report.
+    With ``chunk_slots`` both runs stream in chunks of that size."""
+    def run(engine):
+        if chunk_slots is None:
+            return make_sim().run(num_slots, engine=engine)
+        return make_sim().run_stream(num_slots, engine=engine,
+                                     chunk_slots=chunk_slots)
+
+    reference = run("reference")
+    array, registry = _observed(lambda: run("array"))
+    assert_reports_identical(reference, array)
+    _assert_kernel_ran(registry, "kernel")
+    assert registry.counter("engine.array.kernel_spans") > 0
+    assert registry.counter("engine.array.kernel_plan_slots") == num_slots
+    return reference
+
+
+#: Weight vectors the guided draw must search exactly like python's
+#: bisect: zero weights at both ends (empty buckets at the edges), all
+#: weight on the last queue (every bucket's search starts at the end), a
+#: last queue lighter than a bucket (the last bucket's search ends there).
+EDGE_WEIGHTS = {
+    "zeros-at-both-ends": [0.0, 0.0, 3.0, 1.0, 0.5, 2.0, 1.0, 0.0, 0.0],
+    "all-on-the-last-queue": [0.0] * 15 + [1.0],
+    "light-last-queue": [1.0] * 7 + [0.05],
+}
+
+
+@needs_kernel
+@pytest.mark.parametrize("name", sorted(EDGE_WEIGHTS))
+def test_edge_guided_draw_weights(name):
+    weights = EDGE_WEIGHTS[name]
+    reference = _assert_edge_case(lambda: _edge_sim(len(weights), weights))
+    assert reference.throughput.arrivals > 0
+
+
+#: Queue counts at the bitset's word boundaries and the guide's bucket
+#: boundaries (one queue: a single bucket; 63, 64, 65: one word, one word
+#: full, two words; 130: three words and 256 buckets for 130 queues).
+EDGE_QUEUES = (1, 63, 64, 65, 130)
+
+
+@needs_kernel
+@pytest.mark.parametrize("num_queues", EDGE_QUEUES)
+def test_edge_queue_counts_under_random_arbiter(num_queues):
+    _assert_edge_case(lambda: _edge_sim(num_queues))
+
+
+@needs_kernel
+def test_edge_zipf_at_512_queues():
+    _assert_edge_case(lambda: _edge_sim(512, arrivals=ZipfArrivals(
+        512, exponent=1.2, load=0.9, seed=63), granularity=8))
+
+
+@needs_kernel
+def test_edge_weight_made_negative_after_construction():
+    """A weight made negative after construction leaves the cumulative
+    weights non-monotone: no guide holds, so every draw searches the whole
+    range on python's own probe sequence."""
+    def make_sim():
+        sim = _edge_sim(12)
+        sim.arrivals.weights[5] = -0.75
+        return sim
+
+    _assert_edge_case(make_sim)
+
+
+@needs_kernel
+def test_edge_infinite_weight():
+    """An infinite weight makes the total infinite: no guide holds, and
+    every draw searches the whole range.  Streamed, because there the
+    reference draws each chunk with the batch draw the kernel reproduces
+    (a monolithic reference run draws per slot, through ``choices()``,
+    which refuses an infinite total)."""
+    _assert_edge_case(
+        lambda: _edge_sim(12, [1.0] * 4 + [float("inf")] + [1.0] * 7),
+        chunk_slots=700)
+
+
+@needs_kernel
+def test_edge_cut_through_cell_overtakes_a_block_in_flight(late_landings):
+    """An arrival that finds its queue's cells all fetched cuts through to
+    the head SRAM while the block holding them is still in flight; the
+    block then lands behind it, and the kernel moves its cells back past
+    the cut-through cell."""
+    _assert_edge_case(lambda: _edge_sim(8, seed=3))
+    assert any("cell" in held for held in late_landings)
+
+
+# --------------------------------------------------------------------- #
 # Streamed runs: the kernel draws each chunk's Bernoulli plan.
 # --------------------------------------------------------------------- #
 
