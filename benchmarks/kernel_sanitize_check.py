@@ -47,13 +47,21 @@ into a child interpreter with the sanitizer runtimes preloaded and real
    head SRAM and Requests Register overflow, a strict head miss, a bank conflict, an address-bus
    violation, an arrival and a trace entry naming no queue), whose
    exception must match the reference's type and message, and
-9. the span entries' incremental forms at their edges and the resumes of
+9. the kernel's incremental forms at their edges and the resumes of
    version-4 snapshots: the tier-1 tests named ``test_edge_*`` in
    ``tests/sim/test_span_kernel.py`` and ``tests/sim/test_cfds_kernel.py``
    (Bernoulli weights the guided draw must search like python's bisect or
-   that no guide holds for, queue counts at the bitset's word and the
-   guide's bucket boundaries, Zipf at 512 queues, blocks that land behind
-   later cells of their queue) and ``test_version_4_*`` in
+   that no guide holds for, non-finite weights that must raise, queue
+   counts at the bitset's word and the guide's bucket boundaries, Zipf at
+   512 queues, blocks that land behind later cells of their queue, and
+   generators that enter spans at every edge of the block Mersenne
+   Twister: positions 0, 1, each side of a temper chunk, 623 and 624,
+   spans across several twists and one that draws nothing), in
+   ``tests/switch/test_fabric_kernel.py`` (fabric windows shorter than,
+   as long as and longer than the port count, so with and without the
+   ingress guides, edge weights and a weight made negative between
+   windows, the random policy at 63, 64 and 65 ports and iSLIP's pointers
+   through the wrap) and ``test_version_4_*`` in
    ``tests/sim/test_checkpoint_compat.py`` (snapshots whose head SRAMs are
    heaps), run by pytest in the sanitized child; any failure or skip
    fails the stage.
@@ -534,9 +542,9 @@ outcomes = Outcomes()
 code = pytest.main(
     ["-q", "-p", "no:cacheprovider", "--rootdir", str(root),
      "-k", "test_edge_ or test_version_4_"]
-    + [str(root / "tests" / "sim" / name) for name in (
-        "test_span_kernel.py", "test_cfds_kernel.py",
-        "test_checkpoint_compat.py")],
+    + [str(root / "tests" / name) for name in (
+        "sim/test_span_kernel.py", "sim/test_cfds_kernel.py",
+        "sim/test_checkpoint_compat.py", "switch/test_fabric_kernel.py")],
     plugins=[outcomes])
 if code != 0 or outcomes.other or not outcomes.passed:
     print(f"DIFFERENTIAL MISMATCH: edge cases and version-4 resumes "

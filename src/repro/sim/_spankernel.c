@@ -1,10 +1,10 @@
 /* Span kernel for the "array" engine's RADS and CFDS cores and the
  * switch's fabric stage.
  *
- * This file is compiled on demand by repro.sim.kernel (cc -O2 -shared) and
- * loaded through ctypes; it is NOT a CPython extension module and includes
- * no Python headers, so it builds anywhere a C99 compiler exists.  It has
- * three entry points:
+ * This file is compiled on demand by repro.sim.kernel (cc -O3 -march=native
+ * -shared, or plain -O3) and loaded through ctypes; it is NOT a CPython
+ * extension module and includes no Python headers, so it builds anywhere a
+ * C99 compiler exists.  It has three entry points:
  *  - rads_run_span and cfds_run_span are the array engine's only slot
  *    loops, one per buffer scheme; the object model (engine="reference")
  *    is their oracle.  Both run the stock head MMAs (ECQF, with or without
@@ -24,7 +24,8 @@
  *    islip, random or priority request/grant/accept match, num_ports <=
  *    MAX_PORTS), on request bitsets of any width, from explicit ingress
  *    plans or Bernoulli plans it draws per ingress with the span entries'
- *    draw (bern_draw), and returns int32 egress rows.
+ *    draw (bern_draw; guided in a window of at least num_ports slots),
+ *    and returns int32 egress rows.
  * Everything is integer arithmetic except the two places CPython uses
  * doubles -- random() and choices() -- which are reproduced with the
  * identical IEEE-754 expressions (this translation unit must never be
@@ -45,9 +46,12 @@
  *
  * Exactness contract:
  *  - the Mersenne Twister below is the reference mt19937ar generator that
- *    CPython's random.Random wraps; the kernel starts from the key/pos
- *    handed in and hands back the key/pos it stopped at, so the python
- *    side ends bit-identical to the reference engine;
+ *    CPython's random.Random wraps, run in blocks: a refill twists a spent
+ *    key and tempers the next MT_CHUNK words ahead into a buffer, which
+ *    draws hand out one word at a time in python's order.  The key is only
+ *    ever twisted, never tempered in place, so the kernel starts from the
+ *    key/pos handed in and hands back the key/pos it stopped at, and the
+ *    python side ends bit-identical to the reference engine;
  *  - a queue's head SRAM is its cells in ascending seqno order (seqnos
  *    are unique), so service reads the minimum the python heap would pop
  *    at the cursor; the image lists them ascending, which is also a valid
@@ -78,40 +82,67 @@
 
 #define MT_N 624
 #define MT_M 397
-#define MT_MATRIX_A 0x9908b0dfUL
-#define MT_UPPER 0x80000000UL
-#define MT_LOWER 0x7fffffffUL
+#define MT_MATRIX_A 0x9908b0dfU
+#define MT_UPPER 0x80000000U
+#define MT_LOWER 0x7fffffffU
+#define MT_CHUNK 32     /* words tempered per refill */
 
+/* The generator in blocks: key and pos are exactly python's state (the
+ * next word is key[pos] tempered, and pos = MT_N means the key is spent),
+ * and tw[] buffers key[base .. end) tempered, with base <= pos <= end.  A
+ * refill twists a spent key in one pass and tempers the next chunk in
+ * another, both branch-free loops that vectorise; the words still come out
+ * one at a time in python's order, so loading and storing a generator is
+ * a copy of its key and pos, whatever it draws. */
 typedef struct {
     uint32_t key[MT_N];
-    int pos;
+    int pos, base, end;
+    uint32_t tw[MT_CHUNK];
 } mt_state;
 
-static uint32_t mt_next(mt_state *mt)
+static void mt_twist(uint32_t *m)
 {
     uint32_t y;
+    int kk;
+    for (kk = 0; kk < MT_N - MT_M; kk++) {
+        y = (m[kk] & MT_UPPER) | (m[kk + 1] & MT_LOWER);
+        m[kk] = m[kk + MT_M] ^ (y >> 1) ^ (-(y & 1) & MT_MATRIX_A);
+    }
+    for (; kk < MT_N - 1; kk++) {
+        y = (m[kk] & MT_UPPER) | (m[kk + 1] & MT_LOWER);
+        m[kk] = m[kk + (MT_M - MT_N)] ^ (y >> 1) ^ (-(y & 1) & MT_MATRIX_A);
+    }
+    y = (m[MT_N - 1] & MT_UPPER) | (m[0] & MT_LOWER);
+    m[MT_N - 1] = m[MT_M - 1] ^ (y >> 1) ^ (-(y & 1) & MT_MATRIX_A);
+}
+
+/* Buffer the words from pos on, twisting the key first when it is spent. */
+static void mt_refill(mt_state *mt)
+{
+    const uint32_t *k;
+    int i, n;
     if (mt->pos >= MT_N) {
-        uint32_t *m = mt->key;
-        int kk;
-        for (kk = 0; kk < MT_N - MT_M; kk++) {
-            y = (m[kk] & MT_UPPER) | (m[kk + 1] & MT_LOWER);
-            m[kk] = m[kk + MT_M] ^ (y >> 1) ^ ((y & 1) ? MT_MATRIX_A : 0);
-        }
-        for (; kk < MT_N - 1; kk++) {
-            y = (m[kk] & MT_UPPER) | (m[kk + 1] & MT_LOWER);
-            m[kk] = m[kk + (MT_M - MT_N)] ^ (y >> 1)
-                    ^ ((y & 1) ? MT_MATRIX_A : 0);
-        }
-        y = (m[MT_N - 1] & MT_UPPER) | (m[0] & MT_LOWER);
-        m[MT_N - 1] = m[MT_M - 1] ^ (y >> 1) ^ ((y & 1) ? MT_MATRIX_A : 0);
+        mt_twist(mt->key);
         mt->pos = 0;
     }
-    y = mt->key[mt->pos++];
-    y ^= (y >> 11);
-    y ^= (y << 7) & 0x9d2c5680UL;
-    y ^= (y << 15) & 0xefc60000UL;
-    y ^= (y >> 18);
-    return y;
+    k = mt->key + mt->pos;
+    n = MT_N - mt->pos < MT_CHUNK ? MT_N - mt->pos : MT_CHUNK;
+    for (i = 0; i < n; i++) {
+        uint32_t y = k[i];
+        y ^= y >> 11;
+        y ^= (y << 7) & 0x9d2c5680U;
+        y ^= (y << 15) & 0xefc60000U;
+        mt->tw[i] = y ^ (y >> 18);
+    }
+    mt->base = mt->pos;
+    mt->end = mt->pos + n;
+}
+
+static inline uint32_t mt_next(mt_state *mt)
+{
+    if (mt->pos == mt->end)
+        mt_refill(mt);
+    return mt->tw[mt->pos++ - mt->base];
 }
 
 /* random(): two words -> 53-bit integer (random_res53 numerator). */
@@ -286,6 +317,21 @@ static int popcount64(uint64_t x)
 #endif
 }
 
+/* The k-th lowest set bit of x (0 <= k < popcount(x)).  Where BMI2's
+ * pdep is fast it deposits bit k of a one-hot word onto x's set bits;
+ * Zen 1 and Zen 2 microcode pdep, so there, and wherever the build does
+ * not target BMI2, the broadword select (Vigna, "Broadword implementation
+ * of rank/select queries") gives the same bit: byte-wise prefix popcounts
+ * locate the byte, then the byte's bits spread one per byte locate the
+ * bit. */
+#if defined(__BMI2__) && !defined(__znver1__) && !defined(__znver2__)
+#include <immintrin.h>
+
+static int select64(uint64_t x, int k)
+{
+    return ctz64(_pdep_u64(UINT64_C(1) << k, x));
+}
+#else
 #define ONES8 UINT64_C(0x0101010101010101)
 #define MSBS8 UINT64_C(0x8080808080808080)
 
@@ -295,10 +341,6 @@ static inline uint64_t leq8(uint64_t x, uint64_t y)
     return ((((y | MSBS8) - (x & ~MSBS8)) ^ x ^ y) & MSBS8) >> 7;
 }
 
-/* The k-th lowest set bit of x (0 <= k < popcount(x)), broadword (Vigna,
- * "Broadword implementation of rank/select queries"): byte-wise prefix
- * popcounts locate the byte, then the byte's bits spread one per byte
- * locate the bit.  No pdep: it is microcoded on some cores. */
 static int select64(uint64_t x, int k)
 {
     uint64_t s = x - ((x & UINT64_C(0xaaaaaaaaaaaaaaaa)) >> 1), b;
@@ -313,6 +355,7 @@ static int select64(uint64_t x, int k)
     b = (((b | ((b | MSBS8) - ONES8)) & MSBS8) >> 7) * ONES8;
     return place + (int)(leq8(b, (uint64_t)k * ONES8) * ONES8 >> 56);
 }
+#endif
 
 /* Lowest set bit at or after `from` in an nw-word bitset, or -1. */
 static int bits_from(const uint64_t *w, int nw, int from)
@@ -386,14 +429,15 @@ static int bits_nth(const uint64_t *w, int nw, int k)
 #define OV_DRAM 2
 #define OV_RR 3
 
-/* Resume a generator from its 624-word key and meta = [pos]: ERR_ARG
- * unless 0 <= pos <= MT_N (mt_next reads key[pos]). */
+/* Resume a generator from its 624-word key and meta = [pos], nothing
+ * buffered and nothing tempered: ERR_ARG unless 0 <= pos <= MT_N (the
+ * first refill reads key[pos]). */
 static int64_t mt_load(mt_state *mt, const uint32_t *key, const int64_t *meta)
 {
     if (!key || !meta || meta[0] < 0 || meta[0] > MT_N)
         return ERR_ARG;
     memcpy(mt->key, key, sizeof(mt->key));
-    mt->pos = (int)meta[0];
+    mt->pos = mt->base = mt->end = (int)meta[0];
     return ERR_OK;
 }
 
@@ -624,34 +668,55 @@ static inline int upper_bound_d(const double *a, int lo, int hi, double x)
  * -> x rounds monotonically when the total is finite and not negative,
  * and the search's result is monotone in x when the weights are finite
  * and non-decreasing.  Otherwise (a weight made negative after the
- * process was built, an infinite one) there is no guide and every draw
- * searches the whole range, on python's probe sequence.  Built in one
- * merge walk; NULL (and *err untouched) when there is none, *err =
- * ERR_OOM when it cannot be allocated. */
-static int *draw_guide(const double *cum, int n, double total, int *bits,
-                       int64_t *err)
+ * process was built) no guide holds and every draw searches the whole
+ * range, on python's probe sequence. */
+static int guide_bits(int n)
 {
-    int i, j, k = 0, *guide;
-    if (!(total >= 0.0 && total - total == 0.0))
-        return NULL;
-    for (i = 0; i < n; i++)
-        if (!(cum[i] - cum[i] == 0.0 && (i == 0 || cum[i - 1] <= cum[i])))
-            return NULL;
+    int k = 0;
     while ((1 << k) < n)
         k++;
-    guide = (int *)malloc(((size_t)1 << k) * sizeof(int) + sizeof(int));
-    if (!guide) {
-        *err = ERR_OOM;
-        return NULL;
-    }
-    for (i = j = 0; j < 1 << k; j++) {
-        double x = DRAW_X((int64_t)j << (53 - k), total);
+    return k;
+}
+
+static int guide_holds(const double *cum, int n, double total)
+{
+    int i;
+    if (!(total >= 0.0 && total - total == 0.0))
+        return 0;
+    for (i = 0; i < n; i++)
+        if (!(cum[i] - cum[i] == 0.0 && (i == 0 || cum[i - 1] <= cum[i])))
+            return 0;
+    return 1;
+}
+
+/* Fill guide[0 .. 2^bits] (guide_holds) in one merge walk. */
+static void guide_fill(int *guide, const double *cum, int n, double total,
+                       int bits)
+{
+    int i, j;
+    for (i = j = 0; j < 1 << bits; j++) {
+        double x = DRAW_X((int64_t)j << (53 - bits), total);
         while (i < n - 1 && !(x < cum[i]))
             i++;
         guide[j] = i;
     }
-    guide[1 << k] = n - 1;
-    *bits = k;
+    guide[1 << bits] = n - 1;
+}
+
+/* A span's guide: NULL (and *err untouched) when none holds, *err =
+ * ERR_OOM when it cannot be allocated. */
+static int *draw_guide(const double *cum, int n, double total, int *bits,
+                       int64_t *err)
+{
+    int *guide;
+    if (!guide_holds(cum, n, total))
+        return NULL;
+    *bits = guide_bits(n);
+    guide = (int *)malloc((((size_t)1 << *bits) + 1) * sizeof(int));
+    if (!guide)
+        *err = ERR_OOM;
+    else
+        guide_fill(guide, cum, n, total, *bits);
     return guide;
 }
 
@@ -659,7 +724,7 @@ static int *draw_guide(const double *cum, int n, double total, int *bits,
  * load gate random() < load (tint = ceil(load * 2**53)), then choices()
  * over the cumulative weights, within the comb's bucket when a guide is
  * given (draw_guide); -1 = no arrival.  The span entries draw a queue
- * with it, the fabric entry each ingress's egress (without a guide). */
+ * with it, the fabric entry each ingress's egress. */
 static inline int bern_draw(mt_state *mt, int64_t tint, const double *cum,
                             int n, double total, const int *guide, int bits)
 {
@@ -2228,6 +2293,9 @@ typedef struct {
     int64_t backlog_total, transferred;
     mt_state rng;
     mt_state *src;          /* per ingress (PLAN_BERNOULLI) */
+    const int **guide;      /* per ingress: its draw's guide, or NULL */
+    int *guides;            /* the guides, 2^guide_bits + 1 ints each */
+    int guide_bits;
     hist waits;
 } fabric;
 
@@ -2292,8 +2360,8 @@ static int64_t fabric_slot(fabric *f, int64_t slot, int *matched)
                 f->req_cnt[e]--;
             }
             if (policy == POLICY_ISLIP) {
-                f->grant[e] = (i + 1) % n;
-                f->accept[i] = (e + 1) % n;
+                f->grant[e] = i + 1 == n ? 0 : i + 1;
+                f->accept[i] = e + 1 == n ? 0 : e + 1;
             }
             f->backlog[i]--;
             f->backlog_total--;
@@ -2378,6 +2446,28 @@ int64_t fabric_run_window(fcfg *c, fptrs *p)
                                p->bern_meta + i)) != ERR_OK)
                 goto cleanup;
     }
+    /* An ingress's guide costs O(num_ports) to build, and the window draws
+     * num_slots times for it, so only a window of at least num_ports slots
+     * builds them: each window then costs what its cells cost. */
+    if (drawn && num_slots >= n) {
+        int64_t stride;
+        f.guide_bits = guide_bits(n);
+        stride = ((int64_t)1 << f.guide_bits) + 1;
+        f.guide = (const int **)calloc((size_t)n, sizeof(int *));
+        f.guides = (int *)malloc((size_t)(n * stride) * sizeof(int));
+        if (!f.guide || !f.guides) {
+            err = ERR_OOM;
+            goto cleanup;
+        }
+        for (i = 0; i < n; i++) {
+            const double *cum = p->cum_weights + (int64_t)i * n;
+            if (guide_holds(cum, n, p->bern_total[i])) {
+                guide_fill(f.guides + i * stride, cum, n, p->bern_total[i],
+                           f.guide_bits);
+                f.guide[i] = f.guides + i * stride;
+            }
+        }
+    }
 
     /* ---- VOQs from the image ---- */
     {
@@ -2430,7 +2520,9 @@ int64_t fabric_run_window(fcfg *c, fptrs *p)
             for (i = 0; i < n; i++) {
                 int a = drawn ? bern_draw(&f.src[i], p->bern_tint[i],
                                           p->cum_weights + (int64_t)i * n,
-                                          n, p->bern_total[i], NULL, 0)
+                                          n, p->bern_total[i],
+                                          f.guide ? f.guide[i] : NULL,
+                                          f.guide_bits)
                               : p->plan[(int64_t)i * num_slots + run];
                 ivec *v;
                 if (a == -1)
@@ -2529,6 +2621,8 @@ cleanup:
     free(f.backlog);
     free(f.per_egress);
     free(f.src);
+    free(f.guide);
+    free(f.guides);
     free(f.waits.count);
     free(out);
     return err;

@@ -102,6 +102,7 @@ from __future__ import annotations
 
 from array import array
 from itertools import accumulate
+from math import inf
 from typing import List, Optional
 
 from repro.errors import (
@@ -314,8 +315,9 @@ def deferred_plan(proc, num_queues: int,
     from ``arrivals`` (``slot_invariant``).  Its weights must cover exactly
     the ``num_queues`` the kernel searches: a process with fewer or more
     is drawn in python (one with more raises the reference engine's error
-    at its first arrival past the buffer's queues).  And they must not sum
-    to zero, which ``choices()`` reports on the first arrival, in python.
+    at its first arrival past the buffer's queues).  And their total must
+    be positive and finite: ``choices()`` reports any other on the first
+    arrival, in python.
     The switch's fabric stage asks the same of every ingress, over its
     egress ports.
     """
@@ -325,7 +327,7 @@ def deferred_plan(proc, num_queues: int,
             and cls.arrivals_slice is BernoulliArrivals.arrivals_slice
             and len(proc.weights) == num_queues):
         cum_weights = list(accumulate(proc.weights))
-        if cum_weights[-1] > 0.0:
+        if 0.0 < cum_weights[-1] < inf:
             return _DeferredPlan(proc, num_slots, cum_weights)
     return None
 

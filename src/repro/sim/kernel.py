@@ -8,12 +8,13 @@ The kernel has three entries.  The RADS and CFDS cores of
 :class:`~repro.switch.model.FabricStream` every window of a stock fabric
 policy on ``fabric_run_window`` (:func:`run_fabric_window`).  The bundled
 C99 source ``_spankernel.c`` is compiled on first use with the system
-compiler (``cc -O2 -march=native -shared -fPIC``, falling back to plain
-``-O2``), cached under the user's private cache directory
+compiler (``cc -O3 -march=native -shared -fPIC``, falling back to plain
+``-O3``), cached under the user's private cache directory
 (``$XDG_CACHE_HOME`` or ``~/.cache``, created ``0o700`` and
-ownership-verified before every load) keyed by a hash of the source and the
-interpreter/platform tags, and loaded through :mod:`ctypes` — no
-``Python.h``, no build backend, no wheels, no numpy.
+ownership-verified before every load) keyed by a hash of the source, the
+flag sets the build tries and the interpreter/platform tags, so a changed
+flag recompiles rather than loading a stale ``.so``, and loaded through
+:mod:`ctypes` — no ``Python.h``, no build backend, no wheels, no numpy.
 
 The kernel executes whole spans natively: it resumes the arbiter's (and,
 for a deferred Bernoulli plan, the arrival process's) Mersenne Twister from
@@ -147,6 +148,21 @@ MAX_FABRIC_PORTS = 1024
 FABRIC_POLICIES = ("islip", "random", "priority")
 
 _SOURCE = Path(__file__).with_name("_spankernel.c")
+
+#: The production builds, tried in order.  -O3 vectorises the Mersenne
+#: Twister's twist and temper loops, and -march=native lets them use the
+#: widest vectors and lets the bitset select use pdep where it is fast;
+#: -march=native is safe (the cache directory is per-machine) but not
+#: supported everywhere, hence plain -O3 after it.  Never -ffast-math:
+#: the kernel reproduces CPython's exact IEEE-754 double expressions for
+#: random() and choices(), isolated multiplies and comparisons that an
+#: optimisation level without such a licence leaves as written.
+_FLAG_SETS = (("-O3", "-march=native"), ("-O3",))
+
+#: The sanitized build trades speed for checking: -O1 keeps line info
+#: honest and -fno-sanitize-recover turns every finding into an abort.
+_SANITIZE_FLAGS = ("-g", "-O1", "-fsanitize=address,undefined",
+                   "-fno-sanitize-recover=all")
 
 #: The kernel's error codes (``ERR_*`` in ``_spankernel.c``).
 (_ERR_OK, _ERR_OOM, _ERR_ARG, _ERR_PLAN, _ERR_STATE, _ERR_OVERFLOW,
@@ -384,18 +400,21 @@ def _trusted(path: Path, want_dir: bool = False) -> bool:
     return stat.S_ISDIR(st.st_mode) if want_dir else stat.S_ISREG(st.st_mode)
 
 
+def _flag_sets():
+    """The compiler flag sets :func:`_compile` tries, in order."""
+    return (_SANITIZE_FLAGS,) if sanitize_enabled() else _FLAG_SETS
+
+
 def _cache_path() -> Path:
     digest = hashlib.sha256()
     digest.update(_SOURCE.read_bytes())
+    # The flags are part of the kernel: a changed flag set recompiles, and
+    # a sanitized .so (which fails to load without its preload) is never
+    # picked up by a production run, nor the other way round.
+    digest.update(repr(_flag_sets()).encode())
     digest.update(sys.implementation.cache_tag.encode())
     digest.update(sysconfig.get_platform().encode())
-    if sanitize_enabled():
-        # A sanitized .so must never be picked up by a production run (it
-        # would fail to load without the preload) nor vice versa.
-        digest.update(b"asan-ubsan")
-        suffix = "-sanitize"
-    else:
-        suffix = ""
+    suffix = "-sanitize" if sanitize_enabled() else ""
     tag = digest.hexdigest()[:20]
     return _cache_dir() / f"spankernel-{tag}{suffix}.so"
 
@@ -422,21 +441,10 @@ def _compile(path: Path) -> bool:
     if not _trusted(path.parent, want_dir=True):
         return False
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    # Never -ffast-math: the kernel reproduces CPython's exact IEEE-754
-    # double expressions for random() and choices().  -march=native is safe
-    # (the cache directory is per-machine and the kernel's floating point is
-    # isolated multiplies, nothing contraction-sensitive) but not guaranteed
-    # to be supported, so fall back to plain -O2.  Sanitized builds trade
-    # speed for checking: -O1 keeps line info honest and -fno-sanitize-
-    # recover turns every finding into an abort.
-    if sanitize_enabled():
-        flag_sets = (
-            ["-g", "-O1", "-fsanitize=address,undefined",
-             "-fno-sanitize-recover=all"],
-        )
-    else:
-        flag_sets = (["-O2", "-march=native"], ["-O2"])
-    for extra in flag_sets:
+    # The first flag set the compiler takes is the build (see _FLAG_SETS:
+    # -O3, with -march=native where supported, never -ffast-math);
+    # _cache_path hashes them all, so a changed set recompiles.
+    for extra in _flag_sets():
         cmd = [cc, *extra, "-shared", "-fPIC", "-o", str(tmp), str(_SOURCE)]
         try:
             proc = subprocess.run(cmd, stdout=subprocess.DEVNULL,

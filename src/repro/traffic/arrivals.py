@@ -23,6 +23,7 @@ import abc
 import random
 from bisect import bisect
 from itertools import accumulate
+from math import isfinite
 from typing import Iterable, List, Optional, Sequence
 
 from repro.errors import ValidationError
@@ -160,6 +161,8 @@ class BernoulliArrivals(ArrivalProcess):
             raise ValidationError("weights must have one entry per queue")
         if weights is not None and any(w < 0 for w in weights):
             raise ValidationError("weights must be non-negative")
+        if weights is not None and not all(isfinite(w) for w in weights):
+            raise ValidationError("weights must be finite")
         self.num_queues = num_queues
         self.load = load
         self.weights = list(weights) if weights is not None else [1.0] * num_queues
@@ -178,9 +181,10 @@ class BernoulliArrivals(ArrivalProcess):
         queues = self._queues
         cum_weights = list(accumulate(self.weights))
         total = cum_weights[-1] + 0.0
-        if total <= 0.0:
-            # Degenerate all-zero weights: defer to choices() so the error
-            # surfaces on the first draw, exactly as in the per-slot path.
+        if total <= 0.0 or not isfinite(total):
+            # Degenerate weights (all zero, or made non-finite after
+            # construction): defer to choices() so the error surfaces on
+            # the first draw, exactly as in the per-slot path.
             choices = self._rng.choices
             weights = self.weights
             for slot in range(num_slots):

@@ -32,6 +32,7 @@ from repro.sim.engine import ClosedLoopSimulation
 from repro.sim.streaming import StreamingSimulation, resume_stream
 from repro.workloads.registry import get_scenario
 from repro.traffic.arbiters import (
+    IntermittentArbiter,
     LongestQueueArbiter,
     OldestCellArbiter,
     RandomArbiter,
@@ -463,16 +464,41 @@ def test_edge_weight_made_negative_after_construction():
     _assert_edge_case(make_sim)
 
 
+def _assert_non_finite_weight_raises(value):
+    """A weight made ``value`` after construction makes the total not
+    finite: every engine, monolithic or streamed, raises ``choices()``'s
+    error at the first arrival, with the generator where the reference
+    leaves it."""
+    def make_sim():
+        sim = _edge_sim(12, seed=1)
+        sim.arrivals.weights[4] = value
+        return sim
+
+    states = set()
+    for engine in ("reference", "array"):
+        for streamed in (False, True):
+            sim = make_sim()
+            with pytest.raises(ValueError,
+                               match="^Total of weights must be finite$"):
+                if streamed:
+                    sim.run_stream(3000, engine=engine, chunk_slots=700)
+                else:
+                    sim.run(3000, engine=engine)
+            states.add(sim.arrivals._rng.getstate())
+    assert len(states) == 1
+
+
 @needs_kernel
 def test_edge_infinite_weight():
-    """An infinite weight makes the total infinite: no guide holds, and
-    every draw searches the whole range.  Streamed, because there the
-    reference draws each chunk with the batch draw the kernel reproduces
-    (a monolithic reference run draws per slot, through ``choices()``,
-    which refuses an infinite total)."""
-    _assert_edge_case(
-        lambda: _edge_sim(12, [1.0] * 4 + [float("inf")] + [1.0] * 7),
-        chunk_slots=700)
+    """No guide holds for an infinite weight, and no plan either: the
+    kernel never draws one, and every path raises as the reference's
+    per-slot draw does."""
+    _assert_non_finite_weight_raises(float("inf"))
+
+
+@needs_kernel
+def test_edge_nan_weight():
+    _assert_non_finite_weight_raises(float("nan"))
 
 
 @needs_kernel
@@ -483,6 +509,64 @@ def test_edge_cut_through_cell_overtakes_a_block_in_flight(late_landings):
     the cut-through cell."""
     _assert_edge_case(lambda: _edge_sim(8, seed=3))
     assert any("cell" in held for held in late_landings)
+
+
+#: Where the generators enter the first span: a fresh key, one word in,
+#: each side of the first temper chunk (32 words), the last word, and a
+#: spent key, which the first draw twists.
+MT_ENTRY_POSITIONS = (0, 1, 31, 32, 33, 623, 624)
+
+#: The spans of one stream: short ones inside a chunk, one (slots 50-59)
+#: inside the arbiter's off phase, so its generator is loaded and stored
+#: without a draw, and long ones that cross several twists.
+MT_SPANS = (1, 2, 5, 29, 13, 10, 20, 700, 3, 1500)
+
+
+def _entered_at(rng, position):
+    """``rng`` with its own key, at ``position``."""
+    version, state, gauss = rng.getstate()
+    rng.setstate((version, state[:624] + (position,), gauss))
+
+
+@needs_kernel
+@pytest.mark.parametrize("position", MT_ENTRY_POSITIONS)
+def test_edge_generators_enter_spans_anywhere_in_a_block(position):
+    """RandomArbiter (behind an on/off gate) over a kernel-drawn Bernoulli
+    plan: after every span both generators stand where the reference
+    engine leaves them, and the reports agree."""
+    def make_sim():
+        sim = ClosedLoopSimulation(
+            RADSPacketBuffer(RADSConfig(num_queues=8, granularity=4)),
+            BernoulliArrivals(8, load=0.9, seed=71),
+            IntermittentArbiter(RandomArbiter(8, load=0.95, seed=72),
+                                on_slots=50, off_slots=30))
+        _entered_at(sim.arrivals._rng, position)
+        _entered_at(sim.arbiter.inner._rng, position)
+        return sim
+
+    def states(sim):
+        return sim.arrivals._rng.getstate(), sim.arbiter.inner._rng.getstate()
+
+    total = sum(MT_SPANS)
+    streams = {engine: StreamingSimulation(make_sim(), total, engine=engine)
+               for engine in ("reference", "array")}
+    registry = MetricsRegistry()
+    stop = 0
+    with using_metrics(registry):
+        for span in MT_SPANS:
+            before = states(streams["array"].sim)
+            stop += span
+            for stream in streams.values():
+                stream.advance_to(stop)
+            after = states(streams["array"].sim)
+            assert after == states(streams["reference"].sim)
+            if stop == 60:
+                assert after[1] == before[1]
+        reports = {engine: stream.finish()
+                   for engine, stream in streams.items()}
+    assert_reports_identical(reports["reference"], reports["array"])
+    assert registry.counter("engine.array.kernel_spans") > len(MT_SPANS)
+    assert registry.counter("engine.array.kernel_plan_slots") == total
 
 
 # --------------------------------------------------------------------- #

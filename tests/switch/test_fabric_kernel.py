@@ -379,17 +379,24 @@ def test_engines_agree_through_the_switch_model():
 # Ingress plans the kernel draws
 # --------------------------------------------------------------------- #
 
-def ingress_windows(scn, engine, chunk_slots):
+def ingress_windows(scn, engine, chunk_slots, prepare=None, between=None):
     """Every window with every ingress generator's state after it, the
-    stage's stats and the routing counters."""
+    stage's stats, the routing counters and the arbiter's state at the
+    end; ``prepare(stream)`` runs before the first window and
+    ``between(stream)`` after it."""
     registry = MetricsRegistry()
     stream = FabricStream(scn, chunk_slots=chunk_slots, engine=engine)
+    if prepare is not None:
+        prepare(stream)
     windows = []
     with using_metrics(registry):
         for start, rows in stream.chunks():
             windows.append((start, rows, [source._rng.getstate()
                                           for source in stream.sources]))
-    return windows, stream.stats, registry.counters()
+            if between is not None and len(windows) == 1:
+                between(stream)
+    return (windows, stream.stats, registry.counters(),
+            arbiter_state(stream.fabric))
 
 
 @pytest.mark.parametrize("chunk_slots", [1, 73, None])
@@ -480,3 +487,99 @@ def test_shared_ingress_generator_keeps_python_plans():
     assert rows == [window for window in want.chunks()]
     assert registry.counter("switch.fabric.kernel_windows") >= 1
     assert not registry.counter("switch.fabric.kernel_plan_slots")
+
+
+@pytest.mark.parametrize("value", [float("inf"), float("nan")])
+def test_ingress_weight_made_non_finite_raises(value):
+    """An ingress whose weight total is not finite is no plan the kernel
+    draws: python draws every ingress's window and raises ``choices()``'s
+    error at that ingress's first arrival, on either engine, leaving the
+    generators in the same places."""
+    states = []
+    for engine in ("array", "reference"):
+        stream = FabricStream(scenario("islip", "bernoulli", 4, slots=60),
+                              chunk_slots=20, engine=engine)
+        stream.sources[2].weights[1] = value
+        with pytest.raises(ValueError,
+                           match="^Total of weights must be finite$"):
+            list(stream.chunks())
+        states.append([source._rng.getstate() for source in stream.sources])
+    assert states[0] == states[1]
+
+
+# --------------------------------------------------------------------- #
+# Edges of the guided ingress draw and of the match, each against the
+# python fabric (benchmarks/kernel_sanitize_check.py runs the test_edge_*
+# cases under ASan/UBSan)
+# --------------------------------------------------------------------- #
+
+#: Ingress weights over 16 egresses that the guided draw must search as
+#: python's bisect does: all on the last egress, zeros at both ends, and a
+#: last egress lighter than a bucket (the last bucket's search must still
+#: reach it).
+EDGE_WEIGHTS = {
+    0: [0.0] * 15 + [1.0],
+    1: [0.0, 0.0] + [1.0, 3.0, 0.5] * 4 + [0.0, 0.0],
+    2: [1.0] * 15 + [0.5],
+}
+
+
+def set_edge_weights(stream):
+    for ingress, values in EDGE_WEIGHTS.items():
+        stream.sources[ingress].weights[:] = values
+
+
+def assert_edge_matches_python(scn, chunk_slots=None, prepare=None,
+                               between=None):
+    """Window by window, the kernel's rows and generators are the python
+    fabric's, as are the stats and the arbiter's state; the kernel drew
+    every ingress plan.  Returns the kernel's windows."""
+    got = ingress_windows(scn, "array", chunk_slots, prepare, between)
+    want = ingress_windows(scn, "reference", chunk_slots, prepare, between)
+    assert (got[0], got[1], got[3]) == (want[0], want[1], want[3])
+    assert got[2]["switch.fabric.kernel_plan_slots"] == (scn.num_ports
+                                                         * scn.num_slots)
+    assert got[1].offered_cells > 0
+    return got[0]
+
+
+@pytest.mark.parametrize("chunk_slots", [15, 16, 17])
+def test_edge_guided_draw_windows(chunk_slots):
+    """Windows shorter than the 16 ports search each ingress's whole
+    range; windows of 16 slots or more search within its guide."""
+    windows = assert_edge_matches_python(
+        scenario("random", "bernoulli", 16, slots=200),
+        chunk_slots=chunk_slots, prepare=set_edge_weights)
+    # ingress 2 reached its light last egress
+    assert any(2 in rows[15] for _, rows, _ in windows)
+
+
+def test_edge_weight_made_negative_between_windows():
+    """The next window finds that ingress's cumulative weights not
+    monotone: it builds no guide for it and searches its whole range."""
+    def negate(stream):
+        stream.sources[3].weights[5] = -0.75
+
+    assert_edge_matches_python(scenario("islip", "bernoulli", 16, slots=60),
+                               chunk_slots=20, between=negate)
+
+
+@pytest.mark.parametrize("ports", [63, 64, 65])
+def test_edge_random_policy_at_word_boundaries(ports):
+    """The random policy's k-th set bit in request bitsets of one word,
+    one full word and two words, in one window long enough for guides."""
+    assert_edge_matches_python(scenario("random", "bernoulli", ports,
+                                        slots=80))
+
+
+@pytest.mark.parametrize("ports", [1, 8, 65])
+def test_edge_islip_pointers_through_the_wrap(ports):
+    """Every pointer starts at the last port, so the first matches wrap
+    them to port 0."""
+    def last_port(stream):
+        stream.fabric._grant[:] = [ports - 1] * ports
+        stream.fabric._accept[:] = [ports - 1] * ports
+
+    assert_edge_matches_python(
+        scenario("islip", "bernoulli", ports, slots=40), chunk_slots=ports,
+        prepare=last_port)

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.errors import ValidationError
 from repro.traffic.arrivals import (
     BernoulliArrivals,
     BurstyArrivals,
@@ -63,6 +64,11 @@ class TestBernoulliArrivals:
             BernoulliArrivals(num_queues=2, weights=[1.0])
         with pytest.raises(ValueError):
             BernoulliArrivals(num_queues=2, weights=[1.0, -1.0])
+
+    @pytest.mark.parametrize("value", [float("inf"), float("nan")])
+    def test_non_finite_weight_rejected(self, value):
+        with pytest.raises(ValidationError, match="weights must be finite"):
+            BernoulliArrivals(num_queues=3, weights=[1.0, value, 1.0])
 
     def test_reproducible_with_same_seed(self):
         a = BernoulliArrivals(num_queues=4, load=0.8, seed=42)

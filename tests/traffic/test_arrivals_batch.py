@@ -104,6 +104,23 @@ def test_bernoulli_all_zero_weights_raise_on_first_draw():
         source.arrivals(10)
 
 
+@pytest.mark.parametrize("value", [float("inf"), float("nan")])
+def test_bernoulli_weight_made_non_finite_raises_on_first_draw(value):
+    """A weight made non-finite after construction fails the batch draw as
+    it fails the per-slot one: choices()'s error at the first arrival, the
+    generator left where the per-slot path leaves it."""
+    batch, per_slot = (BernoulliArrivals(4, load=0.5, seed=1)
+                       for _ in range(2))
+    for source in (batch, per_slot):
+        source.weights[2] = value
+    with pytest.raises(ValueError, match="^Total of weights must be finite$"):
+        batch.arrivals(10)
+    with pytest.raises(ValueError, match="^Total of weights must be finite$"):
+        for slot in range(10):
+            per_slot.next_arrival(slot)
+    assert batch._rng.getstate() == per_slot._rng.getstate()
+
+
 # --------------------------------------------------------------------- #
 # arrivals_slice — the chunked-execution window API
 # --------------------------------------------------------------------- #
