@@ -56,12 +56,18 @@ into a child interpreter with the sanitizer runtimes preloaded and real
    512 queues, blocks that land behind later cells of their queue, and
    generators that enter spans at every edge of the block Mersenne
    Twister: positions 0, 1, each side of a temper chunk, 623 and 624,
-   spans across several twists and one that draws nothing), in
-   ``tests/switch/test_fabric_kernel.py`` (fabric windows shorter than,
-   as long as and longer than the port count, so with and without the
-   ingress guides, edge weights and a weight made negative between
-   windows, the random policy at 63, 64 and 65 ports and iSLIP's pointers
-   through the wrap) and ``test_version_4_*`` in
+   spans across several twists and one that draws nothing, and on both
+   entries a span through which every queue's FIFOs outgrow their first
+   allocation several times over and delays pass the histogram's first
+   1024 bins), in ``tests/switch/test_fabric_kernel.py`` (fabric windows
+   shorter than, as long as and longer than the port count, so with and
+   without the ingress guides, edge weights and a weight made negative
+   between windows, the random policy at 63, 64 and 65 ports, iSLIP's
+   pointers through the wrap, every policy's one-word and multiword match
+   at 1, 2, 63, 64 and 65 ports in arrival and flush windows, VOQs that
+   grow through one window until waits pass the histogram's first 1024
+   bins, and a VOQ image holding a cell that arrived after the slot it is
+   moved in, which must raise) and ``test_version_4_*`` in
    ``tests/sim/test_checkpoint_compat.py`` (snapshots whose head SRAMs are
    heaps), run by pytest in the sanitized child; any failure or skip
    fails the stage.

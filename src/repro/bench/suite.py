@@ -9,11 +9,11 @@ alone, then the full run at ``jobs=1`` and ``jobs=4``), and the
 long-horizon streaming path (chunked runs, with and without
 checkpointing) — each timed for a handful of repetitions, with the
 **median** wall-clock time recorded per benchmark.
-Results are written as JSON (``BENCH_27.json`` by default; the number
+Results are written as JSON (``BENCH_28.json`` by default; the number
 tracks the PR that produced the file), so successive snapshots can be
 diffed mechanically::
 
-    python -m repro bench                 # full suite -> BENCH_27.json
+    python -m repro bench                 # full suite -> BENCH_28.json
     python -m repro bench --quick         # reduced slot counts (CI perf-smoke)
     python -m repro bench --filter wide   # only the wide-queue benchmarks
 
@@ -37,7 +37,7 @@ from repro.errors import ValidationError
 
 #: Default output file.  The suffix tracks the PR that produced the
 #: snapshot so the repository can accumulate a BENCH_<n>.json trajectory.
-DEFAULT_OUTPUT = "BENCH_27.json"
+DEFAULT_OUTPUT = "BENCH_28.json"
 
 #: JSON schema version of the output document.
 SCHEMA = 1

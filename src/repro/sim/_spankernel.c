@@ -25,7 +25,14 @@
  *    MAX_PORTS), on request bitsets of any width, from explicit ingress
  *    plans or Bernoulli plans it draws per ingress with the span entries'
  *    draw (bern_draw; guided in a window of at least num_ports slots),
- *    and returns int32 egress rows.
+ *    and returns int32 egress rows.  Its match is one body (fabric_match)
+ *    specialised by word count: at 64 ports or fewer every request set,
+ *    grant mask and the granted set is one word, each pointer pick one
+ *    ctz; past that the same body runs on multiword bitsets.
+ * What a call pays per cell stays inline: a push onto a growable array
+ * (iv_push) and a delay into a histogram (hist_add) are one compare and
+ * one store, and their growth (iv_reserve, hist_grow) is out of line and
+ * cold, the error codes unchanged.
  * Everything is integer arithmetic except the two places CPython uses
  * doubles -- random() and choices() -- which are reproduced with the
  * identical IEEE-754 expressions (this translation unit must never be
@@ -177,9 +184,23 @@ typedef struct {
 
 #define IV_COUNT(v) ((v)->len - (v)->head)
 
+/* The per-cell helpers (iv_push, hist_add) inline to one compare and one
+ * store; their growth paths (iv_reserve, hist_grow) stay out of line, cold,
+ * so the compiler neither inlines them into every call site nor lays them
+ * out on the hot path.  FORCE_INLINE also marks the bodies a caller
+ * specialises with a literal argument (fabric_match and its bitset
+ * helpers); without GNU attributes both are plain. */
+#if defined(__GNUC__)
+#define COLD __attribute__((cold, noinline))
+#define FORCE_INLINE inline __attribute__((always_inline))
+#else
+#define COLD
+#define FORCE_INLINE inline
+#endif
+
 /* Room for n more elements: reclaim the consumed prefix when it is at
  * least half the storage (amortised O(1)), else double. */
-static int iv_reserve(ivec *v, int64_t n)
+static COLD int iv_reserve(ivec *v, int64_t n)
 {
     int64_t ncap;
     int64_t *nb;
@@ -204,7 +225,7 @@ static int iv_reserve(ivec *v, int64_t n)
     return 1;
 }
 
-static int iv_push(ivec *v, int64_t x)
+static FORCE_INLINE int iv_push(ivec *v, int64_t x)
 {
     if (v->len == v->cap && !iv_reserve(v, 1))
         return 0;
@@ -212,11 +233,11 @@ static int iv_push(ivec *v, int64_t x)
     return 1;
 }
 
-static int iv_append(ivec *v, const int64_t *src, int64_t n)
+static inline int iv_append(ivec *v, const int64_t *src, int64_t n)
 {
     if (n <= 0)
         return 1;
-    if (!iv_reserve(v, n))
+    if (v->len + n > v->cap && !iv_reserve(v, n))
         return 0;
     memcpy(v->buf + v->len, src, (size_t)n * sizeof(int64_t));
     v->len += n;
@@ -358,7 +379,7 @@ static int select64(uint64_t x, int k)
 #endif
 
 /* Lowest set bit at or after `from` in an nw-word bitset, or -1. */
-static int bits_from(const uint64_t *w, int nw, int from)
+static inline int bits_from(const uint64_t *w, int nw, int from)
 {
     int k = from >> 6;
     uint64_t x;
@@ -375,7 +396,7 @@ static int bits_from(const uint64_t *w, int nw, int from)
 }
 
 /* The k-th lowest set bit (k = 0 is the lowest), or -1. */
-static int bits_nth(const uint64_t *w, int nw, int k)
+static FORCE_INLINE int bits_nth(const uint64_t *w, int nw, int k)
 {
     int j;
     for (j = 0; j < nw; j++) {
@@ -385,6 +406,29 @@ static int bits_nth(const uint64_t *w, int nw, int k)
         k -= c;
     }
     return -1;
+}
+
+/* The lowest set bit at or after `from`, else the lowest (a round-robin
+ * pointer's pick), or -1.  On one word it is one ctz: of the bits at or
+ * above `from` when there are any, else of them all. */
+static FORCE_INLINE int bits_wrap(const uint64_t *w, int nw, int from)
+{
+    int i;
+    if (nw == 1) {
+        uint64_t x = w[0], hi = x & (~UINT64_C(0) << from);
+        return x ? ctz64(hi ? hi : x) : -1;
+    }
+    i = bits_from(w, nw, from);
+    return i >= 0 ? i : bits_from(w, nw, 0);
+}
+
+/* The number of set bits in an nw-word bitset. */
+static FORCE_INLINE int bits_count(const uint64_t *w, int nw)
+{
+    int j, c = 0;
+    for (j = 0; j < nw; j++)
+        c += popcount64(w[j]);
+    return c;
 }
 
 #define BIT_SET(w, b) ((w)[(b) >> 6] |= UINT64_C(1) << ((b) & 63))
@@ -540,31 +584,39 @@ typedef struct {
     ivec sram;                      /* ascending seqnos, read by cursor */
 } qstate;
 
-/* Delay histogram of the main window, indexed by delay. */
+/* Delay histogram of the main window, indexed by delay: cap bins, the
+ * first 1024 allocated at the first delay, doubled past it. */
 typedef struct {
     int64_t *count;
-    int64_t cap, max;
+    int64_t cap;
 } hist;
 
-static int64_t hist_add(hist *h, int64_t delay)
+/* Grow h past delay and count it; ERR_ARG for a negative delay. */
+static COLD int64_t hist_grow(hist *h, int64_t delay)
 {
+    int64_t ncap = h->cap > 0 ? h->cap * 2 : 1024;
+    int64_t *nb;
     if (delay < 0)
         return ERR_ARG;
-    if (delay >= h->cap) {
-        int64_t ncap = h->cap > 0 ? h->cap * 2 : 1024;
-        int64_t *nb;
-        while (ncap <= delay)
-            ncap *= 2;
-        nb = (int64_t *)realloc(h->count, (size_t)ncap * sizeof(int64_t));
-        if (!nb)
-            return ERR_OOM;
-        memset(nb + h->cap, 0, (size_t)(ncap - h->cap) * sizeof(int64_t));
-        h->count = nb;
-        h->cap = ncap;
-    }
+    while (ncap <= delay)
+        ncap *= 2;
+    nb = (int64_t *)realloc(h->count, (size_t)ncap * sizeof(int64_t));
+    if (!nb)
+        return ERR_OOM;
+    memset(nb + h->cap, 0, (size_t)(ncap - h->cap) * sizeof(int64_t));
+    h->count = nb;
+    h->cap = ncap;
     h->count[delay]++;
-    if (delay > h->max)
-        h->max = delay;
+    return ERR_OK;
+}
+
+/* Count one delay: a negative delay compares unsigned past every bin, so
+ * it too takes the slow path, which rejects it. */
+static FORCE_INLINE int64_t hist_add(hist *h, int64_t delay)
+{
+    if ((uint64_t)delay >= (uint64_t)h->cap)
+        return hist_grow(h, delay);
+    h->count[delay]++;
     return ERR_OK;
 }
 
@@ -606,7 +658,7 @@ static int64_t *put(int64_t *w, const ivec *v)
 static int64_t hist_pairs(const hist *h)
 {
     int64_t d, n = 0;
-    for (d = 0; d <= h->max && h->count; d++)
+    for (d = 0; d < h->cap; d++)
         if (h->count[d])
             n++;
     return n;
@@ -616,7 +668,7 @@ static int64_t hist_pairs(const hist *h)
 static int64_t *put_hist(int64_t *w, const hist *h)
 {
     int64_t d;
-    for (d = 0; d <= h->max && h->count; d++)
+    for (d = 0; d < h->cap; d++)
         if (h->count[d]) {
             *w++ = d;
             *w++ = h->count[d];
@@ -2284,8 +2336,6 @@ typedef struct {
     uint64_t *req;          /* per egress: ingresses with a non-empty VOQ */
     int *req_cnt;           /* per egress: popcount of req */
     uint64_t *gmask;        /* per ingress: egresses granting it this slot */
-    int *gcnt;              /* per ingress: popcount of gmask */
-    uint64_t *granted;      /* ingresses holding a grant this slot */
     int *rb_shift;          /* 32 - bit_length(m), m = 0..n (random) */
     int64_t *backlog, *per_egress, *grant, *accept;
     int32_t *trace;
@@ -2299,55 +2349,63 @@ typedef struct {
     hist waits;
 } fabric;
 
-/* One request/grant/accept match of `slot`, applied as
- * FabricStream._transfer_slot does; *matched counts the pairs. */
-static int64_t fabric_slot(fabric *f, int64_t slot, int *matched)
+/* The word of an nw-word bitset that holds bit b (b < 64 when nw = 1). */
+#define BIT_WORD(w, nw, b) ((w)[(nw) == 1 ? 0 : (b) >> 6])
+#define BIT(b) (UINT64_C(1) << ((b) & 63))
+
+/* One request/grant/accept match of `slot` on nw-word bitsets, applied as
+ * FabricStream._transfer_slot does; *matched counts the pairs.  The body
+ * is written once for every width: fabric_slot calls it with a literal
+ * nw = 1 at 64 ports or fewer, where every request set, grant mask and the
+ * granted set fold to one word (the granted set held in a register, each
+ * pointer pick one ctz), and with f->nw past that. */
+static FORCE_INLINE int64_t fabric_match(fabric *f, int64_t slot, int nw,
+                                         int *matched)
 {
-    const int n = f->n, nw = f->nw, policy = f->policy;
-    int e, j;
+    const int n = f->n, policy = f->policy;
+    uint64_t granted[MAX_PORTS / 64];
+    int e, i, j, k;
     *matched = 0;
+    for (j = 0; j < nw; j++)
+        granted[j] = 0;
     /* grants: every requested egress picks one requester */
     for (e = 0; e < n; e++) {
         const uint64_t *rq = f->req + (int64_t)e * nw;
-        int cnt = f->req_cnt[e], i;
+        const int cnt = f->req_cnt[e];
         if (!cnt)
             continue;
-        if (policy == POLICY_ISLIP) {
-            i = bits_from(rq, nw, (int)f->grant[e]);
-            if (i < 0)
-                i = bits_from(rq, nw, 0);
-        } else if (policy == POLICY_RANDOM) {
+        if (policy == POLICY_ISLIP)
+            i = bits_wrap(rq, nw, (int)f->grant[e]);
+        else if (policy == POLICY_RANDOM)
             i = bits_nth(rq, nw, mt_randbelow(&f->rng, cnt,
                                               f->rb_shift[cnt]));
-        } else {
-            i = bits_from(rq, nw, 0);
-        }
+        else
+            i = bits_wrap(rq, nw, 0);
         if (i < 0)
             return ERR_STATE;
-        BIT_SET(f->gmask + (int64_t)i * nw, e);
-        f->gcnt[i]++;
-        BIT_SET(f->granted, i);
+        BIT_WORD(f->gmask + (int64_t)i * nw, nw, e) |= BIT(e);
+        BIT_WORD(granted, nw, i) |= BIT(i);
     }
     /* accepts, ascending ingress: each granted ingress picks one egress */
     for (j = 0; j < nw; j++) {
-        while (f->granted[j]) {
-            int i = (j << 6) + ctz64(f->granted[j]);
-            uint64_t *gm = f->gmask + (int64_t)i * nw;
+        while (granted[j]) {
+            uint64_t *gm;
             ivec *v;
-            int64_t arrival;
-            f->granted[j] &= f->granted[j] - 1;
+            int64_t arrival, err;
+            i = (j << 6) + ctz64(granted[j]);
+            granted[j] &= granted[j] - 1;
+            gm = f->gmask + (int64_t)i * nw;
             if (policy == POLICY_ISLIP) {
-                e = bits_from(gm, nw, (int)f->accept[i]);
-                if (e < 0)
-                    e = bits_from(gm, nw, 0);
+                e = bits_wrap(gm, nw, (int)f->accept[i]);
             } else if (policy == POLICY_RANDOM) {
-                e = bits_nth(gm, nw, mt_randbelow(&f->rng, f->gcnt[i],
-                                                  f->rb_shift[f->gcnt[i]]));
+                const int cnt = bits_count(gm, nw);
+                e = bits_nth(gm, nw, mt_randbelow(&f->rng, cnt,
+                                                  f->rb_shift[cnt]));
             } else {
-                e = bits_from(gm, nw, 0);
+                e = bits_wrap(gm, nw, 0);
             }
-            memset(gm, 0, (size_t)nw * sizeof(uint64_t));
-            f->gcnt[i] = 0;
+            for (k = 0; k < nw; k++)
+                gm[k] = 0;
             if (e < 0)
                 return ERR_STATE;
             v = &f->voq[(int64_t)i * n + e];
@@ -2356,7 +2414,7 @@ static int64_t fabric_slot(fabric *f, int64_t slot, int *matched)
             arrival = v->buf[v->head++];
             if (!IV_COUNT(v)) {
                 v->head = v->len = 0;
-                BIT_CLEAR(f->req + (int64_t)e * nw, i);
+                BIT_WORD(f->req + (int64_t)e * nw, nw, i) &= ~BIT(i);
                 f->req_cnt[e]--;
             }
             if (policy == POLICY_ISLIP) {
@@ -2365,8 +2423,8 @@ static int64_t fabric_slot(fabric *f, int64_t slot, int *matched)
             }
             f->backlog[i]--;
             f->backlog_total--;
-            if (hist_add(&f->waits, slot - arrival) != ERR_OK)
-                return slot < arrival ? ERR_ARG : ERR_OOM;
+            if ((err = hist_add(&f->waits, slot - arrival)) != ERR_OK)
+                return err;
             f->trace[(int64_t)e * f->stride + (slot - f->start)] = i;
             f->per_egress[e]++;
             f->transferred++;
@@ -2374,6 +2432,12 @@ static int64_t fabric_slot(fabric *f, int64_t slot, int *matched)
         }
     }
     return ERR_OK;
+}
+
+static int64_t fabric_slot(fabric *f, int64_t slot, int *matched)
+{
+    return f->nw == 1 ? fabric_match(f, slot, 1, matched)
+                      : fabric_match(f, slot, f->nw, matched);
 }
 
 int64_t fabric_run_window(fcfg *c, fptrs *p)
@@ -2406,14 +2470,12 @@ int64_t fabric_run_window(fcfg *c, fptrs *p)
     f.voq = (ivec *)calloc((size_t)n * (size_t)n, sizeof(ivec));
     f.req = (uint64_t *)calloc((size_t)n * (size_t)f.nw, sizeof(uint64_t));
     f.gmask = (uint64_t *)calloc((size_t)n * (size_t)f.nw, sizeof(uint64_t));
-    f.granted = (uint64_t *)calloc((size_t)f.nw, sizeof(uint64_t));
     f.req_cnt = (int *)calloc((size_t)n, sizeof(int));
-    f.gcnt = (int *)calloc((size_t)n, sizeof(int));
     f.rb_shift = randbelow_shifts(n);
     f.backlog = (int64_t *)calloc((size_t)n, sizeof(int64_t));
     f.per_egress = (int64_t *)calloc((size_t)n, sizeof(int64_t));
-    if (!f.voq || !f.req || !f.gmask || !f.granted || !f.req_cnt || !f.gcnt
-            || !f.rb_shift || !f.backlog || !f.per_egress) {
+    if (!f.voq || !f.req || !f.gmask || !f.req_cnt || !f.rb_shift
+            || !f.backlog || !f.per_egress) {
         err = ERR_OOM;
         goto cleanup;
     }
@@ -2614,9 +2676,7 @@ cleanup:
     free(f.voq);
     free(f.req);
     free(f.gmask);
-    free(f.granted);
     free(f.req_cnt);
-    free(f.gcnt);
     free(f.rb_shift);
     free(f.backlog);
     free(f.per_egress);

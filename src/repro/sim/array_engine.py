@@ -513,12 +513,11 @@ class _ArrayCoreBase:
         throughput.departures += self.departures + len(self.drained)
         throughput.idle_request_slots += self.idle_requests
         latency = sim.latency
-        for delay, count in self.hist.items():
-            latency.record_delay(delay, count)
+        latency.record_delays(self.hist.keys(), self.hist.values())
         # Cells served during the drain window are stamped with the final
         # slot, exactly as the object model's ``drain()`` epilogue does.
-        for arrival_slot in self.drained:
-            latency.record_delay(final_slot - arrival_slot)
+        latency.record_delays(array("q", map(final_slot.__sub__,
+                                             self.drained)))
         throughput.slots = final_slot
         throughput.drops = self.dropped
         self.buffer._dropped_cells += self.dropped

@@ -2,11 +2,23 @@
 
 from __future__ import annotations
 
+import functools
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, Optional, Sequence, Tuple
+from itertools import repeat
+from typing import Collection, Dict, Iterable, Optional, Sequence, Tuple
 
 from repro.errors import ValidationError
+
+
+@functools.lru_cache(maxsize=256)
+def _exact_ratio(fraction: float) -> Tuple[int, int]:
+    """``fraction`` snapped to the decimal the caller meant, as ``(p, q)``:
+    computed once per fraction (``summary()`` asks for the same three)."""
+    ratio = Fraction(fraction).limit_denominator(10 ** 12)
+    return ratio.numerator, ratio.denominator
+
 
 def _percentile_threshold(fraction: float, count: int) -> int:
     """Smallest cumulative count that reaches the ``fraction`` percentile.
@@ -19,8 +31,8 @@ def _percentile_threshold(fraction: float, count: int) -> int:
     1/10 itself) and the threshold is then ``ceil(count * p / q)`` on plain
     ints, which never rounds.
     """
-    ratio = Fraction(fraction).limit_denominator(10 ** 12)
-    return -(-count * ratio.numerator // ratio.denominator)
+    numerator, denominator = _exact_ratio(fraction)
+    return -(-count * numerator // denominator)
 
 
 class LatencyStats:
@@ -88,6 +100,49 @@ class LatencyStats:
         if self._maximum is None or delay > self._maximum:
             self._maximum = delay
         self._histogram[delay] = self._histogram.get(delay, 0) + count
+
+    def record_delays(self, delays: Collection[int],
+                      counts: Optional[Collection[int]] = None) -> None:
+        """Fold ``counts[i]`` cells of ``delays[i]`` slots each at once, or
+        one cell of each delay when ``counts`` is ``None``.
+
+        The collector ends as after ``record_delay(delay, count)`` for each
+        pair in order: the same count, total, minimum and maximum, and the
+        histogram's keys inserted in the same order.  The first pair that
+        :meth:`record_delay` would reject raises its ``ValidationError``
+        before anything is recorded.  Both arguments are read more than
+        once and never copied.  The array engine folds its flat histograms
+        and drained cells, and the fabric kernel its wait pairs, through
+        this.
+        """
+        if counts is not None and len(counts) != len(delays):
+            raise ValidationError("delays and counts must pair up")
+        if not len(delays):
+            return
+        if counts is None:
+            if min(delays) < 0:
+                raise ValidationError("delay cannot be negative")
+            self._count += len(delays)
+            self._total += sum(delays)
+            counts = repeat(1)
+        else:
+            if min(delays) < 0 or min(counts) <= 0:
+                for delay, count in zip(delays, counts):
+                    if delay < 0:
+                        raise ValidationError("delay cannot be negative")
+                    if count <= 0:
+                        raise ValidationError("count must be positive")
+            self._count += sum(counts)
+            self._total += sum(map(operator.mul, delays, counts))
+        lowest, highest = min(delays), max(delays)
+        if self._minimum is None or lowest < self._minimum:
+            self._minimum = lowest
+        if self._maximum is None or highest > self._maximum:
+            self._maximum = highest
+        histogram = self._histogram
+        seen = histogram.get
+        for delay, count in zip(delays, counts):
+            histogram[delay] = seen(delay, 0) + count
 
     @property
     def count(self) -> int:

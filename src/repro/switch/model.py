@@ -250,8 +250,7 @@ class FabricStream:
         self._backlog_total = sum(window.backlog)
         self._per_egress = [before + cells for before, cells
                             in zip(self._per_egress, window.per_egress)]
-        for delay, cells in zip(window.waits[::2], window.waits[1::2]):
-            self._waits.record_delay(delay, cells)
+        self._waits.record_delays(window.waits[::2], window.waits[1::2])
         self._offered += window.offered
         self._transferred += window.transferred
         self._peak_backlog = window.peak

@@ -15,6 +15,7 @@ result cache can serialise.
 
 from __future__ import annotations
 
+import functools
 import inspect
 from dataclasses import dataclass
 from typing import Any, Dict, Mapping, Optional, Tuple
@@ -92,14 +93,24 @@ MMA_TYPES: Dict[str, type] = {
 }
 
 
+@functools.lru_cache(maxsize=256)
+def _init_params(init) -> frozenset:
+    """The parameter names of one ``__init__``, read once per function
+    (the generator tables hold a few dozen classes)."""
+    return frozenset(inspect.signature(init).parameters)
+
+
 def accepts_param(cls: type, name: str) -> bool:
     """True when ``cls.__init__`` takes a parameter called ``name``.
 
     The spec builders use this to inject context a spec dict should not have
     to spell out (the scenario seed here; the port count and ingress index in
     :mod:`repro.switch`) without breaking generators that do not take it.
+    The signature is read once per ``__init__`` function, not per class, so
+    a subclass with its own ``__init__``, or an ``__init__`` replaced after
+    a first call, is read afresh.
     """
-    return name in inspect.signature(cls.__init__).parameters
+    return name in _init_params(cls.__init__)
 
 
 def _accepts_seed(cls: type) -> bool:

@@ -24,7 +24,7 @@ def test_suite_is_fixed_and_named():
     assert any(name.startswith("mma-ablation") for name in names)
     assert any(name.startswith("switch/") for name in names)
     assert any(name.startswith("stream/") for name in names)
-    assert DEFAULT_OUTPUT == "BENCH_27.json"
+    assert DEFAULT_OUTPUT == "BENCH_28.json"
 
 
 def test_run_suite_quick_document_shape():

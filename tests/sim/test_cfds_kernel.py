@@ -68,6 +68,8 @@ class _Arbiter(LongestQueueArbiter):
 def _arbiter(kind, num_queues):
     if kind == "random":
         return RandomArbiter(num_queues, load=0.7, seed=6)
+    if kind == "slow_random":
+        return RandomArbiter(num_queues, load=0.2, seed=6)
     if kind == "longest_queue":
         return LongestQueueArbiter(num_queues)
     if kind == "longest_queue-subclass":
@@ -405,13 +407,14 @@ def test_shared_rng_plan_is_drawn_in_python():
 
 def assert_kernel_draws_like_reference(num_slots, **knobs):
     """:func:`assert_kernel_equals_reference` on a plan the kernel draws
-    for every main slot."""
+    for every main slot; returns the reference's outcome."""
     reference = run_engine("reference", num_slots, **knobs)
     array, registry = observed(lambda: run_engine("array", num_slots,
                                                   **knobs))
     assert array == reference
     assert_kernel_ran(registry)
     assert registry.counter("engine.array.kernel_plan_slots") == num_slots
+    return reference
 
 
 @needs_kernel
@@ -429,6 +432,20 @@ def test_edge_guided_draw_weights(name):
     assert_kernel_draws_like_reference(
         2000, num_queues=len(EDGE_WEIGHTS[name]), arrivals=name,
         strict=False)
+
+
+@needs_kernel
+def test_edge_growth_within_one_span():
+    """The arbiter requests in a fifth of the slots while cells arrive in
+    nine tenths: through one 3000-slot span every queue's backlog grows, so
+    its FIFOs and block locations outgrow their first allocation several
+    times over, and the delays pass the histogram's first 1024 bins."""
+    throughput, latency = assert_kernel_draws_like_reference(
+        3000, arbiter="slow_random", arrivals="bernoulli", load=0.9,
+        strict=False)[:2]
+    assert (throughput.arrivals - throughput.departures
+            - throughput.drops) > 8 * 64
+    assert latency.maximum > 1024
 
 
 @needs_kernel

@@ -383,16 +383,18 @@ needs_kernel = pytest.mark.skipif(
 
 
 def _edge_sim(num_queues, weights=None, arrivals=None, granularity=4,
-              seed=61):
-    """RADS under RandomArbiter, fed a Bernoulli process the kernel draws
-    (``weights``, uniform by default) or ``arrivals``."""
+              seed=61, request_load=0.95):
+    """RADS under RandomArbiter (requesting in ``request_load`` of the
+    slots), fed a Bernoulli process the kernel draws (``weights``, uniform
+    by default) or ``arrivals``."""
     if arrivals is None:
         arrivals = BernoulliArrivals(num_queues, load=0.9, seed=seed,
                                      weights=weights)
     return ClosedLoopSimulation(
         RADSPacketBuffer(RADSConfig(num_queues=num_queues,
                                     granularity=granularity)),
-        arrivals, RandomArbiter(num_queues, load=0.95, seed=seed + 1))
+        arrivals, RandomArbiter(num_queues, load=request_load,
+                                seed=seed + 1))
 
 
 def _assert_edge_case(make_sim, num_slots=3000, chunk_slots=None):
@@ -449,6 +451,23 @@ def test_edge_queue_counts_under_random_arbiter(num_queues):
 def test_edge_zipf_at_512_queues():
     _assert_edge_case(lambda: _edge_sim(512, arrivals=ZipfArrivals(
         512, exponent=1.2, load=0.9, seed=63), granularity=8))
+
+
+@needs_kernel
+def test_edge_growth_within_one_span():
+    """The arbiter requests in a fifth of the slots while cells arrive in
+    nine tenths: through one 3000-slot span every queue's backlog grows, so
+    its FIFOs outgrow their first allocation several times over (the
+    kernel's out-of-line growth path, amid the inline pushes), and the
+    delays pass the histogram's first 1024 bins."""
+    reference = _assert_edge_case(
+        lambda: _edge_sim(8, seed=71, request_load=0.2))
+    throughput = reference.throughput
+    # more than 8 * 64 cells still held: past 64 a queue, its arrival
+    # slots' FIFO has doubled from 8 at least four times
+    assert (throughput.arrivals - throughput.departures
+            - throughput.drops) > 8 * 64
+    assert reference.latency.maximum > 1024
 
 
 @needs_kernel

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.errors import ValidationError
 from repro.sim.stats import LatencyStats, ThroughputStats
 
 
@@ -136,6 +137,88 @@ class TestRecordDelay:
             stats.record_delay(-1)
         with pytest.raises(ValueError):
             stats.record_delay(3, 0)
+
+
+def _per_call(pairs, into=None):
+    stats = LatencyStats() if into is None else into
+    for delay, count in pairs:
+        stats.record_delay(delay, count)
+    return stats
+
+
+def _folded(pairs, into=None):
+    stats = LatencyStats() if into is None else into
+    stats.record_delays([delay for delay, _ in pairs],
+                        [count for _, count in pairs])
+    return stats
+
+
+class TestRecordDelays:
+    """The bulk fold leaves the collector as per-call ``record_delay``s in
+    the same order do: count, total, minimum, maximum and the histogram,
+    its keys in the same insertion order."""
+
+    PAIRS = {
+        "empty": [],
+        "duplicates": [(7, 1), (3, 2), (7, 4), (3, 1), (0, 1), (7, 1)],
+        "one-pair": [(5, 9)],
+        "boundaries": [(0, 1), (2 ** 62, 1), (0, 2 ** 53), (1, 1)],
+    }
+
+    @staticmethod
+    def _state(stats):
+        snapshot = stats.snapshot()
+        return snapshot, list(snapshot["histogram"])
+
+    @pytest.mark.parametrize("name", sorted(PAIRS))
+    def test_equals_per_call_records(self, name):
+        pairs = self.PAIRS[name]
+        assert self._state(_folded(pairs)) == self._state(_per_call(pairs))
+
+    @pytest.mark.parametrize("name", sorted(PAIRS))
+    def test_equals_per_call_records_into_a_loaded_collector(self, name):
+        """Minimum and maximum compare against what is there, and keys
+        already present keep their place."""
+        before = [(3, 2), (9, 1), (1, 1)]
+        pairs = self.PAIRS[name]
+        assert (self._state(_folded(pairs, _per_call(before)))
+                == self._state(_per_call(pairs, _per_call(before))))
+
+    @pytest.mark.parametrize("delays", [[], [7, 3, 7, 0, 3], [2 ** 62, 0]])
+    def test_one_cell_each_without_counts(self, delays):
+        stats = _per_call([(3, 2)])
+        stats.record_delays(delays)
+        assert self._state(stats) == self._state(
+            _per_call([(3, 2)] + [(delay, 1) for delay in delays]))
+        with pytest.raises(ValidationError, match="delay cannot be negative"):
+            stats.record_delays([*delays, -1])
+        assert self._state(stats) == self._state(
+            _per_call([(3, 2)] + [(delay, 1) for delay in delays]))
+
+    def test_takes_sized_collections_of_one_length(self):
+        stats = LatencyStats()
+        histogram = {4: 2, 1: 3}
+        stats.record_delays(histogram.keys(), histogram.values())
+        assert self._state(stats) == self._state(_per_call([(4, 2),
+                                                            (1, 3)]))
+        with pytest.raises(ValidationError, match="pair up"):
+            stats.record_delays([1, 2], [1])
+
+    @pytest.mark.parametrize("pairs, message", [
+        ([(3, 1), (-1, 1), (4, 0)], "delay cannot be negative"),
+        ([(3, 1), (4, 0), (-1, 1)], "count must be positive"),
+        ([(3, -2)], "count must be positive"),
+        ([(-1, 0)], "delay cannot be negative"),
+    ])
+    def test_raises_as_the_first_rejected_call_and_records_nothing(
+            self, pairs, message):
+        with pytest.raises(ValidationError, match=message) as per_call:
+            _per_call(pairs)
+        stats = _per_call([(2, 1)])
+        with pytest.raises(ValidationError, match=message) as folded:
+            _folded(pairs, stats)
+        assert type(folded.value) is type(per_call.value)
+        assert self._state(stats) == self._state(_per_call([(2, 1)]))
 
 
 class TestEmptyStats:

@@ -583,3 +583,51 @@ def test_edge_islip_pointers_through_the_wrap(ports):
     assert_edge_matches_python(
         scenario("islip", "bernoulli", ports, slots=40), chunk_slots=ports,
         prepare=last_port)
+
+
+@pytest.mark.parametrize("ports", [1, 2, 63, 64, 65])
+@pytest.mark.parametrize("policy", POLICIES)
+def test_edge_policies_at_word_boundaries(policy, ports):
+    """Every policy's grant and accept picks on request sets of one word (1,
+    2 and 63 ports), one full word (64) and two words (65): the one-word
+    match and the multiword one, in 20-slot arrival windows and the flush
+    windows after them (a 1-port switch moves every cell in the slot it
+    arrives, so it has none)."""
+    scn = scenario(policy, "bernoulli", ports, slots=60)
+    windows = assert_edge_matches_python(scn, chunk_slots=20)
+    flushed = [start for start, _, _ in windows if start >= scn.num_slots]
+    assert bool(flushed) == (ports > 1)
+
+
+def test_edge_waits_past_the_first_histogram_bins():
+    """Every ingress sends nine tenths of its cells to egress 0, which
+    takes one a slot: its VOQs grow through one 1200-slot arrival window,
+    outgrowing their first allocation several times over, and the last
+    cells wait past the wait histogram's first 1024 bins."""
+    scn = dataclasses.replace(
+        scenario("islip", "bernoulli", 4, slots=1200),
+        traffic={"type": "hotspot",
+                 "params": {"hot_queues": [0], "hot_fraction": 0.9,
+                            "load": 0.9}})
+    windows = assert_edge_matches_python(scn, chunk_slots=1200)
+    stats = ingress_windows(scn, "array", 1200)[1]
+    assert len(windows) > 2
+    assert stats.peak_voq_backlog > 64
+    assert stats.wait_max > 1024
+
+
+@pytest.mark.parametrize("cells, stopped", [
+    ([6], 5), ([5, 7], 6), ([5, 6, 2 ** 40], 7)])
+def test_edge_image_arrival_after_the_window_start_raises(cells, stopped):
+    """A VOQ image holding a cell that arrived after the slot it is moved
+    in would wait a negative number of slots: the wait histogram's inline
+    add sends it to the growth path, which rejects it, and the flush window
+    from slot 5 raises ``ConfigurationError`` at that slot with nothing
+    written back."""
+    voqs = array("q", [0 * 2 + 1, len(cells), *cells])
+    pointers = ([0, 0], [0, 0])
+    with pytest.raises(ConfigurationError,
+                       match=f"stopped at slot {stopped} .error arg.$"):
+        kernel.run_fabric_window(2, "islip", 5, 4, None, voqs, len(cells),
+                                 pointers=pointers)
+    assert pointers == ([0, 0], [0, 0])

@@ -17,6 +17,7 @@ from repro.workloads import (
     scenario_names,
 )
 from repro.workloads.registry import _REGISTRY
+from repro.workloads.scenario import accepts_param
 
 
 def _simple_scenario(**overrides) -> Scenario:
@@ -152,3 +153,41 @@ class TestScenarioResult:
         spec = _simple_scenario().to_spec()
         assert run_scenario_spec(spec, engine="array") == \
                run_scenario_spec(spec, engine="reference")
+
+
+class TestAcceptsParam:
+    """The signature is read once per ``__init__`` function, so what each
+    class's constructor takes now is what the answer says."""
+
+    def test_a_subclass_with_its_own_init(self):
+        class Base:
+            def __init__(self, seed=0):
+                self.seed = seed
+
+        class Inherits(Base):
+            pass
+
+        class Own(Base):
+            def __init__(self, load=0.5):
+                super().__init__()
+                self.load = load
+
+        assert accepts_param(Base, "seed")
+        assert accepts_param(Inherits, "seed")
+        assert not accepts_param(Own, "seed")
+        assert accepts_param(Own, "load")
+        assert not accepts_param(Base, "load")
+
+    def test_an_init_replaced_after_the_first_call(self):
+        class Process:
+            def __init__(self, seed=0):
+                self.seed = seed
+
+        assert accepts_param(Process, "seed")
+
+        def replaced(self, num_queues=1):
+            self.num_queues = num_queues
+
+        Process.__init__ = replaced
+        assert not accepts_param(Process, "seed")
+        assert accepts_param(Process, "num_queues")
