@@ -4,7 +4,9 @@
  * This file is compiled on demand by repro.sim.kernel (cc -O3 -march=native
  * -shared, or plain -O3) and loaded through ctypes; it is NOT a CPython
  * extension module and includes no Python headers, so it builds anywhere a
- * C99 compiler exists.  It has three entry points:
+ * C99 compiler exists.  Beside rads_free_result, which releases results,
+ * and kernel_interface, the description python builds its side from (see
+ * "Kernel interface, described once"), it has three entry points:
  *  - rads_run_span and cfds_run_span are the array engine's only slot
  *    loops, one per buffer scheme; the object model (engine="reference")
  *    is their oracle.  Both run the stock head MMAs (ECQF, with or without
@@ -79,6 +81,7 @@
  *    for a plan entry, the ingress (fcfg.err_*), nothing written back.
  */
 
+#include <stddef.h>
 #include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
@@ -451,27 +454,150 @@ static FORCE_INLINE int bits_count(const uint64_t *w, int nw)
 /* "No pending landing" sentinel (compares greater than any slot). */
 #define NEVER (INT64_C(1) << 62)
 
+/* ------------------------------------------------------------------ */
+/* Kernel interface, described once                                    */
+/* ------------------------------------------------------------------ */
+
+/* Each code table and struct python shares is one list, in C's order:
+ * X(name) per code, numbered from 0 (NAME_COUNT is one past the last),
+ * and X(C type, name, role) per field.  It expands into its declaration
+ * and into kernel_interface()'s description (the end of this file), from
+ * which repro.sim.kernel builds its side at load, checking every offset
+ * and size: a new field is one line in its list, plus its uses.  Roles:
+ *   in     set per call by the marshal
+ *   conf   read from the core's attribute of that name (None = -1)
+ *   core   the core's attribute of that name, read and, after a span that
+ *          succeeds, written back (a pointer: a copy of its array('q'))
+ *   inout  in/out state that is not a core attribute
+ *   out    results and the abort record
+ *   base   the shared struct an entry's own extends (k) */
+#define CODE_ENUM(name) name,
+#define DECLARE(type, name, role) type name;
+
 /* Error codes.  A span entry that stops early reports the slot and up to
  * three integers with its code (kcfg.err_*), and python raises the
  * reference engine's exception from them. */
-#define ERR_OK 0
-#define ERR_OOM 1
-#define ERR_ARG 2       /* bad shape or state */
-#define ERR_PLAN 3      /* an arrival naming no queue (fabric: no egress) */
-#define ERR_STATE 4     /* fabric: an empty VOQ matched, or a flush slot
-                           matched none */
-#define ERR_OVERFLOW 5  /* err: structure (OV_*), capacity, occupancy */
-#define ERR_MISS 6      /* a strict head miss; err: queue */
-#define ERR_CONFLICT 7  /* a strict bank conflict; err: bank, busy until */
-#define ERR_BUS 8       /* an address-bus violation; err: the last issue
-                           slot, the bus slots */
-#define ERR_ARBITER 9   /* a trace arbiter entry naming no queue */
+#define ERR_CODES(X) \
+    X(ERR_OK) X(ERR_OOM) \
+    X(ERR_ARG)          /* bad shape or state */ \
+    X(ERR_PLAN)         /* an arrival naming no queue (fabric: no egress) */ \
+    X(ERR_STATE)        /* fabric: an empty VOQ matched, or a flush slot \
+                           matched none */ \
+    X(ERR_OVERFLOW)     /* err: structure (OV_*), capacity, occupancy */ \
+    X(ERR_MISS)         /* a strict head miss; err: queue */ \
+    X(ERR_CONFLICT)     /* a strict bank conflict; err: bank, busy until */ \
+    X(ERR_BUS)          /* an address-bus violation; err: the last issue \
+                           slot, the bus slots */ \
+    X(ERR_ARBITER)      /* a trace arbiter entry naming no queue */
+enum { ERR_CODES(CODE_ENUM) ERR_COUNT };
 
 /* The structures an ERR_OVERFLOW names. */
-#define OV_SRAM 0
-#define OV_TAIL 1
-#define OV_DRAM 2
-#define OV_RR 3
+#define OV_CODES(X) X(OV_SRAM) X(OV_TAIL) X(OV_DRAM) X(OV_RR)
+enum { OV_CODES(CODE_ENUM) OV_COUNT };
+
+/* The arbiters a span runs (kcfg.arb_mode; a drain window runs none),
+ * each over exactly num_queues; an IntermittentArbiter runs its inner
+ * arbiter's mode behind the on/off gate (kcfg.gate_*). */
+#define ARB_CODES(X) \
+    X(ARB_NONE) \
+    X(ARB_RANDOM)       /* RandomArbiter */ \
+    X(ARB_LONGEST)      /* LongestQueueArbiter */ \
+    X(ARB_OLDEST)       /* OldestCellArbiter; arb_s0 = _rotation */ \
+    X(ARB_ROUND_ROBIN)  /* RoundRobinAdversary; arb_s0 = _next */ \
+    X(ARB_STRIDED)      /* StridedAdversary; arb_s0 = _current, \
+                           arb_s1 = _issued_in_burst */ \
+    X(ARB_TRACE)        /* TraceArbiter; kptrs.arb_pattern */
+enum { ARB_CODES(CODE_ENUM) ARB_COUNT };
+
+/* The head MMA (kcfg.head_mma): ECQF without or with its most-deficit
+ * fallback, or MDQF. */
+#define HEAD_CODES(X) X(HEAD_ECQF) X(HEAD_ECQF_FALLBACK) X(HEAD_MDQF)
+enum { HEAD_CODES(CODE_ENUM) HEAD_COUNT };
+
+/* Where a main window's arrivals come from (kcfg.plan_mode): kptrs.plan,
+ * drawn here (BernoulliArrivals' batch draw), or none. */
+#define PLAN_CODES(X) X(PLAN_EXPLICIT) X(PLAN_BERNOULLI) X(PLAN_NONE)
+enum { PLAN_CODES(CODE_ENUM) PLAN_COUNT };
+
+/* kcfg's fields the machine holds under the same name and type: its
+ * configuration, which mach_open copies in, the scalars both entries carry
+ * from span to span, in and back (mach_close), and the counts, out. */
+#define MACH_CONFIG(X) \
+    X(int64_t, tail_cap, conf) X(int64_t, dram_cap, conf) /* -1: no cap */ \
+    X(int64_t, sram_cap, conf) X(int64_t, start_slot, in) \
+    X(int64_t, arb_tint, in)        /* ceil(arbiter.load * 2**53) */ \
+    X(int64_t, bern_tint, in)       /* ceil(arrivals.load * 2**53) */ \
+    X(int64_t, arb_stride, in)      /* ARB_STRIDED: stride % num_queues */ \
+    X(int64_t, arb_burst, in)       /* ARB_STRIDED: burst */ \
+    X(int64_t, gate_on, in)         /* IntermittentArbiter: on_slots */ \
+    X(int64_t, gate_period, in)     /* on + off slots; 0 = no gate */ \
+    X(double, bern_total, in)       /* cum_weights[-1] + 0.0 */
+#define MACH_STATE(X) \
+    X(int64_t, arb_s0, inout) X(int64_t, arb_s1, inout) /* ARB_* state */ \
+    X(int64_t, tail_total, core) X(int64_t, dram_total, core) \
+    X(int64_t, sram_total, core) X(int64_t, negatives, core) \
+    X(int64_t, cells_in, core) X(int64_t, cells_out, core) \
+    X(int64_t, dram_reads, core) X(int64_t, dram_writes, core) \
+    X(int64_t, dropped, core) X(int64_t, max_tail, core) \
+    X(int64_t, max_head, core)
+#define MACH_COUNTS(X) \
+    X(int64_t, n_delays, out) X(int64_t, n_tail_miss, out) \
+    X(int64_t, arrivals_seen, out) X(int64_t, grants, out)
+
+#define KCFG_FIELDS(X) \
+    X(int64_t, num_queues, conf) X(int64_t, granularity, conf) \
+    X(int64_t, strict, conf) X(int64_t, la_len, conf) \
+    X(int64_t, num_slots, in) X(int64_t, is_main, in) \
+    X(int64_t, arb_mode, in) X(int64_t, plan_mode, in) /* ARB_*, PLAN_* */ \
+    X(int64_t, head_mma, in)        /* HEAD_* */ \
+    X(int64_t, traced, in)          /* 1: return each main slot's row */ \
+    MACH_CONFIG(X) \
+    X(int64_t, state_len, inout)    /* image elements */ \
+    MACH_STATE(X) \
+    X(int64_t, la_pos, core) X(int64_t, crit_len, core) \
+    X(int64_t, pending_len, core)   /* RADS: blocks in flight; CFDS: 0 */ \
+    MACH_COUNTS(X) \
+    X(int64_t, n_delay_pairs, out) X(int64_t, n_head_miss, out) \
+    X(int64_t, n_drained, out) X(int64_t, result_len, out) \
+    X(int64_t, err_slot, out)       /* the abort record */ \
+    X(int64_t, err_a, out) X(int64_t, err_b, out) X(int64_t, err_c, out)
+typedef struct { KCFG_FIELDS(DECLARE) } kcfg;
+
+/* The variable-length state image (kptrs.state, read-only) and the head
+ * of the result share one layout, queue by queue within each part:
+ *
+ *   sram_cnt[nq] arr_cnt[nq]
+ *   tail cells (tail_occ[q] each)   dram cells (dram_occ[q] each)
+ *   sram heaps (sram_cnt[q] each)   request entry slots (req_count[q] each)
+ *   arrival slots (arr_cnt[q] each) crit heap keys (crit_len)
+ *
+ * Each entry's own state follows (above rads_run_span and cptrs).  The
+ * result then appends the outcome: the main window's delays folded into
+ * n_delay_pairs (delay, count) pairs in ascending delay order,
+ * n_head_miss (queue, slot) pairs, n_drained arrival slots and, for a
+ * traced main window, each slot's (arrival, request), -1 = none.  The
+ * core's arrays, which mach_open hands the machine, are int64[num_queues]
+ * but la_ring (la_len, -1 = empty). */
+#define MACH_ARRAYS(X) \
+    X(int64_t *, backlog, core) X(int64_t *, next_seqno, core) \
+    X(int64_t *, delivered, core) X(int64_t *, counters, core) \
+    X(int64_t *, req_count, core) X(int64_t *, tail_occ, core) \
+    X(int64_t *, dram_occ, core) X(int64_t *, crit_cache, core) \
+    X(int64_t *, la_ring, core)
+#define KPTRS_FIELDS(X) \
+    X(uint32_t *, arb_key, in)      /* in/out (ARB_RANDOM): 624 words */ \
+    X(int64_t *, arb_meta, in)      /* in/out: [pos] */ \
+    X(uint32_t *, bern_key, in)     /* in/out (PLAN_BERNOULLI) */ \
+    X(int64_t *, bern_meta, in) \
+    X(const double *, cum_weights, in)  /* len num_queues (PLAN_BERNOULLI) */ \
+    X(const int32_t *, plan, in)    /* len num_slots (PLAN_EXPLICIT), \
+                                       -1 = none */ \
+    X(const int32_t *, arb_pattern, in) /* len num_slots (ARB_TRACE): -1 = \
+                                           none, below -1 = no queue */ \
+    MACH_ARRAYS(X) \
+    X(const int64_t *, state, in)   /* the state image, state_len */ \
+    X(int64_t *, result, out)       /* kernel-owned, result_len */
+typedef struct { KPTRS_FIELDS(DECLARE) } kptrs;
 
 /* Resume a generator from its 624-word key and meta = [pos], nothing
  * buffered and nothing tempered: ERR_ARG unless 0 <= pos <= MT_N (the
@@ -491,93 +617,6 @@ static void mt_store(const mt_state *mt, uint32_t *key, int64_t *meta)
     memcpy(key, mt->key, sizeof(mt->key));
     meta[0] = mt->pos;
 }
-
-/* ------------------------------------------------------------------ */
-/* Kernel interface (mirrored by ctypes structs in repro.sim.kernel)   */
-/* ------------------------------------------------------------------ */
-
-/* The arbiters a span runs (kcfg.arb_mode; a drain window runs none),
- * each over exactly num_queues; an IntermittentArbiter runs its inner
- * arbiter's mode behind the on/off gate (kcfg.gate_*). */
-#define ARB_NONE 0
-#define ARB_RANDOM 1        /* RandomArbiter */
-#define ARB_LONGEST 2       /* LongestQueueArbiter */
-#define ARB_OLDEST 3        /* OldestCellArbiter; arb_s0 = _rotation */
-#define ARB_ROUND_ROBIN 4   /* RoundRobinAdversary; arb_s0 = _next */
-#define ARB_STRIDED 5       /* StridedAdversary; arb_s0 = _current,
-                               arb_s1 = _issued_in_burst */
-#define ARB_TRACE 6         /* TraceArbiter; kptrs.arb_pattern */
-
-/* The head MMA (kcfg.head_mma). */
-#define HEAD_ECQF 0         /* ECQF without its most-deficit fallback */
-#define HEAD_ECQF_FALLBACK 1
-#define HEAD_MDQF 2
-
-/* Where a main window's arrivals come from (kcfg.plan_mode). */
-#define PLAN_EXPLICIT 0     /* kptrs.plan */
-#define PLAN_BERNOULLI 1    /* drawn here: BernoulliArrivals' batch draw */
-#define PLAN_NONE 2
-
-typedef struct {
-    /* configuration (in) */
-    int64_t num_queues, granularity, strict, tail_cap;
-    int64_t dram_cap, sram_cap;     /* -1 = unbounded (python None) */
-    int64_t la_len, num_slots, start_slot, is_main;
-    int64_t arb_mode;               /* ARB_* */
-    int64_t arb_tint;               /* ceil(arbiter.load * 2**53) */
-    int64_t arb_stride;             /* ARB_STRIDED: stride % num_queues */
-    int64_t arb_burst;              /* ARB_STRIDED: burst */
-    int64_t gate_on, gate_period;   /* IntermittentArbiter: on_slots and
-                                       on_slots + off_slots; period 0 =
-                                       no gate */
-    int64_t plan_mode;              /* PLAN_* */
-    int64_t bern_tint;              /* ceil(arrivals.load * 2**53) */
-    double bern_total;              /* cum_weights[-1] + 0.0 */
-    int64_t head_mma;               /* HEAD_* */
-    int64_t traced;                 /* 1: return each main slot's row */
-    int64_t state_len;              /* image elements (in/out) */
-    /* machine scalars (in/out) */
-    int64_t arb_s0, arb_s1;         /* the arbiter's own state (ARB_*) */
-    int64_t tail_total, dram_total, sram_total, la_pos, negatives;
-    int64_t cells_in, cells_out, dram_reads, dram_writes, dropped;
-    int64_t max_tail, max_head;
-    int64_t crit_len, pending_len;
-    /* results (out) */
-    int64_t n_delays, n_delay_pairs, n_head_miss, n_tail_miss, n_drained;
-    int64_t arrivals_seen, grants, result_len;
-    int64_t err_slot, err_a, err_b, err_c;  /* the abort record */
-} kcfg;
-
-/* The variable-length state image (kptrs.state, read-only) and the head
- * of the result share one layout, queue by queue within each part:
- *
- *   sram_cnt[nq] arr_cnt[nq]
- *   tail cells (tail_occ[q] each)   dram cells (dram_occ[q] each)
- *   sram heaps (sram_cnt[q] each)   request entry slots (req_count[q] each)
- *   arrival slots (arr_cnt[q] each) crit heap keys (crit_len)
- *
- * Each entry's own state follows (above rads_run_span and cptrs).  The
- * result then appends the outcome: the main window's delays folded into
- * n_delay_pairs (delay, count) pairs in ascending delay order,
- * n_head_miss (queue, slot) pairs, n_drained arrival slots and, for a
- * traced main window, each slot's (arrival, request), -1 = none. */
-typedef struct {
-    uint32_t *arb_key;              /* in/out (ARB_RANDOM): 624 words */
-    int64_t *arb_meta;              /* in/out: [pos] */
-    uint32_t *bern_key;             /* in/out (PLAN_BERNOULLI) */
-    int64_t *bern_meta;
-    const double *cum_weights;      /* len num_queues (PLAN_BERNOULLI) */
-    const int32_t *plan;            /* len num_slots (PLAN_EXPLICIT),
-                                       -1 = none */
-    const int32_t *arb_pattern;     /* len num_slots (ARB_TRACE): -1 =
-                                       none, below -1 = no queue */
-    /* per-queue int64[num_queues], in/out */
-    int64_t *backlog, *next_seqno, *delivered, *counters, *req_count;
-    int64_t *tail_occ, *dram_occ, *crit_cache;
-    int64_t *la_ring;               /* in/out, len la_len, -1 = empty */
-    const int64_t *state;           /* in: the state image, state_len */
-    int64_t *result;                /* out: kernel-owned, result_len */
-} kptrs;
 
 typedef struct {
     ivec tail, dram, req, arr;      /* FIFOs by cursor */
@@ -808,14 +847,11 @@ typedef struct {
     /* configuration */
     int nq, g, strict, la_len, is_main, arb_mode, plan_mode, head_mma;
     int traced;
-    int64_t tail_cap, dram_cap, sram_cap, start_slot, arb_tint, bern_tint;
-    int64_t arb_stride, arb_burst, gate_on, gate_period;
-    double bern_total;
+    MACH_CONFIG(DECLARE)
     const int32_t *plan, *pattern;
     const double *cum_weights;
     /* the caller's fixed-shape arrays, updated in place */
-    int64_t *backlog, *next_seqno, *delivered, *counters, *req_count;
-    int64_t *tail_occ, *dram_occ, *crit_cache, *la_ring;
+    MACH_ARRAYS(DECLARE)
     /* kernel-owned state */
     qstate *qs;
     ivec crit, misses, drained, events;
@@ -826,10 +862,8 @@ typedef struct {
                                        NULL */
     mt_state arb, bern;
     /* machine scalars */
-    int64_t arb_s0, arb_s1;
-    int64_t tail_total, dram_total, sram_total, negatives;
-    int64_t cells_in, cells_out, dram_reads, dram_writes, dropped;
-    int64_t max_tail, max_head, n_delays, n_tail_miss, arrivals_seen, grants;
+    MACH_STATE(DECLARE)
+    MACH_COUNTS(DECLARE)
     int64_t slot, err[3];           /* the current slot; an abort's record */
     int la_pos, elig_nw, elig_len, guide_bits, big_cnt, pc;
 } machine;
@@ -854,6 +888,12 @@ static void mach_record(const machine *m, kcfg *c)
     c->err_c = m->err[2];
 }
 
+/* The copies between kcfg or kptrs and the machine's fields of the same
+ * name (MACH_* lists). */
+#define FROM_CFG(type, name, role) m->name = c->name;
+#define FROM_PTRS(type, name, role) m->name = p->name;
+#define TO_CFG(type, name, role) c->name = m->name;
+
 /* Set m (zeroed by the caller; mach_free releases it whatever this
  * returns) up from c and p: check the shared inputs and every id that
  * indexes per-queue state, resume the arbiter's and the Bernoulli plan's
@@ -876,9 +916,9 @@ static int64_t mach_open(machine *m, const kcfg *c, const kptrs *p,
     m->slot = c->start_slot;
     if (nq < 1 || nq > MAX_QUEUES || m->g < 1 || m->la_len < 1
             || c->la_pos < 0 || c->la_pos >= m->la_len
-            || c->arb_mode < ARB_NONE || c->arb_mode > ARB_TRACE
-            || c->plan_mode < PLAN_EXPLICIT || c->plan_mode > PLAN_NONE
-            || c->head_mma < HEAD_ECQF || c->head_mma > HEAD_MDQF
+            || c->arb_mode < 0 || c->arb_mode >= ARB_COUNT
+            || c->plan_mode < 0 || c->plan_mode >= PLAN_COUNT
+            || c->head_mma < 0 || c->head_mma >= HEAD_COUNT
             || c->gate_period < 0
             || (c->gate_period && c->gate_on < 1)
             || c->num_slots < 0 || c->start_slot < 0)
@@ -889,42 +929,12 @@ static int64_t mach_open(machine *m, const kcfg *c, const kptrs *p,
     m->plan_mode = m->is_main ? (int)c->plan_mode : PLAN_NONE;
     m->head_mma = (int)c->head_mma;
     m->traced = m->is_main && c->traced;
-    m->tail_cap = c->tail_cap;
-    m->dram_cap = c->dram_cap;
-    m->sram_cap = c->sram_cap;
-    m->start_slot = c->start_slot;
-    m->arb_tint = c->arb_tint;
-    m->arb_stride = c->arb_stride;
-    m->arb_burst = c->arb_burst;
-    m->gate_on = c->gate_on;
-    m->gate_period = c->gate_period;
-    m->arb_s0 = c->arb_s0;
-    m->arb_s1 = c->arb_s1;
-    m->bern_tint = c->bern_tint;
-    m->bern_total = c->bern_total;
+    MACH_CONFIG(FROM_CFG)
+    MACH_STATE(FROM_CFG)
+    MACH_ARRAYS(FROM_PTRS)
     m->plan = p->plan;
     m->pattern = p->arb_pattern;
     m->cum_weights = p->cum_weights;
-    m->backlog = p->backlog;
-    m->next_seqno = p->next_seqno;
-    m->delivered = p->delivered;
-    m->counters = p->counters;
-    m->req_count = p->req_count;
-    m->tail_occ = p->tail_occ;
-    m->dram_occ = p->dram_occ;
-    m->crit_cache = p->crit_cache;
-    m->la_ring = p->la_ring;
-    m->tail_total = c->tail_total;
-    m->dram_total = c->dram_total;
-    m->sram_total = c->sram_total;
-    m->negatives = c->negatives;
-    m->cells_in = c->cells_in;
-    m->cells_out = c->cells_out;
-    m->dram_reads = c->dram_reads;
-    m->dram_writes = c->dram_writes;
-    m->dropped = c->dropped;
-    m->max_tail = c->max_tail;
-    m->max_head = c->max_head;
     m->la_pos = (int)c->la_pos;
     if ((m->plan_mode == PLAN_EXPLICIT && !m->plan)
             || (m->plan_mode == PLAN_BERNOULLI && !m->cum_weights)
@@ -1037,28 +1047,13 @@ static int64_t *mach_close(machine *m, kcfg *c, kptrs *p, int64_t own)
     put(put(put(put_hist(at + own, &m->delays), &m->misses), &m->drained),
         &m->events);
 
-    c->tail_total = m->tail_total;
-    c->dram_total = m->dram_total;
-    c->sram_total = m->sram_total;
+    MACH_STATE(TO_CFG)
+    MACH_COUNTS(TO_CFG)
     c->la_pos = m->la_pos;
-    c->negatives = m->negatives;
-    c->cells_in = m->cells_in;
-    c->cells_out = m->cells_out;
-    c->dram_reads = m->dram_reads;
-    c->dram_writes = m->dram_writes;
-    c->dropped = m->dropped;
-    c->max_tail = m->max_tail;
-    c->max_head = m->max_head;
     c->crit_len = m->crit.len;
-    c->n_delays = m->n_delays;
     c->n_delay_pairs = n_pairs;
     c->n_head_miss = IV_COUNT(&m->misses) / 2;
-    c->n_tail_miss = m->n_tail_miss;
     c->n_drained = IV_COUNT(&m->drained);
-    c->arrivals_seen = m->arrivals_seen;
-    c->grants = m->grants;
-    c->arb_s0 = m->arb_s0;
-    c->arb_s1 = m->arb_s1;
     /* python setstate()s these verbatim */
     if (m->arb_mode == ARB_RANDOM)
         mt_store(&m->arb, p->arb_key, p->arb_meta);
@@ -1631,22 +1626,22 @@ cleanup:
 /* "No issue yet" marker of last_issue (python None). */
 #define NO_SLOT INT64_MIN
 
-typedef struct {
-    kcfg k;                 /* pending_len 0 */
-    /* configuration (in) */
-    int64_t lat_len;
-    int64_t rr_cap;         /* -1 = unbounded */
-    int64_t issues, ras, bus_slots, dram_strict;
-    int64_t num_banks, num_groups, banks_per_group, num_physical;
-    int64_t renaming;       /* 1: renaming registers and free names */
-    int64_t group_cap;      /* -1 = unbounded */
-    int64_t orr_len;
-    /* machine scalars (in/out) */
-    int64_t lat_pos, orr_pos, rr_peak, conflicts;
-    int64_t last_issue;     /* NO_SLOT = none */
-    int64_t flight_next;    /* CRIT_INF = none in flight */
-    int64_t max_delay;
-} ccfg;
+#define CCFG_FIELDS(X) \
+    X(kcfg, k, base)                /* pending_len 0 */ \
+    X(int64_t, lat_len, conf) X(int64_t, rr_cap, conf) /* -1: unbounded */ \
+    X(int64_t, issues, conf) X(int64_t, ras, conf) \
+    X(int64_t, bus_slots, conf) X(int64_t, dram_strict, conf) \
+    X(int64_t, num_banks, conf) X(int64_t, num_groups, conf) \
+    X(int64_t, banks_per_group, conf) X(int64_t, num_physical, conf) \
+    X(int64_t, renaming, conf)      /* 1: renaming registers, free names */ \
+    X(int64_t, group_cap, conf)     /* -1 = unbounded */ \
+    X(int64_t, orr_len, conf) \
+    X(int64_t, lat_pos, core) X(int64_t, orr_pos, core) \
+    X(int64_t, rr_peak, core) X(int64_t, conflicts, core) \
+    X(int64_t, last_issue, core)    /* NO_SLOT = none */ \
+    X(int64_t, flight_next, core)   /* CRIT_INF = none in flight */ \
+    X(int64_t, max_delay, core)
+typedef struct { CCFG_FIELDS(DECLARE) } ccfg;
 
 /* The CFDS state image is kptrs.state's head (mach_open) followed by
  *
@@ -1662,13 +1657,13 @@ typedef struct {
  *     pairs oldest first
  *
  * The result has the same layout, then the outcome. */
-typedef struct {
-    kptrs k;
-    int64_t *lat_ring;      /* in/out, len lat_len, -1 = empty */
-    int64_t *locks, *busy_until;    /* in/out, num_banks */
-    int64_t *group_occ;     /* in/out, num_groups */
-    int64_t *in_use, *write_count;  /* in/out, num_physical */
-} cptrs;
+#define CPTRS_FIELDS(X) \
+    X(kptrs, k, base) \
+    X(int64_t *, lat_ring, core)    /* len lat_len, -1 = empty */ \
+    X(int64_t *, locks, core) X(int64_t *, busy_until, core) /* num_banks */ \
+    X(int64_t *, group_occ, core)   /* num_groups */ \
+    X(int64_t *, in_use, core) X(int64_t *, write_count, core) /* physical */
+typedef struct { CPTRS_FIELDS(DECLARE) } cptrs;
 
 /* Requests Register entries live in one record pool: finish slot, bank,
  * issue slot, landing queue, cell count (-1 = a write), then up to g
@@ -2278,28 +2273,28 @@ cleanup:
  * num_ports^2 FIFO descriptors (32 MiB at the cap). */
 #define MAX_PORTS 1024
 
-/* The stock FABRIC_TYPES policies, single-iteration request/grant/accept. */
-#define POLICY_ISLIP 0
-#define POLICY_RANDOM 1
-#define POLICY_PRIORITY 2
+/* The stock FABRIC_TYPES policies, single-iteration request/grant/accept;
+ * python names each by its code's name without POLICY_, lower-cased. */
+#define POLICY_CODES(X) X(POLICY_ISLIP) X(POLICY_RANDOM) X(POLICY_PRIORITY)
+enum { POLICY_CODES(CODE_ENUM) POLICY_COUNT };
 
-
-typedef struct {
-    /* configuration (in) */
-    int64_t num_ports, policy, num_slots, start_slot;
-    int64_t flush;          /* 0: arrival window of num_slots slots; 1: flush
-                               until the VOQs drain, at most num_slots */
-    int64_t plan_mode;      /* arrival windows: PLAN_EXPLICIT (fptrs.plan)
-                               or PLAN_BERNOULLI (drawn per ingress) */
-    int64_t state_len;      /* elements in fptrs.state */
-    /* in/out */
-    int64_t peak;           /* peak ingress backlog so far */
-    /* out */
-    int64_t slots_run, offered, transferred, n_wait_pairs, result_len;
-    /* the abort record: the slot the window stopped in (its first slot
-     * when it stopped before one ran) and, for ERR_PLAN, the ingress */
-    int64_t err_slot, err_ingress;
-} fcfg;
+#define FCFG_FIELDS(X) \
+    X(int64_t, num_ports, in) X(int64_t, policy, in) /* POLICY_* */ \
+    X(int64_t, num_slots, in) X(int64_t, start_slot, in) \
+    X(int64_t, flush, in)           /* 1: until the VOQs drain, at most \
+                                       num_slots; 0: num_slots arrivals */ \
+    X(int64_t, plan_mode, in)       /* arrivals: PLAN_EXPLICIT (fptrs.plan) \
+                                       or PLAN_BERNOULLI (per ingress) */ \
+    X(int64_t, state_len, in)       /* elements in fptrs.state */ \
+    X(int64_t, peak, inout)         /* peak ingress backlog so far */ \
+    X(int64_t, slots_run, out) X(int64_t, offered, out) \
+    X(int64_t, transferred, out) X(int64_t, n_wait_pairs, out) \
+    X(int64_t, result_len, out) \
+    X(int64_t, err_slot, out)       /* the abort record: the slot (the \
+                                       first, if none ran) and, for \
+                                       ERR_PLAN, the ingress */ \
+    X(int64_t, err_ingress, out)
+typedef struct { FCFG_FIELDS(DECLARE) } fcfg;
 
 /* The VOQ image (fptrs.state, read-only) and the tail of the result share
  * one layout: for every non-empty VOQ in ascending ingress * num_ports +
@@ -2312,23 +2307,23 @@ typedef struct {
  *   per-egress cells moved in the window (num_ports)
  *   per-ingress backlog after the window (num_ports)
  *   n_wait_pairs (wait, count) pairs in ascending wait order
- *   the VOQ image after the window. */
-typedef struct {
-    uint32_t *rng_key;      /* in/out: 624 words (random) */
-    int64_t *rng_meta;      /* in/out: [pos] (random) */
-    int64_t *grant, *accept;    /* in/out: num_ports pointers each (islip) */
-    const int32_t *plan;    /* PLAN_EXPLICIT: num_ports x num_slots,
-                               ingress-major, -1 = no arrival */
-    /* PLAN_BERNOULLI, per ingress: its generator (624 words and [pos],
-     * in/out), load gate, weight total and num_ports cumulative weights */
-    uint32_t *bern_key;
-    int64_t *bern_meta;
-    const int64_t *bern_tint;
-    const double *bern_total;
-    const double *cum_weights;
-    const int64_t *state;   /* in: the VOQ image, state_len */
-    int64_t *result;        /* out: kernel-owned, result_len */
-} fptrs;
+ *   the VOQ image after the window.
+ *
+ * PLAN_BERNOULLI windows take, per ingress, its generator (bern_key's 624
+ * words and bern_meta's [pos], in/out), load gate, weight total and
+ * num_ports cumulative weights. */
+#define FPTRS_FIELDS(X) \
+    X(uint32_t *, rng_key, in)      /* in/out: 624 words (random) */ \
+    X(int64_t *, rng_meta, in)      /* in/out: [pos] (random) */ \
+    X(int64_t *, grant, in) X(int64_t *, accept, in) /* in/out (islip) */ \
+    X(const int32_t *, plan, in)    /* PLAN_EXPLICIT: ports x num_slots, \
+                                       ingress-major, -1 = no arrival */ \
+    X(uint32_t *, bern_key, in) X(int64_t *, bern_meta, in) \
+    X(const int64_t *, bern_tint, in) X(const double *, bern_total, in) \
+    X(const double *, cum_weights, in) \
+    X(const int64_t *, state, in)   /* the VOQ image, state_len */ \
+    X(int64_t *, result, out)       /* kernel-owned, result_len */
+typedef struct { FPTRS_FIELDS(DECLARE) } fptrs;
 
 typedef struct {
     int n, nw, policy;
@@ -2455,8 +2450,8 @@ int64_t fabric_run_window(fcfg *c, fptrs *p)
     c->err_slot = c->start_slot;
     c->err_ingress = -1;
     memset(&f, 0, sizeof(f));
-    if (n < 1 || n > MAX_PORTS || c->policy < POLICY_ISLIP
-            || c->policy > POLICY_PRIORITY || num_slots < 1
+    if (n < 1 || n > MAX_PORTS || c->policy < 0
+            || c->policy >= POLICY_COUNT || num_slots < 1
             || c->start_slot < 0
             || (!c->flush && c->plan_mode != PLAN_EXPLICIT && !drawn)
             || (!c->flush && !drawn && !p->plan)
@@ -2686,4 +2681,47 @@ cleanup:
     free(f.waits.count);
     free(out);
     return err;
+}
+
+/* ------------------------------------------------------------------ */
+/* The interface's description                                         */
+/* ------------------------------------------------------------------ */
+
+/* The description: a row per struct field, struct (after its fields),
+ * code and limit, each four tab-terminated words ("", name, type, role;
+ * the struct, "", "", ""; "const", name, "", "") and two numbers (offset
+ * and size; 0 and size; value and 0), in the order DESCRIBE lists. */
+#define DESCRIBE(K, KP, CC, CP, FC, FP, S, C) \
+    KCFG_FIELDS(K) S(kcfg) KPTRS_FIELDS(KP) S(kptrs) \
+    CCFG_FIELDS(CC) S(ccfg) CPTRS_FIELDS(CP) S(cptrs) \
+    FCFG_FIELDS(FC) S(fcfg) FPTRS_FIELDS(FP) S(fptrs) \
+    ERR_CODES(C) OV_CODES(C) ARB_CODES(C) HEAD_CODES(C) PLAN_CODES(C) \
+    POLICY_CODES(C) C(MAX_QUEUES) C(MAX_PORTS) C(CRIT_INF) C(NO_SLOT)
+#define FIELD_TEXT(type, name, role) "\t" #name "\t" #type "\t" #role "\t"
+#define STRUCT_TEXT(s) #s "\t\t\t\t"
+#define CONST_TEXT(name) "const\t" #name "\t\t\t"
+#define NUMBERS(s, name) \
+    (int64_t)offsetof(s, name), (int64_t)sizeof(((s *)NULL)->name),
+#define KCFG_NUMBERS(type, name, role) NUMBERS(kcfg, name)
+#define KPTRS_NUMBERS(type, name, role) NUMBERS(kptrs, name)
+#define CCFG_NUMBERS(type, name, role) NUMBERS(ccfg, name)
+#define CPTRS_NUMBERS(type, name, role) NUMBERS(cptrs, name)
+#define FCFG_NUMBERS(type, name, role) NUMBERS(fcfg, name)
+#define FPTRS_NUMBERS(type, name, role) NUMBERS(fptrs, name)
+#define STRUCT_NUMBERS(s) 0, (int64_t)sizeof(s),
+#define CONST_NUMBERS(name) (int64_t)(name), 0,
+
+static const char interface_text[] = DESCRIBE(
+    FIELD_TEXT, FIELD_TEXT, FIELD_TEXT, FIELD_TEXT, FIELD_TEXT, FIELD_TEXT,
+    STRUCT_TEXT, CONST_TEXT);
+static const int64_t interface_numbers[] = {DESCRIBE(
+    KCFG_NUMBERS, KPTRS_NUMBERS, CCFG_NUMBERS, CPTRS_NUMBERS, FCFG_NUMBERS,
+    FPTRS_NUMBERS, STRUCT_NUMBERS, CONST_NUMBERS)};
+
+/* The description, read-only: its text, and *count numbers. */
+const char *kernel_interface(const int64_t **numbers, int64_t *count)
+{
+    *numbers = interface_numbers;
+    *count = (int64_t)(sizeof(interface_numbers) / sizeof(int64_t));
+    return interface_text;
 }

@@ -384,7 +384,8 @@ class _ArrayCoreBase:
     holds *only plain data* (ints, lists, dicts and those arrays) plus
     references to the simulation and buffer objects, so pickling a core
     (together with its simulation, in one payload) captures the complete
-    machine state for checkpoint/resume.
+    machine state for checkpoint/resume.  Each subclass's ``scheme`` names
+    the kernel entry that runs it (:func:`~repro.sim.kernel.run_span_kernel`).
     """
 
     def __init__(self, sim, buffer) -> None:
@@ -489,7 +490,8 @@ class _ArrayCoreBase:
             raise ConfigurationError(
                 f"the arrival plan covers {len(plan)} slots, but the span "
                 f"runs {num_slots}")
-        if not self._run_kernel(plan, num_slots, main, bern):
+        if not kernel.run_span_kernel(self, plan, num_slots, main=main,
+                                      bern=bern):
             raise ConfigurationError(
                 "the span kernel is not loaded; run on engine='reference'")
 
@@ -536,6 +538,8 @@ class _RADSCore(_ArrayCoreBase):
     (``pending_len`` of them, in the image), run by the kernel's
     ``rads_run_span``."""
 
+    scheme = "rads"
+
     def __init__(self, sim, buffer) -> None:
         super().__init__(sim, buffer)
         self.dram_cap = buffer.dram.capacity_cells
@@ -545,10 +549,6 @@ class _RADSCore(_ArrayCoreBase):
 
     def _drain_slots(self) -> int:
         return self.la_len + self.granularity
-
-    def _run_kernel(self, plan, num_slots: int, main: bool, bern) -> bool:
-        return kernel.run_span_kernel(self, plan, num_slots, main=main,
-                                      bern=bern)
 
     def _result(self, final_slot: int) -> SimulationResult:
         return SimulationResult(
@@ -595,6 +595,8 @@ class _CFDSCore(_ArrayCoreBase):
     :meth:`~repro.core.buffer.CFDSPacketBuffer.dram_group_occupancy` and
     ``dram_utilisation()`` answer for an array run.
     """
+
+    scheme = "cfds"
 
     def __init__(self, sim, buffer) -> None:
         super().__init__(sim, buffer)
@@ -649,9 +651,12 @@ class _CFDSCore(_ArrayCoreBase):
         return (self.la_len + self.lat_len + self.dram_access_slots
                 + self.granularity)
 
-    def _run_kernel(self, plan, num_slots: int, main: bool, bern) -> bool:
-        return kernel.run_cfds_span_kernel(self, plan, num_slots, main=main,
-                                           bern=bern)
+    #: Kernel fields the core holds in another form, derived from state
+    #: every version-4 snapshot has: ``pending_len`` (RADS's blocks in
+    #: flight) is 0, as a CFDS fetch waits in the Requests Register.
+    num_banks = property(lambda self: len(self.locks))
+    num_physical = property(lambda self: len(self.write_count))
+    pending_len = property(lambda self: 0, lambda self, value: None)
 
     def _result(self, final_slot: int) -> SimulationResult:
         return SimulationResult(

@@ -3,50 +3,45 @@ switch's fabric stage.
 
 The kernel has three entries.  The RADS and CFDS cores of
 ``engine="array"`` (:mod:`repro.sim.array_engine`) run every span on
-``rads_run_span`` (:func:`run_span_kernel`) and ``cfds_run_span``
-(:func:`run_cfds_span_kernel`), their only slot loops, and the switch's
-:class:`~repro.switch.model.FabricStream` every window of a stock fabric
-policy on ``fabric_run_window`` (:func:`run_fabric_window`).  The bundled
-C99 source ``_spankernel.c`` is compiled on first use with the system
-compiler (``cc -O3 -march=native -shared -fPIC``, falling back to plain
-``-O3``), cached under the user's private cache directory
-(``$XDG_CACHE_HOME`` or ``~/.cache``, created ``0o700`` and
-ownership-verified before every load) keyed by a hash of the source, the
-flag sets the build tries and the interpreter/platform tags, so a changed
-flag recompiles rather than loading a stale ``.so``, and loaded through
-:mod:`ctypes` — no ``Python.h``, no build backend, no wheels, no numpy.
+``rads_run_span`` and ``cfds_run_span``, their only slot loops, through
+:func:`run_span_kernel`, which picks the entry by the core's ``scheme``;
+the switch's :class:`~repro.switch.model.FabricStream` runs every window of
+a stock fabric policy on ``fabric_run_window`` (:func:`run_fabric_window`).
+The bundled C99 source ``_spankernel.c`` is compiled on first use with the
+system compiler (``cc -O3 -march=native -shared -fPIC``, falling back to
+plain ``-O3``), cached under the user's private cache directory
+(:func:`_cache_path`) and loaded through :mod:`ctypes` — no ``Python.h``,
+no build backend, no wheels, no numpy.
 
-The kernel executes whole spans natively: it resumes the arbiter's (and,
-for a deferred Bernoulli plan, the arrival process's) Mersenne Twister from
-the ``random.Random`` state and runs the core's slot loop.  The two span
-entries share the SRAM/MMA half of that loop (arrival with cut-through,
-the threshold tail MMA, the lookahead, ECQF or MDQF, service), and so the
-arbiters and plans: each runs every stock arbiter (:func:`span_arbiter`),
-on an explicit plan, a Bernoulli plan it draws itself, or none,
-marshalled once for both by ``_Handoff``.
+The interface is written once, in C: each struct and code table the kernel
+shares with python is one list in ``_spankernel.c``, which expands into its
+C declaration and into the description ``kernel_interface`` returns (each
+field's name, C type, role, offset and size; each code's and limit's
+value).  At load, :func:`_describe` builds the ctypes structures from it,
+checks every offset and size, and takes each span entry's fields by role
+and the codes by name, so the marshal names no field of the core's.  A
+kernel python cannot describe so is unavailable (``abi``), like one that
+does not build or load: array runs go to the reference engine, counted as
+``engine.array.kernel_unavailable.<reason>``.
 
-The kernel's encoding is the array core's only copy of the machine.  Its
-fixed-shape state — per-queue counts, the critical-entry cache, the
-lookahead ring and, for CFDS, the latency ring, the per-bank ORR locks and
-busy-until slots, the group occupancy, in-use flags and write counts —
-lives on the core as ``array('q')``s, which the kernel updates in copies
-taken per call; what the kernel derives from it at the start of a span
-(``RandomArbiter``'s bitset of backlogged queues, the guide of a drawn
-Bernoulli plan) is its own and never crosses the call.  The
-variable-length state — FIFO contents, the head SRAMs (each ascending),
-the critical heap, pending blocks and, for CFDS, the Requests Register,
-the transfers in flight, the ORR ring, the renaming registers, free names
-and block locations — is one image that python never walks:
-:func:`empty_image` builds a fresh core's, and every span hands the
-kernel the core's image and keeps the one it returns.  Every buffer that
-grows during the span is the kernel's own; it returns one
-exact-size result (the new image, then the main window's delays already
-folded into ``(delay, count)`` pairs, misses, drained slots and, for a
-traced run, each slot's arrival and request), which :func:`_read_result`
-copies out and releases with the kernel's ``rads_free_result``.  It takes
-any ``num_queues`` up to :data:`MAX_KERNEL_QUEUES` and spans of any length:
-its arbiter draws read whole 32-bit words, and its arrival plan and trace
-pattern are ``int32`` (``-1`` = none; an entry that names no queue is
+A span resumes the arbiter's (and, for a deferred Bernoulli plan, the
+arrival process's) Mersenne Twister from its ``random.Random`` state and
+runs the core's slot loop; both span entries run every stock arbiter
+(:func:`span_arbiter`), on an explicit plan, a Bernoulli plan they draw, or
+none, marshalled by ``_Handoff``.  The kernel's encoding is the array
+core's only copy of the machine: its fixed-shape state lives on the core
+as ``array('q')``s, which the kernel updates in copies taken per call, and
+its variable-length state (FIFO contents, head SRAMs, the critical heap,
+pending blocks; for CFDS the Requests Register, transfers in flight, the
+ORR ring, renaming registers, free names and block locations) is one image
+python never walks: :func:`empty_image` builds a fresh core's, and every
+span hands the kernel the core's image and keeps the one it returns, the
+head of one exact-size result (then the main window's delays folded into
+``(delay, count)`` pairs, misses, drained slots and, traced, each slot's
+arrival and request), which :func:`_read_result` copies out and releases
+with the kernel's ``rads_free_result``.  It takes any ``num_queues`` up to
+:data:`MAX_KERNEL_QUEUES` and spans of any length; plans and trace
+patterns are ``int32`` (``-1`` = none; an entry that names no queue is
 encoded as one the kernel aborts on).
 
 A span that stops early — every raise site of the reference engine, an
@@ -57,8 +52,7 @@ after a span that succeeds, so an aborted one leaves them as they were,
 and :func:`_raise_abort` raises the reference's exception, with the same
 type and message; nothing is replayed.  Every result is bit-identical to
 the reference engine's (asserted by ``tests/sim/test_span_kernel.py``,
-``tests/sim/test_cfds_kernel.py`` and the differential fuzzer).  The CFDS
-entry follows the same rules.
+``tests/sim/test_cfds_kernel.py`` and the differential fuzzer).
 
 The fabric entry follows the same rules.  Python hands it the window's
 ``int32`` arrival plan (encoded as the span entries') or the ingress
@@ -89,8 +83,7 @@ real ``malloc`` in use::
 so overflows on Python-allocated buffers would go unseen.)  The
 ``benchmarks/kernel_sanitize_check.py`` harness sets all of this up and
 replays its stressors; CI runs it in the ``kernel-sanitize`` job.  Without
-the preload, ``CDLL`` fails, no kernel loads, and array runs go to the
-reference engine as on a host without a compiler.
+the preload, ``CDLL`` fails and the kernel is unavailable (``load_failed``).
 """
 
 from __future__ import annotations
@@ -107,7 +100,7 @@ import threading
 from array import array
 from pathlib import Path
 from time import perf_counter
-from typing import List, NamedTuple, Optional
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from repro.errors import (
     ArbiterContractError,
@@ -137,15 +130,14 @@ from repro.types import MissRecord
 SANITIZE_ENV = "REPRO_SPAN_KERNEL_SANITIZE"
 
 #: Largest ``num_queues`` the kernel takes: its critical-heap keys pack the
-#: queue id into 16 bits (``CRIT_KEY`` in ``_spankernel.c``).
+#: queue id into 16 bits (``CRIT_KEY`` in ``_spankernel.c``).  Routing reads
+#: it before any kernel loads, so python keeps the description's
+#: ``MAX_QUEUES`` here too (``tests/sim/test_kernel_abi.py`` pins it).
 MAX_KERNEL_QUEUES = 1 << 16
 
 #: Largest ``num_ports`` the fabric entry takes: its VOQ table holds
-#: ``num_ports ** 2`` FIFOs (``MAX_PORTS`` in ``_spankernel.c``).
+#: ``num_ports ** 2`` FIFOs (the description's ``MAX_PORTS``).
 MAX_FABRIC_PORTS = 1024
-
-#: The fabric entry's policies, in ``POLICY_*`` code order.
-FABRIC_POLICIES = ("islip", "random", "priority")
 
 _SOURCE = Path(__file__).with_name("_spankernel.c")
 
@@ -164,24 +156,16 @@ _FLAG_SETS = (("-O3", "-march=native"), ("-O3",))
 _SANITIZE_FLAGS = ("-g", "-O1", "-fsanitize=address,undefined",
                    "-fno-sanitize-recover=all")
 
-#: The kernel's error codes (``ERR_*`` in ``_spankernel.c``).
-(_ERR_OK, _ERR_OOM, _ERR_ARG, _ERR_PLAN, _ERR_STATE, _ERR_OVERFLOW,
- _ERR_MISS, _ERR_CONFLICT, _ERR_BUS, _ERR_ARBITER) = range(10)
-
-#: The error codes as named in the ``engine.array.kernel_aborts.<code>``
-#: counters and the fabric entry's errors.
-_ABORT_CODES = {_ERR_OOM: "oom", _ERR_ARG: "arg", _ERR_PLAN: "plan",
-                _ERR_STATE: "state",
-                _ERR_OVERFLOW: "overflow", _ERR_MISS: "miss",
-                _ERR_CONFLICT: "conflict", _ERR_BUS: "bus",
-                _ERR_ARBITER: "arbiter"}
-
-#: The structures an ``ERR_OVERFLOW`` names (``OV_*``), as the reference's
-#: :class:`~repro.errors.BufferOverflowError` names them.
-_STRUCTURES = ("SRAM", "tail SRAM", "DRAM", "Requests Register")
+#: The structures an ``ERR_OVERFLOW`` names, by their ``OV_*`` codes'
+#: names, as the reference's :class:`~repro.errors.BufferOverflowError`
+#: names them.
+_STRUCTURES = {"OV_SRAM": "SRAM", "OV_TAIL": "tail SRAM", "OV_DRAM": "DRAM",
+               "OV_RR": "Requests Register"}
 
 #: INT64_MAX, the C marker for "no critical entry" (and "nothing in
-#: flight"), and INT64_MIN, for "no issue yet".
+#: flight"), and INT64_MIN, for "no issue yet": the description's
+#: ``CRIT_INF`` and ``NO_SLOT``, which a fresh core needs before any kernel
+#: loads.
 CRIT_INF = (1 << 63) - 1
 NO_SLOT = -(1 << 63)
 
@@ -193,125 +177,62 @@ _NO_QUEUE = -2
 #: periods): past any slot, so clamping to it changes no decision.
 _I62 = 1 << 62
 
-#: The span entries' arbiter codes (``ARB_*`` in ``_spankernel.c``), by
-#: exact type, and the attributes of each arbiter's own state the kernel
-#: reads and writes back (``arb_s0``, ``arb_s1``).
-_ARB_NONE = 0
-_ARB_CODES = {RandomArbiter: 1, LongestQueueArbiter: 2,
-              OldestCellArbiter: 3, RoundRobinAdversary: 4,
-              StridedAdversary: 5, TraceArbiter: 6}
-_ARB_RANDOM = _ARB_CODES[RandomArbiter]
-_ARB_STRIDED = _ARB_CODES[StridedAdversary]
-_ARB_TRACE = _ARB_CODES[TraceArbiter]
+#: The span entries' arbiters by exact type, as the kernel names them
+#: (``ARB_*`` in ``_spankernel.c``), and the attributes of each arbiter's
+#: own state the kernel reads and writes back (``arb_s0``, ``arb_s1``).
+_ARB_NAMES = {RandomArbiter: "ARB_RANDOM", LongestQueueArbiter: "ARB_LONGEST",
+              OldestCellArbiter: "ARB_OLDEST", TraceArbiter: "ARB_TRACE",
+              RoundRobinAdversary: "ARB_ROUND_ROBIN",
+              StridedAdversary: "ARB_STRIDED"}
 _ARB_STATE = {OldestCellArbiter: ("_rotation",),
               RoundRobinAdversary: ("_next",),
               StridedAdversary: ("_current", "_issued_in_burst")}
 
-#: The head MMAs (``HEAD_*`` in ``_spankernel.c``).
-_HEAD_ECQF, _HEAD_ECQF_FALLBACK, _HEAD_MDQF = 0, 1, 2
-
-#: The span entries' arrival-plan modes (``PLAN_*`` in ``_spankernel.c``).
-_PLAN_EXPLICIT, _PLAN_BERNOULLI, _PLAN_NONE = 0, 1, 2
-
 #: 2**53 — ``Random.random()`` returns ``comb / 2**53``.
 _F53 = 9007199254740992
 
+#: The span entries by the core's ``scheme``: the kernel's function and
+#: its config and pointer structs.
+_SPAN_ENTRIES = {"rads": ("rads_run_span", "kcfg", "kptrs"),
+                 "cfds": ("cfds_run_span", "ccfg", "cptrs")}
+
+#: The ctypes of the description's C types; a pointer is a ``c_void_p``, set
+#: from an array's ``buffer_info()[0]`` (kept alive across the call).
+_CTYPES = {"int64_t": ctypes.c_int64, "double": ctypes.c_double}
+
 _lock = threading.Lock()
+#: The loaded kernel (a :class:`_Kernel`), or ``None``.
 _kernel = None
 _kernel_tried = False
-#: The kernel's ``rads_free_result``, which releases each result either
-#: entry returns.
-_release = None
-#: The kernel's ``fabric_run_window``.
-_fabric = None
-#: The kernel's ``cfds_run_span``.
-_cfds = None
+#: The kernel's ``rads_free_result``, which releases each result any entry
+#: returns, and its ``fabric_run_window``.
+_release = _fabric = None
 
 
-class KCfg(ctypes.Structure):
-    """Mirror of ``kcfg`` in ``_spankernel.c`` (field order is the ABI)."""
+class _Entry(NamedTuple):
+    """A span entry: its function, its config and pointer structures, and
+    the config's ``conf`` and ``core`` fields and the pointers' ``core``
+    fields (the roles in ``_spankernel.c``)."""
 
-    _fields_ = [(n, ctypes.c_int64) for n in (
-        "num_queues", "granularity", "strict", "tail_cap",
-        "dram_cap", "sram_cap", "la_len", "num_slots", "start_slot",
-        "is_main", "arb_mode", "arb_tint", "arb_stride", "arb_burst",
-        "gate_on", "gate_period", "plan_mode", "bern_tint")] + [
-        ("bern_total", ctypes.c_double)] + [
-        (n, ctypes.c_int64) for n in (
-            "head_mma", "traced", "state_len", "arb_s0", "arb_s1",
-            "tail_total", "dram_total", "sram_total", "la_pos", "negatives",
-            "cells_in", "cells_out", "dram_reads", "dram_writes", "dropped",
-            "max_tail", "max_head", "crit_len", "pending_len", "n_delays",
-            "n_delay_pairs", "n_head_miss", "n_tail_miss",
-            "n_drained", "arrivals_seen", "grants", "result_len",
-            "err_slot", "err_a", "err_b", "err_c")]
+    run: Callable
+    cfg: type
+    ptrs: type
+    conf: Tuple[str, ...]
+    scalars: Tuple[str, ...]
+    arrays: Tuple[str, ...]
 
 
-#: The core's fixed-shape arrays both span entries update, in ``kptrs``
-#: order, and the CFDS entry's own, in ``cptrs`` order.
-_ARRAYS = ("backlog", "next_seqno", "delivered", "counters", "req_count",
-           "tail_occ", "dram_occ", "crit_cache", "la_ring")
-_CFDS_ARRAYS = ("lat_ring", "locks", "busy_until", "group_occ", "in_use",
-                "write_count")
+class _Kernel(NamedTuple):
+    """The loaded kernel: the span entries by the core's ``scheme``, each
+    struct, code and limit by its C name, the error codes' names by code and
+    the fabric policies' codes by name (a name past its prefix, lower-cased,
+    as in the ``engine.array.kernel_aborts.<code>`` counters)."""
 
-#: The core's machine scalars both span entries take and hand back
-#: (``kcfg``), and the CFDS entry's own (``ccfg``).
-_SCALARS = ("tail_total", "dram_total", "sram_total", "la_pos", "negatives",
-            "cells_in", "cells_out", "dram_reads", "dram_writes", "dropped",
-            "max_tail", "max_head", "crit_len")
-_CFDS_SCALARS = ("lat_pos", "orr_pos", "rr_peak", "conflicts", "last_issue",
-                 "flight_next", "max_delay")
-
-
-def _pointers(*names):
-    """A ``_fields_`` list of ``c_void_p`` pointers: each is set from an
-    array's ``buffer_info()[0]`` (the caller keeps the array alive, and
-    never resizes it, across the kernel call), and the kernel's result is
-    read back as an address."""
-    return [(name, ctypes.c_void_p) for name in names]
-
-
-class KPtrs(ctypes.Structure):
-    """Mirror of ``kptrs`` in ``_spankernel.c`` (field order is the ABI)."""
-
-    _fields_ = _pointers("arb_key", "arb_meta", "bern_key", "bern_meta",
-                         "cum_weights", "plan", "arb_pattern", *_ARRAYS,
-                         "state", "result")
-
-
-class CCfg(ctypes.Structure):
-    """Mirror of ``ccfg`` in ``_spankernel.c`` (field order is the ABI)."""
-
-    _fields_ = [("k", KCfg)] + [(n, ctypes.c_int64) for n in (
-        "lat_len", "rr_cap", "issues", "ras", "bus_slots",
-        "dram_strict", "num_banks", "num_groups", "banks_per_group",
-        "num_physical", "renaming", "group_cap", "orr_len",
-        "lat_pos", "orr_pos", "rr_peak", "conflicts", "last_issue",
-        "flight_next", "max_delay")]
-
-
-class CPtrs(ctypes.Structure):
-    """Mirror of ``cptrs`` in ``_spankernel.c`` (field order is the ABI)."""
-
-    _fields_ = [("k", KPtrs)] + _pointers(*_CFDS_ARRAYS)
-
-
-class FCfg(ctypes.Structure):
-    """Mirror of ``fcfg`` in ``_spankernel.c`` (field order is the ABI)."""
-
-    _fields_ = [(n, ctypes.c_int64) for n in (
-        "num_ports", "policy", "num_slots", "start_slot", "flush",
-        "plan_mode", "state_len", "peak", "slots_run", "offered",
-        "transferred", "n_wait_pairs", "result_len", "err_slot",
-        "err_ingress")]
-
-
-class FPtrs(ctypes.Structure):
-    """Mirror of ``fptrs`` in ``_spankernel.c`` (field order is the ABI)."""
-
-    _fields_ = _pointers("rng_key", "rng_meta", "grant", "accept", "plan",
-                         "bern_key", "bern_meta", "bern_tint", "bern_total",
-                         "cum_weights", "state", "result")
+    spans: Dict[str, _Entry]
+    structs: Dict[str, type]
+    consts: Dict[str, int]
+    errors: Dict[int, str]
+    policies: Dict[str, int]
 
 
 def sanitize_enabled() -> bool:
@@ -406,6 +327,8 @@ def _flag_sets():
 
 
 def _cache_path() -> Path:
+    """The cached kernel in :func:`_cache_dir`, keyed by a hash of the
+    source, the flag sets the build tries and the interpreter's tags."""
     digest = hashlib.sha256()
     digest.update(_SOURCE.read_bytes())
     # The flags are part of the kernel: a changed flag set recompiles, and
@@ -428,18 +351,19 @@ def _compiler() -> Optional[str]:
     return None
 
 
-def _compile(path: Path) -> bool:
+def _compile(path: Path) -> Optional[str]:
+    """Build the kernel at ``path``: ``None``, or why not (:func:`_open`)."""
     cc = _compiler()
     if cc is None:
-        return False
+        return "no_compiler"
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
         if hasattr(os, "getuid"):
             os.chmod(path.parent, 0o700)  # mkdir mode is umask-clipped
     except OSError:
-        return False
+        return "compile_failed"
     if not _trusted(path.parent, want_dir=True):
-        return False
+        return "untrusted"
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     # The first flag set the compiler takes is the build (see _FLAG_SETS:
     # -O3, with -march=native where supported, never -ffast-math);
@@ -453,20 +377,20 @@ def _compile(path: Path) -> bool:
                 if hasattr(os, "getuid"):
                     os.chmod(tmp, 0o700)
                 os.replace(tmp, path)
-                return True
+                return None
         except (OSError, subprocess.SubprocessError):
-            return False
+            return "compile_failed"
         finally:
             try:
                 tmp.unlink()
             except OSError:
                 pass
-    return False
+    return "compile_failed"
 
 
-def load_kernel():
-    """The loaded kernel's ``rads_run_span`` or ``None`` (cached; a failed
-    attempt is not retried within the process)."""
+def load_kernel() -> Optional[_Kernel]:
+    """The loaded kernel, or ``None`` (cached; a failed attempt is not
+    retried within the process)."""
     if not _kernel_tried:
         _load()
     return _kernel
@@ -474,56 +398,130 @@ def load_kernel():
 
 def load_fabric_kernel():
     """The loaded kernel's ``fabric_run_window``, or ``None`` whenever
-    :func:`load_kernel` has no kernel: both entries live in one ``.so``."""
+    :func:`load_kernel` has no kernel: every entry lives in one ``.so``."""
     return _fabric if load_kernel() is not None else None
 
 
+def _rows(lib):
+    """The kernel's description (``kernel_interface`` in ``_spankernel.c``)
+    as ``(owner, name, type, role, value, size)`` rows: a field's owner is
+    empty (its struct's own row follows), a code's or limit's ``const``."""
+    describe = lib.kernel_interface
+    describe.argtypes = [ctypes.c_void_p, ctypes.c_void_p]
+    describe.restype = ctypes.c_char_p
+    numbers, count = ctypes.POINTER(ctypes.c_int64)(), ctypes.c_int64()
+    words = describe(ctypes.byref(numbers), ctypes.byref(count))
+    words = words.decode().split("\t")
+    if len(words) != 2 * count.value + 1:
+        raise ConfigurationError("the kernel's description does not add up")
+    words, values = iter(words), iter(numbers[:count.value])
+    return zip(words, words, words, words, values, values)
+
+
+def _describe(lib) -> _Kernel:
+    """Python's side of ``lib``'s interface, from its description: each
+    struct a ctypes structure (a ``base`` struct anonymous, its fields read
+    as the outer's) checked field by field against C's offsets and sizes,
+    the span entries' role lists, and the codes."""
+    consts, structs, roles, fields = {}, {}, {}, []
+    for row in _rows(lib):
+        owner, name, ctype, role, value, size = row
+        if not owner:
+            fields.append(row)
+        elif owner == "const":
+            consts[name] = value
+        else:  # the struct's own row, after its fields
+            spec, bases, own = [], [], {}  # own: names by role, base's first
+            for _, field, ftype, frole, _, _ in fields:
+                if frole == "base":
+                    spec.append((field, structs[ftype]))
+                    bases.append(field)
+                    for key, names in roles[ftype].items():
+                        own.setdefault(key, []).extend(names)
+                else:
+                    spec.append((field, ctypes.c_void_p if ftype[-1] == "*"
+                                 else _CTYPES[ftype]))
+                    own.setdefault(frole, []).append(field)
+            struct = type(owner, (ctypes.Structure,),
+                          {"_fields_": spec, "_anonymous_": bases})
+            layout = [(field.offset, field.size) for field in map(
+                vars(struct).__getitem__, (name for _, name, *_ in fields))]
+            if ctypes.sizeof(struct) != size or layout != [
+                    (offset, width) for *_, offset, width in fields]:
+                raise ConfigurationError(
+                    f"python lays {owner} out unlike the kernel")
+            structs[owner], roles[owner], fields = struct, own, []
+    lib.rads_free_result.argtypes = [ctypes.c_void_p]
+    lib.rads_free_result.restype = None
+    for function in ("fabric_run_window",
+                     *(entry[0] for entry in _SPAN_ENTRIES.values())):
+        run = getattr(lib, function)
+        run.argtypes = [ctypes.c_void_p, ctypes.c_void_p]  # cfg, pointers
+        run.restype = ctypes.c_int64
+    spans = {scheme: _Entry(getattr(lib, function), structs[cfg],
+                            structs[ptrs], tuple(roles[cfg].get("conf", ())),
+                            tuple(roles[cfg].get("core", ())),
+                            tuple(roles[ptrs].get("core", ())))
+             for scheme, (function, cfg, ptrs) in _SPAN_ENTRIES.items()}
+    return _Kernel(spans, structs, consts,
+                   {value: name[4:].lower() for name, value in consts.items()
+                    if name.startswith("ERR_")},
+                   {name[7:].lower(): value for name, value in consts.items()
+                    if name.startswith("POLICY_")})
+
+
+def _open():
+    """``(lib, None)``, or ``(None, reason)``: ``no_compiler``,
+    ``compile_failed``, ``untrusted`` (a cache we do not exclusively own),
+    ``load_failed`` (``CDLL``, or an entry missing) or ``abi`` (no 32-bit
+    arrays, as which the kernel reads RNG keys and plans)."""
+    if array("I").itemsize != 4 or array("i").itemsize != 4:
+        return None, "abi"
+    if not _SOURCE.is_file():
+        return None, "compile_failed"
+    path = _cache_path()
+    reason = None if path.is_file() else _compile(path)
+    if reason is not None:
+        return None, reason
+    # Load nothing we do not exclusively own: a pre-planted cache dir or
+    # .so (wrong owner, group/other-writable, or a symlink) is skipped, not
+    # trusted — array runs go to the reference engine.
+    if not (_trusted(path.parent, want_dir=True) and _trusted(path)):
+        return None, "untrusted"
+    try:
+        lib = ctypes.CDLL(str(path))
+        for function in ("kernel_interface", "rads_free_result",
+                         "fabric_run_window",
+                         *(entry[0] for entry in _SPAN_ENTRIES.values())):
+            getattr(lib, function)
+    except (OSError, AttributeError):
+        return None, "load_failed"
+    return lib, None
+
+
 def _load() -> None:
-    global _kernel, _kernel_tried, _release, _fabric, _cfds
+    """Load the kernel once, counting ``engine.array.kernel_loaded`` or
+    ``engine.array.kernel_unavailable`` and its ``.<reason>``: :func:`_open`'s,
+    or ``abi`` for a description :func:`_describe` cannot build."""
+    global _kernel, _kernel_tried, _release, _fabric
     with _lock:
         if _kernel_tried:
             return
-        fn = None
-        try:
-            # The kernel reads RNG keys and the plan as 32-bit words.
-            if (_SOURCE.is_file()
-                    and array("I").itemsize == array("i").itemsize == 4):
-                path = _cache_path()
-                # Load nothing we do not exclusively own: a pre-planted
-                # cache dir or .so (wrong owner, group/other-writable, or
-                # a symlink) is skipped, not trusted — array runs go to the
-                # reference engine.
-                if ((path.is_file() or _compile(path))
-                        and _trusted(path.parent, want_dir=True)
-                        and _trusted(path)):
-                    lib = ctypes.CDLL(str(path))
-                    fn = lib.rads_run_span
-                    fn.restype = ctypes.c_int64
-                    fn.argtypes = [ctypes.POINTER(KCfg),
-                                   ctypes.POINTER(KPtrs)]
-                    release = lib.rads_free_result
-                    release.restype = None
-                    release.argtypes = [ctypes.c_void_p]
-                    fabric = lib.fabric_run_window
-                    fabric.restype = ctypes.c_int64
-                    fabric.argtypes = [ctypes.POINTER(FCfg),
-                                       ctypes.POINTER(FPtrs)]
-                    cfds = lib.cfds_run_span
-                    cfds.restype = ctypes.c_int64
-                    cfds.argtypes = [ctypes.POINTER(CCfg),
-                                     ctypes.POINTER(CPtrs)]
-        except (OSError, AttributeError):
-            fn = None
-        if fn is not None:
-            _release = release
-            _fabric = fabric
-            _cfds = cfds
-        _kernel = fn
+        lib, reason = _open()
+        if lib is not None:
+            try:
+                _kernel = _describe(lib)
+            except (ConfigurationError, LookupError, TypeError, ValueError):
+                reason = "abi"  # what python cannot read, it cannot run
+            else:
+                _release, _fabric = lib.rads_free_result, lib.fabric_run_window
         _kernel_tried = True
         obs = get_metrics()
         if obs is not None:
-            obs.inc("engine.array.kernel_loaded" if fn is not None
+            obs.inc("engine.array.kernel_loaded" if reason is None
                     else "engine.array.kernel_unavailable")
+            if reason is not None:
+                obs.inc(f"engine.array.kernel_unavailable.{reason}")
 
 
 def empty_image(num_queues: int, orr_len: Optional[int] = None,
@@ -582,54 +580,58 @@ def _queue_array(entries, num_queues: int) -> array:
                        else _NO_QUEUE for e in entries])
 
 
-def span_arbiter(arbiter, num_queues: int) -> Optional[int]:
-    """The span entries' code for ``arbiter`` (``ARB_*`` in
+def span_arbiter(arbiter, num_queues: int) -> Optional[str]:
+    """The span entries' name for ``arbiter`` (its ``ARB_*`` code in
     ``_spankernel.c``), or ``None`` when the kernel cannot run it.
 
     It runs no arbiter and every stock arbiter of exact type (a subclass
     may override ``next_request``) over exactly the buffer's
     ``num_queues`` (a ``TraceArbiter`` has no queue count), and an
     ``IntermittentArbiter`` over any of these, one level deep, as its inner
-    arbiter's code behind the on/off gate."""
+    arbiter's code behind the on/off gate.  Routing asks before the kernel
+    loads: the marshal looks the code up by this name."""
     if arbiter is None:
-        return _ARB_NONE
+        return "ARB_NONE"
     if type(arbiter) is IntermittentArbiter:
         arbiter = arbiter.inner
-    code = _ARB_CODES.get(type(arbiter))
-    if code is None or (code != _ARB_TRACE
+    name = _ARB_NAMES.get(type(arbiter))
+    if name is None or (name != "ARB_TRACE"
                         and arbiter.num_queues != num_queues):
         return None
-    return code
+    return name
 
 
 class _Handoff:
-    """What both span entries take, bound into their ``kptrs``: the
-    arbiter (its code, its own state, ``RandomArbiter``'s MT state, a
-    ``TraceArbiter``'s pattern window, an intermittent gate), the head MMA,
-    the arrival plan (its mode, and the explicit ``int32`` plan or a
-    deferred Bernoulli plan's MT state and cumulative weights), copies of
-    the core's fixed-shape arrays and its state image.  The kernel updates
-    the copies, and :meth:`apply` copies them back after a span that
-    succeeds, so an aborted span leaves the core's arrays as they were.
-    Every array stays alive (and is never resized) across the C call."""
+    """One span's call of the entry of the core's ``scheme``: its config
+    and pointers.  The entry's roles name the core's part: each ``conf``
+    field is the core's attribute of its name (``None`` as ``-1``), each
+    ``core`` field too, a pointer as a copy of the core's array, and
+    :meth:`apply` writes those back after a span that succeeds.  The rest
+    is the marshal's: the arbiter (its code and state, an intermittent
+    gate, MT state, a trace window), the head MMA, the arrival plan and the
+    image.  Every array stays alive (never resized) across the C call."""
 
-    def __init__(self, core, ptr: KPtrs, aplan, num_slots: int, main: bool,
+    def __init__(self, abi: _Kernel, core, aplan, num_slots: int, main: bool,
                  bern) -> None:
         self.started = perf_counter()
+        self.entry = entry = abi.spans[core.scheme]
         self.core = core
         self.num_slots = num_slots
         self.main = main
         self.rngs = []
+        self.ptr = ptr = entry.ptrs()
+        consts = abi.consts
         nq = core.num_queues
-        traced = main and core.sim.trace is not None
-        head = (_HEAD_MDQF if type(core.buffer.head.mma) is MDQF
-                else _HEAD_ECQF_FALLBACK if core.ecqf_fallback
-                else _HEAD_ECQF)
-        fields = dict(plan_mode=_PLAN_NONE, head_mma=head,
-                      traced=1 if traced else 0)
+        head = ("HEAD_MDQF" if type(core.buffer.head.mma) is MDQF
+                else "HEAD_ECQF_FALLBACK" if core.ecqf_fallback
+                else "HEAD_ECQF")
+        fields = dict(num_slots=num_slots, start_slot=core.slot,
+                      is_main=1 if main else 0, state_len=len(core.image),
+                      plan_mode=consts["PLAN_NONE"], head_mma=consts[head],
+                      traced=1 if main and core.sim.trace is not None else 0)
         arbiter = core.sim.arbiter if main else None
-        arb_mode = span_arbiter(arbiter, nq)
-        if arb_mode is None:
+        arb = span_arbiter(arbiter, nq)
+        if arb is None:
             raise ConfigurationError(
                 f"the span kernel runs no {type(arbiter).__name__} over "
                 f"{nq} queues")
@@ -639,17 +641,17 @@ class _Handoff:
                                           + arbiter.off_slots, _I62))
             arbiter = arbiter.inner
         self.arbiter = arbiter
-        fields["arb_mode"] = arb_mode
+        fields["arb_mode"] = consts[arb]
         for name, attr in zip(("arb_s0", "arb_s1"),
                               _ARB_STATE.get(type(arbiter), ())):
             fields[name] = getattr(arbiter, attr)
-        if arb_mode == _ARB_RANDOM:
+        if arb == "ARB_RANDOM":
             ptr.arb_key, ptr.arb_meta = self._rng(arbiter._rng)
             fields["arb_tint"] = gate_threshold(arbiter.load)
-        elif arb_mode == _ARB_STRIDED:
+        elif arb == "ARB_STRIDED":
             fields.update(arb_stride=arbiter.stride % nq,
                           arb_burst=min(arbiter.burst, _I62))
-        elif arb_mode == _ARB_TRACE:
+        elif arb == "ARB_TRACE":
             window = arbiter.pattern[core.slot:core.slot + num_slots]
             self.pattern = _queue_array(window, nq)
             self.pattern.extend([-1] * (num_slots - len(window)))
@@ -659,7 +661,7 @@ class _Handoff:
             ptr.bern_key, ptr.bern_meta = self._rng(rng)
             self.weights = array("d", cum_weights)
             ptr.cum_weights = self.weights.buffer_info()[0]
-            fields.update(plan_mode=_PLAN_BERNOULLI, bern_tint=tint,
+            fields.update(plan_mode=consts["PLAN_BERNOULLI"], bern_tint=tint,
                           bern_total=total)
         elif main and aplan is not None:
             # An int32 row (a switch port's egress row) goes as it is.
@@ -667,20 +669,20 @@ class _Handoff:
                          and aplan.typecode == "i"
                          else _queue_array(aplan[:num_slots], nq))
             ptr.plan = self.plan.buffer_info()[0]
-            fields["plan_mode"] = _PLAN_EXPLICIT
-        self.fields = fields
+            fields["plan_mode"] = consts["PLAN_EXPLICIT"]
+        for name in entry.conf:
+            value = getattr(core, name)
+            fields[name] = -1 if value is None else value
+        for name in entry.scalars:
+            fields[name] = getattr(core, name)
+        self.cfg = entry.cfg(**fields)
         self.arrays = []
-        self.bind(ptr, _ARRAYS)
-        ptr.state = core.image.buffer_info()[0]
-
-    def bind(self, ptr, names) -> None:
-        """Point ``ptr``'s fields ``names`` at copies of the core's arrays
-        of the same names."""
-        for name in names:
-            kept = getattr(self.core, name)
+        for name in entry.arrays:
+            kept = getattr(core, name)
             copy = kept[:]
             self.arrays.append((kept, copy))
             setattr(ptr, name, copy.buffer_info()[0])
+        ptr.state = core.image.buffer_info()[0]
 
     def _rng(self, rng):
         """The addresses of ``rng``'s key and ``[pos]`` for the kernel,
@@ -689,30 +691,18 @@ class _Handoff:
         self.rngs.append((rng, state, key, meta))
         return key.buffer_info()[0], meta.buffer_info()[0]
 
-    def cfg(self, **fields) -> KCfg:
-        core = self.core
-        return KCfg(
-            num_queues=core.num_queues, granularity=core.granularity,
-            strict=1 if core.strict else 0, tail_cap=core.tail_cap,
-            dram_cap=-1 if core.dram_cap is None else core.dram_cap,
-            sram_cap=-1 if core.sram_cap is None else core.sram_cap,
-            la_len=core.la_len, num_slots=self.num_slots,
-            start_slot=core.slot, is_main=1 if self.main else 0,
-            state_len=len(core.image),
-            **{name: getattr(core, name) for name in _SCALARS},
-            **self.fields, **fields)
-
-    def apply(self, cfg: KCfg, ptr: KPtrs) -> None:
+    def apply(self) -> None:
         """Write the span back: the updated arrays, the new image, the
-        machine scalars and counts, the arbiter's and the generators'
+        core's scalars and counts, the arbiter's and the generators'
         states, and the outcome that follows the image in the result."""
-        image, outcome = _read_result(ptr, cfg)
+        cfg = self.cfg
+        image, outcome = _read_result(self.ptr, cfg)
         core = self.core
         num_slots = self.num_slots
         for kept, copy in self.arrays:
             kept[:] = copy
         core.image = image
-        for name in _SCALARS:
+        for name in self.entry.scalars:
             setattr(core, name, getattr(cfg, name))
         core.slot += num_slots
         if self.main:
@@ -744,7 +734,7 @@ class _Handoff:
             core.sim.trace.events.extend(zip(events[::2], events[1::2]))
 
 
-def _read_result(ptr: KPtrs, cfg: KCfg):
+def _read_result(ptr, cfg):
     """The kernel-owned result, released once read: its head, the new
     state image (``cfg.state_len`` elements), copied whole into an
     ``array``, and the outcome that follows it as a list."""
@@ -757,76 +747,58 @@ def _read_result(ptr: KPtrs, cfg: KCfg):
         _release(ptr.result)
 
 
-def _observe(obs, rc: int, num_slots: int, plan_slots: int,
+def _observe(obs, error: str, num_slots: int, plan_slots: int,
              started: float, native_s: float) -> None:
     """Count one kernel call and time it (see :func:`run_span_kernel`)."""
-    if rc == _ERR_OK:
+    if error == "ok":
         obs.inc("engine.array.kernel_spans")
         obs.inc("engine.array.kernel_slots", num_slots)
         if plan_slots:
             obs.inc("engine.array.kernel_plan_slots", plan_slots)
     else:
         obs.inc("engine.array.kernel_aborts")
-        obs.inc("engine.array.kernel_aborts."
-                + _ABORT_CODES.get(rc, "unknown"))
+        obs.inc(f"engine.array.kernel_aborts.{error}")
     obs.observe("engine.array.kernel_native_s", native_s)
     obs.observe("engine.array.kernel_handoff_s",
                 perf_counter() - started - native_s)
 
 
-def _raise_abort(core, rc: int, cfg: KCfg, handoff: _Handoff, aplan):
+def _raise_abort(abi: _Kernel, error: str, handoff: _Handoff, aplan):
     """Raise the reference engine's exception for a span that stopped with
-    ``rc`` and ``cfg``'s abort record: its slot and the integers the
-    exception carries.  An arrival or trace entry that names no queue is
-    read back from the plan or the pattern, as the reference reads it."""
+    ``error`` and the abort record in ``handoff.cfg``: its slot and the
+    integers the exception carries.  An arrival or trace entry that names
+    no queue is read back from the plan or the pattern, as the reference
+    reads it."""
+    cfg, core = handoff.cfg, handoff.core
     slot = cfg.err_slot
-    if rc == _ERR_OOM:
+    if error == "oom":
         raise MemoryError("the span kernel ran out of memory")
-    if rc == _ERR_OVERFLOW and 0 <= cfg.err_a < len(_STRUCTURES):
-        raise BufferOverflowError(_STRUCTURES[cfg.err_a], cfg.err_b,
-                                  cfg.err_c)
-    if rc == _ERR_MISS:
+    shown = {abi.consts[name]: shown for name, shown in _STRUCTURES.items()}
+    if error == "overflow" and cfg.err_a in shown:
+        raise BufferOverflowError(shown[cfg.err_a], cfg.err_b, cfg.err_c)
+    if error == "miss":
         raise CacheMissError(cfg.err_a, slot)
-    if rc == _ERR_CONFLICT:
+    if error == "conflict":
         raise BankConflictError(cfg.err_a, slot, cfg.err_b)
-    if rc == _ERR_BUS:
+    if error == "bus":
         raise ConfigurationError(
             f"address bus violation: accesses at slots {cfg.err_a} and "
             f"{slot} are closer than {cfg.err_b} slots")
-    if rc == _ERR_PLAN:
+    if error == "plan":
         raise arrival_error(aplan[slot - core.slot], core.num_queues, slot)
-    if rc == _ERR_ARBITER:
+    if error == "arbiter":
         raise ArbiterContractError(handoff.arbiter.pattern[slot],
                                    core.num_queues, slot)
     raise ConfigurationError(
         f"the span kernel rejected the core's state at slot {slot} "
-        f"(error {_ABORT_CODES.get(rc, rc)})")
-
-
-def _call(fn, cfg, ptr, handoff: _Handoff, aplan, bern, apply) -> bool:
-    """Run one span entry and apply its result, or raise from its abort
-    record; both counted and timed (see :func:`run_span_kernel`)."""
-    obs = get_metrics()
-    native_started = perf_counter()
-    rc = fn(ctypes.byref(cfg), ctypes.byref(ptr))
-    native_s = perf_counter() - native_started
-    if rc == _ERR_OK:
-        apply()
-    if obs is not None:
-        _observe(obs, rc, handoff.num_slots,
-                 handoff.num_slots if bern is not None else 0,
-                 handoff.started, native_s)
-    if rc != _ERR_OK:
-        # Nothing was written back: the arrays handed over are copies.
-        _raise_abort(handoff.core, rc,
-                     cfg if isinstance(cfg, KCfg) else cfg.k, handoff, aplan)
-    return True
+        f"(error {error})")
 
 
 def run_span_kernel(core, aplan, num_slots: int, main: bool = True,
                     bern=None, drain_slots: int = 0) -> bool:
-    """Run one span of the RADS core on the compiled kernel; ``True`` once
-    it ran, ``False`` when no kernel is loaded.
+    """Run one span of an array core on the compiled kernel: the entry of
+    the core's ``scheme``, ``rads_run_span`` or ``cfds_run_span``; ``True``
+    once it ran, ``False`` when no kernel is loaded.
 
     ``aplan`` is the arrival plan — an ``Optional[int]`` list or an
     ``int32`` row at least ``num_slots`` long — or ``None`` for a span
@@ -850,55 +822,25 @@ def run_span_kernel(core, aplan, num_slots: int, main: bool = True,
         raise ConfigurationError(
             "the span kernel runs a drain window as its own span "
             "(main=False), not appended to a main one")
-    fn = load_kernel()
-    if fn is None:
+    abi = load_kernel()
+    if abi is None:
         return False
-    ptr = KPtrs()
-    handoff = _Handoff(core, ptr, aplan, num_slots, main, bern)
-    cfg = handoff.cfg(pending_len=core.pending_len)
-
-    def apply():
-        handoff.apply(cfg, ptr)
-        core.pending_len = cfg.pending_len
-
-    return _call(fn, cfg, ptr, handoff, aplan, bern, apply)
-
-
-def run_cfds_span_kernel(core, aplan, num_slots: int, main: bool = True,
-                         bern=None) -> bool:
-    """Run one span of the CFDS core on the kernel's ``cfds_run_span``;
-    ``True`` once it ran, ``False`` when no kernel is loaded.
-
-    The CFDS counterpart of :func:`run_span_kernel`, under the same rules
-    and with the same arbiters and plans: a span the kernel stops early
-    leaves the core untouched and raises the reference engine's exception;
-    the same counters and timers are recorded.
-    """
-    fn = _cfds if load_kernel() is not None else None
-    if fn is None:
-        return False
-    ptr = CPtrs()
-    handoff = _Handoff(core, ptr.k, aplan, num_slots, main, bern)
-    handoff.bind(ptr, _CFDS_ARRAYS)
-    cfg = CCfg(
-        k=handoff.cfg(), lat_len=core.lat_len,
-        rr_cap=-1 if core.rr_cap is None else core.rr_cap,
-        issues=core.issues, ras=core.ras, bus_slots=core.bus_slots,
-        dram_strict=1 if core.dram_strict else 0,
-        num_banks=len(core.locks), num_groups=core.num_groups,
-        banks_per_group=core.banks_per_group,
-        num_physical=len(core.write_count),
-        renaming=1 if core.renaming else 0,
-        group_cap=-1 if core.group_cap is None else core.group_cap,
-        orr_len=core.orr_len,
-        **{name: getattr(core, name) for name in _CFDS_SCALARS})
-
-    def apply():
-        handoff.apply(cfg.k, ptr.k)
-        for name in _CFDS_SCALARS:
-            setattr(core, name, getattr(cfg, name))
-
-    return _call(fn, cfg, ptr, handoff, aplan, bern, apply)
+    handoff = _Handoff(abi, core, aplan, num_slots, main, bern)
+    obs = get_metrics()
+    native_started = perf_counter()
+    rc = handoff.entry.run(ctypes.byref(handoff.cfg),
+                           ctypes.byref(handoff.ptr))
+    native_s = perf_counter() - native_started
+    error = abi.errors.get(rc, "unknown")
+    if error == "ok":
+        handoff.apply()
+    if obs is not None:
+        _observe(obs, error, num_slots, num_slots if bern is not None else 0,
+                 handoff.started, native_s)
+    if error != "ok":
+        # Nothing was written back: the arrays handed over are copies.
+        _raise_abort(abi, error, handoff, aplan)
+    return True
 
 
 class FabricWindow(NamedTuple):
@@ -935,24 +877,32 @@ def run_fabric_window(num_ports: int, policy: str, start_slot: int,
     runs until the VOQs drain, at most ``num_slots`` slots.  ``voqs`` is
     the VOQ image the last window returned (empty at first; layout above
     ``fptrs`` in ``_spankernel.c``) and ``peak`` the peak ingress backlog
-    so far.  ``policy`` names one of :data:`FABRIC_POLICIES`; ``pointers``
-    are iSLIP's ``(grant, accept)`` lists and ``rng`` the random policy's
+    so far.  ``policy`` names one of the kernel's policies (``islip``,
+    ``random`` or ``priority``: its ``POLICY_*`` codes); ``pointers`` are
+    iSLIP's ``(grant, accept)`` lists and ``rng`` the random policy's
     ``random.Random``, advanced in place as the generators are.
 
     A window the kernel stops writes nothing back and raises: the
     reference's :func:`~repro.errors.destination_error` for a plan entry
     that is not ``None`` or a port id, :class:`MemoryError` when the kernel
     runs out of memory, and a one-line ``ConfigurationError`` otherwise:
-    inputs of the wrong shape, no kernel, or a kernel error (too many
-    ports, a malformed image) named with its slot.
+    inputs of the wrong shape, a policy the kernel does not run, no kernel,
+    or a kernel error (too many ports, a malformed image) named with its
+    slot.
     """
     fn = load_fabric_kernel()
     if fn is None:
         raise ConfigurationError("the fabric kernel is not loaded")
+    abi = _kernel
+    code = abi.policies.get(policy)
+    if code is None:
+        raise ConfigurationError(
+            f"the fabric kernel runs no {policy!r} policy (known: "
+            f"{', '.join(abi.policies)})")
     n = num_ports
     # Every array below stays bound to a local, so alive across the C call.
-    ptr = FPtrs(state=voqs.buffer_info()[0])
-    plan_mode = _PLAN_EXPLICIT
+    ptr = abi.structs["fptrs"](state=voqs.buffer_info()[0])
+    plan_mode = abi.consts["PLAN_EXPLICIT"]
     if plans is not None:
         if len(plans) != n or any(len(entries) != num_slots
                                   for entries in plans):
@@ -983,7 +933,7 @@ def run_fabric_window(num_ports: int, policy: str, start_slot: int,
         ptr.bern_tint = tints.buffer_info()[0]
         ptr.bern_total = totals.buffer_info()[0]
         ptr.cum_weights = weights.buffer_info()[0]
-        plan_mode = _PLAN_BERNOULLI
+        plan_mode = abi.consts["PLAN_BERNOULLI"]
     if pointers is not None:
         grant = array("q", pointers[0])
         accept = array("q", pointers[1])
@@ -996,22 +946,23 @@ def run_fabric_window(num_ports: int, policy: str, start_slot: int,
         rng_image = _rng_image(rng)
         ptr.rng_key = rng_image[1].buffer_info()[0]
         ptr.rng_meta = rng_image[2].buffer_info()[0]
-    cfg = FCfg(num_ports=n, policy=FABRIC_POLICIES.index(policy),
-               num_slots=num_slots, start_slot=start_slot,
-               flush=1 if plans is None and bern is None else 0,
-               plan_mode=plan_mode, state_len=len(voqs), peak=peak)
+    cfg = abi.structs["fcfg"](
+        num_ports=n, policy=code, num_slots=num_slots, start_slot=start_slot,
+        flush=1 if plans is None and bern is None else 0,
+        plan_mode=plan_mode, state_len=len(voqs), peak=peak)
     rc = fn(ctypes.byref(cfg), ctypes.byref(ptr))
     plan = weights = None  # read; freed before the read-back
-    if rc == _ERR_PLAN and plans is not None:
+    error = abi.errors.get(rc, "unknown")
+    if error == "plan" and plans is not None:
         ingress = cfg.err_ingress
         raise destination_error(plans[ingress][cfg.err_slot - start_slot],
                                 ingress, n)
-    if rc == _ERR_OOM:
+    if error == "oom":
         raise MemoryError("the fabric kernel ran out of memory")
-    if rc != _ERR_OK:
+    if error != "ok":
         raise ConfigurationError(
             f"the fabric kernel stopped at slot {cfg.err_slot} "
-            f"(error {_ABORT_CODES.get(rc, rc)})")
+            f"(error {error})")
     slots = cfg.slots_run
     row_bytes = 4 * slots
     # The rows are int32, padded to a whole int64 word; then per-egress

@@ -80,7 +80,7 @@ def test_both_select_forms_give_one_report(monkeypatch, tmp_path):
     default = _reports()
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
     monkeypatch.setattr(kernel, "_FLAG_SETS", kernel._FLAG_SETS[-1:])
-    for name in ("_kernel", "_release", "_fabric", "_cfds"):
+    for name in ("_kernel", "_release", "_fabric"):
         monkeypatch.setattr(kernel, name, None)
     monkeypatch.setattr(kernel, "_kernel_tried", False)
     assert kernel.load_kernel() is not None

@@ -234,6 +234,16 @@ def test_kernel_abort_leaves_arbiter_state_untouched():
     assert rng.getstate() == before
 
 
+def test_kernel_names_the_policies_it_runs():
+    """A policy the kernel does not run is a one-line configuration error
+    that lists those it does; ``FabricStream`` never asks for one (a
+    non-stock policy runs on python, as ``policy``)."""
+    with pytest.raises(ConfigurationError,
+                       match=r"^the fabric kernel runs no 'wfq' policy "
+                             r"\(known: islip, random, priority\)$"):
+        kernel.run_fabric_window(4, "wfq", 0, 1, [[None]] * 4, array("q"), 0)
+
+
 @pytest.mark.parametrize("plans, pointers, message", [
     ([[None] * 4], ([0, 0], [0, 0]), "the fabric kernel takes 2 ingress"),
     ([[None] * 4, [None] * 3], ([0, 0], [0, 0]),
