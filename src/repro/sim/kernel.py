@@ -77,13 +77,18 @@ real ``malloc`` in use::
     LD_PRELOAD="$(gcc -print-file-name=libasan.so) \\
                 $(gcc -print-file-name=libubsan.so)" \\
     PYTHONMALLOC=malloc ASAN_OPTIONS=detect_leaks=0 \\
-    REPRO_SPAN_KERNEL_SANITIZE=1 python -m pytest tests/sim/
+    REPRO_SPAN_KERNEL_SANITIZE=1 python -m pytest --capture=sys tests/sim/
 
 (``PYTHONMALLOC=malloc`` matters: pymalloc arenas carry no ASan redzones,
-so overflows on Python-allocated buffers would go unseen.)  The
-``benchmarks/kernel_sanitize_check.py`` harness sets all of this up and
-replays its stressors; CI runs it in the ``kernel-sanitize`` job.  Without
-the preload, ``CDLL`` fails and the kernel is unavailable (``load_failed``).
+so overflows on Python-allocated buffers would go unseen.  So does
+``--capture=sys``: under pytest's default fd capture the report, written
+to fd 2 as the process dies, is lost.)  The
+``benchmarks/kernel_sanitize_check.py`` launcher sets all of this up, with
+a throwaway cache, and runs the kernel's own test modules under it; a
+sanitized kernel that does not load, a test that fails or skips, or an
+empty selection fails it.  CI runs it in the ``kernel-sanitize`` job.
+Without the preload, ``CDLL`` fails and the kernel is unavailable
+(``load_failed``).
 """
 
 from __future__ import annotations

@@ -20,6 +20,7 @@ from repro.core.buffer import CFDSPacketBuffer
 from repro.core.config import CFDSConfig
 from repro.core.ongoing_register import OngoingRequestsRegister
 from repro.errors import (
+    ArbiterContractError,
     BankConflictError,
     BufferOverflowError,
     CacheMissError,
@@ -35,9 +36,12 @@ from repro.sim.array_engine import build_array_core, window_plan
 from repro.sim.engine import ClosedLoopSimulation
 from repro.sim.streaming import resume_stream
 from repro.traffic.arbiters import (
+    IntermittentArbiter,
     LongestQueueArbiter,
     OldestCellArbiter,
     RandomArbiter,
+    RoundRobinAdversary,
+    TraceArbiter,
 )
 from repro.traffic.arrivals import (
     BernoulliArrivals,
@@ -65,6 +69,10 @@ class _Arbiter(LongestQueueArbiter):
     it."""
 
 
+#: A trace arbiter's pattern: every third queue, round and round.
+TRACE_PATTERN = [q % 8 for q in range(0, 900, 3)] * 3
+
+
 def _arbiter(kind, num_queues):
     if kind == "random":
         return RandomArbiter(num_queues, load=0.7, seed=6)
@@ -78,6 +86,17 @@ def _arbiter(kind, num_queues):
         return LongestQueueArbiter(num_queues - 1)
     if kind == "oldest_cell":
         return OldestCellArbiter(num_queues)
+    if kind == "round_robin":
+        return RoundRobinAdversary(num_queues, start_queue=3)
+    if kind == "trace":
+        return TraceArbiter(TRACE_PATTERN)
+    if kind == "trace-naming-no-queue":
+        return TraceArbiter([None] * 200 + [-1])
+    if kind == "intermittent-random":
+        return IntermittentArbiter(
+            RandomArbiter(num_queues, load=0.9, seed=52), 40, 25)
+    if kind == "intermittent-longest_queue":
+        return IntermittentArbiter(LongestQueueArbiter(num_queues), 7, 3)
     assert kind is None
     return None
 
@@ -137,12 +156,14 @@ def make_sim(arbiter="random", granularity=2, renaming=True, group_cap=None,
 
 
 def outcome(sim, report):
-    """Everything a kernel run must reproduce."""
+    """Everything a kernel run must reproduce, the trace of a traced run
+    included."""
     rng = getattr(sim.arbiter, "_rng", None)
     buffer = sim.buffer
     return (report.throughput, report.latency, report.buffer_result,
             buffer.dram_group_occupancy(), buffer.dram_utilisation(),
-            buffer.dropped_cells, rng.getstate() if rng else None)
+            buffer.dropped_cells, rng.getstate() if rng else None,
+            report.trace and report.trace.events)
 
 
 def observed(run):
@@ -217,7 +238,9 @@ def test_bounded_nonstrict_dram_serialises_bank_conflicts():
     assert array[2].bank_conflicts > 0
 
 
-@pytest.mark.parametrize("arbiter", ["random", "longest_queue", None])
+@pytest.mark.parametrize("arbiter", [
+    "random", "longest_queue", None, "round_robin", "trace",
+    "intermittent-random", "intermittent-longest_queue"])
 def test_arbiters(arbiter):
     array = assert_kernel_equals_reference(arbiter=arbiter)
     if arbiter is None:
@@ -252,7 +275,8 @@ def test_metrics_on_and_off_agree():
 # --------------------------------------------------------------------- #
 
 STREAM_SLOTS = 2000
-STREAM_KNOBS = dict(arbiter="random", group_cap=48, strict=False)
+STREAM_KNOBS = dict(arbiter="random", group_cap=48, strict=False,
+                    record_trace=True)
 
 
 def _stream_reference(knobs, warmup_slots):
@@ -312,6 +336,7 @@ def test_streamed_chunks_resume_on_the_other_path(chunk_slots, first,
     # report is compared.
     assert (resumed.throughput, resumed.latency, resumed.buffer_result) \
         == stream_reference[:3]
+
 
 
 # --------------------------------------------------------------------- #
@@ -539,6 +564,8 @@ RAISE_SITES = {
     "head-miss": (dict(lookahead=1, latency=0), CacheMissError, "miss"),
     "no-queue": (dict(arrivals=TraceArrivals([3] * 400 + [8])),
                  ValidationError, "plan"),
+    "trace-no-queue": (dict(arbiter="trace-naming-no-queue"),
+                       ArbiterContractError, "arbiter"),
 }
 
 

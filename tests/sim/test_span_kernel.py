@@ -1,10 +1,14 @@
 """Acceptance tests of the compiled span kernel under ``engine="array"``.
 
-Most cases run twice, through the ``kernel_mode`` fixture: with the span
-kernel (when it builds), and with it unloaded, so the array engine hands
-the whole run to the reference engine and counts its slots as
-``engine.array.fallback.unavailable``.  Either way the report must be
-bit-identical to the reference engine's.
+Every case runs once, on the span kernel (when it builds), and holds its
+report bit-identical to the reference engine's.  The route without the
+kernel, where the array engine hands the whole run to the reference engine
+and counts its slots as ``engine.array.fallback.unavailable``, is tested
+once per entry point: here for CFDS and for a streamed RADS run,
+monolithic RADS in ``tests/sim/test_kernel_abi.py``, the switch in
+``tests/switch/test_fabric_kernel.py``.
+``benchmarks/kernel_sanitize_check.py`` runs this module against the
+kernel's ASan/UBSan build.
 """
 
 import os
@@ -16,13 +20,16 @@ from pathlib import Path
 import pytest
 
 from repro.errors import (
+    ArbiterContractError,
     BufferOverflowError,
+    CacheMissError,
     ConfigurationError,
     StaleSimulationError,
     ValidationError,
 )
 from repro.core.buffer import CFDSPacketBuffer
 from repro.core.config import CFDSConfig
+from repro.mma.mdqf import MDQF
 from repro.obs.metrics import MetricsRegistry, using_metrics
 from repro.rads.buffer import RADSPacketBuffer
 from repro.rads.config import RADSConfig
@@ -36,6 +43,9 @@ from repro.traffic.arbiters import (
     LongestQueueArbiter,
     OldestCellArbiter,
     RandomArbiter,
+    RoundRobinAdversary,
+    StridedAdversary,
+    TraceArbiter,
 )
 from repro.traffic.arrivals import (
     BernoulliArrivals,
@@ -47,21 +57,14 @@ from repro.traffic.arrivals import (
 from repro.workloads import all_scenarios
 from repro.workloads.registry import scenario_names
 
-#: Both routes of an array run: the compiled span kernel (when it loads)
-#: and, with the kernel unloaded, the reference engine.
-KERNEL_MODES = ("kernel", "no-kernel")
+needs_kernel = pytest.mark.skipif(
+    span_kernel.load_kernel() is None,
+    reason="no C compiler: the span kernel never runs")
 
 
 def _disable_kernel(patcher):
     patcher.setattr(span_kernel, "_kernel", None)
     patcher.setattr(span_kernel, "_kernel_tried", True)
-
-
-@pytest.fixture(params=KERNEL_MODES)
-def kernel_mode(request, monkeypatch):
-    if request.param == "no-kernel":
-        _disable_kernel(monkeypatch)
-    return request.param
 
 
 def assert_reports_identical(left, right):
@@ -87,23 +90,31 @@ def run_both(make_sim, num_slots, drain=True):
 
 
 # --------------------------------------------------------------------- #
-# The registered suite, through both kernel modes.
+# The registered suite, every span on the kernel.
 # --------------------------------------------------------------------- #
 
 @pytest.mark.parametrize("name", scenario_names())
-def test_numpy_identical_on_registered_scenarios(name, kernel_mode):
+def test_numpy_identical_on_registered_scenarios(name):
     scenario = next(s for s in all_scenarios() if s.name == name)
     reference = scenario.run(engine="reference")
-    array = scenario.run(engine="array")
+    array, registry = _observed(lambda: scenario.run(engine="array"))
     assert_reports_identical(reference, array)
+    _assert_kernel_ran(registry)
 
 
 @pytest.mark.parametrize("name", scenario_names())
-def test_numpy_identical_without_drain(name, kernel_mode):
+def test_numpy_identical_without_drain(name):
     scenario = next(s for s in all_scenarios() if s.name == name)
-    reference = scenario.run(engine="reference", num_slots=600)
-    array = scenario.run(engine="array", num_slots=600)
+
+    def run(engine):
+        return scenario.build_simulation().run(600, drain=False,
+                                               engine=engine)
+
+    reference = run("reference")
+    array, registry = _observed(lambda: run("array"))
     assert_reports_identical(reference, array)
+    assert array.throughput.slots == 600
+    _assert_kernel_ran(registry)
 
 
 def test_numpy_identical_with_trace_recorded():
@@ -123,10 +134,10 @@ def test_numpy_identical_with_trace_recorded():
 
 
 # --------------------------------------------------------------------- #
-# Edge modes: fill-only, drain-only, zero/one slot, lossy, no drain.
+# Edge modes: fill-only, drain-only, zero/one slot, lossy, strict overflow.
 # --------------------------------------------------------------------- #
 
-def test_fill_only_run(kernel_mode):
+def test_fill_only_run():
     """No arbiter: the buffer only fills; both engines agree."""
     def make_sim():
         return ClosedLoopSimulation(
@@ -139,7 +150,7 @@ def test_fill_only_run(kernel_mode):
     assert array.throughput.departures == 0
 
 
-def test_drain_only_run(kernel_mode):
+def test_drain_only_run():
     """No arrivals: idle request slots only; both engines agree."""
     def make_sim():
         return ClosedLoopSimulation(_build_buffer("rads"), None,
@@ -151,7 +162,7 @@ def test_drain_only_run(kernel_mode):
 
 
 @pytest.mark.parametrize("num_slots", [0, 1])
-def test_degenerate_slot_counts(num_slots, kernel_mode):
+def test_degenerate_slot_counts(num_slots):
     def make_sim():
         return ClosedLoopSimulation(
             _build_buffer("rads"), BernoulliArrivals(8, load=0.5, seed=3),
@@ -162,7 +173,7 @@ def test_degenerate_slot_counts(num_slots, kernel_mode):
 
 
 @pytest.mark.parametrize("drain", [True, False])
-def test_lossy_run_counts_identical_drops(drain, kernel_mode):
+def test_lossy_run_counts_identical_drops(drain):
     """strict=False with a bounded DRAM: overflow blocks are clamped to
     the remaining room and the loss is counted, never raised — identically
     on both engines."""
@@ -177,44 +188,55 @@ def test_lossy_run_counts_identical_drops(drain, kernel_mode):
     assert array.throughput.drops > 0
 
 
-def test_strict_overflow_raises_identically(kernel_mode):
+def _strict_overflow_sim():
+    """A strict RADS machine whose 3-cell tail SRAM overflows."""
+    return ClosedLoopSimulation(
+        _build_buffer("rads", tail_sram_cells=3, strict=True),
+        BernoulliArrivals(8, load=1.0, seed=11),
+        RandomArbiter(8, seed=12, load=0.3))
+
+
+def test_strict_overflow_raises_identically():
     """A strict-mode overflow aborts the kernel, which raises the same
     exception the reference loop raises from its abort record."""
-    def make_sim():
-        return ClosedLoopSimulation(
-            _build_buffer("rads", tail_sram_cells=3, strict=True),
-            BernoulliArrivals(8, load=1.0, seed=11),
-            RandomArbiter(8, seed=12, load=0.3))
-
     with pytest.raises(BufferOverflowError) as reference_exc:
-        make_sim().run(1200, engine="reference")
+        _strict_overflow_sim().run(1200, engine="reference")
     with pytest.raises(BufferOverflowError) as array_exc:
-        make_sim().run(1200, engine="array")
+        _strict_overflow_sim().run(1200, engine="array")
     assert str(array_exc.value) == str(reference_exc.value)
 
 
-def test_cfds_falls_back_to_array_core(kernel_mode):
-    """CFDS's 900-slot main span and its 50-slot drain both run on the
-    kernel's CFDS entry; with the kernel unloaded the whole run goes to
-    the reference engine.  Either way the report matches the reference
-    loop."""
-    def make_sim():
-        return ClosedLoopSimulation(
-            _build_buffer("cfds"), BernoulliArrivals(8, load=0.8, seed=5),
-            RandomArbiter(8, seed=6))
+def _cfds_sim():
+    """An 8-queue CFDS machine under Bernoulli traffic and RandomArbiter."""
+    return ClosedLoopSimulation(
+        _build_buffer("cfds"), BernoulliArrivals(8, load=0.8, seed=5),
+        RandomArbiter(8, seed=6))
 
-    reference = make_sim().run(900, engine="reference")
-    array, registry = _observed(lambda: make_sim().run(900, engine="array"))
+
+def test_cfds_main_and_drain_spans_run_on_the_kernel():
+    """CFDS's 900-slot main span and its 50-slot drain both run on the
+    kernel's CFDS entry, with no fallback: the report matches the
+    reference loop's."""
+    reference = _cfds_sim().run(900, engine="reference")
+    array, registry = _observed(lambda: _cfds_sim().run(900, engine="array"))
     assert_reports_identical(reference, array)
-    if kernel_mode == "kernel" and span_kernel.load_kernel() is not None:
+    if span_kernel.load_kernel() is not None:
         assert registry.counter("engine.array.kernel_slots") == \
             array.throughput.slots
         assert registry.counter("engine.array.kernel_spans") == 2
         assert _fallbacks(registry) == {}
-    else:
-        assert registry.counter("engine.array.kernel_spans") == 0
-        assert _fallbacks(registry) == {
-            "unavailable": array.throughput.slots}
+
+
+def test_cfds_without_the_kernel_runs_on_the_reference_engine(monkeypatch):
+    """With the kernel unloaded, the whole CFDS run goes to the reference
+    engine and counts every slot as ``unavailable``: the report matches
+    the reference loop's, and no kernel span runs."""
+    _disable_kernel(monkeypatch)
+    reference = _cfds_sim().run(900, engine="reference")
+    array, registry = _observed(lambda: _cfds_sim().run(900, engine="array"))
+    assert_reports_identical(reference, array)
+    assert registry.counter("engine.array.kernel_spans") == 0
+    assert _fallbacks(registry) == {"unavailable": array.throughput.slots}
 
 
 # --------------------------------------------------------------------- #
@@ -298,24 +320,19 @@ def _assert_timed_per_call(registry):
     assert _timer_count(registry, "engine.array.kernel_handoff_s") == calls
 
 
-def _assert_kernel_ran(registry, kernel_mode):
-    """The array run took the span kernel for every slot (with the kernel
-    unloaded: went to the reference engine), so a silent fallback cannot
-    pass for a kernel run."""
-    spans = registry.counter("engine.array.kernel_spans")
+def _assert_kernel_ran(registry):
+    """The array run took the span kernel for every slot (when a compiler
+    builds it), so a silent fallback cannot pass for a kernel run."""
     assert registry.counter("engine.array.kernel_aborts") == 0
     _assert_timed_per_call(registry)
-    if kernel_mode == "no-kernel":
-        assert spans == 0
-        assert registry.counter("engine.array.fallback.unavailable") > 0
-    elif span_kernel._compiler() is not None:
-        assert spans > 0
+    if span_kernel._compiler() is not None:
+        assert registry.counter("engine.array.kernel_spans") > 0
         assert registry.counter("engine.array.kernel_slots") == \
             registry.counter("engine.array.span_slots")
 
 
 @pytest.mark.parametrize("num_queues", WIDE_QUEUES)
-def test_wide_monolithic_deferred_plan(num_queues, kernel_mode):
+def test_wide_monolithic_deferred_plan(num_queues):
     """A weighted Bernoulli plan the kernel draws itself (deferred), then
     the drain window as a span of its own."""
     def make_sim():
@@ -328,11 +345,11 @@ def test_wide_monolithic_deferred_plan(num_queues, kernel_mode):
     baseline = make_sim().run(3000, engine="reference")
     array, registry = _observed(lambda: make_sim().run(3000, engine="array"))
     assert_reports_identical(baseline, array)
-    _assert_kernel_ran(registry, kernel_mode)
+    _assert_kernel_ran(registry)
 
 
 @pytest.mark.parametrize("num_queues", WIDE_QUEUES)
-def test_wide_explicit_markov_plan(num_queues, kernel_mode):
+def test_wide_explicit_markov_plan(num_queues):
     """A non-Bernoulli plan drawn in python and handed to the kernel as an
     explicit plan."""
     def make_sim():
@@ -344,12 +361,11 @@ def test_wide_explicit_markov_plan(num_queues, kernel_mode):
     baseline = make_sim().run(2400, engine="reference")
     array, registry = _observed(lambda: make_sim().run(2400, engine="array"))
     assert_reports_identical(baseline, array)
-    _assert_kernel_ran(registry, kernel_mode)
+    _assert_kernel_ran(registry)
 
 
 @pytest.mark.parametrize("num_queues", WIDE_QUEUES)
-def test_wide_stream_with_warmup_and_resume(num_queues, kernel_mode,
-                                            tmp_path):
+def test_wide_stream_with_warmup_and_resume(num_queues, tmp_path):
     """Streamed wide run: the warmup and checkpoint marks cut the 700-slot
     chunks unevenly, and resuming from the last checkpoint reproduces the
     uninterrupted report."""
@@ -365,10 +381,36 @@ def test_wide_stream_with_warmup_and_resume(num_queues, kernel_mode,
         4100, engine="array", checkpoint_every=1500, checkpoint_path=path,
         **geometry))
     assert_reports_identical(baseline, array)
-    _assert_kernel_ran(registry, kernel_mode)
+    _assert_kernel_ran(registry)
     resumed, registry = _observed(lambda: resume_stream(path))
     assert_reports_identical(baseline, resumed)
-    _assert_kernel_ran(registry, kernel_mode)
+    _assert_kernel_ran(registry)
+
+
+#: RADS shapes with large blocks under an arbiter that requests in one slot
+#: in twenty, as (queues, granularity, seed, weights, chunk_slots): every
+#: queue's backlog grows and moves to DRAM a block at a time, uniform and
+#: skewed, and, streamed in 200-slot chunks, one hot queue makes the tail
+#: MMA push far more cells into DRAM per chunk than the chunk has slots
+#: (the kernel's out buffers must be sized for backlog migration, not just
+#: arrivals).
+BLOCK_SHAPES = {
+    "q4-b32": (4, 32, 7, None, None),
+    "q8-b64": (8, 64, 11, None, None),
+    "q16-b128": (16, 128, 13, None, None),
+    "q8-b64-skewed": (8, 64, 17, [8, 4, 2, 1, 1, 2, 4, 8], None),
+    "q8-b64-hot-queue-streamed": (8, 64, 31, [500] + [1] * 7, 200),
+}
+
+
+@needs_kernel
+@pytest.mark.parametrize("shape", sorted(BLOCK_SHAPES))
+def test_large_blocks_under_a_slow_arbiter(shape):
+    num_queues, granularity, seed, weights, chunk_slots = BLOCK_SHAPES[shape]
+    reference = _assert_edge_case(lambda: _edge_sim(
+        num_queues, weights, granularity=granularity, seed=seed, load=1.0,
+        request_load=0.05), num_slots=4000, chunk_slots=chunk_slots)
+    assert reference.throughput.arrivals > 3000
 
 
 # --------------------------------------------------------------------- #
@@ -377,18 +419,13 @@ def test_wide_stream_with_warmup_and_resume(num_queues, kernel_mode,
 # SRAM.
 # --------------------------------------------------------------------- #
 
-needs_kernel = pytest.mark.skipif(
-    span_kernel.load_kernel() is None,
-    reason="no C compiler: the span kernel never runs")
-
-
 def _edge_sim(num_queues, weights=None, arrivals=None, granularity=4,
-              seed=61, request_load=0.95):
+              seed=61, load=0.9, request_load=0.95):
     """RADS under RandomArbiter (requesting in ``request_load`` of the
     slots), fed a Bernoulli process the kernel draws (``weights``, uniform
     by default) or ``arrivals``."""
     if arrivals is None:
-        arrivals = BernoulliArrivals(num_queues, load=0.9, seed=seed,
+        arrivals = BernoulliArrivals(num_queues, load=load, seed=seed,
                                      weights=weights)
     return ClosedLoopSimulation(
         RADSPacketBuffer(RADSConfig(num_queues=num_queues,
@@ -410,7 +447,7 @@ def _assert_edge_case(make_sim, num_slots=3000, chunk_slots=None):
     reference = run("reference")
     array, registry = _observed(lambda: run("array"))
     assert_reports_identical(reference, array)
-    _assert_kernel_ran(registry, "kernel")
+    _assert_kernel_ran(registry)
     assert registry.counter("engine.array.kernel_spans") > 0
     assert registry.counter("engine.array.kernel_plan_slots") == num_slots
     return reference
@@ -606,17 +643,16 @@ STREAM_PROCESSES = {
 STREAM_SLOTS = 4000
 
 #: Chunkings of a 4000-slot stream, each with a warmup boundary inside a
-#: chunk and one checkpoint mark, and the main slots whose plan the kernel
-#: draws (all of them, spans of any length): short chunks; uneven chunks
-#: whose warmup split leaves a 50-slot span; one 65,536-slot chunk cut by
-#: the warmup boundary and the mark.
+#: chunk and one checkpoint mark: short chunks; uneven chunks whose warmup
+#: split leaves a 50-slot span; one 65,536-slot chunk cut by the warmup
+#: boundary and the mark.
 STREAM_GEOMETRIES = {
-    "short-chunks": (dict(chunk_slots=150, warmup_slots=1000,
-                          checkpoint_every=2000), STREAM_SLOTS),
-    "uneven": (dict(chunk_slots=1300, warmup_slots=1250,
-                    checkpoint_every=2450), STREAM_SLOTS),
-    "chunk-65536": (dict(chunk_slots=65536, warmup_slots=1700,
-                         checkpoint_every=3000), STREAM_SLOTS),
+    "short-chunks": dict(chunk_slots=150, warmup_slots=1000,
+                         checkpoint_every=2000),
+    "uneven": dict(chunk_slots=1300, warmup_slots=1250,
+                   checkpoint_every=2450),
+    "chunk-65536": dict(chunk_slots=65536, warmup_slots=1700,
+                        checkpoint_every=3000),
 }
 
 
@@ -634,17 +670,12 @@ def _spy_batch_draws(patcher):
     return calls
 
 
-@pytest.mark.parametrize("geometry", sorted(STREAM_GEOMETRIES))
-@pytest.mark.parametrize("process", sorted(STREAM_PROCESSES))
-def test_streamed_kernel_drawn_plans_identical(process, geometry,
-                                               kernel_mode, monkeypatch,
-                                               tmp_path):
-    """A streamed stock Bernoulli run matches the reference engine,
-    uninterrupted and resumed from its mid-run checkpoint; every main
-    slot's arrival is drawn once, by the kernel, or by python's
-    ``arrivals()`` when the run went to the reference engine."""
+def _streamed_plan_draws(process, geometry, patcher, tmp_path):
+    """A streamed stock Bernoulli run that matches the reference engine,
+    uninterrupted and resumed from its mid-run checkpoint; returns the
+    array run's registry and the slots python's ``arrivals()`` drew in
+    it."""
     num_queues, make_arrivals = STREAM_PROCESSES[process]
-    geometry, kernel_drawn = STREAM_GEOMETRIES[geometry]
     path = tmp_path / "stream.ckpt.json"
 
     def run(engine):
@@ -653,22 +684,44 @@ def test_streamed_kernel_drawn_plans_identical(process, geometry,
                                         granularity=8)),
             make_arrivals(), RandomArbiter(num_queues, seed=54, load=0.95),
         ).run_stream(STREAM_SLOTS, engine=engine, checkpoint_path=path,
-                     **geometry)
+                     **STREAM_GEOMETRIES[geometry])
 
     reference = run("reference")
-    with monkeypatch.context() as patcher:
-        calls = _spy_batch_draws(patcher)
-        array, registry = _observed(lambda: run("array"))
-        python_drawn = sum(calls)
-        resumed = resume_stream(path)
+    calls = _spy_batch_draws(patcher)
+    array, registry = _observed(lambda: run("array"))
+    python_drawn = sum(calls)
+    resumed = resume_stream(path)
     assert_reports_identical(reference, array)
     assert_reports_identical(reference, resumed)
+    return registry, python_drawn
+
+
+@pytest.mark.parametrize("geometry", sorted(STREAM_GEOMETRIES))
+@pytest.mark.parametrize("process", sorted(STREAM_PROCESSES))
+def test_streamed_kernel_drawn_plans_identical(process, geometry,
+                                               monkeypatch, tmp_path):
+    """Every main slot's arrival is drawn once, by the kernel, in spans of
+    any length."""
+    registry, python_drawn = _streamed_plan_draws(process, geometry,
+                                                  monkeypatch, tmp_path)
     drawn = registry.counter("engine.array.kernel_plan_slots")
-    if kernel_mode == "kernel" and span_kernel.load_kernel() is not None:
-        assert drawn == kernel_drawn
-    else:
-        assert drawn == 0
+    if span_kernel.load_kernel() is not None:
+        assert drawn == STREAM_SLOTS
     assert python_drawn == STREAM_SLOTS - drawn
+
+
+def test_streamed_plans_without_the_kernel_are_drawn_once_in_python(
+        monkeypatch, tmp_path):
+    """With the kernel unloaded, the streamed run goes to the reference
+    engine, warmup, checkpoint and resume included: python's
+    ``arrivals()`` draws every main slot once, and no kernel span runs."""
+    _disable_kernel(monkeypatch)
+    registry, python_drawn = _streamed_plan_draws("zipf", "uneven",
+                                                  monkeypatch, tmp_path)
+    assert registry.counter("engine.array.kernel_spans") == 0
+    assert registry.counter("engine.array.fallback.unavailable") > 0
+    assert registry.counter("engine.array.kernel_plan_slots") == 0
+    assert python_drawn == STREAM_SLOTS
 
 
 def _mismatched_sim(process_queues):
@@ -688,7 +741,7 @@ def _run_mode(make_sim, mode, engine):
 
 
 @pytest.mark.parametrize("mode", ["monolithic", "streamed"])
-def test_process_with_fewer_queues_than_the_buffer(mode, kernel_mode):
+def test_process_with_fewer_queues_than_the_buffer(mode):
     """The kernel draws over the buffer's queues, so a process over fewer
     keeps python's plan, which the kernel runs as an explicit plan; the
     report matches the reference engine."""
@@ -697,11 +750,11 @@ def test_process_with_fewer_queues_than_the_buffer(mode, kernel_mode):
         lambda: _run_mode(lambda: _mismatched_sim(2), mode, "array"))
     assert_reports_identical(reference, array)
     assert registry.counter("engine.array.kernel_plan_slots") == 0
-    _assert_kernel_ran(registry, kernel_mode)
+    _assert_kernel_ran(registry)
 
 
 @pytest.mark.parametrize("mode", ["monolithic", "streamed"])
-def test_process_with_more_queues_than_the_buffer_raises(mode, kernel_mode):
+def test_process_with_more_queues_than_the_buffer_raises(mode):
     """An arrival on a queue the buffer lacks raises the reference engine's
     error; the kernel neither draws the plan nor maps it onto the buffer's
     queues."""
@@ -736,8 +789,7 @@ def test_fallback_reason_counts_every_slot(reason, monkeypatch):
     if reason == "wide_queues":
         monkeypatch.setattr(span_kernel, "MAX_KERNEL_QUEUES", 4)
     if reason == "unavailable":
-        monkeypatch.setattr(span_kernel, "_kernel", None)
-        monkeypatch.setattr(span_kernel, "_kernel_tried", True)
+        _disable_kernel(monkeypatch)
     arbiter = (_LongestQueue(8) if reason == "policy"
                else RandomArbiter(8, seed=4))
     # Short spans: 100 main slots and a 32-slot drain (B=4).
@@ -821,18 +873,11 @@ def test_fallback_reason_abort():
     the kernel's ``overflow`` code, no fallback and no replay."""
     if span_kernel.load_kernel() is None:
         pytest.skip("no C compiler: the span kernel never runs")
-
-    def make_sim():
-        return ClosedLoopSimulation(
-            _build_buffer("rads", tail_sram_cells=3, strict=True),
-            BernoulliArrivals(8, load=1.0, seed=11),
-            RandomArbiter(8, seed=12, load=0.3))
-
     with pytest.raises(BufferOverflowError) as reference:
-        make_sim().run(1200, engine="reference")
+        _strict_overflow_sim().run(1200, engine="reference")
     registry = MetricsRegistry()
     with using_metrics(registry), pytest.raises(BufferOverflowError) as array:
-        make_sim().run(1200, engine="array")
+        _strict_overflow_sim().run(1200, engine="array")
     assert str(array.value) == str(reference.value)
     assert _fallbacks(registry) == {}
     assert registry.counter("engine.array.kernel_aborts") == 1
@@ -848,10 +893,7 @@ def test_aborted_span_leaves_the_core_unchanged():
     span."""
     if span_kernel.load_kernel() is None:
         pytest.skip("no C compiler: the span kernel never runs")
-    sim = ClosedLoopSimulation(
-        _build_buffer("rads", tail_sram_cells=3, strict=True),
-        BernoulliArrivals(8, load=1.0, seed=11),
-        RandomArbiter(8, seed=12, load=0.3))
+    sim = _strict_overflow_sim()
     core = build_array_core(sim)
     core.run_span(window_plan(sim, core, 0, 20), 20)
     plan = window_plan(sim, core, 20, 1000)
@@ -927,27 +969,56 @@ class _LongestQueue(LongestQueueArbiter):
     it."""
 
 
-def _rads_sim(arbiter):
+def _rads_sim(arbiter, arrivals=None, head_mma=None, record_trace=False,
+              **config):
+    """An 8-queue RADS machine (B=4) fed Bernoulli traffic, or
+    ``arrivals``."""
     return ClosedLoopSimulation(
-        RADSPacketBuffer(RADSConfig(num_queues=8, granularity=4)),
-        BernoulliArrivals(8, load=0.9, seed=71), arbiter)
+        RADSPacketBuffer(RADSConfig(num_queues=8, granularity=4, **config),
+                         head_mma=head_mma),
+        arrivals or BernoulliArrivals(8, load=0.9, seed=71), arbiter,
+        record_trace=record_trace)
 
 
-@pytest.mark.parametrize("mode", ["monolithic", "streamed"])
-@pytest.mark.parametrize("arbiter", ["longest_queue", None])
-def test_rads_runs_longest_queue_and_no_arbiter(arbiter, mode, kernel_mode,
-                                                tmp_path):
-    """The RADS entry runs the arbiters the CFDS entry runs: a
-    ``LongestQueueArbiter`` over the buffer's queues, and no arbiter.
-    Monolithic, and streamed in uneven chunks with the warmup boundary
-    inside one and a checkpoint resumed, the report equals the reference
-    engine's, and no run counts ``policy``."""
+#: A trace arbiter's pattern: every third queue, round and round.
+TRACE_PATTERN = [q % 8 for q in range(0, 900, 3)] * 3
+
+#: A machine for each stock policy the RADS entry runs beyond the
+#: registered scenarios' (RandomArbiter, OldestCellArbiter, the round-robin
+#: adversary): LongestQueueArbiter over the buffer's queues, no arbiter, the
+#: strided adversary, a trace arbiter, an on/off gate over RandomArbiter and
+#: over LongestQueueArbiter, MDQF, and a traced run.
+RADS_POLICIES = {
+    "longest_queue": lambda: _rads_sim(LongestQueueArbiter(8)),
+    "none": lambda: _rads_sim(None),
+    "strided": lambda: _rads_sim(StridedAdversary(8, stride=3, burst=2)),
+    "trace": lambda: _rads_sim(TraceArbiter(TRACE_PATTERN)),
+    "intermittent-random": lambda: _rads_sim(IntermittentArbiter(
+        RandomArbiter(8, load=0.9, seed=52), 40, 25)),
+    "intermittent-longest": lambda: _rads_sim(IntermittentArbiter(
+        LongestQueueArbiter(8), 7, 3)),
+    "mdqf": lambda: _rads_sim(RandomArbiter(8, load=0.8, seed=53),
+                              BernoulliArrivals(8, load=0.7, seed=71),
+                              head_mma=MDQF()),
+    "traced": lambda: _rads_sim(RoundRobinAdversary(8), record_trace=True),
+}
+
+
+@pytest.mark.parametrize("mode", ["monolithic", "streamed", "1-slot-spans"])
+@pytest.mark.parametrize("policy", sorted(RADS_POLICIES))
+def test_rads_runs_every_stock_policy(policy, mode, tmp_path):
+    """Monolithic, streamed in uneven chunks with the warmup boundary
+    inside one and a checkpoint resumed, and streamed a slot at a time,
+    every slot runs on the kernel, no run counts ``policy``, and the report
+    and the recorded trace equal the reference engine's."""
     path = tmp_path / "rads.ckpt.json"
 
     def run(engine):
-        sim = _rads_sim(LongestQueueArbiter(8) if arbiter else None)
+        sim = RADS_POLICIES[policy]()
         if mode == "monolithic":
             return sim.run(3000, engine=engine)
+        if mode == "1-slot-spans":
+            return sim.run_stream(600, engine=engine, chunk_slots=1)
         return sim.run_stream(3000, engine=engine, chunk_slots=700,
                               warmup_slots=1000, checkpoint_every=1500,
                               checkpoint_path=path)
@@ -955,13 +1026,15 @@ def test_rads_runs_longest_queue_and_no_arbiter(arbiter, mode, kernel_mode,
     reference = run("reference")
     array, registry = _observed(lambda: run("array"))
     assert_reports_identical(reference, array)
+    assert (array.trace and array.trace.events) == \
+        (reference.trace and reference.trace.events)
     assert "policy" not in _fallbacks(registry)
-    _assert_kernel_ran(registry, kernel_mode)
+    _assert_kernel_ran(registry)
     if mode == "streamed":
         resumed, registry = _observed(lambda: resume_stream(path))
         assert_reports_identical(reference, resumed)
         assert "policy" not in _fallbacks(registry)
-        _assert_kernel_ran(registry, kernel_mode)
+        _assert_kernel_ran(registry)
 
 
 @pytest.mark.parametrize("arbiter", ["subclass", "fewer-queues"])
@@ -980,80 +1053,61 @@ def test_rads_longest_queue_variants_count_policy(arbiter):
     assert registry.counter("engine.array.kernel_spans") == 0
 
 
+def _plan_entry_sim(entry):
+    """RADS fed a trace whose arrival at slot 300 is ``entry``."""
+    return _rads_sim(RandomArbiter(8, seed=2), TraceArrivals(
+        [q % 8 for q in range(300)] + [entry] + [None] * 99))
+
+
+#: Raise sites of the RADS entry besides the strict tail overflow
+#: (:func:`test_fallback_reason_abort`), each with the reference's
+#: exception and message and the kernel's abort code: explicit plan entries
+#: past the last queue (unchecked, the kernel would write out of bounds),
+#: at -1, the kernel's no-arrival code (not an idle slot, nor an index from
+#: the end of a per-queue list), and past ``int32`` (not ``array``'s
+#: conversion error); a trace entry naming no queue; 40 cells a queue, then
+#: a round robin a one-slot lookahead cannot keep up with; a 20-cell DRAM.
+RADS_RAISE_SITES = {
+    "plan-no-queue": (
+        lambda: _plan_entry_sim(8), ValidationError,
+        r"^arrival 8 at slot 300 names no queue: an arrival must be None or "
+        r"an int in \[0, 8\)$", "plan"),
+    "plan-no-arrival-code": (lambda: _plan_entry_sim(-1), ValidationError,
+                             "^arrival -1 at slot 300", "plan"),
+    "plan-past-int32": (lambda: _plan_entry_sim(2 ** 40), ValidationError,
+                        f"^arrival {2 ** 40} at slot 300", "plan"),
+    "arbiter": (lambda: _rads_sim(TraceArbiter([None] * 200 + [-1])),
+                ArbiterContractError, None, "arbiter"),
+    "head-miss": (lambda: _rads_sim(
+        TraceArbiter([None] * 320 + TRACE_PATTERN),
+        TraceArrivals([q % 8 for q in range(320)]), lookahead=1),
+        CacheMissError, None, "miss"),
+    "dram": (lambda: _rads_sim(RandomArbiter(8, load=0.2, seed=56),
+                               dram_cells=20),
+             BufferOverflowError, None, "overflow"),
+}
+
+
+@needs_kernel
+@pytest.mark.parametrize("site", sorted(RADS_RAISE_SITES))
+def test_abort_raises_the_reference_error(site):
+    """The kernel aborts the span at the site, and python raises the
+    reference engine's exception from the abort record."""
+    make_sim, error, message, code = RADS_RAISE_SITES[site]
+    with pytest.raises(error, match=message) as reference:
+        make_sim().run(1200, engine="reference")
+    registry = MetricsRegistry()
+    with using_metrics(registry), pytest.raises(error) as array:
+        make_sim().run(1200, engine="array")
+    assert str(array.value) == str(reference.value)
+    assert _abort_codes(registry) == {code: 1}
+    assert _fallbacks(registry) == {}
+    assert registry.counter("engine.array.kernel_spans") == 0
+
+
 # --------------------------------------------------------------------- #
 # Span-kernel hardening (review regressions).
 # --------------------------------------------------------------------- #
-
-def test_streamed_backlog_migration_identical(kernel_mode):
-    """Streamed chunks over a machine with a large migrating backlog: a
-    rarely-granting arbiter and one hot queue make the tail MMA push far
-    more cells into DRAM per chunk than the chunk has slots (the kernel's
-    out buffers must be sized for backlog migration, not just arrivals)."""
-    def make_sim():
-        return ClosedLoopSimulation(
-            RADSPacketBuffer(RADSConfig(num_queues=8, granularity=64)),
-            BernoulliArrivals(8, load=1.0, seed=31,
-                              weights=[500, 1, 1, 1, 1, 1, 1, 1]),
-            RandomArbiter(8, seed=32, load=0.05))
-
-    reference = make_sim().run_stream(4000, engine="reference",
-                                      chunk_slots=200)
-    array = make_sim().run_stream(4000, engine="array", chunk_slots=200)
-    assert_reports_identical(reference, array)
-    assert array.throughput.arrivals > 3000
-
-
-def test_plan_entry_naming_no_queue_aborts_the_kernel(kernel_mode):
-    """An explicit plan entry past the last queue makes the kernel abort
-    before it indexes any per-queue state (unchecked, it would write out
-    of bounds), and python raises the reference engine's error for the
-    entry at its slot."""
-    pattern = [q % 8 for q in range(300)] + [8] + [None] * 99
-
-    def make_sim():
-        return ClosedLoopSimulation(
-            _build_buffer("rads"), TraceArrivals(pattern),
-            RandomArbiter(8, seed=2))
-
-    with pytest.raises(ValidationError) as reference:
-        make_sim().run(400, engine="reference")
-    assert str(reference.value) == (
-        "arrival 8 at slot 300 names no queue: an arrival must be None or "
-        "an int in [0, 8)")
-    registry = MetricsRegistry()
-    with using_metrics(registry), pytest.raises(ValidationError) as array:
-        make_sim().run(400, engine="array")
-    assert str(array.value) == str(reference.value)
-    if kernel_mode == "kernel" and span_kernel.load_kernel() is not None:
-        assert _abort_codes(registry) == {"plan": 1}
-    assert registry.counter("engine.array.kernel_spans") == 0
-
-
-@pytest.mark.parametrize("entry", [-1, 2 ** 40],
-                         ids=["no-arrival-code", "past-int32"])
-def test_plan_entry_the_kernel_cannot_encode_raises(entry, kernel_mode):
-    """An explicit plan entry of -1, the kernel's no-arrival code, is not
-    read as an idle slot, and one past ``int32`` does not stop the plan's
-    conversion with ``array``'s error: each becomes the kernel's abort
-    sentinel, and python raises the reference engine's error for the
-    original entry (for -1, rather than indexing from the end of a
-    per-queue list)."""
-    pattern = [q % 8 for q in range(300)] + [entry] + [None] * 99
-
-    def make_sim():
-        return ClosedLoopSimulation(
-            _build_buffer("rads"), TraceArrivals(pattern),
-            RandomArbiter(8, seed=2))
-
-    with pytest.raises(ValidationError) as reference:
-        make_sim().run(400, engine="reference")
-    registry = MetricsRegistry()
-    with using_metrics(registry), pytest.raises(ValidationError) as array:
-        make_sim().run(400, engine="array")
-    assert str(array.value) == str(reference.value)
-    assert f"arrival {entry} at slot 300" in str(array.value)
-    assert registry.counter("engine.array.kernel_spans") == 0
-
 
 def test_checkpoint_after_kernel_span_is_numpy_free(tmp_path):
     """A checkpoint written after kernel-backed spans resumes to the

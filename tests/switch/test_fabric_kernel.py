@@ -120,6 +120,14 @@ def test_flush_windows_of_one_slot():
     assert stats.flush_slots > 10
 
 
+def test_64_ports_in_one_slot_windows():
+    """One full word of request bits a port, carried through 1-slot
+    arrival and flush windows."""
+    stats = assert_kernel_matches_python(
+        scenario("random", "incast", 64, slots=60), chunk_slots=1)
+    assert stats.flush_slots > 0
+
+
 def test_each_window_takes_the_image_the_last_one_returned(monkeypatch):
     """The kernel path keeps one copy of the VOQs: the image each window
     returns goes untouched into the next, and no python VOQ is filled."""
@@ -385,6 +393,29 @@ def test_engines_agree_through_the_switch_model():
     assert array_run.ports == reference.ports
 
 
+def test_cfds_ports_run_the_rows_the_fabric_kernel_draws():
+    """An 8-port switch of CFDS linecards in 250-slot fabric windows: the
+    fabric kernel draws every ingress plan, and each port's CFDS entry runs
+    the ``int32`` rows it hands on as an explicit plan.  The fabric and the
+    ports equal the reference engine's."""
+    scn = dataclasses.replace(
+        get_switch_scenario("uniform").with_overrides(num_slots=600),
+        ports=({"scheme": "cfds",
+                "buffer": {"dram_access_slots": 8, "granularity": 2,
+                           "num_banks": 32},
+                "arbiter": {"type": "longest_queue", "params": {}}},))
+    reference = SwitchModel(scn).run(engine="reference", chunk_slots=250)
+    registry = MetricsRegistry()
+    with using_metrics(registry):
+        array_run = SwitchModel(scn).run(engine="array", chunk_slots=250)
+    assert array_run.fabric == reference.fabric
+    assert array_run.ports == reference.ports
+    assert registry.counter("switch.fabric.kernel_plan_slots") == 8 * 600
+    assert registry.counter("engine.array.kernel_spans") > 0
+    assert registry.counter("engine.array.kernel_slots") == \
+        registry.counter("engine.array.span_slots")
+
+
 # --------------------------------------------------------------------- #
 # Ingress plans the kernel draws
 # --------------------------------------------------------------------- #
@@ -519,8 +550,7 @@ def test_ingress_weight_made_non_finite_raises(value):
 
 # --------------------------------------------------------------------- #
 # Edges of the guided ingress draw and of the match, each against the
-# python fabric (benchmarks/kernel_sanitize_check.py runs the test_edge_*
-# cases under ASan/UBSan)
+# python fabric
 # --------------------------------------------------------------------- #
 
 #: Ingress weights over 16 egresses that the guided draw must search as
